@@ -128,7 +128,7 @@ def cmd_synthesize(args) -> int:
 def cmd_solve_ne(args) -> int:
     scenario, _ = _load(args)
     constants = estimate_constants(scenario.game)
-    p_star = solve_ne(scenario.game)
+    p_star = solve_ne(scenario.game, constants=constants)
     resid = float(np.linalg.norm(pseudo_gradient(scenario.game, p_star)))
     bound = min_gamma2(constants, scenario.graph)
     print(f"equilibrium = [{', '.join(format(x, '.12g') for x in p_star)}]")
@@ -186,7 +186,7 @@ def cmd_check(args) -> int:
                 for level in bank.levels for i in range(n))
     add("psi_readout_identity", worst <= 1e-10, f"max |Psi T - Gamma| {worst:.2e} (tol 1e-10)")
 
-    p_star = solve_ne(game)
+    p_star = solve_ne(game, constants=constants)
     loop = assemble(scenario, rng=np.random.default_rng(scenario.seed))
     v0 = np.random.default_rng(scenario.seed + 1).uniform(
         scenario.exo.v0_box[:, 0], scenario.exo.v0_box[:, 1])

@@ -15,6 +15,7 @@ the section's ``args`` mapping and must return a `CustomGame` / `PlantModel`.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import importlib
 import json
 from pathlib import Path
@@ -244,11 +245,10 @@ def build_scenario(norm: dict) -> Scenario:
     except NesimError as exc:
         raise ConfigError(f"plant: {exc}") from exc
     if "im_polys" in plant_cfg:
-        model = PlantModel(n_agents=model.n_agents, r=model.r, n_z=model.n_z,
-                           n_w=model.n_w, f0=model.f0, f_levels=model.f_levels,
-                           steady_zero=model.steady_zero,
-                           im_polys=[np.array(c) for c in plant_cfg["im_polys"]],
-                           steady_poly=model.steady_poly, params=model.params)
+        try:
+            model = dataclasses.replace(model, im_polys=[np.array(c) for c in plant_cfg["im_polys"]])
+        except ValueError as exc:
+            raise ConfigError(f"plant.im_polys: {exc}") from exc
 
     w_box = np.array(plant_cfg["w_box"], dtype=float)
     if w_box.shape[0] != model.n_w:

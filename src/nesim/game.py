@@ -210,23 +210,27 @@ def estimate_constants(game: GameSpec, n_samples: int = 10_000, seed: int = 0) -
     return GradientConstants(strong_mono=l_mono, lipschitz=max(l_lip, l_mono))
 
 
-def solve_ne(game: GameSpec, tol: float = NE_RESID_TOL) -> np.ndarray:
+def solve_ne(game: GameSpec, tol: float = NE_RESID_TOL,
+             constants: GradientConstants | None = None) -> np.ndarray:
     """Nash equilibrium of a strongly monotone game.
 
     The quadratic kind reduces to one linear solve. Custom games run damped
     Newton on the finite-difference pseudo-gradient with a forward-step
     fallback; their achievable residual is limited by finite-difference
-    noise (~1e-8 per unit cost scale), so pass a realistic ``tol``.
+    noise (~1e-8 per unit cost scale), so pass a realistic ``tol``. The
+    fallback step comes from the game's constants: pass ``constants`` when
+    they are already known, otherwise `estimate_constants` samples them.
 
     Raises
     ------
     NoConvergence
         After ``MAX_NE_ITERS`` iterations without reaching ``tol``.
     """
-    constants = estimate_constants(game)
     if isinstance(game, QuadraticAggregativeGame):
         return lu_solve(game.jacobian(), -game.gradient_constant())
 
+    if constants is None:
+        constants = estimate_constants(game)
     n = game.n
     p = game.sample_box.mean(axis=1)
     step_fwd = constants.strong_mono / constants.lipschitz ** 2

@@ -126,7 +126,7 @@ def run_generator(game: GameSpec, g: CommGraph, gains: GeneratorGains,
     if gains.gamma2 < bound:
         warnings.warn(f"gamma2 = {gains.gamma2:.4g} is below the guarantee bound {bound:.4g}; "
                       "convergence is not certified", stacklevel=2)
-    p_star = solve_ne(game)
+    p_star = solve_ne(game, constants=constants)
     target = np.tile(p_star, game.n)
 
     n = game.n

@@ -104,7 +104,9 @@ class PlantModel:
     the steady-state signals per level (level r's entry describes the
     feedforward input). ``steady_poly``, when provided, returns exact
     constant/linear/quadratic-in-v representations of those signals and
-    unlocks machine-precision diagnostics.
+    unlocks machine-precision diagnostics. ``split``, when provided, returns
+    the drift with ``w`` folded in as a linear map plus a nonlinear remainder
+    (see `drift_split`); it must agree with ``f0``/``f_levels``.
     """
 
     n_agents: int
@@ -116,7 +118,7 @@ class PlantModel:
     steady_zero: Callable
     im_polys: Sequence[np.ndarray]
     steady_poly: Callable | None = None
-    bind: Callable | None = None  # optional: w -> (f0, f_levels) with w folded in
+    split: Callable | None = None  # optional: w -> (J, nl), see `drift_split`
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -133,17 +135,14 @@ class PlantModel:
 
 @dataclass
 class PlantState:
-    """Stacked agent states: zero dynamics (N, n_z), chain (r, N), last input."""
+    """Stacked agent states: zero dynamics (N, n_z) and chain (r, N)."""
 
     z: np.ndarray
     x: np.ndarray
-    last_u: np.ndarray | None = None
 
     def __post_init__(self):
         self.z = np.array(self.z, dtype=float)
         self.x = np.array(self.x, dtype=float)
-        if self.last_u is None:
-            self.last_u = np.zeros(self.x.shape[1])
 
 
 def plant_rhs(model: PlantModel, state: PlantState, u: np.ndarray, v: np.ndarray,
@@ -160,6 +159,32 @@ def plant_rhs(model: PlantModel, state: PlantState, u: np.ndarray, v: np.ndarray
     if check_finite and not (np.isfinite(dz).all() and np.isfinite(dx).all()):
         raise NonFiniteState("plant derivative is not finite")
     return dz, dx
+
+
+def drift_split(model: PlantModel, w: Uncertainty | np.ndarray) -> tuple[np.ndarray, Callable]:
+    """The plant drift for one draw as ``J @ [zx, v] + nl(zx, v)``.
+
+    The drift is the stack of ``f0`` and ``f_levels`` (the chain shifts and
+    the input are not part of it) over the flat state ``zx = [z, x]``
+    (``z`` agent-major, ``x`` level-major). ``J`` has one row and one column
+    per ``zx`` entry, followed by one column per leading disturbance
+    coordinate the drift reads; ``nl(zx, v)`` returns the flat remainder.
+    Models with a ``split`` hook supply both; any other model gets ``J = 0``
+    and ``nl`` evaluates its callables with ``w`` folded in.
+    """
+    wv = w.w if isinstance(w, Uncertainty) else np.asarray(w, dtype=float)
+    if model.split is not None:
+        return model.split(wv)
+    n, r, n_z = model.n_agents, model.r, model.n_z
+    f0, f_levels = model.f0, model.f_levels
+
+    def nl(zx, v):
+        z, x = zx[:n * n_z].reshape(n, n_z), zx[n * n_z:].reshape(r, n)
+        return np.concatenate([np.ravel(f0(z, x[0], v, wv))]
+                              + [f_levels[s](z, x[:s + 1], v, wv) for s in range(r)])
+
+    dim = n * n_z + r * n
+    return np.zeros((dim, dim)), nl
 
 
 # ---------------------------------------------------------------------------
@@ -348,21 +373,22 @@ def example_plant(g: np.ndarray, n_agents: int | None = None) -> PlantModel:
         ge = geff(w)
         return ge[:, 4] * z[:, 0] ** 2 * xs[0] + ge[:, 5] * xs[0] * xs[1]
 
-    def bind(w):
-        # fold the drawn parameters in once; the returned callables are the
-        # hot-loop versions of f0/f1/f2
+    def split(w):
+        # columns: z (N), x1 (N), x2 (N), v1, v2; rows: zdot, x1dot, x2dot
         g1, g2, g3, g4, g5, g6 = geff(w).T.copy()
+        J = np.zeros((3 * n, 3 * n + 2))
+        agents = np.arange(n)
+        J[agents, agents] = g1
+        J[agents, n + agents] = 1.0
+        J[agents, 3 * n] = g2
+        J[n + agents, 3 * n + 1] = g4
+        zeros = np.zeros(n)
 
-        def f0b(z, x1, v):
-            return (g1 * z[:, 0] + x1 + g2 * v[0])[:, None]
+        def nl(zx, v):
+            zc, x1, x2 = zx[:n], zx[n:2 * n], zx[2 * n:]
+            return np.concatenate((zeros, g3 * zc * x1, (g5 * zc * zc + g6 * x2) * x1))
 
-        def f1b(z, xs, v):
-            return g3 * z[:, 0] * xs[0] + g4 * v[1]
-
-        def f2b(z, xs, v):
-            return g5 * z[:, 0] ** 2 * xs[0] + g6 * xs[0] * xs[1]
-
-        return f0b, (f1b, f2b)
+        return J, nl
 
     def steady_zero(s, v, w):
         ge = geff(w)
@@ -388,7 +414,7 @@ def example_plant(g: np.ndarray, n_agents: int | None = None) -> PlantModel:
         n_agents=n, r=2, n_z=1, n_w=6 * n,
         f0=f0, f_levels=(f1, f2), steady_zero=steady_zero,
         im_polys=(np.array([0.0, -1.0, 0.0]), np.array([0.0, -4.0, 0.0, -5.0, 0.0])),
-        steady_poly=steady_poly, bind=bind, params={"g": g},
+        steady_poly=steady_poly, split=split, params={"g": g},
     )
 
 

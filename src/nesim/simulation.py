@@ -5,7 +5,9 @@ disturbance state, and every agent's plant and compensator states; a single
 fixed-step integrator advances it. The information structure stays
 distributed (each block's derivative reads only its own and neighbor data),
 but integrating centrally keeps the numerics exact to the method order and
-the output deterministic.
+the output deterministic. Everything except the plant drift and a custom
+game's gradient is affine, so `assemble` builds the derivative once as
+``A x + c`` plus the plant drift's nonlinear remainder (and that gradient).
 
 State layout (level-major): ``[estimates (N*N) | v (n_v) | z (N*n_z) |
 chain x (r*N) | compensators eta_1 (N*n_1) .. eta_r (N*n_r)]``. Seeded draws
@@ -20,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .controller import ControllerGains, control_law, TRACKING_TOL, STATE_NORM_LIMIT
+from .controller import ControllerGains, TRACKING_TOL, STATE_NORM_LIMIT
 from .errors import NesimError, NonFiniteState
 from .game import (GameSpec, QuadraticAggregativeGame, estimate_constants,
                    extended_pseudo_gradient, solve_ne)
@@ -28,7 +30,7 @@ from .generator import GeneratorGains, min_gamma2
 from .graph import CommGraph, is_connected, laplacian
 from .internal_model import InternalModelBank, synthesize_bank
 from .numerics import OdeSystem, rk4_step
-from .plant import (Exosystem, PlantModel, PlantState, SteadyState, Uncertainty,
+from .plant import (Exosystem, PlantModel, SteadyState, Uncertainty, drift_split,
                     sample_uncertainty, steady_state_chain)
 
 AUTO_GAMMA2_MARGIN = 1.25
@@ -118,6 +120,7 @@ class AssembledLoop(OdeSystem):
     w: Uncertainty = None
     steady: SteadyState = None
     ablate: bool = False
+    control_rows: np.ndarray = None  # U, (N, dim): the control law as u = U @ state
 
     def unpack(self, state: np.ndarray):
         """Split a flat state into named, reshaped views."""
@@ -131,9 +134,8 @@ class AssembledLoop(OdeSystem):
         return P, v, z, x, eta
 
     def control(self, state: np.ndarray) -> np.ndarray:
-        P, v, z, x, eta = self.unpack(state)
-        return control_law(self.gains, self.bank, PlantState(z=z, x=x), eta,
-                           P.diagonal(), ablate=self.ablate)
+        """Control input of every agent, ``U @ state`` (see `control_law`)."""
+        return self.control_rows @ state
 
     def manifold_state(self, v0: np.ndarray) -> np.ndarray:
         """State on the regulated manifold with the generator at equilibrium."""
@@ -186,7 +188,7 @@ def assemble(scenario: Scenario, gains: ControllerGains | None = None,
     rng = rng if rng is not None else np.random.default_rng(scenario.seed)
 
     constants = _stage("game constants", lambda: estimate_constants(scenario.game))
-    p_star = _stage("equilibrium oracle", lambda: solve_ne(scenario.game))
+    p_star = _stage("equilibrium oracle", lambda: solve_ne(scenario.game, constants=constants))
     gamma2 = (AUTO_GAMMA2_MARGIN * _stage("consensus gain bound",
                                           lambda: min_gamma2(constants, scenario.graph))
               if scenario.gamma2_auto else scenario.gains.gamma2)
@@ -205,87 +207,110 @@ def assemble(scenario: Scenario, gains: ControllerGains | None = None,
     layout = StateLayout(n_agents=n, n_v=scenario.exo.n_v, n_z=model.n_z, r=model.r,
                          im_orders=tuple(level.order for level in bank.levels))
 
-    # Bind hot-loop constants.
-    L = laplacian(scenario.graph)
-    S = scenario.exo.S
+    J, plant_nl = drift_split(model, w)
+    A, c, U = _closed_loop_operator(scenario, layout, bank, gains, g1, gamma2, J, ablate)
     game = scenario.game
-    coeff = gains.cumulative()
-    wv = w.w
-    r, n_z = model.r, model.n_z
+    # the quadratic game's extended gradient is affine and already in A and c
+    game_nl = (None if isinstance(game, QuadraticAggregativeGame)
+               else lambda P: extended_pseudo_gradient(game, P))
+
     off = layout.offsets()
     pa, pb = off["P"]
     va, vb = off["v"]
-    za, zb = off["z"]
-    xa, xb = off["x"]
-    ea, eb = off["eta"][0][0], off["eta"][-1][1]
-    diag = np.arange(n)
-    g1g2 = g1 * gamma2
-
-    if model.bind is not None:
-        f0b, f_levels_b = model.bind(wv)
-    else:
-        f0b = lambda z, x1, v: model.f0(z, x1, v, wv)
-        f_levels_b = tuple((lambda z, xs, v, fs=fs: fs(z, xs, v, wv))
-                           for fs in model.f_levels)
-
-    if isinstance(game, QuadraticAggregativeGame):
-        h1, h2, h3 = game.h1, game.h2, game.h3
-
-        def ext_grad(P):
-            own = P[diag, diag]
-            return 2.0 * (own - h1) + h2 * P.sum(axis=1) + h2 * own + h3
-    else:
-        def ext_grad(P):
-            return extended_pseudo_gradient(game, P)
-
-    # All compensator levels stacked into one flat block: block-diagonal
-    # dynamics, one read-out matrix, and an index map expanding the per-agent
-    # drive signals (level s is driven by x_{s+1}, the top level by u).
-    eta_dim = eb - ea
-    M_blk = np.zeros((eta_dim, eta_dim))
-    N_flat = np.empty(eta_dim)
-    Psi_blk = np.zeros((r * n, eta_dim))
-    drive_idx = np.empty(eta_dim, dtype=np.intp)
-    pos = 0
-    for s, level in enumerate(bank.levels):
-        ns = level.order
-        for i in range(n):
-            M_blk[pos:pos + ns, pos:pos + ns] = level.M[i]
-            N_flat[pos:pos + ns] = level.N[i]
-            Psi_blk[s * n + i, pos:pos + ns] = level.Psi[i]
-            drive_idx[pos:pos + ns] = s * n + i
-            pos += ns
+    za, xb = off["z"][0], off["x"][1]
+    p_diag = pa + np.arange(n) * (n + 1)
 
     def rhs(t: float, state: np.ndarray) -> np.ndarray:
-        P = state[pa:pb].reshape(n, n)
-        v = state[va:vb]
-        z = state[za:zb].reshape(n, n_z)
-        x = state[xa:xb].reshape(r, n)
-        eta_flat = state[ea:eb]
-        out = np.empty_like(state)
-
-        dP = -g1g2 * (L @ P)
-        dP[diag, diag] -= g1 * ext_grad(P)
-        out[pa:pb] = dP.ravel()
-        out[va:vb] = S @ v
-
-        reads = (np.zeros(r * n) if ablate else Psi_blk @ eta_flat).reshape(r, n)
-        u = reads[r - 1] - coeff[:, 0] * (x[0] - P[diag, diag])
-        for s in range(2, r + 1):
-            u -= coeff[:, s - 1] * (x[s - 1] - reads[s - 2])
-
-        out[za:zb] = f0b(z, x[0], v).ravel()
-        dx = out[xa:xb].reshape(r, n)
-        for s in range(1, r + 1):
-            dx[s - 1] = f_levels_b[s - 1](z, x[:s], v) + (x[s] if s < r else u)
-
-        drives = np.concatenate([x[1:].ravel(), u])  # (r*n,) level-major
-        out[ea:eb] = M_blk @ eta_flat + N_flat * drives[drive_idx]
+        out = A.dot(state)
+        out += c
+        plant_rows = out[za:xb]  # in-place view: `out[za:xb] +=` would copy back
+        plant_rows += plant_nl(state[za:xb], state[va:vb])
+        if game_nl is not None:
+            out[p_diag] -= g1 * game_nl(state[pa:pb].reshape(n, n))
         return out
 
     return AssembledLoop(dimension=layout.dim, rhs=rhs, scenario=scenario, layout=layout,
                          bank=bank, gains=gains, gamma1=g1, gamma2=float(gamma2),
-                         p_star=p_star, w=w, steady=steady, ablate=ablate)
+                         p_star=p_star, w=w, steady=steady, ablate=ablate, control_rows=U)
+
+
+def _closed_loop_operator(scenario: Scenario, layout: StateLayout, bank: InternalModelBank,
+                          gains: ControllerGains, gamma1: float, gamma2: float,
+                          J: np.ndarray, ablate: bool):
+    """Affine part ``A x + c`` of the closed loop and the control rows ``U``.
+
+    Each block is written from its own parameters: the generator's
+    consensus ``-gamma1 gamma2 (L kron I)`` plus, for the quadratic game,
+    its affine extended gradient on the diagonal entries; the exosystem
+    ``S``; the plant drift's linear part ``J`` (see `drift_split`) and the
+    chain shifts ``x_{s+1} -> dx_s``; the control law ``u = U x``; and the
+    compensators ``M eta + N drive``, where level ``s`` is driven by
+    ``x_{s+1}`` and the top level by ``u``. ``ablate`` drops the read-outs
+    from ``U``. The remaining closed-loop terms are the plant drift's
+    nonlinear remainder on the ``(z, x)`` rows and, for a custom game, the
+    extended gradient on the diagonal estimate rows.
+    """
+    n, r, dim = layout.n_agents, layout.r, layout.dim
+    off = layout.offsets()
+    pa, pb = off["P"]
+    va, vb = off["v"]
+    za, xa, xb = off["z"][0], off["x"][0], off["x"][1]
+    agents = np.arange(n)
+    p_diag = pa + agents * (n + 1)
+    A = np.zeros((dim, dim))
+    c = np.zeros(dim)
+
+    A[pa:pb, pa:pb] = -gamma1 * gamma2 * np.kron(laplacian(scenario.graph), np.eye(n))
+    game = scenario.game
+    if isinstance(game, QuadraticAggregativeGame):
+        # entry i of the extended gradient is Jacobian row i applied to estimate row i
+        G = game.jacobian()
+        for i in range(n):
+            A[p_diag[i], pa + i * n:pa + (i + 1) * n] -= gamma1 * G[i]
+        c[p_diag] = -gamma1 * game.gradient_constant()
+    A[va:vb, va:vb] = scenario.exo.S
+
+    n_zx = xb - za
+    v_cols = J.shape[1] - n_zx
+    if J.shape[0] != n_zx or not 0 <= v_cols <= layout.n_v:
+        raise ValueError(f"plant drift split has shape {J.shape}; expected {n_zx} rows and "
+                         f"{n_zx} to {n_zx + layout.n_v} columns")
+    A[za:xb, za:xb] = J[:, :n_zx]
+    A[za:xb, va:va + v_cols] = J[:, n_zx:]
+    shifted = np.arange(xa, xb - n)
+    A[shifted, shifted + n] += 1.0
+
+    # compensator dynamics and read-outs Psi_s eta_s, one row per (level, agent)
+    ea = off["eta"][0][0]
+    reads = np.zeros((r * n, dim))
+    N_flat = np.empty(dim - ea)
+    drive_idx = np.empty(dim - ea, dtype=np.intp)
+    pos = 0
+    for s, level in enumerate(bank.levels):
+        ns = level.order
+        for i in range(n):
+            rel, blk = slice(pos, pos + ns), slice(ea + pos, ea + pos + ns)
+            A[blk, blk] = level.M[i]
+            N_flat[rel] = level.N[i]
+            drive_idx[rel] = s * n + i
+            if not ablate:
+                reads[s * n + i, blk] = level.Psi[i]
+            pos += ns
+
+    coeff = gains.cumulative()
+    U = reads[(r - 1) * n:].copy()
+    U[agents, p_diag] += coeff[:, 0]
+    for s in range(r):
+        U[agents, xa + s * n + agents] -= coeff[:, s]
+    for s in range(1, r):
+        U += coeff[:, s, None] * reads[(s - 1) * n:s * n]
+    A[xb - n:xb] += U
+
+    drives = np.zeros((r * n, dim))  # level-major: x_2 .. x_r, then u
+    drives[np.arange((r - 1) * n), shifted + n] = 1.0
+    drives[(r - 1) * n:] = U
+    A[ea:] += N_flat[:, None] * drives[drive_idx]
+    return A, c, U
 
 
 @dataclass
@@ -348,6 +373,9 @@ def run(scenario: Scenario, gains: ControllerGains | None = None,
     target = np.tile(loop.p_star, n)
     off = lay.offsets()
     pa, pb = off["P"]
+    va, vb = off["v"]
+    xa = off["x"][0]
+    p_diag = pa + np.arange(n) * (n + 1)
 
     ts, ys, ps, es, us, dists, vs = [], [], [], [], [], [], []
     max_norm = 0.0
@@ -356,15 +384,15 @@ def run(scenario: Scenario, gains: ControllerGains | None = None,
     aborted = False
 
     def record(t, s):
-        P, v, z, x, eta = loop.unpack(s)
-        refs = P.diagonal().copy()
+        refs = s[p_diag]
+        y = s[xa:xa + n].copy()
         ts.append(t)
-        ys.append(x[0].copy())
+        ys.append(y)
         ps.append(refs)
-        es.append(x[0] - refs)
+        es.append(y - refs)
         us.append(loop.control(s))
         dists.append(float(np.linalg.norm(s[pa:pb] - target)))
-        vs.append(v.copy())
+        vs.append(s[va:vb].copy())
 
     t = 0.0
     record(t, state)

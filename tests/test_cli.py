@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from nesim.cli import main
 from nesim.config import load_scenario, normalize
+from nesim.errors import ConfigError
 
 
 @pytest.fixture()
@@ -31,6 +33,17 @@ def test_dump_normalized_round_trip(sec5_path, sec5_norm, capsys):
     scenario, norm2 = load_scenario(echoed)
     assert norm2 == sec5_norm
     assert scenario.seed == sec5_norm["sim"]["seed"]
+
+
+def test_im_polys_override_keeps_plant_hooks(sec5_norm):
+    cfg = json.loads(json.dumps(sec5_norm))
+    cfg["plant"]["im_polys"] = [[0.0, -1.0, 0.0], [0.0, -4.0, 0.0, -5.0, 0.0]]
+    plant = load_scenario(cfg)[0].plant
+    assert plant.split is not None and plant.steady_poly is not None
+    assert np.array_equal(plant.params["g"], np.array(cfg["plant"]["g"]))
+    cfg["plant"]["im_polys"] = [[0.0, -1.0, 0.0]]
+    with pytest.raises(ConfigError, match="plant.im_polys"):
+        load_scenario(cfg)
 
 
 def test_bundled_name_resolution(capsys):

@@ -7,7 +7,7 @@ from nesim.errors import InvalidParameter
 from nesim.numerics import OdeSystem, integrate
 from nesim.plant import (Exosystem, PlantModel, PlantState, Uncertainty,
                          check_origin_equilibrium, check_steady_chain_consistency,
-                         check_steady_zero_pde, example_plant, exo_rhs,
+                         check_steady_zero_pde, drift_split, example_plant, exo_rhs,
                          exo_trajectory, plant_rhs, sample_uncertainty,
                          steady_state_chain)
 
@@ -63,6 +63,21 @@ class TestExamplePlant:
     def test_unstable_zero_dynamics_rejected(self):
         with pytest.raises(InvalidParameter):
             demo_plant([[0.5, 1, 0.5, 1, 0.3, 0.3]])
+
+    def test_split_reproduces_drift(self):
+        model = demo_plant([[-1, 1, 0.5, 1, 0.3, 0.3], [-1.2, 0.8, 0.4, 1.1, 0.25, 0.35],
+                            [-0.9, 1.3, -0.6, 0.7, 0.45, -0.2]])
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            w = rng.uniform(-0.5, 0.5, model.n_w)
+            z, x, v = rng.normal(size=(3, 1)), rng.normal(size=(2, 3)), rng.normal(size=2)
+            zx = np.concatenate([z.ravel(), x.ravel()])
+            J, nl = drift_split(model, w)
+            split = J @ np.concatenate([zx, v]) + nl(zx, v)
+            ref = np.concatenate([model.f0(z, x[0], v, w).ravel(),
+                                  model.f_levels[0](z, x[:1], v, w),
+                                  model.f_levels[1](z, x, v, w)])
+            assert np.abs(split - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_origin_equilibrium_over_box(self):
         model = demo_plant([[-1, 1, 0.5, 1, 0.3, 0.3], [-1.2, 0.8, 0.4, 1.1, 0.25, 0.35]])

@@ -5,12 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nesim.controller import ControllerGains
+from factories import build_game, build_plant
+from nesim.controller import ControllerGains, control_law
 from nesim.game import QuadraticAggregativeGame
-from nesim.generator import GeneratorGains
+from nesim.generator import GeneratorGains, generator_rhs
 from nesim.graph import CommGraph
-from nesim.plant import Exosystem, example_plant
-from nesim.simulation import (ClosedLoopTrajectory, EscalationSpec, Scenario,
+from nesim.internal_model import StabilizerPair, im_rhs
+from nesim.plant import Exosystem, PlantState, example_plant, exo_rhs, plant_rhs
+from nesim.simulation import (ClosedLoopTrajectory, EscalationSpec, Scenario, assemble,
                               closed_loop_passes, metrics, run, write_csv)
 
 
@@ -25,6 +27,49 @@ def test_rhs_is_deterministic(sec5_loop):
     a = sec5_loop.rhs(0.0, state)
     b = sec5_loop.rhs(0.0, state)
     assert np.array_equal(a, b)
+
+
+def composed_rhs(loop, state):
+    """Closed-loop derivative and input from the public per-block functions."""
+    sc = loop.scenario
+    P, v, z, x, eta = loop.unpack(state)
+    plant = PlantState(z=z, x=x)
+    dP = generator_rhs(sc.game, sc.graph, GeneratorGains(loop.gamma1, loop.gamma2), P)
+    u = control_law(loop.gains, loop.bank, plant, eta, P.diagonal(), ablate=loop.ablate)
+    dz, dx = plant_rhs(sc.plant, plant, u, v, loop.w, check_finite=False)
+    drives = list(x[1:]) + [u]  # level s is driven by x_{s+1}, the top level by u
+    deta = [np.array([im_rhs(StabilizerPair(level.M[i], level.N[i]), eta[s][i], drives[s][i])
+                      for i in range(sc.n)])
+            for s, level in enumerate(loop.bank.levels)]
+    flat = np.concatenate([dP.ravel(), exo_rhs(sc.exo, v), dz.ravel(), dx.ravel()]
+                          + [d.ravel() for d in deta])
+    return flat, u
+
+
+def custom_scenario():
+    """The test-factory finite-difference game with the generic custom plant."""
+    return Scenario(
+        game=build_game([1.0, 2.0, 3.0], 0.5), graph=CommGraph.ring(3),
+        plant=build_plant(3), exo=Exosystem(S=np.array([[0.0, 1.0], [-1.0, 0.0]]),
+                                            v0_box=np.array([[0.5, 1.0], [0.0, 0.0]])),
+        w_box=np.tile([-0.1, 0.1], (3, 1)), gains=GeneratorGains(1.0, 1.0),
+        gamma2_auto=True, controller_k=np.full((3, 1), 8.0), seed=2, R=0.5)
+
+
+@pytest.mark.parametrize("case", ["sec5", "sec5_ablated", "custom"])
+def test_rhs_matches_composed_blocks(case, sec5, stable_gains):
+    if case == "custom":
+        loop = assemble(custom_scenario())
+    else:
+        loop = assemble(sec5, gains=stable_gains, ablate=case == "sec5_ablated",
+                        rng=np.random.default_rng(sec5.seed))
+    rng = np.random.default_rng(21)
+    for _ in range(5):
+        state = rng.normal(size=loop.dimension)
+        ref, u_ref = composed_rhs(loop, state)
+        fused = loop.rhs(0.0, state)
+        assert np.abs(fused - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.abs(loop.control(state) - u_ref).max() <= 1e-12 * np.abs(u_ref).max()
 
 
 def test_disconnected_graph_rejected(sec5):
