@@ -21,9 +21,9 @@ import numpy as np
 from . import config as cfg
 from .controller import ControllerGains, escalate_gains
 from .errors import NesimError
-from .game import estimate_constants, pseudo_gradient, solve_ne, partial_gradient
+from .game import pseudo_gradient, partial_gradient
 from .generator import min_gamma2
-from .internal_model import synthesize_bank, sylvester_residual, verify_reproduction, default_stabilizer
+from .internal_model import sylvester_residual, verify_reproduction, default_stabilizer
 from .plant import check_steady_chain_consistency, check_steady_zero_pde, exo_trajectory, steady_state_chain
 from .simulation import assemble, format_summary, metrics, run, write_csv
 
@@ -62,16 +62,20 @@ def _load(args) -> tuple:
 
 
 def _resolve_gains(scenario, quiet: bool = False):
-    """Configured gains, or the escalation search when set to auto."""
+    """``(gains, gamma1, passing)``: configured gains, or the escalation search.
+
+    ``passing`` is escalation's passing run, the scenario's own run with
+    those gains (same seed, horizon, step and decimation), or None.
+    """
     if scenario.controller_k is not None:
-        return ControllerGains(scenario.controller_k), scenario.gains.gamma1
+        return ControllerGains(scenario.controller_k), scenario.gains.gamma1, None
     start = ControllerGains.uniform(scenario.n, scenario.plant.r)
     result = escalate_gains(scenario, start, factor=scenario.escalation.factor,
                             max_rounds=scenario.escalation.max_rounds)
     if not quiet:
         print(f"gain escalation: passed at round {result.rounds} "
               f"(multiplier {result.multiplier:g}, box radius R={scenario.R:g})")
-    return result.gains, result.gamma1
+    return result.gains, result.gamma1, result.trajectory
 
 
 def _fmt_matrix(M: np.ndarray) -> str:
@@ -81,7 +85,7 @@ def _fmt_matrix(M: np.ndarray) -> str:
 
 def cmd_simulate(args) -> int:
     scenario, _ = _load(args)
-    gains, gamma1 = _resolve_gains(scenario)
+    gains, gamma1, passing = _resolve_gains(scenario)
     seeds = [scenario.seed]
     if args.sweep:
         key, _, count = args.sweep.partition("=")
@@ -90,8 +94,11 @@ def cmd_simulate(args) -> int:
         seeds = [scenario.seed + k for k in range(int(count))]
     worst_exit = EXIT_OK
     for seed in seeds:
-        traj = run(scenario, gains=gains, gamma1=gamma1,
-                   ablate=args.ablate_internal_model, seed=seed)
+        if passing is not None and seed == passing.seed and not args.ablate_internal_model:
+            traj = passing
+        else:
+            traj = run(scenario, gains=gains, gamma1=gamma1,
+                       ablate=args.ablate_internal_model, seed=seed)
         out_path = Path(args.out)
         if len(seeds) > 1:
             out_path = out_path.with_name(f"{out_path.stem}_s{seed}{out_path.suffix}")
@@ -109,10 +116,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_synthesize(args) -> int:
     scenario, _ = _load(args)
-    bank = synthesize_bank(scenario.plant.im_polys, scenario.n,
-                           stabilizers=scenario.im_stabilizers,
-                           preset=scenario.im_preset)
-    for s, level in enumerate(bank.levels, start=1):
+    for s, level in enumerate(scenario.synthesized().bank.levels, start=1):
         print(f"level {s}: recurrence coefficients = "
               f"[{', '.join(format(c, 'g') for c in level.companion.coeffs)}]")
         for i in range(scenario.n):
@@ -127,8 +131,8 @@ def cmd_synthesize(args) -> int:
 
 def cmd_solve_ne(args) -> int:
     scenario, _ = _load(args)
-    constants = estimate_constants(scenario.game)
-    p_star = solve_ne(scenario.game, constants=constants)
+    synthesis = scenario.synthesized()
+    constants, p_star = synthesis.constants, synthesis.p_star
     resid = float(np.linalg.norm(pseudo_gradient(scenario.game, p_star)))
     bound = min_gamma2(constants, scenario.graph)
     print(f"equilibrium = [{', '.join(format(x, '.12g') for x in p_star)}]")
@@ -149,6 +153,8 @@ def cmd_check(args) -> int:
 
     game = scenario.game
     n = scenario.n
+    synthesis = scenario.synthesized()
+    constants, p_star, bank = synthesis.constants, synthesis.p_star, synthesis.bank
     # analytic vs finite-difference gradients
     worst = 0.0
     for _ in range(50):
@@ -163,7 +169,6 @@ def cmd_check(args) -> int:
         worst = max(worst, abs(fd - ana) / (1.0 + abs(ana)))
     add("gradient_fd_agreement", worst < 1e-5, f"max rel dev {worst:.2e} (tol 1e-5)")
 
-    constants = estimate_constants(game)
     worst = np.inf
     for _ in range(1000):
         a = rng.uniform(-5, 5, size=n)
@@ -176,8 +181,6 @@ def cmd_check(args) -> int:
         worst = min(worst, gap - constants.strong_mono * dd * (1 - 1e-9))
     add("monotonicity_sampling", worst >= 0, f"worst margin {worst:.2e}")
 
-    bank = synthesize_bank(scenario.plant.im_polys, n,
-                           stabilizers=scenario.im_stabilizers, preset=scenario.im_preset)
     worst = max(sylvester_residual(level, i)
                 for level in bank.levels for i in range(n))
     add("sylvester_residual", worst <= 1e-10, f"max residual {worst:.2e} (tol 1e-10)")
@@ -186,7 +189,6 @@ def cmd_check(args) -> int:
                 for level in bank.levels for i in range(n))
     add("psi_readout_identity", worst <= 1e-10, f"max |Psi T - Gamma| {worst:.2e} (tol 1e-10)")
 
-    p_star = solve_ne(game, constants=constants)
     loop = assemble(scenario, rng=np.random.default_rng(scenario.seed))
     v0 = np.random.default_rng(scenario.seed + 1).uniform(
         scenario.exo.v0_box[:, 0], scenario.exo.v0_box[:, 1])
@@ -215,9 +217,9 @@ def cmd_check(args) -> int:
         add(f"im_reproduction_level{s + 1}", worst <= tol,
             f"max error {worst:.2e} (tol {tol:g})")
 
-    gains, gamma1 = (ControllerGains(scenario.controller_k), scenario.gains.gamma1) \
-        if scenario.controller_k is not None else _resolve_gains(scenario, quiet=True)
-    traj_a = run(scenario, gains=gains, gamma1=gamma1)
+    gains, gamma1, traj_a = _resolve_gains(scenario, quiet=True)
+    if traj_a is None:
+        traj_a = run(scenario, gains=gains, gamma1=gamma1)
     traj_b = run(scenario, gains=gains, gamma1=gamma1, dt=scenario.dt / 2.0)
     if traj_a.diverged or traj_b.diverged:
         add("step_halving", False, "closed loop diverged")

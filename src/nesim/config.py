@@ -209,7 +209,11 @@ def _load_factory(spec: str):
 
 
 def build_scenario(norm: dict) -> Scenario:
-    """Construct the in-memory scenario from a normalized dict."""
+    """Construct the in-memory scenario from a normalized dict.
+
+    The game constants, the equilibrium, ``gamma2`` and the internal-model
+    bank are computed here, once, and carried on the scenario.
+    """
     game_cfg = norm["game"]
     if game_cfg["kind"] == "quadratic_aggregative":
         game = QuadraticAggregativeGame(h1=np.array(game_cfg["h1"]),
@@ -222,7 +226,7 @@ def build_scenario(norm: dict) -> Scenario:
     n = game.n
 
     try:
-        estimate_constants(game)
+        constants = estimate_constants(game)
     except NesimError as exc:
         raise ConfigError(f"game: {exc}") from exc
 
@@ -304,7 +308,7 @@ def build_scenario(norm: dict) -> Scenario:
 
     sim = norm["sim"]
     try:
-        return Scenario(
+        scenario = Scenario(
             game=game, graph=graph, plant=model, exo=exo, w_box=w_box,
             gains=gen_gains, gamma2_auto=auto2, controller_k=k,
             escalation=EscalationSpec(factor=ctrl["escalation"]["factor"],
@@ -313,8 +317,10 @@ def build_scenario(norm: dict) -> Scenario:
             t_final=sim["t_final"], dt=sim["dt"], seed=sim["seed"],
             R=sim["R"], decimate=sim["decimate"], p0=p0,
         )
+        scenario.synthesized(constants)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    return scenario
 
 
 def load_scenario(source) -> tuple[Scenario, dict]:

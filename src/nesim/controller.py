@@ -10,13 +10,16 @@ routes to the same algebra and are tested against each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from .errors import EscalationExhausted
 from .internal_model import InternalModelBank
 from .plant import PlantState, SteadyState
+
+if TYPE_CHECKING:
+    from .simulation import ClosedLoopTrajectory
 
 STATE_NORM_LIMIT = 1e6   # divergence threshold for escalation runs
 TRACKING_TOL = 1e-2      # final tracking error a passing run must beat
@@ -134,6 +137,7 @@ class EscalationResult:
     gamma1: float
     rounds: int          # 1-based index of the passing attempt
     multiplier: float    # total factor applied to the initial gains
+    trajectory: Optional[ClosedLoopTrajectory] = None  # the passing run, if run_fn returned it
 
 
 def escalate_gains(scenario, initial: ControllerGains, factor: float = 2.0,
@@ -148,6 +152,9 @@ def escalate_gains(scenario, initial: ControllerGains, factor: float = 2.0,
     gain argument: the returned gains are certified for the scenario's
     initial-condition box radius by the run itself, nothing more.
 
+    ``run_fn(scenario, gains, gamma1)`` is truthy on a pass. The default,
+    `closed_loop_passes`, returns the passing run, kept as ``trajectory``.
+
     Raises
     ------
     EscalationExhausted
@@ -155,15 +162,17 @@ def escalate_gains(scenario, initial: ControllerGains, factor: float = 2.0,
     """
     if factor <= 1:
         raise ValueError("escalation factor must exceed 1")
+    from .simulation import ClosedLoopTrajectory, closed_loop_passes  # lazy: simulation imports us
     if run_fn is None:
-        from .simulation import closed_loop_passes  # lazy: simulation imports us
         run_fn = closed_loop_passes
     for attempt in range(max_rounds):
         mult = factor ** attempt
         candidate = initial.scaled(mult)
         gamma1 = scenario.gains.gamma1 * mult
-        if run_fn(scenario, candidate, gamma1):
-            return EscalationResult(gains=candidate, gamma1=gamma1,
-                                    rounds=attempt + 1, multiplier=mult)
+        outcome = run_fn(scenario, candidate, gamma1)
+        if outcome:
+            traj = outcome if isinstance(outcome, ClosedLoopTrajectory) else None
+            return EscalationResult(gains=candidate, gamma1=gamma1, rounds=attempt + 1,
+                                    multiplier=mult, trajectory=traj)
     raise EscalationExhausted(f"no passing gains within {max_rounds} rounds "
                               f"(factor {factor}, start {initial.k.max():.3g})")

@@ -49,13 +49,5 @@ class EscalationExhausted(NesimError):
     """Gain escalation hit the round limit without a passing run."""
 
 
-class Diverged(NesimError):
-    """Closed-loop integration diverged; carries the failure time."""
-
-    def __init__(self, t: float, message: str = ""):
-        self.t = t
-        super().__init__(message or f"trajectory diverged at t={t:.6g}")
-
-
 class ConfigError(NesimError):
     """Scenario file is malformed; message carries the offending field."""

@@ -15,7 +15,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import NoConvergence, NotStronglyMonotone
+from .errors import NoConvergence, NotStronglyMonotone, SingularMatrix
 from .numerics import lu_solve, symmetric_eigenvalues
 
 NE_RESID_TOL = 1e-10

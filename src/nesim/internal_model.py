@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidSpectrum, SingularMatrix, SingularT
-from .numerics import OdeSystem, integrate, kron, lu_solve, symmetric_eigenvalues
+from .numerics import OdeSystem, integrate, lu_solve, symmetric_eigenvalues
 
 SYLVESTER_RTOL = 1e-10
 HURWITZ_EPS = 1e-6
@@ -150,7 +150,7 @@ def solve_sylvester(Phi: np.ndarray, Gamma: np.ndarray, M: np.ndarray,
     N = np.asarray(N, dtype=float).ravel()
     n = Phi.shape[0]
     # column-major vec: (Phi^T kron I - I kron M) vec(T) = vec(N Gamma)
-    lhs = kron(Phi.T, np.eye(n)) - kron(np.eye(n), M)
+    lhs = np.kron(Phi.T, np.eye(n)) - np.kron(np.eye(n), M)
     rhs = (np.outer(N, Gamma.ravel())).ravel(order="F")
     T = lu_solve(lhs, rhs).reshape((n, n), order="F")
     try:

@@ -123,11 +123,6 @@ def symmetric_eigenvalues(A: np.ndarray, max_sweeps: int = MAX_JACOBI_SWEEPS) ->
     raise NoConvergence(f"Jacobi off-diagonal norm {offdiag(A):.3e} after {max_sweeps} sweeps")
 
 
-def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Kronecker product with shape ``(rA*rB, cA*cB)``."""
-    return np.kron(np.asarray(A, dtype=float), np.asarray(B, dtype=float))
-
-
 def rk4_step(sys: OdeSystem, t: float, x: np.ndarray, h: float) -> np.ndarray:
     """One classical 4th-order Runge-Kutta step.
 

@@ -24,8 +24,8 @@ import numpy as np
 
 from .controller import ControllerGains, TRACKING_TOL, STATE_NORM_LIMIT
 from .errors import NesimError, NonFiniteState
-from .game import (GameSpec, QuadraticAggregativeGame, estimate_constants,
-                   extended_pseudo_gradient, solve_ne)
+from .game import (GameSpec, GradientConstants, QuadraticAggregativeGame,
+                   estimate_constants, extended_pseudo_gradient, solve_ne)
 from .generator import GeneratorGains, min_gamma2
 from .graph import CommGraph, is_connected, laplacian
 from .internal_model import InternalModelBank, synthesize_bank
@@ -44,8 +44,23 @@ class EscalationSpec:
 
 
 @dataclass(frozen=True)
+class ScenarioSynthesis:
+    """What every run of a scenario shares; ``source`` holds the fields it came from."""
+
+    constants: GradientConstants
+    p_star: np.ndarray
+    gamma2: float
+    bank: InternalModelBank
+    source: tuple = field(repr=False)
+
+
+@dataclass(frozen=True)
 class Scenario:
-    """Everything needed to reproduce one closed-loop experiment."""
+    """Everything needed to reproduce one closed-loop experiment.
+
+    ``synthesis`` keeps the seed-independent results (`synthesized`);
+    `dataclasses.replace` carries it unless it replaces a field it depends on.
+    """
 
     game: GameSpec
     graph: CommGraph
@@ -64,16 +79,45 @@ class Scenario:
     R: float = 1.0
     decimate: int = 10
     p0: Optional[np.ndarray] = None  # generator initial estimates, zeros if None
+    synthesis: Optional[ScenarioSynthesis] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.t_final <= 0 or self.dt <= 0:
             raise ValueError("t_final and dt must be positive")
         if not is_connected(self.graph):
             raise ValueError("communication graph must be connected")
+        kept = self.synthesis
+        if kept is not None and any(a is not b for a, b in
+                                    zip(kept.source, self._synthesis_source())):
+            object.__setattr__(self, "synthesis", None)  # derived from replaced fields
 
     @property
     def n(self) -> int:
         return self.game.n
+
+    def _synthesis_source(self) -> tuple:
+        return (self.game, self.graph, self.plant, self.exo, self.gains, self.gamma2_auto,
+                self.im_preset, self.im_stabilizers)
+
+    def synthesized(self, constants: GradientConstants | None = None) -> ScenarioSynthesis:
+        """Game constants, equilibrium, ``gamma2`` and bank, computed on first use.
+
+        Pass ``constants`` when already known. Failures name the failing component.
+        """
+        if self.synthesis is None:
+            if constants is None:
+                constants = _stage("game constants", estimate_constants, self.game)
+            p_star = _stage("equilibrium oracle", solve_ne, self.game, constants=constants)
+            p_star.setflags(write=False)
+            gamma2 = (AUTO_GAMMA2_MARGIN * _stage("consensus gain bound", min_gamma2,
+                                                  constants, self.graph)
+                      if self.gamma2_auto else self.gains.gamma2)
+            bank = _stage("internal-model synthesis", synthesize_bank, self.plant.im_polys,
+                          self.n, stabilizers=self.im_stabilizers, preset=self.im_preset)
+            object.__setattr__(self, "synthesis", ScenarioSynthesis(
+                constants=constants, p_star=p_star, gamma2=float(gamma2), bank=bank,
+                source=self._synthesis_source()))
+        return self.synthesis
 
 
 @dataclass(frozen=True)
@@ -164,10 +208,10 @@ class AssembledLoop(OdeSystem):
         return out
 
 
-def _stage(name: str, fn):
+def _stage(name: str, fn, *args, **kwargs):
     """Run one synthesis step, naming the failing component on error."""
     try:
-        return fn()
+        return fn(*args, **kwargs)
     except NesimError as exc:
         raise type(exc)(f"{name}: {exc}") from exc
 
@@ -177,9 +221,9 @@ def assemble(scenario: Scenario, gains: ControllerGains | None = None,
              rng: np.random.Generator | None = None) -> AssembledLoop:
     """Wire generator, exosystem, plants, compensators, and control law.
 
-    Draws the uncertainty (first consumer of the scenario's seeded stream)
-    and synthesizes the internal-model bank and the equilibrium oracle.
-    Synthesis failures carry the failing component's name.
+    Draws the uncertainty (first consumer of the scenario's seeded stream);
+    the equilibrium, ``gamma2`` and the internal-model bank come from
+    `Scenario.synthesized`.
     """
     n = scenario.n
     model = scenario.plant
@@ -187,15 +231,8 @@ def assemble(scenario: Scenario, gains: ControllerGains | None = None,
         raise ValueError(f"plant has {model.n_agents} agents, game has {n}")
     rng = rng if rng is not None else np.random.default_rng(scenario.seed)
 
-    constants = _stage("game constants", lambda: estimate_constants(scenario.game))
-    p_star = _stage("equilibrium oracle", lambda: solve_ne(scenario.game, constants=constants))
-    gamma2 = (AUTO_GAMMA2_MARGIN * _stage("consensus gain bound",
-                                          lambda: min_gamma2(constants, scenario.graph))
-              if scenario.gamma2_auto else scenario.gains.gamma2)
-    bank = _stage("internal-model synthesis",
-                  lambda: synthesize_bank(model.im_polys, n,
-                                          stabilizers=scenario.im_stabilizers,
-                                          preset=scenario.im_preset))
+    synthesis = scenario.synthesized()
+    p_star, gamma2, bank = synthesis.p_star, synthesis.gamma2, synthesis.bank
     w = sample_uncertainty(scenario.w_box, rng)
     steady = steady_state_chain(model, p_star, scenario.exo, w)
 
@@ -230,7 +267,7 @@ def assemble(scenario: Scenario, gains: ControllerGains | None = None,
         return out
 
     return AssembledLoop(dimension=layout.dim, rhs=rhs, scenario=scenario, layout=layout,
-                         bank=bank, gains=gains, gamma1=g1, gamma2=float(gamma2),
+                         bank=bank, gains=gains, gamma1=g1, gamma2=gamma2,
                          p_star=p_star, w=w, steady=steady, ablate=ablate, control_rows=U)
 
 
@@ -422,12 +459,16 @@ def run(scenario: Scenario, gains: ControllerGains | None = None,
     )
 
 
-def closed_loop_passes(scenario: Scenario, gains: ControllerGains, gamma1: float) -> bool:
-    """Pass/fail predicate used by the gain-escalation loop."""
+def closed_loop_passes(scenario: Scenario, gains: ControllerGains,
+                       gamma1: float) -> Optional[ClosedLoopTrajectory]:
+    """Pass/fail predicate of the gain-escalation loop: the passing run, or None.
+
+    The norm abort never fires on a passing run, so it equals a plain `run`.
+    """
     traj = run(scenario, gains=gains, gamma1=gamma1, abort_norm=STATE_NORM_LIMIT)
-    if traj.diverged or traj.aborted_norm or traj.max_state_norm > STATE_NORM_LIMIT:
-        return False
-    return float(np.abs(traj.e[-1]).max()) <= TRACKING_TOL
+    if traj.diverged or traj.aborted_norm or not np.abs(traj.e[-1]).max() <= TRACKING_TOL:
+        return None
+    return traj
 
 
 def metrics(traj: ClosedLoopTrajectory) -> dict:

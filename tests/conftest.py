@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import functools
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -37,3 +39,28 @@ def stable_gains(sec5):
 @pytest.fixture(scope="session")
 def sec5_loop(sec5, stable_gains):
     return assemble(sec5, gains=stable_gains, rng=np.random.default_rng(sec5.seed))
+
+
+@pytest.fixture()
+def count_calls(monkeypatch):
+    """``count_calls(fn)`` records every call of the nesim function ``fn``.
+
+    The counting wrapper replaces ``fn`` in every nesim module that holds
+    it, so calls through any import of it are seen. Returns the list of
+    ``(args, kwargs)`` of the calls, which grows as they happen.
+    """
+    def install(fn):
+        calls = []
+
+        @functools.wraps(fn)
+        def counted(*args, **kwargs):
+            calls.append((args, kwargs))
+            return fn(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "nesim" or name.startswith("nesim."):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, counted)
+        return calls
+    return install

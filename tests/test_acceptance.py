@@ -21,7 +21,7 @@ from nesim.generator import GeneratorGains, GeneratorState, generator_rhs, min_g
     run_generator
 from nesim.graph import laplacian
 from nesim.internal_model import synthesize_bank, sylvester_residual
-from nesim.numerics import OdeSystem, integrate, kron
+from nesim.numerics import OdeSystem, integrate
 from nesim.plant import PlantState
 from nesim.simulation import run, write_csv
 
@@ -137,7 +137,7 @@ def test_criterion_5_oracle_equivalences(sec5):
     Rsel = np.zeros((n, n * n))
     for i in range(n):
         Rsel[i, i * n + i] = 1.0
-    Lbig = kron(laplacian(sec5.graph), np.eye(n))
+    Lbig = np.kron(laplacian(sec5.graph), np.eye(n))
     gen_dev = 0.0
     for _ in range(100):
         P = rng.normal(size=(n, n))

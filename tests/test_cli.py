@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 
 from nesim.cli import main
 from nesim.config import load_scenario, normalize
+from nesim.controller import ControllerGains
 from nesim.errors import ConfigError
+from nesim.simulation import run, write_csv
 
 
 @pytest.fixture()
@@ -178,3 +181,40 @@ def test_custom_factories_relative_degree_one(tmp_path, capsys):
     final = float(out.split("final_tracking_max = ")[1].splitlines()[0])
     assert final < 1e-2
     assert out_csv.exists()
+
+
+def _escalation_line(out: str) -> tuple[int, float]:
+    line = next(l for l in out.splitlines() if l.startswith("gain escalation: passed at round"))
+    rounds = int(line.split("round ")[1].split()[0])
+    multiplier = float(line.split("multiplier ")[1].split(",")[0])
+    return rounds, multiplier
+
+
+def test_simulate_reuses_the_passing_escalation_run(sec5, tmp_path, capsys, count_calls):
+    calls = count_calls(run)
+    out = tmp_path / "esc.csv"
+    assert main(["simulate", "--config", "sec5", "--t-final", "10", "--sweep", "seeds=2",
+                 "--out", str(out)]) == 0
+    rounds, mult = _escalation_line(capsys.readouterr().out)
+    # one run per escalation round, then only the second seed is integrated
+    assert len(calls) == rounds + 1
+    assert [kw.get("seed") for _, kw in calls if "abort_norm" not in kw] == [sec5.seed + 1]
+    short = dataclasses.replace(sec5, t_final=10.0)
+    gains = ControllerGains.uniform(sec5.n, sec5.plant.r).scaled(mult)
+
+    def explicit_csv(name, **kwargs):
+        path = tmp_path / name
+        write_csv(run(short, gains=gains, gamma1=sec5.gains.gamma1 * mult, **kwargs), path)
+        return path.read_bytes()
+
+    for seed in (sec5.seed, sec5.seed + 1):
+        assert (tmp_path / f"esc_s{seed}.csv").read_bytes() == \
+            explicit_csv(f"explicit_s{seed}.csv", seed=seed)
+
+    del calls[:]
+    ablated = tmp_path / "ablated.csv"
+    assert main(["simulate", "--config", "sec5", "--t-final", "10",
+                 "--ablate-internal-model", "--out", str(ablated)]) == 0
+    assert _escalation_line(capsys.readouterr().out) == (rounds, mult)
+    assert len(calls) == rounds + 1  # the ablated run is integrated afresh
+    assert ablated.read_bytes() == explicit_csv("explicit_ablated.csv", ablate=True)

@@ -3,7 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from nesim.errors import NotStronglyMonotone
+import nesim.game
+from factories import build_game
+from nesim.errors import NotStronglyMonotone, SingularMatrix
 from nesim.game import (CustomGame, QuadraticAggregativeGame, estimate_constants,
                         extended_pseudo_gradient, partial_gradient, pseudo_gradient,
                         solve_ne)
@@ -145,6 +147,26 @@ class TestSolveNe:
         c = wrap_custom(g, box=np.tile([-5.0, 5.0], (4, 1)))
         p = solve_ne(c, tol=1e-6)
         assert np.abs(p - solve_ne(g)).max() < 1e-5
+
+    def test_singular_newton_step_falls_back_to_forward_step(self, monkeypatch):
+        # the test-factory game: (y_i - h1_i)^2 + 0.5 y_i sum(y), quadratic in closed form
+        game = build_game([1.0, 2.0, 3.0], 0.5)
+        closed_form = np.linalg.solve(2.0 * np.eye(3) + 0.5 * (np.ones((3, 3)) + np.eye(3)),
+                                      2.0 * np.array([1.0, 2.0, 3.0]))
+        constants = estimate_constants(quad([1, 2, 3], [0.5] * 3, [0] * 3))
+        solves = []
+        lu_solve = nesim.game.lu_solve
+
+        def singular_once(A, b):
+            solves.append(A)
+            if len(solves) == 1:
+                raise SingularMatrix("pivot 0 in column 0")
+            return lu_solve(A, b)
+
+        monkeypatch.setattr(nesim.game, "lu_solve", singular_once)
+        p = solve_ne(game, tol=1e-7, constants=constants)
+        assert len(solves) >= 2  # the first Newton solve failed, later ones ran
+        assert np.abs(p - closed_form).max() < 1e-6
 
 
 def test_monotonicity_inequality_sampled():

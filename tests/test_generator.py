@@ -8,7 +8,6 @@ from nesim.game import GradientConstants, QuadraticAggregativeGame, solve_ne
 from nesim.generator import (GeneratorGains, GeneratorState, generator_rhs,
                              min_gamma2, run_generator)
 from nesim.graph import CommGraph, laplacian
-from nesim.numerics import kron
 
 
 def quad(h1, h2, h3):
@@ -69,7 +68,7 @@ class TestGeneratorRhs:
         Rsel = np.zeros((n, n * n))
         for i in range(n):
             Rsel[i, i * n + i] = 1.0
-        Lbig = kron(laplacian(g), np.eye(n))
+        Lbig = np.kron(laplacian(g), np.eye(n))
         rng = np.random.default_rng(12)
         from nesim.game import extended_pseudo_gradient
         for _ in range(100):

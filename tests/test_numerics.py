@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from nesim.errors import NoConvergence, NonFiniteState, NotSymmetric, SingularMatrix
-from nesim.numerics import (OdeSystem, integrate, kron, lu_solve, rk4_step,
-                            symmetric_eigenvalues)
+from nesim.numerics import OdeSystem, integrate, lu_solve, rk4_step, symmetric_eigenvalues
 
 
 class TestLuSolve:
@@ -75,26 +74,6 @@ class TestSymmetricEigenvalues:
         A = np.array([[1.0, 0.5], [0.5, 2.0]])
         with pytest.raises(NoConvergence):
             symmetric_eigenvalues(A, max_sweeps=0)
-
-
-class TestKron:
-    def test_scalar_blocks(self):
-        assert np.allclose(kron(np.eye(2), [[5.0]]), np.diag([5.0, 5.0]))
-
-    def test_identity_product(self):
-        assert np.allclose(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_hand_expansion(self):
-        out = kron([[0.0, 1.0], [1.0, 0.0]], [[2.0]])
-        assert np.allclose(out, [[0, 2], [2, 0]])
-
-    def test_mixed_product_property(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            A, B, C, D = (rng.normal(size=(2, 2)) for _ in range(4))
-            lhs = kron(A, B) @ kron(C, D)
-            rhs = kron(A @ C, B @ D)
-            assert np.abs(lhs - rhs).max() < 1e-10
 
 
 class TestRk4:

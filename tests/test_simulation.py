@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from factories import build_game, build_plant
+from nesim.config import load_scenario
 from nesim.controller import ControllerGains, control_law
-from nesim.game import QuadraticAggregativeGame
-from nesim.generator import GeneratorGains, generator_rhs
+from nesim.game import QuadraticAggregativeGame, estimate_constants, solve_ne
+from nesim.generator import GeneratorGains, generator_rhs, min_gamma2
 from nesim.graph import CommGraph
-from nesim.internal_model import StabilizerPair, im_rhs
+from nesim.internal_model import StabilizerPair, im_rhs, synthesize_bank
 from nesim.plant import Exosystem, PlantState, example_plant, exo_rhs, plant_rhs
 from nesim.simulation import (ClosedLoopTrajectory, EscalationSpec, Scenario, assemble,
                               closed_loop_passes, metrics, run, write_csv)
@@ -70,6 +71,55 @@ def test_rhs_matches_composed_blocks(case, sec5, stable_gains):
         fused = loop.rhs(0.0, state)
         assert np.abs(fused - ref).max() <= 1e-12 * np.abs(ref).max()
         assert np.abs(loop.control(state) - u_ref).max() <= 1e-12 * np.abs(u_ref).max()
+
+
+CUSTOM_CONFIG = {
+    "game": {"kind": "custom", "factory": "factories:build_game",
+             "args": {"h1": [1.0, 2.0, 3.0], "coupling": 0.5}},
+    "graph": {"n": 3, "edges": [[0, 1], [1, 2], [2, 0]]},
+    "plant": {"kind": "custom", "factory": "factories:build_plant", "args": {"n_agents": 3},
+              "w_box": [[-0.1, 0.1]] * 3, "v0_box": [[0.5, 1.0], [0.0, 0.0]]},
+    "controller": {"k": [[8.0]] * 3},
+    "sim": {"t_final": 0.5, "seed": 2, "R": 0.5},
+}
+
+
+def test_scenario_synthesis_is_computed_once(count_calls):
+    calls = count_calls(estimate_constants)
+    scenario, _ = load_scenario(CUSTOM_CONFIG)
+    for seed in (2, 3):
+        assert not run(dataclasses.replace(scenario, seed=seed)).diverged
+    assert len(calls) == 1
+
+    kept = scenario.synthesis
+    for field_name, value in (("t_final", 0.25), ("dt", 5e-4), ("decimate", 5), ("seed", 9)):
+        assert dataclasses.replace(scenario, **{field_name: value}).synthesis is kept
+
+    game = scenario.game
+    constants = estimate_constants(game)
+    assert kept.constants == constants
+    assert np.array_equal(kept.p_star, solve_ne(game, constants=constants))
+    assert kept.gamma2 == 1.25 * min_gamma2(constants, scenario.graph)
+    bank = synthesize_bank(scenario.plant.im_polys, scenario.n, preset=scenario.im_preset)
+    for have, want in zip(kept.bank.levels, bank.levels):
+        for name in ("M", "N", "T", "Psi"):
+            assert np.array_equal(getattr(have, name), getattr(want, name))
+
+
+def test_replaced_inputs_are_synthesized_again(sec5):
+    h1 = np.array([1.0, -2.0, 0.5, 3.0])
+    other = QuadraticAggregativeGame(h1=h1, h2=np.zeros(4), h3=np.zeros(4))
+    replaced = dataclasses.replace(sec5, game=other)
+    assert np.array_equal(replaced.synthesized().p_star, h1)
+    assert replaced.synthesis.constants == estimate_constants(other)
+    assert not np.array_equal(sec5.synthesized().p_star, h1)
+    assert replaced.synthesis.gamma2 == 1.25 * min_gamma2(estimate_constants(other), sec5.graph)
+    for field_name, value in (("graph", CommGraph.ring(4)),
+                              ("plant", dataclasses.replace(sec5.plant)),
+                              ("exo", dataclasses.replace(sec5.exo)),
+                              ("gains", GeneratorGains(1.0, 30.0)),
+                              ("gamma2_auto", False), ("im_preset", None)):
+        assert dataclasses.replace(sec5, **{field_name: value}).synthesis is None, field_name
 
 
 def test_disconnected_graph_rejected(sec5):
