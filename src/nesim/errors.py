@@ -10,7 +10,7 @@ class NesimError(Exception):
 
 
 class SingularMatrix(NesimError):
-    """A linear solve hit a pivot below the singularity threshold."""
+    """A linear solve met a matrix conditioned beyond the singularity threshold."""
 
 
 class NotSymmetric(NesimError):

@@ -155,11 +155,6 @@ def extended_pseudo_gradient(game: GameSpec, estimates: np.ndarray) -> np.ndarra
     return np.array([partial_gradient(game, i, P[i]) for i in range(n)])
 
 
-def _spectral_norm(M: np.ndarray) -> float:
-    eigs = symmetric_eigenvalues(M.T @ M)
-    return float(np.sqrt(max(eigs[-1], 0.0)))
-
-
 def estimate_constants(game: GameSpec, n_samples: int = 10_000, seed: int = 0) -> GradientConstants:
     """Strong-monotonicity and Lipschitz constants of the gradient maps.
 
@@ -180,7 +175,7 @@ def estimate_constants(game: GameSpec, n_samples: int = 10_000, seed: int = 0) -
         # Rows of the extended map's Jacobian live in disjoint blocks, so its
         # spectral norm is the largest row norm of G.
         ext_norm = float(np.sqrt((G * G).sum(axis=1).max()))
-        l_lip = max(_spectral_norm(G), ext_norm)
+        l_lip = max(float(np.linalg.norm(G, 2)), ext_norm)
     else:
         rng = np.random.default_rng(seed)
         lo, hi = game.sample_box[:, 0], game.sample_box[:, 1]

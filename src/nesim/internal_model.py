@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidSpectrum, SingularMatrix, SingularT
-from .numerics import OdeSystem, integrate, lu_solve, symmetric_eigenvalues
+from .numerics import OdeSystem, integrate, lu_solve
 
 SYLVESTER_RTOL = 1e-10
 HURWITZ_EPS = 1e-6
@@ -55,7 +55,7 @@ class StabilizerPair:
         if eigs.real.max() >= -HURWITZ_EPS:
             raise ValueError(f"M is not Hurwitz: max real part {eigs.real.max():.3e}")
         ctrb = np.column_stack([np.linalg.matrix_power(M, k) @ N for k in range(n)])
-        sv_min = np.sqrt(max(symmetric_eigenvalues(ctrb.T @ ctrb)[0], 0.0))
+        sv_min = np.linalg.svd(ctrb, compute_uv=False)[-1]
         if sv_min <= CTRB_SV_EPS:
             raise ValueError(f"(M, N) not controllable: smallest singular value {sv_min:.3e}")
         M.setflags(write=False)
@@ -280,9 +280,8 @@ def verify_reproduction(companion: CompanionPair, stabilizer: StabilizerPair,
     T, _ = solve_sylvester(companion.Phi, companion.Gamma, stabilizer.M, stabilizer.N)
     j0 = max(_FD_STENCILS[k][0][-1] for k in range(n))
     theta0 = T @ _derivative_stack(values, h, n, j0)
-    # conjugated dynamics A = T Phi T^-1, row by row from A T = T Phi
-    TPhi = T @ companion.Phi
-    A = np.vstack([lu_solve(T.T, TPhi[j]) for j in range(n)])
+    # conjugated dynamics A = T Phi T^-1, from T^T A^T = (T Phi)^T
+    A = lu_solve(T.T, (T @ companion.Phi).T).T
 
     worst = 0.0
     psi = np.asarray(psi, dtype=float).ravel()

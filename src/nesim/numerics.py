@@ -1,4 +1,4 @@
-"""Small dense linear-algebra kernel and fixed-step RK4 integrator.
+"""Checked dense linear algebra (LAPACK via NumPy) and a fixed-step RK4 integrator.
 
 Everything here targets desk-scale problems (matrices up to ~30x30, state
 vectors up to a few hundred entries). Routines are pure functions; there is
@@ -12,14 +12,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NoConvergence, NonFiniteState, NotSymmetric, SingularMatrix
+from .errors import NonFiniteState, NotSymmetric, SingularMatrix
 
 # Centralized tolerances.
-PIVOT_EPS = 1e-12   # pivot magnitude below which a solve counts as singular
-SYM_EPS = 1e-10     # allowed asymmetry for the symmetric eigensolver
-OFFDIAG_EPS = 1e-12  # Jacobi convergence: off-diagonal Frobenius norm
-RESID_TOL = 1e-10   # documented residual guarantee of lu_solve
-MAX_JACOBI_SWEEPS = 100
+COND_MAX = 1e12  # 2-norm condition number above which a solve counts as singular
+SYM_EPS = 1e-10  # allowed asymmetry for the symmetric eigensolver
 
 
 @dataclass(frozen=True)
@@ -31,96 +28,47 @@ class OdeSystem:
 
 
 def lu_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``A x = b`` by LU factorization with partial pivoting.
+    """Solve ``A x = b`` by LU factorization with partial pivoting (LAPACK gesv).
 
     Parameters
     ----------
     A : (n, n) array_like
         Square coefficient matrix.
-    b : (n,) array_like
-        Right-hand side.
+    b : (n,) or (n, k) array_like
+        Right-hand side, one column per system.
 
     Returns
     -------
-    x : (n,) ndarray
-        Solution with residual ``||Ax - b|| <= 1e-10 * (1 + ||b||)`` for
-        well-conditioned inputs.
+    x : ndarray
+        Solution of the same shape as ``b``.
 
     Raises
     ------
     SingularMatrix
-        If any pivot magnitude falls below ``PIVOT_EPS`` after row exchange.
+        If the 2-norm condition number of ``A`` exceeds ``COND_MAX``; an
+        exactly singular or non-finite ``A`` counts as infinitely conditioned.
     """
-    A = np.array(A, dtype=float)
-    b = np.array(b, dtype=float).ravel()
-    n = A.shape[0]
-    if A.shape != (n, n) or b.shape != (n,):
-        raise ValueError(f"shape mismatch: A {A.shape}, b {b.shape}")
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(A[col:, col])))
-        if abs(A[piv, col]) < PIVOT_EPS:
-            raise SingularMatrix(f"pivot {abs(A[piv, col]):.3e} in column {col}")
-        if piv != col:
-            A[[col, piv]] = A[[piv, col]]
-            b[[col, piv]] = b[[piv, col]]
-        factors = A[col + 1:, col] / A[col, col]
-        A[col + 1:, col + 1:] -= np.outer(factors, A[col, col + 1:])
-        b[col + 1:] -= factors * b[col]
-    x = np.empty(n)
-    for row in range(n - 1, -1, -1):
-        x[row] = (b[row] - A[row, row + 1:] @ x[row + 1:]) / A[row, row]
-    return x
+    A = np.asarray(A, dtype=float)
+    cond = np.linalg.cond(A) if np.isfinite(A).all() else np.inf
+    if cond > COND_MAX:
+        raise SingularMatrix(f"condition number {cond:.3e} exceeds {COND_MAX:.0e}")
+    return np.linalg.solve(A, b)
 
 
-def symmetric_eigenvalues(A: np.ndarray, max_sweeps: int = MAX_JACOBI_SWEEPS) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, ascending, by cyclic Jacobi.
-
-    Rotations are applied in row-cyclic order until the off-diagonal
-    Frobenius norm drops below ``OFFDIAG_EPS``; the matrix is scaled to unit
-    maximum magnitude first, so for desk-scale inputs the threshold is
-    effectively absolute while large-norm Gram matrices still converge.
+def symmetric_eigenvalues(A: np.ndarray) -> np.ndarray:
+    """All eigenvalues of a symmetric matrix, ascending (LAPACK via eigvalsh).
 
     Raises
     ------
     NotSymmetric
-        If ``max|A - A^T|`` exceeds ``SYM_EPS`` (relative to the scale).
-    NoConvergence
-        If the off-diagonal norm is still above threshold after
-        ``max_sweeps`` sweeps.
+        If ``max|A - A^T|`` exceeds ``SYM_EPS`` times ``max(1, max|A|)``.
     """
-    A = np.array(A, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ValueError("matrix must be square")
-    scale = max(float(np.abs(A).max()), 1.0)
-    if n and np.abs(A - A.T).max() > SYM_EPS * scale:
-        raise NotSymmetric(f"asymmetry {np.abs(A - A.T).max():.3e} exceeds {SYM_EPS * scale}")
-    A = (A + A.T) / (2.0 * scale)
-    if n < 2:
-        return A.diagonal().copy() * scale
-
-    def offdiag(M):
-        off = M - np.diag(M.diagonal())
-        return float(np.sqrt((off * off).sum()))
-
-    for _ in range(max_sweeps):
-        if offdiag(A) < OFFDIAG_EPS:
-            return np.sort(A.diagonal()) * scale
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) < OFFDIAG_EPS / (n * n):
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0 else 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rot = np.array([[c, -s], [s, c]])
-                A[[p, q], :] = rot @ A[[p, q], :]
-                A[:, [p, q]] = A[:, [p, q]] @ rot.T
-    if offdiag(A) < OFFDIAG_EPS:
-        return np.sort(A.diagonal()) * scale
-    raise NoConvergence(f"Jacobi off-diagonal norm {offdiag(A):.3e} after {max_sweeps} sweeps")
+    A = np.asarray(A, dtype=float)
+    scale = max(float(np.abs(A).max(initial=0.0)), 1.0)
+    asym = float(np.abs(A - A.T).max(initial=0.0))
+    if asym > SYM_EPS * scale:
+        raise NotSymmetric(f"asymmetry {asym:.3e} exceeds {SYM_EPS * scale}")
+    return np.linalg.eigvalsh((A + A.T) / 2.0)
 
 
 def rk4_step(sys: OdeSystem, t: float, x: np.ndarray, h: float) -> np.ndarray:
@@ -129,8 +77,10 @@ def rk4_step(sys: OdeSystem, t: float, x: np.ndarray, h: float) -> np.ndarray:
     Raises
     ------
     NonFiniteState
-        If any of the four stage evaluations produces NaN or Inf, which
-        signals closed-loop divergence to the caller.
+        If the weighted stage sum ``k1 + 2 k2 + 2 k3 + k4`` holds NaN or Inf,
+        which signals closed-loop divergence to the caller. The weights are
+        positive, so any non-finite stage evaluation makes the sum
+        non-finite; the sum can also overflow to Inf from finite stages.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
@@ -138,10 +88,10 @@ def rk4_step(sys: OdeSystem, t: float, x: np.ndarray, h: float) -> np.ndarray:
     k2 = sys.rhs(t + h / 2.0, x + (h / 2.0) * k1)
     k3 = sys.rhs(t + h / 2.0, x + (h / 2.0) * k2)
     k4 = sys.rhs(t + h, x + h * k3)
-    if not (np.isfinite(k1).all() and np.isfinite(k2).all()
-            and np.isfinite(k3).all() and np.isfinite(k4).all()):
+    incr = k1 + 2.0 * k2 + 2.0 * k3 + k4
+    if not np.isfinite(incr).all():
         raise NonFiniteState(f"non-finite derivative at t={t:.6g}")
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x + (h / 6.0) * incr
 
 
 def integrate(sys: OdeSystem, x0: np.ndarray, t0: float, t_final: float, h: float,

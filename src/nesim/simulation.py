@@ -187,15 +187,10 @@ class AssembledLoop(OdeSystem):
         v0 = np.asarray(v0, dtype=float)
         P = np.tile(self.p_star, (n, 1))  # every row at the equilibrium profile
         z = self.steady.z_star(v0)
-        x = np.empty((lay.r, n))
-        x[0] = self.p_star
-        eta = []
-        for s, level in enumerate(self.bank.levels):
-            stack = self.steady.derivative_stack(s + 2, v0, level.order)  # (order, N)
-            theta = np.einsum("ijk,ki->ij", level.T, stack)
-            eta.append(theta)
-            if s + 1 < lay.r:
-                x[s + 1] = np.einsum("ij,ij->i", level.Psi, theta)
+        eta = self.ideal_compensators(v0)
+        # chain level s + 1 sits at the read-out Psi theta of compensator level s
+        x = np.vstack([self.p_star] + [np.einsum("ij,ij->i", level.Psi, theta)
+                                       for level, theta in zip(self.bank.levels[:lay.r - 1], eta)])
         return np.concatenate([P.ravel(), v0, z.ravel(), x.ravel()]
                               + [e.ravel() for e in eta])
 

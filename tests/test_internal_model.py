@@ -3,11 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from nesim.errors import InvalidSpectrum
+from nesim.errors import InvalidSpectrum, SingularT
 from nesim.internal_model import (companion_from_coeffs, default_stabilizer, im_rhs,
                                   solve_sylvester, StabilizerPair, synthesize_bank,
                                   sylvester_residual, verify_reproduction)
-from nesim.numerics import symmetric_eigenvalues
 
 
 class TestCompanion:
@@ -40,8 +39,7 @@ class TestCompanion:
             n = comp.order
             obs = np.vstack([comp.Gamma @ np.linalg.matrix_power(comp.Phi, k)
                              for k in range(n)])
-            sv_min = np.sqrt(max(symmetric_eigenvalues(obs.T @ obs)[0], 0.0))
-            assert sv_min > 1e-8
+            assert np.linalg.svd(obs, compute_uv=False)[-1] > 1e-8
 
 
 class TestDefaultStabilizer:
@@ -113,6 +111,12 @@ class TestSolveSylvester:
             resid = np.linalg.norm(T @ comp.Phi - stab.M @ T - rhs)
             assert resid <= 1e-10 * (1 + np.linalg.norm(rhs))
             assert np.abs(psi @ T - comp.Gamma.ravel()).max() <= 1e-10
+
+    def test_uncontrollable_pair_raises_singular_t(self):
+        # N drives only the first mode of diag(-1, -2), so the second row of T is zero
+        comp = companion_from_coeffs([-1.0, 0.0])
+        with pytest.raises(SingularT):
+            solve_sylvester(comp.Phi, comp.Gamma, np.diag([-1.0, -2.0]), np.array([1.0, 0.0]))
 
 
 class TestBank:
