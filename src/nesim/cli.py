@@ -56,9 +56,10 @@ def _load(args) -> tuple:
         overrides["seed"] = args.seed
     if getattr(args, "decimate", None) is not None:
         overrides["decimate"] = args.decimate
-    if overrides:
-        scenario = dataclasses.replace(scenario, **overrides)
-    return scenario, norm
+    try:
+        return dataclasses.replace(scenario, **overrides), norm
+    except ValueError as exc:
+        raise cfg.ConfigError(str(exc)) from exc
 
 
 def _resolve_gains(scenario, quiet: bool = False):
@@ -85,13 +86,13 @@ def _fmt_matrix(M: np.ndarray) -> str:
 
 def cmd_simulate(args) -> int:
     scenario, _ = _load(args)
-    gains, gamma1, passing = _resolve_gains(scenario)
     seeds = [scenario.seed]
     if args.sweep:
         key, _, count = args.sweep.partition("=")
-        if key != "seeds" or not count.isdigit():
-            raise cfg.ConfigError("--sweep expects seeds=K")
+        if key != "seeds" or not count.isdigit() or int(count) < 1:
+            raise cfg.ConfigError("--sweep expects seeds=K with K >= 1")
         seeds = [scenario.seed + k for k in range(int(count))]
+    gains, gamma1, passing = _resolve_gains(scenario)
     worst_exit = EXIT_OK
     for seed in seeds:
         if passing is not None and seed == passing.seed and not args.ablate_internal_model:
@@ -189,7 +190,7 @@ def cmd_check(args) -> int:
                 for level in bank.levels for i in range(n))
     add("psi_readout_identity", worst <= 1e-10, f"max |Psi T - Gamma| {worst:.2e} (tol 1e-10)")
 
-    loop = assemble(scenario, rng=np.random.default_rng(scenario.seed))
+    loop = assemble(scenario)
     v0 = np.random.default_rng(scenario.seed + 1).uniform(
         scenario.exo.v0_box[:, 0], scenario.exo.v0_box[:, 1])
     pde = check_steady_zero_pde(scenario.plant, scenario.exo, loop.w,

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Disconnected
-from .game import GameSpec, GradientConstants, extended_pseudo_gradient, solve_ne
+from .game import (GameSpec, GradientConstants, estimate_constants, extended_pseudo_gradient,
+                   solve_ne)
 from .graph import CONNECTIVITY_EPS, CommGraph, lambda2, laplacian
 from .numerics import OdeSystem, integrate
 
@@ -119,8 +120,6 @@ def run_generator(game: GameSpec, g: CommGraph, gains: GeneratorGains,
     `min_gamma2` only triggers a warning, since the bound is sufficient, not
     necessary.
     """
-    from .game import estimate_constants  # local import to keep module load cheap
-
     constants = estimate_constants(game)
     bound = min_gamma2(constants, g)
     if gains.gamma2 < bound:

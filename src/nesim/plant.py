@@ -146,7 +146,7 @@ class PlantState:
 
 
 def plant_rhs(model: PlantModel, state: PlantState, u: np.ndarray, v: np.ndarray,
-              w: Uncertainty | np.ndarray, check_finite: bool = True) -> tuple[np.ndarray, np.ndarray]:
+              w: Uncertainty | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Time derivative ``(dz, dx)`` of the stacked plant under input ``u``."""
     wv = w.w if isinstance(w, Uncertainty) else np.asarray(w, dtype=float)
     z, x = state.z, state.x
@@ -156,7 +156,7 @@ def plant_rhs(model: PlantModel, state: PlantState, u: np.ndarray, v: np.ndarray
     for s in range(1, model.r + 1):
         drift = model.f_levels[s - 1](z, x[:s], v, wv)
         dx[s - 1] = drift + (x[s] if s < model.r else u)
-    if check_finite and not (np.isfinite(dz).all() and np.isfinite(dx).all()):
+    if not (np.isfinite(dz).all() and np.isfinite(dx).all()):
         raise NonFiniteState("plant derivative is not finite")
     return dz, dx
 

@@ -84,6 +84,8 @@ class Scenario:
     def __post_init__(self):
         if self.t_final <= 0 or self.dt <= 0:
             raise ValueError("t_final and dt must be positive")
+        if self.decimate < 1:
+            raise ValueError("decimate must be at least 1")
         if not is_connected(self.graph):
             raise ValueError("communication graph must be connected")
         kept = self.synthesis
@@ -122,7 +124,13 @@ class Scenario:
 
 @dataclass(frozen=True)
 class StateLayout:
-    """Index bookkeeping for the stacked closed-loop state."""
+    """Block slices of the stacked closed-loop state, computed once.
+
+    ``P``, ``v``, ``z``, ``x`` and ``zx`` (the plant rows ``z`` through
+    ``x``) are slices, ``eta`` holds one slice per compensator level,
+    ``p_diag`` indexes each agent's estimate of its own strategy, and
+    ``dim`` is the state dimension.
+    """
 
     n_agents: int
     n_v: int
@@ -130,24 +138,16 @@ class StateLayout:
     r: int
     im_orders: tuple
 
-    @property
-    def dim(self) -> int:
-        n = self.n_agents
-        return n * n + self.n_v + n * self.n_z + self.r * n + n * sum(self.im_orders)
-
-    def offsets(self) -> dict:
-        n = self.n_agents
-        out, pos = {}, 0
-        for name, size in (("P", n * n), ("v", self.n_v), ("z", n * self.n_z),
-                           ("x", self.r * n)):
-            out[name] = (pos, pos + size)
+    def __post_init__(self):
+        n, pos, blocks = self.n_agents, 0, []
+        for size in (n * n, self.n_v, n * self.n_z, self.r * n, *(n * o for o in self.im_orders)):
+            blocks.append(slice(pos, pos + size))
             pos += size
-        eta = []
-        for order in self.im_orders:
-            eta.append((pos, pos + n * order))
-            pos += n * order
-        out["eta"] = tuple(eta)
-        return out
+        P, v, z, x, *eta = blocks
+        derived = dict(P=P, v=v, z=z, x=x, zx=slice(z.start, x.stop), eta=tuple(eta),
+                       p_diag=P.start + np.arange(n) * (n + 1), dim=pos)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -169,13 +169,9 @@ class AssembledLoop(OdeSystem):
     def unpack(self, state: np.ndarray):
         """Split a flat state into named, reshaped views."""
         n, lay = self.layout.n_agents, self.layout
-        off = lay.offsets()
-        P = state[off["P"][0]:off["P"][1]].reshape(n, n)
-        v = state[off["v"][0]:off["v"][1]]
-        z = state[off["z"][0]:off["z"][1]].reshape(n, lay.n_z)
-        x = state[off["x"][0]:off["x"][1]].reshape(lay.r, n)
-        eta = [state[a:b].reshape(n, lay.im_orders[s]) for s, (a, b) in enumerate(off["eta"])]
-        return P, v, z, x, eta
+        return (state[lay.P].reshape(n, n), state[lay.v], state[lay.z].reshape(n, lay.n_z),
+                state[lay.x].reshape(lay.r, n),
+                [state[blk].reshape(n, order) for blk, order in zip(lay.eta, lay.im_orders)])
 
     def control(self, state: np.ndarray) -> np.ndarray:
         """Control input of every agent, ``U @ state`` (see `control_law`)."""
@@ -246,19 +242,15 @@ def assemble(scenario: Scenario, gains: ControllerGains | None = None,
     game_nl = (None if isinstance(game, QuadraticAggregativeGame)
                else lambda P: extended_pseudo_gradient(game, P))
 
-    off = layout.offsets()
-    pa, pb = off["P"]
-    va, vb = off["v"]
-    za, xb = off["z"][0], off["x"][1]
-    p_diag = pa + np.arange(n) * (n + 1)
+    P, v, zx, p_diag = layout.P, layout.v, layout.zx, layout.p_diag
 
     def rhs(t: float, state: np.ndarray) -> np.ndarray:
         out = A.dot(state)
         out += c
-        plant_rows = out[za:xb]  # in-place view: `out[za:xb] +=` would copy back
-        plant_rows += plant_nl(state[za:xb], state[va:vb])
+        plant_rows = out[zx]  # in-place view: `out[zx] +=` would copy back
+        plant_rows += plant_nl(state[zx], state[v])
         if game_nl is not None:
-            out[p_diag] -= g1 * game_nl(state[pa:pb].reshape(n, n))
+            out[p_diag] -= g1 * game_nl(state[P].reshape(n, n))
         return out
 
     return AssembledLoop(dimension=layout.dim, rhs=rhs, scenario=scenario, layout=layout,
@@ -283,37 +275,33 @@ def _closed_loop_operator(scenario: Scenario, layout: StateLayout, bank: Interna
     extended gradient on the diagonal estimate rows.
     """
     n, r, dim = layout.n_agents, layout.r, layout.dim
-    off = layout.offsets()
-    pa, pb = off["P"]
-    va, vb = off["v"]
-    za, xa, xb = off["z"][0], off["x"][0], off["x"][1]
+    P, v, zx, p_diag = layout.P, layout.v, layout.zx, layout.p_diag
+    xa, ea = layout.x.start, layout.x.stop  # the compensators follow the chain
     agents = np.arange(n)
-    p_diag = pa + agents * (n + 1)
     A = np.zeros((dim, dim))
     c = np.zeros(dim)
 
-    A[pa:pb, pa:pb] = -gamma1 * gamma2 * np.kron(laplacian(scenario.graph), np.eye(n))
+    A[P, P] = -gamma1 * gamma2 * np.kron(laplacian(scenario.graph), np.eye(n))
     game = scenario.game
     if isinstance(game, QuadraticAggregativeGame):
         # entry i of the extended gradient is Jacobian row i applied to estimate row i
         G = game.jacobian()
         for i in range(n):
-            A[p_diag[i], pa + i * n:pa + (i + 1) * n] -= gamma1 * G[i]
+            A[p_diag[i], P.start + i * n:P.start + (i + 1) * n] -= gamma1 * G[i]
         c[p_diag] = -gamma1 * game.gradient_constant()
-    A[va:vb, va:vb] = scenario.exo.S
+    A[v, v] = scenario.exo.S
 
-    n_zx = xb - za
+    n_zx = zx.stop - zx.start
     v_cols = J.shape[1] - n_zx
     if J.shape[0] != n_zx or not 0 <= v_cols <= layout.n_v:
         raise ValueError(f"plant drift split has shape {J.shape}; expected {n_zx} rows and "
                          f"{n_zx} to {n_zx + layout.n_v} columns")
-    A[za:xb, za:xb] = J[:, :n_zx]
-    A[za:xb, va:va + v_cols] = J[:, n_zx:]
-    shifted = np.arange(xa, xb - n)
+    A[zx, zx] = J[:, :n_zx]
+    A[zx, v.start:v.start + v_cols] = J[:, n_zx:]
+    shifted = np.arange(xa, ea - n)
     A[shifted, shifted + n] += 1.0
 
     # compensator dynamics and read-outs Psi_s eta_s, one row per (level, agent)
-    ea = off["eta"][0][0]
     reads = np.zeros((r * n, dim))
     N_flat = np.empty(dim - ea)
     drive_idx = np.empty(dim - ea, dtype=np.intp)
@@ -336,7 +324,7 @@ def _closed_loop_operator(scenario: Scenario, layout: StateLayout, bank: Interna
         U[agents, xa + s * n + agents] -= coeff[:, s]
     for s in range(1, r):
         U += coeff[:, s, None] * reads[(s - 1) * n:s * n]
-    A[xb - n:xb] += U
+    A[ea - n:ea] += U
 
     drives = np.zeros((r * n, dim))  # level-major: x_2 .. x_r, then u
     drives[np.arange((r - 1) * n), shifted + n] = 1.0
@@ -372,7 +360,7 @@ def run(scenario: Scenario, gains: ControllerGains | None = None,
         seed: Optional[int] = None, t_final: Optional[float] = None,
         dt: Optional[float] = None, decimate: Optional[int] = None,
         init_mode: str = "box", abort_norm: Optional[float] = None) -> ClosedLoopTrajectory:
-    """Integrate the closed loop and record the output-side signals.
+    """Integrate the closed loop and derive the output-side signals from the kept states.
 
     ``init_mode="box"`` draws plant and compensator initial states uniformly
     from the scenario's box (generator estimates start at the configured
@@ -394,40 +382,24 @@ def run(scenario: Scenario, gains: ControllerGains | None = None,
     if init_mode == "manifold":
         state = loop.manifold_state(v0)
     elif init_mode == "box":
-        plant_dim = lay.dim - n * n - lay.n_v
-        draws = rng.uniform(-scenario.R, scenario.R, size=plant_dim)
+        draws = rng.uniform(-scenario.R, scenario.R, size=lay.dim - lay.z.start)
         P0 = np.zeros(n * n) if scenario.p0 is None else np.asarray(scenario.p0, dtype=float).ravel()
         state = np.concatenate([P0, v0, draws])
     else:
         raise ValueError(f"unknown init_mode {init_mode!r}")
 
     n_steps = int(round(t_end / h))
-    target = np.tile(loop.p_star, n)
-    off = lay.offsets()
-    pa, pb = off["P"]
-    va, vb = off["v"]
-    xa = off["x"][0]
-    p_diag = pa + np.arange(n) * (n + 1)
-
-    ts, ys, ps, es, us, dists, vs = [], [], [], [], [], [], []
+    # every kept state (step 0, each dec-th step and the last) and its step index
+    X = np.empty((1 + -(-n_steps // dec), lay.dim))
+    ks = np.zeros(len(X), dtype=np.int64)
+    X[0] = state
+    kept = 1
     max_norm = 0.0
     diverged = False
     diverged_t = None
     aborted = False
 
-    def record(t, s):
-        refs = s[p_diag]
-        y = s[xa:xa + n].copy()
-        ts.append(t)
-        ys.append(y)
-        ps.append(refs)
-        es.append(y - refs)
-        us.append(loop.control(s))
-        dists.append(float(np.linalg.norm(s[pa:pb] - target)))
-        vs.append(s[va:vb].copy())
-
     t = 0.0
-    record(t, state)
     # overflow on a diverging trajectory is expected and detected explicitly
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_steps + 1):
@@ -440,16 +412,21 @@ def run(scenario: Scenario, gains: ControllerGains | None = None,
             t = k * h
             max_norm = max(max_norm, float(np.abs(state).max()))
             if k % dec == 0 or k == n_steps:
-                record(t, state)
+                X[kept], ks[kept] = state, k
+                kept += 1
             if abort_norm is not None and max_norm > abort_norm:
                 aborted = True
                 break
 
+    # the signals own their data, so a kept trajectory does not pin the buffer
+    X, ks = X[:kept], ks[:kept]
+    y = X[:, lay.x.start:lay.x.start + n].copy()  # first chain level
+    p = X[:, lay.p_diag]
     return ClosedLoopTrajectory(
-        t=np.array(ts), y=np.array(ys), p=np.array(ps), e=np.array(es),
-        u=np.array(us), ne_dist=np.array(dists), p_star=loop.p_star,
-        v=np.array(vs), max_state_norm=max_norm, diverged=diverged,
-        diverged_t=diverged_t, aborted_norm=aborted, gamma1=loop.gamma1,
+        t=ks * h, y=y, p=p, e=y - p, u=X @ loop.control_rows.T,
+        ne_dist=np.linalg.norm(X[:, lay.P] - np.tile(loop.p_star, n), axis=1),
+        p_star=loop.p_star, v=X[:, lay.v].copy(), max_state_norm=max_norm,
+        diverged=diverged, diverged_t=diverged_t, aborted_norm=aborted, gamma1=loop.gamma1,
         gamma2=loop.gamma2, gains_k=loop.gains.k, seed=seed,
     )
 
@@ -470,8 +447,10 @@ def metrics(traj: ClosedLoopTrajectory) -> dict:
     """Summary statistics of a (non-diverged) trajectory.
 
     The equilibrium-distance slope is a least-squares fit of the log
-    distance over the second half of the horizon; it is NaN when the
-    distance is identically zero there (nothing to fit).
+    distance over the second half of the decay: the samples above the
+    roundoff floor ``1e-12 (1 + |stacked equilibrium|)`` from the midpoint
+    of ``t[0]`` and the last such sample on. It is NaN with fewer than two
+    such samples (nothing to fit).
     """
     final_e = np.abs(traj.e[-1])
     out = {
@@ -483,14 +462,12 @@ def metrics(traj: ClosedLoopTrajectory) -> dict:
         "max_state_norm": traj.max_state_norm,
         "diverged": traj.diverged,
     }
-    t_mid = (traj.t[0] + traj.t[-1]) / 2.0
-    mask = traj.t >= t_mid
-    window = traj.ne_dist[mask]
-    if mask.sum() >= 2 and window.max() > 1e-290:
-        logs = np.log(np.maximum(window, 1e-300))
-        out["ne_log_slope"] = float(np.polyfit(traj.t[mask], logs, 1)[0])
-    else:
-        out["ne_log_slope"] = float("nan")
+    stacked_norm = np.sqrt(len(traj.p_star)) * np.linalg.norm(traj.p_star)
+    fit = traj.ne_dist > 1e-12 * (1.0 + stacked_norm)
+    if fit.any():
+        fit &= traj.t >= (traj.t[0] + traj.t[fit][-1]) / 2.0
+    out["ne_log_slope"] = (float(np.polyfit(traj.t[fit], np.log(traj.ne_dist[fit]), 1)[0])
+                           if fit.sum() >= 2 else float("nan"))
     return out
 
 
@@ -501,20 +478,15 @@ def write_csv(traj: ClosedLoopTrajectory, path) -> None:
     Values are printed with 17 significant digits ('.' decimal separator),
     so identical runs produce byte-identical files.
     """
-    n = traj.p_star.shape[0]
+    n, K = traj.p_star.shape[0], len(traj.t)
     cols = (["t"] + [f"p_star_{i + 1}" for i in range(n)]
             + [f"y_{i + 1}" for i in range(n)] + [f"p_{i + 1}" for i in range(n)]
             + [f"e_{i + 1}" for i in range(n)] + [f"u_{i + 1}" for i in range(n)]
             + ["ne_dist"])
-    fmt = lambda x: format(float(x), ".17g")
+    rows = np.column_stack([traj.t, np.broadcast_to(traj.p_star, (K, n)), traj.y, traj.p,
+                            traj.e, traj.u, traj.ne_dist])
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(cols) + "\n")
-        for k in range(len(traj.t)):
-            row = ([fmt(traj.t[k])] + [fmt(v) for v in traj.p_star]
-                   + [fmt(v) for v in traj.y[k]] + [fmt(v) for v in traj.p[k]]
-                   + [fmt(v) for v in traj.e[k]] + [fmt(v) for v in traj.u[k]]
-                   + [fmt(traj.ne_dist[k])])
-            fh.write(",".join(row) + "\n")
+        np.savetxt(fh, rows, fmt="%.17g", delimiter=",", header=",".join(cols), comments="")
 
 
 def format_summary(m: dict) -> str:

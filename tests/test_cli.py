@@ -155,6 +155,18 @@ def test_check_warns_below_gain_bound(fast_cfg, capsys):
     assert "warning" in out and "below the" in out
 
 
+@pytest.mark.parametrize("patch, argv", [
+    ({}, ["--decimate", "0"]), ({}, ["--dt", "0"]), ({}, ["--t-final", "-1"]),
+    ({}, ["--sweep", "seeds=0"]), ({"sim.decimate": 0}, []),
+], ids=["decimate_flag", "dt_flag", "t_final_flag", "sweep_zero_seeds", "decimate_key"])
+def test_bad_run_settings_are_config_errors(patch, argv, fast_cfg, tmp_path, capsys):
+    out_csv = tmp_path / "bad.csv"
+    code = main(["simulate", "--config", str(fast_cfg(**patch)), "--out", str(out_csv), *argv])
+    assert code == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
 def test_missing_config_exit_code(capsys):
     assert main(["solve-ne", "--config", "/nonexistent/path.scenario"]) == 1
 

@@ -12,6 +12,7 @@ from nesim.game import QuadraticAggregativeGame, estimate_constants, solve_ne
 from nesim.generator import GeneratorGains, generator_rhs, min_gamma2
 from nesim.graph import CommGraph
 from nesim.internal_model import StabilizerPair, im_rhs, synthesize_bank
+from nesim.numerics import rk4_step
 from nesim.plant import Exosystem, PlantState, example_plant, exo_rhs, plant_rhs
 from nesim.simulation import (ClosedLoopTrajectory, EscalationSpec, Scenario, assemble,
                               closed_loop_passes, metrics, run, write_csv)
@@ -37,7 +38,7 @@ def composed_rhs(loop, state):
     plant = PlantState(z=z, x=x)
     dP = generator_rhs(sc.game, sc.graph, GeneratorGains(loop.gamma1, loop.gamma2), P)
     u = control_law(loop.gains, loop.bank, plant, eta, P.diagonal(), ablate=loop.ablate)
-    dz, dx = plant_rhs(sc.plant, plant, u, v, loop.w, check_finite=False)
+    dz, dx = plant_rhs(sc.plant, plant, u, v, loop.w)
     drives = list(x[1:]) + [u]  # level s is driven by x_{s+1}, the top level by u
     deta = [np.array([im_rhs(StabilizerPair(level.M[i], level.N[i]), eta[s][i], drives[s][i])
                       for i in range(sc.n)])
@@ -144,6 +145,36 @@ def test_divergence_is_reported_not_raised(sec5):
     assert traj.diverged
     assert traj.diverged_t is not None
     assert len(traj.t) >= 1  # partial trajectory retained for debugging
+    signals = (traj.t, traj.y, traj.p, traj.e, traj.u, traj.ne_dist, traj.v)
+    assert {len(a) for a in signals} == {len(traj.t)}
+
+
+def test_recorded_signals_match_per_sample_oracle(sec5, stable_gains):
+    traj = run(sec5, gains=stable_gains, t_final=0.05, decimate=1)
+    # the initial state as `run` draws it: uncertainty, disturbance, then the box
+    rng = np.random.default_rng(sec5.seed)
+    loop = assemble(sec5, gains=stable_gains, rng=rng)
+    box = sec5.exo.v0_box
+    v0 = rng.uniform(box[:, 0], box[:, 1])
+    n = sec5.n
+    draws = rng.uniform(-sec5.R, sec5.R, size=loop.dimension - n * n - len(v0))
+    state = np.concatenate([np.zeros(n * n), v0, draws])
+    assert sec5.p0 is None and len(traj.t) == 51
+
+    def close(have, want):
+        return np.abs(have - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
+
+    for k in range(len(traj.t)):
+        if k:
+            state = rk4_step(loop, (k - 1) * sec5.dt, state, sec5.dt)
+        P, v, z, x, eta = loop.unpack(state)
+        refs = P.diagonal()
+        u = control_law(loop.gains, loop.bank, PlantState(z=z, x=x), eta, refs)
+        assert traj.t[k] == k * sec5.dt
+        assert close(traj.y[k], x[0]) and close(traj.p[k], refs)
+        assert close(traj.e[k], x[0] - refs) and close(traj.v[k], v)
+        assert close(traj.ne_dist[k], np.linalg.norm(P - loop.p_star))
+        assert close(traj.u[k], u)
 
 
 def test_escalation_predicate(sec5, stable_gains):
@@ -191,8 +222,8 @@ def test_step_halving_consistency_short(sec5, stable_gains):
     assert np.abs(a.y[-1] - b.y[-1]).max() < 1e-6
 
 
-def synthetic_trajectory(dist):
-    t = np.linspace(0, 10, len(dist))
+def synthetic_trajectory(dist, t=None):
+    t = np.linspace(0, 10, len(dist)) if t is None else t
     n = 4
     zeros = np.zeros((len(t), n))
     return ClosedLoopTrajectory(t=t, y=zeros, p=zeros, e=zeros, u=zeros,
@@ -212,6 +243,11 @@ class TestMetrics:
         m = metrics(synthetic_trajectory(np.exp(-2.0 * t)))
         assert m["ne_log_slope"] == pytest.approx(-2.0, abs=1e-6)
 
+    def test_slope_ignores_the_roundoff_floor(self):
+        t = np.linspace(0, 30, 301)
+        m = metrics(synthetic_trajectory(np.maximum(3.0 * np.exp(-2.0 * t), 5e-14), t))
+        assert m["ne_log_slope"] == pytest.approx(-2.0, abs=1e-6)
+
     def test_closed_loop_slope_negative(self, sec5, stable_gains):
         traj = run(sec5, gains=stable_gains, t_final=10.0)
         assert metrics(traj)["ne_log_slope"] < 0
@@ -224,3 +260,20 @@ def test_csv_schema(sec5, stable_gains, tmp_path):
     assert header[0] == "t" and header[-1] == "ne_dist"
     assert len(header) == 2 + 5 * 4
     assert header[1:5] == ["p_star_1", "p_star_2", "p_star_3", "p_star_4"]
+
+
+def test_csv_bytes_are_17_significant_digits(tmp_path):
+    t = np.array([0.0, 0.1, 2.0])
+    y = np.array([[-0.0, 1e-300], [1e300, 3.0], [0.1, -7.0]])
+    traj = ClosedLoopTrajectory(t=t, y=y, p=y[::-1].copy(), e=-y, u=2.0 * y,
+                                ne_dist=np.array([1e300, -0.0, 5.0]),
+                                p_star=np.array([0.1, -2.0]), v=np.zeros((3, 2)),
+                                max_state_norm=0.0)
+    path = tmp_path / "fmt.csv"
+    write_csv(traj, path)
+    lines = ["t,p_star_1,p_star_2,y_1,y_2,p_1,p_2,e_1,e_2,u_1,u_2,ne_dist"]
+    for k in range(len(t)):
+        row = np.concatenate([[t[k]], traj.p_star, traj.y[k], traj.p[k], traj.e[k],
+                              traj.u[k], [traj.ne_dist[k]]])
+        lines.append(",".join(format(float(x), ".17g") for x in row))
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
