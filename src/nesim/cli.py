@@ -32,6 +32,8 @@ EXIT_CONFIG = 1
 EXIT_DIVERGED = 2
 EXIT_CHECK_FAILED = 3
 
+SWEEP_BATCH = 8  # seeds per batched run: bounds the kept states of a long sweep
+
 
 def _resolve_config(path_arg: str) -> Path:
     """Filesystem path first; fall back to a bundled scenario name."""
@@ -93,25 +95,31 @@ def cmd_simulate(args) -> int:
             raise cfg.ConfigError("--sweep expects seeds=K with K >= 1")
         seeds = [scenario.seed + k for k in range(int(count))]
     gains, gamma1, passing = _resolve_gains(scenario)
+    ablate = args.ablate_internal_model
+    reused = {} if passing is None or ablate else {passing.seed: passing}
     worst_exit = EXIT_OK
-    for seed in seeds:
-        if passing is not None and seed == passing.seed and not args.ablate_internal_model:
-            traj = passing
-        else:
-            traj = run(scenario, gains=gains, gamma1=gamma1,
-                       ablate=args.ablate_internal_model, seed=seed)
-        out_path = Path(args.out)
-        if len(seeds) > 1:
-            out_path = out_path.with_name(f"{out_path.stem}_s{seed}{out_path.suffix}")
-        write_csv(traj, out_path)
-        if args.svg:
-            write_svg(traj, args.svg if len(seeds) == 1
-                      else Path(args.svg).with_name(f"{Path(args.svg).stem}_s{seed}.svg"))
-        print(f"# seed {seed} -> {out_path}")
-        print(format_summary(metrics(traj)))
-        if traj.diverged:
-            print(f"DIVERGED at t = {traj.diverged_t:.6g}", file=sys.stderr)
-            worst_exit = EXIT_DIVERGED
+    # the other seeds are integrated together, SWEEP_BATCH columns per run
+    for start in range(0, len(seeds), SWEEP_BATCH):
+        chunk = seeds[start:start + SWEEP_BATCH]
+        fresh = [seed for seed in chunk if seed not in reused]
+        trajs = dict(reused)
+        if fresh:
+            trajs.update(zip(fresh, run(scenario, gains=gains, gamma1=gamma1, ablate=ablate,
+                                        seed=fresh)))
+        for seed in chunk:
+            traj = trajs[seed]
+            out_path = Path(args.out)
+            if len(seeds) > 1:
+                out_path = out_path.with_name(f"{out_path.stem}_s{seed}{out_path.suffix}")
+            write_csv(traj, out_path)
+            if args.svg:
+                write_svg(traj, args.svg if len(seeds) == 1
+                          else Path(args.svg).with_name(f"{Path(args.svg).stem}_s{seed}.svg"))
+            print(f"# seed {seed} -> {out_path}")
+            print(format_summary(metrics(traj)))
+            if traj.diverged:
+                print(f"DIVERGED at t = {traj.diverged_t:.6g}", file=sys.stderr)
+                worst_exit = EXIT_DIVERGED
     return worst_exit
 
 

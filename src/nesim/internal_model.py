@@ -193,10 +193,6 @@ class InternalModelBank:
     def r(self) -> int:
         return len(self.levels)
 
-    @property
-    def state_dim_per_agent(self) -> int:
-        return sum(level.order for level in self.levels)
-
 
 def synthesize_bank(im_polys: Sequence[np.ndarray], n_agents: int,
                     stabilizers=None, preset: str | None = None) -> InternalModelBank:

@@ -74,13 +74,17 @@ def symmetric_eigenvalues(A: np.ndarray) -> np.ndarray:
 def rk4_step(sys: OdeSystem, t: float, x: np.ndarray, h: float) -> np.ndarray:
     """One classical 4th-order Runge-Kutta step.
 
+    ``x`` is one state ``(dim,)`` or a batch of independent states
+    ``(dim, B)``, one per column.
+
     Raises
     ------
     NonFiniteState
         If the weighted stage sum ``k1 + 2 k2 + 2 k3 + k4`` holds NaN or Inf,
-        which signals closed-loop divergence to the caller. The weights are
-        positive, so any non-finite stage evaluation makes the sum
-        non-finite; the sum can also overflow to Inf from finite stages.
+        which signals closed-loop divergence to the caller; its ``columns``
+        mark the non-finite columns. The weights are positive, so any
+        non-finite stage evaluation makes the sum non-finite; the sum can
+        also overflow to Inf from finite stages.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
@@ -90,7 +94,8 @@ def rk4_step(sys: OdeSystem, t: float, x: np.ndarray, h: float) -> np.ndarray:
     k4 = sys.rhs(t + h, x + h * k3)
     incr = k1 + 2.0 * k2 + 2.0 * k3 + k4
     if not np.isfinite(incr).all():
-        raise NonFiniteState(f"non-finite derivative at t={t:.6g}")
+        raise NonFiniteState(f"non-finite derivative at t={t:.6g}",
+                             columns=np.atleast_1d(~np.isfinite(incr).all(axis=0)))
     return x + (h / 6.0) * incr
 
 

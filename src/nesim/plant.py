@@ -105,8 +105,9 @@ class PlantModel:
     feedforward input). ``steady_poly``, when provided, returns exact
     constant/linear/quadratic-in-v representations of those signals and
     unlocks machine-precision diagnostics. ``split``, when provided, returns
-    the drift with ``w`` folded in as a linear map plus a nonlinear remainder
-    (see `drift_split`); it must agree with ``f0``/``f_levels``.
+    the drift with a stack of draws ``w`` folded in as one linear map per
+    draw plus a nonlinear remainder (see `drift_split`); it must agree with
+    ``f0``/``f_levels``.
     """
 
     n_agents: int
@@ -118,7 +119,7 @@ class PlantModel:
     steady_zero: Callable
     im_polys: Sequence[np.ndarray]
     steady_poly: Callable | None = None
-    split: Callable | None = None  # optional: w -> (J, nl), see `drift_split`
+    split: Callable | None = None  # optional: (B, n_w) draws -> (J, nl), see `drift_split`
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -161,30 +162,43 @@ def plant_rhs(model: PlantModel, state: PlantState, u: np.ndarray, v: np.ndarray
     return dz, dx
 
 
-def drift_split(model: PlantModel, w: Uncertainty | np.ndarray) -> tuple[np.ndarray, Callable]:
-    """The plant drift for one draw as ``J @ [zx, v] + nl(zx, v)``.
+def drift_split(model: PlantModel, w: np.ndarray) -> tuple[np.ndarray, Callable]:
+    """The plant drift for a stack of draws as ``J_b @ [zx, v] + nl(zx, v)``.
 
-    The drift is the stack of ``f0`` and ``f_levels`` (the chain shifts and
-    the input are not part of it) over the flat state ``zx = [z, x]``
-    (``z`` agent-major, ``x`` level-major). ``J`` has one row and one column
-    per ``zx`` entry, followed by one column per leading disturbance
-    coordinate the drift reads; ``nl(zx, v)`` returns the flat remainder.
-    Models with a ``split`` hook supply both; any other model gets ``J = 0``
-    and ``nl`` evaluates its callables with ``w`` folded in.
+    ``w`` is ``(B, n_w)``, one draw per row; the batch is the trailing axis
+    of the states. The drift is the stack of ``f0`` and ``f_levels`` (the
+    chain shifts and the input are not part of it) over the flat state
+    ``zx = [z, x]`` (``z`` agent-major, ``x`` level-major). ``J`` is
+    ``(B, n_zx, n_zx + v_cols)``: per draw, one row and one column per
+    ``zx`` entry, followed by one column per leading disturbance coordinate
+    the drift reads. ``nl(zx, v)`` takes ``zx`` as ``(n_zx, B)`` and ``v``
+    as ``(n_v, B)`` and returns the ``(n_zx, B)`` remainder; column ``b``
+    depends only on column ``b`` and draw ``b``. Models with a ``split``
+    hook supply both; any other model gets ``J = 0`` and ``nl`` evaluates
+    its callables column by column with the column's draw.
     """
-    wv = w.w if isinstance(w, Uncertainty) else np.asarray(w, dtype=float)
+    W = np.asarray(w, dtype=float)
+    if W.ndim != 2:
+        # a flat draw would broadcast (n, 1) coefficients against (n,) states
+        raise ValueError(f"drift_split expects a (B, n_w) stack of draws, got shape {W.shape}")
     if model.split is not None:
-        return model.split(wv)
+        return model.split(W)
     n, r, n_z = model.n_agents, model.r, model.n_z
     f0, f_levels = model.f0, model.f_levels
 
-    def nl(zx, v):
-        z, x = zx[:n * n_z].reshape(n, n_z), zx[n * n_z:].reshape(r, n)
-        return np.concatenate([np.ravel(f0(z, x[0], v, wv))]
-                              + [f_levels[s](z, x[:s + 1], v, wv) for s in range(r)])
-
     dim = n * n_z + r * n
-    return np.zeros((dim, dim)), nl
+
+    def nl(zx, v):
+        out = np.empty((len(W), dim))  # one row per column, returned transposed
+        Z = zx[:n * n_z].reshape(n, n_z, -1).transpose(2, 0, 1)  # (B, n, n_z) views
+        X = zx[n * n_z:].reshape(r, n, -1).transpose(2, 0, 1)    # (B, r, n)
+        for row, z, x, vc, wv in zip(out, Z, X, v.T, W):
+            row[:n * n_z] = np.ravel(f0(z, x[0], vc, wv))
+            for s in range(r):
+                row[n * n_z + s * n:n * n_z + (s + 1) * n] = f_levels[s](z, x[:s + 1], vc, wv)
+        return out.T
+
+    return np.zeros((len(W), dim, dim)), nl
 
 
 # ---------------------------------------------------------------------------
@@ -374,15 +388,16 @@ def example_plant(g: np.ndarray, n_agents: int | None = None) -> PlantModel:
         return ge[:, 4] * z[:, 0] ** 2 * xs[0] + ge[:, 5] * xs[0] * xs[1]
 
     def split(w):
-        # columns: z (N), x1 (N), x2 (N), v1, v2; rows: zdot, x1dot, x2dot
-        g1, g2, g3, g4, g5, g6 = geff(w).T.copy()
-        J = np.zeros((3 * n, 3 * n + 2))
+        # per draw, columns: z (N), x1 (N), x2 (N), v1, v2; rows: zdot, x1dot, x2dot
+        ge = g + np.asarray(w, dtype=float).reshape(-1, n, 6)
+        g1, g2, g3, g4, g5, g6 = ge.transpose(2, 1, 0).copy()  # each (N, B)
+        J = np.zeros((len(ge), 3 * n, 3 * n + 2))
         agents = np.arange(n)
-        J[agents, agents] = g1
-        J[agents, n + agents] = 1.0
-        J[agents, 3 * n] = g2
-        J[n + agents, 3 * n + 1] = g4
-        zeros = np.zeros(n)
+        J[:, agents, agents] = g1.T
+        J[:, agents, n + agents] = 1.0
+        J[:, agents, 3 * n] = g2.T
+        J[:, n + agents, 3 * n + 1] = g4.T
+        zeros = np.zeros((n, len(ge)))
 
         def nl(zx, v):
             zc, x1, x2 = zx[:n], zx[n:2 * n], zx[2 * n:]

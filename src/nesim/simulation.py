@@ -8,6 +8,8 @@ but integrating centrally keeps the numerics exact to the method order and
 the output deterministic. Everything except the plant drift and a custom
 game's gradient is affine, so `assemble` builds the derivative once as
 ``A x + c`` plus the plant drift's nonlinear remainder (and that gradient).
+Seeds integrated together are the columns of one ``(dim, B)`` state: only
+the plant rows of ``A`` and the remainder depend on the seed's draw.
 
 State layout (level-major): ``[estimates (N*N) | v (n_v) | z (N*n_z) |
 chain x (r*N) | compensators eta_1 (N*n_1) .. eta_r (N*n_r)]``. Seeded draws
@@ -17,8 +19,8 @@ plant/compensator initial box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -152,7 +154,13 @@ class StateLayout:
 
 @dataclass(frozen=True)
 class AssembledLoop(OdeSystem):
-    """The stacked closed-loop ODE plus everything synthesis produced."""
+    """The stacked closed-loop ODE for a batch of draws, plus everything synthesis produced.
+
+    The batch is the trailing axis: ``rhs`` takes a ``(dim, B)`` state, one
+    column per draw in ``draws``, and a loop with one draw also takes a flat
+    ``(dim,)`` state. Columns never mix. Only ``operator`` (one ``A`` per
+    column), ``draws`` and ``steadies`` differ between columns.
+    """
 
     scenario: Scenario = None
     layout: StateLayout = None
@@ -161,10 +169,35 @@ class AssembledLoop(OdeSystem):
     gamma1: float = 0.0
     gamma2: float = 0.0
     p_star: np.ndarray = None
-    w: Uncertainty = None
-    steady: SteadyState = None
+    draws: tuple = ()        # one Uncertainty per column
+    steadies: tuple = ()     # one SteadyState per column
     ablate: bool = False
     control_rows: np.ndarray = None  # U, (N, dim): the control law as u = U @ state
+    operator: np.ndarray = None      # (B, dim, dim): A of each column
+    offset: np.ndarray = None        # (dim, 1): c, shared by every column
+
+    @property
+    def w(self) -> Uncertainty:
+        """The draw of a one-column loop."""
+        (w,) = self.draws
+        return w
+
+    @property
+    def steady(self) -> SteadyState:
+        """The steady-state chain of a one-column loop."""
+        (steady,) = self.steadies
+        return steady
+
+    def select(self, keep) -> "AssembledLoop":
+        """The loop restricted to the columns ``keep`` (a boolean mask), in order."""
+        idx = np.flatnonzero(keep)
+        draws = tuple(self.draws[i] for i in idx)
+        A3 = self.operator[idx]
+        _, plant_nl = drift_split(self.scenario.plant, np.stack([d.w for d in draws]))
+        return replace(
+            self, rhs=_closed_loop_rhs(self.layout, A3, self.offset, plant_nl,
+                                       self.scenario.game, self.gamma1),
+            draws=draws, steadies=tuple(self.steadies[i] for i in idx), operator=A3)
 
     def unpack(self, state: np.ndarray):
         """Split a flat state into named, reshaped views."""
@@ -177,24 +210,24 @@ class AssembledLoop(OdeSystem):
         """Control input of every agent, ``U @ state`` (see `control_law`)."""
         return self.control_rows @ state
 
-    def manifold_state(self, v0: np.ndarray) -> np.ndarray:
-        """State on the regulated manifold with the generator at equilibrium."""
+    def manifold_state(self, v0: np.ndarray, column: int = 0) -> np.ndarray:
+        """Flat state of one column on the regulated manifold, generator at equilibrium."""
         n, lay = self.layout.n_agents, self.layout
         v0 = np.asarray(v0, dtype=float)
         P = np.tile(self.p_star, (n, 1))  # every row at the equilibrium profile
-        z = self.steady.z_star(v0)
-        eta = self.ideal_compensators(v0)
+        z = self.steadies[column].z_star(v0)
+        eta = self.ideal_compensators(v0, column)
         # chain level s + 1 sits at the read-out Psi theta of compensator level s
         x = np.vstack([self.p_star] + [np.einsum("ij,ij->i", level.Psi, theta)
                                        for level, theta in zip(self.bank.levels[:lay.r - 1], eta)])
         return np.concatenate([P.ravel(), v0, z.ravel(), x.ravel()]
                               + [e.ravel() for e in eta])
 
-    def ideal_compensators(self, v: np.ndarray) -> list[np.ndarray]:
-        """The compensator states that exactly reproduce the steady signals."""
+    def ideal_compensators(self, v: np.ndarray, column: int = 0) -> list[np.ndarray]:
+        """The compensator states of one column that exactly reproduce the steady signals."""
         out = []
         for s, level in enumerate(self.bank.levels):
-            stack = self.steady.derivative_stack(s + 2, v, level.order)
+            stack = self.steadies[column].derivative_stack(s + 2, v, level.order)
             out.append(np.einsum("ijk,ki->ij", level.T, stack))
         return out
 
@@ -209,23 +242,26 @@ def _stage(name: str, fn, *args, **kwargs):
 
 def assemble(scenario: Scenario, gains: ControllerGains | None = None,
              gamma1: float | None = None, ablate: bool = False,
-             rng: np.random.Generator | None = None) -> AssembledLoop:
+             rng: np.random.Generator | Sequence[np.random.Generator] | None = None
+             ) -> AssembledLoop:
     """Wire generator, exosystem, plants, compensators, and control law.
 
-    Draws the uncertainty (first consumer of the scenario's seeded stream);
-    the equilibrium, ``gamma2`` and the internal-model bank come from
-    `Scenario.synthesized`.
+    Draws the uncertainty (first consumer of the scenario's seeded stream):
+    one draw from ``rng``, or one per generator, and so one state column
+    each, when ``rng`` is a sequence. The equilibrium, ``gamma2`` and the
+    internal-model bank come from `Scenario.synthesized`.
     """
     n = scenario.n
     model = scenario.plant
     if model.n_agents != n:
         raise ValueError(f"plant has {model.n_agents} agents, game has {n}")
-    rng = rng if rng is not None else np.random.default_rng(scenario.seed)
+    rngs = ([np.random.default_rng(scenario.seed)] if rng is None
+            else [rng] if isinstance(rng, np.random.Generator) else list(rng))
 
     synthesis = scenario.synthesized()
     p_star, gamma2, bank = synthesis.p_star, synthesis.gamma2, synthesis.bank
-    w = sample_uncertainty(scenario.w_box, rng)
-    steady = steady_state_chain(model, p_star, scenario.exo, w)
+    draws = tuple(sample_uncertainty(scenario.w_box, r) for r in rngs)
+    steadies = tuple(steady_state_chain(model, p_star, scenario.exo, w) for w in draws)
 
     if gains is None:
         gains = (ControllerGains(scenario.controller_k) if scenario.controller_k is not None
@@ -235,33 +271,65 @@ def assemble(scenario: Scenario, gains: ControllerGains | None = None,
     layout = StateLayout(n_agents=n, n_v=scenario.exo.n_v, n_z=model.n_z, r=model.r,
                          im_orders=tuple(level.order for level in bank.levels))
 
-    J, plant_nl = drift_split(model, w)
-    A, c, U = _closed_loop_operator(scenario, layout, bank, gains, g1, gamma2, J, ablate)
-    game = scenario.game
-    # the quadratic game's extended gradient is affine and already in A and c
-    game_nl = (None if isinstance(game, QuadraticAggregativeGame)
-               else lambda P: extended_pseudo_gradient(game, P))
+    J, plant_nl = drift_split(model, np.stack([w.w for w in draws]))
+    A3, c, U = _closed_loop_operator(scenario, layout, bank, gains, g1, gamma2, J, ablate)
+    c = c[:, None]
+    rhs = _closed_loop_rhs(layout, A3, c, plant_nl, scenario.game, g1)
+    return AssembledLoop(dimension=layout.dim, rhs=rhs, scenario=scenario, layout=layout,
+                         bank=bank, gains=gains, gamma1=g1, gamma2=gamma2, p_star=p_star,
+                         draws=draws, steadies=steadies, ablate=ablate, control_rows=U,
+                         operator=A3, offset=c)
 
-    P, v, zx, p_diag = layout.P, layout.v, layout.zx, layout.p_diag
+
+def _closed_loop_rhs(layout: StateLayout, A3: np.ndarray, c: np.ndarray, plant_nl,
+                     game: GameSpec, g1: float):
+    """``A_b x_b + c + nl(x_b)`` for each column ``b`` of a ``(dim, B)`` state.
+
+    Each column gets its own GEMV (one ``A.dot`` for one column, a stacked
+    ``matmul`` otherwise), never one GEMM over the batch, whose rounding
+    would depend on ``B``: every column is bit-identical to its one-column
+    run. A flat state is reshaped to one column explicitly.
+    """
+    n = layout.n_agents
+    P, v, zx = layout.P, layout.v, layout.zx
+    diag = slice(P.start, P.stop, n + 1)  # the rows `layout.p_diag`, as a view
+    A = A3[0] if len(A3) == 1 else None
+    # the quadratic game's extended gradient is affine and already in A and c
+    game_nl = None
+    if not isinstance(game, QuadraticAggregativeGame):
+        def game_nl(Ps):
+            out = np.empty((Ps.shape[1], n))  # one row per column, returned transposed
+            for row, estimates in zip(out, Ps.reshape(n, n, -1).transpose(2, 0, 1)):
+                row[:] = extended_pseudo_gradient(game, estimates)
+            return out.T
 
     def rhs(t: float, state: np.ndarray) -> np.ndarray:
-        out = A.dot(state)
+        if state.ndim == 1:
+            return rhs(t, state[:, None])[:, 0]
+        if A is not None:
+            out = A.dot(state)
+        else:
+            out = np.empty_like(state)
+            np.matmul(A3, state.T[..., None], out=out.T[..., None])
         out += c
         plant_rows = out[zx]  # in-place view: `out[zx] +=` would copy back
         plant_rows += plant_nl(state[zx], state[v])
         if game_nl is not None:
-            out[p_diag] -= g1 * game_nl(state[P].reshape(n, n))
+            estimate_rows = out[diag]
+            estimate_rows -= g1 * game_nl(state[P])
         return out
 
-    return AssembledLoop(dimension=layout.dim, rhs=rhs, scenario=scenario, layout=layout,
-                         bank=bank, gains=gains, gamma1=g1, gamma2=gamma2,
-                         p_star=p_star, w=w, steady=steady, ablate=ablate, control_rows=U)
+    return rhs
 
 
 def _closed_loop_operator(scenario: Scenario, layout: StateLayout, bank: InternalModelBank,
                           gains: ControllerGains, gamma1: float, gamma2: float,
                           J: np.ndarray, ablate: bool):
-    """Affine part ``A x + c`` of the closed loop and the control rows ``U``.
+    """Affine part ``A_b x + c`` of the closed loop and the control rows ``U``.
+
+    ``A`` is ``(B, dim, dim)``, one operator per draw of the stacked drift
+    split ``J``; they differ only in the plant rows. ``c`` and ``U`` are
+    shared.
 
     Each block is written from its own parameters: the generator's
     consensus ``-gamma1 gamma2 (L kron I)`` plus, for the quadratic game,
@@ -278,28 +346,28 @@ def _closed_loop_operator(scenario: Scenario, layout: StateLayout, bank: Interna
     P, v, zx, p_diag = layout.P, layout.v, layout.zx, layout.p_diag
     xa, ea = layout.x.start, layout.x.stop  # the compensators follow the chain
     agents = np.arange(n)
-    A = np.zeros((dim, dim))
+    A = np.zeros((len(J), dim, dim))
     c = np.zeros(dim)
 
-    A[P, P] = -gamma1 * gamma2 * np.kron(laplacian(scenario.graph), np.eye(n))
+    A[:, P, P] = -gamma1 * gamma2 * np.kron(laplacian(scenario.graph), np.eye(n))
     game = scenario.game
     if isinstance(game, QuadraticAggregativeGame):
         # entry i of the extended gradient is Jacobian row i applied to estimate row i
         G = game.jacobian()
         for i in range(n):
-            A[p_diag[i], P.start + i * n:P.start + (i + 1) * n] -= gamma1 * G[i]
+            A[:, p_diag[i], P.start + i * n:P.start + (i + 1) * n] -= gamma1 * G[i]
         c[p_diag] = -gamma1 * game.gradient_constant()
-    A[v, v] = scenario.exo.S
+    A[:, v, v] = scenario.exo.S
 
     n_zx = zx.stop - zx.start
-    v_cols = J.shape[1] - n_zx
-    if J.shape[0] != n_zx or not 0 <= v_cols <= layout.n_v:
-        raise ValueError(f"plant drift split has shape {J.shape}; expected {n_zx} rows and "
-                         f"{n_zx} to {n_zx + layout.n_v} columns")
-    A[zx, zx] = J[:, :n_zx]
-    A[zx, v.start:v.start + v_cols] = J[:, n_zx:]
+    v_cols = J.shape[-1] - n_zx
+    if J.ndim != 3 or J.shape[1] != n_zx or not 0 <= v_cols <= layout.n_v:
+        raise ValueError(f"plant drift split has shape {J.shape}; expected (B, {n_zx}, "
+                         f"{n_zx} to {n_zx + layout.n_v})")
+    A[:, zx, zx] = J[:, :, :n_zx]
+    A[:, zx, v.start:v.start + v_cols] = J[:, :, n_zx:]
     shifted = np.arange(xa, ea - n)
-    A[shifted, shifted + n] += 1.0
+    A[:, shifted, shifted + n] += 1.0
 
     # compensator dynamics and read-outs Psi_s eta_s, one row per (level, agent)
     reads = np.zeros((r * n, dim))
@@ -310,7 +378,7 @@ def _closed_loop_operator(scenario: Scenario, layout: StateLayout, bank: Interna
         ns = level.order
         for i in range(n):
             rel, blk = slice(pos, pos + ns), slice(ea + pos, ea + pos + ns)
-            A[blk, blk] = level.M[i]
+            A[:, blk, blk] = level.M[i]
             N_flat[rel] = level.N[i]
             drive_idx[rel] = s * n + i
             if not ablate:
@@ -324,12 +392,12 @@ def _closed_loop_operator(scenario: Scenario, layout: StateLayout, bank: Interna
         U[agents, xa + s * n + agents] -= coeff[:, s]
     for s in range(1, r):
         U += coeff[:, s, None] * reads[(s - 1) * n:s * n]
-    A[ea - n:ea] += U
+    A[:, ea - n:ea] += U
 
     drives = np.zeros((r * n, dim))  # level-major: x_2 .. x_r, then u
     drives[np.arange((r - 1) * n), shifted + n] = 1.0
     drives[(r - 1) * n:] = U
-    A[ea:] += N_flat[:, None] * drives[drive_idx]
+    A[:, ea:] += N_flat[:, None] * drives[drive_idx]
     return A, c, U
 
 
@@ -357,78 +425,120 @@ class ClosedLoopTrajectory:
 
 def run(scenario: Scenario, gains: ControllerGains | None = None,
         gamma1: float | None = None, ablate: bool = False,
-        seed: Optional[int] = None, t_final: Optional[float] = None,
+        seed: int | Sequence[int] | None = None, t_final: Optional[float] = None,
         dt: Optional[float] = None, decimate: Optional[int] = None,
-        init_mode: str = "box", abort_norm: Optional[float] = None) -> ClosedLoopTrajectory:
+        init_mode: str = "box", abort_norm: Optional[float] = None):
     """Integrate the closed loop and derive the output-side signals from the kept states.
 
-    ``init_mode="box"`` draws plant and compensator initial states uniformly
-    from the scenario's box (generator estimates start at the configured
-    values, zero by default); ``"manifold"`` starts exactly on the regulated
-    manifold with the generator at equilibrium. Divergence does not raise:
-    the trajectory up to the failure is returned with the flag set.
+    ``seed`` is one seed, giving one trajectory, or a sequence of seeds,
+    giving a list: the seeds are then stepped as one ``(dim, B)`` state, one
+    column per seed, and each trajectory is bit-identical to the run of its
+    seed alone. ``init_mode="box"`` draws plant and compensator initial
+    states uniformly from the scenario's box (generator estimates start at
+    the configured values, zero by default); ``"manifold"`` starts exactly on
+    the regulated manifold with the generator at equilibrium. Divergence
+    does not raise: the trajectory up to the failure is returned with the
+    flag set. A column that diverges or passes ``abort_norm`` stops there;
+    the others go on.
     """
-    seed = scenario.seed if seed is None else seed
+    batch = seed is not None and not isinstance(seed, (int, np.integer))
+    seeds = [int(s) for s in seed] if batch else [scenario.seed if seed is None else int(seed)]
     t_end = scenario.t_final if t_final is None else float(t_final)
     h = scenario.dt if dt is None else float(dt)
     dec = scenario.decimate if decimate is None else int(decimate)
-
-    rng = np.random.default_rng(seed)
-    loop = assemble(scenario, gains=gains, gamma1=gamma1, ablate=ablate, rng=rng)
-    n, lay = scenario.n, loop.layout
-    box = scenario.exo.v0_box
-    v0 = rng.uniform(box[:, 0], box[:, 1])
-
-    if init_mode == "manifold":
-        state = loop.manifold_state(v0)
-    elif init_mode == "box":
-        draws = rng.uniform(-scenario.R, scenario.R, size=lay.dim - lay.z.start)
-        P0 = np.zeros(n * n) if scenario.p0 is None else np.asarray(scenario.p0, dtype=float).ravel()
-        state = np.concatenate([P0, v0, draws])
-    else:
+    if not seeds:
+        raise ValueError("need at least one seed")
+    if not (t_end > 0 and h > 0):
+        raise ValueError("t_final and dt must be positive")
+    if dec < 1:
+        raise ValueError("decimate must be at least 1")
+    if init_mode not in ("box", "manifold"):
         raise ValueError(f"unknown init_mode {init_mode!r}")
 
-    n_steps = int(round(t_end / h))
-    # every kept state (step 0, each dec-th step and the last) and its step index
-    X = np.empty((1 + -(-n_steps // dec), lay.dim))
-    ks = np.zeros(len(X), dtype=np.int64)
-    X[0] = state
-    kept = 1
-    max_norm = 0.0
-    diverged = False
-    diverged_t = None
-    aborted = False
+    rngs = [np.random.default_rng(s) for s in seeds]
+    loop = assemble(scenario, gains=gains, gamma1=gamma1, ablate=ablate, rng=rngs)
+    n, lay, B = scenario.n, loop.layout, len(seeds)
+    box = scenario.exo.v0_box
+    P0 = np.zeros(n * n) if scenario.p0 is None else np.asarray(scenario.p0, dtype=float).ravel()
+    state = np.empty((lay.dim, B))
+    for b, rng in enumerate(rngs):
+        v0 = rng.uniform(box[:, 0], box[:, 1])
+        if init_mode == "manifold":
+            state[:, b] = loop.manifold_state(v0, b)
+        else:
+            draws = rng.uniform(-scenario.R, scenario.R, size=lay.dim - lay.z.start)
+            state[:, b] = np.concatenate([P0, v0, draws])
 
-    t = 0.0
+    n_steps = int(round(t_end / h))
+    # every kept state (step 0, each dec-th step and the last) of every column,
+    # and its step index; a stopped column keeps the samples it has
+    X = np.empty((1 + -(-n_steps // dec), B, lay.dim))
+    ks = np.zeros(len(X), dtype=np.int64)
+    X[0] = state.T
+    kept = 1
+    live = np.arange(B)      # index into `seeds` of each state column
+    rows = slice(None)       # the columns of X still recording: all, or `live`
+    peak = np.zeros_like(state)  # largest |value| of each state entry after step 0
+    samples = np.zeros(B, dtype=np.int64)
+    max_norm = np.zeros(B)
+    diverged_t = [None] * B
+    aborted = np.zeros(B, dtype=bool)
+
+    def stop(stopped: np.ndarray) -> bool:
+        """Finish the masked state columns; whether any column is still live."""
+        nonlocal loop, state, live, rows, peak
+        samples[live[stopped]] = kept
+        max_norm[live[stopped]] = peak[:, stopped].max(axis=0)
+        going = ~stopped
+        live, peak, state = live[going], peak[:, going], state[:, going]
+        rows = live
+        if live.size:
+            loop = loop.select(going)
+        return live.size > 0
+
+    k, t = 0, 0.0
     # overflow on a diverging trajectory is expected and detected explicitly
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n_steps + 1):
+        while k < n_steps:
             try:
                 state = rk4_step(loop, t, state, h)
-            except NonFiniteState:
-                diverged = True
-                diverged_t = t + h
-                break
+            except NonFiniteState as exc:
+                for col in live[exc.columns]:
+                    diverged_t[col] = t + h
+                if not stop(exc.columns):
+                    break
+                continue  # columns never mix: re-step the others from the same state
+            k += 1
             t = k * h
-            max_norm = max(max_norm, float(np.abs(state).max()))
+            size = np.abs(state)
+            np.maximum(peak, size, out=peak)
             if k % dec == 0 or k == n_steps:
-                X[kept], ks[kept] = state, k
+                X[kept, rows], ks[kept] = state.T, k
                 kept += 1
-            if abort_norm is not None and max_norm > abort_norm:
-                aborted = True
-                break
+            if abort_norm is not None and size.max() > abort_norm:
+                over = size.max(axis=0) > abort_norm
+                aborted[live[over]] = True
+                if not stop(over):
+                    break
+        else:
+            stop(np.ones(live.size, dtype=bool))
 
-    # the signals own their data, so a kept trajectory does not pin the buffer
-    X, ks = X[:kept], ks[:kept]
-    y = X[:, lay.x.start:lay.x.start + n].copy()  # first chain level
-    p = X[:, lay.p_diag]
-    return ClosedLoopTrajectory(
-        t=ks * h, y=y, p=p, e=y - p, u=X @ loop.control_rows.T,
-        ne_dist=np.linalg.norm(X[:, lay.P] - np.tile(loop.p_star, n), axis=1),
-        p_star=loop.p_star, v=X[:, lay.v].copy(), max_state_norm=max_norm,
-        diverged=diverged, diverged_t=diverged_t, aborted_norm=aborted, gamma1=loop.gamma1,
-        gamma2=loop.gamma2, gains_k=loop.gains.k, seed=seed,
-    )
+    trajs = []
+    for b, seed_b in enumerate(seeds):
+        # the signals own their data, so a kept trajectory does not pin the buffer
+        Xb, ksb = X[:samples[b], b], ks[:samples[b]]
+        y = Xb[:, lay.x.start:lay.x.start + n].copy()  # first chain level
+        p = Xb[:, lay.p_diag]
+        gap = Xb[:, lay.P] - np.tile(loop.p_star, n)
+        # the row norm as `np.linalg.norm` forms it, squaring in place
+        ne_dist = np.sqrt(np.add.reduce(np.square(gap, out=gap), axis=1))
+        trajs.append(ClosedLoopTrajectory(
+            t=ksb * h, y=y, p=p, e=y - p, u=Xb @ loop.control_rows.T, ne_dist=ne_dist,
+            p_star=loop.p_star, v=Xb[:, lay.v].copy(), max_state_norm=float(max_norm[b]),
+            diverged=diverged_t[b] is not None, diverged_t=diverged_t[b],
+            aborted_norm=bool(aborted[b]), gamma1=loop.gamma1, gamma2=loop.gamma2,
+            gains_k=loop.gains.k, seed=seed_b))
+    return trajs if batch else trajs[0]
 
 
 def closed_loop_passes(scenario: Scenario, gains: ControllerGains,

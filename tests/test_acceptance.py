@@ -51,8 +51,9 @@ def escalated(sec5, timings):
 @pytest.fixture(scope="module")
 def seeded_runs(sec5, escalated, timings):
     t0 = time.perf_counter()
-    trajs = {seed: run(sec5, gains=escalated.gains, gamma1=escalated.gamma1, seed=seed)
-             for seed in SEEDS}
+    # one batched run; seed 1 is integrated again although escalation passed on it
+    trajs = dict(zip(SEEDS, run(sec5, gains=escalated.gains, gamma1=escalated.gamma1,
+                                seed=SEEDS)))
     timings["closed_loop"] = time.perf_counter() - t0
     return trajs
 
@@ -104,9 +105,8 @@ def test_criterion_3_closed_loop_tracking(sec5, escalated, seeded_runs, timings)
 
 def test_criterion_4_internal_model_ablation(sec5, escalated):
     errors = {}
-    for seed in SEEDS:
-        traj = run(sec5, gains=escalated.gains, gamma1=escalated.gamma1,
-                   seed=seed, ablate=True)
+    for seed, traj in zip(SEEDS, run(sec5, gains=escalated.gains, gamma1=escalated.gamma1,
+                                     seed=SEEDS, ablate=True)):
         assert np.abs(traj.v[0]).max() > 0  # draws guarantee a live disturbance
         errors[seed] = np.inf if traj.diverged else float(np.abs(traj.e[-1]).max())
     exceed = sum(1 for e in errors.values() if e > 1e-1)

@@ -202,6 +202,16 @@ def _escalation_line(out: str) -> tuple[int, float]:
     return rounds, multiplier
 
 
+def _integrated_seeds(calls) -> list:
+    """The seeds integrated by the `run` calls outside escalation, in order."""
+    seeds = []
+    for _, kw in calls:
+        if "abort_norm" not in kw:
+            seed = kw.get("seed")
+            seeds += list(seed) if isinstance(seed, (list, tuple)) else [seed]
+    return seeds
+
+
 def test_simulate_reuses_the_passing_escalation_run(sec5, tmp_path, capsys, count_calls):
     calls = count_calls(run)
     out = tmp_path / "esc.csv"
@@ -210,7 +220,7 @@ def test_simulate_reuses_the_passing_escalation_run(sec5, tmp_path, capsys, coun
     rounds, mult = _escalation_line(capsys.readouterr().out)
     # one run per escalation round, then only the second seed is integrated
     assert len(calls) == rounds + 1
-    assert [kw.get("seed") for _, kw in calls if "abort_norm" not in kw] == [sec5.seed + 1]
+    assert _integrated_seeds(calls) == [sec5.seed + 1]
     short = dataclasses.replace(sec5, t_final=10.0)
     gains = ControllerGains.uniform(sec5.n, sec5.plant.r).scaled(mult)
 
@@ -229,4 +239,5 @@ def test_simulate_reuses_the_passing_escalation_run(sec5, tmp_path, capsys, coun
                  "--ablate-internal-model", "--out", str(ablated)]) == 0
     assert _escalation_line(capsys.readouterr().out) == (rounds, mult)
     assert len(calls) == rounds + 1  # the ablated run is integrated afresh
+    assert _integrated_seeds(calls) == [sec5.seed]
     assert ablated.read_bytes() == explicit_csv("explicit_ablated.csv", ablate=True)

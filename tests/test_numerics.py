@@ -123,6 +123,21 @@ class TestRk4:
         with pytest.raises(NonFiniteState):
             rk4_step(sys, 0.0, np.array([1.0]), 0.1)
 
+    def test_non_finite_columns_are_marked(self):
+        sys = OdeSystem(1, lambda t, x: 1.0 / x)
+        with np.errstate(divide="ignore"), pytest.raises(NonFiniteState) as batch:
+            rk4_step(sys, 0.0, np.array([[1.0, 0.0, 2.0]]), 0.1)
+        assert batch.value.columns.tolist() == [False, True, False]
+        with np.errstate(divide="ignore"), pytest.raises(NonFiniteState) as flat:
+            rk4_step(sys, 0.0, np.array([0.0]), 0.1)
+        assert flat.value.columns.tolist() == [True]
+
+    def test_batch_columns_step_independently(self):
+        sys = OdeSystem(1, lambda t, x: -x)
+        batch = rk4_step(sys, 0.0, np.array([[1.0, -3.0]]), 0.1)
+        for b, x0 in enumerate((1.0, -3.0)):
+            assert batch[0, b] == rk4_step(sys, 0.0, np.array([x0]), 0.1)[0]
+
     def test_rejects_nonpositive_step(self):
         sys = OdeSystem(1, lambda t, x: -x)
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -64,20 +66,40 @@ class TestExamplePlant:
         with pytest.raises(InvalidParameter):
             demo_plant([[0.5, 1, 0.5, 1, 0.3, 0.3]])
 
+    @staticmethod
+    def assert_split_reproduces_drift(model):
+        """Each draw of a stacked `drift_split` against ``f0``/``f_levels`` to 1e-14."""
+        n, batch = model.n_agents, 3
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            W = rng.uniform(-0.5, 0.5, (batch, model.n_w))
+            Z, X = rng.normal(size=(batch, n, 1)), rng.normal(size=(batch, 2, n))
+            V = rng.normal(size=(batch, 2))
+            zx = np.stack([np.concatenate([z.ravel(), x.ravel()]) for z, x in zip(Z, X)], axis=1)
+            J, nl = drift_split(model, W)
+            assert J.shape[0] == batch
+            rest = nl(zx, V.T)
+            assert rest.shape == zx.shape
+            for b, (z, x, v, w) in enumerate(zip(Z, X, V, W)):
+                split = J[b] @ np.concatenate([zx[:, b], v])[:J.shape[2]] + rest[:, b]
+                ref = np.concatenate([model.f0(z, x[0], v, w).ravel(),
+                                      model.f_levels[0](z, x[:1], v, w),
+                                      model.f_levels[1](z, x, v, w)])
+                assert np.abs(split - ref).max() <= 1e-14 * np.abs(ref).max()
+        with pytest.raises(ValueError, match="stack of draws"):
+            drift_split(model, W[0])  # a flat draw is rejected, not broadcast
+
     def test_split_reproduces_drift(self):
         model = demo_plant([[-1, 1, 0.5, 1, 0.3, 0.3], [-1.2, 0.8, 0.4, 1.1, 0.25, 0.35],
                             [-0.9, 1.3, -0.6, 0.7, 0.45, -0.2]])
-        rng = np.random.default_rng(12)
-        for _ in range(10):
-            w = rng.uniform(-0.5, 0.5, model.n_w)
-            z, x, v = rng.normal(size=(3, 1)), rng.normal(size=(2, 3)), rng.normal(size=2)
-            zx = np.concatenate([z.ravel(), x.ravel()])
-            J, nl = drift_split(model, w)
-            split = J @ np.concatenate([zx, v]) + nl(zx, v)
-            ref = np.concatenate([model.f0(z, x[0], v, w).ravel(),
-                                  model.f_levels[0](z, x[:1], v, w),
-                                  model.f_levels[1](z, x, v, w)])
-            assert np.abs(split - ref).max() <= 1e-14 * np.abs(ref).max()
+        self.assert_split_reproduces_drift(model)
+
+    def test_generic_split_reproduces_drift(self):
+        # without the hook, `drift_split` evaluates f0/f_levels column by column
+        model = dataclasses.replace(
+            demo_plant([[-1, 1, 0.5, 1, 0.3, 0.3], [-1.2, 0.8, 0.4, 1.1, 0.25, 0.35]]),
+            split=None)
+        self.assert_split_reproduces_drift(model)
 
     def test_origin_equilibrium_over_box(self):
         model = demo_plant([[-1, 1, 0.5, 1, 0.3, 0.3], [-1.2, 0.8, 0.4, 1.1, 0.25, 0.35]])

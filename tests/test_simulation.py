@@ -150,7 +150,7 @@ def test_divergence_is_reported_not_raised(sec5):
 
 
 def test_recorded_signals_match_per_sample_oracle(sec5, stable_gains):
-    traj = run(sec5, gains=stable_gains, t_final=0.05, decimate=1)
+    traj = run(sec5, gains=stable_gains, t_final=0.5, decimate=1)
     # the initial state as `run` draws it: uncertainty, disturbance, then the box
     rng = np.random.default_rng(sec5.seed)
     loop = assemble(sec5, gains=stable_gains, rng=rng)
@@ -159,14 +159,16 @@ def test_recorded_signals_match_per_sample_oracle(sec5, stable_gains):
     n = sec5.n
     draws = rng.uniform(-sec5.R, sec5.R, size=loop.dimension - n * n - len(v0))
     state = np.concatenate([np.zeros(n * n), v0, draws])
-    assert sec5.p0 is None and len(traj.t) == 51
+    assert sec5.p0 is None and len(traj.t) == 501
 
     def close(have, want):
         return np.abs(have - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
 
+    peak = 0.0  # largest |state entry| after step 0
     for k in range(len(traj.t)):
         if k:
             state = rk4_step(loop, (k - 1) * sec5.dt, state, sec5.dt)
+            peak = max(peak, float(np.abs(state).max()))
         P, v, z, x, eta = loop.unpack(state)
         refs = P.diagonal()
         u = control_law(loop.gains, loop.bank, PlantState(z=z, x=x), eta, refs)
@@ -175,6 +177,76 @@ def test_recorded_signals_match_per_sample_oracle(sec5, stable_gains):
         assert close(traj.e[k], x[0] - refs) and close(traj.v[k], v)
         assert close(traj.ne_dist[k], np.linalg.norm(P - loop.p_star))
         assert close(traj.u[k], u)
+    # the peak is the running maximum, which the last state no longer reaches
+    assert traj.max_state_norm == peak > np.abs(state).max()
+
+
+SIGNALS = ("t", "y", "p", "e", "u", "ne_dist", "v")
+
+
+def assert_same_run(have, want):
+    """Every signal bit for bit, and the same peak norm, stop flags and seed."""
+    for name in SIGNALS:
+        a, b = getattr(have, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert have.max_state_norm == want.max_state_norm
+    for name in ("diverged", "diverged_t", "aborted_norm", "seed"):
+        assert getattr(have, name) == getattr(want, name), name
+
+
+@pytest.mark.parametrize("case", ["sec5", "sec5_ablated", "custom"])
+def test_batched_seeds_match_single_seed_runs(case, sec5, stable_gains):
+    if case == "custom":
+        scenario, kwargs = dataclasses.replace(custom_scenario(), t_final=0.3), {}
+    else:
+        scenario = dataclasses.replace(sec5, t_final=1.0, decimate=1)
+        kwargs = dict(gains=stable_gains, ablate=case == "sec5_ablated")
+    batch = run(scenario, seed=(1, 2, 3), **kwargs)
+    assert [traj.seed for traj in batch] == [1, 2, 3]
+    for traj in batch:
+        assert not traj.diverged
+        assert_same_run(traj, run(scenario, seed=traj.seed, **kwargs))
+
+
+@pytest.mark.parametrize("abort_norm", [None, 1e6], ids=["diverging", "norm_abort"])
+def test_stopped_columns_match_single_seed_runs(abort_norm, sec5):
+    # at the start gains seeds 1 and 2 blow up before t = 2 at different steps, seed 3 later
+    weak = ControllerGains.uniform(4, 2, 4.0)
+    short = dataclasses.replace(sec5, t_final=2.0, decimate=1)
+    batch = run(short, gains=weak, seed=(1, 2, 3), abort_norm=abort_norm)
+    stopped = [traj for traj in batch if traj.diverged or traj.aborted_norm]
+    assert [traj.seed for traj in stopped] == [1, 2]
+    assert len({len(traj.t) for traj in stopped}) == 2
+    assert batch[2].t[-1] == 2.0
+    for traj in batch:
+        assert_same_run(traj, run(short, gains=weak, seed=traj.seed, abort_norm=abort_norm))
+    if abort_norm is None:
+        # diverged_t is the end of the first failing step: one step less stays finite
+        t_fail = batch[0].diverged_t
+        assert not run(short, gains=weak, seed=1, t_final=t_fail - sec5.dt).diverged
+        assert run(short, gains=weak, seed=1, t_final=t_fail).diverged_t == t_fail
+    else:
+        # the abort step is the first, and recorded, step whose state passes the limit
+        for traj in stopped:
+            assert traj.max_state_norm > abort_norm
+            before = run(short, gains=weak, seed=traj.seed, t_final=traj.t[-1] - sec5.dt,
+                         abort_norm=abort_norm)
+            assert not before.aborted_norm and before.max_state_norm <= abort_norm
+
+
+def test_batched_rerun_is_bit_identical(sec5, stable_gains):
+    first, again = (run(sec5, gains=stable_gains, seed=[4, 5], t_final=0.5) for _ in range(2))
+    for have, want in zip(again, first):
+        assert_same_run(have, want)
+
+
+@pytest.mark.parametrize("kwargs", [dict(dt=0.0), dict(decimate=0), dict(seed=[]),
+                                    dict(t_final=-1.0)],
+                         ids=["dt_zero", "decimate_zero", "no_seeds", "t_final_negative"])
+def test_run_rejects_bad_arguments(kwargs, sec5, stable_gains):
+    settings = dict(t_final=0.01) | kwargs
+    with pytest.raises(ValueError):
+        run(sec5, gains=stable_gains, **settings)
 
 
 def test_escalation_predicate(sec5, stable_gains):
