@@ -32,7 +32,12 @@ EXIT_CONFIG = 1
 EXIT_DIVERGED = 2
 EXIT_CHECK_FAILED = 3
 
-SWEEP_BATCH = 8  # seeds per batched run: bounds the kept states of a long sweep
+# Seeds per batched sweep run, bounded in count and in kept-state bytes. On sec5
+# (30 s, one core, one BLAS thread) the time per seed falls from 0.56 s at 8 seeds
+# per batch to 0.37 s at 16 and 0.34 s at 32. Each seed's kept states take 1.5 MB
+# at decimate 10 and 15 MB at decimate 1; a batch keeps at most SWEEP_KEPT_BYTES.
+SWEEP_BATCH = 16
+SWEEP_KEPT_BYTES = 32 * 2 ** 20
 
 
 def _resolve_config(path_arg: str) -> Path:
@@ -98,9 +103,10 @@ def cmd_simulate(args) -> int:
     ablate = args.ablate_internal_model
     reused = {} if passing is None or ablate else {passing.seed: passing}
     worst_exit = EXIT_OK
-    # the other seeds are integrated together, SWEEP_BATCH columns per run
-    for start in range(0, len(seeds), SWEEP_BATCH):
-        chunk = seeds[start:start + SWEEP_BATCH]
+    # the other seeds are integrated together, in batches bounded in count and kept bytes
+    batch = max(1, min(SWEEP_BATCH, SWEEP_KEPT_BYTES // scenario.kept_state_bytes()))
+    for start in range(0, len(seeds), batch):
+        chunk = seeds[start:start + batch]
         fresh = [seed for seed in chunk if seed not in reused]
         trajs = dict(reused)
         if fresh:

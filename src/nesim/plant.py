@@ -171,11 +171,13 @@ def drift_split(model: PlantModel, w: np.ndarray) -> tuple[np.ndarray, Callable]
     ``zx = [z, x]`` (``z`` agent-major, ``x`` level-major). ``J`` is
     ``(B, n_zx, n_zx + v_cols)``: per draw, one row and one column per
     ``zx`` entry, followed by one column per leading disturbance coordinate
-    the drift reads. ``nl(zx, v)`` takes ``zx`` as ``(n_zx, B)`` and ``v``
-    as ``(n_v, B)`` and returns the ``(n_zx, B)`` remainder; column ``b``
-    depends only on column ``b`` and draw ``b``. Models with a ``split``
-    hook supply both; any other model gets ``J = 0`` and ``nl`` evaluates
-    its callables column by column with the column's draw.
+    the drift reads. ``nl(zx, v, out)`` takes ``zx`` as ``(n_zx, B)`` and
+    ``v`` as ``(n_v, B)`` and adds the remainder to ``out``, the
+    ``(n_zx, B)`` plant rows of the derivative, in place (rows without a
+    remainder can be left alone); column ``b`` depends only on column ``b``
+    and draw ``b``. Models with a ``split`` hook supply both; any other
+    model gets ``J = 0`` and ``nl`` evaluates its callables column by column
+    with the column's draw.
     """
     W = np.asarray(w, dtype=float)
     if W.ndim != 2:
@@ -188,15 +190,13 @@ def drift_split(model: PlantModel, w: np.ndarray) -> tuple[np.ndarray, Callable]
 
     dim = n * n_z + r * n
 
-    def nl(zx, v):
-        out = np.empty((len(W), dim))  # one row per column, returned transposed
+    def nl(zx, v, out):
         Z = zx[:n * n_z].reshape(n, n_z, -1).transpose(2, 0, 1)  # (B, n, n_z) views
         X = zx[n * n_z:].reshape(r, n, -1).transpose(2, 0, 1)    # (B, r, n)
-        for row, z, x, vc, wv in zip(out, Z, X, v.T, W):
-            row[:n * n_z] = np.ravel(f0(z, x[0], vc, wv))
+        for col, z, x, vc, wv in zip(out.T, Z, X, v.T, W):
+            col[:n * n_z] += np.ravel(f0(z, x[0], vc, wv))
             for s in range(r):
-                row[n * n_z + s * n:n * n_z + (s + 1) * n] = f_levels[s](z, x[:s + 1], vc, wv)
-        return out.T
+                col[n * n_z + s * n:n * n_z + (s + 1) * n] += f_levels[s](z, x[:s + 1], vc, wv)
 
     return np.zeros((len(W), dim, dim)), nl
 
@@ -397,11 +397,12 @@ def example_plant(g: np.ndarray, n_agents: int | None = None) -> PlantModel:
         J[:, agents, n + agents] = 1.0
         J[:, agents, 3 * n] = g2.T
         J[:, n + agents, 3 * n + 1] = g4.T
-        zeros = np.zeros((n, len(ge)))
 
-        def nl(zx, v):
+        def nl(zx, v, out):
+            # the zdot rows are linear, so only the x rows get a remainder
             zc, x1, x2 = zx[:n], zx[n:2 * n], zx[2 * n:]
-            return np.concatenate((zeros, g3 * zc * x1, (g5 * zc * zc + g6 * x2) * x1))
+            out[n:2 * n] += g3 * zc * x1
+            out[2 * n:] += (g5 * zc * zc + g6 * x2) * x1
 
         return J, nl
 

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .controller import ControllerGains, TRACKING_TOL, STATE_NORM_LIMIT
-from .errors import NesimError, NonFiniteState
+from .errors import ConfigError, NesimError, NonFiniteState
 from .game import (GameSpec, GradientConstants, QuadraticAggregativeGame,
                    estimate_constants, extended_pseudo_gradient, solve_ne)
 from .generator import GeneratorGains, min_gamma2
@@ -122,6 +122,22 @@ class Scenario:
                 constants=constants, p_star=p_star, gamma2=float(gamma2), bank=bank,
                 source=self._synthesis_source()))
         return self.synthesis
+
+    def layout(self) -> "StateLayout":
+        """The closed-loop state layout (needs the internal-model bank, see `synthesized`)."""
+        orders = tuple(level.order for level in self.synthesized().bank.levels)
+        return StateLayout(n_agents=self.n, n_v=self.exo.n_v, n_z=self.plant.n_z,
+                           r=self.plant.r, im_orders=orders)
+
+    def kept_state_bytes(self) -> int:
+        """Bytes of the states `run` keeps for one seed at this horizon, step and decimation."""
+        n_steps = int(round(self.t_final / self.dt))
+        return _kept_samples(n_steps, self.decimate) * self.layout().dim * 8
+
+
+def _kept_samples(n_steps: int, decimate: int) -> int:
+    """Samples `run` keeps of ``n_steps`` steps: step 0, every ``decimate``-th and the last."""
+    return 1 + -(-n_steps // decimate)
 
 
 @dataclass(frozen=True)
@@ -268,9 +284,7 @@ def assemble(scenario: Scenario, gains: ControllerGains | None = None,
                  else ControllerGains.uniform(n, model.r, DEFAULT_START_GAIN))
     g1 = float(gamma1 if gamma1 is not None else scenario.gains.gamma1)
 
-    layout = StateLayout(n_agents=n, n_v=scenario.exo.n_v, n_z=model.n_z, r=model.r,
-                         im_orders=tuple(level.order for level in bank.levels))
-
+    layout = scenario.layout()
     J, plant_nl = drift_split(model, np.stack([w.w for w in draws]))
     A3, c, U = _closed_loop_operator(scenario, layout, bank, gains, g1, gamma2, J, ablate)
     c = c[:, None]
@@ -293,7 +307,13 @@ def _closed_loop_rhs(layout: StateLayout, A3: np.ndarray, c: np.ndarray, plant_n
     n = layout.n_agents
     P, v, zx = layout.P, layout.v, layout.zx
     diag = slice(P.start, P.stop, n + 1)  # the rows `layout.p_diag`, as a view
-    A = A3[0] if len(A3) == 1 else None
+    if len(A3) == 1:
+        product = A3[0].dot
+    else:
+        def product(state):
+            out = np.empty_like(state)
+            np.matmul(A3, state.T[..., None], out=out.T[..., None])
+            return out
     # the quadratic game's extended gradient is affine and already in A and c
     game_nl = None
     if not isinstance(game, QuadraticAggregativeGame):
@@ -306,14 +326,9 @@ def _closed_loop_rhs(layout: StateLayout, A3: np.ndarray, c: np.ndarray, plant_n
     def rhs(t: float, state: np.ndarray) -> np.ndarray:
         if state.ndim == 1:
             return rhs(t, state[:, None])[:, 0]
-        if A is not None:
-            out = A.dot(state)
-        else:
-            out = np.empty_like(state)
-            np.matmul(A3, state.T[..., None], out=out.T[..., None])
+        out = product(state)
         out += c
-        plant_rows = out[zx]  # in-place view: `out[zx] +=` would copy back
-        plant_rows += plant_nl(state[zx], state[v])
+        plant_nl(state[zx], state[v], out[zx])  # adds into the view, in place
         if game_nl is not None:
             estimate_rows = out[diag]
             estimate_rows -= g1 * game_nl(state[P])
@@ -362,8 +377,11 @@ def _closed_loop_operator(scenario: Scenario, layout: StateLayout, bank: Interna
     n_zx = zx.stop - zx.start
     v_cols = J.shape[-1] - n_zx
     if J.ndim != 3 or J.shape[1] != n_zx or not 0 <= v_cols <= layout.n_v:
-        raise ValueError(f"plant drift split has shape {J.shape}; expected (B, {n_zx}, "
-                         f"{n_zx} to {n_zx + layout.n_v})")
+        raise ConfigError(
+            f"plant split hook returned J of shape {J.shape}; the hook takes a (B, n_w) "
+            f"stack of draws and returns J of shape (B, {n_zx}, {n_zx} to "
+            f"{n_zx + layout.n_v}) and nl(zx, v, out), which adds the remainder to the "
+            f"({n_zx}, B) plant rows out")
     A[:, zx, zx] = J[:, :, :n_zx]
     A[:, zx, v.start:v.start + v_cols] = J[:, :, n_zx:]
     shifted = np.arange(xa, ea - n)
@@ -472,7 +490,7 @@ def run(scenario: Scenario, gains: ControllerGains | None = None,
     n_steps = int(round(t_end / h))
     # every kept state (step 0, each dec-th step and the last) of every column,
     # and its step index; a stopped column keeps the samples it has
-    X = np.empty((1 + -(-n_steps // dec), B, lay.dim))
+    X = np.empty((_kept_samples(n_steps, dec), B, lay.dim))
     ks = np.zeros(len(X), dtype=np.int64)
     X[0] = state.T
     kept = 1
@@ -527,11 +545,10 @@ def run(scenario: Scenario, gains: ControllerGains | None = None,
     for b, seed_b in enumerate(seeds):
         # the signals own their data, so a kept trajectory does not pin the buffer
         Xb, ksb = X[:samples[b], b], ks[:samples[b]]
+        # the distance first: its two (K, N*N) temporaries then meet fewer live signals
+        ne_dist = np.linalg.norm(Xb[:, lay.P] - np.tile(loop.p_star, n), axis=1)
         y = Xb[:, lay.x.start:lay.x.start + n].copy()  # first chain level
         p = Xb[:, lay.p_diag]
-        gap = Xb[:, lay.P] - np.tile(loop.p_star, n)
-        # the row norm as `np.linalg.norm` forms it, squaring in place
-        ne_dist = np.sqrt(np.add.reduce(np.square(gap, out=gap), axis=1))
         trajs.append(ClosedLoopTrajectory(
             t=ksb * h, y=y, p=p, e=y - p, u=Xb @ loop.control_rows.T, ne_dist=ne_dist,
             p_star=loop.p_star, v=Xb[:, lay.v].copy(), max_state_norm=float(max_norm[b]),

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from nesim import cli
 from nesim.cli import main
 from nesim.config import load_scenario, normalize
 from nesim.controller import ControllerGains
@@ -241,3 +242,29 @@ def test_simulate_reuses_the_passing_escalation_run(sec5, tmp_path, capsys, coun
     assert len(calls) == rounds + 1  # the ablated run is integrated afresh
     assert _integrated_seeds(calls) == [sec5.seed]
     assert ablated.read_bytes() == explicit_csv("explicit_ablated.csv", ablate=True)
+
+
+@pytest.mark.parametrize("bound", ["count", "bytes"])
+def test_sweep_spanning_batches_matches_one_seed_runs(bound, fast_cfg, tmp_path, monkeypatch,
+                                                      count_calls):
+    path = fast_cfg()
+    scenario, _ = load_scenario(path)
+    # two seeds per batch, by the seed count or by the kept-state bytes
+    if bound == "count":
+        monkeypatch.setattr(cli, "SWEEP_BATCH", 2)
+    else:
+        monkeypatch.setattr(cli, "SWEEP_KEPT_BYTES", 3 * scenario.kept_state_bytes() - 1)
+    gains, gamma1 = ControllerGains(scenario.controller_k), scenario.gains.gamma1
+    # stand in for a passing escalation run of the scenario seed, which is reused
+    passing = run(scenario, gains=gains, gamma1=gamma1)
+    monkeypatch.setattr(cli, "_resolve_gains", lambda sc, quiet=False: (gains, gamma1, passing))
+    calls = count_calls(run)
+    out = tmp_path / "sweep.csv"
+    assert main(["simulate", "--config", str(path), "--sweep", "seeds=4", "--out", str(out)]) == 0
+    first = scenario.seed
+    # batches [s, s+1] and [s+2, s+3]; seed s is the reused run
+    assert [kw["seed"] for _, kw in calls] == [[first + 1], [first + 2, first + 3]]
+    for seed in range(first, first + 4):
+        alone = tmp_path / f"alone_s{seed}.csv"
+        write_csv(run(scenario, gains=gains, gamma1=gamma1, seed=seed), alone)
+        assert (tmp_path / f"sweep_s{seed}.csv").read_bytes() == alone.read_bytes()

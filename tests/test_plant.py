@@ -78,8 +78,11 @@ class TestExamplePlant:
             zx = np.stack([np.concatenate([z.ravel(), x.ravel()]) for z, x in zip(Z, X)], axis=1)
             J, nl = drift_split(model, W)
             assert J.shape[0] == batch
-            rest = nl(zx, V.T)
-            assert rest.shape == zx.shape
+            rest = np.zeros_like(zx)
+            nl(zx, V.T, rest)
+            shifted = np.ones_like(zx)  # `nl` adds to the rows it is given
+            nl(zx, V.T, shifted)
+            assert np.array_equal(shifted, 1.0 + rest)
             for b, (z, x, v, w) in enumerate(zip(Z, X, V, W)):
                 split = J[b] @ np.concatenate([zx[:, b], v])[:J.shape[2]] + rest[:, b]
                 ref = np.concatenate([model.f0(z, x[0], v, w).ravel(),

@@ -8,6 +8,7 @@ import pytest
 from factories import build_game, build_plant
 from nesim.config import load_scenario
 from nesim.controller import ControllerGains, control_law
+from nesim.errors import ConfigError
 from nesim.game import QuadraticAggregativeGame, estimate_constants, solve_ne
 from nesim.generator import GeneratorGains, generator_rhs, min_gamma2
 from nesim.graph import CommGraph
@@ -247,6 +248,26 @@ def test_run_rejects_bad_arguments(kwargs, sec5, stable_gains):
     settings = dict(t_final=0.01) | kwargs
     with pytest.raises(ValueError):
         run(sec5, gains=stable_gains, **settings)
+
+
+def test_kept_state_bytes_counts_the_recorded_samples(sec5, stable_gains):
+    short = dataclasses.replace(sec5, t_final=0.05, decimate=3)  # steps 0, 3, .., 48 and 50
+    traj = run(short, gains=stable_gains)
+    assert len(traj.t) == 18
+    assert short.kept_state_bytes() == len(traj.t) * assemble(short).dimension * 8
+
+
+def test_one_draw_split_hook_is_a_config_error(sec5):
+    # a hook written for one flat draw returns a 2-D J and a two-argument nl
+    model = sec5.plant
+
+    def split(w):
+        J, _ = model.split(np.reshape(w, (1, -1)))
+        return J[0], lambda zx, v: np.zeros_like(zx)
+
+    plant = dataclasses.replace(model, split=split)
+    with pytest.raises(ConfigError, match=r"\(B, n_w\) stack of draws"):
+        assemble(dataclasses.replace(sec5, plant=plant))
 
 
 def test_escalation_predicate(sec5, stable_gains):
