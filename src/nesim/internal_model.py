@@ -248,17 +248,17 @@ _FD_STENCILS = {
 
 
 def _derivative_stack(values: np.ndarray, h: float, depth: int, at: int) -> np.ndarray:
-    """Central-difference stack of derivatives 0 .. depth-1 at index ``at``."""
-    out = np.empty(depth)
+    """Central-difference stack of derivatives 0 .. depth-1 at index ``at``, per signal column."""
+    out = np.empty((depth,) + values.shape[1:])
     for k in range(depth):
         offsets, weights, power = _FD_STENCILS[k]
         out[k] = sum(wgt * values[at + off] for off, wgt in zip(offsets, weights)) / h ** power
     return out
 
 
-def verify_reproduction(companion: CompanionPair, stabilizer: StabilizerPair,
-                        psi: np.ndarray, ts: np.ndarray, values: np.ndarray) -> float:
-    """Worst reproduction error of a sampled signal by the synthesized model.
+def verify_reproduction(companion: CompanionPair, stabilizer, psi: np.ndarray,
+                        ts: np.ndarray, values: np.ndarray):
+    """Worst reproduction error of sampled signals by the synthesized models.
 
     The generator state is initialized from the signal's finite-difference
     derivative stack (central stencils, so the start index is a few samples
@@ -266,28 +266,51 @@ def verify_reproduction(companion: CompanionPair, stabilizer: StabilizerPair,
     through ``psi``. A signal whose modes match the companion's spectrum
     reproduces to finite-difference accuracy; mismatched modes make the
     error grow, which is the intended negative control.
+
+    ``values`` is one signal ``(K,)`` with one `StabilizerPair` and ``psi``
+    of shape ``(n,)``, giving a float; or a batch ``(K, B)`` with a sequence
+    of B pairs and ``psi`` of shape ``(B, n)``, giving a ``(B,)`` array. The
+    batch is integrated as one ``(n, B)`` state with one GEMV per column, so
+    columns never mix and each error is bit-identical to its call alone.
     """
     ts = np.asarray(ts, dtype=float)
     values = np.asarray(values, dtype=float)
+    single = values.ndim == 1
+    if single:
+        values, stabilizer = values[:, None], [stabilizer]
     n = companion.order
     if len(ts) < 2 * n + 2:
         raise ValueError("trace too short for the derivative stencils")
+    if len(stabilizer) != values.shape[1]:
+        raise ValueError(f"{values.shape[1]} signals need as many stabilizer pairs, "
+                         f"got {len(stabilizer)}")
     h = float(ts[1] - ts[0])
-    T, _ = solve_sylvester(companion.Phi, companion.Gamma, stabilizer.M, stabilizer.N)
     j0 = max(_FD_STENCILS[k][0][-1] for k in range(n))
-    theta0 = T @ _derivative_stack(values, h, n, j0)
-    # conjugated dynamics A = T Phi T^-1, from T^T A^T = (T Phi)^T
-    A = lu_solve(T.T, (T @ companion.Phi).T).T
+    stack = _derivative_stack(values, h, n, j0)
+    theta0 = np.empty_like(stack)
+    # conjugated dynamics A = T Phi T^-1, from T^T A^T = (T Phi)^T; each A_b is stored
+    # column-major, as the transposed solve returns it, which sets how its GEMV rounds
+    A3 = np.empty((len(stabilizer), n, n)).transpose(0, 2, 1)
+    for b, stab in enumerate(stabilizer):
+        T, _ = solve_sylvester(companion.Phi, companion.Gamma, stab.M, stab.N)
+        theta0[:, b] = T @ stack[:, b]
+        A3[b] = lu_solve(T.T, (T @ companion.Phi).T).T
+    psi3 = np.asarray(psi, dtype=float).reshape(len(A3), 1, n)
 
-    worst = 0.0
-    psi = np.asarray(psi, dtype=float).ravel()
+    # read-outs psi_b . theta_b per sample; a sample past the last step keeps error 0
+    reads = values[j0:].copy()
 
     def observer(step, t, theta):
-        k = j0 + step
-        if k < len(values):
-            nonlocal worst
-            worst = max(worst, abs(float(psi @ theta) - values[k]))
+        if step < len(reads):
+            # a contiguous theta_b makes each read-out the same dot as for one column
+            np.matmul(psi3, np.ascontiguousarray(theta.T)[..., None],
+                      out=reads[step, :, None, None])
 
-    sys = OdeSystem(n, lambda t, theta: A @ theta)
-    integrate(sys, theta0, ts[j0], ts[-1], h, observer)
-    return worst
+    def rhs(t, theta):
+        out = np.empty_like(theta)
+        np.matmul(A3, theta.T[..., None], out=out.T[..., None])
+        return out
+
+    integrate(OdeSystem(n, rhs), theta0, ts[j0], ts[-1], h, observer)
+    worst = np.abs(reads - values[j0:]).max(axis=0, initial=0.0)
+    return float(worst[0]) if single else worst

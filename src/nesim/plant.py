@@ -52,16 +52,17 @@ def exo_rhs(exo: Exosystem, v: np.ndarray) -> np.ndarray:
 
 
 def exo_trajectory(exo: Exosystem, v0: np.ndarray, t_final: float, h: float = 1e-3) -> tuple[np.ndarray, np.ndarray]:
-    """Sampled disturbance trajectory on a uniform grid (RK4)."""
+    """Sampled disturbance trajectory on a uniform grid (RK4): times (K,), states (K, n_v)."""
     sys = OdeSystem(exo.n_v, lambda t, v: exo.S @ v)
-    ts, vs = [], []
+    n_steps = int(round(t_final / h))
+    ts, vs = np.empty(n_steps + 1), np.empty((n_steps + 1, exo.n_v))
 
     def observer(step, t, v):
-        ts.append(t)
-        vs.append(v.copy())
+        ts[step] = t
+        vs[step] = v
 
     integrate(sys, np.asarray(v0, dtype=float), 0.0, t_final, h, observer)
-    return np.array(ts), np.array(vs)
+    return ts, vs
 
 
 @dataclass(frozen=True)
@@ -224,8 +225,10 @@ class VPoly:
         return cls(c0, c1, np.zeros((c0.shape[0], c1.shape[1], c1.shape[1])))
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
+        """Signals at one state ``(n_v,)``, giving ``(N,)``, or at a stack ``(..., n_v)``."""
         v = np.asarray(v, dtype=float)
-        return self.c0 + self.c1 @ v + np.einsum("ijk,j,k->i", self.c2, v, v)
+        return (self.c0 + np.matmul(self.c1, v[..., None])[..., 0]
+                + np.einsum("ijk,...j,...k->...i", self.c2, v, v))
 
     def time_derivative(self, S: np.ndarray) -> "VPoly":
         """Derivative along the exosystem flow, again a `VPoly`."""
@@ -293,12 +296,21 @@ class SteadyState:
         return self.model.steady_zero(self.p_star, np.asarray(v, dtype=float), self.w)
 
     def x_star(self, s: int, v: np.ndarray, p: np.ndarray | None = None) -> np.ndarray:
-        """Level-s steady-state signal, ``s`` in ``1 .. r+1`` (r+1 = input)."""
+        """Level-s steady-state signal, ``s`` in ``1 .. r+1`` (r+1 = input).
+
+        ``v`` is one disturbance state ``(n_v,)``, giving ``(N,)``, or a stack
+        ``(K, n_v)``, giving ``(K, N)``. The polynomial chain evaluates a stack
+        as a whole array; the generic chain row by row, because the model's
+        callables take one state.
+        """
+        v = np.asarray(v, dtype=float)
         if s == 1:
-            return self.p_star.copy() if p is None else np.asarray(p, dtype=float)
+            ref = self.p_star if p is None else np.asarray(p, dtype=float)
+            return np.broadcast_to(ref, v.shape[:-1] + ref.shape).copy()
         if self._polys is not None:
-            return self._polys[s - 2](np.asarray(v, dtype=float))
-        return self._generic_level(s)(np.asarray(v, dtype=float))
+            return self._polys[s - 2](v)
+        level = self._generic_level(s)
+        return level(v) if v.ndim == 1 else _per_row(level, v)
 
     def u_star(self, v: np.ndarray) -> np.ndarray:
         return self.x_star(self.model.r + 1, v)
@@ -334,6 +346,21 @@ class SteadyState:
             return total - drift
 
         return level
+
+
+def _per_row(fn, *stacks) -> np.ndarray:
+    """``fn`` of each row of the stacks, stacked: the model's callables take one sample.
+
+    The results fill one array as they come, so a long trace never holds a
+    list of small arrays.
+    """
+    out = np.empty(0)
+    for k, row in enumerate(zip(*stacks)):
+        value = fn(*row)
+        if k == 0:
+            out = np.empty((len(stacks[0]),) + np.shape(value))
+        out[k] = value
+    return out
 
 
 def steady_state_chain(model: PlantModel, p_star: np.ndarray, exo: Exosystem,
@@ -467,15 +494,12 @@ def check_steady_zero_pde(model: PlantModel, exo: Exosystem, w, s_values: np.nda
     zero-dynamics drift evaluated on the map. Returns the worst residual.
     """
     wv = w.w if isinstance(w, Uncertainty) else np.asarray(w, dtype=float)
-    ts, vs = exo_trajectory(exo, v0, t_final, h)
+    _, vs = exo_trajectory(exo, v0, t_final, h)
     s_values = np.asarray(s_values, dtype=float)
-    worst = 0.0
-    for k in range(1, len(ts) - 1):
-        num = (model.steady_zero(s_values, vs[k + 1], wv)
-               - model.steady_zero(s_values, vs[k - 1], wv)) / (2.0 * h)
-        ana = model.f0(model.steady_zero(s_values, vs[k], wv), s_values, vs[k], wv)
-        worst = max(worst, float(np.abs(num - ana).max()))
-    return worst
+    zs = _per_row(lambda v: model.steady_zero(s_values, v, wv), vs)
+    num = (zs[2:] - zs[:-2]) / (2.0 * h)
+    ana = _per_row(lambda z, v: model.f0(z, s_values, v, wv), zs[1:-1], vs[1:-1])
+    return float(np.abs(num - ana).max(initial=0.0))
 
 
 def check_steady_chain_consistency(steady: SteadyState, v0: np.ndarray,
@@ -487,16 +511,19 @@ def check_steady_chain_consistency(steady: SteadyState, v0: np.ndarray,
     starred states. Returns the worst mismatch across levels and time.
     """
     model = steady.model
-    ts, vs = exo_trajectory(steady.exo, v0, t_final, h)
+    if model.r == 1:
+        return 0.0  # no level s >= 2
+    _, vs = exo_trajectory(steady.exo, v0, t_final, h)
+    inner = vs[1:-1]
+    zs = _per_row(steady.z_star, inner)
+    levels = [steady.x_star(1, vs), steady.x_star(2, vs)]  # starred x_1 .. x_s, each (K, N)
     worst = 0.0
-    p_star = steady.p_star
     for s in range(2, model.r + 1):
-        sig = np.array([steady.x_star(s, v) for v in vs])
-        nxt = np.array([steady.x_star(s + 1, v) for v in vs])
-        for k in range(1, len(ts) - 1):
-            z = steady.z_star(vs[k])
-            stars = [p_star] + [steady.x_star(j, vs[k]) for j in range(2, s + 1)]
-            drift = model.f_levels[s - 1](z, np.array(stars), vs[k], steady.w)
-            num = (sig[k + 1] - sig[k - 1]) / (2.0 * h)
-            worst = max(worst, float(np.abs(num - (nxt[k] + drift)).max()))
+        sig, nxt = levels[-1], steady.x_star(s + 1, vs)
+        stars = np.stack(levels, axis=1)[1:-1]
+        drift = _per_row(lambda z, x, v: model.f_levels[s - 1](z, x, v, steady.w),
+                         zs, stars, inner)
+        num = (sig[2:] - sig[:-2]) / (2.0 * h)
+        worst = max(worst, float(np.abs(num - (nxt[1:-1] + drift)).max(initial=0.0)))
+        levels.append(nxt)
     return worst

@@ -343,8 +343,8 @@ def _closed_loop_operator(scenario: Scenario, layout: StateLayout, bank: Interna
     """Affine part ``A_b x + c`` of the closed loop and the control rows ``U``.
 
     ``A`` is ``(B, dim, dim)``, one operator per draw of the stacked drift
-    split ``J``; they differ only in the plant rows. ``c`` and ``U`` are
-    shared.
+    split ``J``; they differ only in the plant rows, so the other rows are
+    built once and copied per draw. ``c`` and ``U`` are shared.
 
     Each block is written from its own parameters: the generator's
     consensus ``-gamma1 gamma2 (L kron I)`` plus, for the quadratic game,
@@ -361,31 +361,18 @@ def _closed_loop_operator(scenario: Scenario, layout: StateLayout, bank: Interna
     P, v, zx, p_diag = layout.P, layout.v, layout.zx, layout.p_diag
     xa, ea = layout.x.start, layout.x.stop  # the compensators follow the chain
     agents = np.arange(n)
-    A = np.zeros((len(J), dim, dim))
+    A = np.zeros((dim, dim))  # the rows every draw shares; the plant rows follow per draw
     c = np.zeros(dim)
 
-    A[:, P, P] = -gamma1 * gamma2 * np.kron(laplacian(scenario.graph), np.eye(n))
+    A[P, P] = -gamma1 * gamma2 * np.kron(laplacian(scenario.graph), np.eye(n))
     game = scenario.game
     if isinstance(game, QuadraticAggregativeGame):
         # entry i of the extended gradient is Jacobian row i applied to estimate row i
         G = game.jacobian()
         for i in range(n):
-            A[:, p_diag[i], P.start + i * n:P.start + (i + 1) * n] -= gamma1 * G[i]
+            A[p_diag[i], P.start + i * n:P.start + (i + 1) * n] -= gamma1 * G[i]
         c[p_diag] = -gamma1 * game.gradient_constant()
-    A[:, v, v] = scenario.exo.S
-
-    n_zx = zx.stop - zx.start
-    v_cols = J.shape[-1] - n_zx
-    if J.ndim != 3 or J.shape[1] != n_zx or not 0 <= v_cols <= layout.n_v:
-        raise ConfigError(
-            f"plant split hook returned J of shape {J.shape}; the hook takes a (B, n_w) "
-            f"stack of draws and returns J of shape (B, {n_zx}, {n_zx} to "
-            f"{n_zx + layout.n_v}) and nl(zx, v, out), which adds the remainder to the "
-            f"({n_zx}, B) plant rows out")
-    A[:, zx, zx] = J[:, :, :n_zx]
-    A[:, zx, v.start:v.start + v_cols] = J[:, :, n_zx:]
-    shifted = np.arange(xa, ea - n)
-    A[:, shifted, shifted + n] += 1.0
+    A[v, v] = scenario.exo.S
 
     # compensator dynamics and read-outs Psi_s eta_s, one row per (level, agent)
     reads = np.zeros((r * n, dim))
@@ -396,7 +383,7 @@ def _closed_loop_operator(scenario: Scenario, layout: StateLayout, bank: Interna
         ns = level.order
         for i in range(n):
             rel, blk = slice(pos, pos + ns), slice(ea + pos, ea + pos + ns)
-            A[:, blk, blk] = level.M[i]
+            A[blk, blk] = level.M[i]
             N_flat[rel] = level.N[i]
             drive_idx[rel] = s * n + i
             if not ablate:
@@ -410,13 +397,29 @@ def _closed_loop_operator(scenario: Scenario, layout: StateLayout, bank: Interna
         U[agents, xa + s * n + agents] -= coeff[:, s]
     for s in range(1, r):
         U += coeff[:, s, None] * reads[(s - 1) * n:s * n]
-    A[:, ea - n:ea] += U
 
+    shifted = np.arange(xa, ea - n)
     drives = np.zeros((r * n, dim))  # level-major: x_2 .. x_r, then u
     drives[np.arange((r - 1) * n), shifted + n] = 1.0
     drives[(r - 1) * n:] = U
-    A[:, ea:] += N_flat[:, None] * drives[drive_idx]
-    return A, c, U
+    A[ea:] += N_flat[:, None] * drives[drive_idx]
+
+    n_zx = zx.stop - zx.start
+    v_cols = J.shape[-1] - n_zx
+    if J.ndim != 3 or J.shape[1] != n_zx or not 0 <= v_cols <= layout.n_v:
+        raise ConfigError(
+            f"plant split hook returned J of shape {J.shape}; the hook takes a (B, n_w) "
+            f"stack of draws and returns J of shape (B, {n_zx}, {n_zx} to "
+            f"{n_zx + layout.n_v}) and nl(zx, v, out), which adds the remainder to the "
+            f"({n_zx}, B) plant rows out")
+    # per draw, the plant rows: the drift's linear part J, then the chain shifts
+    # x_{s+1} -> dx_s, then the control law u = U x on the top level
+    A3 = np.repeat(A[None], len(J), axis=0)
+    A3[:, zx, zx] = J[:, :, :n_zx]
+    A3[:, zx, v.start:v.start + v_cols] = J[:, :, n_zx:]
+    A3[:, shifted, shifted + n] += 1.0
+    A3[:, ea - n:ea] += U
+    return A3, c, U
 
 
 @dataclass

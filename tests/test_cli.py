@@ -172,8 +172,8 @@ def test_missing_config_exit_code(capsys):
     assert main(["solve-ne", "--config", "/nonexistent/path.scenario"]) == 1
 
 
-def test_custom_factories_relative_degree_one(tmp_path, capsys):
-    # custom game and plant wired through config factories, one-level chain
+def _custom_config(tmp_path, t_final):
+    """Custom game and plant wired through config factories, one-level chain."""
     cfg = {
         "game": {"kind": "custom", "factory": "factories:build_game",
                  "args": {"h1": [1.0, 2.0, 3.0], "coupling": 0.5}},
@@ -184,16 +184,31 @@ def test_custom_factories_relative_degree_one(tmp_path, capsys):
                   "v0_box": [[0.5, 1.0], [0.0, 0.0]]},
         "gains": {"gamma1": 1.0, "gamma2": "auto"},
         "controller": {"k": [[8.0]] * 3},
-        "sim": {"t_final": 15.0, "dt": 1e-3, "seed": 2, "R": 0.5, "decimate": 10},
+        "sim": {"t_final": t_final, "dt": 1e-3, "seed": 2, "R": 0.5, "decimate": 10},
     }
     path = tmp_path / "custom.json"
     path.write_text(json.dumps(cfg))
+    return path
+
+
+def test_custom_factories_relative_degree_one(tmp_path, capsys):
+    path = _custom_config(tmp_path, t_final=15.0)
     out_csv = tmp_path / "custom.csv"
     assert main(["simulate", "--config", str(path), "--out", str(out_csv)]) == 0
     out = capsys.readouterr().out
     final = float(out.split("final_tracking_max = ")[1].splitlines()[0])
     assert final < 1e-2
     assert out_csv.exists()
+
+
+def test_check_passes_on_custom_game_and_plant(tmp_path, capsys):
+    # no `steady_poly` and no `split`: the generic steady-state chain and drift
+    assert main(["check", "--config", str(_custom_config(tmp_path, t_final=3.0))]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    statuses = {parts[0]: parts[1] for parts in lines if len(parts) > 1
+                and parts[1] in ("PASS", "FAIL")}
+    assert "im_reproduction_level1" in statuses and "step_halving" in statuses
+    assert set(statuses.values()) == {"PASS"}
 
 
 def _escalation_line(out: str) -> tuple[int, float]:

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from nesim.errors import InvalidSpectrum, SingularT
-from nesim.internal_model import (companion_from_coeffs, default_stabilizer, im_rhs,
-                                  solve_sylvester, StabilizerPair, synthesize_bank,
-                                  sylvester_residual, verify_reproduction)
+from nesim.internal_model import (_FD_STENCILS, _derivative_stack, companion_from_coeffs,
+                                  default_stabilizer, im_rhs, solve_sylvester, StabilizerPair,
+                                  synthesize_bank, sylvester_residual, verify_reproduction)
+from nesim.numerics import OdeSystem, integrate
+from nesim.plant import exo_trajectory
+from nesim.simulation import assemble
 
 
 class TestCompanion:
@@ -177,3 +180,59 @@ class TestVerifyReproduction:
         ts = np.arange(0, 20.0, 1e-3)
         signal = np.sin(1.7 * ts)
         assert verify_reproduction(comp, stab, psi, ts, signal) > 1e-2
+
+    @staticmethod
+    def one_signal_loop(comp, stab, psi, ts, values):
+        """Reference: one compensator stepped alone, ``A @ theta`` per stage, ``psi @ theta``
+        per sample, with ``A`` the transposed solve ``T^T A^T = (T Phi)^T``."""
+        n, h = comp.order, ts[1] - ts[0]
+        T, _ = solve_sylvester(comp.Phi, comp.Gamma, stab.M, stab.N)
+        j0 = max(_FD_STENCILS[k][0][-1] for k in range(n))
+        A = np.linalg.solve(T.T, (T @ comp.Phi).T).T
+        worst = 0.0
+
+        def observer(step, t, theta):
+            nonlocal worst
+            worst = max(worst, abs(float(psi @ theta) - values[j0 + step]))
+
+        theta0 = T @ _derivative_stack(values, h, n, j0)
+        integrate(OdeSystem(n, lambda t, theta: A @ theta), theta0, ts[j0], ts[-1], h, observer)
+        return worst
+
+    def test_batch_of_sec5_agents_equals_one_column_calls(self, sec5):
+        # each level's steady-state signals of sec5's four agents, as `nesim check` builds them
+        loop = assemble(sec5)
+        bank = sec5.synthesized().bank
+        ts, vs = exo_trajectory(sec5.exo, np.array([0.8, -0.4]), t_final=6.0, h=2e-3)
+        for s, level in enumerate(bank.levels):
+            signal = loop.steady.x_star(s + 2, vs)
+            stabs = [default_stabilizer(level.order, preset=sec5.im_preset)] * sec5.n
+            batch = verify_reproduction(level.companion, stabs, level.Psi, ts, signal)
+            assert batch.shape == (sec5.n,)
+            for i in range(sec5.n):
+                one = verify_reproduction(level.companion, stabs[i], level.Psi[i], ts,
+                                          signal[:, i])
+                assert batch[i] == one
+                assert one == self.one_signal_loop(level.companion, stabs[i], level.Psi[i], ts,
+                                                   signal[:, i])
+
+    def test_columns_of_a_batch_never_mix(self):
+        # columns with different stabilizers, and so different conjugated dynamics
+        comp = companion_from_coeffs([0.0, -1.0, 0.0])
+        stabs = [default_stabilizer(3, preset="sec5"), default_stabilizer(3),
+                 default_stabilizer(3, preset="sec5")]
+        psi = np.array([solve_sylvester(comp.Phi, comp.Gamma, st.M, st.N)[1] for st in stabs])
+        ts = np.arange(0, 10.0, 1e-3)
+        matched = 0.8 + 0.5 * np.cos(ts) - 1.2 * np.sin(ts)
+        signals = np.stack([matched, np.sin(1.7 * ts), -0.3 + np.sin(ts)], axis=1)
+        errs = verify_reproduction(comp, stabs, psi, ts, signals)
+        assert errs[1] > 1e-2
+        assert errs[0] < 1e-5 and errs[2] < 1e-5
+        for b in range(3):
+            assert errs[b] == verify_reproduction(comp, stabs[b], psi[b], ts, signals[:, b])
+
+    def test_batch_needs_one_stabilizer_per_signal(self):
+        comp, stab, psi = self.setup_level1()
+        ts = np.arange(0, 1.0, 1e-3)
+        with pytest.raises(ValueError, match="stabilizer pairs"):
+            verify_reproduction(comp, [stab] * 2, np.tile(psi, (3, 1)), ts, np.zeros((len(ts), 3)))

@@ -7,6 +7,7 @@ import pytest
 
 from nesim.errors import InvalidParameter
 from nesim.numerics import OdeSystem, integrate
+from factories import build_plant
 from nesim.plant import (Exosystem, PlantModel, PlantState, Uncertainty,
                          check_origin_equilibrium, check_steady_chain_consistency,
                          check_steady_zero_pde, drift_split, example_plant, exo_rhs,
@@ -184,6 +185,49 @@ class TestSteadyStateChain:
             assert np.abs(dz - z_rate).max() < 1e-6
 
 
+    def test_checks_match_per_sample_loops(self):
+        # reference: both residuals taken sample by sample, every map evaluated per sample
+        model = demo_plant([[-1, 1, 0.5, 2, 0.3, 0.3], [-1.2, 0.8, 0.4, 2.2, 0.25, 0.35]])
+        w = np.random.default_rng(6).uniform(-0.05, 0.05, model.n_w)
+        p_star, v0, h = np.array([0.6, -0.4]), np.array([1.0, 0.2]), 1e-3
+        steady = steady_state_chain(model, p_star, self.exo(), w)
+        _, vs = exo_trajectory(self.exo(), v0, 0.5, h)
+        pde = cons = 0.0
+        for k in range(1, len(vs) - 1):
+            num = (model.steady_zero(p_star, vs[k + 1], w)
+                   - model.steady_zero(p_star, vs[k - 1], w)) / (2.0 * h)
+            ana = model.f0(model.steady_zero(p_star, vs[k], w), p_star, vs[k], w)
+            pde = max(pde, float(np.abs(num - ana).max()))
+            stars = np.array([p_star, steady.x_star(2, vs[k])])
+            drift = model.f_levels[1](steady.z_star(vs[k]), stars, vs[k], w)
+            num = (steady.x_star(2, vs[k + 1]) - steady.x_star(2, vs[k - 1])) / (2.0 * h)
+            cons = max(cons, float(np.abs(num - (steady.u_star(vs[k]) + drift)).max()))
+        assert check_steady_zero_pde(model, self.exo(), w, p_star, v0, t_final=0.5) == pde
+        assert check_steady_chain_consistency(steady, v0, t_final=0.5) == cons
+
+    @staticmethod
+    def assert_stack_matches_samples(steady, levels, vs):
+        """``x_star(s, V)`` on a ``(K, n_v)`` stack against the per-sample calls, bit for bit."""
+        for s in levels:
+            rows = np.array([steady.x_star(s, v) for v in vs])
+            stacked = steady.x_star(s, vs)
+            assert stacked.shape == rows.shape
+            assert stacked.tobytes() == rows.tobytes(), s
+
+    def test_stacked_states_match_samples_poly(self, sec5):
+        w = sample_uncertainty(sec5.w_box, 3)
+        steady = steady_state_chain(sec5.plant, sec5.synthesized().p_star, sec5.exo, w)
+        _, vs = exo_trajectory(sec5.exo, np.array([0.8, -0.4]), t_final=20.0, h=2e-3)
+        self.assert_stack_matches_samples(steady, (1, 2, 3), vs)
+
+    def test_stacked_states_match_samples_generic(self):
+        model = build_plant(3)
+        steady = steady_state_chain(model, np.array([0.1, -0.2, 0.3]), self.exo(),
+                                    np.array([0.05, -0.02, 0.01]))
+        _, vs = exo_trajectory(self.exo(), np.array([1.0, 0.2]), t_final=2.0, h=2e-3)
+        self.assert_stack_matches_samples(steady, (1, 2), vs)
+
+
 class TestExosystem:
     def test_rotation_rhs(self):
         exo = Exosystem(S=ROTATION, v0_box=np.array([[1, 1], [0, 0]]))
@@ -195,6 +239,21 @@ class TestExosystem:
         ts, vs = exo_trajectory(exo, np.array([1.0, 0.0]), t_final=100.0, h=1e-3)
         norms = np.linalg.norm(vs, axis=1)
         assert np.abs(norms - 1.0).max() < 1e-8
+
+    def test_trajectory_matches_recorded_copies(self):
+        # reference: the trajectory recorded as a list of copies, one per observed step
+        exo = Exosystem(S=np.array([[0.0, 2.0], [-2.0, 0.1]]), v0_box=np.array([[1, 1], [0, 0]]))
+        v0, t_final, h = np.array([0.7, -0.2]), 3.0, 2e-3
+        ts_ref, vs_ref = [], []
+
+        def observer(step, t, v):
+            ts_ref.append(t)
+            vs_ref.append(v.copy())
+
+        integrate(OdeSystem(2, lambda t, v: exo.S @ v), v0, 0.0, t_final, h, observer)
+        ts, vs = exo_trajectory(exo, v0, t_final, h)
+        assert ts.tobytes() == np.array(ts_ref).tobytes()
+        assert vs.tobytes() == np.array(vs_ref).tobytes()
 
 
 class TestSampleUncertainty:

@@ -14,7 +14,7 @@ from nesim.generator import GeneratorGains, generator_rhs, min_gamma2
 from nesim.graph import CommGraph
 from nesim.internal_model import StabilizerPair, im_rhs, synthesize_bank
 from nesim.numerics import rk4_step
-from nesim.plant import Exosystem, PlantState, example_plant, exo_rhs, plant_rhs
+from nesim.plant import Exosystem, PlantState, drift_split, example_plant, exo_rhs, plant_rhs
 from nesim.simulation import (ClosedLoopTrajectory, EscalationSpec, Scenario, assemble,
                               closed_loop_passes, metrics, run, write_csv)
 
@@ -49,20 +49,27 @@ def composed_rhs(loop, state):
     return flat, u
 
 
+@pytest.fixture(scope="module")
 def custom_scenario():
-    """The test-factory finite-difference game with the generic custom plant."""
-    return Scenario(
+    """The test-factory finite-difference game with the generic custom plant.
+
+    Synthesized once here: its finite-difference constants and equilibrium
+    are the slow part, and every test of this module shares them.
+    """
+    scenario = Scenario(
         game=build_game([1.0, 2.0, 3.0], 0.5), graph=CommGraph.ring(3),
         plant=build_plant(3), exo=Exosystem(S=np.array([[0.0, 1.0], [-1.0, 0.0]]),
                                             v0_box=np.array([[0.5, 1.0], [0.0, 0.0]])),
         w_box=np.tile([-0.1, 0.1], (3, 1)), gains=GeneratorGains(1.0, 1.0),
         gamma2_auto=True, controller_k=np.full((3, 1), 8.0), seed=2, R=0.5)
+    scenario.synthesized()
+    return scenario
 
 
 @pytest.mark.parametrize("case", ["sec5", "sec5_ablated", "custom"])
-def test_rhs_matches_composed_blocks(case, sec5, stable_gains):
+def test_rhs_matches_composed_blocks(case, sec5, stable_gains, request):
     if case == "custom":
-        loop = assemble(custom_scenario())
+        loop = assemble(request.getfixturevalue("custom_scenario"))
     else:
         loop = assemble(sec5, gains=stable_gains, ablate=case == "sec5_ablated",
                         rng=np.random.default_rng(sec5.seed))
@@ -196,9 +203,10 @@ def assert_same_run(have, want):
 
 
 @pytest.mark.parametrize("case", ["sec5", "sec5_ablated", "custom"])
-def test_batched_seeds_match_single_seed_runs(case, sec5, stable_gains):
+def test_batched_seeds_match_single_seed_runs(case, sec5, stable_gains, request):
     if case == "custom":
-        scenario, kwargs = dataclasses.replace(custom_scenario(), t_final=0.3), {}
+        scenario = dataclasses.replace(request.getfixturevalue("custom_scenario"), t_final=0.3)
+        kwargs = {}
     else:
         scenario = dataclasses.replace(sec5, t_final=1.0, decimate=1)
         kwargs = dict(gains=stable_gains, ablate=case == "sec5_ablated")
@@ -248,6 +256,31 @@ def test_run_rejects_bad_arguments(kwargs, sec5, stable_gains):
     settings = dict(t_final=0.01) | kwargs
     with pytest.raises(ValueError):
         run(sec5, gains=stable_gains, **settings)
+
+
+@pytest.mark.parametrize("case", ["sec5", "custom"])
+def test_operator_is_shared_rows_plus_plant_rows_per_draw(case, sec5, stable_gains, request):
+    scenario, kwargs = ((request.getfixturevalue("custom_scenario"), {}) if case == "custom"
+                        else (sec5, dict(gains=stable_gains)))
+    seeds = (1, 2, 3)
+    batch = assemble(scenario, rng=[np.random.default_rng(s) for s in seeds], **kwargs)
+    lay, n = batch.layout, scenario.n
+    J, _ = drift_split(scenario.plant, np.stack([w.w for w in batch.draws]))
+    n_zx = lay.zx.stop - lay.zx.start
+    shifted = np.arange(lay.x.start, lay.x.stop - n)
+    others = np.r_[:lay.zx.start, lay.zx.stop:lay.dim]
+    for b, seed in enumerate(seeds):
+        one = assemble(scenario, rng=np.random.default_rng(seed), **kwargs)
+        assert one.operator.shape == (1, lay.dim, lay.dim)
+        assert np.array_equal(one.operator[0], batch.operator[b])
+        # the plant rows hold the drift's linear part, the chain shifts and the control law
+        plant = np.zeros((n_zx, lay.dim))
+        plant[:, lay.zx] = J[b, :, :n_zx]
+        plant[:, lay.v.start:lay.v.start + J.shape[2] - n_zx] = J[b, :, n_zx:]
+        plant[shifted - lay.zx.start, shifted + n] += 1.0
+        plant[-n:] += batch.control_rows
+        assert np.array_equal(batch.operator[b, lay.zx], plant)
+        assert np.array_equal(batch.operator[b, others], batch.operator[0, others])
 
 
 def test_kept_state_bytes_counts_the_recorded_samples(sec5, stable_gains):
