@@ -207,11 +207,12 @@ def cmd_check(args) -> int:
     loop = assemble(scenario)
     v0 = np.random.default_rng(scenario.seed + 1).uniform(
         scenario.exo.v0_box[:, 0], scenario.exo.v0_box[:, 1])
+    _, exo_vs = exo_trajectory(scenario.exo, v0, t_final=5.0, h=1e-3)  # shared by both checks
     pde = check_steady_zero_pde(scenario.plant, scenario.exo, loop.w,
-                                s_values=p_star, v0=v0)
+                                s_values=p_star, v0=v0, h=1e-3, vs=exo_vs)
     add("steady_zero_pde", pde <= 1e-6, f"max residual {pde:.2e} (tol 1e-6)")
 
-    cons = check_steady_chain_consistency(loop.steady, v0)
+    cons = check_steady_chain_consistency(loop.steady, v0, h=1e-3, vs=exo_vs)
     add("steady_chain_consistency", cons <= 1e-6, f"max mismatch {cons:.2e} (tol 1e-6)")
 
     # internal-model reproduction per level, every agent in one batched run; the

@@ -220,7 +220,11 @@ def build_scenario(norm: dict) -> Scenario:
                                         h2=np.array(game_cfg["h2"]),
                                         h3=np.array(game_cfg["h3"]))
     else:
-        game = _load_factory(game_cfg["factory"])(**game_cfg["args"])
+        factory = _load_factory(game_cfg["factory"])
+        try:
+            game = factory(**game_cfg["args"])
+        except ValueError as exc:
+            raise ConfigError(f"game: {exc}") from exc
         if not isinstance(game, CustomGame):
             raise ConfigError("game.factory must return a CustomGame")
     n = game.n

@@ -21,6 +21,9 @@ from .numerics import lu_solve, symmetric_eigenvalues
 NE_RESID_TOL = 1e-10
 FD_REL_STEP = 1e-6
 MAX_NE_ITERS = 100_000
+# Bound on the temporaries of one chunk of `estimate_constants` samples for a
+# custom game: the draws, their mapped values and the block stack.
+SAMPLE_CHUNK_BYTES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -31,6 +34,8 @@ class GradientConstants:
     lipschitz: float
 
     def __post_init__(self):
+        object.__setattr__(self, "strong_mono", float(self.strong_mono))
+        object.__setattr__(self, "lipschitz", float(self.lipschitz))
         if self.strong_mono > self.lipschitz:
             raise ValueError("strong monotonicity constant cannot exceed Lipschitz constant")
 
@@ -77,9 +82,11 @@ class CustomGame:
 
     The callable must treat ``y_i`` as player i's strategy (the i-th entry
     of ``profile`` is ignored in its favor), so that estimate vectors can be
-    evaluated as well as true profiles. Gradients come from central finite
-    differences; constants are sampled over ``sample_box`` and are therefore
-    local to that box.
+    evaluated as well as true profiles. Each call gets a fresh ``profile``
+    array of its own, which the callable may modify, and the calls come in a
+    fixed order. Gradients come from central finite differences; constants
+    are sampled over ``sample_box``, whose rows must be finite with
+    ``lo < hi``, and are therefore local to that box.
     """
 
     costs: Sequence[Callable[[float, np.ndarray], float]]
@@ -94,6 +101,8 @@ class CustomGame:
         box = np.array(box, dtype=float)
         if box.shape != (len(self.costs), 2):
             raise ValueError("sample_box must have shape (n, 2)")
+        if not (np.isfinite(box).all() and (box[:, 0] < box[:, 1]).all()):
+            raise ValueError(f"sample_box rows must be finite with lo < hi, got {box.tolist()}")
         box.setflags(write=False)
         object.__setattr__(self, "sample_box", box)
         object.__setattr__(self, "costs", tuple(self.costs))
@@ -114,19 +123,35 @@ def partial_gradient(game: GameSpec, i: int, profile: np.ndarray) -> float:
     """Derivative of player i's cost with respect to its own strategy.
 
     Closed form for the quadratic kind; central finite difference with step
-    ``1e-6 * (1 + |y_i|)`` otherwise.
+    ``1e-6 * (1 + |y_i|)`` otherwise, read off the whole finite-difference
+    pseudo-gradient.
     """
     y = np.asarray(profile, dtype=float)
     if isinstance(game, QuadraticAggregativeGame):
         return float(2.0 * (y[i] - game.h1[i]) + game.h2[i] * y.sum()
                      + game.h2[i] * y[i] + game.h3[i])
-    step = FD_REL_STEP * (1.0 + abs(float(y[i])))
-    return (game.cost(i, _with(y, i, y[i] + step)) - game.cost(i, _with(y, i, y[i] - step))) / (2.0 * step)
+    return float(pseudo_gradient(game, y)[i])
 
 
-def _with(y: np.ndarray, i: int, value: float) -> np.ndarray:
-    out = y.copy()
-    out[i] = value
+def _central_partials(costs, blocks: np.ndarray) -> np.ndarray:
+    """Central differences of the cost callables on a ``(K, n, n)`` block stack.
+
+    Entry ``(k, i)`` of the ``(K, n)`` result is player i's derivative along
+    its own strategy on row i of block k, with step ``FD_REL_STEP * (1 +
+    |y_i|)``. Each cost call gets a fresh copy of the row, so a callable that
+    writes into its profile affects nothing else. Calls run block by block,
+    player by player, the upward step first.
+    """
+    out = np.empty(blocks.shape[:2])
+    for block, partials in zip(blocks, out):
+        for i, cost in enumerate(costs):
+            row = block[i]
+            y = float(row[i])
+            step = FD_REL_STEP * (1.0 + abs(y))
+            up, dn = row.copy(), row.copy()
+            up[i] = y + step
+            dn[i] = y - step
+            partials[i] = (float(cost(y + step, up)) - float(cost(y - step, dn))) / (2.0 * step)
     return out
 
 
@@ -135,7 +160,7 @@ def pseudo_gradient(game: GameSpec, profile: np.ndarray) -> np.ndarray:
     y = np.asarray(profile, dtype=float)
     if isinstance(game, QuadraticAggregativeGame):
         return 2.0 * (y - game.h1) + game.h2 * y.sum() + game.h2 * y + game.h3
-    return np.array([partial_gradient(game, i, y) for i in range(game.n)])
+    return _central_partials(game.costs, np.broadcast_to(y, (1, game.n, game.n)))[0]
 
 
 def extended_pseudo_gradient(game: GameSpec, estimates: np.ndarray) -> np.ndarray:
@@ -152,7 +177,7 @@ def extended_pseudo_gradient(game: GameSpec, estimates: np.ndarray) -> np.ndarra
     if isinstance(game, QuadraticAggregativeGame):
         own = P.diagonal()
         return 2.0 * (own - game.h1) + game.h2 * P.sum(axis=1) + game.h2 * own + game.h3
-    return np.array([partial_gradient(game, i, P[i]) for i in range(n)])
+    return _central_partials(game.costs, P[None])[0]
 
 
 def estimate_constants(game: GameSpec, n_samples: int = 10_000, seed: int = 0) -> GradientConstants:
@@ -177,32 +202,84 @@ def estimate_constants(game: GameSpec, n_samples: int = 10_000, seed: int = 0) -
         ext_norm = float(np.sqrt((G * G).sum(axis=1).max()))
         l_lip = max(float(np.linalg.norm(G, 2)), ext_norm)
     else:
-        rng = np.random.default_rng(seed)
-        lo, hi = game.sample_box[:, 0], game.sample_box[:, 1]
-        mono, lip = np.inf, 0.0
-        for _ in range(n_samples):
-            x = rng.uniform(lo, hi)
-            y = rng.uniform(lo, hi)
-            dxy = x - y
-            norm2 = float(dxy @ dxy)
-            if norm2 < 1e-16:
-                continue
-            dF = pseudo_gradient(game, x) - pseudo_gradient(game, y)
-            mono = min(mono, float(dxy @ dF) / norm2)
-            lip = max(lip, float(np.linalg.norm(dF)) / np.sqrt(norm2))
-            # extended map sampled on random estimate matrices over the same box
-            Px = rng.uniform(lo, hi, size=(n, n))
-            Py = rng.uniform(lo, hi, size=(n, n))
-            dP = (Px - Py).ravel()
-            dPn = float(np.linalg.norm(dP))
-            if dPn > 1e-8:
-                dFe = extended_pseudo_gradient(game, Px) - extended_pseudo_gradient(game, Py)
-                lip = max(lip, float(np.linalg.norm(dFe)) / dPn)
+        mono, lip = _sampled_constants(game, n_samples, seed)
         l_mono = 0.8 * mono
         l_lip = 1.2 * lip
     if l_mono <= 0:
         raise NotStronglyMonotone(f"estimated strong-monotonicity constant {l_mono:.3e} <= 0")
     return GradientConstants(strong_mono=l_mono, lipschitz=max(l_lip, l_mono))
+
+
+def _sampled_constants(game: CustomGame, n_samples: int, seed: int) -> tuple[float, float]:
+    """Sampled ``(monotonicity, Lipschitz)`` bounds of a custom game, before safety factors.
+
+    Each sample draws ``x, y ~ U(box)``; unless ``|x - y|^2 < 1e-16`` it
+    also draws two ``(n, n)`` estimate matrices ``Px, Py ~ U(box)`` row by
+    row for the extended map, which count toward the Lipschitz bound when
+    ``|Px - Py| > 1e-8``. The draws come in chunks of whole-array uniforms,
+    ``lo + (hi - lo) * u`` as `Generator.uniform` computes them, in the
+    stream order of one sample at a time. The stream is cut into slots of
+    ``2n`` values (``x`` and ``y``, or two rows of ``Px`` and ``Py``): a
+    sample takes one slot, or ``n + 1`` when it draws its matrices. A chunk
+    draws enough slots for all its samples and hands the ones it did not use
+    to the next chunk, so the stream is the same whatever the chunk size.
+    """
+    n = game.n
+    rng = np.random.default_rng(seed)
+    lo, hi = game.sample_box[:, 0], game.sample_box[:, 1]
+    slot_lo, slot_span = np.tile(lo, 2), np.tile(hi - lo, 2)
+    per_sample = n + 1
+    # a chunk's temporaries come to about eight times its draws
+    chunk = max(1, SAMPLE_CHUNK_BYTES // (8 * 8 * 2 * n * per_sample))
+    mono, lip = np.inf, 0.0
+    slots = np.empty((0, 2 * n))  # drawn and not yet used
+    for done in range(0, n_samples, chunk):
+        m = min(chunk, n_samples - done)
+        u = rng.random((max(0, m * per_sample - len(slots)), 2 * n))
+        slots = np.concatenate([slots, slot_lo + slot_span * u])
+        used, monos, lips = _chunk_ratios(game.costs, slots, m)
+        # fmin/fmax pass over a NaN ratio (a cost that is NaN somewhere in the box)
+        mono = np.fmin.reduce(monos, initial=mono)
+        lip = np.fmax.reduce(lips, initial=lip)
+        slots = slots[used:]
+    return float(mono), float(lip)
+
+
+def _chunk_ratios(costs, slots: np.ndarray, m: int):
+    """The next ``m`` samples of `_sampled_constants` from its ``(S, 2n)`` slots.
+
+    Returns the number of slots used, each sample's monotonicity ratio and
+    its Lipschitz ratios (plain map, then the extended map where it counts).
+    All the gradients come from one `_central_partials` call on the
+    ``(4k, n, n)`` stack of blocks ``x, y, Px, Py`` of the ``k`` samples
+    that are not skipped.
+    """
+    n = slots.shape[1] // 2
+    dxy = slots[:, :n] - slots[:, n:]
+    norm2 = np.vecdot(dxy, dxy)
+    skips = (norm2 < 1e-16).tolist()
+    starts, s = [], 0
+    for _ in range(m):
+        if skips[s]:
+            s += 1
+        else:
+            starts.append(s)
+            s += n + 1
+    idx = np.array(starts, dtype=np.intp)
+    k = len(idx)
+    mats = slots[idx[:, None] + np.arange(1, n + 1)].reshape(k, 2, n, n)  # Px, Py
+    blocks = np.empty((k, 4, n, n))
+    blocks[:, 0] = slots[idx, None, :n]
+    blocks[:, 1] = slots[idx, None, n:]
+    blocks[:, 2:] = mats
+    F = _central_partials(costs, blocks.reshape(4 * k, n, n)).reshape(k, 4, n)
+    d, norm2, dF, dFe = dxy[idx], norm2[idx], F[:, 0] - F[:, 1], F[:, 2] - F[:, 3]
+    dP = (mats[:, 0] - mats[:, 1]).reshape(k, n * n)
+    dPn = np.sqrt(np.vecdot(dP, dP))
+    wide = dPn > 1e-8
+    lips = np.concatenate([np.sqrt(np.vecdot(dF, dF)) / np.sqrt(norm2),
+                           np.sqrt(np.vecdot(dFe[wide], dFe[wide])) / dPn[wide]])
+    return s, np.vecdot(d, dF) / norm2, lips
 
 
 def solve_ne(game: GameSpec, tol: float = NE_RESID_TOL,
@@ -244,11 +321,14 @@ def solve_ne(game: GameSpec, tol: float = NE_RESID_TOL,
             stalled += 1
             if stalled > 50:
                 break
-        J = np.empty((n, n))
-        for j in range(n):
-            dj = FD_REL_STEP * (1.0 + abs(p[j]))
-            J[:, j] = (pseudo_gradient(game, _with(p, j, p[j] + dj))
-                       - pseudo_gradient(game, _with(p, j, p[j] - dj))) / (2.0 * dj)
+        # column j from the pseudo-gradients at p +- dj e_j, all 2n of them in one
+        # stack of broadcast profiles: up_0, dn_0, up_1, ...
+        dj = FD_REL_STEP * (1.0 + np.abs(p))
+        shifted, cols = np.repeat(p[None], 2 * n, axis=0), np.arange(n)
+        shifted[2 * cols, cols] += dj
+        shifted[2 * cols + 1, cols] -= dj
+        Fs = _central_partials(game.costs, np.broadcast_to(shifted[:, None], (2 * n, n, n)))
+        J = (Fs[0::2] - Fs[1::2]).T / (2.0 * dj)
         newton_ok = False
         try:
             delta = lu_solve(J, -F)

@@ -486,15 +486,19 @@ def check_origin_equilibrium(model: PlantModel, w_samples: Sequence[np.ndarray],
 
 
 def check_steady_zero_pde(model: PlantModel, exo: Exosystem, w, s_values: np.ndarray,
-                          v0: np.ndarray, t_final: float = 5.0, h: float = 1e-3) -> float:
+                          v0: np.ndarray, t_final: float = 5.0, h: float = 1e-3,
+                          vs: np.ndarray | None = None) -> float:
     """Residual of the zero-dynamics steady-state map along a disturbance run.
 
     With the output argument frozen, the time derivative of the map along
     the exosystem flow (central differences in t) must equal the
     zero-dynamics drift evaluated on the map. Returns the worst residual.
+    ``vs`` is the run's states, ``exo_trajectory(exo, v0, t_final, h)[1]``,
+    when already integrated; otherwise it is integrated here.
     """
     wv = w.w if isinstance(w, Uncertainty) else np.asarray(w, dtype=float)
-    _, vs = exo_trajectory(exo, v0, t_final, h)
+    if vs is None:
+        _, vs = exo_trajectory(exo, v0, t_final, h)
     s_values = np.asarray(s_values, dtype=float)
     zs = _per_row(lambda v: model.steady_zero(s_values, v, wv), vs)
     num = (zs[2:] - zs[:-2]) / (2.0 * h)
@@ -503,17 +507,20 @@ def check_steady_zero_pde(model: PlantModel, exo: Exosystem, w, s_values: np.nda
 
 
 def check_steady_chain_consistency(steady: SteadyState, v0: np.ndarray,
-                                   t_final: float = 5.0, h: float = 1e-3) -> float:
+                                   t_final: float = 5.0, h: float = 1e-3,
+                                   vs: np.ndarray | None = None) -> float:
     """Time-consistency of the steady-state chain along a disturbance run.
 
     For each level ``s >= 2``, the finite-difference time derivative of the
     level-s signal must match ``x_star(s+1) + drift_s`` evaluated on the
     starred states. Returns the worst mismatch across levels and time.
+    ``vs`` is as in `check_steady_zero_pde`.
     """
     model = steady.model
     if model.r == 1:
         return 0.0  # no level s >= 2
-    _, vs = exo_trajectory(steady.exo, v0, t_final, h)
+    if vs is None:
+        _, vs = exo_trajectory(steady.exo, v0, t_final, h)
     inner = vs[1:-1]
     zs = _per_row(steady.z_star, inner)
     levels = [steady.x_star(1, vs), steady.x_star(2, vs)]  # starred x_1 .. x_s, each (K, N)

@@ -26,8 +26,8 @@ import numpy as np
 
 from .controller import ControllerGains, TRACKING_TOL, STATE_NORM_LIMIT
 from .errors import ConfigError, NesimError, NonFiniteState
-from .game import (GameSpec, GradientConstants, QuadraticAggregativeGame,
-                   estimate_constants, extended_pseudo_gradient, solve_ne)
+from .game import (GameSpec, GradientConstants, QuadraticAggregativeGame, _central_partials,
+                   estimate_constants, solve_ne)
 from .generator import GeneratorGains, min_gamma2
 from .graph import CommGraph, is_connected, laplacian
 from .internal_model import InternalModelBank, synthesize_bank
@@ -317,11 +317,8 @@ def _closed_loop_rhs(layout: StateLayout, A3: np.ndarray, c: np.ndarray, plant_n
     # the quadratic game's extended gradient is affine and already in A and c
     game_nl = None
     if not isinstance(game, QuadraticAggregativeGame):
-        def game_nl(Ps):
-            out = np.empty((Ps.shape[1], n))  # one row per column, returned transposed
-            for row, estimates in zip(out, Ps.reshape(n, n, -1).transpose(2, 0, 1)):
-                row[:] = extended_pseudo_gradient(game, estimates)
-            return out.T
+        def game_nl(Ps):  # one (n, n) block of estimates per column
+            return _central_partials(game.costs, Ps.reshape(n, n, -1).transpose(2, 0, 1)).T
 
     def rhs(t: float, state: np.ndarray) -> np.ndarray:
         if state.ndim == 1:

@@ -1,15 +1,19 @@
-"""Factories referenced by the custom-kind scenario configs in the tests."""
+"""Factories referenced by the custom-kind scenario configs in the tests,
+and custom games built from quadratic ones."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from nesim.game import CustomGame
+from nesim.game import CustomGame, QuadraticAggregativeGame
 from nesim.plant import PlantModel
 
 
-def build_game(h1, coupling):
-    """Quadratic costs exposed only through callables (forces the FD paths)."""
+def build_game(h1, coupling, box=(-6.0, 6.0)):
+    """Quadratic costs exposed only through callables (forces the FD paths).
+
+    ``box`` is every player's ``(lo, hi)`` sample range.
+    """
     h1 = np.asarray(h1, dtype=float)
     n = h1.shape[0]
 
@@ -21,7 +25,18 @@ def build_game(h1, coupling):
         return cost
 
     return CustomGame(costs=[make(i) for i in range(n)],
-                      sample_box=np.tile([-6.0, 6.0], (n, 1)))
+                      sample_box=np.tile(box, (n, 1)))
+
+
+def wrap_custom(game: QuadraticAggregativeGame, box=None) -> CustomGame:
+    """The same quadratic costs exposed only through cost callables."""
+    def make(i):
+        def cost(yi, profile):
+            y = profile.copy()
+            y[i] = yi
+            return (yi - game.h1[i]) ** 2 + yi * (game.h2[i] * y.sum() + game.h3[i])
+        return cost
+    return CustomGame(costs=[make(i) for i in range(game.n)], sample_box=box)
 
 
 def build_plant(n_agents, leak=1.0, feedthrough=1.0):

@@ -1,0 +1,71 @@
+"""Independent oracles for the custom-game finite differences and constants.
+
+Both are written out sample by sample, the way the definitions read, so that
+the whole-array code in `nesim.game` is checked against something other than
+itself.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from nesim.game import CustomGame, GradientConstants
+
+
+def central_partial(cost, i: int, row: np.ndarray) -> float:
+    """Player i's central difference on ``row``, each side on a fresh copy."""
+    y = float(row[i])
+    step = 1e-6 * (1.0 + abs(y))
+    up, dn = np.array(row, dtype=float), np.array(row, dtype=float)
+    up[i] = y + step
+    dn[i] = y - step
+    return (float(cost(y + step, up)) - float(cost(y - step, dn))) / (2.0 * step)
+
+
+def central_partials(costs, blocks: np.ndarray) -> np.ndarray:
+    """Entry ``(k, i)``: player i's central difference on row i of block k."""
+    return np.array([[central_partial(costs[i], i, block[i]) for i in range(len(costs))]
+                     for block in blocks]).reshape(len(blocks), len(costs))
+
+
+def reference_constants(game: CustomGame, n_samples: int, seed: int) -> GradientConstants:
+    """The sampled constants: `reference_bounds` with safety factors 0.8 and 1.2."""
+    mono, lip = reference_bounds(game, n_samples, seed)
+    return GradientConstants(strong_mono=0.8 * mono, lipschitz=max(1.2 * lip, 0.8 * mono))
+
+
+def reference_bounds(game: CustomGame, n_samples: int, seed: int) -> tuple[float, float]:
+    """Sampled monotonicity and Lipschitz bounds, one sample and one
+    `Generator.uniform` call at a time.
+
+    Each sample draws ``x`` and ``y``; unless ``|x - y|^2 < 1e-16`` it also
+    draws the estimate matrices ``Px`` and ``Py``, which bound the extended
+    map when ``|Px - Py| > 1e-8``.
+    """
+    n = game.n
+    rng = np.random.default_rng(seed)
+    lo, hi = game.sample_box[:, 0], game.sample_box[:, 1]
+
+    def gradient(profile):
+        return central_partials(game.costs, np.tile(profile, (1, n, 1)))[0]
+
+    def extended(P):
+        return central_partials(game.costs, P[None])[0]
+
+    mono, lip = np.inf, 0.0
+    for _ in range(n_samples):
+        x = rng.uniform(lo, hi)
+        y = rng.uniform(lo, hi)
+        dxy = x - y
+        norm2 = float(dxy @ dxy)
+        if norm2 < 1e-16:
+            continue
+        dF = gradient(x) - gradient(y)
+        mono = min(mono, float(dxy @ dF) / norm2)
+        lip = max(lip, float(np.linalg.norm(dF) / np.sqrt(norm2)))
+        Px = rng.uniform(lo, hi, size=(n, n))
+        Py = rng.uniform(lo, hi, size=(n, n))
+        dPn = float(np.linalg.norm((Px - Py).ravel()))
+        if dPn > 1e-8:
+            lip = max(lip, float(np.linalg.norm(extended(Px) - extended(Py))) / dPn)
+    return mono, lip

@@ -11,6 +11,7 @@ from nesim.cli import main
 from nesim.config import load_scenario, normalize
 from nesim.controller import ControllerGains
 from nesim.errors import ConfigError
+from nesim.plant import exo_trajectory
 from nesim.simulation import run, write_csv
 
 
@@ -120,11 +121,15 @@ def test_unknown_key_rejected(fast_cfg, capsys):
     assert "unknown keys" in capsys.readouterr().err
 
 
-def test_check_passes_on_bundled_scenario(fast_cfg, capsys):
+def test_check_passes_on_bundled_scenario(fast_cfg, capsys, count_calls):
+    traces = count_calls(exo_trajectory)
     cfg = fast_cfg(**{"sim.t_final": 6.0})
     assert main(["check", "--config", str(cfg)]) == 0
     out = capsys.readouterr().out
     assert "sylvester_residual" in out and "FAIL" not in out
+    assert "steady_zero_pde" in out and "steady_chain_consistency" in out
+    # one 5 s trace shared by both steady-state checks, then the 20 s reproduction trace
+    assert [kw["t_final"] if "t_final" in kw else args[2] for args, kw in traces] == [5.0, 20.0]
 
 
 def test_check_catches_wrong_recurrence(fast_cfg, capsys):
@@ -199,6 +204,18 @@ def test_custom_factories_relative_degree_one(tmp_path, capsys):
     final = float(out.split("final_tracking_max = ")[1].splitlines()[0])
     assert final < 1e-2
     assert out_csv.exists()
+
+
+@pytest.mark.parametrize("box", [[1.0, 1.0], [2.0, 1.0]], ids=["zero_width", "inverted"])
+def test_bad_custom_sample_box_is_config_error(box, tmp_path, capsys):
+    path = _custom_config(tmp_path, t_final=3.0)
+    cfg = json.loads(path.read_text())
+    cfg["game"]["args"]["box"] = box
+    path.write_text(json.dumps(cfg))
+    assert main(["solve-ne", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "config error: game: sample_box" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_check_passes_on_custom_game_and_plant(tmp_path, capsys):

@@ -4,28 +4,18 @@ import numpy as np
 import pytest
 
 import nesim.game
-from factories import build_game
+from factories import build_game, wrap_custom
 from nesim.errors import NotStronglyMonotone, SingularMatrix
-from nesim.game import (CustomGame, QuadraticAggregativeGame, estimate_constants,
-                        extended_pseudo_gradient, partial_gradient, pseudo_gradient,
-                        solve_ne)
+from nesim.game import (CustomGame, QuadraticAggregativeGame, _central_partials,
+                        estimate_constants, extended_pseudo_gradient, partial_gradient,
+                        pseudo_gradient, solve_ne)
+from oracles import central_partials, reference_bounds, reference_constants
 
 
 def quad(h1, h2, h3):
     return QuadraticAggregativeGame(h1=np.array(h1, dtype=float),
                                     h2=np.array(h2, dtype=float),
                                     h3=np.array(h3, dtype=float))
-
-
-def wrap_custom(game: QuadraticAggregativeGame, box=None) -> CustomGame:
-    """The same quadratic costs exposed only through cost callables."""
-    def make(i):
-        def cost(yi, profile):
-            y = profile.copy()
-            y[i] = yi
-            return (yi - game.h1[i]) ** 2 + yi * (game.h2[i] * y.sum() + game.h3[i])
-        return cost
-    return CustomGame(costs=[make(i) for i in range(game.n)], sample_box=box)
 
 
 class TestPartialGradient:
@@ -85,6 +75,65 @@ class TestExtendedPseudoGradient:
         assert out[1] == pytest.approx(2 * 4 + (3 + 4) + 4)   # 19
 
 
+def smooth_costs(n: int, *, in_place: bool):
+    """Non-quadratic costs; ``in_place`` ones write into their profile argument."""
+    def make(i):
+        def cost(yi, profile):
+            y = profile if in_place else profile.copy()
+            y[i] = yi
+            value = yi ** 4 / 4.0 + yi * np.sin(y.sum()) + 0.5 * (yi - i) ** 2
+            if in_place:
+                profile *= -3.0  # scribble over the argument after use
+            return value
+        return cost
+    return [make(i) for i in range(n)]
+
+
+class TestCentralPartials:
+    @pytest.mark.parametrize("K", [1, 2, 50])
+    def test_matches_oracle_bit_for_bit(self, K):
+        blocks = np.random.default_rng(K).uniform(-3, 3, (K, 4, 4))
+        before = blocks.copy()
+        got = _central_partials(smooth_costs(4, in_place=False), blocks)
+        want = central_partials(smooth_costs(4, in_place=False), blocks)
+        assert got.shape == (K, 4)
+        assert got.tobytes() == want.tobytes()
+        assert blocks.tobytes() == before.tobytes()
+
+    def test_strided_blocks(self):
+        # the closed loop hands over (B, n, n) transposed views of its state
+        state = np.random.default_rng(3).uniform(-3, 3, (16, 5))
+        blocks = state.reshape(4, 4, 5).transpose(2, 0, 1)
+        costs = smooth_costs(4, in_place=False)
+        want = central_partials(costs, np.ascontiguousarray(blocks))
+        assert _central_partials(costs, blocks).tobytes() == want.tobytes()
+
+    def test_cost_that_writes_into_its_profile(self):
+        blocks = np.random.default_rng(4).uniform(-3, 3, (6, 3, 3))
+        before = blocks.copy()
+        writing = _central_partials(smooth_costs(3, in_place=True), blocks)
+        copying = _central_partials(smooth_costs(3, in_place=False), blocks)
+        assert writing.tobytes() == copying.tobytes()
+        assert blocks.tobytes() == before.tobytes()
+        game = CustomGame(costs=smooth_costs(3, in_place=True))
+        y, P = blocks[0, 0].copy(), blocks[1].copy()
+        want = central_partials(game.costs, np.tile(y, (1, 3, 1)))[0]
+        assert pseudo_gradient(game, y).tobytes() == want.tobytes()
+        assert partial_gradient(game, 1, y) == want[1]
+        assert (extended_pseudo_gradient(game, P).tobytes()
+                == central_partials(game.costs, P[None])[0].tobytes())
+        assert y.tobytes() == blocks[0, 0].tobytes() and P.tobytes() == blocks[1].tobytes()
+
+
+class TestCustomGameBox:
+    @pytest.mark.parametrize("box", [[[1.0, 1.0]] * 2, [[2.0, 1.0]] * 2,
+                                     [[0.0, np.inf]] * 2, [[np.nan, 1.0]] * 2],
+                             ids=["zero_width", "inverted", "infinite", "nan"])
+    def test_rejects_box_without_lo_below_hi(self, box):
+        with pytest.raises(ValueError, match="sample_box"):
+            CustomGame(costs=smooth_costs(2, in_place=False), sample_box=box)
+
+
 class TestEstimateConstants:
     def test_decoupled_exact(self):
         g = quad([1, 2, 3, 4], [0, 0, 0, 0], [0, 0, 0, 0])
@@ -114,6 +163,35 @@ class TestEstimateConstants:
         # 1.2 safety factor keeps the sampled Lipschitz constant above truth
         assert sampled.lipschitz >= exact.lipschitz * 0.95
         assert sampled.lipschitz <= exact.lipschitz * 1.3
+
+    def test_custom_constants_pinned(self):
+        c = estimate_constants(build_game([1.0, 2.0, 3.0], 0.5))
+        assert (c.strong_mono, c.lipschitz) == (2.0000000021017246, 4.7999884995383475)
+        assert type(c.strong_mono) is float and type(c.lipschitz) is float
+
+    @pytest.mark.parametrize("chunk_bytes", [None, 4096, 1], ids=["default", "small", "one"])
+    def test_narrow_box_matches_per_sample_reference(self, chunk_bytes, monkeypatch):
+        # a box 1e-8 wide: most samples take the |x - y|^2 < 1e-16 skip, and the
+        # extended map counts only where |Px - Py| > 1e-8
+        if chunk_bytes is not None:
+            monkeypatch.setattr(nesim.game, "SAMPLE_CHUNK_BYTES", chunk_bytes)
+        game = build_game([1.0, 2.0, 3.0], 0.5, box=(1.0, 1.0 + 1e-8))
+        lo, hi = game.sample_box.T
+        rng = np.random.default_rng(2)
+        skipped = wide = 0
+        for _ in range(400):  # the reference loop's stream, read for its branches
+            d = rng.uniform(lo, hi) - rng.uniform(lo, hi)
+            if d @ d < 1e-16:
+                skipped += 1
+                continue
+            dP = rng.uniform(lo, hi, (3, 3)) - rng.uniform(lo, hi, (3, 3))
+            wide += np.linalg.norm(dP) > 1e-8
+        assert 0 < skipped < 400 and 0 < wide < 400 - skipped
+        assert estimate_constants(game, n_samples=400, seed=2) == reference_constants(game, 400, 2)
+        # near y = 1000 the differences are rounding noise: the monotonicity bound is
+        # negative, and the extended samples left out would set the Lipschitz bound
+        noisy = build_game([1.0, 2.0, 3.0], 0.5, box=(1e3, 1e3 + 1e-8))
+        assert nesim.game._sampled_constants(noisy, 400, 2) == reference_bounds(noisy, 400, 2)
 
 
 class TestSolveNe:

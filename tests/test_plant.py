@@ -204,6 +204,9 @@ class TestSteadyStateChain:
             cons = max(cons, float(np.abs(num - (steady.u_star(vs[k]) + drift)).max()))
         assert check_steady_zero_pde(model, self.exo(), w, p_star, v0, t_final=0.5) == pde
         assert check_steady_chain_consistency(steady, v0, t_final=0.5) == cons
+        # the same trace handed in instead of integrated again
+        assert check_steady_zero_pde(model, self.exo(), w, p_star, v0, t_final=0.5, vs=vs) == pde
+        assert check_steady_chain_consistency(steady, v0, t_final=0.5, vs=vs) == cons
 
     @staticmethod
     def assert_stack_matches_samples(steady, levels, vs):
