@@ -23,7 +23,7 @@ from .controller import ControllerGains, escalate_gains
 from .errors import NesimError
 from .game import pseudo_gradient, partial_gradient
 from .generator import min_gamma2
-from .internal_model import sylvester_residual, verify_reproduction, default_stabilizer
+from .internal_model import sylvester_residual, verify_reproduction
 from .plant import check_steady_chain_consistency, check_steady_zero_pde, exo_trajectory
 from .simulation import assemble, format_summary, metrics, run, write_csv
 
@@ -54,15 +54,8 @@ def _resolve_config(path_arg: str) -> Path:
 
 def _load(args) -> tuple:
     scenario, norm = cfg.load_scenario(_resolve_config(args.config))
-    overrides = {}
-    if getattr(args, "t_final", None) is not None:
-        overrides["t_final"] = args.t_final
-    if getattr(args, "dt", None) is not None:
-        overrides["dt"] = args.dt
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "decimate", None) is not None:
-        overrides["decimate"] = args.decimate
+    overrides = {key: getattr(args, key) for key in ("t_final", "dt", "seed", "decimate")
+                 if getattr(args, key, None) is not None}
     try:
         return dataclasses.replace(scenario, **overrides), norm
     except ValueError as exc:
@@ -78,8 +71,7 @@ def _resolve_gains(scenario, quiet: bool = False):
     if scenario.controller_k is not None:
         return ControllerGains(scenario.controller_k), scenario.gains.gamma1, None
     start = ControllerGains.uniform(scenario.n, scenario.plant.r)
-    result = escalate_gains(scenario, start, factor=scenario.escalation.factor,
-                            max_rounds=scenario.escalation.max_rounds)
+    result = escalate_gains(scenario, start)
     if not quiet:
         print(f"gain escalation: passed at round {result.rounds} "
               f"(multiplier {result.multiplier:g}, box radius R={scenario.R:g})")
@@ -170,16 +162,16 @@ def cmd_check(args) -> int:
     n = scenario.n
     synthesis = scenario.synthesized()
     constants, p_star, bank = synthesis.constants, synthesis.p_star, synthesis.bank
-    # analytic vs finite-difference gradients
+    # gradients against a five-point, fourth-order difference of the cost, at a step
+    # far from the central difference a custom game's gradient uses
     worst = 0.0
     for _ in range(50):
         profile = rng.uniform(-5, 5, size=n)
         i = int(rng.integers(n))
-        step = 1e-6 * (1.0 + abs(profile[i]))
-        up, dn = profile.copy(), profile.copy()
-        up[i] += step
-        dn[i] -= step
-        fd = (game.cost(i, up) - game.cost(i, dn)) / (2 * step)
+        step = 1e-3 * (1.0 + abs(profile[i]))
+        shifted = profile + np.outer([1.0, -1.0, 2.0, -2.0], step * np.eye(n)[i])
+        up1, dn1, up2, dn2 = (game.cost(i, row) for row in shifted)
+        fd = (8.0 * (up1 - dn1) - (up2 - dn2)) / (12.0 * step)
         ana = partial_gradient(game, i, profile)
         worst = max(worst, abs(fd - ana) / (1.0 + abs(ana)))
     add("gradient_fd_agreement", worst < 1e-5, f"max rel dev {worst:.2e} (tol 1e-5)")
@@ -207,12 +199,11 @@ def cmd_check(args) -> int:
     loop = assemble(scenario)
     v0 = np.random.default_rng(scenario.seed + 1).uniform(
         scenario.exo.v0_box[:, 0], scenario.exo.v0_box[:, 1])
-    _, exo_vs = exo_trajectory(scenario.exo, v0, t_final=5.0, h=1e-3)  # shared by both checks
-    pde = check_steady_zero_pde(scenario.plant, scenario.exo, loop.w,
-                                s_values=p_star, v0=v0, h=1e-3, vs=exo_vs)
+    exo_ts, exo_vs = exo_trajectory(scenario.exo, v0, t_final=5.0, h=1e-3)  # for both checks
+    pde = check_steady_zero_pde(scenario.plant, loop.w, p_star, exo_ts, exo_vs)
     add("steady_zero_pde", pde <= 1e-6, f"max residual {pde:.2e} (tol 1e-6)")
 
-    cons = check_steady_chain_consistency(loop.steady, v0, h=1e-3, vs=exo_vs)
+    cons = check_steady_chain_consistency(loop.steady, exo_ts, exo_vs)
     add("steady_chain_consistency", cons <= 1e-6, f"max mismatch {cons:.2e} (tol 1e-6)")
 
     # internal-model reproduction per level, every agent in one batched run; the
@@ -221,11 +212,7 @@ def cmd_check(args) -> int:
     ts, vs = exo_trajectory(scenario.exo, v0, t_final=20.0, h=2e-3)
     tols = {0: 1e-5}
     for s, level in enumerate(bank.levels):
-        stabs = ([default_stabilizer(level.order, preset=scenario.im_preset)] * n
-                 if scenario.im_stabilizers is None
-                 else [scenario.im_stabilizers[i][s] for i in range(n)])
-        worst = float(verify_reproduction(level.companion, stabs, level.Psi, ts,
-                                          loop.steady.x_star(s + 2, vs)).max())
+        worst = float(verify_reproduction(level, ts, loop.steady.x_star(s + 2, vs)).max())
         tol = tols.get(s, 1e-3)
         add(f"im_reproduction_level{s + 1}", worst <= tol,
             f"max error {worst:.2e} (tol {tol:g})")
@@ -233,7 +220,7 @@ def cmd_check(args) -> int:
     gains, gamma1, traj_a = _resolve_gains(scenario, quiet=True)
     if traj_a is None:
         traj_a = run(scenario, gains=gains, gamma1=gamma1)
-    traj_b = run(scenario, gains=gains, gamma1=gamma1, dt=scenario.dt / 2.0)
+    traj_b = run(dataclasses.replace(scenario, dt=scenario.dt / 2.0), gains=gains, gamma1=gamma1)
     if traj_a.diverged or traj_b.diverged:
         add("step_halving", False, "closed loop diverged")
     else:

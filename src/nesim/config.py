@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .controller import ControllerGains
 from .errors import ConfigError, NesimError
 from .game import CustomGame, QuadraticAggregativeGame, estimate_constants
 from .generator import GeneratorGains
@@ -63,6 +64,14 @@ def _check_keys(path: str, section: dict, allowed: set):
     unknown = set(section) - allowed
     if unknown:
         _fail(path, f"unknown keys {sorted(unknown)} (allowed: {sorted(allowed)})")
+
+
+def _number(path: str, value, kind=float):
+    """``kind(value)``; a value it cannot convert is an error naming the field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        _fail(path, f"expected {'an integer' if kind is int else 'a number'}, got {value!r}")
 
 
 def _as_floats(path: str, value, length: int | None = None) -> list:
@@ -175,25 +184,25 @@ def normalize(raw: dict) -> dict:
         _fail("internal_model", "'preset' and 'explicit' are mutually exclusive")
 
     gains = out["gains"]
-    gains["gamma1"] = float(gains["gamma1"])
+    gains["gamma1"] = _number("gains.gamma1", gains["gamma1"])
     if gains["gamma2"] != "auto":
-        gains["gamma2"] = float(gains["gamma2"])
+        gains["gamma2"] = _number("gains.gamma2", gains["gamma2"])
 
     ctrl = out["controller"]
     if ctrl["k"] != "auto":
-        karr = np.array(ctrl["k"], dtype=float)
+        karr = np.array(_as_floats("controller.k", ctrl["k"]))
         if karr.ndim != 2:
             _fail("controller.k", "expected one gain row per agent (or 'auto')")
         ctrl["k"] = karr.tolist()
-    ctrl["escalation"]["factor"] = float(ctrl["escalation"]["factor"])
-    ctrl["escalation"]["max_rounds"] = int(ctrl["escalation"]["max_rounds"])
+    escalation = ctrl["escalation"]
+    escalation["factor"] = _number("controller.escalation.factor", escalation["factor"])
+    escalation["max_rounds"] = _number("controller.escalation.max_rounds",
+                                       escalation["max_rounds"], int)
 
     sim = out["sim"]
-    sim["t_final"] = float(sim["t_final"])
-    sim["dt"] = float(sim["dt"])
-    sim["seed"] = int(sim["seed"])
-    sim["R"] = float(sim["R"])
-    sim["decimate"] = int(sim["decimate"])
+    for key, kind in (("t_final", float), ("dt", float), ("seed", int), ("R", float),
+                      ("decimate", int)):
+        sim[key] = _number(f"sim.{key}", sim[key], kind)
     return out
 
 
@@ -297,8 +306,6 @@ def build_scenario(norm: dict) -> Scenario:
 
     gains_cfg = norm["gains"]
     auto2 = gains_cfg["gamma2"] == "auto"
-    gen_gains = GeneratorGains(gamma1=gains_cfg["gamma1"],
-                               gamma2=1.0 if auto2 else gains_cfg["gamma2"])
     p0 = None
     if "p0" in gains_cfg:
         p0 = np.array(gains_cfg["p0"], dtype=float)
@@ -311,12 +318,15 @@ def build_scenario(norm: dict) -> Scenario:
         raise ConfigError(f"controller.k: expected shape ({n}, {model.r})")
 
     sim = norm["sim"]
-    try:
+    try:  # the classes check their values and name them as in the scenario file
+        gen_gains = GeneratorGains(gamma1=gains_cfg["gamma1"],
+                                   gamma2=1.0 if auto2 else gains_cfg["gamma2"])
+        if k is not None:
+            ControllerGains(k)  # each run builds its own gains from k
         scenario = Scenario(
             game=game, graph=graph, plant=model, exo=exo, w_box=w_box,
             gains=gen_gains, gamma2_auto=auto2, controller_k=k,
-            escalation=EscalationSpec(factor=ctrl["escalation"]["factor"],
-                                      max_rounds=ctrl["escalation"]["max_rounds"]),
+            escalation=EscalationSpec(**ctrl["escalation"]),
             im_preset=im_cfg.get("preset"), im_stabilizers=stabilizers,
             t_final=sim["t_final"], dt=sim["dt"], seed=sim["seed"],
             R=sim["R"], decimate=sim["decimate"], p0=p0,

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .errors import EscalationExhausted
+from .errors import EscalationExhausted, require
 from .internal_model import InternalModelBank
 from .plant import PlantState, SteadyState
 
@@ -33,8 +33,7 @@ class ControllerGains:
 
     def __post_init__(self):
         k = np.atleast_2d(np.array(self.k, dtype=float))
-        if (k <= 0).any():
-            raise ValueError("all gains must be positive")
+        require("controller.k", k, ((0 < k) & (k < np.inf)).all(), "finite and > 0 everywhere")
         k.setflags(write=False)
         object.__setattr__(self, "k", k)
 
@@ -43,7 +42,8 @@ class ControllerGains:
         return cls(np.full((n_agents, r), float(value)))
 
     def scaled(self, factor: float) -> "ControllerGains":
-        return ControllerGains(self.k * factor)
+        with np.errstate(over="ignore"):  # an overflowing gain is rejected as not finite
+            return ControllerGains(self.k * factor)
 
     def cumulative(self) -> np.ndarray:
         """``out[:, s] = k_s * k_{s+1} * ... * k_r`` (coefficients of the law)."""
@@ -140,15 +140,15 @@ class EscalationResult:
     trajectory: Optional[ClosedLoopTrajectory] = None  # the passing run, if run_fn returned it
 
 
-def escalate_gains(scenario, initial: ControllerGains, factor: float = 2.0,
-                   max_rounds: int = 12, run_fn=None) -> EscalationResult:
+def escalate_gains(scenario, initial: ControllerGains, run_fn=None) -> EscalationResult:
     """Find stabilizing gains by geometric escalation.
 
     Runs the closed loop; a run passes when it stays finite, keeps the state
     norm below ``STATE_NORM_LIMIT``, and ends with every tracking error
     below ``TRACKING_TOL``. On failure every backstepping gain and the
-    generator's gradient gain are multiplied by ``factor`` and the scenario
-    is retried. This is the constructive substitute for the existence-only
+    generator's gradient gain are multiplied by ``scenario.escalation.factor``
+    and the scenario is retried, for at most ``scenario.escalation.max_rounds``
+    rounds. This is the constructive substitute for the existence-only
     gain argument: the returned gains are certified for the scenario's
     initial-condition box radius by the run itself, nothing more.
 
@@ -158,16 +158,19 @@ def escalate_gains(scenario, initial: ControllerGains, factor: float = 2.0,
     Raises
     ------
     EscalationExhausted
-        If no attempt passes within ``max_rounds``.
+        If no attempt passes within ``max_rounds``, or the gains overflow first.
     """
-    if factor <= 1:
-        raise ValueError("escalation factor must exceed 1")
+    factor, max_rounds = scenario.escalation.factor, scenario.escalation.max_rounds
     from .simulation import ClosedLoopTrajectory, closed_loop_passes  # lazy: simulation imports us
     if run_fn is None:
         run_fn = closed_loop_passes
     for attempt in range(max_rounds):
-        mult = factor ** attempt
-        candidate = initial.scaled(mult)
+        try:
+            mult = factor ** attempt
+            candidate = initial.scaled(mult)
+        except (OverflowError, ValueError):  # so would every later round's
+            raise EscalationExhausted(f"the gains overflow at round {attempt + 1} (factor "
+                                      f"{factor}, start {initial.k.max():.3g})") from None
         gamma1 = scenario.gains.gamma1 * mult
         outcome = run_fn(scenario, candidate, gamma1)
         if outcome:

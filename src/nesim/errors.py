@@ -5,6 +5,12 @@ the CLI can map exceptions to stable exit codes.
 """
 
 
+def require(name: str, value, ok: bool, rule: str) -> None:
+    """Reject a setting: ``ValueError("name: must be rule, got value")`` unless ``ok``."""
+    if not ok:
+        raise ValueError(f"{name}: must be {rule}, got {value}")
+
+
 class NesimError(Exception):
     """Base class for all package-specific errors."""
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Disconnected
+from .errors import Disconnected, require
 from .game import (GameSpec, GradientConstants, estimate_constants, extended_pseudo_gradient,
                    solve_ne)
 from .graph import CONNECTIVITY_EPS, CommGraph, lambda2, laplacian
@@ -29,8 +29,8 @@ class GeneratorGains:
     gamma2: float
 
     def __post_init__(self):
-        if self.gamma1 <= 0 or self.gamma2 <= 0:
-            raise ValueError("generator gains must be positive")
+        require("gains.gamma1", self.gamma1, 0 < self.gamma1 < np.inf, "finite and > 0")
+        require("gains.gamma2", self.gamma2, 0 < self.gamma2 < np.inf, "finite and > 0")
 
 
 @dataclass
@@ -51,11 +51,6 @@ class GeneratorState:
     @classmethod
     def zeros(cls, n: int) -> "GeneratorState":
         return cls(np.zeros((n, n)))
-
-    @property
-    def references(self) -> np.ndarray:
-        """The agents' actual strategies (diagonal of the estimate matrix)."""
-        return self.estimates.diagonal()
 
 
 def min_gamma2(constants: GradientConstants, g: CommGraph) -> float:

@@ -256,46 +256,40 @@ def _derivative_stack(values: np.ndarray, h: float, depth: int, at: int) -> np.n
     return out
 
 
-def verify_reproduction(companion: CompanionPair, stabilizer, psi: np.ndarray,
-                        ts: np.ndarray, values: np.ndarray):
-    """Worst reproduction error of sampled signals by the synthesized models.
+def verify_reproduction(level: LevelBank, ts: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Worst reproduction error of sampled signals by a level's synthesized models.
 
-    The generator state is initialized from the signal's finite-difference
-    derivative stack (central stencils, so the start index is a few samples
-    into the trace), propagated with the conjugated dynamics, and read out
-    through ``psi``. A signal whose modes match the companion's spectrum
-    reproduces to finite-difference accuracy; mismatched modes make the
-    error grow, which is the intended negative control.
-
-    ``values`` is one signal ``(K,)`` with one `StabilizerPair` and ``psi``
-    of shape ``(n,)``, giving a float; or a batch ``(K, B)`` with a sequence
-    of B pairs and ``psi`` of shape ``(B, n)``, giving a ``(B,)`` array. The
-    batch is integrated as one ``(n, B)`` state with one GEMV per column, so
-    columns never mix and each error is bit-identical to its call alone.
+    ``values`` is ``(K, N)``, one signal per agent of ``level``; returns the
+    ``(N,)`` errors. Each agent's compensator state is initialized from its
+    signal's finite-difference derivative stack (central stencils, so the
+    start index is a few samples into the trace), propagated with the
+    conjugated dynamics ``T Phi T^-1``, and read out through ``Psi``. A
+    signal whose modes match the companion's spectrum reproduces to
+    finite-difference accuracy; mismatched modes make the error grow, which
+    is the intended negative control. The agents are integrated as one
+    ``(n, N)`` state with one GEMV per column, so columns never mix.
     """
     ts = np.asarray(ts, dtype=float)
     values = np.asarray(values, dtype=float)
-    single = values.ndim == 1
-    if single:
-        values, stabilizer = values[:, None], [stabilizer]
-    n = companion.order
+    companion, n, agents = level.companion, level.order, len(level.T)
     if len(ts) < 2 * n + 2:
         raise ValueError("trace too short for the derivative stencils")
-    if len(stabilizer) != values.shape[1]:
-        raise ValueError(f"{values.shape[1]} signals need as many stabilizer pairs, "
-                         f"got {len(stabilizer)}")
+    if values.ndim != 2 or values.shape[1] != agents:
+        raise ValueError(f"need one signal per stabilizer pair ({agents}), got {values.shape}")
     h = float(ts[1] - ts[0])
     j0 = max(_FD_STENCILS[k][0][-1] for k in range(n))
     stack = _derivative_stack(values, h, n, j0)
     theta0 = np.empty_like(stack)
     # conjugated dynamics A = T Phi T^-1, from T^T A^T = (T Phi)^T; each A_b is stored
     # column-major, as the transposed solve returns it, which sets how its GEMV rounds
-    A3 = np.empty((len(stabilizer), n, n)).transpose(0, 2, 1)
-    for b, stab in enumerate(stabilizer):
-        T, _ = solve_sylvester(companion.Phi, companion.Gamma, stab.M, stab.N)
+    A3 = np.empty((agents, n, n)).transpose(0, 2, 1)
+    for b in range(agents):
+        # T in the column-major layout `solve_sylvester` returns it: the bank stores it
+        # row-major, and the products below round differently in that layout
+        T = np.asfortranarray(level.T[b])
         theta0[:, b] = T @ stack[:, b]
         A3[b] = lu_solve(T.T, (T @ companion.Phi).T).T
-    psi3 = np.asarray(psi, dtype=float).reshape(len(A3), 1, n)
+    psi3 = level.Psi.reshape(agents, 1, n)
 
     # read-outs psi_b . theta_b per sample; a sample past the last step keeps error 0
     reads = values[j0:].copy()
@@ -312,5 +306,4 @@ def verify_reproduction(companion: CompanionPair, stabilizer, psi: np.ndarray,
         return out
 
     integrate(OdeSystem(n, rhs), theta0, ts[j0], ts[-1], h, observer)
-    worst = np.abs(reads - values[j0:]).max(axis=0, initial=0.0)
-    return float(worst[0]) if single else worst
+    return np.abs(reads - values[j0:]).max(axis=0, initial=0.0)

@@ -261,9 +261,6 @@ class VPoly:
         f = np.asarray(factor, dtype=float)
         return VPoly(self.c0 * f, self.c1 * f[:, None], self.c2 * f[:, None, None])
 
-    def shifted(self, offset: np.ndarray) -> "VPoly":
-        return VPoly(self.c0 + np.asarray(offset, dtype=float), self.c1, self.c2)
-
     def plus(self, other: "VPoly") -> "VPoly":
         return VPoly(self.c0 + other.c0, self.c1 + other.c1, self.c2 + other.c2)
 
@@ -485,20 +482,17 @@ def check_origin_equilibrium(model: PlantModel, w_samples: Sequence[np.ndarray],
     return worst
 
 
-def check_steady_zero_pde(model: PlantModel, exo: Exosystem, w, s_values: np.ndarray,
-                          v0: np.ndarray, t_final: float = 5.0, h: float = 1e-3,
-                          vs: np.ndarray | None = None) -> float:
+def check_steady_zero_pde(model: PlantModel, w, s_values: np.ndarray, ts: np.ndarray,
+                          vs: np.ndarray) -> float:
     """Residual of the zero-dynamics steady-state map along a disturbance run.
 
     With the output argument frozen, the time derivative of the map along
     the exosystem flow (central differences in t) must equal the
     zero-dynamics drift evaluated on the map. Returns the worst residual.
-    ``vs`` is the run's states, ``exo_trajectory(exo, v0, t_final, h)[1]``,
-    when already integrated; otherwise it is integrated here.
+    ``ts, vs`` is the run as `exo_trajectory` returns it, on a uniform grid.
     """
     wv = w.w if isinstance(w, Uncertainty) else np.asarray(w, dtype=float)
-    if vs is None:
-        _, vs = exo_trajectory(exo, v0, t_final, h)
+    h = float(ts[1] - ts[0])
     s_values = np.asarray(s_values, dtype=float)
     zs = _per_row(lambda v: model.steady_zero(s_values, v, wv), vs)
     num = (zs[2:] - zs[:-2]) / (2.0 * h)
@@ -506,21 +500,19 @@ def check_steady_zero_pde(model: PlantModel, exo: Exosystem, w, s_values: np.nda
     return float(np.abs(num - ana).max(initial=0.0))
 
 
-def check_steady_chain_consistency(steady: SteadyState, v0: np.ndarray,
-                                   t_final: float = 5.0, h: float = 1e-3,
-                                   vs: np.ndarray | None = None) -> float:
+def check_steady_chain_consistency(steady: SteadyState, ts: np.ndarray,
+                                   vs: np.ndarray) -> float:
     """Time-consistency of the steady-state chain along a disturbance run.
 
     For each level ``s >= 2``, the finite-difference time derivative of the
     level-s signal must match ``x_star(s+1) + drift_s`` evaluated on the
     starred states. Returns the worst mismatch across levels and time.
-    ``vs`` is as in `check_steady_zero_pde`.
+    ``ts, vs`` is as in `check_steady_zero_pde`.
     """
     model = steady.model
     if model.r == 1:
         return 0.0  # no level s >= 2
-    if vs is None:
-        _, vs = exo_trajectory(steady.exo, v0, t_final, h)
+    h = float(ts[1] - ts[0])
     inner = vs[1:-1]
     zs = _per_row(steady.z_star, inner)
     levels = [steady.x_star(1, vs), steady.x_star(2, vs)]  # starred x_1 .. x_s, each (K, N)

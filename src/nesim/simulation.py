@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .controller import ControllerGains, TRACKING_TOL, STATE_NORM_LIMIT
-from .errors import ConfigError, NesimError, NonFiniteState
+from .errors import ConfigError, NesimError, NonFiniteState, require
 from .game import (GameSpec, GradientConstants, QuadraticAggregativeGame, _central_partials,
                    estimate_constants, solve_ne)
 from .generator import GeneratorGains, min_gamma2
@@ -41,8 +41,16 @@ DEFAULT_START_GAIN = 4.0
 
 @dataclass(frozen=True)
 class EscalationSpec:
+    """Gain search: after each failing round the gains are multiplied by ``factor``."""
+
     factor: float = 2.0
     max_rounds: int = 12
+
+    def __post_init__(self):
+        require("controller.escalation.factor", self.factor, 1 < self.factor < np.inf,
+                "finite and > 1")
+        require("controller.escalation.max_rounds", self.max_rounds, self.max_rounds >= 1,
+                "at least 1")
 
 
 @dataclass(frozen=True)
@@ -62,6 +70,9 @@ class Scenario:
 
     ``synthesis`` keeps the seed-independent results (`synthesized`);
     `dataclasses.replace` carries it unless it replaces a field it depends on.
+    The run settings ``t_final``, ``dt``, ``seed``, ``R`` and ``decimate`` are
+    checked here, and only here, named as in the scenario file (``sim.dt``): a
+    shorter or finer run is a `replace`.
     """
 
     game: GameSpec
@@ -84,12 +95,16 @@ class Scenario:
     synthesis: Optional[ScenarioSynthesis] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.t_final <= 0 or self.dt <= 0:
-            raise ValueError("t_final and dt must be positive")
-        if self.decimate < 1:
-            raise ValueError("decimate must be at least 1")
+        require("sim.t_final", self.t_final, 0 < self.t_final < np.inf, "finite and > 0")
+        require("sim.dt", self.dt, 0 < self.dt < np.inf, "finite and > 0")
+        require("sim.decimate", self.decimate, self.decimate >= 1, "at least 1")
+        require("sim.seed", self.seed, self.seed >= 0, ">= 0")
+        # R is the half-width of the initial box [-R, R], whose width must be finite
+        require("sim.R", self.R, 0 <= self.R <= np.finfo(float).max / 2,
+                "finite and >= 0, with a finite box width 2R")
+        object.__setattr__(self, "R", self.R + 0.0)  # -0.0 would give the box [0, -0]
         if not is_connected(self.graph):
-            raise ValueError("communication graph must be connected")
+            raise ValueError("graph: communication graph must be connected")
         kept = self.synthesis
         if kept is not None and any(a is not b for a, b in
                                     zip(kept.source, self._synthesis_source())):
@@ -286,7 +301,9 @@ def assemble(scenario: Scenario, gains: ControllerGains | None = None,
 
     layout = scenario.layout()
     J, plant_nl = drift_split(model, np.stack([w.w for w in draws]))
-    A3, c, U = _closed_loop_operator(scenario, layout, bank, gains, g1, gamma2, J, ablate)
+    # overflowing gains give a non-finite operator; the first RK4 step reports divergence
+    with np.errstate(over="ignore", invalid="ignore"):
+        A3, c, U = _closed_loop_operator(scenario, layout, bank, gains, g1, gamma2, J, ablate)
     c = c[:, None]
     rhs = _closed_loop_rhs(layout, A3, c, plant_nl, scenario.game, g1)
     return AssembledLoop(dimension=layout.dim, rhs=rhs, scenario=scenario, layout=layout,
@@ -443,15 +460,15 @@ class ClosedLoopTrajectory:
 
 def run(scenario: Scenario, gains: ControllerGains | None = None,
         gamma1: float | None = None, ablate: bool = False,
-        seed: int | Sequence[int] | None = None, t_final: Optional[float] = None,
-        dt: Optional[float] = None, decimate: Optional[int] = None,
-        init_mode: str = "box", abort_norm: Optional[float] = None):
+        seed: int | Sequence[int] | None = None, init_mode: str = "box",
+        abort_norm: Optional[float] = None):
     """Integrate the closed loop and derive the output-side signals from the kept states.
 
-    ``seed`` is one seed, giving one trajectory, or a sequence of seeds,
-    giving a list: the seeds are then stepped as one ``(dim, B)`` state, one
-    column per seed, and each trajectory is bit-identical to the run of its
-    seed alone. ``init_mode="box"`` draws plant and compensator initial
+    The horizon, step and decimation are the scenario's: for others, `replace`
+    them on the scenario, which keeps its synthesis. ``seed`` is one seed,
+    giving one trajectory, or a sequence of seeds, giving a list: the seeds
+    are then stepped as one ``(dim, B)`` state, one column per seed, and each
+    trajectory is bit-identical to the run of its seed alone. ``init_mode="box"`` draws plant and compensator initial
     states uniformly from the scenario's box (generator estimates start at
     the configured values, zero by default); ``"manifold"`` starts exactly on
     the regulated manifold with the generator at equilibrium. Divergence
@@ -461,15 +478,9 @@ def run(scenario: Scenario, gains: ControllerGains | None = None,
     """
     batch = seed is not None and not isinstance(seed, (int, np.integer))
     seeds = [int(s) for s in seed] if batch else [scenario.seed if seed is None else int(seed)]
-    t_end = scenario.t_final if t_final is None else float(t_final)
-    h = scenario.dt if dt is None else float(dt)
-    dec = scenario.decimate if decimate is None else int(decimate)
+    h, dec = scenario.dt, scenario.decimate
     if not seeds:
         raise ValueError("need at least one seed")
-    if not (t_end > 0 and h > 0):
-        raise ValueError("t_final and dt must be positive")
-    if dec < 1:
-        raise ValueError("decimate must be at least 1")
     if init_mode not in ("box", "manifold"):
         raise ValueError(f"unknown init_mode {init_mode!r}")
 
@@ -487,7 +498,7 @@ def run(scenario: Scenario, gains: ControllerGains | None = None,
             draws = rng.uniform(-scenario.R, scenario.R, size=lay.dim - lay.z.start)
             state[:, b] = np.concatenate([P0, v0, draws])
 
-    n_steps = int(round(t_end / h))
+    n_steps = int(round(scenario.t_final / h))
     # every kept state (step 0, each dec-th step and the last) of every column,
     # and its step index; a stopped column keeps the samples it has
     X = np.empty((_kept_samples(n_steps, dec), B, lay.dim))
@@ -541,20 +552,21 @@ def run(scenario: Scenario, gains: ControllerGains | None = None,
         else:
             stop(np.ones(live.size, dtype=bool))
 
-    trajs = []
-    for b, seed_b in enumerate(seeds):
-        # the signals own their data, so a kept trajectory does not pin the buffer
-        Xb, ksb = X[:samples[b], b], ks[:samples[b]]
-        # the distance first: its two (K, N*N) temporaries then meet fewer live signals
-        ne_dist = np.linalg.norm(Xb[:, lay.P] - np.tile(loop.p_star, n), axis=1)
-        y = Xb[:, lay.x.start:lay.x.start + n].copy()  # first chain level
-        p = Xb[:, lay.p_diag]
-        trajs.append(ClosedLoopTrajectory(
-            t=ksb * h, y=y, p=p, e=y - p, u=Xb @ loop.control_rows.T, ne_dist=ne_dist,
-            p_star=loop.p_star, v=Xb[:, lay.v].copy(), max_state_norm=float(max_norm[b]),
-            diverged=diverged_t[b] is not None, diverged_t=diverged_t[b],
-            aborted_norm=bool(aborted[b]), gamma1=loop.gamma1, gamma2=loop.gamma2,
-            gains_k=loop.gains.k, seed=seed_b))
+        # the signals of a diverged column may be as non-finite as its gains
+        trajs = []
+        for b, seed_b in enumerate(seeds):
+            # the signals own their data, so a kept trajectory does not pin the buffer
+            Xb, ksb = X[:samples[b], b], ks[:samples[b]]
+            # the distance first: its two (K, N*N) temporaries then meet fewer live signals
+            ne_dist = np.linalg.norm(Xb[:, lay.P] - np.tile(loop.p_star, n), axis=1)
+            y = Xb[:, lay.x.start:lay.x.start + n].copy()  # first chain level
+            p = Xb[:, lay.p_diag]
+            trajs.append(ClosedLoopTrajectory(
+                t=ksb * h, y=y, p=p, e=y - p, u=Xb @ loop.control_rows.T, ne_dist=ne_dist,
+                p_star=loop.p_star, v=Xb[:, lay.v].copy(), max_state_norm=float(max_norm[b]),
+                diverged=diverged_t[b] is not None, diverged_t=diverged_t[b],
+                aborted_norm=bool(aborted[b]), gamma1=loop.gamma1, gamma2=loop.gamma2,
+                gains_k=loop.gains.k, seed=seed_b))
     return trajs if batch else trajs[0]
 
 

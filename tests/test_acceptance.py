@@ -8,6 +8,7 @@ work each criterion pays for.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import numpy as np
@@ -41,9 +42,7 @@ def timings():
 @pytest.fixture(scope="module")
 def escalated(sec5, timings):
     t0 = time.perf_counter()
-    result = escalate_gains(sec5, ControllerGains.uniform(sec5.n, sec5.plant.r),
-                            factor=sec5.escalation.factor,
-                            max_rounds=sec5.escalation.max_rounds)
+    result = escalate_gains(sec5, ControllerGains.uniform(sec5.n, sec5.plant.r))
     timings["escalation"] = time.perf_counter() - t0
     return result
 
@@ -175,8 +174,8 @@ def test_criterion_6_numerical_hygiene(sec5, escalated, seeded_runs, tmp_path):
     ratio = global_error(0.02) / global_error(0.01)
 
     base = seeded_runs[1]
-    halved = run(sec5, gains=escalated.gains, gamma1=escalated.gamma1, seed=1,
-                 dt=sec5.dt / 2.0)
+    halved = run(dataclasses.replace(sec5, dt=sec5.dt / 2.0), gains=escalated.gains,
+                 gamma1=escalated.gamma1, seed=1)
     step_dev = float(np.abs(base.y[-1] - halved.y[-1]).max())
 
     rerun = run(sec5, gains=escalated.gains, gamma1=escalated.gamma1, seed=1)

@@ -17,14 +17,20 @@ from nesim.simulation import run, write_csv
 
 @pytest.fixture()
 def fast_cfg(sec5_norm, tmp_path):
-    """Bundled scenario with explicit stabilizing gains and a short horizon."""
+    """Bundled scenario with explicit stabilizing gains and a short horizon.
+
+    Each keyword names a value by its dotted path, such as ``sim.dt``.
+    """
     def make(**patch):
         cfg = json.loads(json.dumps(sec5_norm))
         cfg["controller"]["k"] = [[16.0, 16.0]] * 4
         cfg["sim"]["t_final"] = 2.0
         for dotted, value in patch.items():
-            section, key = dotted.split(".")
-            cfg[section][key] = value
+            *parents, key = dotted.split(".")
+            node = cfg
+            for name in parents:
+                node = node[name]
+            node[key] = value
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(cfg))
         return path
@@ -173,6 +179,38 @@ def test_bad_run_settings_are_config_errors(patch, argv, fast_cfg, tmp_path, cap
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("patch, argv, field", [
+    ({"gains.gamma1": 0}, [], "gains.gamma1"),
+    ({"gains.gamma2": -1}, [], "gains.gamma2"),
+    ({"controller.k": [[0.0, 16.0]] + [[16.0, 16.0]] * 3}, [], "controller.k"),
+    ({"controller.escalation.factor": 1.0}, [], "controller.escalation.factor"),
+    ({"controller.escalation.max_rounds": 0}, [], "controller.escalation.max_rounds"),
+    ({"sim.R": -1}, [], "sim.R"),
+    ({"sim.R": float("inf")}, [], "sim.R"),
+    ({"sim.seed": -3}, [], "sim.seed"),
+    ({}, ["--seed", "-1"], "sim.seed"),
+    ({}, ["--dt", "nan"], "sim.dt"),
+    ({}, ["--t-final", "nan"], "sim.t_final"),
+    ({}, ["--t-final", "inf"], "sim.t_final"),
+    ({"sim.dt": "fast"}, [], "sim.dt"),
+    ({"sim.seed": float("nan")}, [], "sim.seed"),
+    ({"sim.decimate": None}, [], "sim.decimate"),
+    ({"gains.gamma1": "x"}, [], "gains.gamma1"),
+    ({"controller.k": [["x", 16.0]] + [[16.0, 16.0]] * 3}, [], "controller.k"),
+], ids=["gamma1_zero", "gamma2_negative", "k_zero", "factor_one", "max_rounds_zero",
+        "R_negative", "R_inf", "seed_negative", "seed_flag_negative", "dt_flag_nan",
+        "t_final_flag_nan", "t_final_flag_inf", "dt_string", "seed_nan", "decimate_null",
+        "gamma1_string", "k_string"])
+def test_malformed_values_are_config_errors(patch, argv, field, fast_cfg, tmp_path, capsys):
+    out_csv = tmp_path / "bad.csv"
+    code = main(["simulate", "--config", str(fast_cfg(**patch)), "--out", str(out_csv), *argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert f"config error: {field}: " in captured.err
+    assert "Traceback" not in captured.err
+    assert not out_csv.exists()
+
+
 def test_missing_config_exit_code(capsys):
     assert main(["solve-ne", "--config", "/nonexistent/path.scenario"]) == 1
 
@@ -226,6 +264,9 @@ def test_check_passes_on_custom_game_and_plant(tmp_path, capsys):
                 and parts[1] in ("PASS", "FAIL")}
     assert "im_reproduction_level1" in statuses and "step_halving" in statuses
     assert set(statuses.values()) == {"PASS"}
+    # the finite-difference gradients are compared with an independent estimate
+    gradient = next(parts for parts in lines if parts and parts[0] == "gradient_fd_agreement")
+    assert gradient[5] != "0.00e+00"
 
 
 def _escalation_line(out: str) -> tuple[int, float]:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from nesim.errors import EscalationExhausted
 from nesim.internal_model import synthesize_bank
 from nesim.numerics import rk4_step
 from nesim.plant import PlantState
+from nesim.simulation import EscalationSpec
 
 
 @pytest.fixture(scope="module")
@@ -149,10 +152,15 @@ class TestEscalation:
             self.calls.append((gains.k.copy(), gamma1))
             return len(self.calls) >= self.pass_at
 
+    @staticmethod
+    def rounds(scenario, max_rounds):
+        """The scenario with escalation by doubling for at most ``max_rounds`` rounds."""
+        return dataclasses.replace(scenario, escalation=EscalationSpec(2.0, max_rounds))
+
     def test_passing_scenario_keeps_initial_gains(self, sec5):
         probe = self.Probe(pass_at=1)
         start = ControllerGains.uniform(4, 2, 4.0)
-        result = escalate_gains(sec5, start, factor=2.0, max_rounds=5, run_fn=probe)
+        result = escalate_gains(self.rounds(sec5, 5), start, run_fn=probe)
         assert result.rounds == 1 and result.multiplier == 1.0
         assert np.array_equal(result.gains.k, start.k)
         assert result.gamma1 == sec5.gains.gamma1
@@ -160,7 +168,7 @@ class TestEscalation:
     def test_single_doubling(self, sec5):
         probe = self.Probe(pass_at=2)
         start = ControllerGains.uniform(4, 2, 4.0)
-        result = escalate_gains(sec5, start, factor=2.0, max_rounds=5, run_fn=probe)
+        result = escalate_gains(self.rounds(sec5, 5), start, run_fn=probe)
         assert result.rounds == 2
         assert np.array_equal(result.gains.k, start.k * 2.0)
         assert result.gamma1 == sec5.gains.gamma1 * 2.0
@@ -168,10 +176,20 @@ class TestEscalation:
     def test_exhaustion(self, sec5):
         probe = self.Probe(pass_at=99)
         with pytest.raises(EscalationExhausted):
-            escalate_gains(sec5, ControllerGains.uniform(4, 2, 4.0),
-                           factor=2.0, max_rounds=3, run_fn=probe)
+            escalate_gains(self.rounds(sec5, 3), ControllerGains.uniform(4, 2, 4.0),
+                           run_fn=probe)
+        assert len(probe.calls) == 3
 
-    def test_factor_validation(self, sec5):
-        with pytest.raises(ValueError):
-            escalate_gains(sec5, ControllerGains.uniform(4, 2, 4.0), factor=1.0,
-                           max_rounds=2, run_fn=self.Probe(1))
+    def test_overflowing_gains_end_the_search(self, sec5):
+        # round 3's multiplier, 1e400, overflows; no later round could pass either
+        probe = self.Probe(pass_at=99)
+        scenario = dataclasses.replace(sec5, escalation=EscalationSpec(1e200, 12))
+        with pytest.raises(EscalationExhausted, match="overflow at round 3"):
+            escalate_gains(scenario, ControllerGains.uniform(4, 2, 4.0), run_fn=probe)
+        assert len(probe.calls) == 2
+
+    def test_factor_validation(self):
+        # the spec is checked once, where the scenario is built
+        for factor, max_rounds in [(1.0, 2), (np.nan, 2), (np.inf, 2), (2.0, 0)]:
+            with pytest.raises(ValueError):
+                EscalationSpec(factor=factor, max_rounds=max_rounds)

@@ -158,28 +158,30 @@ class TestImRhs:
 
 
 class TestVerifyReproduction:
+    COEFFS = [0.0, -1.0, 0.0]  # modes {0, +-1i}, sec5's first level
+
+    @staticmethod
+    def level(coeffs, stabs):
+        """The synthesized level of one recurrence, one agent per stabilizer pair."""
+        return synthesize_bank([coeffs], len(stabs), stabilizers=[[st] for st in stabs]).levels[0]
+
     def setup_level1(self):
-        comp = companion_from_coeffs([0.0, -1.0, 0.0])
-        stab = default_stabilizer(3, preset="sec5")
-        _, psi = solve_sylvester(comp.Phi, comp.Gamma, stab.M, stab.N)
-        return comp, stab, psi
+        return self.level(self.COEFFS, [default_stabilizer(3, preset="sec5")])
 
     def test_zero_signal(self):
-        comp, stab, psi = self.setup_level1()
         ts = np.arange(0, 1.0, 1e-3)
-        assert verify_reproduction(comp, stab, psi, ts, np.zeros_like(ts)) == 0.0
+        errs = verify_reproduction(self.setup_level1(), ts, np.zeros((len(ts), 1)))
+        assert errs.shape == (1,) and errs[0] == 0.0
 
     def test_matched_modes_reproduce(self):
-        comp, stab, psi = self.setup_level1()
         ts = np.arange(0, 20.0, 1e-3)
         signal = 0.8 + 0.5 * np.cos(ts) - 1.2 * np.sin(ts)
-        assert verify_reproduction(comp, stab, psi, ts, signal) < 1e-5
+        assert verify_reproduction(self.setup_level1(), ts, signal[:, None])[0] < 1e-5
 
     def test_mismatched_frequency_fails(self):
-        comp, stab, psi = self.setup_level1()
         ts = np.arange(0, 20.0, 1e-3)
         signal = np.sin(1.7 * ts)
-        assert verify_reproduction(comp, stab, psi, ts, signal) > 1e-2
+        assert verify_reproduction(self.setup_level1(), ts, signal[:, None])[0] > 1e-2
 
     @staticmethod
     def one_signal_loop(comp, stab, psi, ts, values):
@@ -206,33 +208,34 @@ class TestVerifyReproduction:
         ts, vs = exo_trajectory(sec5.exo, np.array([0.8, -0.4]), t_final=6.0, h=2e-3)
         for s, level in enumerate(bank.levels):
             signal = loop.steady.x_star(s + 2, vs)
-            stabs = [default_stabilizer(level.order, preset=sec5.im_preset)] * sec5.n
-            batch = verify_reproduction(level.companion, stabs, level.Psi, ts, signal)
+            batch = verify_reproduction(level, ts, signal)
             assert batch.shape == (sec5.n,)
             for i in range(sec5.n):
-                one = verify_reproduction(level.companion, stabs[i], level.Psi[i], ts,
-                                          signal[:, i])
-                assert batch[i] == one
-                assert one == self.one_signal_loop(level.companion, stabs[i], level.Psi[i], ts,
-                                                   signal[:, i])
+                stab = StabilizerPair(level.M[i], level.N[i])
+                one = verify_reproduction(self.level(level.companion.coeffs, [stab]), ts,
+                                          signal[:, i:i + 1])
+                assert batch[i] == one[0]
+                assert one[0] == self.one_signal_loop(level.companion, stab, level.Psi[i], ts,
+                                                      signal[:, i])
 
     def test_columns_of_a_batch_never_mix(self):
         # columns with different stabilizers, and so different conjugated dynamics
-        comp = companion_from_coeffs([0.0, -1.0, 0.0])
         stabs = [default_stabilizer(3, preset="sec5"), default_stabilizer(3),
                  default_stabilizer(3, preset="sec5")]
-        psi = np.array([solve_sylvester(comp.Phi, comp.Gamma, st.M, st.N)[1] for st in stabs])
         ts = np.arange(0, 10.0, 1e-3)
         matched = 0.8 + 0.5 * np.cos(ts) - 1.2 * np.sin(ts)
         signals = np.stack([matched, np.sin(1.7 * ts), -0.3 + np.sin(ts)], axis=1)
-        errs = verify_reproduction(comp, stabs, psi, ts, signals)
+        errs = verify_reproduction(self.level(self.COEFFS, stabs), ts, signals)
         assert errs[1] > 1e-2
         assert errs[0] < 1e-5 and errs[2] < 1e-5
         for b in range(3):
-            assert errs[b] == verify_reproduction(comp, stabs[b], psi[b], ts, signals[:, b])
+            one = verify_reproduction(self.level(self.COEFFS, stabs[b:b + 1]), ts,
+                                      signals[:, b:b + 1])
+            assert errs[b] == one[0]
 
     def test_batch_needs_one_stabilizer_per_signal(self):
-        comp, stab, psi = self.setup_level1()
+        level = self.level(self.COEFFS, [default_stabilizer(3, preset="sec5")] * 2)
         ts = np.arange(0, 1.0, 1e-3)
-        with pytest.raises(ValueError, match="stabilizer pairs"):
-            verify_reproduction(comp, [stab] * 2, np.tile(psi, (3, 1)), ts, np.zeros((len(ts), 3)))
+        for values in (np.zeros((len(ts), 3)), np.zeros(len(ts))):
+            with pytest.raises(ValueError, match="stabilizer pair"):
+                verify_reproduction(level, ts, values)

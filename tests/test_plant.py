@@ -152,14 +152,13 @@ class TestSteadyStateChain:
     def test_time_consistency_along_disturbance(self):
         model = demo_plant([[-1, 1, 0.5, 2, 0.3, 0.3]])
         steady = steady_state_chain(model, np.array([0.6]), self.exo(), zero_w(model))
-        worst = check_steady_chain_consistency(steady, v0=np.array([1.0, 0.2]))
-        assert worst < 1e-6
+        ts, vs = exo_trajectory(self.exo(), np.array([1.0, 0.2]), t_final=5.0, h=1e-3)
+        assert check_steady_chain_consistency(steady, ts, vs) < 1e-6
 
     def test_steady_zero_pde_residual(self):
         model = demo_plant([[-1, 1, 0.5, 2, 0.3, 0.3]])
-        worst = check_steady_zero_pde(model, self.exo(), zero_w(model),
-                                      s_values=np.array([0.6]), v0=np.array([1.0, 0.2]))
-        assert worst < 1e-6
+        ts, vs = exo_trajectory(self.exo(), np.array([1.0, 0.2]), t_final=5.0, h=1e-3)
+        assert check_steady_zero_pde(model, zero_w(model), np.array([0.6]), ts, vs) < 1e-6
 
     def test_plant_dynamics_invariant_on_steady_manifold(self):
         # feeding the starred signals through the raw dynamics must reproduce
@@ -191,7 +190,7 @@ class TestSteadyStateChain:
         w = np.random.default_rng(6).uniform(-0.05, 0.05, model.n_w)
         p_star, v0, h = np.array([0.6, -0.4]), np.array([1.0, 0.2]), 1e-3
         steady = steady_state_chain(model, p_star, self.exo(), w)
-        _, vs = exo_trajectory(self.exo(), v0, 0.5, h)
+        ts, vs = exo_trajectory(self.exo(), v0, 0.5, h)
         pde = cons = 0.0
         for k in range(1, len(vs) - 1):
             num = (model.steady_zero(p_star, vs[k + 1], w)
@@ -202,11 +201,8 @@ class TestSteadyStateChain:
             drift = model.f_levels[1](steady.z_star(vs[k]), stars, vs[k], w)
             num = (steady.x_star(2, vs[k + 1]) - steady.x_star(2, vs[k - 1])) / (2.0 * h)
             cons = max(cons, float(np.abs(num - (steady.u_star(vs[k]) + drift)).max()))
-        assert check_steady_zero_pde(model, self.exo(), w, p_star, v0, t_final=0.5) == pde
-        assert check_steady_chain_consistency(steady, v0, t_final=0.5) == cons
-        # the same trace handed in instead of integrated again
-        assert check_steady_zero_pde(model, self.exo(), w, p_star, v0, t_final=0.5, vs=vs) == pde
-        assert check_steady_chain_consistency(steady, v0, t_final=0.5, vs=vs) == cons
+        assert check_steady_zero_pde(model, w, p_star, ts, vs) == pde
+        assert check_steady_chain_consistency(steady, ts, vs) == cons
 
     @staticmethod
     def assert_stack_matches_samples(steady, levels, vs):

@@ -137,19 +137,19 @@ def test_disconnected_graph_rejected(sec5):
 
 
 def test_closed_loop_tracks_reference(sec5, stable_gains):
-    traj = run(sec5, gains=stable_gains, t_final=10.0)
+    traj = run(dataclasses.replace(sec5, t_final=10.0), gains=stable_gains)
     assert not traj.diverged
     assert np.abs(traj.e[-1]).max() < 1e-2
 
 
 def test_manifold_start_stays_on_manifold(sec5, stable_gains):
-    traj = run(sec5, gains=stable_gains, t_final=5.0, init_mode="manifold")
+    traj = run(dataclasses.replace(sec5, t_final=5.0), gains=stable_gains, init_mode="manifold")
     assert np.abs(traj.e).max() <= 1e-6
 
 
 def test_divergence_is_reported_not_raised(sec5):
     weak = ControllerGains.uniform(4, 2, 4.0)
-    traj = run(sec5, gains=weak, t_final=10.0)
+    traj = run(dataclasses.replace(sec5, t_final=10.0), gains=weak)
     assert traj.diverged
     assert traj.diverged_t is not None
     assert len(traj.t) >= 1  # partial trajectory retained for debugging
@@ -157,8 +157,15 @@ def test_divergence_is_reported_not_raised(sec5):
     assert {len(a) for a in signals} == {len(traj.t)}
 
 
+def test_overflowing_gains_diverge_quietly(sec5):
+    # the operator overflows to inf and NaN: a divergence at the first step, with no
+    # warning (the suite turns warnings into errors)
+    traj = run(dataclasses.replace(sec5, t_final=0.01), gains=ControllerGains.uniform(4, 2, 1e300))
+    assert traj.diverged and traj.diverged_t == sec5.dt and len(traj.t) == 1
+
+
 def test_recorded_signals_match_per_sample_oracle(sec5, stable_gains):
-    traj = run(sec5, gains=stable_gains, t_final=0.5, decimate=1)
+    traj = run(dataclasses.replace(sec5, t_final=0.5, decimate=1), gains=stable_gains)
     # the initial state as `run` draws it: uncertainty, disturbance, then the box
     rng = np.random.default_rng(sec5.seed)
     loop = assemble(sec5, gains=stable_gains, rng=rng)
@@ -232,30 +239,37 @@ def test_stopped_columns_match_single_seed_runs(abort_norm, sec5):
     if abort_norm is None:
         # diverged_t is the end of the first failing step: one step less stays finite
         t_fail = batch[0].diverged_t
-        assert not run(short, gains=weak, seed=1, t_final=t_fail - sec5.dt).diverged
-        assert run(short, gains=weak, seed=1, t_final=t_fail).diverged_t == t_fail
+        before = dataclasses.replace(short, t_final=t_fail - sec5.dt)
+        assert not run(before, gains=weak, seed=1).diverged
+        until = dataclasses.replace(short, t_final=t_fail)
+        assert run(until, gains=weak, seed=1).diverged_t == t_fail
     else:
         # the abort step is the first, and recorded, step whose state passes the limit
         for traj in stopped:
             assert traj.max_state_norm > abort_norm
-            before = run(short, gains=weak, seed=traj.seed, t_final=traj.t[-1] - sec5.dt,
-                         abort_norm=abort_norm)
+            before = run(dataclasses.replace(short, t_final=traj.t[-1] - sec5.dt), gains=weak,
+                         seed=traj.seed, abort_norm=abort_norm)
             assert not before.aborted_norm and before.max_state_norm <= abort_norm
 
 
 def test_batched_rerun_is_bit_identical(sec5, stable_gains):
-    first, again = (run(sec5, gains=stable_gains, seed=[4, 5], t_final=0.5) for _ in range(2))
+    short = dataclasses.replace(sec5, t_final=0.5)
+    first, again = (run(short, gains=stable_gains, seed=[4, 5]) for _ in range(2))
     for have, want in zip(again, first):
         assert_same_run(have, want)
 
 
-@pytest.mark.parametrize("kwargs", [dict(dt=0.0), dict(decimate=0), dict(seed=[]),
-                                    dict(t_final=-1.0)],
-                         ids=["dt_zero", "decimate_zero", "no_seeds", "t_final_negative"])
-def test_run_rejects_bad_arguments(kwargs, sec5, stable_gains):
-    settings = dict(t_final=0.01) | kwargs
+@pytest.mark.parametrize("settings, kwargs", [
+    (dict(dt=0.0), {}), (dict(decimate=0), {}), ({}, dict(seed=[])), (dict(t_final=-1.0), {}),
+    (dict(dt=np.nan), {}), (dict(dt=np.inf), {}), (dict(t_final=np.nan), {}),
+    (dict(t_final=np.inf), {}),
+], ids=["dt_zero", "decimate_zero", "no_seeds", "t_final_negative", "dt_nan", "dt_inf",
+        "t_final_nan", "t_final_inf"])
+def test_run_rejects_bad_arguments(settings, kwargs, sec5, stable_gains):
+    # the run settings are the scenario's, rejected by `Scenario` when replaced
     with pytest.raises(ValueError):
-        run(sec5, gains=stable_gains, **settings)
+        run(dataclasses.replace(sec5, **dict(t_final=0.01) | settings), gains=stable_gains,
+            **kwargs)
 
 
 @pytest.mark.parametrize("case", ["sec5", "custom"])
@@ -329,7 +343,7 @@ def test_zero_disturbance_decoupled_game_reaches_targets():
 
 
 def test_triangle_inequality_on_final_errors(sec5, stable_gains):
-    traj = run(sec5, gains=stable_gains, t_final=10.0)
+    traj = run(dataclasses.replace(sec5, t_final=10.0), gains=stable_gains)
     lhs = np.abs(traj.y[-1] - traj.p_star)
     rhs = np.abs(traj.e[-1]) + np.abs(traj.p[-1] - traj.p_star)
     assert np.all(lhs <= rhs + 1e-12)
@@ -337,14 +351,16 @@ def test_triangle_inequality_on_final_errors(sec5, stable_gains):
 
 def test_seed_determinism_bit_identical_csv(sec5, stable_gains, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(run(sec5, gains=stable_gains, t_final=2.0), a)
-    write_csv(run(sec5, gains=stable_gains, t_final=2.0), b)
+    short = dataclasses.replace(sec5, t_final=2.0)
+    write_csv(run(short, gains=stable_gains), a)
+    write_csv(run(short, gains=stable_gains), b)
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_step_halving_consistency_short(sec5, stable_gains):
-    a = run(sec5, gains=stable_gains, t_final=5.0)
-    b = run(sec5, gains=stable_gains, t_final=5.0, dt=sec5.dt / 2)
+    short = dataclasses.replace(sec5, t_final=5.0)
+    a = run(short, gains=stable_gains)
+    b = run(dataclasses.replace(short, dt=sec5.dt / 2), gains=stable_gains)
     assert np.abs(a.y[-1] - b.y[-1]).max() < 1e-6
 
 
@@ -375,13 +391,13 @@ class TestMetrics:
         assert m["ne_log_slope"] == pytest.approx(-2.0, abs=1e-6)
 
     def test_closed_loop_slope_negative(self, sec5, stable_gains):
-        traj = run(sec5, gains=stable_gains, t_final=10.0)
+        traj = run(dataclasses.replace(sec5, t_final=10.0), gains=stable_gains)
         assert metrics(traj)["ne_log_slope"] < 0
 
 
 def test_csv_schema(sec5, stable_gains, tmp_path):
     path = tmp_path / "traj.csv"
-    write_csv(run(sec5, gains=stable_gains, t_final=1.0), path)
+    write_csv(run(dataclasses.replace(sec5, t_final=1.0), gains=stable_gains), path)
     header = path.read_text().splitlines()[0].split(",")
     assert header[0] == "t" and header[-1] == "ne_dist"
     assert len(header) == 2 + 5 * 4
