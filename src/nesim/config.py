@@ -84,6 +84,21 @@ def _as_floats(path: str, value, length: int | None = None) -> list:
     return arr.tolist()
 
 
+def _finite_matrix(path: str, value, message: str) -> np.ndarray:
+    """``value`` as a finite 2-D float array; anything else fails with ``message``."""
+    arr = np.array(_as_floats(path, value))
+    if arr.ndim != 2 or not np.isfinite(arr).all():
+        _fail(path, f"{message}, with finite entries")
+    return arr
+
+
+def _finite_number(path: str, value) -> float:
+    number = _number(path, value)
+    if not np.isfinite(number):
+        _fail(path, f"expected a finite number, got {value!r}")
+    return number
+
+
 def normalize(raw: dict) -> dict:
     """Fill defaults and validate structure; returns a canonical dict.
 
@@ -132,14 +147,18 @@ def normalize(raw: dict) -> dict:
     graph = out["graph"]
     if "n" not in graph or "edges" not in graph:
         _fail("graph", "requires 'n' and 'edges'")
-    graph["n"] = int(graph["n"])
+    graph["n"] = _number("graph.n", graph["n"], int)
     graph.setdefault("default_weight", 1.0)
+    default_weight = _finite_number("graph.default_weight", graph["default_weight"])
+    if not isinstance(graph["edges"], (list, tuple)):
+        _fail("graph.edges", "expected a list of edges")
     edges = []
     for idx, edge in enumerate(graph["edges"]):
-        if len(edge) not in (2, 3):
-            _fail(f"graph.edges[{idx}]", "expected [i, j] or [i, j, weight]")
-        i, j = int(edge[0]), int(edge[1])
-        weight = float(edge[2]) if len(edge) == 3 else float(graph["default_weight"])
+        path = f"graph.edges[{idx}]"
+        if not isinstance(edge, (list, tuple)) or len(edge) not in (2, 3):
+            _fail(path, "expected [i, j] or [i, j, weight]")
+        i, j = (_number(path, end, int) for end in edge[:2])
+        weight = _finite_number(path, edge[2]) if len(edge) == 3 else default_weight
         edges.append([i, j, weight])
     graph["edges"] = edges
 
@@ -148,8 +167,8 @@ def normalize(raw: dict) -> dict:
     if pkind == "example_sec5":
         if "g" not in plant:
             _fail("plant.g", "required for the example_sec5 kind")
-        g = np.array(plant["g"], dtype=float)
-        if g.ndim != 2 or g.shape[1] != 6:
+        g = _finite_matrix("plant.g", plant["g"], "expected one row of 6 parameters per agent")
+        if g.shape[1] != 6:
             _fail("plant.g", "expected one row of 6 parameters per agent")
         plant["g"] = g.tolist()
     elif pkind == "custom":
@@ -161,8 +180,8 @@ def normalize(raw: dict) -> dict:
     for key in ("w_box", "v0_box"):
         if key not in plant:
             _fail(f"plant.{key}", "required")
-        box = np.array(plant[key], dtype=float)
-        if box.ndim != 2 or box.shape[1] != 2:
+        box = _finite_matrix(f"plant.{key}", plant[key], "expected a list of [lo, hi] pairs")
+        if box.shape[1] != 2:
             _fail(f"plant.{key}", "expected a list of [lo, hi] pairs")
         if (box[:, 0] > box[:, 1]).any():
             _fail(f"plant.{key}", "lower bound exceeds upper bound")
@@ -172,8 +191,8 @@ def normalize(raw: dict) -> dict:
                              for k, c in enumerate(plant["im_polys"])]
 
     exo = out["exosystem"]
-    S = np.array(exo["S"], dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+    S = _finite_matrix("exosystem.S", exo["S"], "expected a square matrix")
+    if S.shape[0] != S.shape[1]:
         _fail("exosystem.S", "expected a square matrix")
     exo["S"] = S.tolist()
 
@@ -184,6 +203,8 @@ def normalize(raw: dict) -> dict:
         _fail("internal_model", "'preset' and 'explicit' are mutually exclusive")
 
     gains = out["gains"]
+    if "p0" in gains:
+        gains["p0"] = _finite_matrix("gains.p0", gains["p0"], "expected one row per agent").tolist()
     gains["gamma1"] = _number("gains.gamma1", gains["gamma1"])
     if gains["gamma2"] != "auto":
         gains["gamma2"] = _number("gains.gamma2", gains["gamma2"])

@@ -107,8 +107,8 @@ class PlantModel:
     constant/linear/quadratic-in-v representations of those signals and
     unlocks machine-precision diagnostics. ``split``, when provided, returns
     the drift with a stack of draws ``w`` folded in as one linear map per
-    draw plus a nonlinear remainder (see `drift_split`); it must agree with
-    ``f0``/``f_levels``.
+    draw over the state and a few features of it (see `drift_split`); it
+    must agree with ``f0``/``f_levels``.
     """
 
     n_agents: int
@@ -120,7 +120,7 @@ class PlantModel:
     steady_zero: Callable
     im_polys: Sequence[np.ndarray]
     steady_poly: Callable | None = None
-    split: Callable | None = None  # optional: (B, n_w) draws -> (J, nl), see `drift_split`
+    split: Callable | None = None  # optional: (B, n_w) draws -> (J, features), see `drift_split`
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -163,22 +163,33 @@ def plant_rhs(model: PlantModel, state: PlantState, u: np.ndarray, v: np.ndarray
     return dz, dx
 
 
-def drift_split(model: PlantModel, w: np.ndarray) -> tuple[np.ndarray, Callable]:
-    """The plant drift for a stack of draws as ``J_b @ [zx, v] + nl(zx, v)``.
+@dataclass(frozen=True)
+class PlantFeatures:
+    """The features ``phi`` of the plant drift: ``count`` rows, written by ``fill``.
+
+    ``fill(zx, v, out)`` takes ``zx`` as ``(n_zx, B)`` and ``v`` as
+    ``(n_v, B)`` and overwrites ``out``, the ``(count, B)`` feature rows;
+    column ``b`` reads only column ``b`` (and draw ``b``).
+    """
+
+    count: int
+    fill: Callable
+
+
+def drift_split(model: PlantModel, w: np.ndarray) -> tuple[np.ndarray, PlantFeatures]:
+    """The plant drift for a stack of draws as ``J_b @ [zx, v, phi(zx, v)]``.
 
     ``w`` is ``(B, n_w)``, one draw per row; the batch is the trailing axis
     of the states. The drift is the stack of ``f0`` and ``f_levels`` (the
     chain shifts and the input are not part of it) over the flat state
-    ``zx = [z, x]`` (``z`` agent-major, ``x`` level-major). ``J`` is
-    ``(B, n_zx, n_zx + v_cols)``: per draw, one row and one column per
-    ``zx`` entry, followed by one column per leading disturbance coordinate
-    the drift reads. ``nl(zx, v, out)`` takes ``zx`` as ``(n_zx, B)`` and
-    ``v`` as ``(n_v, B)`` and adds the remainder to ``out``, the
-    ``(n_zx, B)`` plant rows of the derivative, in place (rows without a
-    remainder can be left alone); column ``b`` depends only on column ``b``
-    and draw ``b``. Models with a ``split`` hook supply both; any other
-    model gets ``J = 0`` and ``nl`` evaluates its callables column by column
-    with the column's draw.
+    ``zx = [z, x]`` (``z`` agent-major, ``x`` level-major). It is linear in
+    ``zx``, the leading ``v_cols`` disturbance coordinates and the features
+    ``phi`` (see `PlantFeatures`), so ``J`` is ``(B, n_zx, n_zx + v_cols +
+    count)``: per draw, one row per ``zx`` entry and the coefficients of
+    ``zx``, of those disturbance coordinates and of the features, in that
+    order. Models with a ``split`` hook supply both. Any other model gets
+    ``f0``/``f_levels`` themselves as features, evaluated column by column
+    with the column's draw, against an identity block of ``J``.
     """
     W = np.asarray(w, dtype=float)
     if W.ndim != 2:
@@ -191,15 +202,17 @@ def drift_split(model: PlantModel, w: np.ndarray) -> tuple[np.ndarray, Callable]
 
     dim = n * n_z + r * n
 
-    def nl(zx, v, out):
+    def fill(zx, v, out):
         Z = zx[:n * n_z].reshape(n, n_z, -1).transpose(2, 0, 1)  # (B, n, n_z) views
         X = zx[n * n_z:].reshape(r, n, -1).transpose(2, 0, 1)    # (B, r, n)
         for col, z, x, vc, wv in zip(out.T, Z, X, v.T, W):
-            col[:n * n_z] += np.ravel(f0(z, x[0], vc, wv))
+            col[:n * n_z] = np.ravel(f0(z, x[0], vc, wv))
             for s in range(r):
-                col[n * n_z + s * n:n * n_z + (s + 1) * n] += f_levels[s](z, x[:s + 1], vc, wv)
+                col[n * n_z + s * n:n * n_z + (s + 1) * n] = f_levels[s](z, x[:s + 1], vc, wv)
 
-    return np.zeros((len(W), dim, dim)), nl
+    J = np.zeros((len(W), dim, 2 * dim))
+    J[:, np.arange(dim), dim + np.arange(dim)] = 1.0
+    return J, PlantFeatures(dim, fill)
 
 
 # ---------------------------------------------------------------------------
@@ -411,24 +424,30 @@ def example_plant(g: np.ndarray, n_agents: int | None = None) -> PlantModel:
         ge = geff(w)
         return ge[:, 4] * z[:, 0] ** 2 * xs[0] + ge[:, 5] * xs[0] * xs[1]
 
+    def fill(zx, v, out):
+        # phi = [z x1, z (z x1), x2 x1], one block of N rows each, whatever the draw
+        zc, x1, x2 = zx[:n], zx[n:2 * n], zx[2 * n:]
+        zx1 = out[:n]
+        np.multiply(zc, x1, zx1)
+        np.multiply(zc, zx1, out[n:2 * n])
+        np.multiply(x2, x1, out[2 * n:])
+
+    features = PlantFeatures(3 * n, fill)
+
     def split(w):
-        # per draw, columns: z (N), x1 (N), x2 (N), v1, v2; rows: zdot, x1dot, x2dot
-        ge = g + np.asarray(w, dtype=float).reshape(-1, n, 6)
-        g1, g2, g3, g4, g5, g6 = ge.transpose(2, 1, 0).copy()  # each (N, B)
-        J = np.zeros((len(ge), 3 * n, 3 * n + 2))
+        # per draw, columns: z, x1, x2, v1, v2, then phi; rows: zdot, x1dot, x2dot (N each)
+        ge = g + np.asarray(w, dtype=float).reshape(-1, n, 6)  # (B, N, 6)
+        J = np.zeros((len(ge), 3 * n, 6 * n + 2))
         agents = np.arange(n)
-        J[:, agents, agents] = g1.T
+        phi = 3 * n + 2 + agents
+        J[:, agents, agents] = ge[:, :, 0]
         J[:, agents, n + agents] = 1.0
-        J[:, agents, 3 * n] = g2.T
-        J[:, n + agents, 3 * n + 1] = g4.T
-
-        def nl(zx, v, out):
-            # the zdot rows are linear, so only the x rows get a remainder
-            zc, x1, x2 = zx[:n], zx[n:2 * n], zx[2 * n:]
-            out[n:2 * n] += g3 * zc * x1
-            out[2 * n:] += (g5 * zc * zc + g6 * x2) * x1
-
-        return J, nl
+        J[:, agents, 3 * n] = ge[:, :, 1]
+        J[:, n + agents, 3 * n + 1] = ge[:, :, 3]
+        J[:, n + agents, phi] = ge[:, :, 2]
+        J[:, 2 * n + agents, phi + n] = ge[:, :, 4]
+        J[:, 2 * n + agents, phi + 2 * n] = ge[:, :, 5]
+        return J, features
 
     def steady_zero(s, v, w):
         ge = geff(w)

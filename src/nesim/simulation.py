@@ -6,10 +6,11 @@ fixed-step integrator advances it. The information structure stays
 distributed (each block's derivative reads only its own and neighbor data),
 but integrating centrally keeps the numerics exact to the method order and
 the output deterministic. Everything except the plant drift and a custom
-game's gradient is affine, so `assemble` builds the derivative once as
-``A x + c`` plus the plant drift's nonlinear remainder (and that gradient).
+game's gradient is affine, and those two are linear in a few features of the
+state, so the closed loop is linear in the lifted state ``[x; 1; phi(x)]``:
+`assemble` builds that operator once and each derivative is one GEMV over it.
 Seeds integrated together are the columns of one ``(dim, B)`` state: only
-the plant rows of ``A`` and the remainder depend on the seed's draw.
+the plant rows of the operator depend on the seed's draw.
 
 State layout (level-major): ``[estimates (N*N) | v (n_v) | z (N*n_z) |
 chain x (r*N) | compensators eta_1 (N*n_1) .. eta_r (N*n_r)]``. Seeded draws
@@ -32,8 +33,8 @@ from .generator import GeneratorGains, min_gamma2
 from .graph import CommGraph, is_connected, laplacian
 from .internal_model import InternalModelBank, synthesize_bank
 from .numerics import OdeSystem, rk4_step
-from .plant import (Exosystem, PlantModel, SteadyState, Uncertainty, drift_split,
-                    sample_uncertainty, steady_state_chain)
+from .plant import (Exosystem, PlantFeatures, PlantModel, SteadyState, Uncertainty,
+                    drift_split, sample_uncertainty, steady_state_chain)
 
 AUTO_GAMMA2_MARGIN = 1.25
 DEFAULT_START_GAIN = 4.0
@@ -97,6 +98,8 @@ class Scenario:
     def __post_init__(self):
         require("sim.t_final", self.t_final, 0 < self.t_final < np.inf, "finite and > 0")
         require("sim.dt", self.dt, 0 < self.dt < np.inf, "finite and > 0")
+        require("sim.t_final", self.t_final, self.t_final / self.dt < np.inf,
+                "a finite number of sim.dt steps")
         require("sim.decimate", self.decimate, self.decimate >= 1, "at least 1")
         require("sim.seed", self.seed, self.seed >= 0, ">= 0")
         # R is the half-width of the initial box [-R, R], whose width must be finite
@@ -189,8 +192,8 @@ class AssembledLoop(OdeSystem):
 
     The batch is the trailing axis: ``rhs`` takes a ``(dim, B)`` state, one
     column per draw in ``draws``, and a loop with one draw also takes a flat
-    ``(dim,)`` state. Columns never mix. Only ``operator`` (one ``A`` per
-    column), ``draws`` and ``steadies`` differ between columns.
+    ``(dim,)`` state. Columns never mix. Only ``operator`` (one per column),
+    ``draws`` and ``steadies`` differ between columns.
     """
 
     scenario: Scenario = None
@@ -204,8 +207,7 @@ class AssembledLoop(OdeSystem):
     steadies: tuple = ()     # one SteadyState per column
     ablate: bool = False
     control_rows: np.ndarray = None  # U, (N, dim): the control law as u = U @ state
-    operator: np.ndarray = None      # (B, dim, dim): A of each column
-    offset: np.ndarray = None        # (dim, 1): c, shared by every column
+    operator: np.ndarray = None      # (B, dim, width): each column's map of [x; 1; phi(x)]
 
     @property
     def w(self) -> Uncertainty:
@@ -224,10 +226,9 @@ class AssembledLoop(OdeSystem):
         idx = np.flatnonzero(keep)
         draws = tuple(self.draws[i] for i in idx)
         A3 = self.operator[idx]
-        _, plant_nl = drift_split(self.scenario.plant, np.stack([d.w for d in draws]))
+        _, features = drift_split(self.scenario.plant, np.stack([d.w for d in draws]))
         return replace(
-            self, rhs=_closed_loop_rhs(self.layout, A3, self.offset, plant_nl,
-                                       self.scenario.game, self.gamma1),
+            self, rhs=_closed_loop_rhs(self.layout, A3, features, self.scenario.game),
             draws=draws, steadies=tuple(self.steadies[i] for i in idx), operator=A3)
 
     def unpack(self, state: np.ndarray):
@@ -300,92 +301,116 @@ def assemble(scenario: Scenario, gains: ControllerGains | None = None,
     g1 = float(gamma1 if gamma1 is not None else scenario.gains.gamma1)
 
     layout = scenario.layout()
-    J, plant_nl = drift_split(model, np.stack([w.w for w in draws]))
+    J, features = drift_split(model, np.stack([w.w for w in draws]))
     # overflowing gains give a non-finite operator; the first RK4 step reports divergence
     with np.errstate(over="ignore", invalid="ignore"):
-        A3, c, U = _closed_loop_operator(scenario, layout, bank, gains, g1, gamma2, J, ablate)
-    c = c[:, None]
-    rhs = _closed_loop_rhs(layout, A3, c, plant_nl, scenario.game, g1)
+        A3, U = _closed_loop_operator(scenario, layout, bank, gains, g1, gamma2, J, features,
+                                      ablate)
+    rhs = _closed_loop_rhs(layout, A3, features, scenario.game)
     return AssembledLoop(dimension=layout.dim, rhs=rhs, scenario=scenario, layout=layout,
                          bank=bank, gains=gains, gamma1=g1, gamma2=gamma2, p_star=p_star,
                          draws=draws, steadies=steadies, ablate=ablate, control_rows=U,
-                         operator=A3, offset=c)
+                         operator=A3)
 
 
-def _closed_loop_rhs(layout: StateLayout, A3: np.ndarray, c: np.ndarray, plant_nl,
-                     game: GameSpec, g1: float):
-    """``A_b x_b + c + nl(x_b)`` for each column ``b`` of a ``(dim, B)`` state.
+def _closed_loop_rhs(layout: StateLayout, A3: np.ndarray, features: PlantFeatures,
+                     game: GameSpec):
+    """``A_b [x_b; 1; phi(x_b)]`` for each column ``b`` of a ``(dim, B)`` state.
 
-    Each column gets its own GEMV (one ``A.dot`` for one column, a stacked
-    ``matmul`` otherwise), never one GEMM over the batch, whose rounding
-    would depend on ``B``: every column is bit-identical to its one-column
-    run. A flat state is reshaped to one column explicitly.
+    ``A3`` is the lifted operator of `_closed_loop_operator`. The features
+    ``phi`` are the plant's (see `drift_split`) and, for a custom game, each
+    agent's finite-difference partial on its own estimate row. Each call
+    lifts the state into a buffer of its own, so the derivative is
+    reentrant. Each column gets its own GEMV (one ``A.dot`` for one column,
+    a stacked ``matmul`` otherwise), never one GEMM over the batch, whose
+    rounding would depend on ``B``: every column is bit-identical to its
+    one-column run. A flat state is reshaped to one column explicitly.
     """
-    n = layout.n_agents
+    n, dim, width = layout.n_agents, layout.dim, A3.shape[2]
     P, v, zx = layout.P, layout.v, layout.zx
-    diag = slice(P.start, P.stop, n + 1)  # the rows `layout.p_diag`, as a view
+    plant_fill, phi = features.fill, slice(dim + 1, dim + 1 + features.count)
+    if isinstance(game, QuadraticAggregativeGame):
+        def fill(state, lifted):  # its extended gradient is affine, already in the operator
+            plant_fill(state[zx], state[v], lifted[phi])
+    else:
+        def fill(state, lifted):
+            plant_fill(state[zx], state[v], lifted[phi])
+            blocks = state[P].reshape(n, n, -1).transpose(2, 0, 1)  # one (n, n) per column
+            lifted[phi.stop:] = _central_partials(game.costs, blocks).T
     if len(A3) == 1:
         product = A3[0].dot
     else:
-        def product(state):
-            out = np.empty_like(state)
-            np.matmul(A3, state.T[..., None], out=out.T[..., None])
+        def product(lifted):
+            out = np.empty((dim, lifted.shape[1]))
+            np.matmul(A3, lifted.T[..., None], out=out.T[..., None])
             return out
-    # the quadratic game's extended gradient is affine and already in A and c
-    game_nl = None
-    if not isinstance(game, QuadraticAggregativeGame):
-        def game_nl(Ps):  # one (n, n) block of estimates per column
-            return _central_partials(game.costs, Ps.reshape(n, n, -1).transpose(2, 0, 1)).T
+
+    blank = np.zeros((width, len(A3)))
+    blank[dim] = 1.0  # the constant entry; every other row is overwritten
 
     def rhs(t: float, state: np.ndarray) -> np.ndarray:
         if state.ndim == 1:
             return rhs(t, state[:, None])[:, 0]
-        out = product(state)
-        out += c
-        plant_nl(state[zx], state[v], out[zx])  # adds into the view, in place
-        if game_nl is not None:
-            estimate_rows = out[diag]
-            estimate_rows -= g1 * game_nl(state[P])
-        return out
+        lifted = blank.copy()
+        lifted[:dim] = state
+        fill(state, lifted)
+        return product(lifted)
 
     return rhs
 
 
 def _closed_loop_operator(scenario: Scenario, layout: StateLayout, bank: InternalModelBank,
                           gains: ControllerGains, gamma1: float, gamma2: float,
-                          J: np.ndarray, ablate: bool):
-    """Affine part ``A_b x + c`` of the closed loop and the control rows ``U``.
+                          J: np.ndarray, features: PlantFeatures, ablate: bool):
+    """The closed loop as a linear map of the lifted state, and the control rows ``U``.
 
-    ``A`` is ``(B, dim, dim)``, one operator per draw of the stacked drift
-    split ``J``; they differ only in the plant rows, so the other rows are
-    built once and copied per draw. ``c`` and ``U`` are shared.
+    The lifted state is ``[x; 1; phi]``: the state, a one and the features,
+    those of the plant (``features``, see `drift_split`) and, for a custom
+    game, one finite-difference partial per agent. The operator is ``(B, dim,
+    dim + 1 + count [+ N])``, one per draw of the stacked drift split ``J``;
+    they differ only in the plant rows, so the other rows are built once and
+    copied per draw. ``U`` is shared.
 
     Each block is written from its own parameters: the generator's
-    consensus ``-gamma1 gamma2 (L kron I)`` plus, for the quadratic game,
-    its affine extended gradient on the diagonal entries; the exosystem
-    ``S``; the plant drift's linear part ``J`` (see `drift_split`) and the
-    chain shifts ``x_{s+1} -> dx_s``; the control law ``u = U x``; and the
+    consensus ``-gamma1 gamma2 (L kron I)`` plus the extended gradient on
+    the diagonal entries (for the quadratic game its affine form, with its
+    constant in the column of the one; for a custom game ``-gamma1`` on the
+    partials); the exosystem ``S``; the plant drift ``J`` and the chain
+    shifts ``x_{s+1} -> dx_s``; the control law ``u = U x``; and the
     compensators ``M eta + N drive``, where level ``s`` is driven by
     ``x_{s+1}`` and the top level by ``u``. ``ablate`` drops the read-outs
-    from ``U``. The remaining closed-loop terms are the plant drift's
-    nonlinear remainder on the ``(z, x)`` rows and, for a custom game, the
-    extended gradient on the diagonal estimate rows.
+    from ``U``.
     """
     n, r, dim = layout.n_agents, layout.r, layout.dim
     P, v, zx, p_diag = layout.P, layout.v, layout.zx, layout.p_diag
     xa, ea = layout.x.start, layout.x.stop  # the compensators follow the chain
     agents = np.arange(n)
-    A = np.zeros((dim, dim))  # the rows every draw shares; the plant rows follow per draw
-    c = np.zeros(dim)
+    n_zx = zx.stop - zx.start
+    valid = isinstance(features, PlantFeatures) and J.ndim == 3 and J.shape[1] == n_zx
+    v_cols = J.shape[2] - n_zx - features.count if valid else -1
+    if not 0 <= v_cols <= layout.n_v:
+        raise ConfigError(
+            f"plant split hook returned J of shape {J.shape} and a "
+            f"{type(features).__name__}; the hook takes a (B, n_w) stack of draws and "
+            f"returns J of shape (B, {n_zx}, {n_zx} + v_cols + count), 0 <= v_cols <= "
+            f"{layout.n_v}, the coefficients of zx, of the leading v_cols disturbance "
+            f"coordinates and of the features, and PlantFeatures(count, fill), where "
+            f"fill(zx, v, out) writes the (count, B) features into out")
+    phi = slice(dim + 1, dim + 1 + features.count)
+    game = scenario.game
+    quadratic = isinstance(game, QuadraticAggregativeGame)
+    # the rows every draw shares; the plant rows follow per draw
+    A = np.zeros((dim, phi.stop + (0 if quadratic else n)))
 
     A[P, P] = -gamma1 * gamma2 * np.kron(laplacian(scenario.graph), np.eye(n))
-    game = scenario.game
-    if isinstance(game, QuadraticAggregativeGame):
+    if quadratic:
         # entry i of the extended gradient is Jacobian row i applied to estimate row i
         G = game.jacobian()
         for i in range(n):
             A[p_diag[i], P.start + i * n:P.start + (i + 1) * n] -= gamma1 * G[i]
-        c[p_diag] = -gamma1 * game.gradient_constant()
+        A[p_diag, dim] = -gamma1 * game.gradient_constant()
+    else:
+        A[p_diag, phi.stop + agents] = -gamma1
     A[v, v] = scenario.exo.S
 
     # compensator dynamics and read-outs Psi_s eta_s, one row per (level, agent)
@@ -416,24 +441,17 @@ def _closed_loop_operator(scenario: Scenario, layout: StateLayout, bank: Interna
     drives = np.zeros((r * n, dim))  # level-major: x_2 .. x_r, then u
     drives[np.arange((r - 1) * n), shifted + n] = 1.0
     drives[(r - 1) * n:] = U
-    A[ea:] += N_flat[:, None] * drives[drive_idx]
+    A[ea:, :dim] += N_flat[:, None] * drives[drive_idx]
 
-    n_zx = zx.stop - zx.start
-    v_cols = J.shape[-1] - n_zx
-    if J.ndim != 3 or J.shape[1] != n_zx or not 0 <= v_cols <= layout.n_v:
-        raise ConfigError(
-            f"plant split hook returned J of shape {J.shape}; the hook takes a (B, n_w) "
-            f"stack of draws and returns J of shape (B, {n_zx}, {n_zx} to "
-            f"{n_zx + layout.n_v}) and nl(zx, v, out), which adds the remainder to the "
-            f"({n_zx}, B) plant rows out")
-    # per draw, the plant rows: the drift's linear part J, then the chain shifts
-    # x_{s+1} -> dx_s, then the control law u = U x on the top level
+    # per draw, the plant rows: the drift J on zx, the leading v and the features,
+    # then the chain shifts x_{s+1} -> dx_s, then the control law u = U x on the top level
     A3 = np.repeat(A[None], len(J), axis=0)
     A3[:, zx, zx] = J[:, :, :n_zx]
-    A3[:, zx, v.start:v.start + v_cols] = J[:, :, n_zx:]
+    A3[:, zx, v.start:v.start + v_cols] = J[:, :, n_zx:n_zx + v_cols]
+    A3[:, zx, phi] = J[:, :, n_zx + v_cols:]
     A3[:, shifted, shifted + n] += 1.0
-    A3[:, ea - n:ea] += U
-    return A3, c, U
+    A3[:, ea - n:ea, :dim] += U
+    return A3, U
 
 
 @dataclass
@@ -501,7 +519,13 @@ def run(scenario: Scenario, gains: ControllerGains | None = None,
     n_steps = int(round(scenario.t_final / h))
     # every kept state (step 0, each dec-th step and the last) of every column,
     # and its step index; a stopped column keeps the samples it has
-    X = np.empty((_kept_samples(n_steps, dec), B, lay.dim))
+    try:
+        X = np.empty((_kept_samples(n_steps, dec), B, lay.dim))
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(
+            f"sim.t_final: {scenario.t_final:g} s in steps of sim.dt = {h:g}, keeping every "
+            f"sim.decimate = {dec}-th, gives {float(_kept_samples(n_steps, dec)):.3g} kept "
+            f"states of {lay.dim} values per seed, which cannot be allocated") from exc
     ks = np.zeros(len(X), dtype=np.int64)
     X[0] = state.T
     kept = 1

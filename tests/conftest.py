@@ -8,9 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from factories import build_game, build_plant
 from nesim.config import load_scenario
 from nesim.controller import ControllerGains
-from nesim.simulation import assemble
+from nesim.generator import GeneratorGains
+from nesim.graph import CommGraph
+from nesim.plant import Exosystem
+from nesim.simulation import Scenario, assemble
 
 
 @pytest.fixture(scope="session")
@@ -39,6 +43,23 @@ def stable_gains(sec5):
 @pytest.fixture(scope="session")
 def sec5_loop(sec5, stable_gains):
     return assemble(sec5, gains=stable_gains, rng=np.random.default_rng(sec5.seed))
+
+
+@pytest.fixture(scope="session")
+def custom_scenario():
+    """The test-factory finite-difference game with the generic custom plant.
+
+    Synthesized once here: its finite-difference constants and equilibrium
+    are the slow part, and every test shares them.
+    """
+    scenario = Scenario(
+        game=build_game([1.0, 2.0, 3.0], 0.5), graph=CommGraph.ring(3),
+        plant=build_plant(3), exo=Exosystem(S=np.array([[0.0, 1.0], [-1.0, 0.0]]),
+                                            v0_box=np.array([[0.5, 1.0], [0.0, 0.0]])),
+        w_box=np.tile([-0.1, 0.1], (3, 1)), gains=GeneratorGains(1.0, 1.0),
+        gamma2_auto=True, controller_k=np.full((3, 1), 8.0), seed=2, R=0.5)
+    scenario.synthesized()
+    return scenario
 
 
 @pytest.fixture()

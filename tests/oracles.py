@@ -1,15 +1,20 @@
-"""Independent oracles for the custom-game finite differences and constants.
+"""Independent oracles: custom-game finite differences and constants, the closed loop.
 
-Both are written out sample by sample, the way the definitions read, so that
-the whole-array code in `nesim.game` is checked against something other than
-itself.
+The first are written out sample by sample, the way the definitions read, so
+that the whole-array code in `nesim.game` is checked against something other
+than itself; `composed_rhs` composes the closed-loop derivative from the
+public per-block functions, not from the assembled operator.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from nesim.controller import control_law
 from nesim.game import CustomGame, GradientConstants
+from nesim.generator import GeneratorGains, generator_rhs
+from nesim.internal_model import StabilizerPair, im_rhs
+from nesim.plant import PlantState, exo_rhs, plant_rhs
 
 
 def central_partial(cost, i: int, row: np.ndarray) -> float:
@@ -69,3 +74,20 @@ def reference_bounds(game: CustomGame, n_samples: int, seed: int) -> tuple[float
         if dPn > 1e-8:
             lip = max(lip, float(np.linalg.norm(extended(Px) - extended(Py))) / dPn)
     return mono, lip
+
+
+def composed_rhs(loop, state, column: int = 0):
+    """Closed-loop derivative and input of one column's flat state, from the per-block functions."""
+    sc = loop.scenario
+    P, v, z, x, eta = loop.unpack(state)
+    plant = PlantState(z=z, x=x)
+    dP = generator_rhs(sc.game, sc.graph, GeneratorGains(loop.gamma1, loop.gamma2), P)
+    u = control_law(loop.gains, loop.bank, plant, eta, P.diagonal(), ablate=loop.ablate)
+    dz, dx = plant_rhs(sc.plant, plant, u, v, loop.draws[column])
+    drives = list(x[1:]) + [u]  # level s is driven by x_{s+1}, the top level by u
+    deta = [np.array([im_rhs(StabilizerPair(level.M[i], level.N[i]), eta[s][i], drives[s][i])
+                      for i in range(sc.n)])
+            for s, level in enumerate(loop.bank.levels)]
+    flat = np.concatenate([dP.ravel(), exo_rhs(sc.exo, v), dz.ravel(), dx.ravel()]
+                          + [d.ravel() for d in deta])
+    return flat, u

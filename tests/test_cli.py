@@ -197,10 +197,23 @@ def test_bad_run_settings_are_config_errors(patch, argv, fast_cfg, tmp_path, cap
     ({"sim.decimate": None}, [], "sim.decimate"),
     ({"gains.gamma1": "x"}, [], "gains.gamma1"),
     ({"controller.k": [["x", 16.0]] + [[16.0, 16.0]] * 3}, [], "controller.k"),
+    ({"graph.n": "x"}, [], "graph.n"),
+    ({"graph.edges": "x"}, [], "graph.edges"),
+    ({"graph.edges": [[0, 1, "x"], [1, 2], [2, 3]]}, [], "graph.edges[0]"),
+    ({"gains.p0": "x"}, [], "gains.p0"),
+    ({"exosystem.S": [["a"]]}, [], "exosystem.S"),
+    ({"plant.g": "x"}, [], "plant.g"),
+    ({"plant.w_box": [[0.0, float("nan")]] * 24}, [], "plant.w_box"),
+    ({"plant.v0_box": "x"}, [], "plant.v0_box"),
+    # 1e300 s keeps more states than an array can hold; more steps than a float is not finite
+    ({}, ["--t-final", "1e300"], "sim.t_final"),
+    ({}, ["--t-final", "1e300", "--dt", "1e-10"], "sim.t_final"),
 ], ids=["gamma1_zero", "gamma2_negative", "k_zero", "factor_one", "max_rounds_zero",
         "R_negative", "R_inf", "seed_negative", "seed_flag_negative", "dt_flag_nan",
         "t_final_flag_nan", "t_final_flag_inf", "dt_string", "seed_nan", "decimate_null",
-        "gamma1_string", "k_string"])
+        "gamma1_string", "k_string", "graph_n_string", "edges_string", "edge_weight_string",
+        "p0_string", "S_string", "g_string", "w_box_nan", "v0_box_string", "t_final_huge",
+        "step_count_overflow"])
 def test_malformed_values_are_config_errors(patch, argv, field, fast_cfg, tmp_path, capsys):
     out_csv = tmp_path / "bad.csv"
     code = main(["simulate", "--config", str(fast_cfg(**patch)), "--out", str(out_csv), *argv])

@@ -1,0 +1,58 @@
+"""Property tests of the lifted closed-loop derivative over drawn seeds and gains (hypothesis).
+
+Drawn: the scenario (bundled sec5, or the finite-difference custom game with
+the generic custom plant), one to three seeds, a gain multiplier from 1 to 16
+and the ablation flag.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")  # in the `test` extra
+from hypothesis import given, settings, strategies as st
+
+from nesim.controller import ControllerGains
+from nesim.simulation import assemble, run
+from oracles import composed_rhs
+from test_simulation import assert_same_run
+
+CASES = dict(
+    scenario=st.sampled_from(["sec5", "custom"]),
+    seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=3, unique=True),
+    multiplier=st.floats(1.0, 16.0), ablate=st.booleans())
+
+
+def drawn(name, multiplier, request):
+    """The scenario and its start gains times ``multiplier``."""
+    scenario = request.getfixturevalue("sec5" if name == "sec5" else "custom_scenario")
+    start = (ControllerGains.uniform(scenario.n, scenario.plant.r) if name == "sec5"
+             else ControllerGains(scenario.controller_k))
+    return scenario, start.scaled(multiplier)
+
+
+# 15 + 10 examples, about 4 s together
+@settings(max_examples=15, deadline=None, database=None)
+@given(**CASES)
+def test_lifted_rhs_matches_composed_blocks(scenario, seeds, multiplier, ablate, request):
+    scenario, gains = drawn(scenario, multiplier, request)
+    loop = assemble(scenario, gains=gains, ablate=ablate,
+                    rng=[np.random.default_rng(s) for s in seeds])
+    state = np.random.default_rng(seeds[0]).normal(size=(loop.dimension, len(seeds)))
+    fused = loop.rhs(0.0, state)
+    for b in range(len(seeds)):
+        ref, _ = composed_rhs(loop, state[:, b], b)
+        assert np.abs(fused[:, b] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@settings(max_examples=10, deadline=None, database=None)
+@given(**CASES)
+def test_batched_run_matches_single_seed_runs(scenario, seeds, multiplier, ablate, request):
+    scenario, gains = drawn(scenario, multiplier, request)
+    short = dataclasses.replace(scenario, t_final=0.2, decimate=1)
+    batch = run(short, gains=gains, ablate=ablate, seed=seeds)
+    for traj in batch:
+        assert_same_run(traj, run(short, gains=gains, ablate=ablate, seed=traj.seed))

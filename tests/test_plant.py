@@ -69,7 +69,12 @@ class TestExamplePlant:
 
     @staticmethod
     def assert_split_reproduces_drift(model):
-        """Each draw of a stacked `drift_split` against ``f0``/``f_levels`` to 1e-14."""
+        """Each draw of a stacked `drift_split` against ``f0``/``f_levels`` to 1e-14.
+
+        ``J_b @ [zx, leading v, phi]`` is the drift of column ``b``; the features
+        are overwritten, not added to, and column ``b`` of a stack is what a
+        one-draw split gives for that column alone, bit for bit.
+        """
         n, batch = model.n_agents, 3
         rng = np.random.default_rng(12)
         for _ in range(10):
@@ -77,19 +82,25 @@ class TestExamplePlant:
             Z, X = rng.normal(size=(batch, n, 1)), rng.normal(size=(batch, 2, n))
             V = rng.normal(size=(batch, 2))
             zx = np.stack([np.concatenate([z.ravel(), x.ravel()]) for z, x in zip(Z, X)], axis=1)
-            J, nl = drift_split(model, W)
-            assert J.shape[0] == batch
-            rest = np.zeros_like(zx)
-            nl(zx, V.T, rest)
-            shifted = np.ones_like(zx)  # `nl` adds to the rows it is given
-            nl(zx, V.T, shifted)
-            assert np.array_equal(shifted, 1.0 + rest)
+            J, features = drift_split(model, W)
+            n_zx, count = zx.shape[0], features.count
+            v_cols = J.shape[2] - n_zx - count
+            assert J.shape[:2] == (batch, n_zx) and 0 <= v_cols <= 2
+            phi = np.full((count, batch), np.nan)
+            features.fill(zx, V.T, phi)
+            again = np.ones_like(phi)  # `fill` overwrites the rows it is given
+            features.fill(zx, V.T, again)
+            assert np.array_equal(again, phi)
             for b, (z, x, v, w) in enumerate(zip(Z, X, V, W)):
-                split = J[b] @ np.concatenate([zx[:, b], v])[:J.shape[2]] + rest[:, b]
+                split = J[b] @ np.concatenate([zx[:, b], v[:v_cols], phi[:, b]])
                 ref = np.concatenate([model.f0(z, x[0], v, w).ravel(),
                                       model.f_levels[0](z, x[:1], v, w),
                                       model.f_levels[1](z, x, v, w)])
                 assert np.abs(split - ref).max() <= 1e-14 * np.abs(ref).max()
+                J1, one = drift_split(model, W[b:b + 1])
+                alone = np.empty((count, 1))
+                one.fill(zx[:, b:b + 1], V.T[:, b:b + 1], alone)
+                assert np.array_equal(J1[0], J[b]) and np.array_equal(alone[:, 0], phi[:, b])
         with pytest.raises(ValueError, match="stack of draws"):
             drift_split(model, W[0])  # a flat draw is rejected, not broadcast
 
@@ -98,12 +109,29 @@ class TestExamplePlant:
                             [-0.9, 1.3, -0.6, 0.7, 0.45, -0.2]])
         self.assert_split_reproduces_drift(model)
 
+    def test_split_features_do_not_depend_on_the_draws(self):
+        # the built-in plant's features are monomials of the state; the draws sit in J
+        model = demo_plant([[-1, 1, 0.5, 1, 0.3, 0.3], [-1.2, 0.8, 0.4, 1.1, 0.25, 0.35]])
+        rng = np.random.default_rng(13)
+        zx, v = rng.normal(size=(6, 4)), rng.normal(size=(2, 4))
+        phis = []
+        for W in (rng.uniform(-0.5, 0.5, (4, model.n_w)), rng.uniform(-0.5, 0.5, (4, model.n_w))):
+            J, features = drift_split(model, W)
+            phis.append(np.empty((features.count, 4)))
+            features.fill(zx, v, phis[-1])
+        assert features.count == 3 * model.n_agents
+        assert np.array_equal(phis[0], phis[1])
+
     def test_generic_split_reproduces_drift(self):
-        # without the hook, `drift_split` evaluates f0/f_levels column by column
+        # without the hook, `drift_split` evaluates f0/f_levels column by column as features
         model = dataclasses.replace(
             demo_plant([[-1, 1, 0.5, 1, 0.3, 0.3], [-1.2, 0.8, 0.4, 1.1, 0.25, 0.35]]),
             split=None)
         self.assert_split_reproduces_drift(model)
+        J, features = drift_split(model, np.zeros((2, model.n_w)))
+        n_zx = 3 * model.n_agents
+        assert features.count == n_zx
+        assert np.array_equal(J, np.broadcast_to(np.eye(n_zx, 2 * n_zx, n_zx), J.shape))
 
     def test_origin_equilibrium_over_box(self):
         model = demo_plant([[-1, 1, 0.5, 1, 0.3, 0.3], [-1.2, 0.8, 0.4, 1.1, 0.25, 0.35]])

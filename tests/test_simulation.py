@@ -5,18 +5,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-from factories import build_game, build_plant
 from nesim.config import load_scenario
 from nesim.controller import ControllerGains, control_law
 from nesim.errors import ConfigError
 from nesim.game import QuadraticAggregativeGame, estimate_constants, solve_ne
-from nesim.generator import GeneratorGains, generator_rhs, min_gamma2
+from nesim.generator import GeneratorGains, min_gamma2
 from nesim.graph import CommGraph
-from nesim.internal_model import StabilizerPair, im_rhs, synthesize_bank
+from nesim.internal_model import synthesize_bank
 from nesim.numerics import rk4_step
-from nesim.plant import Exosystem, PlantState, drift_split, example_plant, exo_rhs, plant_rhs
+from nesim.plant import Exosystem, PlantState, drift_split, example_plant
 from nesim.simulation import (ClosedLoopTrajectory, EscalationSpec, Scenario, assemble,
                               closed_loop_passes, metrics, run, write_csv)
+from oracles import composed_rhs
 
 
 def test_state_dimension(sec5_loop):
@@ -30,40 +30,6 @@ def test_rhs_is_deterministic(sec5_loop):
     a = sec5_loop.rhs(0.0, state)
     b = sec5_loop.rhs(0.0, state)
     assert np.array_equal(a, b)
-
-
-def composed_rhs(loop, state):
-    """Closed-loop derivative and input from the public per-block functions."""
-    sc = loop.scenario
-    P, v, z, x, eta = loop.unpack(state)
-    plant = PlantState(z=z, x=x)
-    dP = generator_rhs(sc.game, sc.graph, GeneratorGains(loop.gamma1, loop.gamma2), P)
-    u = control_law(loop.gains, loop.bank, plant, eta, P.diagonal(), ablate=loop.ablate)
-    dz, dx = plant_rhs(sc.plant, plant, u, v, loop.w)
-    drives = list(x[1:]) + [u]  # level s is driven by x_{s+1}, the top level by u
-    deta = [np.array([im_rhs(StabilizerPair(level.M[i], level.N[i]), eta[s][i], drives[s][i])
-                      for i in range(sc.n)])
-            for s, level in enumerate(loop.bank.levels)]
-    flat = np.concatenate([dP.ravel(), exo_rhs(sc.exo, v), dz.ravel(), dx.ravel()]
-                          + [d.ravel() for d in deta])
-    return flat, u
-
-
-@pytest.fixture(scope="module")
-def custom_scenario():
-    """The test-factory finite-difference game with the generic custom plant.
-
-    Synthesized once here: its finite-difference constants and equilibrium
-    are the slow part, and every test of this module shares them.
-    """
-    scenario = Scenario(
-        game=build_game([1.0, 2.0, 3.0], 0.5), graph=CommGraph.ring(3),
-        plant=build_plant(3), exo=Exosystem(S=np.array([[0.0, 1.0], [-1.0, 0.0]]),
-                                            v0_box=np.array([[0.5, 1.0], [0.0, 0.0]])),
-        w_box=np.tile([-0.1, 0.1], (3, 1)), gains=GeneratorGains(1.0, 1.0),
-        gamma2_auto=True, controller_k=np.full((3, 1), 8.0), seed=2, R=0.5)
-    scenario.synthesized()
-    return scenario
 
 
 @pytest.mark.parametrize("case", ["sec5", "sec5_ablated", "custom"])
@@ -262,14 +228,23 @@ def test_batched_rerun_is_bit_identical(sec5, stable_gains):
 @pytest.mark.parametrize("settings, kwargs", [
     (dict(dt=0.0), {}), (dict(decimate=0), {}), ({}, dict(seed=[])), (dict(t_final=-1.0), {}),
     (dict(dt=np.nan), {}), (dict(dt=np.inf), {}), (dict(t_final=np.nan), {}),
-    (dict(t_final=np.inf), {}),
+    (dict(t_final=np.inf), {}), (dict(t_final=1e300, dt=1e-10), {}),
 ], ids=["dt_zero", "decimate_zero", "no_seeds", "t_final_negative", "dt_nan", "dt_inf",
-        "t_final_nan", "t_final_inf"])
+        "t_final_nan", "t_final_inf", "step_count_overflow"])
 def test_run_rejects_bad_arguments(settings, kwargs, sec5, stable_gains):
     # the run settings are the scenario's, rejected by `Scenario` when replaced
     with pytest.raises(ValueError):
         run(dataclasses.replace(sec5, **dict(t_final=0.01) | settings), gains=stable_gains,
             **kwargs)
+
+
+def test_impossible_horizon_is_a_config_error_before_the_first_step(sec5, stable_gains,
+                                                                    count_calls):
+    # 1e300 s at dt = 1e-3 keeps more states than one array can index
+    steps = count_calls(rk4_step)
+    with pytest.raises(ConfigError, match=r"sim\.t_final: .*sim\.dt.*sim\.decimate.*allocated"):
+        run(dataclasses.replace(sec5, t_final=1e300), gains=stable_gains)
+    assert steps == []
 
 
 @pytest.mark.parametrize("case", ["sec5", "custom"])
@@ -279,20 +254,25 @@ def test_operator_is_shared_rows_plus_plant_rows_per_draw(case, sec5, stable_gai
     seeds = (1, 2, 3)
     batch = assemble(scenario, rng=[np.random.default_rng(s) for s in seeds], **kwargs)
     lay, n = batch.layout, scenario.n
-    J, _ = drift_split(scenario.plant, np.stack([w.w for w in batch.draws]))
+    J, features = drift_split(scenario.plant, np.stack([w.w for w in batch.draws]))
     n_zx = lay.zx.stop - lay.zx.start
+    v_cols = J.shape[2] - n_zx - features.count
+    # the lifted state [x; 1; plant features], then a custom game's partials
+    phi = lay.dim + 1 + np.arange(features.count)
+    width = phi[-1] + 1 + (n if case == "custom" else 0)
     shifted = np.arange(lay.x.start, lay.x.stop - n)
     others = np.r_[:lay.zx.start, lay.zx.stop:lay.dim]
     for b, seed in enumerate(seeds):
         one = assemble(scenario, rng=np.random.default_rng(seed), **kwargs)
-        assert one.operator.shape == (1, lay.dim, lay.dim)
+        assert one.operator.shape == (1, lay.dim, width)
         assert np.array_equal(one.operator[0], batch.operator[b])
-        # the plant rows hold the drift's linear part, the chain shifts and the control law
-        plant = np.zeros((n_zx, lay.dim))
+        # the plant rows hold the drift split, the chain shifts and the control law
+        plant = np.zeros((n_zx, width))
         plant[:, lay.zx] = J[b, :, :n_zx]
-        plant[:, lay.v.start:lay.v.start + J.shape[2] - n_zx] = J[b, :, n_zx:]
+        plant[:, lay.v.start:lay.v.start + v_cols] = J[b, :, n_zx:n_zx + v_cols]
+        plant[:, phi] = J[b, :, n_zx + v_cols:]
         plant[shifted - lay.zx.start, shifted + n] += 1.0
-        plant[-n:] += batch.control_rows
+        plant[-n:, :lay.dim] += batch.control_rows
         assert np.array_equal(batch.operator[b, lay.zx], plant)
         assert np.array_equal(batch.operator[b, others], batch.operator[0, others])
 
@@ -304,16 +284,32 @@ def test_kept_state_bytes_counts_the_recorded_samples(sec5, stable_gains):
     assert short.kept_state_bytes() == len(traj.t) * assemble(short).dimension * 8
 
 
+SPLIT_CONTRACT = r"\(B, n_w\) stack of draws.*PlantFeatures\(count, fill\)"
+
+
 def test_one_draw_split_hook_is_a_config_error(sec5):
-    # a hook written for one flat draw returns a 2-D J and a two-argument nl
+    # a hook written for one flat draw returns a 2-D J
     model = sec5.plant
 
     def split(w):
-        J, _ = model.split(np.reshape(w, (1, -1)))
-        return J[0], lambda zx, v: np.zeros_like(zx)
+        J, features = model.split(np.reshape(w, (1, -1)))
+        return J[0], features
 
     plant = dataclasses.replace(model, split=split)
-    with pytest.raises(ConfigError, match=r"\(B, n_w\) stack of draws"):
+    with pytest.raises(ConfigError, match=SPLIT_CONTRACT):
+        assemble(dataclasses.replace(sec5, plant=plant))
+
+
+def test_remainder_split_hook_is_a_config_error(sec5):
+    # a hook written for the former contract: the linear part and an in-place remainder
+    model = sec5.plant
+
+    def split(w):
+        J, _ = model.split(w)
+        return J[:, :, :3 * sec5.n + 2], lambda zx, v, out: None
+
+    plant = dataclasses.replace(model, split=split)
+    with pytest.raises(ConfigError, match=SPLIT_CONTRACT):
         assemble(dataclasses.replace(sec5, plant=plant))
 
 

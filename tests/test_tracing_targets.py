@@ -1,0 +1,52 @@
+"""Every nesim name that `perfbench/tracing.py` patches still resolves.
+
+The tracer wraps nesim functions by module and attribute name, so a rename in
+nesim would otherwise only show when `perfbench/run.py --trace 1` breaks. The
+tracer is loaded from its file without writing bytecode, so nothing is
+written under ``perfbench/``.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from nesim import numerics, simulation
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+@pytest.fixture()
+def tracing(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_span_targets_resolve(tracing):
+    assert tracing.SPAN_TARGETS
+    for label, module, attr in tracing.SPAN_TARGETS:
+        assert callable(getattr(importlib.import_module(module), attr)), label
+
+
+def test_per_step_targets_resolve_and_are_counted(tracing, sec5, stable_gains):
+    rk4, control = numerics.rk4_step, simulation.AssembledLoop.control
+    tracer = tracing.Tracer()
+    with tracer.installed(), tracer.span("test"):
+        # the tracer wraps `numerics.rk4_step`, `AssembledLoop.control` and each loop's rhs
+        assert numerics.rk4_step is not rk4
+        assert simulation.AssembledLoop.control is not control
+        simulation.run(dataclasses.replace(sec5, t_final=0.01), gains=stable_gains)
+    assert numerics.rk4_step is rk4 and simulation.AssembledLoop.control is control
+    layers = tracer.layer_metrics()
+    assert layers["numerics.rk4_step_calls"] == 10
+    assert layers["simulation.rhs_calls"] == 40
+    assert layers["simulation.run_calls"] == layers["simulation.assemble_calls"] == 1
