@@ -74,13 +74,21 @@ def _number(path: str, value, kind=float):
         _fail(path, f"expected {'an integer' if kind is int else 'a number'}, got {value!r}")
 
 
-def _as_floats(path: str, value, length: int | None = None) -> list:
+def _as_floats(path: str, value) -> list:
     try:
         arr = np.array(value, dtype=float)
     except (TypeError, ValueError):
         _fail(path, "expected a numeric array")
-    if length is not None and arr.shape[0] != length:
-        _fail(path, f"expected length {length}, got {arr.shape[0]}")
+    return arr.tolist()
+
+
+def _float_list(path: str, value, length: int | None = None) -> list:
+    """``value`` as a flat list of floats, ``length`` of them when given."""
+    arr = np.array(_as_floats(path, value))
+    if arr.ndim != 1:
+        _fail(path, f"expected a list of numbers, got {value!r}")
+    if length is not None and len(arr) != length:
+        _fail(path, f"expected length {length}, got {len(arr)}")
     return arr.tolist()
 
 
@@ -134,9 +142,9 @@ def normalize(raw: dict) -> dict:
         for key in ("h1", "h2", "h3"):
             if key not in game:
                 _fail(f"game.{key}", "required for the quadratic_aggregative kind")
-        n = len(game["h1"])
-        for key in ("h1", "h2", "h3"):
-            game[key] = _as_floats(f"game.{key}", game[key], n)
+        game["h1"] = _float_list("game.h1", game["h1"])
+        for key in ("h2", "h3"):
+            game[key] = _float_list(f"game.{key}", game[key], len(game["h1"]))
     elif kind == "custom":
         if "factory" not in game:
             _fail("game.factory", "required for the custom kind")
@@ -187,7 +195,9 @@ def normalize(raw: dict) -> dict:
             _fail(f"plant.{key}", "lower bound exceeds upper bound")
         plant[key] = box.tolist()
     if "im_polys" in plant:
-        plant["im_polys"] = [_as_floats(f"plant.im_polys[{k}]", c)
+        if not isinstance(plant["im_polys"], (list, tuple)):
+            _fail("plant.im_polys", "expected a list of coefficient lists")
+        plant["im_polys"] = [_float_list(f"plant.im_polys[{k}]", c)
                              for k, c in enumerate(plant["im_polys"])]
 
     exo = out["exosystem"]

@@ -1,5 +1,9 @@
 """Checked dense linear algebra (LAPACK via NumPy) and a fixed-step RK4 integrator.
 
+Nonlinear systems step through `rk4_step`/`integrate`. A linear system
+``xdot = A x`` steps through `rk4_linear`: there one RK4 step is exactly
+``x+ = R(hA) x``, with `rk4_matrix` giving RK4's step matrix ``R(hA)``.
+
 Everything here targets desk-scale problems (matrices up to ~30x30, state
 vectors up to a few hundred entries). Routines are pure functions; there is
 no shared mutable state, so concurrent scenario runs may call them freely.
@@ -118,3 +122,52 @@ def integrate(sys: OdeSystem, x0: np.ndarray, t0: float, t_final: float, h: floa
         if observer is not None:
             observer(k, t, x)
     return x
+
+
+def rk4_matrix(A: np.ndarray, h: float) -> np.ndarray:
+    """RK4's step matrix ``R(hA)`` for ``xdot = A x``, evaluated by Horner.
+
+    ``R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24`` is RK4's stability function
+    (Hairer & Wanner, *Solving ODEs II*, §IV.2): one RK4 step of the linear
+    system is exactly ``x+ = R(hA) x``. ``A`` is ``(n, n)`` or a stack
+    ``(B, n, n)``; a stacked call equals the per-matrix calls bit for bit.
+    """
+    Z = h * np.asarray(A, dtype=float)
+    eye = np.eye(Z.shape[-1])
+    R = eye + Z / 4.0
+    R = eye + (Z @ R) / 3.0
+    R = eye + (Z @ R) / 2.0
+    return eye + Z @ R
+
+
+def rk4_linear(A: np.ndarray, x0: np.ndarray, h: float, n_steps: int) -> np.ndarray:
+    """States ``x_0 .. x_n_steps`` of fixed-step RK4 on ``xdot = A x``, one row each.
+
+    Each step is one GEMV by ``R(hA)`` (`rk4_matrix`). ``A`` is ``(n, n)`` with
+    ``x0`` of shape ``(n,)``, or a stack ``(B, n, n)`` with ``x0`` of shape
+    ``(B, n)``: one system per row, stepped by one stacked ``matmul``, so each
+    row gets its own GEMV and rows never mix. Returns
+    ``(n_steps + 1,) + x0.shape``.
+
+    Raises
+    ------
+    ValueError
+        If ``h <= 0``.
+    NonFiniteState
+        If any state holds NaN or Inf; its ``columns`` mark the non-finite
+        rows of a stacked ``x0`` (a flat state counts as one).
+    """
+    if h <= 0:
+        raise ValueError("step size must be positive")
+    R = rk4_matrix(A, h)
+    xs = np.empty((n_steps + 1,) + np.shape(x0))
+    xs[0] = x0
+    cols = xs[..., None]  # each state as a column, so every product is matrix @ vector
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
+        for k in range(n_steps):
+            np.matmul(R, cols[k], out=cols[k + 1])
+    finite = np.isfinite(xs).reshape(n_steps + 1, -1, xs.shape[-1]).all(axis=(0, 2))
+    if not finite.all():
+        raise NonFiniteState(f"non-finite linear state within {n_steps} steps of h={h:.6g}",
+                             columns=~finite)
+    return xs

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidParameter, NonFiniteState
-from .numerics import OdeSystem, integrate
+from .numerics import rk4_linear
 
 ORIGIN_EQ_TOL = 1e-12
 V_FD_STEP = 1e-5
@@ -52,17 +52,12 @@ def exo_rhs(exo: Exosystem, v: np.ndarray) -> np.ndarray:
 
 
 def exo_trajectory(exo: Exosystem, v0: np.ndarray, t_final: float, h: float = 1e-3) -> tuple[np.ndarray, np.ndarray]:
-    """Sampled disturbance trajectory on a uniform grid (RK4): times (K,), states (K, n_v)."""
-    sys = OdeSystem(exo.n_v, lambda t, v: exo.S @ v)
+    """Sampled disturbance trajectory on a uniform grid (RK4): times (K,), states (K, n_v).
+
+    The exosystem is linear, so each RK4 step is one GEMV by ``R(hS)``.
+    """
     n_steps = int(round(t_final / h))
-    ts, vs = np.empty(n_steps + 1), np.empty((n_steps + 1, exo.n_v))
-
-    def observer(step, t, v):
-        ts[step] = t
-        vs[step] = v
-
-    integrate(sys, np.asarray(v0, dtype=float), 0.0, t_final, h, observer)
-    return ts, vs
+    return np.arange(n_steps + 1) * h, rk4_linear(exo.S, np.asarray(v0, dtype=float), h, n_steps)
 
 
 @dataclass(frozen=True)

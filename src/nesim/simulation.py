@@ -38,6 +38,7 @@ from .plant import (Exosystem, PlantFeatures, PlantModel, SteadyState, Uncertain
 
 AUTO_GAMMA2_MARGIN = 1.25
 DEFAULT_START_GAIN = 4.0
+_CSV_CHUNK = 256  # rows `write_csv` turns into Python floats at a time; bounds its transients
 
 
 @dataclass(frozen=True)
@@ -639,17 +640,26 @@ def write_csv(traj: ClosedLoopTrajectory, path) -> None:
 
     Columns: ``t, p_star_1..N, y_1..N, p_1..N, e_1..N, u_1..N, ne_dist``.
     Values are printed with 17 significant digits ('.' decimal separator),
-    so identical runs produce byte-identical files.
+    so identical runs produce byte-identical files. The bytes are those of
+    ``np.savetxt`` with ``fmt="%.17g"``. The constant ``p_star`` cells are
+    formatted once per file, into the one format string every row is
+    printed with, and the rows are turned into Python floats one chunk at a
+    time.
     """
-    n, K = traj.p_star.shape[0], len(traj.t)
+    n = traj.p_star.shape[0]
     cols = (["t"] + [f"p_star_{i + 1}" for i in range(n)]
             + [f"y_{i + 1}" for i in range(n)] + [f"p_{i + 1}" for i in range(n)]
             + [f"e_{i + 1}" for i in range(n)] + [f"u_{i + 1}" for i in range(n)]
             + ["ne_dist"])
-    rows = np.column_stack([traj.t, np.broadcast_to(traj.p_star, (K, n)), traj.y, traj.p,
-                            traj.e, traj.u, traj.ne_dist])
+    cell = "%.17g"
+    row = ",".join([cell, *(cell % p for p in traj.p_star), *[cell] * (4 * n + 1)]) + "\n"
+    signals = (traj.t, traj.y, traj.p, traj.e, traj.u, traj.ne_dist)
     with open(path, "w", newline="") as fh:
-        np.savetxt(fh, rows, fmt="%.17g", delimiter=",", header=",".join(cols), comments="")
+        fh.write(",".join(cols) + "\n")
+        for start in range(0, len(traj.t), _CSV_CHUNK):
+            block = np.column_stack([sig[start:start + _CSV_CHUNK] for sig in signals])
+            for cells in block.tolist():
+                fh.write(row % tuple(cells))
 
 
 def format_summary(m: dict) -> str:

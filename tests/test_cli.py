@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from nesim import cli
+from nesim import cli, numerics
 from nesim.cli import main
 from nesim.config import load_scenario, normalize
 from nesim.controller import ControllerGains
@@ -138,6 +138,15 @@ def test_check_passes_on_bundled_scenario(fast_cfg, capsys, count_calls):
     assert [kw["t_final"] if "t_final" in kw else args[2] for args, kw in traces] == [5.0, 20.0]
 
 
+def test_check_suite_does_not_integrate(count_calls, capsys):
+    # the suite's linear ODEs step by RK4's step matrix R(hA); a call of the per-stage
+    # `integrate` means a check went back to stepping them one RHS closure at a time
+    calls = count_calls(numerics.integrate)
+    assert main(["check", "--config", "sec5", "--t-final", "2"]) == 0
+    assert calls == []
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def test_check_catches_wrong_recurrence(fast_cfg, capsys):
     # frequencies {0, 2, 3} cannot reproduce the plant's {0, 1, 2} signals
     cfg = fast_cfg(**{"plant.im_polys": [[0.0, -1.0, 0.0], [0.0, -36.0, 0.0, -13.0, 0.0]],
@@ -205,6 +214,10 @@ def test_bad_run_settings_are_config_errors(patch, argv, fast_cfg, tmp_path, cap
     ({"plant.g": "x"}, [], "plant.g"),
     ({"plant.w_box": [[0.0, float("nan")]] * 24}, [], "plant.w_box"),
     ({"plant.v0_box": "x"}, [], "plant.v0_box"),
+    ({"game.h1": 5.0}, [], "game.h1"),
+    ({"game.h2": 5.0}, [], "game.h2"),
+    ({"game.h3": 5.0}, [], "game.h3"),
+    ({"plant.im_polys": 5.0}, [], "plant.im_polys"),
     # 1e300 s keeps more states than an array can hold; more steps than a float is not finite
     ({}, ["--t-final", "1e300"], "sim.t_final"),
     ({}, ["--t-final", "1e300", "--dt", "1e-10"], "sim.t_final"),
@@ -212,8 +225,8 @@ def test_bad_run_settings_are_config_errors(patch, argv, fast_cfg, tmp_path, cap
         "R_negative", "R_inf", "seed_negative", "seed_flag_negative", "dt_flag_nan",
         "t_final_flag_nan", "t_final_flag_inf", "dt_string", "seed_nan", "decimate_null",
         "gamma1_string", "k_string", "graph_n_string", "edges_string", "edge_weight_string",
-        "p0_string", "S_string", "g_string", "w_box_nan", "v0_box_string", "t_final_huge",
-        "step_count_overflow"])
+        "p0_string", "S_string", "g_string", "w_box_nan", "v0_box_string", "h1_scalar",
+        "h2_scalar", "h3_scalar", "im_polys_scalar", "t_final_huge", "step_count_overflow"])
 def test_malformed_values_are_config_errors(patch, argv, field, fast_cfg, tmp_path, capsys):
     out_csv = tmp_path / "bad.csv"
     code = main(["simulate", "--config", str(fast_cfg(**patch)), "--out", str(out_csv), *argv])

@@ -215,8 +215,9 @@ class TestVerifyReproduction:
                 one = verify_reproduction(self.level(level.companion.coeffs, [stab]), ts,
                                           signal[:, i:i + 1])
                 assert batch[i] == one[0]
-                assert one[0] == self.one_signal_loop(level.companion, stab, level.Psi[i], ts,
-                                                      signal[:, i])
+                # the per-stage oracle rounds differently from the step matrix R(hA)
+                ref = self.one_signal_loop(level.companion, stab, level.Psi[i], ts, signal[:, i])
+                assert abs(one[0] - ref) <= 1e-12 * (1.0 + np.abs(signal[:, i]).max())
 
     def test_columns_of_a_batch_never_mix(self):
         # columns with different stabilizers, and so different conjugated dynamics

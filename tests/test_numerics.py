@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from nesim.errors import NonFiniteState, NotSymmetric, SingularMatrix
-from nesim.numerics import OdeSystem, integrate, lu_solve, rk4_step, symmetric_eigenvalues
+from nesim.numerics import (OdeSystem, integrate, lu_solve, rk4_linear, rk4_matrix, rk4_step,
+                            symmetric_eigenvalues)
 
 
 class TestLuSolve:
@@ -142,3 +143,69 @@ class TestRk4:
         sys = OdeSystem(1, lambda t, x: -x)
         with pytest.raises(ValueError):
             rk4_step(sys, 0.0, np.array([1.0]), 0.0)
+
+
+class TestRk4Linear:
+    """RK4 on ``xdot = A x`` through its step matrix ``R(hA)``."""
+
+    @staticmethod
+    def stability_function(z):
+        """RK4's stability function, summed term by term (no Horner)."""
+        return 1.0 + z + z ** 2 / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0
+
+    @pytest.mark.parametrize("lam", [-40.0, -3.0, -0.5, 0.0, 0.7, 2.0])
+    @pytest.mark.parametrize("h", [0.1, 0.01])
+    def test_scalar_closed_form(self, lam, h):
+        R = self.stability_function(h * lam)
+        assert rk4_matrix(np.array([[lam]]), h)[0, 0] == pytest.approx(R, rel=1e-15, abs=0)
+        xs = rk4_linear(np.array([[lam]]), np.array([1.5]), h, 20)
+        assert xs.shape == (21, 1)
+        assert np.allclose(xs[:, 0], 1.5 * R ** np.arange(21), rtol=1e-13, atol=0)
+        # R(z) agrees with exp(z) to fifth order
+        assert abs(R - np.exp(h * lam)) <= abs(h * lam) ** 5 / 120.0 * max(1.0, np.exp(h * lam))
+
+    @pytest.mark.parametrize("h", [1e-3, 0.1, 1.0])
+    def test_rotation_eigenvalues(self, h):
+        # the eigenvalues of R(hS) for the rotation S are R(+-ih)
+        S = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        eigs = np.linalg.eigvals(rk4_matrix(S, h))
+        eigs = eigs[np.argsort(eigs.imag)]
+        expected = self.stability_function(np.array([-1j * h, 1j * h]))
+        assert np.abs(eigs - expected).max() < 1e-14
+
+    def test_one_step_matches_rk4_step(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            n = int(rng.integers(1, 7))
+            A = rng.normal(size=(n, n))
+            x0 = rng.normal(size=n)
+            h = float(rng.uniform(0.01, 0.5))
+            ref = rk4_step(OdeSystem(n, lambda t, x: A @ x), 0.0, x0, h)
+            step = rk4_linear(A, x0, h, 1)
+            assert step[0].tobytes() == x0.tobytes()
+            assert np.abs(step[1] - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_stacked_calls_equal_per_matrix_calls(self):
+        rng = np.random.default_rng(12)
+        A = rng.normal(size=(5, 4, 4))
+        x0 = rng.normal(size=(5, 4))
+        R = rk4_matrix(A, 0.05)
+        xs = rk4_linear(A, x0, 0.05, 30)
+        assert R.shape == A.shape and xs.shape == (31, 5, 4)
+        for b in range(5):
+            assert R[b].tobytes() == rk4_matrix(A[b], 0.05).tobytes()
+            assert xs[:, b].tobytes() == rk4_linear(A[b], x0[b], 0.05, 30).tobytes()
+
+    def test_overflow_raises(self):
+        with pytest.raises(NonFiniteState) as flat:
+            rk4_linear(np.array([[1e3]]), np.array([1.0]), 1.0, 200)
+        assert flat.value.columns.tolist() == [True]
+        A = np.array([[[-1.0]], [[1e3]], [[0.5]]])
+        with pytest.raises(NonFiniteState) as batch:
+            rk4_linear(A, np.ones((3, 1)), 1.0, 200)
+        assert batch.value.columns.tolist() == [False, True, False]
+
+    @pytest.mark.parametrize("h", [0.0, -1e-3])
+    def test_rejects_nonpositive_step(self, h):
+        with pytest.raises(ValueError):
+            rk4_linear(np.eye(2), np.ones(2), h, 3)

@@ -14,11 +14,12 @@ from nesim.cli import main
 # the dotted path of each value set; `controller.k.0.0` is the first agent's first gain
 FIELDS = ("gains.gamma1", "gains.gamma2", "controller.k.0.0", "controller.escalation.factor",
           "controller.escalation.max_rounds", "sim.R", "sim.seed")
-# fields that hold a count, an edge list or a matrix, set whole or in one entry
+# fields that hold a count, a vector, an edge list or a matrix, set whole or in one entry
 STRUCTURAL = ("graph.n", "graph.edges", "graph.edges.0", "graph.edges.0.1",
               "graph.default_weight", "plant.g", "plant.g.0", "plant.g.0.0", "plant.w_box",
               "plant.w_box.0", "plant.v0_box", "plant.v0_box.1.0", "exosystem.S",
-              "exosystem.S.0", "exosystem.S.1.0", "gains.p0")
+              "exosystem.S.0", "exosystem.S.1.0", "gains.p0", "game.h1", "game.h2", "game.h3",
+              "plant.im_polys")
 VALUES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                    st.sampled_from([0.0, -1.0, float("nan"), float("inf"), float("-inf"),
                                     "x", None]))

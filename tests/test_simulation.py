@@ -415,3 +415,27 @@ def test_csv_bytes_are_17_significant_digits(tmp_path):
                               traj.u[k], [traj.ne_dist[k]]])
         lines.append(",".join(format(float(x), ".17g") for x in row))
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_csv_bytes_equal_savetxt(tmp_path):
+    # oracle: `np.savetxt` on the stacked columns, with the writer's fmt, delimiter and header;
+    # 600 rows is not a multiple of the writer's chunk, and non-finite and signed-zero cells
+    # sit in every column block
+    rng = np.random.default_rng(5)
+    K, n = 600, 3
+    sig = rng.normal(size=(4, K, n)) * 10.0 ** rng.integers(-300, 300, size=(4, K, n))
+    sig[:, 7] = [np.nan, np.inf, -np.inf]
+    sig[:, 8] = -0.0
+    t, ne_dist = np.linspace(0.0, 6.0, K), np.abs(rng.normal(size=K))
+    t[0], ne_dist[:3] = -0.0, [np.nan, np.inf, -np.inf]
+    traj = ClosedLoopTrajectory(t=t, y=sig[0], p=sig[1], e=sig[2], u=sig[3], ne_dist=ne_dist,
+                                p_star=np.array([-0.0, 0.1, np.nan]), v=np.zeros((K, 2)),
+                                max_state_norm=0.0)
+    path = tmp_path / "fast.csv"
+    write_csv(traj, path)
+    with open(tmp_path / "oracle.csv", "w", newline="") as fh:
+        rows = np.column_stack([t, np.broadcast_to(traj.p_star, (K, n)), *sig, ne_dist])
+        header = ",".join(["t"] + [f"{name}_{i + 1}" for name in ("p_star", "y", "p", "e", "u")
+                                   for i in range(n)] + ["ne_dist"])
+        np.savetxt(fh, rows, fmt="%.17g", delimiter=",", header=header, comments="")
+    assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
