@@ -13,7 +13,7 @@ from .game import (CustomGame, GradientConstants, QuadraticAggregativeGame,
 from .generator import GeneratorGains, GeneratorState, generator_rhs, min_gamma2, run_generator
 from .graph import CommGraph, is_connected, lambda2, laplacian
 from .internal_model import (CompanionPair, InternalModelBank, StabilizerPair,
-                             companion_from_coeffs, default_stabilizer, im_rhs,
+                             companion_from_coeffs, default_stabilizer,
                              solve_sylvester, synthesize_bank, verify_reproduction)
 from .plant import (Exosystem, PlantModel, PlantState, SteadyState, Uncertainty,
                     example_plant, exo_rhs, plant_rhs, sample_uncertainty,

@@ -1,10 +1,11 @@
 """Distributed state-feedback law, diagnostic coordinate transform, and the
 empirical gain-escalation loop.
 
-The control law is linear in the measured chain states, the compensator
-read-outs, and the agent's own reference; its gain structure comes from a
-backstepping recursion, so `control_law` and `backstepping_feedback` are two
-routes to the same algebra and are tested against each other.
+The control law is linear in the agents' own references, the chain states
+and the compensator states: `control_rows` writes its rows ``U`` once, the
+closed loop places them and `control_law` evaluates them. Its gain
+structure comes from a backstepping recursion, `backstepping_feedback`, the
+independent route it is tested against.
 """
 
 from __future__ import annotations
@@ -45,44 +46,51 @@ class ControllerGains:
         with np.errstate(over="ignore"):  # an overflowing gain is rejected as not finite
             return ControllerGains(self.k * factor)
 
-    def cumulative(self) -> np.ndarray:
-        """``out[:, s] = k_s * k_{s+1} * ... * k_r`` (coefficients of the law)."""
-        return np.cumprod(self.k[:, ::-1], axis=1)[:, ::-1]
+
+def control_rows(gains: ControllerGains, bank: InternalModelBank,
+                 ablate: bool = False) -> np.ndarray:
+    """The control law as rows ``U`` over ``[p; x; eta]``, so that ``u = U [p; x; eta]``.
+
+    ``p`` holds the agents' own references, ``x`` the chain states
+    level-major and ``eta`` the bank's compensators (`InternalModelBank.rows`).
+    Chain level s is compared against read-out s - 1 (the first against
+    ``p``) and weighted by the cumulative gain ``k_s ... k_r``; the top
+    read-out is fed forward. ``ablate=True`` drops every read-out, leaving
+    plain chain feedback; this deliberately disables disturbance rejection.
+    """
+    _, _, Psi, owner = bank.rows
+    n, r = gains.k.shape
+    coeff = np.cumprod(gains.k[:, ::-1], axis=1)[:, ::-1]  # column s: k_s ... k_r
+    agents = np.arange(n)
+    U = np.zeros((n, n * (r + 1) + len(owner)))
+    U[agents, agents] = coeff[:, 0]
+    for s in range(r):
+        U[agents, n * (s + 1) + agents] = -coeff[:, s]
+    if not ablate:
+        level, agent = np.divmod(owner, n)
+        cols = np.arange(len(owner))
+        weight = np.column_stack([coeff[:, 1:], np.ones(n)])[agent, level]  # 1 for the top
+        U[agent, n * (r + 1) + cols] = weight * Psi[owner, cols]
+    return U
 
 
 def psi_readouts(bank: InternalModelBank, eta: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Per-level compensator read-outs ``Psi_s eta_s``, each shaped (N,)."""
-    return [np.einsum("ij,ij->i", level.Psi, np.asarray(e, dtype=float))
-            for level, e in zip(bank.levels, eta)]
+    _, _, Psi, _ = bank.rows
+    return list((Psi @ np.concatenate([np.ravel(e) for e in eta])).reshape(bank.r, -1))
 
 
 def control_law(gains: ControllerGains, bank: InternalModelBank, state: PlantState,
                 eta: Sequence[np.ndarray], p: np.ndarray, ablate: bool = False) -> np.ndarray:
-    """Control input for every agent.
-
-    Each chain state is compared against the previous level's compensator
-    read-out (the first against the agent's own reference), weighted by the
-    cumulative gain products, and the top-level read-out is added as
-    feedforward. ``ablate=True`` zeroes every read-out term, leaving plain
-    chain feedback; this deliberately disables disturbance rejection.
-    """
-    x = state.x
-    r = bank.r
-    reads = psi_readouts(bank, eta)
-    if ablate:
-        reads = [np.zeros_like(v) for v in reads]
-    coeff = gains.cumulative()
-    u = reads[r - 1].copy()
-    for s in range(1, r + 1):
-        prev = p if s == 1 else reads[s - 2]
-        u -= coeff[:, s - 1] * (x[s - 1] - prev)
-    return u
+    """Control input for every agent: `control_rows` applied to ``[p; x; eta]``."""
+    lifted = np.concatenate([np.ravel(p), state.x.ravel()] + [np.ravel(e) for e in eta])
+    return control_rows(gains, bank, ablate) @ lifted
 
 
 def backstepping_feedback(gains: ControllerGains, x_bar: np.ndarray) -> np.ndarray:
     """Transformed-coordinate feedback via the recursive gain construction.
 
-    Independent evaluation route used to cross-check `control_law`: fold the
+    Independent evaluation route used to cross-check `control_rows`: fold the
     transformed chain states one level at a time and feed back the top fold.
     """
     x_bar = np.asarray(x_bar, dtype=float)
@@ -115,16 +123,12 @@ def transform(state: PlantState, eta: Sequence[np.ndarray], bank: InternalModelB
     ideal compensator states ``theta``), so it is only available on the
     simulation side, never to the controller.
     """
-    reads = psi_readouts(bank, eta)
-    r = bank.r
-    x_bar = np.empty_like(state.x)
-    x_bar[0] = state.x[0] - np.asarray(p, dtype=float)
-    for s in range(1, r):
-        x_bar[s] = state.x[s] - reads[s - 1]
+    # chain level s + 1 against the read-out of compensator level s, the first against p
+    x_bar = state.x - np.vstack([p] + psi_readouts(bank, eta)[:-1])
     eta_tilde = tuple(
         np.asarray(eta[s], dtype=float) - np.asarray(theta[s], dtype=float)
         - bank.levels[s].N * x_bar[s][:, None]
-        for s in range(r)
+        for s in range(bank.r)
     )
     return TransformedState(z_bar=state.z - steady.z_star(v), x_bar=x_bar, eta_tilde=eta_tilde)
 

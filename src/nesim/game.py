@@ -122,15 +122,10 @@ GameSpec = Union[QuadraticAggregativeGame, CustomGame]
 def partial_gradient(game: GameSpec, i: int, profile: np.ndarray) -> float:
     """Derivative of player i's cost with respect to its own strategy.
 
-    Closed form for the quadratic kind; central finite difference with step
-    ``1e-6 * (1 + |y_i|)`` otherwise, read off the whole finite-difference
-    pseudo-gradient.
+    Entry i of `pseudo_gradient`: closed form for the quadratic kind, central
+    finite difference with step ``1e-6 * (1 + |y_i|)`` otherwise.
     """
-    y = np.asarray(profile, dtype=float)
-    if isinstance(game, QuadraticAggregativeGame):
-        return float(2.0 * (y[i] - game.h1[i]) + game.h2[i] * y.sum()
-                     + game.h2[i] * y[i] + game.h3[i])
-    return float(pseudo_gradient(game, y)[i])
+    return float(pseudo_gradient(game, profile)[i])
 
 
 def _central_partials(costs, blocks: np.ndarray) -> np.ndarray:
@@ -156,11 +151,12 @@ def _central_partials(costs, blocks: np.ndarray) -> np.ndarray:
 
 
 def pseudo_gradient(game: GameSpec, profile: np.ndarray) -> np.ndarray:
-    """Stack of every player's own-cost partial derivative at one profile."""
-    y = np.asarray(profile, dtype=float)
-    if isinstance(game, QuadraticAggregativeGame):
-        return 2.0 * (y - game.h1) + game.h2 * y.sum() + game.h2 * y + game.h3
-    return _central_partials(game.costs, np.broadcast_to(y, (1, game.n, game.n)))[0]
+    """Stack of every player's own-cost partial derivative at one profile.
+
+    The extended pseudo-gradient with every agent's estimate at ``profile``.
+    """
+    return extended_pseudo_gradient(game, np.broadcast_to(np.asarray(profile, dtype=float),
+                                                          (game.n, game.n)))
 
 
 def extended_pseudo_gradient(game: GameSpec, estimates: np.ndarray) -> np.ndarray:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Disconnected, require
-from .game import (GameSpec, GradientConstants, estimate_constants, extended_pseudo_gradient,
-                   solve_ne)
+from .game import (GameSpec, GradientConstants, QuadraticAggregativeGame, estimate_constants,
+                   extended_pseudo_gradient, solve_ne)
 from .graph import CONNECTIVITY_EPS, CommGraph, lambda2, laplacian
 from .numerics import OdeSystem, integrate
 
@@ -72,21 +72,42 @@ def min_gamma2(constants: GradientConstants, g: CommGraph) -> float:
     return (lbar ** 2 / lmono + lbar) / lam2
 
 
+def generator_rows(game: GameSpec, g: CommGraph, gamma1: float, gamma2: float) -> np.ndarray:
+    """The generator as a linear map of ``[vec P; 1; partials]`` (`generator_lift`).
+
+    Every row of ``vec P`` (row-major) holds the consensus
+    ``-gamma1 gamma2 (L kron I)``; agent i's own entry adds the extended
+    gradient on estimate row i. For the quadratic game that is its affine
+    form, Jacobian row i on the row and the constant in the column of the
+    one; for a custom game ``-gamma1`` on agent i's finite-difference
+    partial, one of the ``N`` trailing columns.
+    """
+    n = game.n
+    quadratic = isinstance(game, QuadraticAggregativeGame)
+    own = np.arange(n) * (n + 1)  # agent i's entry of vec P
+    rows = np.zeros((n * n, n * n + 1 + (0 if quadratic else n)))
+    rows[:, :n * n] = -gamma1 * gamma2 * np.kron(laplacian(g), np.eye(n))
+    if quadratic:  # Jacobian row i on estimate row i
+        rows[own[:, None], np.arange(n * n).reshape(n, n)] -= gamma1 * game.jacobian()
+        rows[own, n * n] = -gamma1 * game.gradient_constant()
+    else:
+        rows[own, n * n + 1 + np.arange(n)] = -gamma1
+    return rows
+
+
+def generator_lift(game: GameSpec, P: np.ndarray) -> np.ndarray:
+    """``[vec P; 1; partials]``, a custom game's partials taken on each agent's own row."""
+    if isinstance(game, QuadraticAggregativeGame):  # its extended gradient is in the rows
+        return np.append(np.ravel(P), 1.0)
+    return np.concatenate([np.ravel(P), [1.0], extended_pseudo_gradient(game, P)])
+
+
 def generator_rhs(game: GameSpec, g: CommGraph, gains: GeneratorGains,
                   state: GeneratorState | np.ndarray) -> np.ndarray:
-    """Time derivative of the estimate matrix.
-
-    Row i evolves by consensus with the neighbors' rows; the diagonal entry
-    additionally descends agent i's partial gradient evaluated on row i.
-    Equals the stacked form ``-gamma1 * (Rsel^T F_ext(p) + gamma2 * (L kron I) p)``
-    row-major.
-    """
+    """Time derivative of the estimate matrix: `generator_rows` applied to the lifted state."""
     P = state.estimates if isinstance(state, GeneratorState) else np.asarray(state, dtype=float)
-    n = game.n
-    dP = -gains.gamma1 * gains.gamma2 * (laplacian(g) @ P)
-    idx = np.arange(n)
-    dP[idx, idx] -= gains.gamma1 * extended_pseudo_gradient(game, P)
-    return dP
+    rows = generator_rows(game, g, gains.gamma1, gains.gamma2)
+    return (rows @ generator_lift(game, P)).reshape(P.shape)
 
 
 @dataclass
@@ -124,10 +145,8 @@ def run_generator(game: GameSpec, g: CommGraph, gains: GeneratorGains,
     target = np.tile(p_star, game.n)
 
     n = game.n
-    sys = OdeSystem(
-        dimension=n * n,
-        rhs=lambda t, x: generator_rhs(game, g, gains, x.reshape(n, n)).ravel(),
-    )
+    rows = generator_rows(game, g, gains.gamma1, gains.gamma2)
+    sys = OdeSystem(dimension=n * n, rhs=lambda t, x: rows @ generator_lift(game, x.reshape(n, n)))
     ts, dists = [], []
 
     def observer(step, t, x):

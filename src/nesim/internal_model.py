@@ -11,6 +11,7 @@ Hurwitz copy reproduce the signal when driven appropriately.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -194,6 +195,29 @@ class InternalModelBank:
     def r(self) -> int:
         return len(self.levels)
 
+    @cached_property
+    def rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(M, N, Psi, owner)``: every level's and agent's blocks, placed over ``eta``.
+
+        ``eta`` stacks ``eta_1 (N*n_1) .. eta_r (N*n_r)``, agent-major within a
+        level, and entry k belongs to compensator ``owner[k] = s*N + i`` (level
+        s, agent i). With one drive per compensator, ordered like the owners,
+        ``d eta = M eta + N * drive[owner]`` and the read-outs are ``Psi eta``.
+        """
+        n = len(self.levels[0].M)
+        owner = np.repeat(np.arange(self.r * n), np.repeat([lv.order for lv in self.levels], n))
+        dim = len(owner)
+        M, N, Psi = np.zeros((dim, dim)), np.empty(dim), np.zeros((self.r * n, dim))
+        pos = 0
+        for s, level in enumerate(self.levels):
+            for i in range(n):
+                blk = slice(pos, pos + level.order)
+                M[blk, blk], N[blk], Psi[s * n + i, blk] = level.M[i], level.N[i], level.Psi[i]
+                pos += level.order
+        for a in (M, N, Psi, owner):
+            a.setflags(write=False)
+        return M, N, Psi, owner
+
 
 def synthesize_bank(im_polys: Sequence[np.ndarray], n_agents: int,
                     stabilizers=None, preset: str | None = None) -> InternalModelBank:
@@ -225,11 +249,6 @@ def synthesize_bank(im_polys: Sequence[np.ndarray], n_agents: int,
             Ms[i], Ns[i], Ts[i], Psis[i] = stab.M, stab.N, T, psi
         levels.append(LevelBank(companion=comp, M=Ms, N=Ns, T=Ts, Psi=Psis))
     return InternalModelBank(levels=tuple(levels))
-
-
-def im_rhs(stab: StabilizerPair, eta: np.ndarray, driving: float) -> np.ndarray:
-    """Compensator derivative ``M eta + N * driving`` for one agent/level."""
-    return stab.M @ np.asarray(eta, dtype=float) + stab.N * float(driving)
 
 
 def sylvester_residual(level: LevelBank, agent: int) -> float:

@@ -25,12 +25,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .controller import ControllerGains, TRACKING_TOL, STATE_NORM_LIMIT
+from .controller import (ControllerGains, TRACKING_TOL, STATE_NORM_LIMIT, control_rows,
+                         psi_readouts)
 from .errors import ConfigError, NesimError, NonFiniteState, require
 from .game import (GameSpec, GradientConstants, QuadraticAggregativeGame, _central_partials,
                    estimate_constants, solve_ne)
-from .generator import GeneratorGains, min_gamma2
-from .graph import CommGraph, is_connected, laplacian
+from .generator import GeneratorGains, generator_rows, min_gamma2
+from .graph import CommGraph, is_connected
 from .internal_model import InternalModelBank, synthesize_bank
 from .numerics import OdeSystem, rk4_step
 from .plant import (Exosystem, PlantFeatures, PlantModel, SteadyState, Uncertainty,
@@ -240,21 +241,18 @@ class AssembledLoop(OdeSystem):
                 [state[blk].reshape(n, order) for blk, order in zip(lay.eta, lay.im_orders)])
 
     def control(self, state: np.ndarray) -> np.ndarray:
-        """Control input of every agent, ``U @ state`` (see `control_law`)."""
+        """Control input of every agent, ``U @ state``: `control_rows` placed on the state."""
         return self.control_rows @ state
 
     def manifold_state(self, v0: np.ndarray, column: int = 0) -> np.ndarray:
         """Flat state of one column on the regulated manifold, generator at equilibrium."""
-        n, lay = self.layout.n_agents, self.layout
         v0 = np.asarray(v0, dtype=float)
-        P = np.tile(self.p_star, (n, 1))  # every row at the equilibrium profile
+        P = np.tile(self.p_star, self.layout.n_agents)  # every row at the equilibrium profile
         z = self.steadies[column].z_star(v0)
         eta = self.ideal_compensators(v0, column)
-        # chain level s + 1 sits at the read-out Psi theta of compensator level s
-        x = np.vstack([self.p_star] + [np.einsum("ij,ij->i", level.Psi, theta)
-                                       for level, theta in zip(self.bank.levels[:lay.r - 1], eta)])
-        return np.concatenate([P.ravel(), v0, z.ravel(), x.ravel()]
-                              + [e.ravel() for e in eta])
+        # chain level s + 1 sits at the read-out of compensator level s
+        x = np.vstack([self.p_star] + psi_readouts(self.bank, eta)[:-1])
+        return np.concatenate([P, v0, z.ravel(), x.ravel()] + [e.ravel() for e in eta])
 
     def ideal_compensators(self, v: np.ndarray, column: int = 0) -> list[np.ndarray]:
         """The compensator states of one column that exactly reproduce the steady signals."""
@@ -325,19 +323,13 @@ def _closed_loop_rhs(layout: StateLayout, A3: np.ndarray, features: PlantFeature
     reentrant. Each column gets its own GEMV (one ``A.dot`` for one column,
     a stacked ``matmul`` otherwise), never one GEMM over the batch, whose
     rounding would depend on ``B``: every column is bit-identical to its
-    one-column run. A flat state is reshaped to one column explicitly.
+    one-column run. A flat state is viewed as one column.
     """
     n, dim, width = layout.n_agents, layout.dim, A3.shape[2]
     P, v, zx = layout.P, layout.v, layout.zx
     plant_fill, phi = features.fill, slice(dim + 1, dim + 1 + features.count)
-    if isinstance(game, QuadraticAggregativeGame):
-        def fill(state, lifted):  # its extended gradient is affine, already in the operator
-            plant_fill(state[zx], state[v], lifted[phi])
-    else:
-        def fill(state, lifted):
-            plant_fill(state[zx], state[v], lifted[phi])
-            blocks = state[P].reshape(n, n, -1).transpose(2, 0, 1)  # one (n, n) per column
-            lifted[phi.stop:] = _central_partials(game.costs, blocks).T
+    # a quadratic game's extended gradient is affine, already in the operator
+    custom = not isinstance(game, QuadraticAggregativeGame)
     if len(A3) == 1:
         product = A3[0].dot
     else:
@@ -350,12 +342,16 @@ def _closed_loop_rhs(layout: StateLayout, A3: np.ndarray, features: PlantFeature
     blank[dim] = 1.0  # the constant entry; every other row is overwritten
 
     def rhs(t: float, state: np.ndarray) -> np.ndarray:
-        if state.ndim == 1:
-            return rhs(t, state[:, None])[:, 0]
+        flat = state.ndim == 1
+        columns = state[:, None] if flat else state
         lifted = blank.copy()
-        lifted[:dim] = state
-        fill(state, lifted)
-        return product(lifted)
+        lifted[:dim] = columns
+        plant_fill(columns[zx], columns[v], lifted[phi])
+        if custom:
+            blocks = columns[P].reshape(n, n, -1).transpose(2, 0, 1)  # one (n, n) per column
+            lifted[phi.stop:] = _central_partials(game.costs, blocks).T
+        out = product(lifted)
+        return out[:, 0] if flat else out
 
     return rhs
 
@@ -369,23 +365,17 @@ def _closed_loop_operator(scenario: Scenario, layout: StateLayout, bank: Interna
     those of the plant (``features``, see `drift_split`) and, for a custom
     game, one finite-difference partial per agent. The operator is ``(B, dim,
     dim + 1 + count [+ N])``, one per draw of the stacked drift split ``J``;
-    they differ only in the plant rows, so the other rows are built once and
-    copied per draw. ``U`` is shared.
+    only the plant rows differ, so the other rows are built once. ``U`` is shared.
 
-    Each block is written from its own parameters: the generator's
-    consensus ``-gamma1 gamma2 (L kron I)`` plus the extended gradient on
-    the diagonal entries (for the quadratic game its affine form, with its
-    constant in the column of the one; for a custom game ``-gamma1`` on the
-    partials); the exosystem ``S``; the plant drift ``J`` and the chain
-    shifts ``x_{s+1} -> dx_s``; the control law ``u = U x``; and the
-    compensators ``M eta + N drive``, where level ``s`` is driven by
-    ``x_{s+1}`` and the top level by ``u``. ``ablate`` drops the read-outs
-    from ``U``.
+    Each designed block comes in its own coordinates and is only placed here,
+    by index: `generator_rows`, the exosystem ``S``, `InternalModelBank.rows`
+    and `control_rows`. Added here are the plant drift ``J``, the chain shifts
+    ``x_{s+1} -> dx_s``, ``u = U x`` on the top chain level and the drives of
+    the compensators: ``x_{s+1}`` for level ``s``, ``u`` for the top level.
     """
     n, r, dim = layout.n_agents, layout.r, layout.dim
     P, v, zx, p_diag = layout.P, layout.v, layout.zx, layout.p_diag
     xa, ea = layout.x.start, layout.x.stop  # the compensators follow the chain
-    agents = np.arange(n)
     n_zx = zx.stop - zx.start
     valid = isinstance(features, PlantFeatures) and J.ndim == 3 and J.shape[1] == n_zx
     v_cols = J.shape[2] - n_zx - features.count if valid else -1
@@ -398,54 +388,24 @@ def _closed_loop_operator(scenario: Scenario, layout: StateLayout, bank: Interna
             f"coordinates and of the features, and PlantFeatures(count, fill), where "
             f"fill(zx, v, out) writes the (count, B) features into out")
     phi = slice(dim + 1, dim + 1 + features.count)
-    game = scenario.game
-    quadratic = isinstance(game, QuadraticAggregativeGame)
+    generator = generator_rows(scenario.game, scenario.graph, gamma1, gamma2)
     # the rows every draw shares; the plant rows follow per draw
-    A = np.zeros((dim, phi.stop + (0 if quadratic else n)))
-
-    A[P, P] = -gamma1 * gamma2 * np.kron(laplacian(scenario.graph), np.eye(n))
-    if quadratic:
-        # entry i of the extended gradient is Jacobian row i applied to estimate row i
-        G = game.jacobian()
-        for i in range(n):
-            A[p_diag[i], P.start + i * n:P.start + (i + 1) * n] -= gamma1 * G[i]
-        A[p_diag, dim] = -gamma1 * game.gradient_constant()
-    else:
-        A[p_diag, phi.stop + agents] = -gamma1
+    A = np.zeros((dim, phi.stop + generator.shape[1] - P.stop - 1))
+    A[P, P], A[P, dim] = generator[:, P], generator[:, P.stop]  # over [vec P; 1; partials]
+    A[P, phi.stop:] = generator[:, P.stop + 1:]
     A[v, v] = scenario.exo.S
-
-    # compensator dynamics and read-outs Psi_s eta_s, one row per (level, agent)
-    reads = np.zeros((r * n, dim))
-    N_flat = np.empty(dim - ea)
-    drive_idx = np.empty(dim - ea, dtype=np.intp)
-    pos = 0
-    for s, level in enumerate(bank.levels):
-        ns = level.order
-        for i in range(n):
-            rel, blk = slice(pos, pos + ns), slice(ea + pos, ea + pos + ns)
-            A[blk, blk] = level.M[i]
-            N_flat[rel] = level.N[i]
-            drive_idx[rel] = s * n + i
-            if not ablate:
-                reads[s * n + i, blk] = level.Psi[i]
-            pos += ns
-
-    coeff = gains.cumulative()
-    U = reads[(r - 1) * n:].copy()
-    U[agents, p_diag] += coeff[:, 0]
-    for s in range(r):
-        U[agents, xa + s * n + agents] -= coeff[:, s]
-    for s in range(1, r):
-        U += coeff[:, s, None] * reads[(s - 1) * n:s * n]
-
-    shifted = np.arange(xa, ea - n)
-    drives = np.zeros((r * n, dim))  # level-major: x_2 .. x_r, then u
-    drives[np.arange((r - 1) * n), shifted + n] = 1.0
-    drives[(r - 1) * n:] = U
-    A[ea:, :dim] += N_flat[:, None] * drives[drive_idx]
+    U = np.zeros((n, dim))
+    local = control_rows(gains, bank, ablate)  # over [p; x; eta]
+    U[:, p_diag], U[:, xa:] = local[:, :n], local[:, n:]
+    M, N, _, owner = bank.rows
+    A[ea:, ea:dim] = M
+    low = np.searchsorted(owner, (r - 1) * n)  # the levels below the top come first
+    A[ea + np.arange(low), xa + n + owner[:low]] = N[:low]  # each driven by the next chain state
+    A[ea + low:, :dim] += N[low:, None] * U[owner[low:] - (r - 1) * n]
 
     # per draw, the plant rows: the drift J on zx, the leading v and the features,
     # then the chain shifts x_{s+1} -> dx_s, then the control law u = U x on the top level
+    shifted = np.arange(xa, ea - n)
     A3 = np.repeat(A[None], len(J), axis=0)
     A3[:, zx, zx] = J[:, :, :n_zx]
     A3[:, zx, v.start:v.start + v_cols] = J[:, :, n_zx:n_zx + v_cols]

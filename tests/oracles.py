@@ -2,8 +2,12 @@
 
 The first are written out sample by sample, the way the definitions read, so
 that the whole-array code in `nesim.game` is checked against something other
-than itself; `composed_rhs` composes the closed-loop derivative from the
-public per-block functions, not from the assembled operator.
+than itself. `composed_rhs` composes the closed-loop derivative block by
+block, not from the assembled operator. Its generator and control law are
+`generator_rhs` and `control_law`, which evaluate the same rows the operator
+places, so it checks the placement and the wiring between blocks; the rows
+themselves are checked against the stacked Kronecker form, the backstepping
+recursion and the Sylvester identity in the block tests.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ import numpy as np
 from nesim.controller import control_law
 from nesim.game import CustomGame, GradientConstants
 from nesim.generator import GeneratorGains, generator_rhs
-from nesim.internal_model import StabilizerPair, im_rhs
 from nesim.plant import PlantState, exo_rhs, plant_rhs
 
 
@@ -77,7 +80,7 @@ def reference_bounds(game: CustomGame, n_samples: int, seed: int) -> tuple[float
 
 
 def composed_rhs(loop, state, column: int = 0):
-    """Closed-loop derivative and input of one column's flat state, from the per-block functions."""
+    """Closed-loop derivative and input of one column's flat state, composed per block and agent."""
     sc = loop.scenario
     P, v, z, x, eta = loop.unpack(state)
     plant = PlantState(z=z, x=x)
@@ -85,8 +88,7 @@ def composed_rhs(loop, state, column: int = 0):
     u = control_law(loop.gains, loop.bank, plant, eta, P.diagonal(), ablate=loop.ablate)
     dz, dx = plant_rhs(sc.plant, plant, u, v, loop.draws[column])
     drives = list(x[1:]) + [u]  # level s is driven by x_{s+1}, the top level by u
-    deta = [np.array([im_rhs(StabilizerPair(level.M[i], level.N[i]), eta[s][i], drives[s][i])
-                      for i in range(sc.n)])
+    deta = [np.array([level.M[i] @ eta[s][i] + level.N[i] * drives[s][i] for i in range(sc.n)])
             for s, level in enumerate(loop.bank.levels)]
     flat = np.concatenate([dP.ravel(), exo_rhs(sc.exo, v), dz.ravel(), dx.ravel()]
                           + [d.ravel() for d in deta])

@@ -3,11 +3,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from factories import build_game
 from nesim.errors import Disconnected
-from nesim.game import GradientConstants, QuadraticAggregativeGame, solve_ne
+from nesim.game import (GradientConstants, QuadraticAggregativeGame, extended_pseudo_gradient,
+                        solve_ne)
 from nesim.generator import (GeneratorGains, GeneratorState, generator_rhs,
                              min_gamma2, run_generator)
 from nesim.graph import CommGraph, laplacian
+from oracles import central_partials
 
 
 def quad(h1, h2, h3):
@@ -59,24 +62,28 @@ class TestGeneratorRhs:
         assert rhs[0, 1] == rhs[1, 0] == 0.0
 
     def test_per_agent_equals_stacked_form(self):
-        game = quad([2, 4, 3, 5], [2, 2, 2, 2], [1, 1, 1, 1])
-        g = CommGraph.ring(4)
-        gains = GeneratorGains(1.3, 7.0)
-        n = 4
-        # stacked operator: selector embedding the partial gradients on the
-        # diagonal slots plus the Laplacian acting on whole rows
-        Rsel = np.zeros((n, n * n))
-        for i in range(n):
-            Rsel[i, i * n + i] = 1.0
-        Lbig = np.kron(laplacian(g), np.eye(n))
-        rng = np.random.default_rng(12)
-        from nesim.game import extended_pseudo_gradient
-        for _ in range(100):
-            P = rng.normal(size=(n, n))
-            per_agent = generator_rhs(game, g, gains, GeneratorState(P)).ravel()
-            stacked = (-gains.gamma1 * Rsel.T @ extended_pseudo_gradient(game, P)
-                       - gains.gamma1 * gains.gamma2 * Lbig @ P.ravel())
-            assert np.abs(per_agent - stacked).max() < 1e-12
+        # the quadratic game's extended gradient in closed form, and the test factories'
+        # finite-difference game's from the sample-by-sample central differences
+        quadratic = quad([2, 4, 3, 5], [2, 2, 2, 2], [1, 1, 1, 1])
+        custom = build_game([1.0, 2.0, 3.0], 0.5)
+        for game, g, extended in (
+                (quadratic, CommGraph.ring(4), lambda P: extended_pseudo_gradient(quadratic, P)),
+                (custom, CommGraph.ring(3), lambda P: central_partials(custom.costs, P[None])[0])):
+            gains = GeneratorGains(1.3, 7.0)
+            n = game.n
+            # stacked operator: selector embedding the partial gradients on the
+            # diagonal slots plus the Laplacian acting on whole rows
+            Rsel = np.zeros((n, n * n))
+            for i in range(n):
+                Rsel[i, i * n + i] = 1.0
+            Lbig = np.kron(laplacian(g), np.eye(n))
+            rng = np.random.default_rng(12)
+            for _ in range(100):
+                P = rng.normal(size=(n, n))
+                per_agent = generator_rhs(game, g, gains, GeneratorState(P)).ravel()
+                stacked = (-gains.gamma1 * Rsel.T @ extended(P)
+                           - gains.gamma1 * gains.gamma2 * Lbig @ P.ravel())
+                assert np.abs(per_agent - stacked).max() < 1e-12
 
 
 @pytest.fixture(scope="module")

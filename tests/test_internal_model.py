@@ -5,7 +5,7 @@ import pytest
 
 from nesim.errors import InvalidSpectrum, SingularT
 from nesim.internal_model import (_FD_STENCILS, _derivative_stack, companion_from_coeffs,
-                                  default_stabilizer, im_rhs, solve_sylvester, StabilizerPair,
+                                  default_stabilizer, solve_sylvester, StabilizerPair,
                                   synthesize_bank, sylvester_residual, verify_reproduction)
 from nesim.numerics import OdeSystem, integrate
 from nesim.plant import exo_trajectory
@@ -139,22 +139,30 @@ class TestBank:
                 assert sylvester_residual(level, i) <= 1e-10
 
 
-class TestImRhs:
-    def test_zero(self):
-        stab = default_stabilizer(3)
-        assert np.abs(im_rhs(stab, np.zeros(3), 0.0)).max() == 0.0
+class TestCompensatorRows:
+    # one recurrence of each order 1 to 5, every mode on the imaginary axis
+    ORDERS = ([0.0], [-1.0, 0.0], [0.0, -1.0, 0.0], [-4.0, 0.0, -5.0, 0.0],
+              [0.0, -4.0, 0.0, -5.0, 0.0])
 
-    def test_scalar_value(self):
-        stab = StabilizerPair(M=np.array([[-1.0]]), N=np.array([1.0]))
-        assert im_rhs(stab, np.array([2.0]), 5.0)[0] == pytest.approx(3.0)
-
-    def test_affine_in_drive(self):
-        stab = default_stabilizer(3)
-        eta = np.array([0.4, -1.0, 2.0])
-        a, b = 1.3, -0.7
-        lhs = im_rhs(stab, eta, a + b)
-        rhs = im_rhs(stab, eta, a) + stab.N * b
-        assert np.abs(lhs - rhs).max() < 1e-14
+    @pytest.mark.parametrize("case", ["sec5", "default_orders_1_to_5"])
+    def test_rows_follow_the_sylvester_closed_form(self, case, sec5):
+        # T Phi = M T + N Gamma: each compensator at eta = T xi, driven by Gamma xi,
+        # moves at T Phi xi, and Psi T = Gamma reads Gamma xi out
+        bank = (sec5.synthesized().bank if case == "sec5"
+                else synthesize_bank(self.ORDERS, 3))
+        M, N, Psi, owner = bank.rows
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            eta, want, drive = [], [], []
+            for level in bank.levels:
+                for T in level.T:
+                    xi = rng.normal(size=level.order)
+                    eta.append(T @ xi)
+                    want.append(T @ level.companion.Phi @ xi)
+                    drive.append(level.companion.Gamma[0] @ xi)
+            eta, want, drive = np.concatenate(eta), np.concatenate(want), np.array(drive)
+            assert np.abs(M @ eta + N * drive[owner] - want).max() <= 1e-10
+            assert np.abs(Psi @ eta - drive).max() <= 1e-10
 
 
 class TestVerifyReproduction:

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
 from nesim.config import load_scenario
-from nesim.controller import ControllerGains, control_law
+from nesim.controller import ControllerGains, backstepping_feedback, control_law
 from nesim.errors import ConfigError
 from nesim.game import QuadraticAggregativeGame, estimate_constants, solve_ne
 from nesim.generator import GeneratorGains, min_gamma2
@@ -46,6 +48,37 @@ def test_rhs_matches_composed_blocks(case, sec5, stable_gains, request):
         fused = loop.rhs(0.0, state)
         assert np.abs(fused - ref).max() <= 1e-12 * np.abs(ref).max()
         assert np.abs(loop.control(state) - u_ref).max() <= 1e-12 * np.abs(u_ref).max()
+
+
+@pytest.mark.parametrize("ablate", [False, True], ids=["sec5", "sec5_ablated"])
+def test_placed_control_rows_match_backstepping_oracle(ablate, sec5, stable_gains):
+    # u is the backstepping fold of the error coordinates plus the top read-out as
+    # feedforward, with each read-out Psi_s eta_s summed per agent; ablated, none is read
+    loop = assemble(sec5, gains=stable_gains, ablate=ablate, rng=np.random.default_rng(sec5.seed))
+    rng = np.random.default_rng(22)
+    for _ in range(20):
+        state = rng.normal(size=loop.dimension)
+        P, _, _, x, eta = loop.unpack(state)
+        reads = [np.zeros(sec5.n) if ablate else (level.Psi * e).sum(axis=1)
+                 for level, e in zip(loop.bank.levels, eta)]
+        x_bar = np.vstack([x[0] - P.diagonal()] + [x[s] - reads[s - 1] for s in range(1, len(x))])
+        want = backstepping_feedback(loop.gains, x_bar) + reads[-1]
+        assert np.abs(loop.control(state) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_assembled_loop_is_freed_without_the_cyclic_collector(sec5, stable_gains):
+    # nothing the loop holds may form a reference cycle that keeps the operator alive
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        loop = assemble(sec5, gains=stable_gains, rng=np.random.default_rng(sec5.seed))
+        operator = weakref.ref(loop.operator)
+        assert loop.rhs(0.0, np.zeros(loop.dimension)).shape == (loop.dimension,)
+        del loop
+        assert operator() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 CUSTOM_CONFIG = {
