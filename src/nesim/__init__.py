@@ -15,9 +15,8 @@ from .graph import CommGraph, is_connected, lambda2, laplacian
 from .internal_model import (CompanionPair, InternalModelBank, StabilizerPair,
                              companion_from_coeffs, default_stabilizer,
                              solve_sylvester, synthesize_bank, verify_reproduction)
-from .plant import (Exosystem, PlantModel, PlantState, SteadyState, Uncertainty,
-                    example_plant, exo_rhs, plant_rhs, sample_uncertainty,
-                    steady_state_chain)
+from .plant import (Exosystem, PlantModel, PlantState, SteadyState, example_plant, exo_rhs,
+                    plant_rhs, sample_uncertainty, steady_state_chain)
 from .simulation import (ClosedLoopTrajectory, Scenario, assemble, metrics, run,
                          write_csv)
 from .config import load_scenario

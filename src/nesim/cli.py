@@ -196,14 +196,14 @@ def cmd_check(args) -> int:
                 for level in bank.levels for i in range(n))
     add("psi_readout_identity", worst <= 1e-10, f"max |Psi T - Gamma| {worst:.2e} (tol 1e-10)")
 
-    loop = assemble(scenario)
+    steady = assemble(scenario).steady  # the chain of the scenario seed's draw
     v0 = np.random.default_rng(scenario.seed + 1).uniform(
         scenario.exo.v0_box[:, 0], scenario.exo.v0_box[:, 1])
     exo_ts, exo_vs = exo_trajectory(scenario.exo, v0, t_final=5.0, h=1e-3)  # for both checks
-    pde = check_steady_zero_pde(scenario.plant, loop.w, p_star, exo_ts, exo_vs)
+    pde = check_steady_zero_pde(scenario.plant, steady.w, p_star, exo_ts, exo_vs)
     add("steady_zero_pde", pde <= 1e-6, f"max residual {pde:.2e} (tol 1e-6)")
 
-    cons = check_steady_chain_consistency(loop.steady, exo_ts, exo_vs)
+    cons = check_steady_chain_consistency(steady, exo_ts, exo_vs)
     add("steady_chain_consistency", cons <= 1e-6, f"max mismatch {cons:.2e} (tol 1e-6)")
 
     # internal-model reproduction per level, every agent in one batched run; the
@@ -212,7 +212,7 @@ def cmd_check(args) -> int:
     ts, vs = exo_trajectory(scenario.exo, v0, t_final=20.0, h=2e-3)
     tols = {0: 1e-5}
     for s, level in enumerate(bank.levels):
-        worst = float(verify_reproduction(level, ts, loop.steady.x_star(s + 2, vs)).max())
+        worst = float(verify_reproduction(level, ts, steady.x_star(s + 2, vs)).max())
         tol = tols.get(s, 1e-3)
         add(f"im_reproduction_level{s + 1}", worst <= tol,
             f"max error {worst:.2e} (tol {tol:g})")

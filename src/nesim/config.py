@@ -34,12 +34,21 @@ from .simulation import EscalationSpec, Scenario
 _SECTIONS = ("game", "graph", "plant", "exosystem", "internal_model",
              "gains", "controller", "sim")
 
+
+def _field_defaults(cls, names: tuple) -> dict:
+    """The defaults of the dataclass fields ``names``, as the class declares them."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    return {name: defaults[name] for name in names}
+
+
+# the run and escalation settings default to the fields of `Scenario` and `EscalationSpec`
 _DEFAULTS = {
     "exosystem": {"S": [[0.0, 1.0], [-1.0, 0.0]]},
     "internal_model": {},
     "gains": {"gamma1": 1.0, "gamma2": "auto"},
-    "controller": {"k": "auto", "escalation": {"factor": 2.0, "max_rounds": 12}},
-    "sim": {"t_final": 30.0, "dt": 1e-3, "seed": 0, "R": 1.0, "decimate": 10},
+    "controller": {"k": "auto",
+                   "escalation": _field_defaults(EscalationSpec, ("factor", "max_rounds"))},
+    "sim": _field_defaults(Scenario, ("t_final", "dt", "seed", "R", "decimate")),
 }
 
 _ALLOWED_KEYS = {
@@ -50,7 +59,7 @@ _ALLOWED_KEYS = {
     "internal_model": {"preset", "explicit"},
     "gains": {"gamma1", "gamma2", "p0"},
     "controller": {"k", "escalation"},
-    "sim": {"t_final", "dt", "seed", "R", "decimate"},
+    "sim": set(_DEFAULTS["sim"]),
 }
 
 
@@ -225,15 +234,12 @@ def normalize(raw: dict) -> dict:
         if karr.ndim != 2:
             _fail("controller.k", "expected one gain row per agent (or 'auto')")
         ctrl["k"] = karr.tolist()
-    escalation = ctrl["escalation"]
-    escalation["factor"] = _number("controller.escalation.factor", escalation["factor"])
-    escalation["max_rounds"] = _number("controller.escalation.max_rounds",
-                                       escalation["max_rounds"], int)
-
-    sim = out["sim"]
-    for key, kind in (("t_final", float), ("dt", float), ("seed", int), ("R", float),
-                      ("decimate", int)):
-        sim[key] = _number(f"sim.{key}", sim[key], kind)
+    # each run and escalation setting takes the type of its default
+    for path, section, defaults in (
+            ("controller.escalation", ctrl["escalation"], _DEFAULTS["controller"]["escalation"]),
+            ("sim", out["sim"], _DEFAULTS["sim"])):
+        for key, default in defaults.items():
+            section[key] = _number(f"{path}.{key}", section[key], type(default))
     return out
 
 

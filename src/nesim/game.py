@@ -164,16 +164,17 @@ def extended_pseudo_gradient(game: GameSpec, estimates: np.ndarray) -> np.ndarra
 
     Row i of ``estimates`` is agent i's local copy of the full strategy
     profile (own strategy on the diagonal); entry i of the result is player
-    i's partial derivative evaluated on its own row.
+    i's partial derivative evaluated on its own row. A stack ``(..., n, n)``
+    of estimate matrices gives the stack ``(..., n)`` of their gradients.
     """
     P = np.asarray(estimates, dtype=float)
     n = game.n
-    if P.shape != (n, n):
-        raise ValueError(f"estimates must be ({n}, {n})")
+    if P.shape[-2:] != (n, n):
+        raise ValueError(f"estimates must be ({n}, {n}) or a stack of them")
     if isinstance(game, QuadraticAggregativeGame):
-        own = P.diagonal()
-        return 2.0 * (own - game.h1) + game.h2 * P.sum(axis=1) + game.h2 * own + game.h3
-    return _central_partials(game.costs, P[None])[0]
+        own = P.diagonal(axis1=-2, axis2=-1)
+        return 2.0 * (own - game.h1) + game.h2 * P.sum(axis=-1) + game.h2 * own + game.h3
+    return _central_partials(game.costs, P.reshape(-1, n, n)).reshape(P.shape[:-1])
 
 
 def estimate_constants(game: GameSpec, n_samples: int = 10_000, seed: int = 0) -> GradientConstants:

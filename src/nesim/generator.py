@@ -127,9 +127,8 @@ class GeneratorTrajectory:
 
 
 def run_generator(game: GameSpec, g: CommGraph, gains: GeneratorGains,
-                  init: GeneratorState, t_final: float, h: float,
-                  record_every: int = 10) -> GeneratorTrajectory:
-    """Integrate the generator alone and record the distance to equilibrium.
+                  init: GeneratorState, t_final: float, h: float) -> GeneratorTrajectory:
+    """Integrate the generator alone and record the distance to equilibrium every 10th step.
 
     The equilibrium used for reporting comes from the centralized oracle
     `solve_ne`; the dynamics themselves never see it. A consensus gain below
@@ -150,7 +149,7 @@ def run_generator(game: GameSpec, g: CommGraph, gains: GeneratorGains,
     ts, dists = [], []
 
     def observer(step, t, x):
-        if step % record_every == 0:
+        if step % 10 == 0:
             ts.append(t)
             dists.append(float(np.linalg.norm(x - target)))
 

@@ -41,15 +41,11 @@ class CommGraph:
         return self.weights.shape[0]
 
     @classmethod
-    def from_edges(cls, n: int, edges, default_weight: float = 1.0) -> "CommGraph":
-        """Build from an edge list of ``(i, j)`` or ``(i, j, weight)`` tuples."""
+    def from_edges(cls, n: int, edges) -> "CommGraph":
+        """Build from an edge list of ``(i, j)`` (weight 1) or ``(i, j, weight)`` tuples."""
         w = np.zeros((n, n))
         for edge in edges:
-            if len(edge) == 2:
-                i, j = edge
-                weight = default_weight
-            else:
-                i, j, weight = edge
+            i, j, weight = edge if len(edge) == 3 else (*edge, 1.0)
             i, j = int(i), int(j)
             if not (0 <= i < n and 0 <= j < n) or i == j:
                 raise ValueError(f"bad edge ({i}, {j}) for n={n}")
@@ -57,8 +53,9 @@ class CommGraph:
         return cls(w)
 
     @classmethod
-    def ring(cls, n: int, weight: float = 1.0) -> "CommGraph":
-        return cls.from_edges(n, [(i, (i + 1) % n, weight) for i in range(n)])
+    def ring(cls, n: int) -> "CommGraph":
+        """The cycle ``0 - 1 - ... - (n-1) - 0`` with unit weights."""
+        return cls.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def laplacian(g: CommGraph) -> np.ndarray:

@@ -60,33 +60,13 @@ def exo_trajectory(exo: Exosystem, v0: np.ndarray, t_final: float, h: float = 1e
     return np.arange(n_steps + 1) * h, rk4_linear(exo.S, np.asarray(v0, dtype=float), h, n_steps)
 
 
-@dataclass(frozen=True)
-class Uncertainty:
-    """A constant parameter draw together with the box it came from."""
-
-    w: np.ndarray
-    box: np.ndarray  # (n_w, 2)
-
-    def __post_init__(self):
-        w = np.array(self.w, dtype=float)
-        box = np.array(self.box, dtype=float)
-        if box.shape != (w.shape[0], 2):
-            raise ValueError("box must be (n_w, 2)")
-        if ((w < box[:, 0] - 1e-12) | (w > box[:, 1] + 1e-12)).any():
-            raise ValueError("w outside its box")
-        w.setflags(write=False)
-        box.setflags(write=False)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "box", box)
-
-
-def sample_uncertainty(box: np.ndarray, seed) -> Uncertainty:
-    """Uniform draw from the box; identical seeds give identical draws."""
+def sample_uncertainty(box: np.ndarray, seed) -> np.ndarray:
+    """One uniform draw ``(n_w,)`` from the box; identical seeds give identical draws."""
     box = np.array(box, dtype=float)
     if box.ndim != 2 or box.shape[1] != 2 or box.shape[0] == 0:
         raise ValueError("box must be (n_w, 2) with n_w >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return Uncertainty(w=rng.uniform(box[:, 0], box[:, 1]), box=box)
+    return rng.uniform(box[:, 0], box[:, 1])
 
 
 @dataclass(frozen=True)
@@ -143,15 +123,14 @@ class PlantState:
 
 
 def plant_rhs(model: PlantModel, state: PlantState, u: np.ndarray, v: np.ndarray,
-              w: Uncertainty | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Time derivative ``(dz, dx)`` of the stacked plant under input ``u``."""
-    wv = w.w if isinstance(w, Uncertainty) else np.asarray(w, dtype=float)
+              w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Time derivative ``(dz, dx)`` of the stacked plant under input ``u`` and draw ``w``."""
     z, x = state.z, state.x
     u = np.asarray(u, dtype=float)
-    dz = model.f0(z, x[0], v, wv)
+    dz = model.f0(z, x[0], v, w)
     dx = np.empty_like(x)
     for s in range(1, model.r + 1):
-        drift = model.f_levels[s - 1](z, x[:s], v, wv)
+        drift = model.f_levels[s - 1](z, x[:s], v, w)
         dx[s - 1] = drift + (x[s] if s < model.r else u)
     if not (np.isfinite(dz).all() and np.isfinite(dx).all()):
         raise NonFiniteState("plant derivative is not finite")
@@ -287,12 +266,11 @@ class SteadyState:
     with central differences in ``v`` (step ``V_FD_STEP``).
     """
 
-    def __init__(self, model: PlantModel, p_star: np.ndarray, exo: Exosystem,
-                 w: Uncertainty | np.ndarray):
+    def __init__(self, model: PlantModel, p_star: np.ndarray, exo: Exosystem, w: np.ndarray):
         self.model = model
         self.p_star = np.asarray(p_star, dtype=float)
         self.exo = exo
-        self.w = w.w if isinstance(w, Uncertainty) else np.asarray(w, dtype=float)
+        self.w = np.asarray(w, dtype=float)
         self._polys = None
         if model.steady_poly is not None:
             self._polys = model.steady_poly(self.p_star, self.w, exo.S)
@@ -369,7 +347,7 @@ def _per_row(fn, *stacks) -> np.ndarray:
 
 
 def steady_state_chain(model: PlantModel, p_star: np.ndarray, exo: Exosystem,
-                       w: Uncertainty | np.ndarray) -> SteadyState:
+                       w: np.ndarray) -> SteadyState:
     """Build the steady-state signal chain for a fixed equilibrium and draw."""
     return SteadyState(model, p_star, exo, w)
 
@@ -496,8 +474,8 @@ def check_origin_equilibrium(model: PlantModel, w_samples: Sequence[np.ndarray],
     return worst
 
 
-def check_steady_zero_pde(model: PlantModel, w, s_values: np.ndarray, ts: np.ndarray,
-                          vs: np.ndarray) -> float:
+def check_steady_zero_pde(model: PlantModel, w: np.ndarray, s_values: np.ndarray,
+                          ts: np.ndarray, vs: np.ndarray) -> float:
     """Residual of the zero-dynamics steady-state map along a disturbance run.
 
     With the output argument frozen, the time derivative of the map along
@@ -505,12 +483,11 @@ def check_steady_zero_pde(model: PlantModel, w, s_values: np.ndarray, ts: np.nda
     zero-dynamics drift evaluated on the map. Returns the worst residual.
     ``ts, vs`` is the run as `exo_trajectory` returns it, on a uniform grid.
     """
-    wv = w.w if isinstance(w, Uncertainty) else np.asarray(w, dtype=float)
     h = float(ts[1] - ts[0])
     s_values = np.asarray(s_values, dtype=float)
-    zs = _per_row(lambda v: model.steady_zero(s_values, v, wv), vs)
+    zs = _per_row(lambda v: model.steady_zero(s_values, v, w), vs)
     num = (zs[2:] - zs[:-2]) / (2.0 * h)
-    ana = _per_row(lambda z, v: model.f0(z, s_values, v, wv), zs[1:-1], vs[1:-1])
+    ana = _per_row(lambda z, v: model.f0(z, s_values, v, w), zs[1:-1], vs[1:-1])
     return float(np.abs(num - ana).max(initial=0.0))
 
 

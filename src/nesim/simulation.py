@@ -10,7 +10,9 @@ game's gradient is affine, and those two are linear in a few features of the
 state, so the closed loop is linear in the lifted state ``[x; 1; phi(x)]``:
 `assemble` builds that operator once and each derivative is one GEMV over it.
 Seeds integrated together are the columns of one ``(dim, B)`` state: only
-the plant rows of the operator depend on the seed's draw.
+the plant rows of the operator depend on the seed's draw, one row of the
+``(B, n_w)`` draw array. The steady-state chain a draw induces is truth data
+for diagnostics; it is built only when read.
 
 State layout (level-major): ``[estimates (N*N) | v (n_v) | z (N*n_z) |
 chain x (r*N) | compensators eta_1 (N*n_1) .. eta_r (N*n_r)]``. Seeded draws
@@ -28,14 +30,14 @@ import numpy as np
 from .controller import (ControllerGains, TRACKING_TOL, STATE_NORM_LIMIT, control_rows,
                          psi_readouts)
 from .errors import ConfigError, NesimError, NonFiniteState, require
-from .game import (GameSpec, GradientConstants, QuadraticAggregativeGame, _central_partials,
-                   estimate_constants, solve_ne)
+from .game import (GameSpec, GradientConstants, QuadraticAggregativeGame, estimate_constants,
+                   extended_pseudo_gradient, solve_ne)
 from .generator import GeneratorGains, generator_rows, min_gamma2
 from .graph import CommGraph, is_connected
 from .internal_model import InternalModelBank, synthesize_bank
 from .numerics import OdeSystem, rk4_step
-from .plant import (Exosystem, PlantFeatures, PlantModel, SteadyState, Uncertainty,
-                    drift_split, sample_uncertainty, steady_state_chain)
+from .plant import (Exosystem, PlantFeatures, PlantModel, SteadyState, drift_split,
+                    sample_uncertainty, steady_state_chain)
 
 AUTO_GAMMA2_MARGIN = 1.25
 DEFAULT_START_GAIN = 4.0
@@ -193,9 +195,9 @@ class AssembledLoop(OdeSystem):
     """The stacked closed-loop ODE for a batch of draws, plus everything synthesis produced.
 
     The batch is the trailing axis: ``rhs`` takes a ``(dim, B)`` state, one
-    column per draw in ``draws``, and a loop with one draw also takes a flat
-    ``(dim,)`` state. Columns never mix. Only ``operator`` (one per column),
-    ``draws`` and ``steadies`` differ between columns.
+    column per row of ``draws``, and a loop with one draw also takes a flat
+    ``(dim,)`` state. Columns never mix. Only ``operator`` and ``draws`` differ
+    between columns. A column's steady-state chain is built when it is read.
     """
 
     scenario: Scenario = None
@@ -205,33 +207,24 @@ class AssembledLoop(OdeSystem):
     gamma1: float = 0.0
     gamma2: float = 0.0
     p_star: np.ndarray = None
-    draws: tuple = ()        # one Uncertainty per column
-    steadies: tuple = ()     # one SteadyState per column
+    draws: np.ndarray = None         # (B, n_w): one uncertainty draw per column
     ablate: bool = False
     control_rows: np.ndarray = None  # U, (N, dim): the control law as u = U @ state
     operator: np.ndarray = None      # (B, dim, width): each column's map of [x; 1; phi(x)]
 
     @property
-    def w(self) -> Uncertainty:
-        """The draw of a one-column loop."""
-        (w,) = self.draws
-        return w
-
-    @property
     def steady(self) -> SteadyState:
         """The steady-state chain of a one-column loop."""
-        (steady,) = self.steadies
-        return steady
+        (w,) = self.draws
+        return steady_state_chain(self.scenario.plant, self.p_star, self.scenario.exo, w)
 
     def select(self, keep) -> "AssembledLoop":
         """The loop restricted to the columns ``keep`` (a boolean mask), in order."""
         idx = np.flatnonzero(keep)
-        draws = tuple(self.draws[i] for i in idx)
-        A3 = self.operator[idx]
-        _, features = drift_split(self.scenario.plant, np.stack([d.w for d in draws]))
-        return replace(
-            self, rhs=_closed_loop_rhs(self.layout, A3, features, self.scenario.game),
-            draws=draws, steadies=tuple(self.steadies[i] for i in idx), operator=A3)
+        draws, A3 = self.draws[idx], self.operator[idx]
+        _, features = drift_split(self.scenario.plant, draws)
+        return replace(self, rhs=_closed_loop_rhs(self.layout, A3, features, self.scenario.game),
+                       draws=draws, operator=A3)
 
     def unpack(self, state: np.ndarray):
         """Split a flat state into named, reshaped views."""
@@ -248,19 +241,25 @@ class AssembledLoop(OdeSystem):
         """Flat state of one column on the regulated manifold, generator at equilibrium."""
         v0 = np.asarray(v0, dtype=float)
         P = np.tile(self.p_star, self.layout.n_agents)  # every row at the equilibrium profile
-        z = self.steadies[column].z_star(v0)
         eta = self.ideal_compensators(v0, column)
+        z = self.scenario.plant.steady_zero(self.p_star, v0, self.draws[column])
         # chain level s + 1 sits at the read-out of compensator level s
         x = np.vstack([self.p_star] + psi_readouts(self.bank, eta)[:-1])
         return np.concatenate([P, v0, z.ravel(), x.ravel()] + [e.ravel() for e in eta])
 
     def ideal_compensators(self, v: np.ndarray, column: int = 0) -> list[np.ndarray]:
-        """The compensator states of one column that exactly reproduce the steady signals."""
-        out = []
-        for s, level in enumerate(self.bank.levels):
-            stack = self.steadies[column].derivative_stack(s + 2, v, level.order)
-            out.append(np.einsum("ijk,ki->ij", level.T, stack))
-        return out
+        """The compensator states of one column that exactly reproduce the steady signals.
+
+        They come from the exact derivative stacks of the plant's ``steady_poly``
+        on the column's steady-state chain, built here.
+        """
+        plant = self.scenario.plant
+        if plant.steady_poly is None:
+            raise ConfigError("plant: the regulated manifold needs the plant's steady_poly "
+                              "(exact steady-state signals), which this plant does not provide")
+        steady = steady_state_chain(plant, self.p_star, self.scenario.exo, self.draws[column])
+        return [np.einsum("ijk,ki->ij", level.T, steady.derivative_stack(s + 2, v, level.order))
+                for s, level in enumerate(self.bank.levels)]
 
 
 def _stage(name: str, fn, *args, **kwargs):
@@ -273,26 +272,25 @@ def _stage(name: str, fn, *args, **kwargs):
 
 def assemble(scenario: Scenario, gains: ControllerGains | None = None,
              gamma1: float | None = None, ablate: bool = False,
-             rng: np.random.Generator | Sequence[np.random.Generator] | None = None
-             ) -> AssembledLoop:
+             draws: np.ndarray | None = None) -> AssembledLoop:
     """Wire generator, exosystem, plants, compensators, and control law.
 
-    Draws the uncertainty (first consumer of the scenario's seeded stream):
-    one draw from ``rng``, or one per generator, and so one state column
-    each, when ``rng`` is a sequence. The equilibrium, ``gamma2`` and the
-    internal-model bank come from `Scenario.synthesized`.
+    ``draws`` is ``(B, n_w)``, one uncertainty draw and so one state column
+    per row (see `sample_uncertainty`); by default, the one draw of the
+    scenario's seed. The equilibrium, ``gamma2`` and the internal-model bank
+    come from `Scenario.synthesized`.
     """
     n = scenario.n
     model = scenario.plant
     if model.n_agents != n:
         raise ValueError(f"plant has {model.n_agents} agents, game has {n}")
-    rngs = ([np.random.default_rng(scenario.seed)] if rng is None
-            else [rng] if isinstance(rng, np.random.Generator) else list(rng))
+    if draws is None:
+        draws = sample_uncertainty(scenario.w_box, scenario.seed)[None]
+    draws = np.array(draws, dtype=float)
+    draws.setflags(write=False)
 
     synthesis = scenario.synthesized()
     p_star, gamma2, bank = synthesis.p_star, synthesis.gamma2, synthesis.bank
-    draws = tuple(sample_uncertainty(scenario.w_box, r) for r in rngs)
-    steadies = tuple(steady_state_chain(model, p_star, scenario.exo, w) for w in draws)
 
     if gains is None:
         gains = (ControllerGains(scenario.controller_k) if scenario.controller_k is not None
@@ -300,7 +298,7 @@ def assemble(scenario: Scenario, gains: ControllerGains | None = None,
     g1 = float(gamma1 if gamma1 is not None else scenario.gains.gamma1)
 
     layout = scenario.layout()
-    J, features = drift_split(model, np.stack([w.w for w in draws]))
+    J, features = drift_split(model, draws)
     # overflowing gains give a non-finite operator; the first RK4 step reports divergence
     with np.errstate(over="ignore", invalid="ignore"):
         A3, U = _closed_loop_operator(scenario, layout, bank, gains, g1, gamma2, J, features,
@@ -308,8 +306,7 @@ def assemble(scenario: Scenario, gains: ControllerGains | None = None,
     rhs = _closed_loop_rhs(layout, A3, features, scenario.game)
     return AssembledLoop(dimension=layout.dim, rhs=rhs, scenario=scenario, layout=layout,
                          bank=bank, gains=gains, gamma1=g1, gamma2=gamma2, p_star=p_star,
-                         draws=draws, steadies=steadies, ablate=ablate, control_rows=U,
-                         operator=A3)
+                         draws=draws, ablate=ablate, control_rows=U, operator=A3)
 
 
 def _closed_loop_rhs(layout: StateLayout, A3: np.ndarray, features: PlantFeatures,
@@ -349,7 +346,7 @@ def _closed_loop_rhs(layout: StateLayout, A3: np.ndarray, features: PlantFeature
         plant_fill(columns[zx], columns[v], lifted[phi])
         if custom:
             blocks = columns[P].reshape(n, n, -1).transpose(2, 0, 1)  # one (n, n) per column
-            lifted[phi.stop:] = _central_partials(game.costs, blocks).T
+            lifted[phi.stop:] = extended_pseudo_gradient(game, blocks).T
         out = product(lifted)
         return out[:, 0] if flat else out
 
@@ -463,19 +460,23 @@ def run(scenario: Scenario, gains: ControllerGains | None = None,
     if init_mode not in ("box", "manifold"):
         raise ValueError(f"unknown init_mode {init_mode!r}")
 
-    rngs = [np.random.default_rng(s) for s in seeds]
-    loop = assemble(scenario, gains=gains, gamma1=gamma1, ablate=ablate, rng=rngs)
-    n, lay, B = scenario.n, loop.layout, len(seeds)
+    n, lay, B = scenario.n, scenario.layout(), len(seeds)
     box = scenario.exo.v0_box
-    P0 = np.zeros(n * n) if scenario.p0 is None else np.asarray(scenario.p0, dtype=float).ravel()
     state = np.empty((lay.dim, B))
-    for b, rng in enumerate(rngs):
-        v0 = rng.uniform(box[:, 0], box[:, 1])
-        if init_mode == "manifold":
-            state[:, b] = loop.manifold_state(v0, b)
-        else:
-            draws = rng.uniform(-scenario.R, scenario.R, size=lay.dim - lay.z.start)
-            state[:, b] = np.concatenate([P0, v0, draws])
+    state[lay.P] = 0.0 if scenario.p0 is None else np.ravel(scenario.p0)[:, None]
+    draws = np.empty((B, len(scenario.w_box)))
+    for b, seed_b in enumerate(seeds):
+        # each seed's stream: uncertainty, disturbance start, then the initial box
+        rng = np.random.default_rng(seed_b)
+        draws[b] = sample_uncertainty(scenario.w_box, rng)
+        state[lay.v, b] = rng.uniform(box[:, 0], box[:, 1])
+        if init_mode == "box":
+            state[lay.z.start:, b] = rng.uniform(-scenario.R, scenario.R,
+                                                 size=lay.dim - lay.z.start)
+    loop = assemble(scenario, gains=gains, gamma1=gamma1, ablate=ablate, draws=draws)
+    if init_mode == "manifold":
+        for b in range(B):
+            state[:, b] = loop.manifold_state(state[lay.v, b], b)
 
     n_steps = int(round(scenario.t_final / h))
     # every kept state (step 0, each dec-th step and the last) of every column,

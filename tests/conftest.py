@@ -42,7 +42,7 @@ def stable_gains(sec5):
 
 @pytest.fixture(scope="session")
 def sec5_loop(sec5, stable_gains):
-    return assemble(sec5, gains=stable_gains, rng=np.random.default_rng(sec5.seed))
+    return assemble(sec5, gains=stable_gains)
 
 
 @pytest.fixture(scope="session")

@@ -11,8 +11,8 @@ from nesim.cli import main
 from nesim.config import load_scenario, normalize
 from nesim.controller import ControllerGains
 from nesim.errors import ConfigError
-from nesim.plant import exo_trajectory
-from nesim.simulation import run, write_csv
+from nesim.plant import exo_trajectory, steady_state_chain
+from nesim.simulation import EscalationSpec, Scenario, run, write_csv
 
 
 @pytest.fixture()
@@ -44,6 +44,18 @@ def test_dump_normalized_round_trip(sec5_path, sec5_norm, capsys):
     scenario, norm2 = load_scenario(echoed)
     assert norm2 == sec5_norm
     assert scenario.seed == sec5_norm["sim"]["seed"]
+
+
+def test_omitted_run_and_escalation_settings_take_the_class_defaults(sec5_norm):
+    # the scenario file's defaults are the field defaults of Scenario and EscalationSpec
+    scenario, norm = load_scenario({key: sec5_norm[key] for key in ("game", "graph", "plant")})
+    fields = {f.name: f.default for f in dataclasses.fields(Scenario)}
+    for key in ("t_final", "dt", "seed", "R", "decimate"):
+        assert getattr(scenario, key) == norm["sim"][key] == fields[key]
+        assert type(norm["sim"][key]) is type(fields[key])
+    assert set(norm["sim"]) == {"t_final", "dt", "seed", "R", "decimate"}
+    assert scenario.escalation == EscalationSpec()
+    assert norm["controller"] == {"k": "auto", "escalation": dataclasses.asdict(EscalationSpec())}
 
 
 def test_im_polys_override_keeps_plant_hooks(sec5_norm):
@@ -84,13 +96,15 @@ def test_simulate_writes_csv(fast_cfg, tmp_path, capsys):
     assert "final_tracking_max" in capsys.readouterr().out
 
 
-def test_simulate_sweep_writes_per_seed_files(fast_cfg, tmp_path):
+def test_simulate_sweep_writes_per_seed_files(fast_cfg, tmp_path, count_calls):
+    chains = count_calls(steady_state_chain)
     out_csv = tmp_path / "sweep.csv"
     code = main(["simulate", "--config", str(fast_cfg()), "--out", str(out_csv),
                  "--sweep", "seeds=2", "--t-final", "1.0"])
     assert code == 0
     assert (tmp_path / "sweep_s1.csv").exists()
     assert (tmp_path / "sweep_s2.csv").exists()
+    assert chains == []  # the steady-state chain is for the check suite only
 
 
 def test_divergence_exit_code(fast_cfg, tmp_path, capsys):

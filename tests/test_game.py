@@ -74,6 +74,21 @@ class TestExtendedPseudoGradient:
         assert out[0] == pytest.approx(2 * 1 + (1 + 2) + 1)   # 6
         assert out[1] == pytest.approx(2 * 4 + (3 + 4) + 4)   # 19
 
+    @pytest.mark.parametrize("kind", ["quadratic", "custom"])
+    def test_stack_is_each_matrix_bit_for_bit(self, kind):
+        g = quad([2, 4, 3, 5], [2, 2, 2, 2], [1, 1, 1, 1])
+        game = g if kind == "quadratic" else CustomGame(costs=smooth_costs(4, in_place=False))
+        # the closed loop hands over strided (B, n, n) views of its state
+        state = np.random.default_rng(7).uniform(-3, 3, (16, 6))
+        stack = state.reshape(4, 4, 2, 3).transpose(2, 3, 0, 1)
+        got = extended_pseudo_gradient(game, stack)
+        assert got.shape == (2, 3, 4)
+        for idx in np.ndindex(2, 3):
+            one = extended_pseudo_gradient(game, np.ascontiguousarray(stack[idx]))
+            assert got[idx].tobytes() == one.tobytes()
+        with pytest.raises(ValueError, match="stack"):
+            extended_pseudo_gradient(game, state[:4, :3])
+
 
 def smooth_costs(n: int, *, in_place: bool):
     """Non-quadratic costs; ``in_place`` ones write into their profile argument."""

@@ -16,6 +16,7 @@ hypothesis = pytest.importorskip("hypothesis")  # in the `test` extra
 from hypothesis import given, settings, strategies as st
 
 from nesim.controller import ControllerGains
+from nesim.plant import sample_uncertainty
 from nesim.simulation import assemble, run
 from oracles import composed_rhs
 from test_simulation import assert_same_run
@@ -40,7 +41,7 @@ def drawn(name, multiplier, request):
 def test_lifted_rhs_matches_composed_blocks(scenario, seeds, multiplier, ablate, request):
     scenario, gains = drawn(scenario, multiplier, request)
     loop = assemble(scenario, gains=gains, ablate=ablate,
-                    rng=[np.random.default_rng(s) for s in seeds])
+                    draws=np.stack([sample_uncertainty(scenario.w_box, s) for s in seeds]))
     state = np.random.default_rng(seeds[0]).normal(size=(loop.dimension, len(seeds)))
     fused = loop.rhs(0.0, state)
     for b in range(len(seeds)):

@@ -1,0 +1,40 @@
+"""No nesim module imports another module's private names.
+
+A name with a leading underscore is internal to its module; a second module
+that needs it should get a public entry point instead.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "nesim"
+
+
+def private_imports(source: str, filename: str = "<source>") -> list[str]:
+    """``file:line: name`` of each private name imported from a nesim module."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and (node.module or "").split(".")[0] != "nesim":
+            continue  # another package's names are its own business
+        found += [f"{filename}:{node.lineno}: {alias.name}"
+                  for alias in node.names if alias.name.startswith("_")]
+    return found
+
+
+def test_detector_sees_relative_absolute_and_lazy_imports():
+    source = ("from .game import _central_partials, solve_ne\n"
+              "from nesim.plant import _per_row\n"
+              "def f():\n    from ..nesim import _x\n"
+              "from __future__ import annotations\nfrom numpy import _core\n")
+    assert [hit.split(": ")[1] for hit in private_imports(source)] == \
+        ["_central_partials", "_per_row", "_x"]
+
+
+def test_no_module_imports_a_private_name():
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    assert [hit for path in paths for hit in private_imports(path.read_text(), path.name)] == []

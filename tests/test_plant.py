@@ -8,10 +8,9 @@ import pytest
 from nesim.errors import InvalidParameter
 from nesim.numerics import OdeSystem, integrate
 from factories import build_plant
-from nesim.plant import (Exosystem, PlantModel, PlantState, Uncertainty,
-                         check_origin_equilibrium, check_steady_chain_consistency,
-                         check_steady_zero_pde, drift_split, example_plant, exo_rhs,
-                         exo_trajectory, plant_rhs, sample_uncertainty,
+from nesim.plant import (Exosystem, PlantModel, PlantState, check_origin_equilibrium,
+                         check_steady_chain_consistency, check_steady_zero_pde, drift_split,
+                         example_plant, exo_rhs, exo_trajectory, plant_rhs, sample_uncertainty,
                          steady_state_chain)
 
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -289,21 +288,24 @@ class TestExosystem:
 class TestSampleUncertainty:
     def test_degenerate_box(self):
         box = np.array([[0.3, 0.3], [-1.0, -1.0]])
-        assert np.allclose(sample_uncertainty(box, 5).w, [0.3, -1.0])
+        assert np.allclose(sample_uncertainty(box, 5), [0.3, -1.0])
 
     def test_seed_determinism(self):
         box = np.array([[-1.0, 2.0]] * 5)
-        assert np.array_equal(sample_uncertainty(box, 17).w, sample_uncertainty(box, 17).w)
+        assert np.array_equal(sample_uncertainty(box, 17), sample_uncertainty(box, 17))
 
     def test_uniform_mean(self):
         box = np.array([[0.0, 1.0]])
         rng = np.random.default_rng(0)
-        vals = [sample_uncertainty(box, rng).w[0] for _ in range(10_000)]
+        vals = [sample_uncertainty(box, rng)[0] for _ in range(10_000)]
         assert abs(np.mean(vals) - 0.5) < 0.02
 
     def test_draw_stays_in_box(self):
-        with pytest.raises(ValueError):
-            Uncertainty(w=np.array([2.0]), box=np.array([[0.0, 1.0]]))
+        box = np.array([[0.0, 1.0], [-3.0, -2.5], [1e-3, 2e-3]])
+        rng = np.random.default_rng(1)
+        draws = np.array([sample_uncertainty(box, rng) for _ in range(1000)])
+        assert draws.shape == (1000, 3)
+        assert ((box[:, 0] <= draws) & (draws <= box[:, 1])).all()
 
 
 def test_zero_dynamics_decay_with_pinned_output():

@@ -15,7 +15,8 @@ from nesim.generator import GeneratorGains, min_gamma2
 from nesim.graph import CommGraph
 from nesim.internal_model import synthesize_bank
 from nesim.numerics import rk4_step
-from nesim.plant import Exosystem, PlantState, drift_split, example_plant
+from nesim.plant import (Exosystem, PlantState, drift_split, example_plant, sample_uncertainty,
+                         steady_state_chain)
 from nesim.simulation import (ClosedLoopTrajectory, EscalationSpec, Scenario, assemble,
                               closed_loop_passes, metrics, run, write_csv)
 from oracles import composed_rhs
@@ -39,8 +40,7 @@ def test_rhs_matches_composed_blocks(case, sec5, stable_gains, request):
     if case == "custom":
         loop = assemble(request.getfixturevalue("custom_scenario"))
     else:
-        loop = assemble(sec5, gains=stable_gains, ablate=case == "sec5_ablated",
-                        rng=np.random.default_rng(sec5.seed))
+        loop = assemble(sec5, gains=stable_gains, ablate=case == "sec5_ablated")
     rng = np.random.default_rng(21)
     for _ in range(5):
         state = rng.normal(size=loop.dimension)
@@ -54,7 +54,7 @@ def test_rhs_matches_composed_blocks(case, sec5, stable_gains, request):
 def test_placed_control_rows_match_backstepping_oracle(ablate, sec5, stable_gains):
     # u is the backstepping fold of the error coordinates plus the top read-out as
     # feedforward, with each read-out Psi_s eta_s summed per agent; ablated, none is read
-    loop = assemble(sec5, gains=stable_gains, ablate=ablate, rng=np.random.default_rng(sec5.seed))
+    loop = assemble(sec5, gains=stable_gains, ablate=ablate)
     rng = np.random.default_rng(22)
     for _ in range(20):
         state = rng.normal(size=loop.dimension)
@@ -71,7 +71,7 @@ def test_assembled_loop_is_freed_without_the_cyclic_collector(sec5, stable_gains
     enabled = gc.isenabled()
     gc.disable()
     try:
-        loop = assemble(sec5, gains=stable_gains, rng=np.random.default_rng(sec5.seed))
+        loop = assemble(sec5, gains=stable_gains)
         operator = weakref.ref(loop.operator)
         assert loop.rhs(0.0, np.zeros(loop.dimension)).shape == (loop.dimension,)
         del loop
@@ -146,6 +146,30 @@ def test_manifold_start_stays_on_manifold(sec5, stable_gains):
     assert np.abs(traj.e).max() <= 1e-6
 
 
+def test_steady_chains_are_built_only_for_the_manifold_start(sec5, stable_gains, count_calls):
+    # the chain is truth data: a box start steps the loop without it
+    chains = count_calls(steady_state_chain)
+    short = dataclasses.replace(sec5, t_final=0.05, decimate=1)
+    run(short, gains=stable_gains, seed=[1, 2])
+    assert chains == []
+    batch = run(short, gains=stable_gains, seed=[1, 2], init_mode="manifold")
+    assert len(chains) == 2  # one per column
+    for traj in batch:
+        assert_same_run(traj, run(short, gains=stable_gains, seed=traj.seed,
+                                  init_mode="manifold"))
+
+
+def test_manifold_start_without_steady_poly_is_a_config_error(custom_scenario, count_calls):
+    # the generic plant has no exact steady-state form to start on
+    assert custom_scenario.plant.steady_poly is None
+    steps = count_calls(rk4_step)
+    with pytest.raises(ConfigError, match="steady_poly"):
+        run(dataclasses.replace(custom_scenario, t_final=0.01), init_mode="manifold")
+    with pytest.raises(ConfigError, match="steady_poly"):
+        assemble(custom_scenario).manifold_state(np.array([0.7, 0.0]))
+    assert steps == []
+
+
 def test_divergence_is_reported_not_raised(sec5):
     weak = ControllerGains.uniform(4, 2, 4.0)
     traj = run(dataclasses.replace(sec5, t_final=10.0), gains=weak)
@@ -167,7 +191,7 @@ def test_recorded_signals_match_per_sample_oracle(sec5, stable_gains):
     traj = run(dataclasses.replace(sec5, t_final=0.5, decimate=1), gains=stable_gains)
     # the initial state as `run` draws it: uncertainty, disturbance, then the box
     rng = np.random.default_rng(sec5.seed)
-    loop = assemble(sec5, gains=stable_gains, rng=rng)
+    loop = assemble(sec5, gains=stable_gains, draws=sample_uncertainty(sec5.w_box, rng)[None])
     box = sec5.exo.v0_box
     v0 = rng.uniform(box[:, 0], box[:, 1])
     n = sec5.n
@@ -285,9 +309,11 @@ def test_operator_is_shared_rows_plus_plant_rows_per_draw(case, sec5, stable_gai
     scenario, kwargs = ((request.getfixturevalue("custom_scenario"), {}) if case == "custom"
                         else (sec5, dict(gains=stable_gains)))
     seeds = (1, 2, 3)
-    batch = assemble(scenario, rng=[np.random.default_rng(s) for s in seeds], **kwargs)
+    draws = np.stack([sample_uncertainty(scenario.w_box, s) for s in seeds])
+    batch = assemble(scenario, draws=draws, **kwargs)
     lay, n = batch.layout, scenario.n
-    J, features = drift_split(scenario.plant, np.stack([w.w for w in batch.draws]))
+    assert np.array_equal(batch.draws, draws) and not hasattr(batch, "steadies")
+    J, features = drift_split(scenario.plant, batch.draws)
     n_zx = lay.zx.stop - lay.zx.start
     v_cols = J.shape[2] - n_zx - features.count
     # the lifted state [x; 1; plant features], then a custom game's partials
@@ -296,7 +322,7 @@ def test_operator_is_shared_rows_plus_plant_rows_per_draw(case, sec5, stable_gai
     shifted = np.arange(lay.x.start, lay.x.stop - n)
     others = np.r_[:lay.zx.start, lay.zx.stop:lay.dim]
     for b, seed in enumerate(seeds):
-        one = assemble(scenario, rng=np.random.default_rng(seed), **kwargs)
+        one = assemble(scenario, draws=sample_uncertainty(scenario.w_box, seed)[None], **kwargs)
         assert one.operator.shape == (1, lay.dim, width)
         assert np.array_equal(one.operator[0], batch.operator[b])
         # the plant rows hold the drift split, the chain shifts and the control law
