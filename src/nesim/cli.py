@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfg
-from .controller import ControllerGains, escalate_gains
+from .controller import escalate_gains
 from .errors import NesimError
 from .game import pseudo_gradient, partial_gradient
 from .generator import min_gamma2
@@ -63,19 +63,17 @@ def _load(args) -> tuple:
 
 
 def _resolve_gains(scenario, quiet: bool = False):
-    """``(gains, gamma1, passing)``: configured gains, or the escalation search.
+    """``(scenario, passing)``: the scenario when it sets its gains, else escalation's.
 
-    ``passing`` is escalation's passing run, the scenario's own run with
-    those gains (same seed, horizon, step and decimation), or None.
+    ``passing`` is escalation's passing run, the returned scenario's own run, or None.
     """
     if scenario.controller_k is not None:
-        return ControllerGains(scenario.controller_k), scenario.gains.gamma1, None
-    start = ControllerGains.uniform(scenario.n, scenario.plant.r)
-    result = escalate_gains(scenario, start)
+        return scenario, None
+    result = escalate_gains(scenario)
     if not quiet:
         print(f"gain escalation: passed at round {result.rounds} "
               f"(multiplier {result.multiplier:g}, box radius R={scenario.R:g})")
-    return result.gains, result.gamma1, result.trajectory
+    return result.scenario, result.trajectory
 
 
 def _fmt_matrix(M: np.ndarray) -> str:
@@ -91,7 +89,7 @@ def cmd_simulate(args) -> int:
         if key != "seeds" or not count.isdigit() or int(count) < 1:
             raise cfg.ConfigError("--sweep expects seeds=K with K >= 1")
         seeds = [scenario.seed + k for k in range(int(count))]
-    gains, gamma1, passing = _resolve_gains(scenario)
+    scenario, passing = _resolve_gains(scenario)
     ablate = args.ablate_internal_model
     reused = {} if passing is None or ablate else {passing.seed: passing}
     worst_exit = EXIT_OK
@@ -102,8 +100,7 @@ def cmd_simulate(args) -> int:
         fresh = [seed for seed in chunk if seed not in reused]
         trajs = dict(reused)
         if fresh:
-            trajs.update(zip(fresh, run(scenario, gains=gains, gamma1=gamma1, ablate=ablate,
-                                        seed=fresh)))
+            trajs.update(zip(fresh, run(scenario, ablate=ablate, seed=fresh)))
         for seed in chunk:
             traj = trajs[seed]
             out_path = Path(args.out)
@@ -217,10 +214,10 @@ def cmd_check(args) -> int:
         add(f"im_reproduction_level{s + 1}", worst <= tol,
             f"max error {worst:.2e} (tol {tol:g})")
 
-    gains, gamma1, traj_a = _resolve_gains(scenario, quiet=True)
+    scenario, traj_a = _resolve_gains(scenario, quiet=True)
     if traj_a is None:
-        traj_a = run(scenario, gains=gains, gamma1=gamma1)
-    traj_b = run(dataclasses.replace(scenario, dt=scenario.dt / 2.0), gains=gains, gamma1=gamma1)
+        traj_a = run(scenario)
+    traj_b = run(dataclasses.replace(scenario, dt=scenario.dt / 2.0))
     if traj_a.diverged or traj_b.diverged:
         add("step_halving", False, "closed loop diverged")
     else:

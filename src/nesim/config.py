@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .controller import ControllerGains
 from .errors import ConfigError, NesimError
 from .game import CustomGame, QuadraticAggregativeGame, estimate_constants
 from .generator import GeneratorGains
@@ -349,20 +348,14 @@ def build_scenario(norm: dict) -> Scenario:
         if p0.shape != (n, n):
             raise ConfigError(f"gains.p0: expected shape ({n}, {n})")
 
-    ctrl = norm["controller"]
-    k = None if ctrl["k"] == "auto" else np.array(ctrl["k"], dtype=float)
-    if k is not None and k.shape != (n, model.r):
-        raise ConfigError(f"controller.k: expected shape ({n}, {model.r})")
-
-    sim = norm["sim"]
+    ctrl, sim = norm["controller"], norm["sim"]
     try:  # the classes check their values and name them as in the scenario file
         gen_gains = GeneratorGains(gamma1=gains_cfg["gamma1"],
                                    gamma2=1.0 if auto2 else gains_cfg["gamma2"])
-        if k is not None:
-            ControllerGains(k)  # each run builds its own gains from k
         scenario = Scenario(
             game=game, graph=graph, plant=model, exo=exo, w_box=w_box,
-            gains=gen_gains, gamma2_auto=auto2, controller_k=k,
+            gains=gen_gains, gamma2_auto=auto2,
+            controller_k=None if ctrl["k"] == "auto" else ctrl["k"],
             escalation=EscalationSpec(**ctrl["escalation"]),
             im_preset=im_cfg.get("preset"), im_stabilizers=stabilizers,
             t_final=sim["t_final"], dt=sim["dt"], seed=sim["seed"],

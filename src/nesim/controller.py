@@ -11,7 +11,7 @@ independent route it is tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .internal_model import InternalModelBank
 from .plant import PlantState, SteadyState
 
 if TYPE_CHECKING:
-    from .simulation import ClosedLoopTrajectory
+    from .simulation import ClosedLoopTrajectory, Scenario
 
 STATE_NORM_LIMIT = 1e6   # divergence threshold for escalation runs
 TRACKING_TOL = 1e-2      # final tracking error a passing run must beat
@@ -39,7 +39,7 @@ class ControllerGains:
         object.__setattr__(self, "k", k)
 
     @classmethod
-    def uniform(cls, n_agents: int, r: int, value: float = 4.0) -> "ControllerGains":
+    def uniform(cls, n_agents: int, r: int, value: float) -> "ControllerGains":
         return cls(np.full((n_agents, r), float(value)))
 
     def scaled(self, factor: float) -> "ControllerGains":
@@ -135,16 +135,15 @@ def transform(state: PlantState, eta: Sequence[np.ndarray], bank: InternalModelB
 
 @dataclass(frozen=True)
 class EscalationResult:
-    """Outcome of the gain search: passing gains and the matching gradient gain."""
+    """Outcome of the gain search: the passing round's scenario and its run."""
 
-    gains: ControllerGains
-    gamma1: float
+    scenario: Scenario   # the input with its gains times ``multiplier``
     rounds: int          # 1-based index of the passing attempt
-    multiplier: float    # total factor applied to the initial gains
-    trajectory: Optional[ClosedLoopTrajectory] = None  # the passing run, if run_fn returned it
+    multiplier: float    # total factor applied to the start gains
+    trajectory: ClosedLoopTrajectory  # the passing run
 
 
-def escalate_gains(scenario, initial: ControllerGains, run_fn=None) -> EscalationResult:
+def escalate_gains(scenario: Scenario, run_fn=None) -> EscalationResult:
     """Find stabilizing gains by geometric escalation.
 
     Runs the closed loop; a run passes when it stays finite, keeps the state
@@ -156,8 +155,10 @@ def escalate_gains(scenario, initial: ControllerGains, run_fn=None) -> Escalatio
     gain argument: the returned gains are certified for the scenario's
     initial-condition box radius by the run itself, nothing more.
 
-    ``run_fn(scenario, gains, gamma1)`` is truthy on a pass. The default,
-    `closed_loop_passes`, returns the passing run, kept as ``trajectory``.
+    Round ``m`` runs ``scenario.escalated(factor ** (m - 1))``, starting from
+    `Scenario.controller_gains`; each round keeps the scenario's synthesis.
+    ``run_fn(scenario)`` returns the passing run or None; the default is
+    `closed_loop_passes`.
 
     Raises
     ------
@@ -165,21 +166,19 @@ def escalate_gains(scenario, initial: ControllerGains, run_fn=None) -> Escalatio
         If no attempt passes within ``max_rounds``, or the gains overflow first.
     """
     factor, max_rounds = scenario.escalation.factor, scenario.escalation.max_rounds
-    from .simulation import ClosedLoopTrajectory, closed_loop_passes  # lazy: simulation imports us
     if run_fn is None:
+        from .simulation import closed_loop_passes  # lazy: simulation imports us
         run_fn = closed_loop_passes
+    start = scenario.controller_gains.k.max()
     for attempt in range(max_rounds):
         try:
             mult = factor ** attempt
-            candidate = initial.scaled(mult)
+            candidate = scenario.escalated(mult)
         except (OverflowError, ValueError):  # so would every later round's
             raise EscalationExhausted(f"the gains overflow at round {attempt + 1} (factor "
-                                      f"{factor}, start {initial.k.max():.3g})") from None
-        gamma1 = scenario.gains.gamma1 * mult
-        outcome = run_fn(scenario, candidate, gamma1)
-        if outcome:
-            traj = outcome if isinstance(outcome, ClosedLoopTrajectory) else None
-            return EscalationResult(gains=candidate, gamma1=gamma1, rounds=attempt + 1,
-                                    multiplier=mult, trajectory=traj)
+                                      f"{factor}, start {start:.3g})") from None
+        passing = run_fn(candidate)
+        if passing is not None:
+            return EscalationResult(candidate, attempt + 1, mult, passing)
     raise EscalationExhausted(f"no passing gains within {max_rounds} rounds "
-                              f"(factor {factor}, start {initial.k.max():.3g})")
+                              f"(factor {factor}, start {start:.3g})")

@@ -40,7 +40,6 @@ from .plant import (Exosystem, PlantFeatures, PlantModel, SteadyState, drift_spl
                     sample_uncertainty, steady_state_chain)
 
 AUTO_GAMMA2_MARGIN = 1.25
-DEFAULT_START_GAIN = 4.0
 _CSV_CHUNK = 256  # rows `write_csv` turns into Python floats at a time; bounds its transients
 
 
@@ -75,9 +74,10 @@ class Scenario:
 
     ``synthesis`` keeps the seed-independent results (`synthesized`);
     `dataclasses.replace` carries it unless it replaces a field it depends on.
-    The run settings ``t_final``, ``dt``, ``seed``, ``R`` and ``decimate`` are
-    checked here, and only here, named as in the scenario file (``sim.dt``): a
-    shorter or finer run is a `replace`.
+    The run settings ``t_final``, ``dt``, ``seed``, ``R`` and ``decimate`` and
+    the gains ``controller_k`` are checked here, and only here, named as in the
+    scenario file (``sim.dt``): a shorter or finer run is a `replace`, and so
+    is an escalation round (`escalated`).
     """
 
     game: GameSpec
@@ -87,7 +87,7 @@ class Scenario:
     w_box: np.ndarray
     gains: GeneratorGains            # gamma2 may be a placeholder; see gamma2_auto
     gamma2_auto: bool = False        # resolve gamma2 from the guarantee bound
-    controller_k: Optional[np.ndarray] = None   # None means auto (defaults + escalation)
+    controller_k: Optional[np.ndarray] = None   # None means auto (start gain + escalation)
     escalation: EscalationSpec = field(default_factory=EscalationSpec)
     im_preset: Optional[str] = None
     im_stabilizers: Optional[tuple] = None      # explicit per (agent, level)
@@ -112,6 +112,11 @@ class Scenario:
         object.__setattr__(self, "R", self.R + 0.0)  # -0.0 would give the box [0, -0]
         if not is_connected(self.graph):
             raise ValueError("graph: communication graph must be connected")
+        if self.controller_k is not None:
+            k = ControllerGains(self.controller_k).k
+            shape = (self.n, self.plant.r)
+            require("controller.k", k.shape, k.shape == shape, f"of shape {shape}")
+            object.__setattr__(self, "controller_k", k)
         kept = self.synthesis
         if kept is not None and any(a is not b for a, b in
                                     zip(kept.source, self._synthesis_source())):
@@ -121,9 +126,25 @@ class Scenario:
     def n(self) -> int:
         return self.game.n
 
+    @property
+    def controller_gains(self) -> ControllerGains:
+        """The backstepping gains: ``controller_k``, or the uniform start gain when auto."""
+        if self.controller_k is None:
+            return ControllerGains.uniform(self.n, self.plant.r, 4.0)
+        return ControllerGains(self.controller_k)
+
+    def escalated(self, factor: float) -> "Scenario":
+        """This scenario with the backstepping gains and ``gains.gamma1`` times ``factor``.
+
+        It keeps the synthesis. A product that overflows is rejected as not
+        finite (`ValueError`).
+        """
+        return replace(self, controller_k=self.controller_gains.scaled(factor).k,
+                       gains=replace(self.gains, gamma1=self.gains.gamma1 * factor))
+
     def _synthesis_source(self) -> tuple:
-        return (self.game, self.graph, self.plant, self.exo, self.gains, self.gamma2_auto,
-                self.im_preset, self.im_stabilizers)
+        return (self.game, self.graph, self.plant, self.exo, self.gains.gamma2,
+                self.gamma2_auto, self.im_preset, self.im_stabilizers)
 
     def synthesized(self, constants: GradientConstants | None = None) -> ScenarioSynthesis:
         """Game constants, equilibrium, ``gamma2`` and bank, computed on first use.
@@ -203,8 +224,6 @@ class AssembledLoop(OdeSystem):
     scenario: Scenario = None
     layout: StateLayout = None
     bank: InternalModelBank = None
-    gains: ControllerGains = None
-    gamma1: float = 0.0
     gamma2: float = 0.0
     p_star: np.ndarray = None
     draws: np.ndarray = None         # (B, n_w): one uncertainty draw per column
@@ -270,15 +289,15 @@ def _stage(name: str, fn, *args, **kwargs):
         raise type(exc)(f"{name}: {exc}") from exc
 
 
-def assemble(scenario: Scenario, gains: ControllerGains | None = None,
-             gamma1: float | None = None, ablate: bool = False,
+def assemble(scenario: Scenario, ablate: bool = False,
              draws: np.ndarray | None = None) -> AssembledLoop:
     """Wire generator, exosystem, plants, compensators, and control law.
 
     ``draws`` is ``(B, n_w)``, one uncertainty draw and so one state column
     per row (see `sample_uncertainty`); by default, the one draw of the
-    scenario's seed. The equilibrium, ``gamma2`` and the internal-model bank
-    come from `Scenario.synthesized`.
+    scenario's seed. The gains are the scenario's (`Scenario.controller_gains`
+    and ``gains.gamma1``); the equilibrium, ``gamma2`` and the internal-model
+    bank come from `Scenario.synthesized`.
     """
     n = scenario.n
     model = scenario.plant
@@ -292,21 +311,15 @@ def assemble(scenario: Scenario, gains: ControllerGains | None = None,
     synthesis = scenario.synthesized()
     p_star, gamma2, bank = synthesis.p_star, synthesis.gamma2, synthesis.bank
 
-    if gains is None:
-        gains = (ControllerGains(scenario.controller_k) if scenario.controller_k is not None
-                 else ControllerGains.uniform(n, model.r, DEFAULT_START_GAIN))
-    g1 = float(gamma1 if gamma1 is not None else scenario.gains.gamma1)
-
     layout = scenario.layout()
     J, features = drift_split(model, draws)
     # overflowing gains give a non-finite operator; the first RK4 step reports divergence
     with np.errstate(over="ignore", invalid="ignore"):
-        A3, U = _closed_loop_operator(scenario, layout, bank, gains, g1, gamma2, J, features,
-                                      ablate)
+        A3, U = _closed_loop_operator(scenario, layout, bank, gamma2, J, features, ablate)
     rhs = _closed_loop_rhs(layout, A3, features, scenario.game)
     return AssembledLoop(dimension=layout.dim, rhs=rhs, scenario=scenario, layout=layout,
-                         bank=bank, gains=gains, gamma1=g1, gamma2=gamma2, p_star=p_star,
-                         draws=draws, ablate=ablate, control_rows=U, operator=A3)
+                         bank=bank, gamma2=gamma2, p_star=p_star, draws=draws, ablate=ablate,
+                         control_rows=U, operator=A3)
 
 
 def _closed_loop_rhs(layout: StateLayout, A3: np.ndarray, features: PlantFeatures,
@@ -354,8 +367,7 @@ def _closed_loop_rhs(layout: StateLayout, A3: np.ndarray, features: PlantFeature
 
 
 def _closed_loop_operator(scenario: Scenario, layout: StateLayout, bank: InternalModelBank,
-                          gains: ControllerGains, gamma1: float, gamma2: float,
-                          J: np.ndarray, features: PlantFeatures, ablate: bool):
+                          gamma2: float, J: np.ndarray, features: PlantFeatures, ablate: bool):
     """The closed loop as a linear map of the lifted state, and the control rows ``U``.
 
     The lifted state is ``[x; 1; phi]``: the state, a one and the features,
@@ -365,10 +377,12 @@ def _closed_loop_operator(scenario: Scenario, layout: StateLayout, bank: Interna
     only the plant rows differ, so the other rows are built once. ``U`` is shared.
 
     Each designed block comes in its own coordinates and is only placed here,
-    by index: `generator_rows`, the exosystem ``S``, `InternalModelBank.rows`
-    and `control_rows`. Added here are the plant drift ``J``, the chain shifts
-    ``x_{s+1} -> dx_s``, ``u = U x`` on the top chain level and the drives of
-    the compensators: ``x_{s+1}`` for level ``s``, ``u`` for the top level.
+    by index: `generator_rows` at the scenario's ``gains.gamma1``, the
+    exosystem ``S``, `InternalModelBank.rows` and `control_rows` at its
+    `Scenario.controller_gains`. Added here are the plant drift ``J``, the
+    chain shifts ``x_{s+1} -> dx_s``, ``u = U x`` on the top chain level and
+    the drives of the compensators: ``x_{s+1}`` for level ``s``, ``u`` for the
+    top level.
     """
     n, r, dim = layout.n_agents, layout.r, layout.dim
     P, v, zx, p_diag = layout.P, layout.v, layout.zx, layout.p_diag
@@ -385,14 +399,14 @@ def _closed_loop_operator(scenario: Scenario, layout: StateLayout, bank: Interna
             f"coordinates and of the features, and PlantFeatures(count, fill), where "
             f"fill(zx, v, out) writes the (count, B) features into out")
     phi = slice(dim + 1, dim + 1 + features.count)
-    generator = generator_rows(scenario.game, scenario.graph, gamma1, gamma2)
+    generator = generator_rows(scenario.game, scenario.graph, scenario.gains.gamma1, gamma2)
     # the rows every draw shares; the plant rows follow per draw
     A = np.zeros((dim, phi.stop + generator.shape[1] - P.stop - 1))
     A[P, P], A[P, dim] = generator[:, P], generator[:, P.stop]  # over [vec P; 1; partials]
     A[P, phi.stop:] = generator[:, P.stop + 1:]
     A[v, v] = scenario.exo.S
     U = np.zeros((n, dim))
-    local = control_rows(gains, bank, ablate)  # over [p; x; eta]
+    local = control_rows(scenario.controller_gains, bank, ablate)  # over [p; x; eta]
     U[:, p_diag], U[:, xa:] = local[:, :n], local[:, n:]
     M, N, _, owner = bank.rows
     A[ea:, ea:dim] = M
@@ -428,26 +442,22 @@ class ClosedLoopTrajectory:
     diverged: bool = False
     diverged_t: Optional[float] = None
     aborted_norm: bool = False
-    gamma1: float = 1.0
-    gamma2: float = 0.0
-    gains_k: Optional[np.ndarray] = None
     seed: Optional[int] = None
 
 
-def run(scenario: Scenario, gains: ControllerGains | None = None,
-        gamma1: float | None = None, ablate: bool = False,
-        seed: int | Sequence[int] | None = None, init_mode: str = "box",
-        abort_norm: Optional[float] = None):
+def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | None = None,
+        init_mode: str = "box", abort_norm: Optional[float] = None):
     """Integrate the closed loop and derive the output-side signals from the kept states.
 
-    The horizon, step and decimation are the scenario's: for others, `replace`
-    them on the scenario, which keeps its synthesis. ``seed`` is one seed,
-    giving one trajectory, or a sequence of seeds, giving a list: the seeds
-    are then stepped as one ``(dim, B)`` state, one column per seed, and each
-    trajectory is bit-identical to the run of its seed alone. ``init_mode="box"`` draws plant and compensator initial
-    states uniformly from the scenario's box (generator estimates start at
-    the configured values, zero by default); ``"manifold"`` starts exactly on
-    the regulated manifold with the generator at equilibrium. Divergence
+    The gains, horizon, step and decimation are the scenario's: for others,
+    `replace` them on the scenario, which keeps its synthesis. ``seed`` is one
+    seed, giving one trajectory, or a sequence of seeds, giving a list: the
+    seeds are then stepped as one ``(dim, B)`` state, one column per seed, and
+    each trajectory is bit-identical to the run of its seed alone.
+    ``init_mode="box"`` draws plant and compensator initial states uniformly
+    from the scenario's box (generator estimates start at the configured
+    values, zero by default); ``"manifold"`` starts exactly on the regulated
+    manifold with the generator at equilibrium. Divergence
     does not raise: the trajectory up to the failure is returned with the
     flag set. A column that diverges or passes ``abort_norm`` stops there;
     the others go on.
@@ -473,7 +483,7 @@ def run(scenario: Scenario, gains: ControllerGains | None = None,
         if init_mode == "box":
             state[lay.z.start:, b] = rng.uniform(-scenario.R, scenario.R,
                                                  size=lay.dim - lay.z.start)
-    loop = assemble(scenario, gains=gains, gamma1=gamma1, ablate=ablate, draws=draws)
+    loop = assemble(scenario, ablate=ablate, draws=draws)
     if init_mode == "manifold":
         for b in range(B):
             state[:, b] = loop.manifold_state(state[lay.v, b], b)
@@ -551,18 +561,16 @@ def run(scenario: Scenario, gains: ControllerGains | None = None,
                 t=ksb * h, y=y, p=p, e=y - p, u=Xb @ loop.control_rows.T, ne_dist=ne_dist,
                 p_star=loop.p_star, v=Xb[:, lay.v].copy(), max_state_norm=float(max_norm[b]),
                 diverged=diverged_t[b] is not None, diverged_t=diverged_t[b],
-                aborted_norm=bool(aborted[b]), gamma1=loop.gamma1, gamma2=loop.gamma2,
-                gains_k=loop.gains.k, seed=seed_b))
+                aborted_norm=bool(aborted[b]), seed=seed_b))
     return trajs if batch else trajs[0]
 
 
-def closed_loop_passes(scenario: Scenario, gains: ControllerGains,
-                       gamma1: float) -> Optional[ClosedLoopTrajectory]:
+def closed_loop_passes(scenario: Scenario) -> Optional[ClosedLoopTrajectory]:
     """Pass/fail predicate of the gain-escalation loop: the passing run, or None.
 
     The norm abort never fires on a passing run, so it equals a plain `run`.
     """
-    traj = run(scenario, gains=gains, gamma1=gamma1, abort_norm=STATE_NORM_LIMIT)
+    traj = run(scenario, abort_norm=STATE_NORM_LIMIT)
     if traj.diverged or traj.aborted_norm or not np.abs(traj.e[-1]).max() <= TRACKING_TOL:
         return None
     return traj

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
 import sys
 from importlib import resources
@@ -10,7 +11,6 @@ import pytest
 
 from factories import build_game, build_plant
 from nesim.config import load_scenario
-from nesim.controller import ControllerGains
 from nesim.generator import GeneratorGains
 from nesim.graph import CommGraph
 from nesim.plant import Exosystem
@@ -35,14 +35,14 @@ def sec5(sec5_path):
 
 
 @pytest.fixture(scope="session")
-def stable_gains(sec5):
-    # gains known to stabilize the bundled scenario without escalation
-    return ControllerGains.uniform(sec5.n, sec5.plant.r, 16.0)
+def stable(sec5):
+    # the bundled scenario with gains known to stabilize it without escalation
+    return dataclasses.replace(sec5, controller_k=np.full((sec5.n, sec5.plant.r), 16.0))
 
 
 @pytest.fixture(scope="session")
-def sec5_loop(sec5, stable_gains):
-    return assemble(sec5, gains=stable_gains)
+def sec5_loop(stable):
+    return assemble(stable)
 
 
 @pytest.fixture(scope="session")

@@ -84,8 +84,8 @@ def composed_rhs(loop, state, column: int = 0):
     sc = loop.scenario
     P, v, z, x, eta = loop.unpack(state)
     plant = PlantState(z=z, x=x)
-    dP = generator_rhs(sc.game, sc.graph, GeneratorGains(loop.gamma1, loop.gamma2), P)
-    u = control_law(loop.gains, loop.bank, plant, eta, P.diagonal(), ablate=loop.ablate)
+    dP = generator_rhs(sc.game, sc.graph, GeneratorGains(sc.gains.gamma1, loop.gamma2), P)
+    u = control_law(sc.controller_gains, loop.bank, plant, eta, P.diagonal(), ablate=loop.ablate)
     dz, dx = plant_rhs(sc.plant, plant, u, v, loop.draws[column])
     drives = list(x[1:]) + [u]  # level s is driven by x_{s+1}, the top level by u
     deta = [np.array([level.M[i] @ eta[s][i] + level.N[i] * drives[s][i] for i in range(sc.n)])

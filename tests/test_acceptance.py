@@ -42,7 +42,7 @@ def timings():
 @pytest.fixture(scope="module")
 def escalated(sec5, timings):
     t0 = time.perf_counter()
-    result = escalate_gains(sec5, ControllerGains.uniform(sec5.n, sec5.plant.r))
+    result = escalate_gains(sec5)
     timings["escalation"] = time.perf_counter() - t0
     return result
 
@@ -51,8 +51,7 @@ def escalated(sec5, timings):
 def seeded_runs(sec5, escalated, timings):
     t0 = time.perf_counter()
     # one batched run; seed 1 is integrated again although escalation passed on it
-    trajs = dict(zip(SEEDS, run(sec5, gains=escalated.gains, gamma1=escalated.gamma1,
-                                seed=SEEDS)))
+    trajs = dict(zip(SEEDS, run(escalated.scenario, seed=SEEDS)))
     timings["closed_loop"] = time.perf_counter() - t0
     return trajs
 
@@ -104,8 +103,7 @@ def test_criterion_3_closed_loop_tracking(sec5, escalated, seeded_runs, timings)
 
 def test_criterion_4_internal_model_ablation(sec5, escalated):
     errors = {}
-    for seed, traj in zip(SEEDS, run(sec5, gains=escalated.gains, gamma1=escalated.gamma1,
-                                     seed=SEEDS, ablate=True)):
+    for seed, traj in zip(SEEDS, run(escalated.scenario, seed=SEEDS, ablate=True)):
         assert np.abs(traj.v[0]).max() > 0  # draws guarantee a live disturbance
         errors[seed] = np.inf if traj.diverged else float(np.abs(traj.e[-1]).max())
     exceed = sum(1 for e in errors.values() if e > 1e-1)
@@ -174,11 +172,10 @@ def test_criterion_6_numerical_hygiene(sec5, escalated, seeded_runs, tmp_path):
     ratio = global_error(0.02) / global_error(0.01)
 
     base = seeded_runs[1]
-    halved = run(dataclasses.replace(sec5, dt=sec5.dt / 2.0), gains=escalated.gains,
-                 gamma1=escalated.gamma1, seed=1)
+    halved = run(dataclasses.replace(escalated.scenario, dt=sec5.dt / 2.0), seed=1)
     step_dev = float(np.abs(base.y[-1] - halved.y[-1]).max())
 
-    rerun = run(sec5, gains=escalated.gains, gamma1=escalated.gamma1, seed=1)
+    rerun = run(escalated.scenario, seed=1)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     write_csv(base, a)
     write_csv(rerun, b)

@@ -11,6 +11,7 @@ from nesim.cli import main
 from nesim.config import load_scenario, normalize
 from nesim.controller import ControllerGains
 from nesim.errors import ConfigError
+from nesim.generator import GeneratorGains
 from nesim.plant import exo_trajectory, steady_state_chain
 from nesim.simulation import EscalationSpec, Scenario, run, write_csv
 
@@ -206,6 +207,7 @@ def test_bad_run_settings_are_config_errors(patch, argv, fast_cfg, tmp_path, cap
     ({"gains.gamma1": 0}, [], "gains.gamma1"),
     ({"gains.gamma2": -1}, [], "gains.gamma2"),
     ({"controller.k": [[0.0, 16.0]] + [[16.0, 16.0]] * 3}, [], "controller.k"),
+    ({"controller.k": [[16.0, 16.0, 16.0]] * 4}, [], "controller.k"),
     ({"controller.escalation.factor": 1.0}, [], "controller.escalation.factor"),
     ({"controller.escalation.max_rounds": 0}, [], "controller.escalation.max_rounds"),
     ({"sim.R": -1}, [], "sim.R"),
@@ -235,7 +237,7 @@ def test_bad_run_settings_are_config_errors(patch, argv, fast_cfg, tmp_path, cap
     # 1e300 s keeps more states than an array can hold; more steps than a float is not finite
     ({}, ["--t-final", "1e300"], "sim.t_final"),
     ({}, ["--t-final", "1e300", "--dt", "1e-10"], "sim.t_final"),
-], ids=["gamma1_zero", "gamma2_negative", "k_zero", "factor_one", "max_rounds_zero",
+], ids=["gamma1_zero", "gamma2_negative", "k_zero", "k_shape", "factor_one", "max_rounds_zero",
         "R_negative", "R_inf", "seed_negative", "seed_flag_negative", "dt_flag_nan",
         "t_final_flag_nan", "t_final_flag_inf", "dt_string", "seed_nan", "decimate_null",
         "gamma1_string", "k_string", "graph_n_string", "edges_string", "edge_weight_string",
@@ -335,12 +337,13 @@ def test_simulate_reuses_the_passing_escalation_run(sec5, tmp_path, capsys, coun
     # one run per escalation round, then only the second seed is integrated
     assert len(calls) == rounds + 1
     assert _integrated_seeds(calls) == [sec5.seed + 1]
-    short = dataclasses.replace(sec5, t_final=10.0)
-    gains = ControllerGains.uniform(sec5.n, sec5.plant.r).scaled(mult)
+    start = ControllerGains.uniform(sec5.n, sec5.plant.r, 4.0)
+    short = dataclasses.replace(sec5, t_final=10.0, controller_k=start.scaled(mult).k,
+                                gains=GeneratorGains(sec5.gains.gamma1 * mult, sec5.gains.gamma2))
 
     def explicit_csv(name, **kwargs):
         path = tmp_path / name
-        write_csv(run(short, gains=gains, gamma1=sec5.gains.gamma1 * mult, **kwargs), path)
+        write_csv(run(short, **kwargs), path)
         return path.read_bytes()
 
     for seed in (sec5.seed, sec5.seed + 1):
@@ -367,10 +370,9 @@ def test_sweep_spanning_batches_matches_one_seed_runs(bound, fast_cfg, tmp_path,
         monkeypatch.setattr(cli, "SWEEP_BATCH", 2)
     else:
         monkeypatch.setattr(cli, "SWEEP_KEPT_BYTES", 3 * scenario.kept_state_bytes() - 1)
-    gains, gamma1 = ControllerGains(scenario.controller_k), scenario.gains.gamma1
     # stand in for a passing escalation run of the scenario seed, which is reused
-    passing = run(scenario, gains=gains, gamma1=gamma1)
-    monkeypatch.setattr(cli, "_resolve_gains", lambda sc, quiet=False: (gains, gamma1, passing))
+    passing = run(scenario)
+    monkeypatch.setattr(cli, "_resolve_gains", lambda sc, quiet=False: (sc, passing))
     calls = count_calls(run)
     out = tmp_path / "sweep.csv"
     assert main(["simulate", "--config", str(path), "--sweep", "seeds=4", "--out", str(out)]) == 0
@@ -379,5 +381,5 @@ def test_sweep_spanning_batches_matches_one_seed_runs(bound, fast_cfg, tmp_path,
     assert [kw["seed"] for _, kw in calls] == [[first + 1], [first + 2, first + 3]]
     for seed in range(first, first + 4):
         alone = tmp_path / f"alone_s{seed}.csv"
-        write_csv(run(scenario, gains=gains, gamma1=gamma1, seed=seed), alone)
+        write_csv(run(scenario, seed=seed), alone)
         assert (tmp_path / f"sweep_s{seed}.csv").read_bytes() == alone.read_bytes()

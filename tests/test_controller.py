@@ -8,10 +8,12 @@ import pytest
 from nesim.controller import (ControllerGains, backstepping_feedback, control_law,
                               escalate_gains, psi_readouts, transform)
 from nesim.errors import EscalationExhausted
+from nesim.game import estimate_constants, solve_ne
+from nesim.generator import GeneratorGains
 from nesim.internal_model import synthesize_bank
 from nesim.numerics import rk4_step
 from nesim.plant import PlantState
-from nesim.simulation import EscalationSpec
+from nesim.simulation import EscalationSpec, run, write_csv
 
 
 @pytest.fixture(scope="module")
@@ -144,13 +146,16 @@ class TestManifoldInvariance:
 
 class TestEscalation:
     class Probe:
+        """Stands in for the closed-loop run: passes from round ``pass_at`` on."""
+
         def __init__(self, pass_at):
             self.pass_at = pass_at
             self.calls = []
+            self.passing = object()  # the passing run it returns
 
-        def __call__(self, scenario, gains, gamma1):
-            self.calls.append((gains.k.copy(), gamma1))
-            return len(self.calls) >= self.pass_at
+        def __call__(self, scenario):
+            self.calls.append((scenario.controller_k.copy(), scenario.gains.gamma1))
+            return self.passing if len(self.calls) >= self.pass_at else None
 
     @staticmethod
     def rounds(scenario, max_rounds):
@@ -160,24 +165,31 @@ class TestEscalation:
     def test_passing_scenario_keeps_initial_gains(self, sec5):
         probe = self.Probe(pass_at=1)
         start = ControllerGains.uniform(4, 2, 4.0)
-        result = escalate_gains(self.rounds(sec5, 5), start, run_fn=probe)
+        result = escalate_gains(self.rounds(sec5, 5), run_fn=probe)
         assert result.rounds == 1 and result.multiplier == 1.0
-        assert np.array_equal(result.gains.k, start.k)
-        assert result.gamma1 == sec5.gains.gamma1
+        assert np.array_equal(result.scenario.controller_k, start.k)
+        assert result.scenario.gains.gamma1 == sec5.gains.gamma1
+        assert result.trajectory is probe.passing
 
     def test_single_doubling(self, sec5):
         probe = self.Probe(pass_at=2)
         start = ControllerGains.uniform(4, 2, 4.0)
-        result = escalate_gains(self.rounds(sec5, 5), start, run_fn=probe)
+        result = escalate_gains(self.rounds(sec5, 5), run_fn=probe)
         assert result.rounds == 2
-        assert np.array_equal(result.gains.k, start.k * 2.0)
-        assert result.gamma1 == sec5.gains.gamma1 * 2.0
+        assert np.array_equal(result.scenario.controller_k, start.k * 2.0)
+        assert result.scenario.gains.gamma1 == sec5.gains.gamma1 * 2.0
+
+    def test_configured_gains_are_the_start(self, stable):
+        # escalation starts from the scenario's own gains when it configures them
+        probe = self.Probe(pass_at=3)
+        result = escalate_gains(self.rounds(stable, 5), run_fn=probe)
+        assert [k.max() for k, _ in probe.calls] == [16.0, 32.0, 64.0]
+        assert np.array_equal(result.scenario.controller_k, np.full((4, 2), 64.0))
 
     def test_exhaustion(self, sec5):
         probe = self.Probe(pass_at=99)
         with pytest.raises(EscalationExhausted):
-            escalate_gains(self.rounds(sec5, 3), ControllerGains.uniform(4, 2, 4.0),
-                           run_fn=probe)
+            escalate_gains(self.rounds(sec5, 3), run_fn=probe)
         assert len(probe.calls) == 3
 
     def test_overflowing_gains_end_the_search(self, sec5):
@@ -185,8 +197,35 @@ class TestEscalation:
         probe = self.Probe(pass_at=99)
         scenario = dataclasses.replace(sec5, escalation=EscalationSpec(1e200, 12))
         with pytest.raises(EscalationExhausted, match="overflow at round 3"):
-            escalate_gains(scenario, ControllerGains.uniform(4, 2, 4.0), run_fn=probe)
+            escalate_gains(scenario, run_fn=probe)
         assert len(probe.calls) == 2
+
+    def test_overflowing_gradient_gain_ends_the_search(self, sec5):
+        # round 2's gamma1, 1e310, overflows while its backstepping gains, 4e10, do not
+        probe = self.Probe(pass_at=99)
+        scenario = dataclasses.replace(sec5, gains=GeneratorGains(1e300, sec5.gains.gamma2),
+                                       escalation=EscalationSpec(1e10, 12))
+        with pytest.raises(EscalationExhausted, match="overflow at round 2"):
+            escalate_gains(scenario, run_fn=probe)
+        assert len(probe.calls) == 1
+
+    def test_rounds_are_scenarios_that_keep_the_synthesis(self, custom_scenario, count_calls,
+                                                           tmp_path):
+        # the finite-difference game with k = "auto": at a 1 s horizon it escalates
+        scenario = dataclasses.replace(custom_scenario, controller_k=None, t_final=1.0)
+        calls = [count_calls(fn) for fn in (estimate_constants, solve_ne, synthesize_bank)]
+        result = escalate_gains(scenario)
+        assert calls == [[], [], []]
+        assert result.rounds > 1 and result.multiplier == 2.0 ** (result.rounds - 1)
+        assert result.scenario.synthesis is scenario.synthesis
+        mult = result.multiplier
+        assert np.array_equal(result.scenario.controller_k,
+                              ControllerGains.uniform(3, 1, 4.0).scaled(mult).k)
+        assert result.scenario.gains.gamma1 == scenario.gains.gamma1 * mult
+        rerun, passing = tmp_path / "rerun.csv", tmp_path / "passing.csv"
+        write_csv(run(result.scenario), rerun)
+        write_csv(result.trajectory, passing)
+        assert rerun.read_bytes() == passing.read_bytes()
 
     def test_factor_validation(self):
         # the spec is checked once, where the scenario is built

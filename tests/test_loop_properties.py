@@ -28,19 +28,19 @@ CASES = dict(
 
 
 def drawn(name, multiplier, request):
-    """The scenario and its start gains times ``multiplier``."""
+    """The scenario with its start gains times ``multiplier``."""
     scenario = request.getfixturevalue("sec5" if name == "sec5" else "custom_scenario")
-    start = (ControllerGains.uniform(scenario.n, scenario.plant.r) if name == "sec5"
+    start = (ControllerGains.uniform(scenario.n, scenario.plant.r, 4.0) if name == "sec5"
              else ControllerGains(scenario.controller_k))
-    return scenario, start.scaled(multiplier)
+    return dataclasses.replace(scenario, controller_k=start.scaled(multiplier).k)
 
 
 # 15 + 10 examples, about 4 s together
 @settings(max_examples=15, deadline=None, database=None)
 @given(**CASES)
 def test_lifted_rhs_matches_composed_blocks(scenario, seeds, multiplier, ablate, request):
-    scenario, gains = drawn(scenario, multiplier, request)
-    loop = assemble(scenario, gains=gains, ablate=ablate,
+    scenario = drawn(scenario, multiplier, request)
+    loop = assemble(scenario, ablate=ablate,
                     draws=np.stack([sample_uncertainty(scenario.w_box, s) for s in seeds]))
     state = np.random.default_rng(seeds[0]).normal(size=(loop.dimension, len(seeds)))
     fused = loop.rhs(0.0, state)
@@ -52,8 +52,7 @@ def test_lifted_rhs_matches_composed_blocks(scenario, seeds, multiplier, ablate,
 @settings(max_examples=10, deadline=None, database=None)
 @given(**CASES)
 def test_batched_run_matches_single_seed_runs(scenario, seeds, multiplier, ablate, request):
-    scenario, gains = drawn(scenario, multiplier, request)
-    short = dataclasses.replace(scenario, t_final=0.2, decimate=1)
-    batch = run(short, gains=gains, ablate=ablate, seed=seeds)
+    short = dataclasses.replace(drawn(scenario, multiplier, request), t_final=0.2, decimate=1)
+    batch = run(short, ablate=ablate, seed=seeds)
     for traj in batch:
-        assert_same_run(traj, run(short, gains=gains, ablate=ablate, seed=traj.seed))
+        assert_same_run(traj, run(short, ablate=ablate, seed=traj.seed))

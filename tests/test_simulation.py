@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from nesim.config import load_scenario
-from nesim.controller import ControllerGains, backstepping_feedback, control_law
+from nesim.controller import backstepping_feedback, control_law
 from nesim.errors import ConfigError
 from nesim.game import QuadraticAggregativeGame, estimate_constants, solve_ne
 from nesim.generator import GeneratorGains, min_gamma2
@@ -36,11 +36,11 @@ def test_rhs_is_deterministic(sec5_loop):
 
 
 @pytest.mark.parametrize("case", ["sec5", "sec5_ablated", "custom"])
-def test_rhs_matches_composed_blocks(case, sec5, stable_gains, request):
+def test_rhs_matches_composed_blocks(case, stable, request):
     if case == "custom":
         loop = assemble(request.getfixturevalue("custom_scenario"))
     else:
-        loop = assemble(sec5, gains=stable_gains, ablate=case == "sec5_ablated")
+        loop = assemble(stable, ablate=case == "sec5_ablated")
     rng = np.random.default_rng(21)
     for _ in range(5):
         state = rng.normal(size=loop.dimension)
@@ -51,10 +51,10 @@ def test_rhs_matches_composed_blocks(case, sec5, stable_gains, request):
 
 
 @pytest.mark.parametrize("ablate", [False, True], ids=["sec5", "sec5_ablated"])
-def test_placed_control_rows_match_backstepping_oracle(ablate, sec5, stable_gains):
+def test_placed_control_rows_match_backstepping_oracle(ablate, sec5, stable):
     # u is the backstepping fold of the error coordinates plus the top read-out as
     # feedforward, with each read-out Psi_s eta_s summed per agent; ablated, none is read
-    loop = assemble(sec5, gains=stable_gains, ablate=ablate)
+    loop = assemble(stable, ablate=ablate)
     rng = np.random.default_rng(22)
     for _ in range(20):
         state = rng.normal(size=loop.dimension)
@@ -62,16 +62,16 @@ def test_placed_control_rows_match_backstepping_oracle(ablate, sec5, stable_gain
         reads = [np.zeros(sec5.n) if ablate else (level.Psi * e).sum(axis=1)
                  for level, e in zip(loop.bank.levels, eta)]
         x_bar = np.vstack([x[0] - P.diagonal()] + [x[s] - reads[s - 1] for s in range(1, len(x))])
-        want = backstepping_feedback(loop.gains, x_bar) + reads[-1]
+        want = backstepping_feedback(loop.scenario.controller_gains, x_bar) + reads[-1]
         assert np.abs(loop.control(state) - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def test_assembled_loop_is_freed_without_the_cyclic_collector(sec5, stable_gains):
+def test_assembled_loop_is_freed_without_the_cyclic_collector(stable):
     # nothing the loop holds may form a reference cycle that keeps the operator alive
     enabled = gc.isenabled()
     gc.disable()
     try:
-        loop = assemble(sec5, gains=stable_gains)
+        loop = assemble(stable)
         operator = weakref.ref(loop.operator)
         assert loop.rhs(0.0, np.zeros(loop.dimension)).shape == (loop.dimension,)
         del loop
@@ -135,28 +135,40 @@ def test_disconnected_graph_rejected(sec5):
         dataclasses.replace(sec5, graph=CommGraph.from_edges(4, [(0, 1), (2, 3)]))
 
 
-def test_closed_loop_tracks_reference(sec5, stable_gains):
-    traj = run(dataclasses.replace(sec5, t_final=10.0), gains=stable_gains)
+@pytest.mark.parametrize("k, rule", [
+    (np.full((4, 3), 16.0), r"of shape \(4, 2\), got \(4, 3\)"),
+    (np.full((4, 1), 16.0), r"of shape \(4, 2\), got \(4, 1\)"),
+    (np.full((4, 2), np.nan), "finite and > 0"),
+], ids=["too_many_levels", "too_few_levels", "nan"])
+def test_controller_k_is_checked_by_the_scenario(k, rule, sec5, count_calls):
+    # a library scenario rejects its gains where it is built, not in assembly
+    calls = count_calls(assemble)
+    with pytest.raises(ValueError, match=r"controller\.k: must be " + rule):
+        run(dataclasses.replace(sec5, controller_k=k, t_final=0.01))
+    assert calls == []
+
+
+def test_closed_loop_tracks_reference(stable):
+    traj = run(dataclasses.replace(stable, t_final=10.0))
     assert not traj.diverged
     assert np.abs(traj.e[-1]).max() < 1e-2
 
 
-def test_manifold_start_stays_on_manifold(sec5, stable_gains):
-    traj = run(dataclasses.replace(sec5, t_final=5.0), gains=stable_gains, init_mode="manifold")
+def test_manifold_start_stays_on_manifold(stable):
+    traj = run(dataclasses.replace(stable, t_final=5.0), init_mode="manifold")
     assert np.abs(traj.e).max() <= 1e-6
 
 
-def test_steady_chains_are_built_only_for_the_manifold_start(sec5, stable_gains, count_calls):
+def test_steady_chains_are_built_only_for_the_manifold_start(stable, count_calls):
     # the chain is truth data: a box start steps the loop without it
     chains = count_calls(steady_state_chain)
-    short = dataclasses.replace(sec5, t_final=0.05, decimate=1)
-    run(short, gains=stable_gains, seed=[1, 2])
+    short = dataclasses.replace(stable, t_final=0.05, decimate=1)
+    run(short, seed=[1, 2])
     assert chains == []
-    batch = run(short, gains=stable_gains, seed=[1, 2], init_mode="manifold")
+    batch = run(short, seed=[1, 2], init_mode="manifold")
     assert len(chains) == 2  # one per column
     for traj in batch:
-        assert_same_run(traj, run(short, gains=stable_gains, seed=traj.seed,
-                                  init_mode="manifold"))
+        assert_same_run(traj, run(short, seed=traj.seed, init_mode="manifold"))
 
 
 def test_manifold_start_without_steady_poly_is_a_config_error(custom_scenario, count_calls):
@@ -171,8 +183,8 @@ def test_manifold_start_without_steady_poly_is_a_config_error(custom_scenario, c
 
 
 def test_divergence_is_reported_not_raised(sec5):
-    weak = ControllerGains.uniform(4, 2, 4.0)
-    traj = run(dataclasses.replace(sec5, t_final=10.0), gains=weak)
+    weak = dataclasses.replace(sec5, controller_k=np.full((4, 2), 4.0))
+    traj = run(dataclasses.replace(weak, t_final=10.0))
     assert traj.diverged
     assert traj.diverged_t is not None
     assert len(traj.t) >= 1  # partial trajectory retained for debugging
@@ -183,15 +195,15 @@ def test_divergence_is_reported_not_raised(sec5):
 def test_overflowing_gains_diverge_quietly(sec5):
     # the operator overflows to inf and NaN: a divergence at the first step, with no
     # warning (the suite turns warnings into errors)
-    traj = run(dataclasses.replace(sec5, t_final=0.01), gains=ControllerGains.uniform(4, 2, 1e300))
+    traj = run(dataclasses.replace(sec5, t_final=0.01, controller_k=np.full((4, 2), 1e300)))
     assert traj.diverged and traj.diverged_t == sec5.dt and len(traj.t) == 1
 
 
-def test_recorded_signals_match_per_sample_oracle(sec5, stable_gains):
-    traj = run(dataclasses.replace(sec5, t_final=0.5, decimate=1), gains=stable_gains)
+def test_recorded_signals_match_per_sample_oracle(sec5, stable):
+    traj = run(dataclasses.replace(stable, t_final=0.5, decimate=1))
     # the initial state as `run` draws it: uncertainty, disturbance, then the box
     rng = np.random.default_rng(sec5.seed)
-    loop = assemble(sec5, gains=stable_gains, draws=sample_uncertainty(sec5.w_box, rng)[None])
+    loop = assemble(stable, draws=sample_uncertainty(sec5.w_box, rng)[None])
     box = sec5.exo.v0_box
     v0 = rng.uniform(box[:, 0], box[:, 1])
     n = sec5.n
@@ -209,7 +221,8 @@ def test_recorded_signals_match_per_sample_oracle(sec5, stable_gains):
             peak = max(peak, float(np.abs(state).max()))
         P, v, z, x, eta = loop.unpack(state)
         refs = P.diagonal()
-        u = control_law(loop.gains, loop.bank, PlantState(z=z, x=x), eta, refs)
+        u = control_law(loop.scenario.controller_gains, loop.bank, PlantState(z=z, x=x), eta,
+                        refs)
         assert traj.t[k] == k * sec5.dt
         assert close(traj.y[k], x[0]) and close(traj.p[k], refs)
         assert close(traj.e[k], x[0] - refs) and close(traj.v[k], v)
@@ -233,13 +246,13 @@ def assert_same_run(have, want):
 
 
 @pytest.mark.parametrize("case", ["sec5", "sec5_ablated", "custom"])
-def test_batched_seeds_match_single_seed_runs(case, sec5, stable_gains, request):
+def test_batched_seeds_match_single_seed_runs(case, stable, request):
     if case == "custom":
         scenario = dataclasses.replace(request.getfixturevalue("custom_scenario"), t_final=0.3)
         kwargs = {}
     else:
-        scenario = dataclasses.replace(sec5, t_final=1.0, decimate=1)
-        kwargs = dict(gains=stable_gains, ablate=case == "sec5_ablated")
+        scenario = dataclasses.replace(stable, t_final=1.0, decimate=1)
+        kwargs = dict(ablate=case == "sec5_ablated")
     batch = run(scenario, seed=(1, 2, 3), **kwargs)
     assert [traj.seed for traj in batch] == [1, 2, 3]
     for traj in batch:
@@ -250,34 +263,33 @@ def test_batched_seeds_match_single_seed_runs(case, sec5, stable_gains, request)
 @pytest.mark.parametrize("abort_norm", [None, 1e6], ids=["diverging", "norm_abort"])
 def test_stopped_columns_match_single_seed_runs(abort_norm, sec5):
     # at the start gains seeds 1 and 2 blow up before t = 2 at different steps, seed 3 later
-    weak = ControllerGains.uniform(4, 2, 4.0)
-    short = dataclasses.replace(sec5, t_final=2.0, decimate=1)
-    batch = run(short, gains=weak, seed=(1, 2, 3), abort_norm=abort_norm)
+    short = dataclasses.replace(sec5, t_final=2.0, decimate=1, controller_k=np.full((4, 2), 4.0))
+    batch = run(short, seed=(1, 2, 3), abort_norm=abort_norm)
     stopped = [traj for traj in batch if traj.diverged or traj.aborted_norm]
     assert [traj.seed for traj in stopped] == [1, 2]
     assert len({len(traj.t) for traj in stopped}) == 2
     assert batch[2].t[-1] == 2.0
     for traj in batch:
-        assert_same_run(traj, run(short, gains=weak, seed=traj.seed, abort_norm=abort_norm))
+        assert_same_run(traj, run(short, seed=traj.seed, abort_norm=abort_norm))
     if abort_norm is None:
         # diverged_t is the end of the first failing step: one step less stays finite
         t_fail = batch[0].diverged_t
         before = dataclasses.replace(short, t_final=t_fail - sec5.dt)
-        assert not run(before, gains=weak, seed=1).diverged
+        assert not run(before, seed=1).diverged
         until = dataclasses.replace(short, t_final=t_fail)
-        assert run(until, gains=weak, seed=1).diverged_t == t_fail
+        assert run(until, seed=1).diverged_t == t_fail
     else:
         # the abort step is the first, and recorded, step whose state passes the limit
         for traj in stopped:
             assert traj.max_state_norm > abort_norm
-            before = run(dataclasses.replace(short, t_final=traj.t[-1] - sec5.dt), gains=weak,
+            before = run(dataclasses.replace(short, t_final=traj.t[-1] - sec5.dt),
                          seed=traj.seed, abort_norm=abort_norm)
             assert not before.aborted_norm and before.max_state_norm <= abort_norm
 
 
-def test_batched_rerun_is_bit_identical(sec5, stable_gains):
-    short = dataclasses.replace(sec5, t_final=0.5)
-    first, again = (run(short, gains=stable_gains, seed=[4, 5]) for _ in range(2))
+def test_batched_rerun_is_bit_identical(stable):
+    short = dataclasses.replace(stable, t_final=0.5)
+    first, again = (run(short, seed=[4, 5]) for _ in range(2))
     for have, want in zip(again, first):
         assert_same_run(have, want)
 
@@ -288,29 +300,26 @@ def test_batched_rerun_is_bit_identical(sec5, stable_gains):
     (dict(t_final=np.inf), {}), (dict(t_final=1e300, dt=1e-10), {}),
 ], ids=["dt_zero", "decimate_zero", "no_seeds", "t_final_negative", "dt_nan", "dt_inf",
         "t_final_nan", "t_final_inf", "step_count_overflow"])
-def test_run_rejects_bad_arguments(settings, kwargs, sec5, stable_gains):
+def test_run_rejects_bad_arguments(settings, kwargs, stable):
     # the run settings are the scenario's, rejected by `Scenario` when replaced
     with pytest.raises(ValueError):
-        run(dataclasses.replace(sec5, **dict(t_final=0.01) | settings), gains=stable_gains,
-            **kwargs)
+        run(dataclasses.replace(stable, **dict(t_final=0.01) | settings), **kwargs)
 
 
-def test_impossible_horizon_is_a_config_error_before_the_first_step(sec5, stable_gains,
-                                                                    count_calls):
+def test_impossible_horizon_is_a_config_error_before_the_first_step(stable, count_calls):
     # 1e300 s at dt = 1e-3 keeps more states than one array can index
     steps = count_calls(rk4_step)
     with pytest.raises(ConfigError, match=r"sim\.t_final: .*sim\.dt.*sim\.decimate.*allocated"):
-        run(dataclasses.replace(sec5, t_final=1e300), gains=stable_gains)
+        run(dataclasses.replace(stable, t_final=1e300))
     assert steps == []
 
 
 @pytest.mark.parametrize("case", ["sec5", "custom"])
-def test_operator_is_shared_rows_plus_plant_rows_per_draw(case, sec5, stable_gains, request):
-    scenario, kwargs = ((request.getfixturevalue("custom_scenario"), {}) if case == "custom"
-                        else (sec5, dict(gains=stable_gains)))
+def test_operator_is_shared_rows_plus_plant_rows_per_draw(case, stable, request):
+    scenario = request.getfixturevalue("custom_scenario") if case == "custom" else stable
     seeds = (1, 2, 3)
     draws = np.stack([sample_uncertainty(scenario.w_box, s) for s in seeds])
-    batch = assemble(scenario, draws=draws, **kwargs)
+    batch = assemble(scenario, draws=draws)
     lay, n = batch.layout, scenario.n
     assert np.array_equal(batch.draws, draws) and not hasattr(batch, "steadies")
     J, features = drift_split(scenario.plant, batch.draws)
@@ -322,7 +331,7 @@ def test_operator_is_shared_rows_plus_plant_rows_per_draw(case, sec5, stable_gai
     shifted = np.arange(lay.x.start, lay.x.stop - n)
     others = np.r_[:lay.zx.start, lay.zx.stop:lay.dim]
     for b, seed in enumerate(seeds):
-        one = assemble(scenario, draws=sample_uncertainty(scenario.w_box, seed)[None], **kwargs)
+        one = assemble(scenario, draws=sample_uncertainty(scenario.w_box, seed)[None])
         assert one.operator.shape == (1, lay.dim, width)
         assert np.array_equal(one.operator[0], batch.operator[b])
         # the plant rows hold the drift split, the chain shifts and the control law
@@ -336,9 +345,9 @@ def test_operator_is_shared_rows_plus_plant_rows_per_draw(case, sec5, stable_gai
         assert np.array_equal(batch.operator[b, others], batch.operator[0, others])
 
 
-def test_kept_state_bytes_counts_the_recorded_samples(sec5, stable_gains):
-    short = dataclasses.replace(sec5, t_final=0.05, decimate=3)  # steps 0, 3, .., 48 and 50
-    traj = run(short, gains=stable_gains)
+def test_kept_state_bytes_counts_the_recorded_samples(stable):
+    short = dataclasses.replace(stable, t_final=0.05, decimate=3)  # steps 0, 3, .., 48 and 50
+    traj = run(short)
     assert len(traj.t) == 18
     assert short.kept_state_bytes() == len(traj.t) * assemble(short).dimension * 8
 
@@ -372,10 +381,10 @@ def test_remainder_split_hook_is_a_config_error(sec5):
         assemble(dataclasses.replace(sec5, plant=plant))
 
 
-def test_escalation_predicate(sec5, stable_gains):
-    short = dataclasses.replace(sec5, t_final=10.0)
-    assert closed_loop_passes(short, stable_gains, 1.0)
-    assert not closed_loop_passes(short, ControllerGains.uniform(4, 2, 4.0), 1.0)
+def test_escalation_predicate(stable):
+    short = dataclasses.replace(stable, t_final=10.0)
+    assert closed_loop_passes(short)
+    assert not closed_loop_passes(dataclasses.replace(short, controller_k=np.full((4, 2), 4.0)))
 
 
 def test_zero_disturbance_decoupled_game_reaches_targets():
@@ -397,25 +406,25 @@ def test_zero_disturbance_decoupled_game_reaches_targets():
     assert np.abs(traj.y[-1] - h1).max() < 1e-2
 
 
-def test_triangle_inequality_on_final_errors(sec5, stable_gains):
-    traj = run(dataclasses.replace(sec5, t_final=10.0), gains=stable_gains)
+def test_triangle_inequality_on_final_errors(stable):
+    traj = run(dataclasses.replace(stable, t_final=10.0))
     lhs = np.abs(traj.y[-1] - traj.p_star)
     rhs = np.abs(traj.e[-1]) + np.abs(traj.p[-1] - traj.p_star)
     assert np.all(lhs <= rhs + 1e-12)
 
 
-def test_seed_determinism_bit_identical_csv(sec5, stable_gains, tmp_path):
+def test_seed_determinism_bit_identical_csv(stable, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    short = dataclasses.replace(sec5, t_final=2.0)
-    write_csv(run(short, gains=stable_gains), a)
-    write_csv(run(short, gains=stable_gains), b)
+    short = dataclasses.replace(stable, t_final=2.0)
+    write_csv(run(short), a)
+    write_csv(run(short), b)
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_step_halving_consistency_short(sec5, stable_gains):
-    short = dataclasses.replace(sec5, t_final=5.0)
-    a = run(short, gains=stable_gains)
-    b = run(dataclasses.replace(short, dt=sec5.dt / 2), gains=stable_gains)
+def test_step_halving_consistency_short(sec5, stable):
+    short = dataclasses.replace(stable, t_final=5.0)
+    a = run(short)
+    b = run(dataclasses.replace(short, dt=sec5.dt / 2))
     assert np.abs(a.y[-1] - b.y[-1]).max() < 1e-6
 
 
@@ -445,14 +454,14 @@ class TestMetrics:
         m = metrics(synthetic_trajectory(np.maximum(3.0 * np.exp(-2.0 * t), 5e-14), t))
         assert m["ne_log_slope"] == pytest.approx(-2.0, abs=1e-6)
 
-    def test_closed_loop_slope_negative(self, sec5, stable_gains):
-        traj = run(dataclasses.replace(sec5, t_final=10.0), gains=stable_gains)
+    def test_closed_loop_slope_negative(self, stable):
+        traj = run(dataclasses.replace(stable, t_final=10.0))
         assert metrics(traj)["ne_log_slope"] < 0
 
 
-def test_csv_schema(sec5, stable_gains, tmp_path):
+def test_csv_schema(stable, tmp_path):
     path = tmp_path / "traj.csv"
-    write_csv(run(dataclasses.replace(sec5, t_final=1.0), gains=stable_gains), path)
+    write_csv(run(dataclasses.replace(stable, t_final=1.0)), path)
     header = path.read_text().splitlines()[0].split(",")
     assert header[0] == "t" and header[-1] == "ne_dist"
     assert len(header) == 2 + 5 * 4

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from nesim import numerics, simulation
+from nesim import controller, numerics, simulation
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -37,16 +37,27 @@ def test_span_targets_resolve(tracing):
         assert callable(getattr(importlib.import_module(module), attr)), label
 
 
-def test_per_step_targets_resolve_and_are_counted(tracing, sec5, stable_gains):
+def test_per_step_targets_resolve_and_are_counted(tracing, stable):
     rk4, control = numerics.rk4_step, simulation.AssembledLoop.control
     tracer = tracing.Tracer()
     with tracer.installed(), tracer.span("test"):
         # the tracer wraps `numerics.rk4_step`, `AssembledLoop.control` and each loop's rhs
         assert numerics.rk4_step is not rk4
         assert simulation.AssembledLoop.control is not control
-        simulation.run(dataclasses.replace(sec5, t_final=0.01), gains=stable_gains)
+        simulation.run(dataclasses.replace(stable, t_final=0.01))
     assert numerics.rk4_step is rk4 and simulation.AssembledLoop.control is control
     layers = tracer.layer_metrics()
     assert layers["numerics.rk4_step_calls"] == 10
     assert layers["simulation.rhs_calls"] == 40
     assert layers["simulation.run_calls"] == layers["simulation.assemble_calls"] == 1
+
+
+def test_traced_escalation_counts_each_round(tracing, sec5):
+    # `run_fn` returns the passing run or None; the tracer notes a round's pass as its truth
+    tracer = tracing.Tracer()
+    with tracer.installed(), tracer.span("test"):
+        result = controller.escalate_gains(dataclasses.replace(sec5, t_final=2.0))
+    layers = tracer.layer_metrics()
+    assert layers["controller.escalation_rounds"] == result.rounds
+    assert layers["controller.escalation_pass_ratio"] == 1 / result.rounds
+    assert layers["simulation.run_calls"] == result.rounds
