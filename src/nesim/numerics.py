@@ -1,8 +1,18 @@
 """Checked dense linear algebra (LAPACK via NumPy) and a fixed-step RK4 integrator.
 
-Nonlinear systems step through `rk4_step`/`integrate`. A linear system
-``xdot = A x`` steps through `rk4_linear`: there one RK4 step is exactly
-``x+ = R(hA) x``, with `rk4_matrix` giving RK4's step matrix ``R(hA)``.
+`integrate` is the one stepping loop for nonlinear systems; its ``step``
+hook picks how one RK4 step is made:
+
+- `rk4_lifted_step` steps a system that is linear in a lifted state,
+  ``xdot = A [x; 1; phi(x)]`` (the closed loop): each stage is one GEMV by
+  a matrix of `rk4_lifted_matrices`, five per step, with no stage
+  temporaries;
+- `rk4_step`, the default, steps any ``rhs``; it is also the oracle the
+  lifted step is tested against.
+
+A linear system ``xdot = A x`` steps through `rk4_linear`: there one RK4
+step is exactly ``x+ = R(hA) x``, with `rk4_matrix` giving RK4's step
+matrix ``R(hA)``.
 
 Everything here targets desk-scale problems (matrices up to ~30x30, state
 vectors up to a few hundred entries). Routines are pure functions; there is
@@ -12,7 +22,7 @@ no shared mutable state, so concurrent scenario runs may call them freely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -104,24 +114,147 @@ def rk4_step(sys: OdeSystem, t: float, x: np.ndarray, h: float) -> np.ndarray:
 
 
 def integrate(sys: OdeSystem, x0: np.ndarray, t0: float, t_final: float, h: float,
-              observer: Callable[[int, float, np.ndarray], None] | None = None) -> np.ndarray:
-    """Integrate with fixed-step RK4 from ``t0`` to ``t_final``.
+              observer: Callable | None = None, step: Callable | None = None) -> np.ndarray:
+    """Integrate with fixed-step RK4 from ``t0`` to ``t_final``; returns the final state.
 
-    ``observer(step_index, t, x)`` is invoked at the initial state and after
-    every step; it is the hook trajectory recorders attach to. Returns the
-    final state. Divergence surfaces as ``NonFiniteState`` from `rk4_step`.
+    ``step(sys, t, x, h)`` makes one step: `rk4_step` by default, or
+    `rk4_lifted_step`. ``observer(step_index, t, x)`` is invoked at the
+    initial state and after every step; it is the hook trajectory recorders
+    attach to. Divergence surfaces as ``NonFiniteState`` from the step.
+
+    The columns of a batched state ``(dim, B)`` are independent systems, and
+    the observer may stop some of them: a boolean mask it returns stops the
+    masked columns, and the others go on as ``sys.select(~mask)``. A step on
+    a batched state that raises ``NonFiniteState`` stops the columns it marks
+    instead of raising: the observer is told by ``observer(step_index, t,
+    x, diverged=columns)``, with the state the failed step started from, and
+    the other columns are stepped again from that state. The returned state
+    then holds the columns still going at ``t_final``.
     """
+    step = rk4_step if step is None else step
     x = np.array(x0, dtype=float)
     n_steps = int(round((t_final - t0) / h))
-    t = t0
-    if observer is not None:
-        observer(0, t, x)
-    for k in range(1, n_steps + 1):
-        x = rk4_step(sys, t, x, h)
+    k, t = 0, t0
+    stop = None if observer is None else observer(k, t, x)
+    while True:
+        if stop is not None and stop.any():
+            if stop.all():
+                return x[:, :0]
+            x, sys = x[:, ~stop], sys.select(~stop)
+        if k == n_steps:
+            return x
+        try:
+            x_next = step(sys, t, x, h)
+        except NonFiniteState as exc:
+            if observer is None or x.ndim == 1 or exc.columns is None:
+                raise
+            stop = exc.columns
+            observer(k, t, x, diverged=stop)
+            continue
+        x, k = x_next, k + 1
         t = t0 + k * h
-        if observer is not None:
-            observer(k, t, x)
-    return x
+        stop = None if observer is None else observer(k, t, x)
+
+
+@dataclass(frozen=True)
+class LiftedSteps:
+    """RK4's stage maps at step ``h``: ``maps`` are ``S1, S2, S3, W`` of `rk4_lifted_matrices`."""
+
+    h: float
+    maps: tuple
+
+
+@dataclass(frozen=True)
+class LiftedOdeSystem(OdeSystem):
+    """``xdot = A_b [x_b; 1; phi(x_b)]`` for each column ``b`` of a ``(dim, B)`` state.
+
+    ``lift(L)`` overwrites the feature rows ``dim + 1:`` of a lifted
+    ``(width, B)`` array from the states in its rows ``:dim``; row ``dim``
+    holds the one, and column ``b`` reads only column ``b``. ``steps`` are
+    the stage maps `rk4_lifted_step` steps by, built from each column's
+    ``A_b`` for one step size (`rk4_lifted_matrices`); None until built.
+    """
+
+    lift: Callable = None
+    steps: Optional[LiftedSteps] = None
+
+
+def rk4_lifted_matrices(A: np.ndarray, h: float) -> LiftedSteps:
+    """RK4's stage maps at step ``h`` for ``xdot = A [x; 1; phi(x)]``.
+
+    ``A`` is ``(B, dim, width)``, one operator per column. Every stage of
+    the classical tableau (Hairer & Wanner, *Solving ODEs II*, §IV.2) is
+    affine in the lifts ``L_j = [s_j; 1; phi(s_j)]`` of the stages before
+    it. With ``E`` the ``(dim, width)`` block that picks ``x`` out of
+    ``L1`` and the lifts stacked as ``[L2; L1; L3; L4]``::
+
+        s2 = S1 L1        S1 = E + (h/2) A
+        s3 = S2 [L2; L1]  S2 = [(h/2) A, E]
+        s4 = S3 [L1; L3]  S3 = [E, h A]
+        x+ = W [L2; L1; L3; L4]
+                          W = [(h/3) A, E + (h/6) A, (h/3) A, (h/6) A]
+
+    so each map reads one contiguous run of the stack and holds no zero
+    block. Each map is ``(B, dim, k * width)``.
+    """
+    A = np.asarray(A, dtype=float)
+    E = np.broadcast_to(np.eye(*A.shape[1:]), A.shape)
+    half, third, sixth = (h / 2.0) * A, (h / 3.0) * A, (h / 6.0) * A
+    return LiftedSteps(h, (E + half, np.concatenate([half, E], axis=2),
+                           np.concatenate([E, h * A], axis=2),
+                           np.concatenate([third, E + sixth, third, sixth], axis=2)))
+
+
+def column_gemv(M: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
+    """``out[:, b] = M[b] @ v[:, b]``: one GEMV per column, never one GEMM over the batch.
+
+    One column uses ``dot`` (of a matrix and a column, which NumPy makes one
+    GEMV), more a stacked ``matmul``; both are one GEMV per column, so a
+    column's bits do not depend on how many share the batch. ``out`` is
+    C-contiguous for one column.
+    """
+    if len(M) == 1:
+        M[0].dot(v, out)
+    else:
+        np.matmul(M, v.T[..., None], out=out.T[..., None])
+
+
+def rk4_lifted_step(sys: LiftedOdeSystem, t: float, x: np.ndarray, h: float) -> np.ndarray:
+    """One RK4 step of a `LiftedOdeSystem`, as five GEMVs per column.
+
+    Each stage state is one GEMV by a map of ``sys.steps`` over the lifts so
+    far (`rk4_lifted_matrices`), written straight into one lift buffer
+    ``[L2; L1; L3; L4]`` and lifted there; the new state is one GEMV over the
+    whole buffer. No stage derivative is formed. ``x`` is ``(dim, B)``, one
+    column per operator. The system is autonomous: ``t`` is not read.
+
+    Raises
+    ------
+    ValueError
+        If ``sys.steps`` were not built for the step ``h``.
+    NonFiniteState
+        If the new state holds NaN or Inf; its ``columns`` mark the
+        non-finite columns. A non-finite stage reaches the new state: every
+        entry of the buffer meets every row of ``W``, and ``0 * inf`` is NaN.
+    """
+    if sys.steps is None or sys.steps.h != h:
+        raise ValueError(f"the lifted stage maps are not built for the step h={h:.6g}")
+    S1, S2, S3, W = sys.steps.maps
+    dim, width = sys.dimension, S1.shape[2]
+    buf = np.empty((4 * width, x.shape[1]))
+    buf[dim::width] = 1.0  # the constant entry of each lift
+    buf[width:width + dim] = x
+    sys.lift(buf[width:2 * width])
+    for S, src, dst in ((S1, buf[width:2 * width], 0), (S2, buf[:2 * width], 2 * width),
+                        (S3, buf[width:3 * width], 3 * width)):
+        column_gemv(S, src, buf[dst:dst + dim])
+        sys.lift(buf[dst:dst + width])
+    out = np.empty_like(buf[:dim])
+    column_gemv(W, buf, out)
+    if not np.isfinite(out).all():
+        raise NonFiniteState(f"non-finite state at t={t + h:.6g}",
+                             columns=~np.isfinite(out).all(axis=0))
+    return out
 
 
 def rk4_matrix(A: np.ndarray, h: float) -> np.ndarray:

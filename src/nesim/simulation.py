@@ -8,7 +8,8 @@ but integrating centrally keeps the numerics exact to the method order and
 the output deterministic. Everything except the plant drift and a custom
 game's gradient is affine, and those two are linear in a few features of the
 state, so the closed loop is linear in the lifted state ``[x; 1; phi(x)]``:
-`assemble` builds that operator once and each derivative is one GEMV over it.
+`assemble` builds that operator once, and `run` folds RK4's stages into it,
+so each step is five GEMVs over the lifted stages (`numerics.rk4_lifted_step`).
 Seeds integrated together are the columns of one ``(dim, B)`` state: only
 the plant rows of the operator depend on the seed's draw, one row of the
 ``(B, n_w)`` draw array. The steady-state chain a draw induces is truth data
@@ -29,13 +30,14 @@ import numpy as np
 
 from .controller import (ControllerGains, TRACKING_TOL, STATE_NORM_LIMIT, control_rows,
                          psi_readouts)
-from .errors import ConfigError, NesimError, NonFiniteState, require
+from .errors import ConfigError, NesimError, require
 from .game import (GameSpec, GradientConstants, QuadraticAggregativeGame, estimate_constants,
                    extended_pseudo_gradient, solve_ne)
 from .generator import GeneratorGains, generator_rows, min_gamma2
 from .graph import CommGraph, is_connected
 from .internal_model import InternalModelBank, synthesize_bank
-from .numerics import OdeSystem, rk4_step
+from .numerics import (LiftedOdeSystem, column_gemv, integrate, rk4_lifted_matrices,
+                       rk4_lifted_step)
 from .plant import (Exosystem, PlantFeatures, PlantModel, SteadyState, drift_split,
                     sample_uncertainty, steady_state_chain)
 
@@ -118,9 +120,11 @@ class Scenario:
             require("controller.k", k.shape, k.shape == shape, f"of shape {shape}")
             object.__setattr__(self, "controller_k", k)
         kept = self.synthesis
-        if kept is not None and any(a is not b for a, b in
-                                    zip(kept.source, self._synthesis_source())):
-            object.__setattr__(self, "synthesis", None)  # derived from replaced fields
+        if kept is not None:
+            *fields, gamma2 = self._synthesis_source()
+            *kept_fields, kept_gamma2 = kept.source
+            if gamma2 != kept_gamma2 or any(a is not b for a, b in zip(kept_fields, fields)):
+                object.__setattr__(self, "synthesis", None)  # derived from replaced fields
 
     @property
     def n(self) -> int:
@@ -143,8 +147,13 @@ class Scenario:
                        gains=replace(self.gains, gamma1=self.gains.gamma1 * factor))
 
     def _synthesis_source(self) -> tuple:
-        return (self.game, self.graph, self.plant, self.exo, self.gains.gamma2,
-                self.gamma2_auto, self.im_preset, self.im_stabilizers)
+        """The fields the synthesis derives from, compared by identity, then ``gains.gamma2``.
+
+        ``gamma2`` is a number, compared by value; under ``gamma2_auto`` it is a
+        placeholder the synthesis never reads, given as None.
+        """
+        return (self.game, self.graph, self.plant, self.exo, self.gamma2_auto, self.im_preset,
+                self.im_stabilizers, None if self.gamma2_auto else self.gains.gamma2)
 
     def synthesized(self, constants: GradientConstants | None = None) -> ScenarioSynthesis:
         """Game constants, equilibrium, ``gamma2`` and bank, computed on first use.
@@ -212,13 +221,15 @@ class StateLayout:
 
 
 @dataclass(frozen=True)
-class AssembledLoop(OdeSystem):
+class AssembledLoop(LiftedOdeSystem):
     """The stacked closed-loop ODE for a batch of draws, plus everything synthesis produced.
 
     The batch is the trailing axis: ``rhs`` takes a ``(dim, B)`` state, one
     column per row of ``draws``, and a loop with one draw also takes a flat
     ``(dim,)`` state. Columns never mix. Only ``operator`` and ``draws`` differ
-    between columns. A column's steady-state chain is built when it is read.
+    between columns. ``lift`` fills ``phi`` (`_closed_loop_lift`) for ``rhs``
+    and the lifted step alike; `run` builds the ``steps`` at its step size.
+    A column's steady-state chain is built when it is read.
     """
 
     scenario: Scenario = None
@@ -242,7 +253,9 @@ class AssembledLoop(OdeSystem):
         idx = np.flatnonzero(keep)
         draws, A3 = self.draws[idx], self.operator[idx]
         _, features = drift_split(self.scenario.plant, draws)
-        return replace(self, rhs=_closed_loop_rhs(self.layout, A3, features, self.scenario.game),
+        lift = _closed_loop_lift(self.layout, features, self.scenario.game)
+        steps = None if self.steps is None else rk4_lifted_matrices(A3, self.steps.h)
+        return replace(self, rhs=_closed_loop_rhs(A3, lift), lift=lift, steps=steps,
                        draws=draws, operator=A3)
 
     def unpack(self, state: np.ndarray):
@@ -316,52 +329,56 @@ def assemble(scenario: Scenario, ablate: bool = False,
     # overflowing gains give a non-finite operator; the first RK4 step reports divergence
     with np.errstate(over="ignore", invalid="ignore"):
         A3, U = _closed_loop_operator(scenario, layout, bank, gamma2, J, features, ablate)
-    rhs = _closed_loop_rhs(layout, A3, features, scenario.game)
-    return AssembledLoop(dimension=layout.dim, rhs=rhs, scenario=scenario, layout=layout,
-                         bank=bank, gamma2=gamma2, p_star=p_star, draws=draws, ablate=ablate,
-                         control_rows=U, operator=A3)
+    lift = _closed_loop_lift(layout, features, scenario.game)
+    return AssembledLoop(dimension=layout.dim, rhs=_closed_loop_rhs(A3, lift), lift=lift,
+                         scenario=scenario, layout=layout, bank=bank, gamma2=gamma2,
+                         p_star=p_star, draws=draws, ablate=ablate, control_rows=U, operator=A3)
 
 
-def _closed_loop_rhs(layout: StateLayout, A3: np.ndarray, features: PlantFeatures,
-                     game: GameSpec):
-    """``A_b [x_b; 1; phi(x_b)]`` for each column ``b`` of a ``(dim, B)`` state.
+def _closed_loop_lift(layout: StateLayout, features: PlantFeatures, game: GameSpec):
+    """The lift of the closed loop: fills ``phi`` of a ``(width, B)`` array ``[x; 1; phi]``.
 
-    ``A3`` is the lifted operator of `_closed_loop_operator`. The features
-    ``phi`` are the plant's (see `drift_split`) and, for a custom game, each
-    agent's finite-difference partial on its own estimate row. Each call
-    lifts the state into a buffer of its own, so the derivative is
-    reentrant. Each column gets its own GEMV (one ``A.dot`` for one column,
-    a stacked ``matmul`` otherwise), never one GEMM over the batch, whose
-    rounding would depend on ``B``: every column is bit-identical to its
-    one-column run. A flat state is viewed as one column.
+    The features ``phi`` are the plant's (see `drift_split`) and, for a
+    custom game, each agent's finite-difference partial on its own estimate
+    row. Column ``b`` reads only column ``b``.
     """
-    n, dim, width = layout.n_agents, layout.dim, A3.shape[2]
-    P, v, zx = layout.P, layout.v, layout.zx
+    n, dim = layout.n_agents, layout.dim
+    P, v, zx = layout.P, layout.v, layout.zx  # rows of the state part of [x; 1; phi]
     plant_fill, phi = features.fill, slice(dim + 1, dim + 1 + features.count)
     # a quadratic game's extended gradient is affine, already in the operator
     custom = not isinstance(game, QuadraticAggregativeGame)
-    if len(A3) == 1:
-        product = A3[0].dot
-    else:
-        def product(lifted):
-            out = np.empty((dim, lifted.shape[1]))
-            np.matmul(A3, lifted.T[..., None], out=out.T[..., None])
-            return out
 
+    def lift(lifted: np.ndarray) -> None:
+        plant_fill(lifted[zx], lifted[v], lifted[phi])
+        if custom:
+            blocks = lifted[P].reshape(n, n, -1).transpose(2, 0, 1)  # one (n, n) per column
+            lifted[phi.stop:] = extended_pseudo_gradient(game, blocks).T
+
+    return lift
+
+
+def _closed_loop_rhs(A3: np.ndarray, lift):
+    """``A_b [x_b; 1; phi(x_b)]`` for each column ``b`` of a ``(dim, B)`` state.
+
+    ``A3`` is the lifted operator of `_closed_loop_operator` and ``lift`` the
+    loop's. Each call lifts the state into a buffer of its own, so the
+    derivative is reentrant. Each column gets its own GEMV (`column_gemv`),
+    never one GEMM over the batch, whose rounding would depend on ``B``:
+    every column is bit-identical to its one-column run. A flat state is
+    viewed as one column.
+    """
+    dim, width = A3.shape[1:]
     blank = np.zeros((width, len(A3)))
     blank[dim] = 1.0  # the constant entry; every other row is overwritten
 
     def rhs(t: float, state: np.ndarray) -> np.ndarray:
-        flat = state.ndim == 1
-        columns = state[:, None] if flat else state
+        columns = state.reshape(dim, -1)
         lifted = blank.copy()
         lifted[:dim] = columns
-        plant_fill(columns[zx], columns[v], lifted[phi])
-        if custom:
-            blocks = columns[P].reshape(n, n, -1).transpose(2, 0, 1)  # one (n, n) per column
-            lifted[phi.stop:] = extended_pseudo_gradient(game, blocks).T
-        out = product(lifted)
-        return out[:, 0] if flat else out
+        lift(lifted)
+        out = np.empty_like(columns)
+        column_gemv(A3, lifted, out)
+        return out.reshape(state.shape)
 
     return rhs
 
@@ -509,44 +526,40 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
     diverged_t = [None] * B
     aborted = np.zeros(B, dtype=bool)
 
-    def stop(stopped: np.ndarray) -> bool:
-        """Finish the masked state columns; whether any column is still live."""
-        nonlocal loop, state, live, rows, peak
+    def finish(stopped: np.ndarray) -> np.ndarray:
+        """Finish the masked state columns; `integrate` drops them."""
+        nonlocal live, rows, peak
         samples[live[stopped]] = kept
         max_norm[live[stopped]] = peak[:, stopped].max(axis=0)
-        going = ~stopped
-        live, peak, state = live[going], peak[:, going], state[:, going]
+        live, peak = live[~stopped], peak[:, ~stopped]
         rows = live
-        if live.size:
-            loop = loop.select(going)
-        return live.size > 0
+        return stopped
 
-    k, t = 0, 0.0
+    def observe(k: int, t: float, state: np.ndarray, diverged=None):
+        """Keep step ``k``; the columns that stop: diverged, or past ``abort_norm``."""
+        nonlocal kept
+        if diverged is not None:
+            for col in live[diverged]:
+                diverged_t[col] = t + h
+            return finish(diverged)
+        if k == 0:
+            return None
+        size = np.abs(state)
+        np.maximum(peak, size, out=peak)
+        if k % dec == 0 or k == n_steps:
+            X[kept, rows], ks[kept] = state.T, k
+            kept += 1
+        if abort_norm is not None and size.max() > abort_norm:
+            over = size.max(axis=0) > abort_norm
+            aborted[live[over]] = True
+            return finish(over)
+        return None
+
     # overflow on a diverging trajectory is expected and detected explicitly
     with np.errstate(over="ignore", invalid="ignore"):
-        while k < n_steps:
-            try:
-                state = rk4_step(loop, t, state, h)
-            except NonFiniteState as exc:
-                for col in live[exc.columns]:
-                    diverged_t[col] = t + h
-                if not stop(exc.columns):
-                    break
-                continue  # columns never mix: re-step the others from the same state
-            k += 1
-            t = k * h
-            size = np.abs(state)
-            np.maximum(peak, size, out=peak)
-            if k % dec == 0 or k == n_steps:
-                X[kept, rows], ks[kept] = state.T, k
-                kept += 1
-            if abort_norm is not None and size.max() > abort_norm:
-                over = size.max(axis=0) > abort_norm
-                aborted[live[over]] = True
-                if not stop(over):
-                    break
-        else:
-            stop(np.ones(live.size, dtype=bool))
+        loop = replace(loop, steps=rk4_lifted_matrices(loop.operator, h))
+        integrate(loop, state, 0.0, scenario.t_final, h, observe, step=rk4_lifted_step)
+        finish(np.ones(live.size, dtype=bool))
 
         # the signals of a diverged column may be as non-finite as its gains
         trajs = []

@@ -1,0 +1,111 @@
+"""The closed loop stepped by RK4 stages folded into its lifted operator.
+
+`run` steps by `numerics.rk4_lifted_step`; the per-stage `numerics.rk4_step`
+on the loop's ``rhs`` is its oracle. The two round differently, so they agree
+to roundoff, 1e-12 relative to ``1 + |x|``; a batch of columns agrees with its
+one-column runs bit for bit.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from nesim.errors import NonFiniteState
+from nesim.numerics import integrate, rk4_lifted_matrices, rk4_lifted_step, rk4_step
+from nesim.plant import sample_uncertainty
+from nesim.simulation import assemble, run
+
+STEPS = 300
+
+
+def lifted_loop(scenario, seeds, ablate=False):
+    draws = np.stack([sample_uncertainty(scenario.w_box, s) for s in seeds])
+    loop = assemble(scenario, ablate=ablate, draws=draws)
+    return dataclasses.replace(loop, steps=rk4_lifted_matrices(loop.operator, scenario.dt))
+
+
+def trajectory(loop, x0, h, step=None, n_steps=STEPS):
+    """Every state of ``n_steps`` steps from ``x0``, stacked."""
+    states = []
+    integrate(loop, x0, 0.0, n_steps * h, h, lambda k, t, x: states.append(x.copy()), step=step)
+    return np.array(states)
+
+
+def box_start(scenario, seed):
+    """The flat initial state and the draw of a one-seed box start, drawn as `run` draws them."""
+    assert scenario.p0 is None
+    rng = np.random.default_rng(seed)
+    draw = sample_uncertainty(scenario.w_box, rng)
+    lay, box = scenario.layout(), scenario.exo.v0_box
+    v0 = rng.uniform(box[:, 0], box[:, 1])
+    rest = rng.uniform(-scenario.R, scenario.R, size=lay.dim - lay.z.start)
+    return np.concatenate([np.zeros(lay.v.start), v0, rest]), draw
+
+
+def relative_gap(have, want):
+    return (np.abs(have - want) / (1.0 + np.abs(want))).max()
+
+
+@pytest.mark.parametrize("batch", [1, 2], ids=["B1", "B2"])
+@pytest.mark.parametrize("factor", [1.0, 8.0], ids=["start", "x8"])
+@pytest.mark.parametrize("case", ["sec5", "sec5_ablated", "custom"])
+def test_lifted_step_matches_rk4_step(case, factor, batch, sec5, request):
+    base = request.getfixturevalue("custom_scenario") if case == "custom" else sec5
+    scenario = base.escalated(factor)
+    seeds, ablate = (1, 2)[:batch], case == "sec5_ablated"
+    loop = lifted_loop(scenario, seeds, ablate)
+    x0 = np.random.default_rng(40).uniform(-scenario.R, scenario.R, size=(loop.dimension, batch))
+    h = scenario.dt
+    oracle = trajectory(loop, x0, h)
+    lifted = trajectory(loop, x0, h, step=rk4_lifted_step)
+    assert lifted.shape == oracle.shape == (STEPS + 1, loop.dimension, batch)
+    # each lifted step from a state of the oracle lands on the oracle's next state
+    local = np.array([rk4_lifted_step(loop, 0.0, x, h) for x in oracle[:-1]])
+    if case == "custom":
+        # a custom game's finite-difference partials resolve its flow only to roundoff over
+        # the difference step: one oracle step from each state's next float up moves by as
+        # much (2.5e-12 at x8), so the lifted step is held to twice that where it exceeds 1e-12
+        nudged = np.array([rk4_step(loop, 0.0, np.nextafter(x, np.inf), h) for x in oracle[:-1]])
+        assert relative_gap(local, oracle[1:]) <= max(1e-12, 2.0 * relative_gap(nudged, oracle[1:]))
+    else:
+        assert relative_gap(local, oracle[1:]) <= 1e-12
+        # and so do whole trajectories
+        assert relative_gap(lifted, oracle) <= 1e-12
+    if batch == 2:
+        # each column is bit-identical to its one-seed run
+        for b, seed in enumerate(seeds):
+            one = trajectory(lifted_loop(scenario, (seed,), ablate), x0[:, b:b + 1], h,
+                             step=rk4_lifted_step)
+            assert one.tobytes() == np.ascontiguousarray(lifted[:, :, b:b + 1]).tobytes()
+
+
+@pytest.mark.parametrize("k, t_final", [(4.0, 10.0), (1e300, 0.01)], ids=["weak", "overflowing"])
+def test_divergence_time_is_the_oracle_failing_step(k, t_final, sec5):
+    scenario = dataclasses.replace(sec5, controller_k=np.full((sec5.n, sec5.plant.r), k),
+                                   t_final=t_final)
+    traj = run(scenario)
+    x0, draw = box_start(scenario, scenario.seed)
+    loop = assemble(scenario, draws=draw[None])
+    done = []  # the steps `rk4_step` completed before it raised
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteState):
+        integrate(loop, x0, 0.0, t_final, scenario.dt, lambda step, t, x: done.append(step))
+    assert traj.diverged and traj.diverged_t == done[-1] * scenario.dt + scenario.dt
+    assert len(traj.t) == 1 + done[-1] // scenario.decimate
+
+
+def test_run_records_the_lifted_steps(stable, count_calls):
+    short = dataclasses.replace(stable, t_final=0.2, decimate=1)
+    steps = count_calls(rk4_lifted_step)  # also shows that counting it sees `run`'s steps
+    traj = run(short)
+    assert len(steps) == 200
+    # bit for bit: the outputs and the running peak of the states the lifted step makes
+    x0, draw = box_start(short, short.seed)
+    loop = assemble(short, draws=draw[None])
+    loop = dataclasses.replace(loop, steps=rk4_lifted_matrices(loop.operator, short.dt))
+    states = trajectory(loop, x0[:, None], short.dt, step=rk4_lifted_step, n_steps=200)[..., 0]
+    y = states[:, loop.layout.x.start:loop.layout.x.start + short.n]
+    assert traj.y.tobytes() == np.ascontiguousarray(y).tobytes()
+    assert traj.max_state_norm == np.abs(states[1:]).max()

@@ -1,7 +1,11 @@
-"""No nesim module imports another module's private names.
+"""Module boundaries of nesim, checked on the source.
 
-A name with a leading underscore is internal to its module; a second module
-that needs it should get a public entry point instead.
+No nesim module imports another module's private names: a name with a
+leading underscore is internal to its module; a second module that needs it
+should get a public entry point instead.
+
+Only `numerics` calls an RK4 stepper: `integrate` is the one stepping loop
+for nonlinear systems, and every other module hands it a ``step``.
 """
 
 from __future__ import annotations
@@ -38,3 +42,32 @@ def test_no_module_imports_a_private_name():
     paths = sorted(SRC.glob("*.py"))
     assert paths
     assert [hit for path in paths for hit in private_imports(path.read_text(), path.name)] == []
+
+
+STEPPERS = ("rk4_step", "rk4_lifted_step")
+
+
+def stepper_calls(source: str, filename: str = "<source>") -> list[str]:
+    """``file:line: name`` of each call of an RK4 stepper, by its name or as an attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if name in STEPPERS:
+            found.append(f"{filename}:{node.lineno}: {name}")
+    return found
+
+
+def test_stepper_detector_sees_calls_not_references():
+    source = ("x = rk4_step(sys, t, x, h)\n"
+              "def f():\n    return numerics.rk4_lifted_step(sys, t, x, h)\n"
+              "integrate(sys, x, 0.0, 1.0, h, step=rk4_lifted_step)\n"
+              "rk4_matrix(A, h)\n")
+    assert [hit.split(": ")[1] for hit in stepper_calls(source)] == list(STEPPERS)
+
+
+def test_only_numerics_calls_a_stepper():
+    paths = [path for path in sorted(SRC.glob("*.py")) if path.name != "numerics.py"]
+    assert paths
+    assert [hit for path in paths for hit in stepper_calls(path.read_text(), path.name)] == []

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from nesim.errors import NonFiniteState, NotSymmetric, SingularMatrix
-from nesim.numerics import (OdeSystem, integrate, lu_solve, rk4_linear, rk4_matrix, rk4_step,
+from nesim.numerics import (LiftedOdeSystem, OdeSystem, integrate, lu_solve, rk4_lifted_matrices,
+                            rk4_lifted_step, rk4_linear, rk4_matrix, rk4_step,
                             symmetric_eigenvalues)
 
 
@@ -209,3 +212,147 @@ class TestRk4Linear:
     def test_rejects_nonpositive_step(self, h):
         with pytest.raises(ValueError):
             rk4_linear(np.eye(2), np.ones(2), h, 3)
+
+
+@dataclasses.dataclass(frozen=True)
+class Cubic(LiftedOdeSystem):
+    """``xdot = M x + c + F [x_0^3, x_0 x_1]`` per column, with ``A = [M, c, F]`` over the lift."""
+
+    operator: np.ndarray = None
+
+    @classmethod
+    def drawn(cls, rng, B: int, h: float | None = None, scale: float = 1.0) -> "Cubic":
+        """Columns with ``x_0`` damped by its cube and ``x_1`` by itself, so none blows up."""
+        A = scale * rng.normal(size=(B, 2, 5))
+        A[:, 0, 3] = -1.0 - np.abs(A[:, 0, 3])
+        A[:, 1, 1] = -1.0 - np.abs(A[:, 1, 1])
+        return cls.of(A, h)
+
+    @classmethod
+    def of(cls, A: np.ndarray, h: float | None) -> "Cubic":
+        def lift(L):
+            L[3] = L[0] ** 3
+            L[4] = L[0] * L[1]
+
+        def rhs(t, x):  # the oracle: the ODE written out, not the lifted product
+            cols = x.reshape(2, -1)
+            phi = np.stack([cols[0] ** 3, cols[0] * cols[1]])
+            out = (np.einsum("bij,jb->ib", A[:, :, :2], cols) + A[:, :, 2].T
+                   + np.einsum("bij,jb->ib", A[:, :, 3:], phi))
+            return out.reshape(x.shape)
+
+        steps = None if h is None else rk4_lifted_matrices(A, h)
+        return cls(dimension=2, rhs=rhs, lift=lift, steps=steps, operator=A)
+
+    def select(self, keep) -> "Cubic":
+        return Cubic.of(self.operator[np.flatnonzero(keep)], self.steps and self.steps.h)
+
+
+class TestRk4LiftedStep:
+    """The stages folded into the lifted operator, against `rk4_step` on the written-out ODE."""
+
+    def test_matches_rk4_step(self):
+        rng = np.random.default_rng(30)
+        for _ in range(20):
+            h = float(rng.uniform(1e-3, 0.05))
+            sys = Cubic.drawn(rng, 3, h, scale=0.5)
+            x = rng.normal(scale=0.5, size=(2, 3))
+            lifted, ref = x, x
+            for _ in range(50):
+                lifted, ref = rk4_lifted_step(sys, 0.0, lifted, h), rk4_step(sys, 0.0, ref, h)
+                assert (np.abs(lifted - ref) / (1.0 + np.abs(ref))).max() <= 1e-12
+
+    def test_stage_maps_hold_the_tableau(self):
+        rng = np.random.default_rng(31)
+        A, h = rng.normal(size=(2, 3, 7)), 0.1
+        E = np.eye(3, 7)
+        S1, S2, S3, W = rk4_lifted_matrices(A, h).maps
+        for b in range(2):
+            a = A[b]
+            assert np.allclose(S1[b], E + h / 2 * a, rtol=0, atol=1e-15)
+            assert np.allclose(S2[b], np.hstack([h / 2 * a, E]), rtol=0, atol=1e-15)
+            assert np.allclose(S3[b], np.hstack([E, h * a]), rtol=0, atol=1e-15)
+            assert np.allclose(W[b], np.hstack([h / 3 * a, E + h / 6 * a, h / 3 * a, h / 6 * a]),
+                               rtol=0, atol=1e-15)
+
+    def test_columns_are_bit_identical_to_one_column_steps(self):
+        rng = np.random.default_rng(32)
+        sys = Cubic.drawn(rng, 3, 0.05)
+        x = rng.normal(size=(2, 3))
+        batch = rk4_lifted_step(sys, 0.0, x, 0.05)
+        for b in range(3):
+            keep = np.arange(3) == b
+            one = rk4_lifted_step(sys.select(keep), 0.0, x[:, keep], 0.05)
+            assert one.tobytes() == batch[:, keep].tobytes()
+
+    def test_non_finite_columns_are_marked(self):
+        rng = np.random.default_rng(33)
+        sys = Cubic.drawn(rng, 3, 0.1)
+        x = rng.normal(size=(2, 3))
+        x[0, 1] = 1e200  # its cube overflows in the first lift
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteState) as exc:
+            rk4_lifted_step(sys, 0.0, x, 0.1)
+        assert exc.value.columns.tolist() == [False, True, False]
+
+    def test_rejects_a_step_the_maps_are_not_built_for(self):
+        rng = np.random.default_rng(34)
+        x = rng.normal(size=(2, 1))
+        with pytest.raises(ValueError, match="not built"):
+            rk4_lifted_step(Cubic.drawn(rng, 1, 0.1), 0.0, x, 0.05)
+        with pytest.raises(ValueError, match="not built"):
+            rk4_lifted_step(Cubic.drawn(rng, 1), 0.0, x, 0.05)
+
+
+class TestIntegrateStopsColumns:
+    """`integrate` on a batched state: columns stop on their own, the others go on."""
+
+    @staticmethod
+    def alone(sys, x0, b, t_final, h, step):
+        keep = np.arange(x0.shape[1]) == b
+        return integrate(sys.select(keep), x0[:, keep], 0.0, t_final, h, step=step)
+
+    @pytest.mark.parametrize("step", [None, rk4_lifted_step], ids=["rk4_step", "lifted"])
+    def test_diverging_column_stops_and_the_others_match_their_own_runs(self, step):
+        rng = np.random.default_rng(35)
+        sys = Cubic.drawn(rng, 3, 0.01, scale=0.3)
+        x0 = rng.normal(scale=0.3, size=(2, 3))
+        x0[0, 1] = 30.0  # x0^3 blows up within a few steps
+        seen = []
+
+        def observer(k, t, x, diverged=None):
+            seen.append((k, t, x.shape[1], None if diverged is None else diverged.tolist()))
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            final = integrate(sys, x0, 0.0, 0.5, 0.01, observer, step=step)
+            with pytest.raises(NonFiniteState):
+                self.alone(sys, x0, 1, 0.5, 0.01, step)
+        (fail,) = [entry for entry in seen if entry[3] is not None]
+        k, t, width, diverged = fail
+        assert diverged == [False, True, False] and width == 3 and t == k * 0.01
+        assert seen[-1][:3] == (50, 0.5, 2)  # the step is taken again, with the others only
+        assert [entry[0] for entry in seen] == list(range(k + 1)) + list(range(k, 51))
+        for col, b in enumerate((0, 2)):
+            assert final[:, col].tobytes() == self.alone(sys, x0, b, 0.5, 0.01, step).tobytes()
+
+    def test_observer_mask_stops_columns(self):
+        rng = np.random.default_rng(36)
+        sys = Cubic.drawn(rng, 3, 0.01, scale=0.3)
+        x0 = rng.normal(scale=0.3, size=(2, 3))
+        widths = []
+
+        def observer(k, t, x):
+            widths.append(x.shape[1])
+            return np.array([False, True, False]) if k == 5 else None
+
+        final = integrate(sys, x0, 0.0, 0.2, 0.01, observer, step=rk4_lifted_step)
+        assert widths == [3] * 6 + [2] * 15
+        for col, b in enumerate((0, 2)):
+            assert final[:, col].tobytes() == self.alone(sys, x0, b, 0.2, 0.01,
+                                                         rk4_lifted_step).tobytes()
+        stop_all = integrate(sys, x0, 0.0, 0.2, 0.01, lambda k, t, x: np.ones(3, dtype=bool))
+        assert stop_all.shape == (2, 0)
+
+    def test_flat_state_still_raises(self):
+        sys = OdeSystem(1, lambda t, x: x ** 3)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteState):
+            integrate(sys, np.array([1e100]), 0.0, 1.0, 0.1, lambda k, t, x: None)

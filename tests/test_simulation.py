@@ -14,7 +14,7 @@ from nesim.game import QuadraticAggregativeGame, estimate_constants, solve_ne
 from nesim.generator import GeneratorGains, min_gamma2
 from nesim.graph import CommGraph
 from nesim.internal_model import synthesize_bank
-from nesim.numerics import rk4_step
+from nesim.numerics import rk4_lifted_step, rk4_step
 from nesim.plant import (Exosystem, PlantState, drift_split, example_plant, sample_uncertainty,
                          steady_state_chain)
 from nesim.simulation import (ClosedLoopTrajectory, EscalationSpec, Scenario, assemble,
@@ -125,9 +125,24 @@ def test_replaced_inputs_are_synthesized_again(sec5):
     for field_name, value in (("graph", CommGraph.ring(4)),
                               ("plant", dataclasses.replace(sec5.plant)),
                               ("exo", dataclasses.replace(sec5.exo)),
-                              ("gains", GeneratorGains(1.0, 30.0)),
                               ("gamma2_auto", False), ("im_preset", None)):
         assert dataclasses.replace(sec5, **{field_name: value}).synthesis is None, field_name
+
+
+def test_synthesis_compares_gamma2_by_value(sec5):
+    # sec5 resolves gamma2 from the guarantee bound: the configured one is a placeholder
+    assert sec5.gamma2_auto
+    kept, gamma1 = sec5.synthesized(), sec5.gains.gamma1
+    for gamma2 in (float("1.0"), 30.0):
+        assert dataclasses.replace(sec5, gains=GeneratorGains(gamma1, gamma2)).synthesis is kept
+    # an explicit gamma2 counts by value: an equal new float keeps the synthesis
+    explicit = dataclasses.replace(sec5, gamma2_auto=False)
+    kept, gamma2 = explicit.synthesized(), explicit.gains.gamma2
+    equal = GeneratorGains(gamma1, float(repr(gamma2)))
+    assert equal.gamma2 == gamma2 and equal.gamma2 is not gamma2
+    assert dataclasses.replace(explicit, gains=equal).synthesis is kept
+    other = GeneratorGains(gamma1, 2.0 * gamma2)
+    assert dataclasses.replace(explicit, gains=other).synthesis is None
 
 
 def test_disconnected_graph_rejected(sec5):
@@ -174,7 +189,7 @@ def test_steady_chains_are_built_only_for_the_manifold_start(stable, count_calls
 def test_manifold_start_without_steady_poly_is_a_config_error(custom_scenario, count_calls):
     # the generic plant has no exact steady-state form to start on
     assert custom_scenario.plant.steady_poly is None
-    steps = count_calls(rk4_step)
+    steps = count_calls(rk4_lifted_step)
     with pytest.raises(ConfigError, match="steady_poly"):
         run(dataclasses.replace(custom_scenario, t_final=0.01), init_mode="manifold")
     with pytest.raises(ConfigError, match="steady_poly"):
@@ -228,8 +243,9 @@ def test_recorded_signals_match_per_sample_oracle(sec5, stable):
         assert close(traj.e[k], x[0] - refs) and close(traj.v[k], v)
         assert close(traj.ne_dist[k], np.linalg.norm(P - loop.p_star))
         assert close(traj.u[k], u)
-    # the peak is the running maximum, which the last state no longer reaches
-    assert traj.max_state_norm == peak > np.abs(state).max()
+    # the peak is the running maximum, which the last state no longer reaches; `run` steps
+    # by the lifted step, so it matches the oracle's peak to the bound of the signals
+    assert close(traj.max_state_norm, peak) and peak > np.abs(state).max()
 
 
 SIGNALS = ("t", "y", "p", "e", "u", "ne_dist", "v")
@@ -308,7 +324,7 @@ def test_run_rejects_bad_arguments(settings, kwargs, stable):
 
 def test_impossible_horizon_is_a_config_error_before_the_first_step(stable, count_calls):
     # 1e300 s at dt = 1e-3 keeps more states than one array can index
-    steps = count_calls(rk4_step)
+    steps = count_calls(rk4_lifted_step)
     with pytest.raises(ConfigError, match=r"sim\.t_final: .*sim\.dt.*sim\.decimate.*allocated"):
         run(dataclasses.replace(stable, t_final=1e300))
     assert steps == []

@@ -14,6 +14,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nesim import controller, numerics, simulation
@@ -39,17 +40,25 @@ def test_span_targets_resolve(tracing):
 
 def test_per_step_targets_resolve_and_are_counted(tracing, stable):
     rk4, control = numerics.rk4_step, simulation.AssembledLoop.control
+    short = dataclasses.replace(stable, t_final=0.01)
     tracer = tracing.Tracer()
     with tracer.installed(), tracer.span("test"):
         # the tracer wraps `numerics.rk4_step`, `AssembledLoop.control` and each loop's rhs
         assert numerics.rk4_step is not rk4
         assert simulation.AssembledLoop.control is not control
-        simulation.run(dataclasses.replace(stable, t_final=0.01))
+        simulation.run(short)
+    layers = tracer.layer_metrics()
+    assert layers["simulation.run_calls"] == layers["simulation.assemble_calls"] == 1
+    # `run` steps by the lifted step; `rk4_step` and the loop's rhs are what `integrate`
+    # steps an assembled loop with by default
+    tracer = tracing.Tracer()
+    with tracer.installed(), tracer.span("test"):
+        loop = simulation.assemble(short)
+        numerics.integrate(loop, np.zeros(loop.dimension), 0.0, short.t_final, short.dt)
     assert numerics.rk4_step is rk4 and simulation.AssembledLoop.control is control
     layers = tracer.layer_metrics()
-    assert layers["numerics.rk4_step_calls"] == 10
+    assert layers["numerics.integrate_steps"] == 10
     assert layers["simulation.rhs_calls"] == 40
-    assert layers["simulation.run_calls"] == layers["simulation.assemble_calls"] == 1
 
 
 def test_traced_escalation_counts_each_round(tracing, sec5):
