@@ -5,8 +5,8 @@ hook picks how one RK4 step is made:
 
 - `rk4_lifted_step` steps a system that is linear in a lifted state,
   ``xdot = A [x; 1; phi(x)]`` (the closed loop): each stage is one GEMV by
-  a matrix of `rk4_lifted_matrices`, five per step, with no stage
-  temporaries;
+  a matrix of `rk4_lifted_matrices`, five per step, inside a workspace of
+  `rk4_lifted_steps` whose GEMVs and lifts are bound once;
 - `rk4_step`, the default, steps any ``rhs``; it is also the oracle the
   lifted step is tested against.
 
@@ -15,13 +15,17 @@ step is exactly ``x+ = R(hA) x``, with `rk4_matrix` giving RK4's step
 matrix ``R(hA)``.
 
 Everything here targets desk-scale problems (matrices up to ~30x30, state
-vectors up to a few hundred entries). Routines are pure functions; there is
-no shared mutable state, so concurrent scenario runs may call them freely.
+vectors up to a few hundred entries). Apart from the lifted workspace, the
+routines are pure functions. A workspace (`LiftedSteps`) is mutable and
+belongs to one loop: each run builds its own, so concurrent runs stay
+independent, and no two threads may step one loop at once. `rk4_step` and
+the oracle derivatives it steps keep their buffers per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -156,31 +160,59 @@ def integrate(sys: OdeSystem, x0: np.ndarray, t0: float, t_final: float, h: floa
         stop = None if observer is None else observer(k, t, x)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
+class StepMagnitude:
+    """What the latest lifted step saw of the state it made.
+
+    ``size`` is ``|x+|`` entrywise, ``(dim, B)``, in the stepping
+    workspace's scratch (valid until its next step), and ``top`` its largest
+    entry, NaN if any entry is NaN. A workspace and the ones narrowed from it
+    for fewer columns report here alike, so an observer of `integrate` reads
+    the step that made the state it is shown.
+    """
+
+    size: Optional[np.ndarray] = None
+    top: float = 0.0
+
+
+@dataclass(frozen=True, eq=False)
 class LiftedSteps:
-    """RK4's stage maps at step ``h``: ``maps`` are ``S1, S2, S3, W`` of `rk4_lifted_matrices`."""
+    """A workspace for `rk4_lifted_step`: RK4's stage maps at step ``h``, bound once.
+
+    The maps ``S1, S2, S3, W`` of `rk4_lifted_matrices` and the system's lift
+    are bound to one lift buffer ``[L2; L1; L3; L4]`` of ``(4 width, B)``,
+    whose constant rows are set once: ``state`` is the state rows of ``L1``,
+    ``stages`` the zero-argument calls that fill the rest in order (the lift
+    of ``L1``, then each stage's GEMV and lift), ``last(out)`` the GEMV by
+    ``W`` into ``out``, and ``size`` the scratch for ``|x+|``.
+    """
 
     h: float
-    maps: tuple
+    state: np.ndarray
+    stages: tuple
+    last: Callable
+    size: np.ndarray
+    magnitude: StepMagnitude
 
 
 @dataclass(frozen=True)
 class LiftedOdeSystem(OdeSystem):
     """``xdot = A_b [x_b; 1; phi(x_b)]`` for each column ``b`` of a ``(dim, B)`` state.
 
-    ``lift(L)`` overwrites the feature rows ``dim + 1:`` of a lifted
-    ``(width, B)`` array from the states in its rows ``:dim``; row ``dim``
-    holds the one, and column ``b`` reads only column ``b``. ``steps`` are
-    the stage maps `rk4_lifted_step` steps by, built from each column's
-    ``A_b`` for one step size (`rk4_lifted_matrices`); None until built.
+    ``bind(L)`` takes a lifted ``(width, B)`` array ``L`` and returns
+    ``lift()``, which overwrites the feature rows ``dim + 1:`` of ``L`` from
+    the states in its rows ``:dim`` as they are at each call; row ``dim``
+    holds the one, and column ``b`` reads only column ``b``. ``steps`` is the
+    workspace `rk4_lifted_step` steps in (`rk4_lifted_steps`), built from
+    each column's ``A_b`` for one step size; None until built.
     """
 
-    lift: Callable = None
+    bind: Callable = None
     steps: Optional[LiftedSteps] = None
 
 
-def rk4_lifted_matrices(A: np.ndarray, h: float) -> LiftedSteps:
-    """RK4's stage maps at step ``h`` for ``xdot = A [x; 1; phi(x)]``.
+def rk4_lifted_matrices(A: np.ndarray, h: float) -> tuple:
+    """RK4's stage maps ``(S1, S2, S3, W)`` at step ``h`` for ``xdot = A [x; 1; phi(x)]``.
 
     ``A`` is ``(B, dim, width)``, one operator per column. Every stage of
     the classical tableau (Hairer & Wanner, *Solving ODEs II*, §IV.2) is
@@ -195,63 +227,100 @@ def rk4_lifted_matrices(A: np.ndarray, h: float) -> LiftedSteps:
                           W = [(h/3) A, E + (h/6) A, (h/3) A, (h/6) A]
 
     so each map reads one contiguous run of the stack and holds no zero
-    block. Each map is ``(B, dim, k * width)``.
+    block. Each map is ``(B, dim, k * width)``; every entry is computed from
+    its own column's ``A_b`` alone.
     """
     A = np.asarray(A, dtype=float)
     E = np.broadcast_to(np.eye(*A.shape[1:]), A.shape)
     half, third, sixth = (h / 2.0) * A, (h / 3.0) * A, (h / 6.0) * A
-    return LiftedSteps(h, (E + half, np.concatenate([half, E], axis=2),
-                           np.concatenate([E, h * A], axis=2),
-                           np.concatenate([third, E + sixth, third, sixth], axis=2)))
+    return (E + half, np.concatenate([half, E], axis=2), np.concatenate([E, h * A], axis=2),
+            np.concatenate([third, E + sixth, third, sixth], axis=2))
 
 
-def column_gemv(M: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
-    """``out[:, b] = M[b] @ v[:, b]``: one GEMV per column, never one GEMM over the batch.
+def rk4_lifted_steps(A: np.ndarray, h: float, bind: Callable,
+                     magnitude: StepMagnitude | None = None) -> LiftedSteps:
+    """The workspace `rk4_lifted_step` steps ``xdot = A [x; 1; phi(x)]`` in, at step ``h``.
 
-    One column uses ``dot`` (of a matrix and a column, which NumPy makes one
-    GEMV), more a stacked ``matmul``; both are one GEMV per column, so a
-    column's bits do not depend on how many share the batch. ``out`` is
+    ``A`` is ``(B, dim, width)`` and ``bind`` the system's
+    (`LiftedOdeSystem`). The stage maps (`rk4_lifted_matrices`), the lift
+    buffer, the four lifts and the GEMVs' source and destination views are
+    made here, once, so a step slices and allocates nothing but its new
+    state. Steps report to ``magnitude`` (a new `StepMagnitude` by default):
+    a workspace narrowed to fewer columns passes on its parent's.
+    """
+    S1, S2, S3, W = rk4_lifted_matrices(A, h)
+    B, dim, width = S1.shape
+    buf = np.empty((4 * width, B))
+    buf[dim::width] = 1.0  # the constant entry of each lift; no stage writes it
+    L2, L1, L3, L4 = (buf[j * width:(j + 1) * width] for j in range(4))
+    stages = (bind(L1),
+              column_gemv(S1, L1, L2[:dim]), bind(L2),
+              column_gemv(S2, buf[:2 * width], L3[:dim]), bind(L3),
+              column_gemv(S3, buf[width:3 * width], L4[:dim]), bind(L4))
+    return LiftedSteps(h, L1[:dim], stages, column_gemv(W, buf), np.empty((dim, B)),
+                       StepMagnitude() if magnitude is None else magnitude)
+
+
+def column_gemv(M: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> Callable:
+    """``out[:, b] = M[b] @ v[:, b]``, bound: one GEMV per column, never one GEMM over the batch.
+
+    Returns ``gemv()``, which writes the bound ``out``, or, with no ``out``
+    bound, ``gemv(out)``. One column uses ``dot`` (of a matrix and a column,
+    which NumPy makes one GEMV), more a stacked ``matmul``; both are one GEMV
+    per column, so a column's bits do not depend on how many share the
+    batch. The choice is made here, when the call is bound. ``out`` is
     C-contiguous for one column.
     """
     if len(M) == 1:
-        M[0].dot(v, out)
-    else:
-        np.matmul(M, v.T[..., None], out=out.T[..., None])
+        return partial(M[0].dot, v) if out is None else partial(M[0].dot, v, out)
+    vT = v.T[..., None]
+    if out is None:
+        return lambda out: np.matmul(M, vT, out=out.T[..., None])
+    return partial(np.matmul, M, vT, out=out.T[..., None])
 
 
 def rk4_lifted_step(sys: LiftedOdeSystem, t: float, x: np.ndarray, h: float) -> np.ndarray:
     """One RK4 step of a `LiftedOdeSystem`, as five GEMVs per column.
 
-    Each stage state is one GEMV by a map of ``sys.steps`` over the lifts so
-    far (`rk4_lifted_matrices`), written straight into one lift buffer
-    ``[L2; L1; L3; L4]`` and lifted there; the new state is one GEMV over the
-    whole buffer. No stage derivative is formed. ``x`` is ``(dim, B)``, one
-    column per operator. The system is autonomous: ``t`` is not read.
+    ``x`` is ``(dim, B)``, one column per operator. It is copied into the
+    state rows of ``L1`` in the workspace ``sys.steps`` (`rk4_lifted_steps`);
+    each stage state is one GEMV over the lifts so far, written straight
+    into the buffer and lifted there, and the new state is one GEMV over the
+    whole buffer into a fresh array. No stage derivative is formed. Its
+    ``|x+|`` and largest entry go to ``sys.steps.magnitude``; that one
+    maximum is also the finiteness test. The system is autonomous: ``t`` is
+    not read.
 
     Raises
     ------
     ValueError
-        If ``sys.steps`` were not built for the step ``h``.
+        If ``sys.steps`` was not built for the step ``h``, or for states of
+        the shape of ``x``.
     NonFiniteState
         If the new state holds NaN or Inf; its ``columns`` mark the
         non-finite columns. A non-finite stage reaches the new state: every
         entry of the buffer meets every row of ``W``, and ``0 * inf`` is NaN.
+        A NaN makes the maximum NaN, and NaN compares false.
     """
-    if sys.steps is None or sys.steps.h != h:
+    steps = sys.steps
+    if steps is None or steps.h != h:
         raise ValueError(f"the lifted stage maps are not built for the step h={h:.6g}")
-    S1, S2, S3, W = sys.steps.maps
-    dim, width = sys.dimension, S1.shape[2]
-    buf = np.empty((4 * width, x.shape[1]))
-    buf[dim::width] = 1.0  # the constant entry of each lift
-    buf[width:width + dim] = x
-    sys.lift(buf[width:2 * width])
-    for S, src, dst in ((S1, buf[width:2 * width], 0), (S2, buf[:2 * width], 2 * width),
-                        (S3, buf[width:3 * width], 3 * width)):
-        column_gemv(S, src, buf[dst:dst + dim])
-        sys.lift(buf[dst:dst + width])
-    out = np.empty_like(buf[:dim])
-    column_gemv(W, buf, out)
-    if not np.isfinite(out).all():
+    state = steps.state
+    if x.shape != state.shape:
+        raise ValueError(f"the lifted workspace is built for states of shape {state.shape}, "
+                         f"not {x.shape}")
+    state[...] = x
+    for stage in steps.stages:
+        stage()
+    out = np.empty(state.shape)
+    steps.last(out)
+    size, magnitude = steps.size, steps.magnitude
+    np.abs(out, out=size)
+    magnitude.size = size
+    # the largest entry; argmax finds it faster than max on a state this small, and it
+    # stops at the first NaN, so the maximum is NaN whenever an entry is
+    magnitude.top = top = size.item(size.argmax())
+    if not top < np.inf:
         raise NonFiniteState(f"non-finite state at t={t + h:.6g}",
                              columns=~np.isfinite(out).all(axis=0))
     return out

@@ -139,15 +139,18 @@ def plant_rhs(model: PlantModel, state: PlantState, u: np.ndarray, v: np.ndarray
 
 @dataclass(frozen=True)
 class PlantFeatures:
-    """The features ``phi`` of the plant drift: ``count`` rows, written by ``fill``.
+    """The features ``phi`` of the plant drift: ``count`` rows, written by a bound fill.
 
-    ``fill(zx, v, out)`` takes ``zx`` as ``(n_zx, B)`` and ``v`` as
-    ``(n_v, B)`` and overwrites ``out``, the ``(count, B)`` feature rows;
-    column ``b`` reads only column ``b`` (and draw ``b``).
+    ``bind(zx, v, out)`` takes views ``zx`` of shape ``(n_zx, B)``, ``v`` of
+    shape ``(n_v, B)`` and ``out``, the ``(count, B)`` feature rows, and
+    returns ``fill()``: each call overwrites ``out`` from what ``zx`` and
+    ``v`` hold at that moment. Column ``b`` reads only column ``b`` (and
+    draw ``b``). Binding once lets a stepper refill the same rows every
+    stage without slicing them again.
     """
 
     count: int
-    fill: Callable
+    bind: Callable
 
 
 def drift_split(model: PlantModel, w: np.ndarray) -> tuple[np.ndarray, PlantFeatures]:
@@ -176,17 +179,26 @@ def drift_split(model: PlantModel, w: np.ndarray) -> tuple[np.ndarray, PlantFeat
 
     dim = n * n_z + r * n
 
-    def fill(zx, v, out):
-        Z = zx[:n * n_z].reshape(n, n_z, -1).transpose(2, 0, 1)  # (B, n, n_z) views
-        X = zx[n * n_z:].reshape(r, n, -1).transpose(2, 0, 1)    # (B, r, n)
-        for col, z, x, vc, wv in zip(out.T, Z, X, v.T, W):
-            col[:n * n_z] = np.ravel(f0(z, x[0], vc, wv))
-            for s in range(r):
-                col[n * n_z + s * n:n * n_z + (s + 1) * n] = f_levels[s](z, x[:s + 1], vc, wv)
+    def bind(zx, v, out):
+        # per column: the views f0/f_levels read, its draw and the rows they write; a
+        # 1-D column reshapes without a copy, so the views see what zx holds at each fill
+        columns = []
+        for col, vc, wv, dcol in zip(zx.T, v.T, W, out.T):
+            z, x = col[:n * n_z].reshape(n, n_z), col[n * n_z:].reshape(r, n)
+            columns.append((z, x[0], [x[:s + 1] for s in range(r)], vc, wv, dcol[:n * n_z],
+                            [dcol[n * n_z + s * n:n * n_z + (s + 1) * n] for s in range(r)]))
+
+        def fill():
+            for z, x1, chains, vc, wv, dz, dxs in columns:
+                dz[:] = np.ravel(f0(z, x1, vc, wv))
+                for f, xs, dx in zip(f_levels, chains, dxs):
+                    dx[:] = f(z, xs, vc, wv)
+
+        return fill
 
     J = np.zeros((len(W), dim, 2 * dim))
     J[:, np.arange(dim), dim + np.arange(dim)] = 1.0
-    return J, PlantFeatures(dim, fill)
+    return J, PlantFeatures(dim, bind)
 
 
 # ---------------------------------------------------------------------------
@@ -397,15 +409,20 @@ def example_plant(g: np.ndarray, n_agents: int | None = None) -> PlantModel:
         ge = geff(w)
         return ge[:, 4] * z[:, 0] ** 2 * xs[0] + ge[:, 5] * xs[0] * xs[1]
 
-    def fill(zx, v, out):
+    def bind(zx, v, out):
         # phi = [z x1, z (z x1), x2 x1], one block of N rows each, whatever the draw
         zc, x1, x2 = zx[:n], zx[n:2 * n], zx[2 * n:]
-        zx1 = out[:n]
-        np.multiply(zc, x1, zx1)
-        np.multiply(zc, zx1, out[n:2 * n])
-        np.multiply(x2, x1, out[2 * n:])
+        zx1, zzx1, x2x1 = out[:n], out[n:2 * n], out[2 * n:]
+        multiply = np.multiply
 
-    features = PlantFeatures(3 * n, fill)
+        def fill():
+            multiply(zc, x1, zx1)
+            multiply(zc, zx1, zzx1)
+            multiply(x2, x1, x2x1)
+
+        return fill
+
+    features = PlantFeatures(3 * n, bind)
 
     def split(w):
         # per draw, columns: z, x1, x2, v1, v2, then phi; rows: zdot, x1dot, x2dot (N each)

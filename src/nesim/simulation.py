@@ -9,7 +9,8 @@ the output deterministic. Everything except the plant drift and a custom
 game's gradient is affine, and those two are linear in a few features of the
 state, so the closed loop is linear in the lifted state ``[x; 1; phi(x)]``:
 `assemble` builds that operator once, and `run` folds RK4's stages into it,
-so each step is five GEMVs over the lifted stages (`numerics.rk4_lifted_step`).
+so each step is five GEMVs over the lifted stages (`numerics.rk4_lifted_step`) in a
+workspace `run` binds once.
 Seeds integrated together are the columns of one ``(dim, B)`` state: only
 the plant rows of the operator depend on the seed's draw, one row of the
 ``(B, n_w)`` draw array. The steady-state chain a draw induces is truth data
@@ -36,8 +37,8 @@ from .game import (GameSpec, GradientConstants, QuadraticAggregativeGame, estima
 from .generator import GeneratorGains, generator_rows, min_gamma2
 from .graph import CommGraph, is_connected
 from .internal_model import InternalModelBank, synthesize_bank
-from .numerics import (LiftedOdeSystem, column_gemv, integrate, rk4_lifted_matrices,
-                       rk4_lifted_step)
+from .numerics import (LiftedOdeSystem, column_gemv, integrate, rk4_lifted_step,
+                       rk4_lifted_steps)
 from .plant import (Exosystem, PlantFeatures, PlantModel, SteadyState, drift_split,
                     sample_uncertainty, steady_state_chain)
 
@@ -57,6 +58,26 @@ class EscalationSpec:
                 "finite and > 1")
         require("controller.escalation.max_rounds", self.max_rounds, self.max_rounds >= 1,
                 "at least 1")
+
+
+def start_gains(r: int) -> np.ndarray:
+    """The auto backstepping start gains ``k_1 .. k_r`` of a chain of relative degree ``r``.
+
+    `control_rows` weights chain level ``s`` by ``k_s ... k_r``, so the chain
+    polynomial is ``s^r + k_r s^(r-1) + k_r k_(r-1) s^(r-2) + ... + k_r ... k_1``.
+    Uniform gains ``k`` make it ``(s^(r+1) - k^(r+1)) / (s - k)``, whose roots
+    ``k e^(2 pi i j / (r + 1))``, ``j = 1 .. r``, are Hurwitz only for
+    ``r <= 2`` (``-k, +-ik`` at ``r = 3``); escalation scales every gain by
+    one factor and keeps that. So ``r <= 2`` keeps the uniform ``a = 4``, and
+    a longer chain starts from the binomial ``(s + a)^r``:
+    ``k_(r-j+1) = a (r - j + 1) / j``, ``[4/3, 4, 12]`` at ``r = 3``, which
+    a common factor ``m`` turns into ``(s + m a)^r``.
+    """
+    a = 4.0
+    if r <= 2:
+        return np.full(r, a)
+    levels = np.arange(1, r + 1)
+    return a * levels / (r - levels + 1)
 
 
 @dataclass(frozen=True)
@@ -132,9 +153,9 @@ class Scenario:
 
     @property
     def controller_gains(self) -> ControllerGains:
-        """The backstepping gains: ``controller_k``, or the uniform start gain when auto."""
+        """The backstepping gains: ``controller_k``, or `start_gains` for every agent when auto."""
         if self.controller_k is None:
-            return ControllerGains.uniform(self.n, self.plant.r, 4.0)
+            return ControllerGains(np.tile(start_gains(self.plant.r), (self.n, 1)))
         return ControllerGains(self.controller_k)
 
     def escalated(self, factor: float) -> "Scenario":
@@ -227,8 +248,9 @@ class AssembledLoop(LiftedOdeSystem):
     The batch is the trailing axis: ``rhs`` takes a ``(dim, B)`` state, one
     column per row of ``draws``, and a loop with one draw also takes a flat
     ``(dim,)`` state. Columns never mix. Only ``operator`` and ``draws`` differ
-    between columns. ``lift`` fills ``phi`` (`_closed_loop_lift`) for ``rhs``
-    and the lifted step alike; `run` builds the ``steps`` at its step size.
+    between columns. ``bind`` binds the fill of ``phi`` (`_closed_loop_bind`)
+    for ``rhs`` and the lifted step alike; `run` builds the ``steps`` at its
+    step size.
     A column's steady-state chain is built when it is read.
     """
 
@@ -249,13 +271,18 @@ class AssembledLoop(LiftedOdeSystem):
         return steady_state_chain(self.scenario.plant, self.p_star, self.scenario.exo, w)
 
     def select(self, keep) -> "AssembledLoop":
-        """The loop restricted to the columns ``keep`` (a boolean mask), in order."""
+        """The loop restricted to the columns ``keep`` (a boolean mask), in order.
+
+        Its workspace, if this loop has one, is built anew for those columns
+        and reports to the same `StepMagnitude`.
+        """
         idx = np.flatnonzero(keep)
         draws, A3 = self.draws[idx], self.operator[idx]
         _, features = drift_split(self.scenario.plant, draws)
-        lift = _closed_loop_lift(self.layout, features, self.scenario.game)
-        steps = None if self.steps is None else rk4_lifted_matrices(A3, self.steps.h)
-        return replace(self, rhs=_closed_loop_rhs(A3, lift), lift=lift, steps=steps,
+        bind = _closed_loop_bind(self.layout, features, self.scenario.game)
+        steps = (None if self.steps is None else
+                 rk4_lifted_steps(A3, self.steps.h, bind, self.steps.magnitude))
+        return replace(self, rhs=_closed_loop_rhs(A3, bind), bind=bind, steps=steps,
                        draws=draws, operator=A3)
 
     def unpack(self, state: np.ndarray):
@@ -329,38 +356,47 @@ def assemble(scenario: Scenario, ablate: bool = False,
     # overflowing gains give a non-finite operator; the first RK4 step reports divergence
     with np.errstate(over="ignore", invalid="ignore"):
         A3, U = _closed_loop_operator(scenario, layout, bank, gamma2, J, features, ablate)
-    lift = _closed_loop_lift(layout, features, scenario.game)
-    return AssembledLoop(dimension=layout.dim, rhs=_closed_loop_rhs(A3, lift), lift=lift,
+    bind = _closed_loop_bind(layout, features, scenario.game)
+    return AssembledLoop(dimension=layout.dim, rhs=_closed_loop_rhs(A3, bind), bind=bind,
                          scenario=scenario, layout=layout, bank=bank, gamma2=gamma2,
                          p_star=p_star, draws=draws, ablate=ablate, control_rows=U, operator=A3)
 
 
-def _closed_loop_lift(layout: StateLayout, features: PlantFeatures, game: GameSpec):
-    """The lift of the closed loop: fills ``phi`` of a ``(width, B)`` array ``[x; 1; phi]``.
+def _closed_loop_bind(layout: StateLayout, features: PlantFeatures, game: GameSpec):
+    """The closed loop's ``bind``: ``bind(lifted)`` returns the fill of its ``phi``.
 
-    The features ``phi`` are the plant's (see `drift_split`) and, for a
-    custom game, each agent's finite-difference partial on its own estimate
-    row. Column ``b`` reads only column ``b``.
+    ``lifted`` is a ``(width, B)`` array ``[x; 1; phi]``. The features
+    ``phi`` are the plant's (see `drift_split`) and, for a custom game, each
+    agent's finite-difference partial on its own estimate row. Column ``b``
+    reads only column ``b``. The views are taken once, at binding.
     """
     n, dim = layout.n_agents, layout.dim
     P, v, zx = layout.P, layout.v, layout.zx  # rows of the state part of [x; 1; phi]
-    plant_fill, phi = features.fill, slice(dim + 1, dim + 1 + features.count)
+    phi = slice(dim + 1, dim + 1 + features.count)
     # a quadratic game's extended gradient is affine, already in the operator
     custom = not isinstance(game, QuadraticAggregativeGame)
 
-    def lift(lifted: np.ndarray) -> None:
-        plant_fill(lifted[zx], lifted[v], lifted[phi])
-        if custom:
-            blocks = lifted[P].reshape(n, n, -1).transpose(2, 0, 1)  # one (n, n) per column
-            lifted[phi.stop:] = extended_pseudo_gradient(game, blocks).T
+    def bind(lifted: np.ndarray):
+        plant_fill = features.bind(lifted[zx], lifted[v], lifted[phi])
+        if not custom:
+            return plant_fill
+        # one (n, n) view per column: the estimate rows of a lift buffer are contiguous
+        blocks = lifted[P].reshape(n, n, -1).transpose(2, 0, 1)
+        partials = lifted[phi.stop:].T  # (B, n)
 
-    return lift
+        def lift() -> None:
+            plant_fill()
+            partials[...] = extended_pseudo_gradient(game, blocks)
+
+        return lift
+
+    return bind
 
 
-def _closed_loop_rhs(A3: np.ndarray, lift):
+def _closed_loop_rhs(A3: np.ndarray, bind):
     """``A_b [x_b; 1; phi(x_b)]`` for each column ``b`` of a ``(dim, B)`` state.
 
-    ``A3`` is the lifted operator of `_closed_loop_operator` and ``lift`` the
+    ``A3`` is the lifted operator of `_closed_loop_operator` and ``bind`` the
     loop's. Each call lifts the state into a buffer of its own, so the
     derivative is reentrant. Each column gets its own GEMV (`column_gemv`),
     never one GEMM over the batch, whose rounding would depend on ``B``:
@@ -375,9 +411,9 @@ def _closed_loop_rhs(A3: np.ndarray, lift):
         columns = state.reshape(dim, -1)
         lifted = blank.copy()
         lifted[:dim] = columns
-        lift(lifted)
+        bind(lifted)()
         out = np.empty_like(columns)
-        column_gemv(A3, lifted, out)
+        column_gemv(A3, lifted, out)()
         return out.reshape(state.shape)
 
     return rhs
@@ -413,8 +449,9 @@ def _closed_loop_operator(scenario: Scenario, layout: StateLayout, bank: Interna
             f"{type(features).__name__}; the hook takes a (B, n_w) stack of draws and "
             f"returns J of shape (B, {n_zx}, {n_zx} + v_cols + count), 0 <= v_cols <= "
             f"{layout.n_v}, the coefficients of zx, of the leading v_cols disturbance "
-            f"coordinates and of the features, and PlantFeatures(count, fill), where "
-            f"fill(zx, v, out) writes the (count, B) features into out")
+            f"coordinates and of the features, and PlantFeatures(count, bind), where "
+            f"bind(zx, v, out) returns fill(), which writes the (count, B) features that "
+            f"zx and v give into out")
     phi = slice(dim + 1, dim + 1 + features.count)
     generator = generator_rows(scenario.game, scenario.graph, scenario.gains.gamma1, gamma2)
     # the rows every draw shares; the plant rows follow per draw
@@ -544,12 +581,12 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
             return finish(diverged)
         if k == 0:
             return None
-        size = np.abs(state)
+        size = magnitude.size  # |state|, from the step that made it
         np.maximum(peak, size, out=peak)
         if k % dec == 0 or k == n_steps:
             X[kept, rows], ks[kept] = state.T, k
             kept += 1
-        if abort_norm is not None and size.max() > abort_norm:
+        if abort_norm is not None and magnitude.top > abort_norm:
             over = size.max(axis=0) > abort_norm
             aborted[live[over]] = True
             return finish(over)
@@ -557,7 +594,8 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
 
     # overflow on a diverging trajectory is expected and detected explicitly
     with np.errstate(over="ignore", invalid="ignore"):
-        loop = replace(loop, steps=rk4_lifted_matrices(loop.operator, h))
+        loop = replace(loop, steps=rk4_lifted_steps(loop.operator, h, loop.bind))
+        magnitude = loop.steps.magnitude  # its narrowed workspaces report here too
         integrate(loop, state, 0.0, scenario.t_final, h, observe, step=rk4_lifted_step)
         finish(np.ones(live.size, dtype=bool))
 

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from nesim.controller import (ControllerGains, backstepping_feedback, control_law,
-                              escalate_gains, psi_readouts, transform)
+                              control_rows, escalate_gains, psi_readouts, transform)
 from nesim.errors import EscalationExhausted
 from nesim.game import estimate_constants, solve_ne
 from nesim.generator import GeneratorGains
 from nesim.internal_model import synthesize_bank
 from nesim.numerics import rk4_step
 from nesim.plant import PlantState
-from nesim.simulation import EscalationSpec, run, write_csv
+from nesim.simulation import EscalationSpec, run, start_gains, write_csv
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +117,65 @@ class TestTransform:
             x_bar = np.vstack([state.x[0] - p, state.x[1] - reads[0]])
             expected = backstepping_feedback(gains, x_bar)
             assert np.abs((u - reads[1]) - expected).max() < 1e-12
+
+
+def chain_bank(r: int, n: int = 3):
+    """A bank with one order-3 compensator per level of a relative-degree-``r`` chain."""
+    return synthesize_bank([[0.0, -1.0, 0.0]] * r, n)
+
+
+def chain_polynomial(gains: ControllerGains, bank) -> np.ndarray:
+    """Agent 0's chain polynomial, highest power first, read off `control_rows`.
+
+    With no read-outs, ``x_1^(r) = u = sum_s U_s x_s``, so the polynomial is
+    ``s^r - U_r s^(r-1) - ... - U_1``.
+    """
+    n, r = gains.k.shape
+    U = control_rows(gains, bank, ablate=True)
+    return np.concatenate([[1.0], -U[0, n * np.arange(r, 0, -1)]])
+
+
+class TestStartGains:
+    """The auto start gains make the chain polynomial Hurwitz at every relative degree."""
+
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_uniform_gains_put_roots_on_the_circle(self, r):
+        # (s^(r+1) - k^(r+1)) / (s - k): the (r+1)-th roots of k^(r+1) but k itself, so
+        # -k and +-ik at r = 3, and two roots in the right half-plane at r = 4
+        k = 4.0
+        roots = np.roots(chain_polynomial(ControllerGains.uniform(3, r, k), chain_bank(r)))
+        want = k * np.exp(2j * np.pi * np.arange(1, r + 1) / (r + 1))
+        assert np.abs(np.sort_complex(roots) - np.sort_complex(want)).max() < 1e-9 * k
+        assert (roots.real > 1e-9 * k).sum() == {3: 0, 4: 2}[r]
+
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_start_gains_are_hurwitz(self, r):
+        k = start_gains(r)
+        poly = chain_polynomial(ControllerGains(np.tile(k, (3, 1))), chain_bank(r))
+        assert (np.roots(poly).real < 0).all()
+        if r <= 2:
+            assert k.tolist() == [4.0] * r  # the gains every r <= 2 output was made with
+        else:
+            assert np.allclose(poly, np.poly([-4.0] * r), rtol=1e-13, atol=0)  # (s + 4)^r
+        if r == 3:
+            assert np.allclose(k, [4 / 3, 4, 12], rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_control_rows_match_backstepping_recursion(self, r):
+        # the rows on raw states equal the recursive fold on transformed states, once the
+        # top read-out feedforward is removed
+        n, bank = 3, chain_bank(r)
+        rng = np.random.default_rng(10 + r)
+        gains = ControllerGains(rng.uniform(0.5, 5.0, size=(n, r)))
+        U = control_rows(gains, bank)
+        for _ in range(50):
+            p, x = rng.normal(size=n), rng.normal(size=(r, n))
+            eta = [rng.normal(size=(n, level.order)) for level in bank.levels]
+            u = U @ np.concatenate([p, x.ravel()] + [e.ravel() for e in eta])
+            reads = psi_readouts(bank, eta)
+            x_bar = x - np.vstack([p] + reads[:-1])
+            expected = backstepping_feedback(gains, x_bar)
+            assert np.abs((u - reads[-1]) - expected).max() < 1e-12 * (1 + np.abs(expected).max())
 
 
 class TestManifoldInvariance:

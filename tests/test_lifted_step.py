@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from nesim.errors import NonFiniteState
-from nesim.numerics import integrate, rk4_lifted_matrices, rk4_lifted_step, rk4_step
+from nesim.numerics import integrate, rk4_lifted_step, rk4_lifted_steps, rk4_step
 from nesim.plant import sample_uncertainty
 from nesim.simulation import assemble, run
 
@@ -24,7 +24,7 @@ STEPS = 300
 def lifted_loop(scenario, seeds, ablate=False):
     draws = np.stack([sample_uncertainty(scenario.w_box, s) for s in seeds])
     loop = assemble(scenario, ablate=ablate, draws=draws)
-    return dataclasses.replace(loop, steps=rk4_lifted_matrices(loop.operator, scenario.dt))
+    return dataclasses.replace(loop, steps=rk4_lifted_steps(loop.operator, scenario.dt, loop.bind))
 
 
 def trajectory(loop, x0, h, step=None, n_steps=STEPS):
@@ -104,8 +104,78 @@ def test_run_records_the_lifted_steps(stable, count_calls):
     # bit for bit: the outputs and the running peak of the states the lifted step makes
     x0, draw = box_start(short, short.seed)
     loop = assemble(short, draws=draw[None])
-    loop = dataclasses.replace(loop, steps=rk4_lifted_matrices(loop.operator, short.dt))
+    loop = dataclasses.replace(loop, steps=rk4_lifted_steps(loop.operator, short.dt, loop.bind))
     states = trajectory(loop, x0[:, None], short.dt, step=rk4_lifted_step, n_steps=200)[..., 0]
     y = states[:, loop.layout.x.start:loop.layout.x.start + short.n]
     assert traj.y.tobytes() == np.ascontiguousarray(y).tobytes()
     assert traj.max_state_norm == np.abs(states[1:]).max()
+
+
+def random_states(loop, batch, seed):
+    return np.random.default_rng(seed).uniform(-1.0, 1.0, size=(loop.dimension, batch))
+
+
+@pytest.mark.parametrize("case", ["sec5", "custom"])
+def test_workspace_keeps_nothing_between_steps(case, sec5, request):
+    # the buffer is reused, so a step after another from elsewhere must not see its traces
+    scenario = (request.getfixturevalue("custom_scenario") if case == "custom" else sec5)
+    loop = lifted_loop(scenario.escalated(4.0), (1, 2))
+    x, elsewhere = random_states(loop, 2, 41), random_states(loop, 2, 42)
+    first = rk4_lifted_step(loop, 0.0, x, scenario.dt)
+    rk4_lifted_step(loop, 0.0, elsewhere, scenario.dt)
+    again = rk4_lifted_step(loop, 0.0, x, scenario.dt)
+    assert first.tobytes() == again.tobytes()
+    assert not np.shares_memory(first, again)  # each step's state is its own
+
+
+def test_interleaved_loops_step_as_they_do_alone(sec5):
+    scenario = sec5.escalated(4.0)
+    h, loops = scenario.dt, [lifted_loop(scenario, (1,)), lifted_loop(scenario, (2, 3))]
+    starts = [random_states(loops[0], 1, 43), random_states(loops[1], 2, 44)]
+    alone = [trajectory(loop, x0, h, step=rk4_lifted_step, n_steps=50)
+             for loop, x0 in zip(loops, starts)]
+    states = starts
+    for k in range(50):
+        states = [rk4_lifted_step(loop, 0.0, x, h) for loop, x in zip(loops, states)]
+        for x, ref in zip(states, alone):
+            assert x.tobytes() == ref[k + 1].tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1,), (3,), ()], ids=["B1", "B3", "flat"])
+def test_workspace_rejects_states_of_another_width(shape, sec5):
+    loop = lifted_loop(sec5, (1, 2))
+    with pytest.raises(ValueError, match="built for states of shape"):
+        rk4_lifted_step(loop, 0.0, np.zeros((loop.dimension,) + shape), sec5.dt)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_column_is_marked_and_the_others_step_as_alone(bad, sec5):
+    # `|x+|`'s one maximum is NaN or Inf whenever an entry is; the column is named after it
+    scenario = sec5.escalated(4.0)
+    loop = lifted_loop(scenario, (1, 2, 3))
+    x = random_states(loop, 3, 45)
+    x[loop.layout.z.start, 1] = bad
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteState) as exc:
+        rk4_lifted_step(loop, 0.0, x, scenario.dt)
+    assert exc.value.columns.tolist() == [False, True, False]
+    keep = ~exc.value.columns
+    survivors = rk4_lifted_step(loop.select(keep), 0.0, x[:, keep], scenario.dt)
+    for col, seed in zip(survivors.T, (1, 3)):
+        one = rk4_lifted_step(lifted_loop(scenario, (seed,)), 0.0, x[:, [seed - 1]], scenario.dt)
+        assert one.tobytes() == np.ascontiguousarray(col[:, None]).tobytes()
+
+
+def test_columns_that_stop_mid_run_leave_the_others_as_run_alone(sec5):
+    # at the start gains every sec5 seed blows up, each at its own time: seeds 1 and 4 overflow
+    # (to NaN, with Inf beside it on seed 4) while below 1e150, and seeds 2 and 3 pass 1e150
+    # first, so the batch loses columns to both causes and is narrowed three times
+    scenario, seeds, limit = dataclasses.replace(sec5, t_final=3.0), [1, 2, 3, 4], 1e150
+    batch = run(scenario, seed=seeds, abort_norm=limit)
+    assert [(t.diverged, t.aborted_norm) for t in batch] == \
+        [(True, False), (False, True), (False, True), (True, False)]
+    assert [t.diverged_t for t in batch] == [1.343, None, None, 1.331]
+    for seed, traj in zip(seeds, batch):
+        alone = run(scenario, seed=seed, abort_norm=limit)
+        for name in ("t", "y", "p", "e", "u", "ne_dist", "v"):
+            assert getattr(traj, name).tobytes() == getattr(alone, name).tobytes()
+        assert (traj.max_state_norm, traj.diverged_t) == (alone.max_state_norm, alone.diverged_t)

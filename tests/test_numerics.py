@@ -7,7 +7,7 @@ import pytest
 
 from nesim.errors import NonFiniteState, NotSymmetric, SingularMatrix
 from nesim.numerics import (LiftedOdeSystem, OdeSystem, integrate, lu_solve, rk4_lifted_matrices,
-                            rk4_lifted_step, rk4_linear, rk4_matrix, rk4_step,
+                            rk4_lifted_step, rk4_lifted_steps, rk4_linear, rk4_matrix, rk4_step,
                             symmetric_eigenvalues)
 
 
@@ -230,9 +230,11 @@ class Cubic(LiftedOdeSystem):
 
     @classmethod
     def of(cls, A: np.ndarray, h: float | None) -> "Cubic":
-        def lift(L):
-            L[3] = L[0] ** 3
-            L[4] = L[0] * L[1]
+        def bind(L):
+            def lift():
+                L[3] = L[0] ** 3
+                L[4] = L[0] * L[1]
+            return lift
 
         def rhs(t, x):  # the oracle: the ODE written out, not the lifted product
             cols = x.reshape(2, -1)
@@ -241,8 +243,8 @@ class Cubic(LiftedOdeSystem):
                    + np.einsum("bij,jb->ib", A[:, :, 3:], phi))
             return out.reshape(x.shape)
 
-        steps = None if h is None else rk4_lifted_matrices(A, h)
-        return cls(dimension=2, rhs=rhs, lift=lift, steps=steps, operator=A)
+        steps = None if h is None else rk4_lifted_steps(A, h, bind)
+        return cls(dimension=2, rhs=rhs, bind=bind, steps=steps, operator=A)
 
     def select(self, keep) -> "Cubic":
         return Cubic.of(self.operator[np.flatnonzero(keep)], self.steps and self.steps.h)
@@ -266,7 +268,7 @@ class TestRk4LiftedStep:
         rng = np.random.default_rng(31)
         A, h = rng.normal(size=(2, 3, 7)), 0.1
         E = np.eye(3, 7)
-        S1, S2, S3, W = rk4_lifted_matrices(A, h).maps
+        S1, S2, S3, W = rk4_lifted_matrices(A, h)
         for b in range(2):
             a = A[b]
             assert np.allclose(S1[b], E + h / 2 * a, rtol=0, atol=1e-15)

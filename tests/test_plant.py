@@ -86,9 +86,9 @@ class TestExamplePlant:
             v_cols = J.shape[2] - n_zx - count
             assert J.shape[:2] == (batch, n_zx) and 0 <= v_cols <= 2
             phi = np.full((count, batch), np.nan)
-            features.fill(zx, V.T, phi)
-            again = np.ones_like(phi)  # `fill` overwrites the rows it is given
-            features.fill(zx, V.T, again)
+            features.bind(zx, V.T, phi)()
+            again = np.ones_like(phi)  # the fill overwrites the rows it is bound to
+            features.bind(zx, V.T, again)()
             assert np.array_equal(again, phi)
             for b, (z, x, v, w) in enumerate(zip(Z, X, V, W)):
                 split = J[b] @ np.concatenate([zx[:, b], v[:v_cols], phi[:, b]])
@@ -98,7 +98,7 @@ class TestExamplePlant:
                 assert np.abs(split - ref).max() <= 1e-14 * np.abs(ref).max()
                 J1, one = drift_split(model, W[b:b + 1])
                 alone = np.empty((count, 1))
-                one.fill(zx[:, b:b + 1], V.T[:, b:b + 1], alone)
+                one.bind(zx[:, b:b + 1], V.T[:, b:b + 1], alone)()
                 assert np.array_equal(J1[0], J[b]) and np.array_equal(alone[:, 0], phi[:, b])
         with pytest.raises(ValueError, match="stack of draws"):
             drift_split(model, W[0])  # a flat draw is rejected, not broadcast
@@ -117,7 +117,7 @@ class TestExamplePlant:
         for W in (rng.uniform(-0.5, 0.5, (4, model.n_w)), rng.uniform(-0.5, 0.5, (4, model.n_w))):
             J, features = drift_split(model, W)
             phis.append(np.empty((features.count, 4)))
-            features.fill(zx, v, phis[-1])
+            features.bind(zx, v, phis[-1])()
         assert features.count == 3 * model.n_agents
         assert np.array_equal(phis[0], phis[1])
 
@@ -131,6 +131,31 @@ class TestExamplePlant:
         n_zx = 3 * model.n_agents
         assert features.count == n_zx
         assert np.array_equal(J, np.broadcast_to(np.eye(n_zx, 2 * n_zx, n_zx), J.shape))
+
+    @pytest.mark.parametrize("hook", [True, False], ids=["split_hook", "generic"])
+    def test_bound_fill_reads_its_views_at_each_call(self, hook):
+        # bound once, the fill follows what the views hold: the drift matches f0/f_levels
+        # after every refill of the same arrays
+        model = demo_plant([[-1, 1, 0.5, 1, 0.3, 0.3], [-1.2, 0.8, 0.4, 1.1, 0.25, 0.35]])
+        model = model if hook else dataclasses.replace(model, split=None)
+        n, batch = model.n_agents, 3
+        rng = np.random.default_rng(14)
+        W = rng.uniform(-0.5, 0.5, (batch, model.n_w))
+        J, features = drift_split(model, W)
+        zx, v = np.empty((3 * n, batch)), np.empty((2, batch))
+        phi = np.full((features.count, batch), np.nan)
+        fill = features.bind(zx, v, phi)
+        v_cols = J.shape[2] - 3 * n - features.count
+        for _ in range(5):
+            zx[...], v[...] = rng.normal(size=zx.shape), rng.normal(size=v.shape)
+            fill()
+            for b, w in enumerate(W):
+                z, x = zx[:n, b].reshape(n, 1), zx[n:, b].reshape(2, n)
+                split = J[b] @ np.concatenate([zx[:, b], v[:v_cols, b], phi[:, b]])
+                ref = np.concatenate([model.f0(z, x[0], v[:, b], w).ravel(),
+                                      model.f_levels[0](z, x[:1], v[:, b], w),
+                                      model.f_levels[1](z, x, v[:, b], w)])
+                assert np.abs(split - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_origin_equilibrium_over_box(self):
         model = demo_plant([[-1, 1, 0.5, 1, 0.3, 0.3], [-1.2, 0.8, 0.4, 1.1, 0.25, 0.35]])

@@ -368,7 +368,7 @@ def test_kept_state_bytes_counts_the_recorded_samples(stable):
     assert short.kept_state_bytes() == len(traj.t) * assemble(short).dimension * 8
 
 
-SPLIT_CONTRACT = r"\(B, n_w\) stack of draws.*PlantFeatures\(count, fill\)"
+SPLIT_CONTRACT = r"\(B, n_w\) stack of draws.*PlantFeatures\(count, bind\)"
 
 
 def test_one_draw_split_hook_is_a_config_error(sec5):
