@@ -378,6 +378,11 @@ def _closed_loop_bind(layout: StateLayout, features: PlantFeatures, game: GameSp
 
     def bind(lifted: np.ndarray):
         plant_fill = features.bind(lifted[zx], lifted[v], lifted[phi])
+        if not callable(plant_fill):  # a hook written for the former fill(zx, v, out)
+            raise ConfigError(
+                f"plant split hook: PlantFeatures(count, bind) needs bind(zx, v, out) to "
+                f"return fill(), which writes the (count, B) features that zx and v give "
+                f"into out; it returned {type(plant_fill).__name__}")
         if not custom:
             return plant_fill
         # one (n, n) view per column: the estimate rows of a lift buffer are contiguous

@@ -15,8 +15,8 @@ from nesim.generator import GeneratorGains, min_gamma2
 from nesim.graph import CommGraph
 from nesim.internal_model import synthesize_bank
 from nesim.numerics import rk4_lifted_step, rk4_step
-from nesim.plant import (Exosystem, PlantState, drift_split, example_plant, sample_uncertainty,
-                         steady_state_chain)
+from nesim.plant import (Exosystem, PlantFeatures, PlantState, drift_split, example_plant,
+                         sample_uncertainty, steady_state_chain)
 from nesim.simulation import (ClosedLoopTrajectory, EscalationSpec, Scenario, assemble,
                               closed_loop_passes, metrics, run, write_csv)
 from oracles import composed_rhs
@@ -395,6 +395,19 @@ def test_remainder_split_hook_is_a_config_error(sec5):
     plant = dataclasses.replace(model, split=split)
     with pytest.raises(ConfigError, match=SPLIT_CONTRACT):
         assemble(dataclasses.replace(sec5, plant=plant))
+
+
+def test_fill_style_split_hook_is_a_config_error(sec5):
+    # a hook written for the former PlantFeatures(count, fill): fill(zx, v, out) returns None
+    model = sec5.plant
+
+    def split(w):
+        J, features = model.split(w)
+        return J, PlantFeatures(features.count, lambda zx, v, out: features.bind(zx, v, out)())
+
+    plant = dataclasses.replace(model, split=split)
+    with pytest.raises(ConfigError, match=r"PlantFeatures\(count, bind\).*returned NoneType"):
+        run(dataclasses.replace(sec5, plant=plant, t_final=0.01))
 
 
 def test_escalation_predicate(stable):
