@@ -2,10 +2,10 @@
 empirical gain-escalation loop.
 
 The control law is linear in the agents' own references, the chain states
-and the compensator states: `control_rows` writes its rows ``U`` once, the
-closed loop places them and `control_law` evaluates them. Its gain
-structure comes from a backstepping recursion, `backstepping_feedback`, the
-independent route it is tested against.
+and the compensator states: `control_rows` writes its rows ``U`` once and
+the closed loop places them. Its gain structure comes from a backstepping
+recursion, `backstepping_feedback`, the independent route it is tested
+against.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import EscalationExhausted, require
 from .internal_model import InternalModelBank
-from .plant import PlantState, SteadyState
+from .plant import SteadyState
 
 if TYPE_CHECKING:
     from .simulation import ClosedLoopTrajectory, Scenario
@@ -80,13 +80,6 @@ def psi_readouts(bank: InternalModelBank, eta: Sequence[np.ndarray]) -> list[np.
     return list((Psi @ np.concatenate([np.ravel(e) for e in eta])).reshape(bank.r, -1))
 
 
-def control_law(gains: ControllerGains, bank: InternalModelBank, state: PlantState,
-                eta: Sequence[np.ndarray], p: np.ndarray, ablate: bool = False) -> np.ndarray:
-    """Control input for every agent: `control_rows` applied to ``[p; x; eta]``."""
-    lifted = np.concatenate([np.ravel(p), state.x.ravel()] + [np.ravel(e) for e in eta])
-    return control_rows(gains, bank, ablate) @ lifted
-
-
 def backstepping_feedback(gains: ControllerGains, x_bar: np.ndarray) -> np.ndarray:
     """Transformed-coordinate feedback via the recursive gain construction.
 
@@ -114,23 +107,25 @@ class TransformedState:
                    max(float(np.abs(e).max()) for e in self.eta_tilde))
 
 
-def transform(state: PlantState, eta: Sequence[np.ndarray], bank: InternalModelBank,
-              steady: SteadyState, theta: Sequence[np.ndarray], p: np.ndarray,
-              v: np.ndarray) -> TransformedState:
+def transform(z: np.ndarray, x: np.ndarray, eta: Sequence[np.ndarray],
+              bank: InternalModelBank, steady: SteadyState, theta: Sequence[np.ndarray],
+              p: np.ndarray, v: np.ndarray) -> TransformedState:
     """Shift the closed-loop state into error coordinates.
 
-    Requires truth data (steady-state chain, generator references, and the
-    ideal compensator states ``theta``), so it is only available on the
-    simulation side, never to the controller.
+    ``z`` is the zero-dynamics state ``(N, n_z)`` and ``x`` the chain
+    ``(r, N)``. Requires truth data (steady-state chain, generator
+    references, and the ideal compensator states ``theta``), so it is only
+    available on the simulation side, never to the controller.
     """
     # chain level s + 1 against the read-out of compensator level s, the first against p
-    x_bar = state.x - np.vstack([p] + psi_readouts(bank, eta)[:-1])
+    x_bar = np.asarray(x, dtype=float) - np.vstack([p] + psi_readouts(bank, eta)[:-1])
     eta_tilde = tuple(
         np.asarray(eta[s], dtype=float) - np.asarray(theta[s], dtype=float)
         - bank.levels[s].N * x_bar[s][:, None]
         for s in range(bank.r)
     )
-    return TransformedState(z_bar=state.z - steady.z_star(v), x_bar=x_bar, eta_tilde=eta_tilde)
+    return TransformedState(z_bar=np.asarray(z, dtype=float) - steady.z_star(v), x_bar=x_bar,
+                            eta_tilde=eta_tilde)
 
 
 @dataclass(frozen=True)

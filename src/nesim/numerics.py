@@ -4,11 +4,13 @@
 hook picks how one RK4 step is made:
 
 - `rk4_lifted_step` steps a system that is linear in a lifted state,
-  ``xdot = A [x; 1; phi(x)]`` (the closed loop): each stage is one GEMV by
-  a matrix of `rk4_lifted_matrices`, five per step, inside a workspace of
-  `rk4_lifted_steps` whose GEMVs and lifts are bound once;
-- `rk4_step`, the default, steps any ``rhs``; it is also the oracle the
-  lifted step is tested against.
+  ``xdot = A [x; 1; phi(x)]`` (the closed loop and the generator): each
+  stage is one GEMV by a matrix of `rk4_lifted_matrices`, five per step,
+  inside a workspace of `rk4_lifted_steps` whose GEMVs and lifts are bound
+  once;
+- `rk4_step`, the default, steps any ``rhs``. No nesim path steps by it:
+  it stays as the oracle the lifted step is tested against and as the
+  per-step leaf that perfbench's tracer wraps.
 
 A linear system ``xdot = A x`` steps through `rk4_linear`: there one RK4
 step is exactly ``x+ = R(hA) x``, with `rk4_matrix` giving RK4's step
@@ -19,7 +21,8 @@ vectors up to a few hundred entries). Apart from the lifted workspace, the
 routines are pure functions. A workspace (`LiftedSteps`) is mutable and
 belongs to one loop: each run builds its own, so concurrent runs stay
 independent, and no two threads may step one loop at once. `rk4_step` and
-the oracle derivatives it steps keep their buffers per call.
+the oracle derivatives it steps keep their buffers per call. Every stepper
+rejects a step size that is not finite and > 0 (`ValueError`).
 """
 
 from __future__ import annotations
@@ -89,6 +92,12 @@ def symmetric_eigenvalues(A: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh((A + A.T) / 2.0)
 
 
+def _check_step(h: float) -> None:
+    """Raise ``ValueError`` unless the step size ``h`` is finite and > 0."""
+    if not 0 < h < np.inf:
+        raise ValueError(f"step size must be finite and > 0, got {h!r}")
+
+
 def rk4_step(sys: OdeSystem, t: float, x: np.ndarray, h: float) -> np.ndarray:
     """One classical 4th-order Runge-Kutta step.
 
@@ -97,6 +106,8 @@ def rk4_step(sys: OdeSystem, t: float, x: np.ndarray, h: float) -> np.ndarray:
 
     Raises
     ------
+    ValueError
+        If ``h`` is not finite and > 0.
     NonFiniteState
         If the weighted stage sum ``k1 + 2 k2 + 2 k3 + k4`` holds NaN or Inf,
         which signals closed-loop divergence to the caller; its ``columns``
@@ -104,8 +115,7 @@ def rk4_step(sys: OdeSystem, t: float, x: np.ndarray, h: float) -> np.ndarray:
         non-finite stage evaluation makes the sum non-finite; the sum can
         also overflow to Inf from finite stages.
     """
-    if h <= 0:
-        raise ValueError("step size must be positive")
+    _check_step(h)
     k1 = sys.rhs(t, x)
     k2 = sys.rhs(t + h / 2.0, x + (h / 2.0) * k1)
     k3 = sys.rhs(t + h / 2.0, x + (h / 2.0) * k2)
@@ -134,10 +144,19 @@ def integrate(sys: OdeSystem, x0: np.ndarray, t0: float, t_final: float, h: floa
     x, diverged=columns)``, with the state the failed step started from, and
     the other columns are stepped again from that state. The returned state
     then holds the columns still going at ``t_final``.
+
+    Raises
+    ------
+    ValueError
+        Before the first step, if ``h`` is not finite and > 0, or if
+        ``t_final`` lies before ``t0``.
     """
+    _check_step(h)
+    n_steps = int(round((t_final - t0) / h))
+    if n_steps < 0:
+        raise ValueError(f"t_final = {t_final:g} lies before t0 = {t0:g}")
     step = rk4_step if step is None else step
     x = np.array(x0, dtype=float)
-    n_steps = int(round((t_final - t0) / h))
     k, t = 0, t0
     stop = None if observer is None else observer(k, t, x)
     while True:
@@ -201,8 +220,9 @@ class LiftedOdeSystem(OdeSystem):
 
     ``bind(L)`` takes a lifted ``(width, B)`` array ``L`` and returns
     ``lift()``, which overwrites the feature rows ``dim + 1:`` of ``L`` from
-    the states in its rows ``:dim`` as they are at each call; row ``dim``
-    holds the one, and column ``b`` reads only column ``b``. ``steps`` is the
+    the states in its rows ``:dim`` as they are at each call, or None when
+    there are no feature rows; row ``dim`` holds the one, and column ``b``
+    reads only column ``b``. ``steps`` is the
     workspace `rk4_lifted_step` steps in (`rk4_lifted_steps`), built from
     each column's ``A_b`` for one step size; None until built.
     """
@@ -247,7 +267,13 @@ def rk4_lifted_steps(A: np.ndarray, h: float, bind: Callable,
     made here, once, so a step slices and allocates nothing but its new
     state. Steps report to ``magnitude`` (a new `StepMagnitude` by default):
     a workspace narrowed to fewer columns passes on its parent's.
+
+    Raises
+    ------
+    ValueError
+        If ``h`` is not finite and > 0.
     """
+    _check_step(h)
     S1, S2, S3, W = rk4_lifted_matrices(A, h)
     B, dim, width = S1.shape
     buf = np.empty((4 * width, B))
@@ -257,6 +283,7 @@ def rk4_lifted_steps(A: np.ndarray, h: float, bind: Callable,
               column_gemv(S1, L1, L2[:dim]), bind(L2),
               column_gemv(S2, buf[:2 * width], L3[:dim]), bind(L3),
               column_gemv(S3, buf[width:3 * width], L4[:dim]), bind(L4))
+    stages = tuple(stage for stage in stages if stage is not None)  # a lift with no features
     return LiftedSteps(h, L1[:dim], stages, column_gemv(W, buf), np.empty((dim, B)),
                        StepMagnitude() if magnitude is None else magnitude)
 
@@ -354,13 +381,12 @@ def rk4_linear(A: np.ndarray, x0: np.ndarray, h: float, n_steps: int) -> np.ndar
     Raises
     ------
     ValueError
-        If ``h <= 0``.
+        If ``h`` is not finite and > 0.
     NonFiniteState
         If any state holds NaN or Inf; its ``columns`` mark the non-finite
         rows of a stacked ``x0`` (a flat state counts as one).
     """
-    if h <= 0:
-        raise ValueError("step size must be positive")
+    _check_step(h)
     R = rk4_matrix(A, h)
     xs = np.empty((n_steps + 1,) + np.shape(x0))
     xs[0] = x0

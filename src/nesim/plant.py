@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameter, NonFiniteState
+from .errors import InvalidParameter
 from .numerics import rk4_linear
 
 ORIGIN_EQ_TOL = 1e-12
@@ -45,10 +45,6 @@ class Exosystem:
     @property
     def n_v(self) -> int:
         return self.S.shape[0]
-
-
-def exo_rhs(exo: Exosystem, v: np.ndarray) -> np.ndarray:
-    return exo.S @ np.asarray(v, dtype=float)
 
 
 def exo_trajectory(exo: Exosystem, v0: np.ndarray, t_final: float, h: float = 1e-3) -> tuple[np.ndarray, np.ndarray]:
@@ -108,33 +104,6 @@ class PlantModel:
         object.__setattr__(self, "f_levels", tuple(self.f_levels))
         object.__setattr__(self, "im_polys",
                            tuple(np.array(c, dtype=float) for c in self.im_polys))
-
-
-@dataclass
-class PlantState:
-    """Stacked agent states: zero dynamics (N, n_z) and chain (r, N)."""
-
-    z: np.ndarray
-    x: np.ndarray
-
-    def __post_init__(self):
-        self.z = np.array(self.z, dtype=float)
-        self.x = np.array(self.x, dtype=float)
-
-
-def plant_rhs(model: PlantModel, state: PlantState, u: np.ndarray, v: np.ndarray,
-              w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Time derivative ``(dz, dx)`` of the stacked plant under input ``u`` and draw ``w``."""
-    z, x = state.z, state.x
-    u = np.asarray(u, dtype=float)
-    dz = model.f0(z, x[0], v, w)
-    dx = np.empty_like(x)
-    for s in range(1, model.r + 1):
-        drift = model.f_levels[s - 1](z, x[:s], v, w)
-        dx[s - 1] = drift + (x[s] if s < model.r else u)
-    if not (np.isfinite(dz).all() and np.isfinite(dx).all()):
-        raise NonFiniteState("plant derivative is not finite")
-    return dz, dx
 
 
 @dataclass(frozen=True)

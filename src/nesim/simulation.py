@@ -32,9 +32,8 @@ import numpy as np
 from .controller import (ControllerGains, TRACKING_TOL, STATE_NORM_LIMIT, control_rows,
                          psi_readouts)
 from .errors import ConfigError, NesimError, require
-from .game import (GameSpec, GradientConstants, QuadraticAggregativeGame, estimate_constants,
-                   extended_pseudo_gradient, solve_ne)
-from .generator import GeneratorGains, generator_rows, min_gamma2
+from .game import GameSpec, GradientConstants, estimate_constants, solve_ne
+from .generator import GeneratorGains, generator_rows, min_gamma2, partials_bind
 from .graph import CommGraph, is_connected
 from .internal_model import InternalModelBank, synthesize_bank
 from .numerics import (LiftedOdeSystem, column_gemv, integrate, rk4_lifted_step,
@@ -285,13 +284,6 @@ class AssembledLoop(LiftedOdeSystem):
         return replace(self, rhs=_closed_loop_rhs(A3, bind), bind=bind, steps=steps,
                        draws=draws, operator=A3)
 
-    def unpack(self, state: np.ndarray):
-        """Split a flat state into named, reshaped views."""
-        n, lay = self.layout.n_agents, self.layout
-        return (state[lay.P].reshape(n, n), state[lay.v], state[lay.z].reshape(n, lay.n_z),
-                state[lay.x].reshape(lay.r, n),
-                [state[blk].reshape(n, order) for blk, order in zip(lay.eta, lay.im_orders)])
-
     def control(self, state: np.ndarray) -> np.ndarray:
         """Control input of every agent, ``U @ state``: `control_rows` placed on the state."""
         return self.control_rows @ state
@@ -367,14 +359,13 @@ def _closed_loop_bind(layout: StateLayout, features: PlantFeatures, game: GameSp
 
     ``lifted`` is a ``(width, B)`` array ``[x; 1; phi]``. The features
     ``phi`` are the plant's (see `drift_split`) and, for a custom game, each
-    agent's finite-difference partial on its own estimate row. Column ``b``
-    reads only column ``b``. The views are taken once, at binding.
+    agent's finite-difference partial on its own estimate row, which
+    `generator.partials_bind` fills. Column ``b`` reads only column ``b``.
+    The views are taken once, at binding.
     """
-    n, dim = layout.n_agents, layout.dim
+    dim = layout.dim
     P, v, zx = layout.P, layout.v, layout.zx  # rows of the state part of [x; 1; phi]
     phi = slice(dim + 1, dim + 1 + features.count)
-    # a quadratic game's extended gradient is affine, already in the operator
-    custom = not isinstance(game, QuadraticAggregativeGame)
 
     def bind(lifted: np.ndarray):
         plant_fill = features.bind(lifted[zx], lifted[v], lifted[phi])
@@ -383,15 +374,14 @@ def _closed_loop_bind(layout: StateLayout, features: PlantFeatures, game: GameSp
                 f"plant split hook: PlantFeatures(count, bind) needs bind(zx, v, out) to "
                 f"return fill(), which writes the (count, B) features that zx and v give "
                 f"into out; it returned {type(plant_fill).__name__}")
-        if not custom:
+        # None for a quadratic game, whose extended gradient is already in the operator
+        partials_fill = partials_bind(game, lifted[P], lifted[phi.stop:])
+        if partials_fill is None:
             return plant_fill
-        # one (n, n) view per column: the estimate rows of a lift buffer are contiguous
-        blocks = lifted[P].reshape(n, n, -1).transpose(2, 0, 1)
-        partials = lifted[phi.stop:].T  # (B, n)
 
         def lift() -> None:
             plant_fill()
-            partials[...] = extended_pseudo_gradient(game, blocks)
+            partials_fill()
 
         return lift
 

@@ -14,16 +14,14 @@ import time
 import numpy as np
 import pytest
 
-from nesim.controller import (ControllerGains, backstepping_feedback, control_law,
+from nesim.controller import (ControllerGains, backstepping_feedback, control_rows,
                               escalate_gains, psi_readouts)
 from nesim.game import estimate_constants, extended_pseudo_gradient, partial_gradient, \
     pseudo_gradient, solve_ne
-from nesim.generator import GeneratorGains, GeneratorState, generator_rhs, min_gamma2, \
-    run_generator
+from nesim.generator import GeneratorGains, generator_rows, min_gamma2, run_generator
 from nesim.graph import laplacian
 from nesim.internal_model import synthesize_bank, sylvester_residual
 from nesim.numerics import OdeSystem, integrate
-from nesim.plant import PlantState
 from nesim.simulation import run, write_csv
 
 SEEDS = (1, 2, 3, 4, 5)
@@ -78,7 +76,7 @@ def test_criterion_2_generator_decay(sec5):
     gamma2 = 1.25 * min_gamma2(estimate_constants(sec5.game), sec5.graph)
     t_final = 20.0 / gamma1
     traj = run_generator(sec5.game, sec5.graph, GeneratorGains(gamma1, gamma2),
-                         GeneratorState.zeros(sec5.n), t_final=t_final, h=sec5.dt)
+                         np.zeros((sec5.n, sec5.n)), t_final=t_final, h=sec5.dt)
     slope = traj.log_dist_slope(t_final / 2.0, t_final)
     elapsed = time.perf_counter() - t0
     report("2 generator-decay",
@@ -135,10 +133,11 @@ def test_criterion_5_oracle_equivalences(sec5):
     for i in range(n):
         Rsel[i, i * n + i] = 1.0
     Lbig = np.kron(laplacian(sec5.graph), np.eye(n))
+    rows = generator_rows(game, sec5.graph, gains.gamma1, gains.gamma2)  # over [vec P; 1]
     gen_dev = 0.0
     for _ in range(100):
         P = rng.normal(size=(n, n))
-        per_agent = generator_rhs(game, sec5.graph, gains, GeneratorState(P)).ravel()
+        per_agent = rows @ np.append(P.ravel(), 1.0)
         stacked = (-gains.gamma1 * Rsel.T @ extended_pseudo_gradient(game, P)
                    - gains.gamma1 * gains.gamma2 * Lbig @ P.ravel())
         gen_dev = max(gen_dev, float(np.abs(per_agent - stacked).max()))
@@ -147,12 +146,13 @@ def test_criterion_5_oracle_equivalences(sec5):
     ctrl_dev = 0.0
     for _ in range(100):
         kmat = ControllerGains(rng.uniform(0.5, 6.0, size=(n, 2)))
-        state = PlantState(z=rng.normal(size=(n, 1)), x=rng.normal(size=(2, n)))
+        rng.normal(size=(n, 1))  # a zero-dynamics state, which u does not read
+        x = rng.normal(size=(2, n))
         eta = [rng.normal(size=(n, level.order)) for level in bank.levels]
         p = rng.normal(size=n)
         reads = psi_readouts(bank, eta)
-        u = control_law(kmat, bank, state, eta, p)
-        x_bar = np.vstack([state.x[0] - p, state.x[1] - reads[0]])
+        u = control_rows(kmat, bank) @ np.concatenate([p, x.ravel()] + [e.ravel() for e in eta])
+        x_bar = np.vstack([x[0] - p, x[1] - reads[0]])
         ctrl_dev = max(ctrl_dev, float(np.abs(
             (u - reads[1]) - backstepping_feedback(kmat, x_bar)).max()))
 

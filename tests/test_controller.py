@@ -5,15 +5,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nesim.controller import (ControllerGains, backstepping_feedback, control_law,
-                              control_rows, escalate_gains, psi_readouts, transform)
+from nesim.controller import (ControllerGains, backstepping_feedback, control_rows,
+                              escalate_gains, psi_readouts, transform)
 from nesim.errors import EscalationExhausted
 from nesim.game import estimate_constants, solve_ne
 from nesim.generator import GeneratorGains
 from nesim.internal_model import synthesize_bank
 from nesim.numerics import rk4_step
-from nesim.plant import PlantState
 from nesim.simulation import EscalationSpec, run, start_gains, write_csv
+from oracles import unpack
 
 
 @pytest.fixture(scope="module")
@@ -23,55 +23,57 @@ def bank():
 
 
 def random_inputs(bank, rng, n=4):
-    state = PlantState(z=rng.normal(size=(n, 1)), x=rng.normal(size=(2, n)))
+    """``(z, x, eta, p)``: a zero-dynamics state, a chain, compensators and references."""
+    z, x = rng.normal(size=(n, 1)), rng.normal(size=(2, n))
     eta = [rng.normal(size=(n, level.order)) for level in bank.levels]
     p = rng.normal(size=n)
-    return state, eta, p
+    return z, x, eta, p
+
+
+def law(gains, bank, x, eta, p, ablate=False):
+    """``u``: `control_rows` applied to ``[p; x; eta]``."""
+    lifted = np.concatenate([p, np.ravel(x)] + [np.ravel(e) for e in eta])
+    return control_rows(gains, bank, ablate) @ lifted
 
 
 class TestControlLaw:
     def test_zero_state_zero_input(self, bank):
-        state = PlantState(z=np.zeros((4, 1)), x=np.zeros((2, 4)))
         eta = [np.zeros((4, level.order)) for level in bank.levels]
-        u = control_law(ControllerGains.uniform(4, 2, 1.0), bank, state, eta, np.zeros(4))
+        u = law(ControllerGains.uniform(4, 2, 1.0), bank, np.zeros((2, 4)), eta, np.zeros(4))
         assert np.abs(u).max() == 0.0
 
     def test_unit_chain_deviation(self, bank):
         gains = ControllerGains.uniform(4, 2, 1.0)
-        state = PlantState(z=np.zeros((4, 1)),
-                           x=np.vstack([np.array([1.0, 0, 0, 0]), np.zeros(4)]))
+        x = np.vstack([np.array([1.0, 0, 0, 0]), np.zeros(4)])
         eta = [np.zeros((4, level.order)) for level in bank.levels]
-        u = control_law(gains, bank, state, eta, np.zeros(4))
+        u = law(gains, bank, x, eta, np.zeros(4))
         assert u[0] == pytest.approx(-1.0)
         assert np.abs(u[1:]).max() == 0.0
 
     def test_gain_product_structure(self, bank):
         gains = ControllerGains(np.tile([2.0, 3.0], (4, 1)))
-        state = PlantState(z=np.zeros((4, 1)),
-                           x=np.vstack([np.ones(4), np.zeros(4)]))
+        x = np.vstack([np.ones(4), np.zeros(4)])
         eta = [np.zeros((4, level.order)) for level in bank.levels]
-        u = control_law(gains, bank, state, eta, np.zeros(4))
+        u = law(gains, bank, x, eta, np.zeros(4))
         assert np.allclose(u, -6.0)  # minus the product of all level gains
 
     def test_linearity(self, bank):
         gains = ControllerGains(np.tile([1.7, 0.9], (4, 1)))
         rng = np.random.default_rng(4)
-        sa, ea_, pa = random_inputs(bank, rng)
-        sb, eb_, pb = random_inputs(bank, rng)
+        _, xa, ea_, pa = random_inputs(bank, rng)
+        _, xb, eb_, pb = random_inputs(bank, rng)
         alpha, beta = 0.6, -1.4
-        mixed = PlantState(z=alpha * sa.z + beta * sb.z, x=alpha * sa.x + beta * sb.x)
         eta = [alpha * a + beta * b for a, b in zip(ea_, eb_)]
-        lhs = control_law(gains, bank, mixed, eta, alpha * pa + beta * pb)
-        rhs = (alpha * control_law(gains, bank, sa, ea_, pa)
-               + beta * control_law(gains, bank, sb, eb_, pb))
+        lhs = law(gains, bank, alpha * xa + beta * xb, eta, alpha * pa + beta * pb)
+        rhs = alpha * law(gains, bank, xa, ea_, pa) + beta * law(gains, bank, xb, eb_, pb)
         assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_ablation_zeroes_readouts(self, bank):
         gains = ControllerGains.uniform(4, 2, 2.0)
         rng = np.random.default_rng(6)
-        state, eta, p = random_inputs(bank, rng)
-        u = control_law(gains, bank, state, eta, p, ablate=True)
-        expected = -gains.k[:, 1] * state.x[1] - gains.k[:, 1] * gains.k[:, 0] * (state.x[0] - p)
+        _, x, eta, p = random_inputs(bank, rng)
+        u = law(gains, bank, x, eta, p, ablate=True)
+        expected = -gains.k[:, 1] * x[1] - gains.k[:, 1] * gains.k[:, 0] * (x[0] - p)
         assert np.abs(u - expected).max() < 1e-13
 
 
@@ -86,21 +88,20 @@ class TestTransform:
         x[0] = p
         eta = [theta[0].copy(), theta[1].copy()]
         x[1] = psi_readouts(bank, eta)[0]
-        state = PlantState(z=steady.z_star(v0), x=x)
-        out = transform(state, eta, bank, steady, theta, p, v0)
+        out = transform(steady.z_star(v0), x, eta, bank, steady, theta, p, v0)
         assert out.max_abs() < 1e-12
 
     def test_compensator_shift_passes_through(self, bank, sec5_loop):
         rng = np.random.default_rng(8)
-        state, eta, p = random_inputs(bank, rng)
+        z, x, eta, p = random_inputs(bank, rng)
         theta = [rng.normal(size=(4, level.order)) for level in bank.levels]
         v0 = np.array([0.4, 0.1])
-        base = transform(state, eta, bank, sec5_loop.steady, theta, p, v0)
+        base = transform(z, x, eta, bank, sec5_loop.steady, theta, p, v0)
         delta = rng.normal(size=eta[1].shape)
         shifted = [eta[0], eta[1] + delta]
         # shifting the top-level compensator shifts nothing else except its
         # own error coordinate (the top read-out feeds only the input)
-        out = transform(state, shifted, bank, sec5_loop.steady, theta, p, v0)
+        out = transform(z, x, shifted, bank, sec5_loop.steady, theta, p, v0)
         assert np.abs((out.eta_tilde[1] - base.eta_tilde[1]) - delta).max() < 1e-12
         assert np.abs(out.eta_tilde[0] - base.eta_tilde[0]).max() == 0.0
 
@@ -111,10 +112,10 @@ class TestTransform:
         rng = np.random.default_rng(9)
         gains = ControllerGains(rng.uniform(0.5, 5.0, size=(4, 2)))
         for _ in range(100):
-            state, eta, p = random_inputs(bank, rng)
+            _, x, eta, p = random_inputs(bank, rng)
             reads = psi_readouts(bank, eta)
-            u = control_law(gains, bank, state, eta, p)
-            x_bar = np.vstack([state.x[0] - p, state.x[1] - reads[0]])
+            u = law(gains, bank, x, eta, p)
+            x_bar = np.vstack([x[0] - p, x[1] - reads[0]])
             expected = backstepping_feedback(gains, x_bar)
             assert np.abs((u - reads[1]) - expected).max() < 1e-12
 
@@ -188,10 +189,9 @@ class TestManifoldInvariance:
         for _ in range(10):
             state = rk4_step(sec5_loop, t, state, h)
             t += h
-            P, v, z, x, eta = sec5_loop.unpack(state)
+            P, v, z, x, eta = unpack(sec5_loop, state)
             theta = sec5_loop.ideal_compensators(v)
-            out = transform(PlantState(z=z, x=x), eta, sec5_loop.bank,
-                            sec5_loop.steady, theta, P.diagonal(), v)
+            out = transform(z, x, eta, sec5_loop.bank, sec5_loop.steady, theta, P.diagonal(), v)
             worst = max(worst, out.max_abs())
         assert worst < 1e-6
 

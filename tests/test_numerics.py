@@ -208,7 +208,7 @@ class TestRk4Linear:
             rk4_linear(A, np.ones((3, 1)), 1.0, 200)
         assert batch.value.columns.tolist() == [False, True, False]
 
-    @pytest.mark.parametrize("h", [0.0, -1e-3])
+    @pytest.mark.parametrize("h", [0.0, -1e-3, np.nan, np.inf])
     def test_rejects_nonpositive_step(self, h):
         with pytest.raises(ValueError):
             rk4_linear(np.eye(2), np.ones(2), h, 3)
@@ -358,3 +358,35 @@ class TestIntegrateStopsColumns:
         sys = OdeSystem(1, lambda t, x: x ** 3)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteState):
             integrate(sys, np.array([1e100]), 0.0, 1.0, 0.1, lambda k, t, x: None)
+
+
+BAD_STEPS = [0.0, -1e-3, np.nan, np.inf]
+
+
+class TestIntegrateRejectsABadStep:
+    """A step size that is not finite and > 0 is a `ValueError` before the first step."""
+
+    @pytest.mark.parametrize("h", BAD_STEPS)
+    @pytest.mark.parametrize("step", [None, rk4_lifted_step], ids=["rk4_step", "lifted"])
+    def test_either_stepper(self, step, h):
+        # without the check, a negative step never reaches t_final and a zero one divides by 0
+        sys, seen = Cubic.drawn(np.random.default_rng(37), 1, 1e-3), []
+        with pytest.raises(ValueError, match="step size must be finite and > 0"):
+            integrate(sys, np.zeros((2, 1)), 0.0, 0.1, h, lambda k, t, x: seen.append(k),
+                      step=step)
+        assert seen == []
+
+    @pytest.mark.parametrize("h", BAD_STEPS)
+    def test_the_steppers_and_the_workspace(self, h):
+        sys = Cubic.drawn(np.random.default_rng(38), 1)
+        with pytest.raises(ValueError, match="step size must be finite and > 0"):
+            rk4_step(sys, 0.0, np.zeros((2, 1)), h)
+        with pytest.raises(ValueError, match="step size must be finite and > 0"):
+            rk4_lifted_steps(sys.operator, h, sys.bind)
+
+    def test_a_final_time_before_the_start(self):
+        sys = OdeSystem(1, lambda t, x: -x)
+        with pytest.raises(ValueError, match="lies before"):
+            integrate(sys, np.array([1.0]), 0.0, -1.0, 1e-3)
+        # a horizon that rounds to no step returns the start
+        assert integrate(sys, np.array([1.0]), 0.0, -1e-4, 1e-3).tolist() == [1.0]

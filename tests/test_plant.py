@@ -8,10 +8,10 @@ import pytest
 from nesim.errors import InvalidParameter
 from nesim.numerics import OdeSystem, integrate
 from factories import build_plant
-from nesim.plant import (Exosystem, PlantModel, PlantState, check_origin_equilibrium,
+from nesim.plant import (Exosystem, PlantModel, check_origin_equilibrium,
                          check_steady_chain_consistency, check_steady_zero_pde, drift_split,
-                         example_plant, exo_rhs, exo_trajectory, plant_rhs, sample_uncertainty,
-                         steady_state_chain)
+                         example_plant, exo_trajectory, sample_uncertainty, steady_state_chain)
+from oracles import plant_rhs
 
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -27,14 +27,14 @@ def zero_w(model):
 class TestPlantRhs:
     def test_origin_is_equilibrium(self):
         model = demo_plant([[-1, 1, 0.5, 1, 0.3, 0.3]])
-        state = PlantState(z=np.zeros((1, 1)), x=np.zeros((2, 1)))
-        dz, dx = plant_rhs(model, state, u=np.zeros(1), v=np.zeros(2), w=zero_w(model))
+        dz, dx = plant_rhs(model, np.zeros((1, 1)), np.zeros((2, 1)), u=np.zeros(1),
+                           v=np.zeros(2), w=zero_w(model))
         assert np.abs(dz).max() == 0.0 and np.abs(dx).max() == 0.0
 
     def test_zero_dynamics_drift(self):
         model = demo_plant([[-1, 1, 0.5, 1, 0.3, 0.3]])
-        state = PlantState(z=np.ones((1, 1)), x=np.zeros((2, 1)))
-        dz, dx = plant_rhs(model, state, u=np.zeros(1), v=np.zeros(2), w=zero_w(model))
+        dz, dx = plant_rhs(model, np.ones((1, 1)), np.zeros((2, 1)), u=np.zeros(1),
+                           v=np.zeros(2), w=zero_w(model))
         assert dz[0, 0] == pytest.approx(-1.0)
         assert np.abs(dx).max() == 0.0
 
@@ -45,8 +45,8 @@ class TestPlantRhs:
                            f_levels=(zero, zero),
                            steady_zero=lambda s, v, w: np.zeros((1, 1)),
                            im_polys=([0.0], [0.0]))
-        state = PlantState(z=np.zeros((1, 1)), x=np.zeros((2, 1)))
-        _, dx = plant_rhs(model, state, u=np.ones(1), v=np.zeros(1), w=np.zeros(1))
+        _, dx = plant_rhs(model, np.zeros((1, 1)), np.zeros((2, 1)), u=np.ones(1),
+                          v=np.zeros(1), w=np.zeros(1))
         assert np.allclose(dx[:, 0], [0.0, 1.0])
 
 
@@ -222,9 +222,8 @@ class TestSteadyStateChain:
         steady = steady_state_chain(model, p_star, self.exo(), w)
         for _ in range(5):
             v = rng.uniform(-1.2, 1.2, 2)
-            state = PlantState(z=steady.z_star(v),
-                               x=np.vstack([p_star, steady.x_star(2, v)]))
-            dz, dx = plant_rhs(model, state, u=steady.u_star(v), v=v, w=w)
+            dz, dx = plant_rhs(model, steady.z_star(v), np.vstack([p_star, steady.x_star(2, v)]),
+                               u=steady.u_star(v), v=v, w=w)
             x2_rate = steady.derivative_stack(2, v, 2)[1]
             assert np.abs(dx[0]).max() < 1e-9            # output rate = frozen reference rate
             assert np.abs(dx[1] - x2_rate).max() < 1e-9  # level-2 rate matches the signal
@@ -280,11 +279,6 @@ class TestSteadyStateChain:
 
 
 class TestExosystem:
-    def test_rotation_rhs(self):
-        exo = Exosystem(S=ROTATION, v0_box=np.array([[1, 1], [0, 0]]))
-        assert np.allclose(exo_rhs(exo, np.array([1.0, 0.0])), [0.0, -1.0])
-        assert np.abs(exo_rhs(exo, np.zeros(2))).max() == 0.0
-
     def test_norm_conserved_long_horizon(self):
         exo = Exosystem(S=ROTATION, v0_box=np.array([[1, 1], [0, 0]]))
         ts, vs = exo_trajectory(exo, np.array([1.0, 0.0]), t_final=100.0, h=1e-3)

@@ -8,18 +8,17 @@ import numpy as np
 import pytest
 
 from nesim.config import load_scenario
-from nesim.controller import backstepping_feedback, control_law
 from nesim.errors import ConfigError
 from nesim.game import QuadraticAggregativeGame, estimate_constants, solve_ne
 from nesim.generator import GeneratorGains, min_gamma2
 from nesim.graph import CommGraph
 from nesim.internal_model import synthesize_bank
 from nesim.numerics import rk4_lifted_step, rk4_step
-from nesim.plant import (Exosystem, PlantFeatures, PlantState, drift_split, example_plant,
+from nesim.plant import (Exosystem, PlantFeatures, drift_split, example_plant,
                          sample_uncertainty, steady_state_chain)
 from nesim.simulation import (ClosedLoopTrajectory, EscalationSpec, Scenario, assemble,
                               closed_loop_passes, metrics, run, write_csv)
-from oracles import composed_rhs
+from oracles import backstepping_control, composed_rhs, unpack
 
 
 def test_state_dimension(sec5_loop):
@@ -51,18 +50,16 @@ def test_rhs_matches_composed_blocks(case, stable, request):
 
 
 @pytest.mark.parametrize("ablate", [False, True], ids=["sec5", "sec5_ablated"])
-def test_placed_control_rows_match_backstepping_oracle(ablate, sec5, stable):
+def test_placed_control_rows_match_backstepping_oracle(ablate, stable):
     # u is the backstepping fold of the error coordinates plus the top read-out as
     # feedforward, with each read-out Psi_s eta_s summed per agent; ablated, none is read
     loop = assemble(stable, ablate=ablate)
     rng = np.random.default_rng(22)
     for _ in range(20):
         state = rng.normal(size=loop.dimension)
-        P, _, _, x, eta = loop.unpack(state)
-        reads = [np.zeros(sec5.n) if ablate else (level.Psi * e).sum(axis=1)
-                 for level, e in zip(loop.bank.levels, eta)]
-        x_bar = np.vstack([x[0] - P.diagonal()] + [x[s] - reads[s - 1] for s in range(1, len(x))])
-        want = backstepping_feedback(loop.scenario.controller_gains, x_bar) + reads[-1]
+        P, _, _, x, eta = unpack(loop, state)
+        want = backstepping_control(loop.scenario.controller_gains, loop.bank, P.diagonal(), x,
+                                    eta, ablate)
         assert np.abs(loop.control(state) - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -234,10 +231,9 @@ def test_recorded_signals_match_per_sample_oracle(sec5, stable):
         if k:
             state = rk4_step(loop, (k - 1) * sec5.dt, state, sec5.dt)
             peak = max(peak, float(np.abs(state).max()))
-        P, v, z, x, eta = loop.unpack(state)
+        P, v, z, x, eta = unpack(loop, state)
         refs = P.diagonal()
-        u = control_law(loop.scenario.controller_gains, loop.bank, PlantState(z=z, x=x), eta,
-                        refs)
+        u = backstepping_control(loop.scenario.controller_gains, loop.bank, refs, x, eta)
         assert traj.t[k] == k * sec5.dt
         assert close(traj.y[k], x[0]) and close(traj.p[k], refs)
         assert close(traj.e[k], x[0] - refs) and close(traj.v[k], v)
