@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, NesimError
-from .game import CustomGame, QuadraticAggregativeGame, estimate_constants
+from .game import CustomGame, QuadraticAggregativeGame
 from .generator import GeneratorGains
 from .graph import CommGraph
 from .internal_model import StabilizerPair
@@ -75,11 +75,18 @@ def _check_keys(path: str, section: dict, allowed: set):
 
 
 def _number(path: str, value, kind=float):
-    """``kind(value)``; a value it cannot convert is an error naming the field."""
+    """``kind(value)``; a value it cannot convert is an error naming the field.
+
+    An integer is a whole number and not a boolean: ``1.0`` is 1, and ``1.5``
+    and ``true`` are errors, never truncated.
+    """
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or kind is int and (isinstance(value, (bool, np.bool_)) or number != value):
         _fail(path, f"expected {'an integer' if kind is int else 'a number'}, got {value!r}")
+    return number
 
 
 def _as_floats(path: str, value) -> list:
@@ -256,28 +263,22 @@ def _load_factory(spec: str):
 def build_scenario(norm: dict) -> Scenario:
     """Construct the in-memory scenario from a normalized dict.
 
-    The game constants, the equilibrium, ``gamma2`` and the internal-model
-    bank are computed here, once, and carried on the scenario.
+    The scenario is synthesized here (`Scenario.synthesized`: the game
+    constants, the equilibrium, ``gamma2`` and the internal-model bank), once,
+    and carries the synthesis.
     """
     game_cfg = norm["game"]
-    if game_cfg["kind"] == "quadratic_aggregative":
-        game = QuadraticAggregativeGame(h1=np.array(game_cfg["h1"]),
-                                        h2=np.array(game_cfg["h2"]),
-                                        h3=np.array(game_cfg["h3"]))
-    else:
-        factory = _load_factory(game_cfg["factory"])
-        try:
-            game = factory(**game_cfg["args"])
-        except ValueError as exc:
-            raise ConfigError(f"game: {exc}") from exc
-        if not isinstance(game, CustomGame):
-            raise ConfigError("game.factory must return a CustomGame")
-    n = game.n
-
+    custom = game_cfg["kind"] == "custom"
     try:
-        constants = estimate_constants(game)
-    except NesimError as exc:
+        game = (_load_factory(game_cfg["factory"])(**game_cfg["args"]) if custom else
+                QuadraticAggregativeGame(h1=np.array(game_cfg["h1"]),
+                                         h2=np.array(game_cfg["h2"]),
+                                         h3=np.array(game_cfg["h3"])))
+    except ValueError as exc:
         raise ConfigError(f"game: {exc}") from exc
+    if custom and not isinstance(game, CustomGame):
+        raise ConfigError("game.factory must return a CustomGame")
+    n = game.n
 
     graph_cfg = norm["graph"]
     if graph_cfg["n"] != n:
@@ -342,11 +343,7 @@ def build_scenario(norm: dict) -> Scenario:
 
     gains_cfg = norm["gains"]
     auto2 = gains_cfg["gamma2"] == "auto"
-    p0 = None
-    if "p0" in gains_cfg:
-        p0 = np.array(gains_cfg["p0"], dtype=float)
-        if p0.shape != (n, n):
-            raise ConfigError(f"gains.p0: expected shape ({n}, {n})")
+    p0 = np.array(gains_cfg["p0"], dtype=float) if "p0" in gains_cfg else None
 
     ctrl, sim = norm["controller"], norm["sim"]
     try:  # the classes check their values and name them as in the scenario file
@@ -361,7 +358,7 @@ def build_scenario(norm: dict) -> Scenario:
             t_final=sim["t_final"], dt=sim["dt"], seed=sim["seed"],
             R=sim["R"], decimate=sim["decimate"], p0=p0,
         )
-        scenario.synthesized(constants)
+        scenario.synthesized()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return scenario

@@ -16,15 +16,17 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
 from .errors import Disconnected, require
-from .game import (GameSpec, GradientConstants, QuadraticAggregativeGame, estimate_constants,
-                   extended_pseudo_gradient, solve_ne)
+from .game import GameSpec, GradientConstants, QuadraticAggregativeGame, extended_pseudo_gradient
 from .graph import CONNECTIVITY_EPS, CommGraph, lambda2, laplacian
 from .numerics import LiftedOdeSystem, integrate, rk4_lifted_step, rk4_lifted_steps
+
+if TYPE_CHECKING:
+    from .simulation import Scenario
 
 
 @dataclass(frozen=True)
@@ -126,28 +128,20 @@ class GeneratorTrajectory:
         return float(np.polyfit(self.t[mask], vals, 1)[0])
 
 
-def run_generator(game: GameSpec, g: CommGraph, gains: GeneratorGains,
-                  init: np.ndarray, t_final: float, h: float) -> GeneratorTrajectory:
-    """Integrate the generator alone and record the distance to equilibrium every 10th step.
+def run_generator(scenario: Scenario) -> GeneratorTrajectory:
+    """Integrate the scenario's generator alone and record its distance to equilibrium.
 
-    ``init`` is the ``(N, N)`` matrix of initial estimates, row i agent i's
-    copy of the profile. The generator steps as a `LiftedOdeSystem` over
-    `generator_rows`, by `numerics.rk4_lifted_step` in a workspace built
-    here at ``h``. The equilibrium used for reporting comes from the
-    centralized oracle `solve_ne`; the dynamics themselves never see it. A
-    consensus gain below `min_gamma2` only triggers a warning, since the
-    bound is sufficient, not necessary.
-
-    Raises
-    ------
-    ValueError
-        If ``init`` is not ``(N, N)``, or ``h`` is not finite and > 0.
+    The game, graph, ``gains.gamma1``, start ``p0`` (zeros if None), horizon,
+    step and decimation (the distance is kept every ``decimate``-th step) are
+    the scenario's; ``gamma2``, the equilibrium and the constants come from
+    `Scenario.synthesized`, and the dynamics never see the equilibrium. The
+    rows of `generator_rows` step by `numerics.rk4_lifted_step` in a workspace
+    built here. A consensus gain below `min_gamma2` only triggers a warning,
+    since the bound is sufficient, not necessary.
     """
-    n = game.n
-    P0 = np.array(init, dtype=float)
-    if P0.shape != (n, n):
-        raise ValueError(f"initial estimates must be ({n}, {n}), got shape {P0.shape}")
-    rows = generator_rows(game, g, gains.gamma1, gains.gamma2)
+    game, n, h, dec = scenario.game, scenario.n, scenario.dt, scenario.decimate
+    synthesis = scenario.synthesized()
+    rows = generator_rows(game, scenario.graph, scenario.gains.gamma1, synthesis.gamma2)
 
     def bind(lifted: np.ndarray) -> Optional[Callable[[], None]]:
         return partials_bind(game, lifted[:n * n], lifted[n * n + 1:])
@@ -155,20 +149,20 @@ def run_generator(game: GameSpec, g: CommGraph, gains: GeneratorGains,
     sys = LiftedOdeSystem(dimension=n * n, rhs=None, bind=bind,
                           steps=rk4_lifted_steps(rows[None], h, bind))
 
-    constants = estimate_constants(game)
-    bound = min_gamma2(constants, g)
-    if gains.gamma2 < bound:
-        warnings.warn(f"gamma2 = {gains.gamma2:.4g} is below the guarantee bound {bound:.4g}; "
-                      "convergence is not certified", stacklevel=2)
-    p_star = solve_ne(game, constants=constants)
-    target = np.tile(p_star, n)
+    bound = min_gamma2(synthesis.constants, scenario.graph)
+    if synthesis.gamma2 < bound:
+        warnings.warn(f"gamma2 = {synthesis.gamma2:.4g} is below the guarantee bound "
+                      f"{bound:.4g}; convergence is not certified", stacklevel=2)
+    target = np.tile(synthesis.p_star, n)
     ts, dists = [], []
 
     def observer(step, t, x):
-        if step % 10 == 0:
+        if step % dec == 0:
             ts.append(t)
             dists.append(float(np.linalg.norm(x[:, 0] - target)))
 
-    final = integrate(sys, P0.reshape(n * n, 1), 0.0, t_final, h, observer, step=rk4_lifted_step)
+    P0 = np.zeros((n, n)) if scenario.p0 is None else scenario.p0
+    final = integrate(sys, P0.reshape(n * n, 1), 0.0, scenario.t_final, h, observer,
+                      step=rk4_lifted_step)
     return GeneratorTrajectory(t=np.array(ts), dist=np.array(dists),
-                               final_estimates=final.reshape(n, n), p_star=p_star)
+                               final_estimates=final.reshape(n, n), p_star=synthesis.p_star)

@@ -203,10 +203,13 @@ class LiftedSteps:
     whose constant rows are set once: ``state`` is the state rows of ``L1``,
     ``stages`` the zero-argument calls that fill the rest in order (the lift
     of ``L1``, then each stage's GEMV and lift), ``last(out)`` the GEMV by
-    ``W`` into ``out``, and ``size`` the scratch for ``|x+|``.
+    ``W`` into ``out``, and ``size`` the scratch for ``|x+|``. ``maps`` and
+    ``buffer`` hold the maps and the buffer, each column's map 64-byte aligned.
     """
 
     h: float
+    maps: tuple
+    buffer: np.ndarray
     state: np.ndarray
     stages: tuple
     last: Callable
@@ -274,9 +277,9 @@ def rk4_lifted_steps(A: np.ndarray, h: float, bind: Callable,
         If ``h`` is not finite and > 0.
     """
     _check_step(h)
-    S1, S2, S3, W = rk4_lifted_matrices(A, h)
+    S1, S2, S3, W = maps = tuple(_aligned(M) for M in rk4_lifted_matrices(A, h))
     B, dim, width = S1.shape
-    buf = np.empty((4 * width, B))
+    buf = _aligned(np.empty((1, 4 * width, B)))[0]
     buf[dim::width] = 1.0  # the constant entry of each lift; no stage writes it
     L2, L1, L3, L4 = (buf[j * width:(j + 1) * width] for j in range(4))
     stages = (bind(L1),
@@ -284,8 +287,23 @@ def rk4_lifted_steps(A: np.ndarray, h: float, bind: Callable,
               column_gemv(S2, buf[:2 * width], L3[:dim]), bind(L3),
               column_gemv(S3, buf[width:3 * width], L4[:dim]), bind(L4))
     stages = tuple(stage for stage in stages if stage is not None)  # a lift with no features
-    return LiftedSteps(h, L1[:dim], stages, column_gemv(W, buf), np.empty((dim, B)),
+    return LiftedSteps(h, maps, buf, L1[:dim], stages, column_gemv(W, buf), np.empty((dim, B)),
                        StepMagnitude() if magnitude is None else magnitude)
+
+
+def _aligned(M: np.ndarray) -> np.ndarray:
+    """A copy of the stack ``M`` in which each C-contiguous ``M[b]`` starts on 64 bytes.
+
+    A GEMV's time depends on where its operands start modulo 64 bytes (its
+    bits do not), so the workspace fixes that start, not the heap's history.
+    """
+    size = M[0].size
+    per = -(-size // 8) * 8  # floats from one M[b] to the next: a whole number of 64 bytes
+    raw = np.empty(len(M) * per + 8)
+    start = -raw.ctypes.data % 64 // 8
+    out = raw[start:start + len(M) * per].reshape(len(M), per)[:, :size].reshape(M.shape)
+    out[...] = M
+    return out
 
 
 def column_gemv(M: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> Callable:

@@ -96,10 +96,10 @@ class Scenario:
 
     ``synthesis`` keeps the seed-independent results (`synthesized`);
     `dataclasses.replace` carries it unless it replaces a field it depends on.
-    The run settings ``t_final``, ``dt``, ``seed``, ``R`` and ``decimate`` and
-    the gains ``controller_k`` are checked here, and only here, named as in the
-    scenario file (``sim.dt``): a shorter or finer run is a `replace`, and so
-    is an escalation round (`escalated`).
+    The run settings ``t_final``, ``dt``, ``seed``, ``R`` and ``decimate``, the
+    gains ``controller_k`` and the generator start ``p0`` are checked here, and
+    only here, named as in the scenario file (``sim.dt``): a shorter or finer
+    run is a `replace`, and so is an escalation round (`escalated`).
     """
 
     game: GameSpec
@@ -118,7 +118,7 @@ class Scenario:
     seed: int = 0
     R: float = 1.0
     decimate: int = 10
-    p0: Optional[np.ndarray] = None  # generator initial estimates, zeros if None
+    p0: Optional[np.ndarray] = None  # (N, N) generator initial estimates, zeros if None
     synthesis: Optional[ScenarioSynthesis] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -139,6 +139,11 @@ class Scenario:
             shape = (self.n, self.plant.r)
             require("controller.k", k.shape, k.shape == shape, f"of shape {shape}")
             object.__setattr__(self, "controller_k", k)
+        if self.p0 is not None:
+            p0, shape = np.array(self.p0, dtype=float), (self.n, self.n)
+            require("gains.p0", p0.shape, p0.shape == shape, f"of shape {shape}")
+            p0.setflags(write=False)
+            object.__setattr__(self, "p0", p0)
         kept = self.synthesis
         if kept is not None:
             *fields, gamma2 = self._synthesis_source()
@@ -175,14 +180,13 @@ class Scenario:
         return (self.game, self.graph, self.plant, self.exo, self.gamma2_auto, self.im_preset,
                 self.im_stabilizers, None if self.gamma2_auto else self.gains.gamma2)
 
-    def synthesized(self, constants: GradientConstants | None = None) -> ScenarioSynthesis:
+    def synthesized(self) -> ScenarioSynthesis:
         """Game constants, equilibrium, ``gamma2`` and bank, computed on first use.
 
-        Pass ``constants`` when already known. Failures name the failing component.
+        The one place they are derived. Failures name the failing component.
         """
         if self.synthesis is None:
-            if constants is None:
-                constants = _stage("game constants", estimate_constants, self.game)
+            constants = _stage("game constants", estimate_constants, self.game)
             p_star = _stage("equilibrium oracle", solve_ne, self.game, constants=constants)
             p_star.setflags(write=False)
             gamma2 = (AUTO_GAMMA2_MARGIN * _stage("consensus gain bound", min_gamma2,
@@ -522,7 +526,7 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
     n, lay, B = scenario.n, scenario.layout(), len(seeds)
     box = scenario.exo.v0_box
     state = np.empty((lay.dim, B))
-    state[lay.P] = 0.0 if scenario.p0 is None else np.ravel(scenario.p0)[:, None]
+    state[lay.P] = 0.0 if scenario.p0 is None else scenario.p0.reshape(n * n, 1)
     draws = np.empty((B, len(scenario.w_box)))
     for b, seed_b in enumerate(seeds):
         # each seed's stream: uncertainty, disturbance start, then the initial box

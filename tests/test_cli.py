@@ -238,12 +238,23 @@ def test_bad_run_settings_are_config_errors(patch, argv, fast_cfg, tmp_path, cap
     # 1e300 s keeps more states than an array can hold; more steps than a float is not finite
     ({}, ["--t-final", "1e300"], "sim.t_final"),
     ({}, ["--t-final", "1e300", "--dt", "1e-10"], "sim.t_final"),
+    ({"game.h1": [1.0], "game.h2": [1.0], "game.h3": [1.0], "graph.n": 1, "graph.edges": []},
+     [], "game"),
+    # an integer setting is a whole number, never truncated, and not a boolean
+    ({"sim.seed": 1.5}, [], "sim.seed"),
+    ({"sim.seed": True}, [], "sim.seed"),
+    ({"sim.decimate": 2.7}, [], "sim.decimate"),
+    ({"graph.n": 4.9}, [], "graph.n"),
+    ({"controller.escalation.max_rounds": 3.5}, [], "controller.escalation.max_rounds"),
+    ({"graph.edges": [[0.5, 1], [1, 2], [2, 3]]}, [], "graph.edges[0]"),
 ], ids=["gamma1_zero", "gamma2_negative", "k_zero", "k_shape", "factor_one", "max_rounds_zero",
         "R_negative", "R_inf", "seed_negative", "seed_flag_negative", "dt_flag_nan",
         "t_final_flag_nan", "t_final_flag_inf", "dt_string", "seed_nan", "decimate_null",
         "gamma1_string", "k_string", "graph_n_string", "edges_string", "edge_weight_string",
         "p0_string", "S_string", "g_string", "w_box_nan", "v0_box_string", "h1_scalar",
-        "h2_scalar", "h3_scalar", "im_polys_scalar", "t_final_huge", "step_count_overflow"])
+        "h2_scalar", "h3_scalar", "im_polys_scalar", "t_final_huge", "step_count_overflow",
+        "one_player", "seed_fraction", "seed_bool", "decimate_fraction", "graph_n_fraction",
+        "max_rounds_fraction", "edge_end_fraction"])
 def test_malformed_values_are_config_errors(patch, argv, field, fast_cfg, tmp_path, capsys):
     out_csv = tmp_path / "bad.csv"
     code = main(["simulate", "--config", str(fast_cfg(**patch)), "--out", str(out_csv), *argv])
@@ -252,6 +263,16 @@ def test_malformed_values_are_config_errors(patch, argv, field, fast_cfg, tmp_pa
     assert f"config error: {field}: " in captured.err
     assert "Traceback" not in captured.err
     assert not out_csv.exists()
+
+
+def test_whole_number_floats_are_integers(fast_cfg):
+    cfg = fast_cfg(**{"sim.seed": 3.0, "sim.decimate": 5.0, "graph.n": 4.0,
+                      "controller.escalation.max_rounds": 2.0,
+                      "graph.edges": [[0.0, 1.0], [1, 2], [2, 3]]})
+    scenario, norm = load_scenario(cfg)
+    assert (scenario.seed, scenario.decimate, scenario.escalation.max_rounds) == (3, 5, 2)
+    assert [type(norm["sim"]["seed"]), type(norm["graph"]["n"])] == [int, int]
+    assert norm["graph"]["edges"][0][:2] == [0, 1]
 
 
 def test_missing_config_exit_code(capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -103,49 +105,54 @@ class TestGeneratorRhs:
 
 
 @pytest.fixture(scope="module")
-def setup():
+def ring(sec5):
+    """A quadratic game on a ring, gamma2 at 1.25 times its bound, from zero over 6 s."""
     game = quad([2, 4, 3, 5], [2, 2, 2, 2], [1, 1, 1, 1])
-    g = CommGraph.ring(4)
-    gamma2 = 1.25 * min_gamma2(estimate_constants(game), g)
-    return game, g, GeneratorGains(1.0, gamma2)
+    return dataclasses.replace(sec5, game=game, graph=CommGraph.ring(4),
+                               gains=GeneratorGains(1.0, 1.0), gamma2_auto=True, p0=None,
+                               t_final=6.0, dt=1e-3, decimate=10)
 
 
 class TestRunGenerator:
-    def test_stays_at_equilibrium(self, setup):
-        game, g, gains = setup
-        p_star = solve_ne(game)
-        traj = run_generator(game, g, gains, np.tile(p_star, (4, 1)), t_final=1.0, h=1e-3)
+    def test_reads_gamma2_and_the_equilibrium_from_the_synthesis(self, ring):
+        constants = estimate_constants(ring.game)
+        assert ring.synthesized().gamma2 == 1.25 * min_gamma2(constants, ring.graph)
+        traj = run_generator(dataclasses.replace(ring, t_final=0.05))
+        assert np.array_equal(traj.p_star, solve_ne(ring.game, constants=constants))
+
+    def test_stays_at_equilibrium(self, ring):
+        p_star = solve_ne(ring.game)
+        traj = run_generator(dataclasses.replace(ring, p0=np.tile(p_star, (4, 1)), t_final=1.0))
         assert traj.dist.max() <= 1e-9
 
-    def test_log_distance_decreases(self, setup):
-        game, g, gains = setup
-        traj = run_generator(game, g, gains, np.zeros((4, 4)), t_final=6.0, h=1e-3)
+    def test_log_distance_decreases(self, ring):
+        traj = run_generator(ring)
         mask = (traj.t > 0.1) & (traj.dist > 1e-13)
         logs = np.log(traj.dist[mask])
         assert np.all(np.diff(logs) < 0)
 
-    def test_decay_slope_negative(self, setup):
-        game, g, gains = setup
-        traj = run_generator(game, g, gains, np.zeros((4, 4)), t_final=6.0, h=1e-3)
+    def test_decay_slope_negative(self, ring):
+        traj = run_generator(ring)
         assert traj.log_dist_slope(0.5, 6.0) <= -0.05
 
-    def test_warns_below_guarantee_bound(self, setup):
-        game, g, _ = setup
+    def test_keeps_every_decimate_th_step(self, ring):
+        every = run_generator(dataclasses.replace(ring, t_final=0.5, decimate=1))
+        fifth = run_generator(dataclasses.replace(ring, t_final=0.5, decimate=5))
+        assert len(every.t) == 501 and len(fifth.t) == 101
+        assert np.array_equal(fifth.t, every.t[::5])
+        assert np.array_equal(fifth.dist, every.dist[::5])
+
+    def test_warns_below_guarantee_bound(self, ring):
+        low = dataclasses.replace(ring, gains=GeneratorGains(1.0, 0.01), gamma2_auto=False,
+                                  t_final=0.05)
         with pytest.warns(UserWarning, match="below the guarantee bound"):
-            run_generator(game, g, GeneratorGains(1.0, 0.01), np.zeros((4, 4)),
-                          t_final=0.05, h=1e-3)
+            run_generator(low)
 
     @pytest.mark.parametrize("shape", [(4, 3), (3, 3), (16,), (4, 4, 1)])
-    def test_rejects_initial_estimates_of_another_shape(self, shape, setup):
-        game, g, gains = setup
-        with pytest.raises(ValueError, match=r"initial estimates must be \(4, 4\)"):
-            run_generator(game, g, gains, np.zeros(shape), t_final=0.05, h=1e-3)
-
-    @pytest.mark.parametrize("h", [0.0, -1e-3, np.nan, np.inf])
-    def test_rejects_a_bad_step(self, h, setup):
-        game, g, gains = setup
-        with pytest.raises(ValueError, match="step size must be finite and > 0"):
-            run_generator(game, g, gains, np.zeros((4, 4)), t_final=0.05, h=h)
+    def test_rejects_initial_estimates_of_another_shape(self, shape, ring):
+        # the start is the scenario's p0, checked where it is set
+        with pytest.raises(ValueError, match=r"gains\.p0: must be of shape \(4, 4\), got "):
+            run_generator(dataclasses.replace(ring, p0=np.zeros(shape)))
 
 
 @pytest.mark.parametrize("t", [[], [0.0], [0.0, 0.5]], ids=["none", "one", "one_of_two"])
@@ -163,10 +170,9 @@ def stacked_system(game, g, gains):
 
 def test_run_matches_the_stacked_form_over_criterion_2(sec5):
     # criterion 2's run; the lifted step and the per-stage step round differently
-    gains = GeneratorGains(sec5.gains.gamma1,
-                           1.25 * min_gamma2(estimate_constants(sec5.game), sec5.graph))
+    gains = GeneratorGains(sec5.gains.gamma1, sec5.synthesized().gamma2)
     t_final, n = 20.0 / gains.gamma1, sec5.n
-    traj = run_generator(sec5.game, sec5.graph, gains, np.zeros((n, n)), t_final, sec5.dt)
+    traj = run_generator(dataclasses.replace(sec5, t_final=t_final))
     oracle = integrate(stacked_system(sec5.game, sec5.graph, gains), np.zeros(n * n), 0.0,
                        t_final, sec5.dt).reshape(n, n)
     assert np.abs(traj.final_estimates - oracle).max() <= 1e-12 * (1.0 + np.abs(oracle).max())
@@ -181,10 +187,10 @@ def test_custom_game_steps_match_the_stacked_form(custom_scenario, count_calls):
     # difference step, so, as for the closed loop, each lifted step from a state of the
     # oracle is held to twice the move of one oracle step from that state's next float up
     game, g, h, steps = custom_scenario.game, custom_scenario.graph, 1e-3, 300
-    gains = GeneratorGains(1.0, custom_scenario.synthesized().gamma2)
+    gains = GeneratorGains(custom_scenario.gains.gamma1, custom_scenario.synthesized().gamma2)
     P0 = np.random.default_rng(14).uniform(-2.0, 2.0, size=(game.n, game.n))
     calls = count_calls(integrate)
-    run_generator(game, g, gains, P0, steps * h, h)
+    run_generator(dataclasses.replace(custom_scenario, p0=P0, t_final=steps * h, dt=h))
     lifted = calls[0][0][0]  # the lifted system `run_generator` stepped
     oracle_sys, states = stacked_system(game, g, gains), []
     integrate(oracle_sys, P0.ravel(), 0.0, steps * h, h, lambda k, t, x: states.append(x))
@@ -193,3 +199,11 @@ def test_custom_game_steps_match_the_stacked_form(custom_scenario, count_calls):
     nudged = np.array([rk4_step(oracle_sys, 0.0, np.nextafter(x, np.inf), h)
                        for x in oracle[:-1]])
     assert relative_gap(local, oracle[1:]) <= max(1e-12, 2.0 * relative_gap(nudged, oracle[1:]))
+
+
+def test_run_derives_nothing_the_synthesis_holds(custom_scenario, count_calls):
+    # the finite-difference constants and equilibrium were paid once, by the fixture
+    calls = [count_calls(fn) for fn in (estimate_constants, solve_ne)]
+    traj = run_generator(dataclasses.replace(custom_scenario, t_final=0.01))
+    assert calls == [[], []]
+    assert traj.p_star is custom_scenario.synthesized().p_star

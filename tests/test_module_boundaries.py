@@ -6,6 +6,10 @@ should get a public entry point instead.
 
 Only `numerics` calls an RK4 stepper: `integrate` is the one stepping loop
 for nonlinear systems, and every other module hands it a ``step``.
+
+Only `simulation` and `game` call `estimate_constants` or `solve_ne`: a
+scenario's game constants and equilibrium are derived once, by
+`Scenario.synthesized`, and every other module reads them from there.
 """
 
 from __future__ import annotations
@@ -47,16 +51,21 @@ def test_no_module_imports_a_private_name():
 STEPPERS = ("rk4_step", "rk4_lifted_step")
 
 
-def stepper_calls(source: str, filename: str = "<source>") -> list[str]:
-    """``file:line: name`` of each call of an RK4 stepper, by its name or as an attribute."""
+def calls_of(names: tuple, source: str, filename: str = "<source>") -> list[str]:
+    """``file:line: name`` of each call of one of ``names``, by its name or as an attribute."""
     found = []
     for node in ast.walk(ast.parse(source, filename=filename)):
         if not isinstance(node, ast.Call):
             continue
         name = getattr(node.func, "id", getattr(node.func, "attr", None))
-        if name in STEPPERS:
+        if name in names:
             found.append(f"{filename}:{node.lineno}: {name}")
     return found
+
+
+def stepper_calls(source: str, filename: str = "<source>") -> list[str]:
+    """``file:line: name`` of each call of an RK4 stepper, by its name or as an attribute."""
+    return calls_of(STEPPERS, source, filename)
 
 
 def test_stepper_detector_sees_calls_not_references():
@@ -71,3 +80,22 @@ def test_only_numerics_calls_a_stepper():
     paths = [path for path in sorted(SRC.glob("*.py")) if path.name != "numerics.py"]
     assert paths
     assert [hit for path in paths for hit in stepper_calls(path.read_text(), path.name)] == []
+
+
+SYNTHESIS = ("estimate_constants", "solve_ne")
+
+
+def test_synthesis_detector_sees_calls_not_references():
+    source = ("c = estimate_constants(game)\n"
+              "def f():\n    return game.solve_ne(g, constants=c)\n"
+              "_stage('x', estimate_constants, game)\n"
+              "from .game import solve_ne\n")
+    assert [hit.split(": ")[1] for hit in calls_of(SYNTHESIS, source)] == list(SYNTHESIS)
+
+
+def test_only_the_synthesis_derives_the_constants_and_the_equilibrium():
+    paths = [path for path in sorted(SRC.glob("*.py"))
+             if path.name not in ("simulation.py", "game.py")]
+    assert paths
+    assert [hit for path in paths
+            for hit in calls_of(SYNTHESIS, path.read_text(), path.name)] == []

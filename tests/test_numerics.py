@@ -277,6 +277,22 @@ class TestRk4LiftedStep:
             assert np.allclose(W[b], np.hstack([h / 3 * a, E + h / 6 * a, h / 3 * a, h / 6 * a]),
                                rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("batch", [1, 2, 3])
+    def test_workspace_maps_and_buffer_start_64_byte_aligned(self, batch):
+        # 2 x 3 maps of 8-byte floats: unpadded, every other column would start off the boundary
+        rng = np.random.default_rng(35)
+        A, h = rng.normal(size=(batch, 2, 3)), 0.1
+        held = []  # allocations of odd sizes between builds, so each build meets another heap
+        for _ in range(5):
+            steps = rk4_lifted_steps(A, h, lambda L: None)
+            for have, want in zip(steps.maps, rk4_lifted_matrices(A, h)):
+                assert have.tobytes() == want.tobytes()
+                assert all(have[b].ctypes.data % 64 == 0 and have[b].flags.c_contiguous
+                           for b in range(batch))
+            assert steps.buffer.shape == (4 * 3, batch) and steps.buffer.flags.c_contiguous
+            assert steps.buffer.ctypes.data % 64 == 0
+            held.append(np.empty(int(rng.integers(1, 9))))
+
     def test_columns_are_bit_identical_to_one_column_steps(self):
         rng = np.random.default_rng(32)
         sys = Cubic.drawn(rng, 3, 0.05)

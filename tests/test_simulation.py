@@ -10,7 +10,7 @@ import pytest
 from nesim.config import load_scenario
 from nesim.errors import ConfigError
 from nesim.game import QuadraticAggregativeGame, estimate_constants, solve_ne
-from nesim.generator import GeneratorGains, min_gamma2
+from nesim.generator import GeneratorGains, min_gamma2, run_generator
 from nesim.graph import CommGraph
 from nesim.internal_model import synthesize_bank
 from nesim.numerics import rk4_lifted_step, rk4_step
@@ -158,6 +158,28 @@ def test_controller_k_is_checked_by_the_scenario(k, rule, sec5, count_calls):
     with pytest.raises(ValueError, match=r"controller\.k: must be " + rule):
         run(dataclasses.replace(sec5, controller_k=k, t_final=0.01))
     assert calls == []
+
+
+def test_p0_is_checked_by_the_scenario(sec5, count_calls):
+    # the generator start is (N, N) for every run; a library scenario rejects another
+    # shape where it is built, not in a broadcast inside `run`
+    calls = count_calls(assemble)
+    with pytest.raises(ValueError, match=r"gains\.p0: must be of shape \(4, 4\), got \(3, 3\)"):
+        run(dataclasses.replace(sec5, p0=np.zeros((3, 3)), t_final=0.01))
+    assert calls == []
+    ints = np.arange(16).reshape(4, 4)
+    p0 = dataclasses.replace(sec5, p0=ints).p0
+    assert p0.dtype == float and np.array_equal(p0, ints) and not p0.flags.writeable
+
+
+def test_closed_loop_generator_block_is_the_generator_alone(stable):
+    # the generator rows read no plant state, so each seed's estimates are the generator's
+    # run; the closed loop's larger GEMVs round differently
+    short = dataclasses.replace(stable, t_final=10.0)
+    alone = run_generator(short)
+    for traj in run(short, seed=[1, 2, 3]):
+        assert np.array_equal(traj.t, alone.t)
+        assert np.abs(traj.ne_dist - alone.dist).max() <= 1e-12 * (1.0 + alone.dist.max())
 
 
 def test_closed_loop_tracks_reference(stable):
