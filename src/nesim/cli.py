@@ -22,7 +22,6 @@ from . import config as cfg
 from .controller import escalate_gains
 from .errors import NesimError
 from .game import pseudo_gradient, partial_gradient
-from .generator import min_gamma2
 from .internal_model import sylvester_residual, verify_reproduction
 from .plant import check_steady_chain_consistency, check_steady_zero_pde, exo_trajectory
 from .simulation import assemble, format_summary, metrics, run, write_csv
@@ -138,12 +137,11 @@ def cmd_solve_ne(args) -> int:
     synthesis = scenario.synthesized()
     constants, p_star = synthesis.constants, synthesis.p_star
     resid = float(np.linalg.norm(pseudo_gradient(scenario.game, p_star)))
-    bound = min_gamma2(constants, scenario.graph)
     print(f"equilibrium = [{', '.join(format(x, '.12g') for x in p_star)}]")
     print(f"gradient residual = {resid:.3e}")
     print(f"strong monotonicity = {constants.strong_mono:.6g}")
     print(f"lipschitz = {constants.lipschitz:.6g}")
-    print(f"min_gamma2 = {bound:.6g}")
+    print(f"min_gamma2 = {synthesis.min_gamma2:.6g}")
     return EXIT_OK
 
 
@@ -229,11 +227,9 @@ def cmd_check(args) -> int:
 
     if scenario.gamma2_auto:
         print("note: gamma2 resolved automatically from the guarantee bound")
-    else:
-        bound = min_gamma2(constants, scenario.graph)
-        if scenario.gains.gamma2 < bound:
-            print(f"warning: gamma2 = {scenario.gains.gamma2:g} is below the "
-                  f"guarantee bound {bound:.4g} (sufficient, not necessary)")
+    elif scenario.gains.gamma2 < synthesis.min_gamma2:
+        print(f"warning: gamma2 = {scenario.gains.gamma2:g} is below the "
+              f"guarantee bound {synthesis.min_gamma2:.4g} (sufficient, not necessary)")
 
     width = max(len(name) for name, _, _ in results)
     all_pass = True

@@ -75,24 +75,37 @@ def _check_keys(path: str, section: dict, allowed: set):
 
 
 def _number(path: str, value, kind=float):
-    """``kind(value)``; a value it cannot convert is an error naming the field.
+    """``kind(value)`` of a number ``value``; anything else is an error naming the field.
 
-    An integer is a whole number and not a boolean: ``1.0`` is 1, and ``1.5``
-    and ``true`` are errors, never truncated.
+    Booleans and strings are not numbers, and an integer is a whole number:
+    ``1.0`` is 1, and ``1.5``, ``true`` and ``"4"`` are errors, never
+    converted or truncated.
     """
     try:
-        number = kind(value)
+        number = None if isinstance(value, (bool, np.bool_, str)) else kind(value)
     except (TypeError, ValueError, OverflowError):
         number = None
-    if number is None or kind is int and (isinstance(value, (bool, np.bool_)) or number != value):
+    if number is None or kind is int and number != value:
         _fail(path, f"expected {'an integer' if kind is int else 'a number'}, got {value!r}")
     return number
 
 
 def _as_floats(path: str, value) -> list:
+    """``value``, a number or nested lists of numbers, as floats of the same nesting.
+
+    Booleans and strings are errors, although NumPy would convert them.
+    """
+    def numeric(item) -> bool:
+        if isinstance(item, (list, tuple, np.ndarray)):
+            return all(numeric(entry) for entry in item)
+        return (isinstance(item, (int, float, np.integer, np.floating))
+                and not isinstance(item, bool))
+
     try:
-        arr = np.array(value, dtype=float)
+        arr = np.array(value, dtype=float) if numeric(value) else None
     except (TypeError, ValueError):
+        arr = None
+    if arr is None:
         _fail(path, "expected a numeric array")
     return arr.tolist()
 

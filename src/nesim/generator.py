@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from .errors import Disconnected, require
+from .errors import Disconnected, NonFiniteState, require
 from .game import GameSpec, GradientConstants, QuadraticAggregativeGame, extended_pseudo_gradient
 from .graph import CONNECTIVITY_EPS, CommGraph, lambda2, laplacian
 from .numerics import LiftedOdeSystem, integrate, rk4_lifted_step, rk4_lifted_steps
@@ -136,8 +136,13 @@ def run_generator(scenario: Scenario) -> GeneratorTrajectory:
     the scenario's; ``gamma2``, the equilibrium and the constants come from
     `Scenario.synthesized`, and the dynamics never see the equilibrium. The
     rows of `generator_rows` step by `numerics.rk4_lifted_step` in a workspace
-    built here. A consensus gain below `min_gamma2` only triggers a warning,
-    since the bound is sufficient, not necessary.
+    built here. A consensus gain below the synthesis's ``min_gamma2`` only
+    triggers a warning, since the bound is sufficient, not necessary.
+
+    Raises
+    ------
+    NonFiniteState
+        If the estimates become non-finite, naming the time they do.
     """
     game, n, h, dec = scenario.game, scenario.n, scenario.dt, scenario.decimate
     synthesis = scenario.synthesized()
@@ -149,20 +154,22 @@ def run_generator(scenario: Scenario) -> GeneratorTrajectory:
     sys = LiftedOdeSystem(dimension=n * n, rhs=None, bind=bind,
                           steps=rk4_lifted_steps(rows[None], h, bind))
 
-    bound = min_gamma2(synthesis.constants, scenario.graph)
-    if synthesis.gamma2 < bound:
+    if synthesis.gamma2 < synthesis.min_gamma2:
         warnings.warn(f"gamma2 = {synthesis.gamma2:.4g} is below the guarantee bound "
-                      f"{bound:.4g}; convergence is not certified", stacklevel=2)
+                      f"{synthesis.min_gamma2:.4g}; convergence is not certified", stacklevel=2)
     target = np.tile(synthesis.p_star, n)
     ts, dists = [], []
 
-    def observer(step, t, x):
+    def observer(step, t, x, diverged=None):
+        if diverged is not None:
+            raise NonFiniteState(f"non-finite generator state at t={t + h:.6g}")
         if step % dec == 0:
             ts.append(t)
             dists.append(float(np.linalg.norm(x[:, 0] - target)))
 
     P0 = np.zeros((n, n)) if scenario.p0 is None else scenario.p0
-    final = integrate(sys, P0.reshape(n * n, 1), 0.0, scenario.t_final, h, observer,
-                      step=rk4_lifted_step)
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is raised, not warned
+        final = integrate(sys, P0.reshape(n * n, 1), 0.0, scenario.t_final, h, observer,
+                          step=rk4_lifted_step)
     return GeneratorTrajectory(t=np.array(ts), dist=np.array(dists),
                                final_estimates=final.reshape(n, n), p_star=synthesis.p_star)

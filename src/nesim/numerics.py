@@ -138,18 +138,22 @@ def integrate(sys: OdeSystem, x0: np.ndarray, t0: float, t_final: float, h: floa
 
     The columns of a batched state ``(dim, B)`` are independent systems, and
     the observer may stop some of them: a boolean mask it returns stops the
-    masked columns, and the others go on as ``sys.select(~mask)``. A step on
-    a batched state that raises ``NonFiniteState`` stops the columns it marks
-    instead of raising: the observer is told by ``observer(step_index, t,
-    x, diverged=columns)``, with the state the failed step started from, and
-    the other columns are stepped again from that state. The returned state
-    then holds the columns still going at ``t_final``.
+    masked columns. A stopped column is parked: it is zero from then on and
+    still stepped, so the system, its workspace and ``B`` never change. A
+    step on a batched state that raises ``NonFiniteState`` stops the columns
+    it marks instead of raising: the observer is told by
+    ``observer(step_index, t, x, diverged=columns)``, with the state the
+    failed step started from, and the step is taken again with them parked.
+    The run ends at ``t_final`` or when every column has stopped.
 
     Raises
     ------
     ValueError
         Before the first step, if ``h`` is not finite and > 0, or if
         ``t_final`` lies before ``t0``.
+    NonFiniteState
+        From a flat state, with no observer, or when only parked columns are
+        non-finite (one step from the origin is finite if the operator is).
     """
     _check_step(h)
     n_steps = int(round((t_final - t0) / h))
@@ -157,21 +161,23 @@ def integrate(sys: OdeSystem, x0: np.ndarray, t0: float, t_final: float, h: floa
         raise ValueError(f"t_final = {t_final:g} lies before t0 = {t0:g}")
     step = rk4_step if step is None else step
     x = np.array(x0, dtype=float)
-    k, t = 0, t0
+    k, t, parked = 0, t0, None
     stop = None if observer is None else observer(k, t, x)
     while True:
         if stop is not None and stop.any():
-            if stop.all():
-                return x[:, :0]
-            x, sys = x[:, ~stop], sys.select(~stop)
-        if k == n_steps:
+            parked = stop if parked is None else parked | stop
+        if parked is not None:
+            x = np.where(parked, 0.0, x)  # a new array: the observer's view keeps its values
+        if k == n_steps or parked is not None and parked.all():
             return x
         try:
             x_next = step(sys, t, x, h)
         except NonFiniteState as exc:
             if observer is None or x.ndim == 1 or exc.columns is None:
                 raise
-            stop = exc.columns
+            stop = exc.columns if parked is None else exc.columns & ~parked
+            if not stop.any():
+                raise
             observer(k, t, x, diverged=stop)
             continue
         x, k = x_next, k + 1
@@ -180,21 +186,6 @@ def integrate(sys: OdeSystem, x0: np.ndarray, t0: float, t_final: float, h: floa
 
 
 @dataclass(eq=False)
-class StepMagnitude:
-    """What the latest lifted step saw of the state it made.
-
-    ``size`` is ``|x+|`` entrywise, ``(dim, B)``, in the stepping
-    workspace's scratch (valid until its next step), and ``top`` its largest
-    entry, NaN if any entry is NaN. A workspace and the ones narrowed from it
-    for fewer columns report here alike, so an observer of `integrate` reads
-    the step that made the state it is shown.
-    """
-
-    size: Optional[np.ndarray] = None
-    top: float = 0.0
-
-
-@dataclass(frozen=True, eq=False)
 class LiftedSteps:
     """A workspace for `rk4_lifted_step`: RK4's stage maps at step ``h``, bound once.
 
@@ -203,8 +194,10 @@ class LiftedSteps:
     whose constant rows are set once: ``state`` is the state rows of ``L1``,
     ``stages`` the zero-argument calls that fill the rest in order (the lift
     of ``L1``, then each stage's GEMV and lift), ``last(out)`` the GEMV by
-    ``W`` into ``out``, and ``size`` the scratch for ``|x+|``. ``maps`` and
-    ``buffer`` hold the maps and the buffer, each column's map 64-byte aligned.
+    ``W`` into ``out``. ``maps`` and ``buffer`` hold the maps and the buffer,
+    each column's map 64-byte aligned. Each step writes what it saw of the
+    state it made: ``size`` is ``|x+|`` entrywise, ``(dim, B)`` (valid until
+    the next step), and ``top`` its largest entry, NaN if any entry is NaN.
     """
 
     h: float
@@ -214,7 +207,7 @@ class LiftedSteps:
     stages: tuple
     last: Callable
     size: np.ndarray
-    magnitude: StepMagnitude
+    top: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -260,16 +253,14 @@ def rk4_lifted_matrices(A: np.ndarray, h: float) -> tuple:
             np.concatenate([third, E + sixth, third, sixth], axis=2))
 
 
-def rk4_lifted_steps(A: np.ndarray, h: float, bind: Callable,
-                     magnitude: StepMagnitude | None = None) -> LiftedSteps:
+def rk4_lifted_steps(A: np.ndarray, h: float, bind: Callable) -> LiftedSteps:
     """The workspace `rk4_lifted_step` steps ``xdot = A [x; 1; phi(x)]`` in, at step ``h``.
 
     ``A`` is ``(B, dim, width)`` and ``bind`` the system's
     (`LiftedOdeSystem`). The stage maps (`rk4_lifted_matrices`), the lift
     buffer, the four lifts and the GEMVs' source and destination views are
     made here, once, so a step slices and allocates nothing but its new
-    state. Steps report to ``magnitude`` (a new `StepMagnitude` by default):
-    a workspace narrowed to fewer columns passes on its parent's.
+    state.
 
     Raises
     ------
@@ -287,8 +278,7 @@ def rk4_lifted_steps(A: np.ndarray, h: float, bind: Callable,
               column_gemv(S2, buf[:2 * width], L3[:dim]), bind(L3),
               column_gemv(S3, buf[width:3 * width], L4[:dim]), bind(L4))
     stages = tuple(stage for stage in stages if stage is not None)  # a lift with no features
-    return LiftedSteps(h, maps, buf, L1[:dim], stages, column_gemv(W, buf), np.empty((dim, B)),
-                       StepMagnitude() if magnitude is None else magnitude)
+    return LiftedSteps(h, maps, buf, L1[:dim], stages, column_gemv(W, buf), np.empty((dim, B)))
 
 
 def _aligned(M: np.ndarray) -> np.ndarray:
@@ -332,7 +322,7 @@ def rk4_lifted_step(sys: LiftedOdeSystem, t: float, x: np.ndarray, h: float) -> 
     each stage state is one GEMV over the lifts so far, written straight
     into the buffer and lifted there, and the new state is one GEMV over the
     whole buffer into a fresh array. No stage derivative is formed. Its
-    ``|x+|`` and largest entry go to ``sys.steps.magnitude``; that one
+    ``|x+|`` and largest entry go to ``sys.steps.size`` and ``.top``; that one
     maximum is also the finiteness test. The system is autonomous: ``t`` is
     not read.
 
@@ -359,12 +349,11 @@ def rk4_lifted_step(sys: LiftedOdeSystem, t: float, x: np.ndarray, h: float) -> 
         stage()
     out = np.empty(state.shape)
     steps.last(out)
-    size, magnitude = steps.size, steps.magnitude
+    size = steps.size
     np.abs(out, out=size)
-    magnitude.size = size
     # the largest entry; argmax finds it faster than max on a state this small, and it
     # stops at the first NaN, so the maximum is NaN whenever an entry is
-    magnitude.top = top = size.item(size.argmax())
+    steps.top = top = size.item(size.argmax())
     if not top < np.inf:
         raise NonFiniteState(f"non-finite state at t={t + h:.6g}",
                              columns=~np.isfinite(out).all(axis=0))

@@ -81,10 +81,15 @@ def start_gains(r: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScenarioSynthesis:
-    """What every run of a scenario shares; ``source`` holds the fields it came from."""
+    """What every run of a scenario shares; ``source`` holds the fields it came from.
+
+    ``min_gamma2`` is the consensus-gain bound of the constants on the
+    scenario's graph (`generator.min_gamma2`).
+    """
 
     constants: GradientConstants
     p_star: np.ndarray
+    min_gamma2: float
     gamma2: float
     bank: InternalModelBank
     source: tuple = field(repr=False)
@@ -181,7 +186,7 @@ class Scenario:
                 self.im_stabilizers, None if self.gamma2_auto else self.gains.gamma2)
 
     def synthesized(self) -> ScenarioSynthesis:
-        """Game constants, equilibrium, ``gamma2`` and bank, computed on first use.
+        """Game constants, equilibrium, gain bound, ``gamma2`` and bank, computed on first use.
 
         The one place they are derived. Failures name the failing component.
         """
@@ -189,13 +194,13 @@ class Scenario:
             constants = _stage("game constants", estimate_constants, self.game)
             p_star = _stage("equilibrium oracle", solve_ne, self.game, constants=constants)
             p_star.setflags(write=False)
-            gamma2 = (AUTO_GAMMA2_MARGIN * _stage("consensus gain bound", min_gamma2,
-                                                  constants, self.graph)
-                      if self.gamma2_auto else self.gains.gamma2)
+            bound = _stage("consensus gain bound", min_gamma2, constants, self.graph)
+            gamma2 = AUTO_GAMMA2_MARGIN * bound if self.gamma2_auto else self.gains.gamma2
             bank = _stage("internal-model synthesis", synthesize_bank, self.plant.im_polys,
                           self.n, stabilizers=self.im_stabilizers, preset=self.im_preset)
             object.__setattr__(self, "synthesis", ScenarioSynthesis(
-                constants=constants, p_star=p_star, gamma2=float(gamma2), bank=bank,
+                constants=constants, p_star=p_star, min_gamma2=bound, gamma2=float(gamma2),
+                bank=bank,
                 source=self._synthesis_source()))
         return self.synthesis
 
@@ -272,21 +277,6 @@ class AssembledLoop(LiftedOdeSystem):
         """The steady-state chain of a one-column loop."""
         (w,) = self.draws
         return steady_state_chain(self.scenario.plant, self.p_star, self.scenario.exo, w)
-
-    def select(self, keep) -> "AssembledLoop":
-        """The loop restricted to the columns ``keep`` (a boolean mask), in order.
-
-        Its workspace, if this loop has one, is built anew for those columns
-        and reports to the same `StepMagnitude`.
-        """
-        idx = np.flatnonzero(keep)
-        draws, A3 = self.draws[idx], self.operator[idx]
-        _, features = drift_split(self.scenario.plant, draws)
-        bind = _closed_loop_bind(self.layout, features, self.scenario.game)
-        steps = (None if self.steps is None else
-                 rk4_lifted_steps(A3, self.steps.h, bind, self.steps.magnitude))
-        return replace(self, rhs=_closed_loop_rhs(A3, bind), bind=bind, steps=steps,
-                       draws=draws, operator=A3)
 
     def control(self, state: np.ndarray) -> np.ndarray:
         """Control input of every agent, ``U @ state``: `control_rows` placed on the state."""
@@ -513,7 +503,7 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
     manifold with the generator at equilibrium. Divergence
     does not raise: the trajectory up to the failure is returned with the
     flag set. A column that diverges or passes ``abort_norm`` stops there;
-    the others go on.
+    `numerics.integrate` parks it and the others go on.
     """
     batch = seed is not None and not isinstance(seed, (int, np.integer))
     seeds = [int(s) for s in seed] if batch else [scenario.seed if seed is None else int(seed)]
@@ -554,49 +544,46 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
     ks = np.zeros(len(X), dtype=np.int64)
     X[0] = state.T
     kept = 1
-    live = np.arange(B)      # index into `seeds` of each state column
-    rows = slice(None)       # the columns of X still recording: all, or `live`
     peak = np.zeros_like(state)  # largest |value| of each state entry after step 0
     samples = np.zeros(B, dtype=np.int64)
     max_norm = np.zeros(B)
+    done = np.zeros(B, dtype=bool)  # the columns that have stopped; `integrate` parks them
     diverged_t = [None] * B
     aborted = np.zeros(B, dtype=bool)
 
     def finish(stopped: np.ndarray) -> np.ndarray:
-        """Finish the masked state columns; `integrate` drops them."""
-        nonlocal live, rows, peak
-        samples[live[stopped]] = kept
-        max_norm[live[stopped]] = peak[:, stopped].max(axis=0)
-        live, peak = live[~stopped], peak[:, ~stopped]
-        rows = live
+        """Finish the masked columns: the samples and peak they have are their run."""
+        samples[stopped] = kept
+        max_norm[stopped] = peak[:, stopped].max(axis=0)
+        done[stopped] = True
         return stopped
 
     def observe(k: int, t: float, state: np.ndarray, diverged=None):
         """Keep step ``k``; the columns that stop: diverged, or past ``abort_norm``."""
         nonlocal kept
         if diverged is not None:
-            for col in live[diverged]:
+            for col in np.flatnonzero(diverged):
                 diverged_t[col] = t + h
             return finish(diverged)
         if k == 0:
             return None
-        size = magnitude.size  # |state|, from the step that made it
+        size = steps.size  # |state|, from the step that made it
         np.maximum(peak, size, out=peak)
         if k % dec == 0 or k == n_steps:
-            X[kept, rows], ks[kept] = state.T, k
+            X[kept], ks[kept] = state.T, k
             kept += 1
-        if abort_norm is not None and magnitude.top > abort_norm:
-            over = size.max(axis=0) > abort_norm
-            aborted[live[over]] = True
+        if abort_norm is not None and steps.top > abort_norm:
+            over = (size.max(axis=0) > abort_norm) & ~done
+            aborted[over] = True
             return finish(over)
         return None
 
     # overflow on a diverging trajectory is expected and detected explicitly
     with np.errstate(over="ignore", invalid="ignore"):
         loop = replace(loop, steps=rk4_lifted_steps(loop.operator, h, loop.bind))
-        magnitude = loop.steps.magnitude  # its narrowed workspaces report here too
+        steps = loop.steps
         integrate(loop, state, 0.0, scenario.t_final, h, observe, step=rk4_lifted_step)
-        finish(np.ones(live.size, dtype=bool))
+        finish(~done)
 
         # the signals of a diverged column may be as non-finite as its gains
         trajs = []

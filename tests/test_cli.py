@@ -247,6 +247,14 @@ def test_bad_run_settings_are_config_errors(patch, argv, fast_cfg, tmp_path, cap
     ({"graph.n": 4.9}, [], "graph.n"),
     ({"controller.escalation.max_rounds": 3.5}, [], "controller.escalation.max_rounds"),
     ({"graph.edges": [[0.5, 1], [1, 2], [2, 3]]}, [], "graph.edges[0]"),
+    # a number is not a boolean or a string, although Python and NumPy would convert them
+    ({"sim.dt": True}, [], "sim.dt"),
+    ({"gains.gamma1": "2.5"}, [], "gains.gamma1"),
+    ({"sim.t_final": "1e1"}, [], "sim.t_final"),
+    ({"sim.R": False}, [], "sim.R"),
+    ({"controller.k": [[True, 16.0]] + [[16.0, 16.0]] * 3}, [], "controller.k"),
+    ({"controller.k": [["4", 16.0]] + [[16.0, 16.0]] * 3}, [], "controller.k"),
+    ({"gains.p0": [[0.0, 0.0, 0.0, True]] + [[0.0] * 4] * 3}, [], "gains.p0"),
 ], ids=["gamma1_zero", "gamma2_negative", "k_zero", "k_shape", "factor_one", "max_rounds_zero",
         "R_negative", "R_inf", "seed_negative", "seed_flag_negative", "dt_flag_nan",
         "t_final_flag_nan", "t_final_flag_inf", "dt_string", "seed_nan", "decimate_null",
@@ -254,7 +262,8 @@ def test_bad_run_settings_are_config_errors(patch, argv, fast_cfg, tmp_path, cap
         "p0_string", "S_string", "g_string", "w_box_nan", "v0_box_string", "h1_scalar",
         "h2_scalar", "h3_scalar", "im_polys_scalar", "t_final_huge", "step_count_overflow",
         "one_player", "seed_fraction", "seed_bool", "decimate_fraction", "graph_n_fraction",
-        "max_rounds_fraction", "edge_end_fraction"])
+        "max_rounds_fraction", "edge_end_fraction", "dt_bool", "gamma1_numeric_string",
+        "t_final_numeric_string", "R_bool", "k_bool", "k_numeric_string", "p0_bool"])
 def test_malformed_values_are_config_errors(patch, argv, field, fast_cfg, tmp_path, capsys):
     out_csv = tmp_path / "bad.csv"
     code = main(["simulate", "--config", str(fast_cfg(**patch)), "--out", str(out_csv), *argv])

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 from factories import build_game
-from nesim.errors import Disconnected
+from nesim.errors import Disconnected, NonFiniteState
 from nesim.game import (GradientConstants, QuadraticAggregativeGame, estimate_constants,
                         extended_pseudo_gradient, solve_ne)
 from nesim.generator import (GeneratorGains, GeneratorTrajectory, generator_rows, min_gamma2,
@@ -116,9 +117,18 @@ def ring(sec5):
 class TestRunGenerator:
     def test_reads_gamma2_and_the_equilibrium_from_the_synthesis(self, ring):
         constants = estimate_constants(ring.game)
-        assert ring.synthesized().gamma2 == 1.25 * min_gamma2(constants, ring.graph)
+        bound = min_gamma2(constants, ring.graph)
+        assert ring.synthesized().min_gamma2 == bound
+        assert ring.synthesized().gamma2 == 1.25 * bound
         traj = run_generator(dataclasses.replace(ring, t_final=0.05))
         assert np.array_equal(traj.p_star, solve_ne(ring.game, constants=constants))
+
+    def test_the_synthesis_rejects_a_numerically_disconnected_graph(self, ring):
+        # connected edge by edge, but with no consensus gain bound: no run of it is certified
+        weak = dataclasses.replace(ring, graph=CommGraph(ring.graph.weights * 1e-10),
+                                   gains=GeneratorGains(1.0, 5.0), gamma2_auto=False)
+        with pytest.raises(Disconnected, match="consensus gain bound: lambda2"):
+            weak.synthesized()
 
     def test_stays_at_equilibrium(self, ring):
         p_star = solve_ne(ring.game)
@@ -147,6 +157,15 @@ class TestRunGenerator:
                                   t_final=0.05)
         with pytest.warns(UserWarning, match="below the guarantee bound"):
             run_generator(low)
+
+    def test_a_diverging_run_raises_non_finite_state(self, sec5):
+        # the one column of a diverging generator is not a batch to park: the run stops
+        diverging = dataclasses.replace(sec5, gains=GeneratorGains(1e5, sec5.gains.gamma2),
+                                        t_final=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # overflow is raised, not warned
+            with pytest.raises(NonFiniteState, match=r"non-finite generator state at t=0\.\d+"):
+                run_generator(diverging)
 
     @pytest.mark.parametrize("shape", [(4, 3), (3, 3), (16,), (4, 4, 1)])
     def test_rejects_initial_estimates_of_another_shape(self, shape, ring):

@@ -158,17 +158,18 @@ def test_a_non_finite_column_is_marked_and_the_others_step_as_alone(bad, sec5):
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteState) as exc:
         rk4_lifted_step(loop, 0.0, x, scenario.dt)
     assert exc.value.columns.tolist() == [False, True, False]
-    keep = ~exc.value.columns
-    survivors = rk4_lifted_step(loop.select(keep), 0.0, x[:, keep], scenario.dt)
-    for col, seed in zip(survivors.T, (1, 3)):
+    # the step again, in the same workspace, with the marked column parked at the origin
+    parked = rk4_lifted_step(loop, 0.0, np.where(exc.value.columns, 0.0, x), scenario.dt)
+    assert np.isfinite(parked[:, 1]).all()  # one step from the origin is finite
+    for seed in (1, 3):
         one = rk4_lifted_step(lifted_loop(scenario, (seed,)), 0.0, x[:, [seed - 1]], scenario.dt)
-        assert one.tobytes() == np.ascontiguousarray(col[:, None]).tobytes()
+        assert one.tobytes() == np.ascontiguousarray(parked[:, [seed - 1]]).tobytes()
 
 
 def test_columns_that_stop_mid_run_leave_the_others_as_run_alone(sec5):
     # at the start gains every sec5 seed blows up, each at its own time: seeds 1 and 4 overflow
     # (to NaN, with Inf beside it on seed 4) while below 1e150, and seeds 2 and 3 pass 1e150
-    # first, so the batch loses columns to both causes and is narrowed three times
+    # first, so the batch loses columns to both causes, parked three times
     scenario, seeds, limit = dataclasses.replace(sec5, t_final=3.0), [1, 2, 3, 4], 1e150
     batch = run(scenario, seed=seeds, abort_norm=limit)
     assert [(t.diverged, t.aborted_norm) for t in batch] == \

@@ -246,7 +246,8 @@ class Cubic(LiftedOdeSystem):
         steps = None if h is None else rk4_lifted_steps(A, h, bind)
         return cls(dimension=2, rhs=rhs, bind=bind, steps=steps, operator=A)
 
-    def select(self, keep) -> "Cubic":
+    def restricted(self, keep) -> "Cubic":
+        """The system of the columns ``keep`` alone, built anew: the oracle of a batch."""
         return Cubic.of(self.operator[np.flatnonzero(keep)], self.steps and self.steps.h)
 
 
@@ -300,7 +301,7 @@ class TestRk4LiftedStep:
         batch = rk4_lifted_step(sys, 0.0, x, 0.05)
         for b in range(3):
             keep = np.arange(3) == b
-            one = rk4_lifted_step(sys.select(keep), 0.0, x[:, keep], 0.05)
+            one = rk4_lifted_step(sys.restricted(keep), 0.0, x[:, keep], 0.05)
             assert one.tobytes() == batch[:, keep].tobytes()
 
     def test_non_finite_columns_are_marked(self):
@@ -322,12 +323,15 @@ class TestRk4LiftedStep:
 
 
 class TestIntegrateStopsColumns:
-    """`integrate` on a batched state: columns stop on their own, the others go on."""
+    """`integrate` on a batched state: columns stop on their own and are parked at zero.
+
+    The system and the width never change, and the other columns step as they do alone.
+    """
 
     @staticmethod
     def alone(sys, x0, b, t_final, h, step):
         keep = np.arange(x0.shape[1]) == b
-        return integrate(sys.select(keep), x0[:, keep], 0.0, t_final, h, step=step)
+        return integrate(sys.restricted(keep), x0[:, keep], 0.0, t_final, h, step=step)
 
     @pytest.mark.parametrize("step", [None, rk4_lifted_step], ids=["rk4_step", "lifted"])
     def test_diverging_column_stops_and_the_others_match_their_own_runs(self, step):
@@ -347,10 +351,12 @@ class TestIntegrateStopsColumns:
         (fail,) = [entry for entry in seen if entry[3] is not None]
         k, t, width, diverged = fail
         assert diverged == [False, True, False] and width == 3 and t == k * 0.01
-        assert seen[-1][:3] == (50, 0.5, 2)  # the step is taken again, with the others only
+        assert seen[-1][:3] == (50, 0.5, 3)  # the step is taken again, at the full width
+        assert {entry[2] for entry in seen} == {3}
         assert [entry[0] for entry in seen] == list(range(k + 1)) + list(range(k, 51))
-        for col, b in enumerate((0, 2)):
-            assert final[:, col].tobytes() == self.alone(sys, x0, b, 0.5, 0.01, step).tobytes()
+        assert final.shape == (2, 3) and not final[:, 1].any()
+        for b in (0, 2):
+            assert final[:, b].tobytes() == self.alone(sys, x0, b, 0.5, 0.01, step).tobytes()
 
     def test_observer_mask_stops_columns(self):
         rng = np.random.default_rng(36)
@@ -363,12 +369,58 @@ class TestIntegrateStopsColumns:
             return np.array([False, True, False]) if k == 5 else None
 
         final = integrate(sys, x0, 0.0, 0.2, 0.01, observer, step=rk4_lifted_step)
-        assert widths == [3] * 6 + [2] * 15
-        for col, b in enumerate((0, 2)):
-            assert final[:, col].tobytes() == self.alone(sys, x0, b, 0.2, 0.01,
-                                                         rk4_lifted_step).tobytes()
-        stop_all = integrate(sys, x0, 0.0, 0.2, 0.01, lambda k, t, x: np.ones(3, dtype=bool))
-        assert stop_all.shape == (2, 0)
+        assert widths == [3] * 21
+        assert not final[:, 1].any()
+        for b in (0, 2):
+            assert final[:, b].tobytes() == self.alone(sys, x0, b, 0.2, 0.01,
+                                                       rk4_lifted_step).tobytes()
+        calls = []
+        stop_all = integrate(sys, x0, 0.0, 0.2, 0.01,
+                             lambda k, t, x: calls.append(k) or np.ones(3, dtype=bool))
+        assert calls == [0] and stop_all.shape == (2, 3) and not stop_all.any()
+
+    def test_the_loop_ends_when_every_column_has_stopped(self):
+        rng = np.random.default_rng(39)
+        sys = Cubic.drawn(rng, 3, 0.01, scale=0.3)
+        x0 = rng.normal(scale=0.3, size=(2, 3))
+        stops = {5: [False, True, False], 8: [True, False, True]}
+        seen = []
+
+        def observer(k, t, x):
+            seen.append(k)
+            return np.array(stops[k]) if k in stops else None
+
+        final = integrate(sys, x0, 0.0, 0.2, 0.01, observer, step=rk4_lifted_step)
+        assert seen == list(range(9)) and final.shape == (2, 3) and not final.any()
+
+    def test_a_plain_system_without_select(self):
+        # an elementwise rhs: the columns never mix, and the system has no way to narrow
+        sys = OdeSystem(1, lambda t, x: x ** 3 - x)
+        assert not hasattr(sys, "select")
+        x0 = np.array([[0.5, 3.0, -0.2]])  # the middle column blows up in finite time
+        seen = []
+
+        def observer(k, t, x, diverged=None):
+            if diverged is not None:
+                seen.append(diverged.tolist())
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            final = integrate(sys, x0, 0.0, 1.0, 0.01, observer)
+        assert seen == [[False, True, False]]
+        assert final.shape == (1, 3) and final[0, 1] == 0.0
+        for b in (0, 2):
+            alone = integrate(sys, x0[:, [b]], 0.0, 1.0, 0.01)
+            assert final[:, b].tobytes() == alone[:, 0].tobytes()
+
+    def test_a_column_non_finite_only_when_parked_raises(self):
+        # 1/x is not finite at the origin: stepping the parked column again would loop forever
+        sys = OdeSystem(1, lambda t, x: 1.0 / x - x)
+
+        def observer(k, t, x):
+            return np.array([False, True]) if k == 2 else None
+
+        with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(NonFiniteState):
+            integrate(sys, np.array([[1.0, 2.0]]), 0.0, 1.0, 0.01, observer)
 
     def test_flat_state_still_raises(self):
         sys = OdeSystem(1, lambda t, x: x ** 3)
