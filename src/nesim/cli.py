@@ -85,7 +85,8 @@ def cmd_simulate(args) -> int:
     seeds = [scenario.seed]
     if args.sweep:
         key, _, count = args.sweep.partition("=")
-        if key != "seeds" or not count.isdigit() or int(count) < 1:
+        # ASCII digits only: str.isdigit also takes digits int() rejects, such as "²"
+        if key != "seeds" or not (count.isascii() and count.isdigit()) or int(count) < 1:
             raise cfg.ConfigError("--sweep expects seeds=K with K >= 1")
         seeds = [scenario.seed + k for k in range(int(count))]
     scenario, passing = _resolve_gains(scenario)

@@ -28,15 +28,7 @@ class NoConvergence(NesimError):
 
 
 class NonFiniteState(NesimError):
-    """An integration stage produced NaN or Inf (closed-loop divergence).
-
-    ``columns``, when known, is the boolean mask of the non-finite columns
-    of a ``(dim, B)`` state; a flat state counts as one column.
-    """
-
-    def __init__(self, message: str = "", columns=None):
-        super().__init__(message)
-        self.columns = columns
+    """An integration stage produced NaN or Inf (closed-loop divergence)."""
 
 
 class Disconnected(NesimError):

@@ -142,7 +142,8 @@ def run_generator(scenario: Scenario) -> GeneratorTrajectory:
     Raises
     ------
     NonFiniteState
-        If the estimates become non-finite, naming the time they do.
+        If the estimates become non-finite, naming the time they do: the
+        observer reads it off the magnitude each step leaves in the workspace.
     """
     game, n, h, dec = scenario.game, scenario.n, scenario.dt, scenario.decimate
     synthesis = scenario.synthesized()
@@ -160,9 +161,9 @@ def run_generator(scenario: Scenario) -> GeneratorTrajectory:
     target = np.tile(synthesis.p_star, n)
     ts, dists = [], []
 
-    def observer(step, t, x, diverged=None):
-        if diverged is not None:
-            raise NonFiniteState(f"non-finite generator state at t={t + h:.6g}")
+    def observer(step, t, x):
+        if not sys.steps.top < np.inf:
+            raise NonFiniteState(f"non-finite generator state at t={t:.6g}")
         if step % dec == 0:
             ts.append(t)
             dists.append(float(np.linalg.norm(x[:, 0] - target)))

@@ -12,6 +12,12 @@ hook picks how one RK4 step is made:
   it stays as the oracle the lifted step is tested against and as the
   per-step leaf that perfbench's tracer wraps.
 
+Divergence is read, not caught: `rk4_lifted_step` does not raise, it leaves
+the magnitude of the state it made in its workspace (``size`` and ``top``),
+and the observer `integrate` calls after each step reads it there
+(`simulation.run` stops a non-finite column, `generator.run_generator`
+raises `NonFiniteState`).
+
 A linear system ``xdot = A x`` steps through `rk4_linear`: there one RK4
 step is exactly ``x+ = R(hA) x``, with `rk4_matrix` giving RK4's step
 matrix ``R(hA)``.
@@ -27,6 +33,7 @@ rejects a step size that is not finite and > 0 (`ValueError`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
@@ -110,10 +117,9 @@ def rk4_step(sys: OdeSystem, t: float, x: np.ndarray, h: float) -> np.ndarray:
         If ``h`` is not finite and > 0.
     NonFiniteState
         If the weighted stage sum ``k1 + 2 k2 + 2 k3 + k4`` holds NaN or Inf,
-        which signals closed-loop divergence to the caller; its ``columns``
-        mark the non-finite columns. The weights are positive, so any
-        non-finite stage evaluation makes the sum non-finite; the sum can
-        also overflow to Inf from finite stages.
+        in any column. The weights are positive, so any non-finite stage
+        evaluation makes the sum non-finite; the sum can also overflow to Inf
+        from finite stages.
     """
     _check_step(h)
     k1 = sys.rhs(t, x)
@@ -122,8 +128,7 @@ def rk4_step(sys: OdeSystem, t: float, x: np.ndarray, h: float) -> np.ndarray:
     k4 = sys.rhs(t + h, x + h * k3)
     incr = k1 + 2.0 * k2 + 2.0 * k3 + k4
     if not np.isfinite(incr).all():
-        raise NonFiniteState(f"non-finite derivative at t={t:.6g}",
-                             columns=np.atleast_1d(~np.isfinite(incr).all(axis=0)))
+        raise NonFiniteState(f"non-finite derivative at t={t:.6g}")
     return x + (h / 6.0) * incr
 
 
@@ -134,26 +139,22 @@ def integrate(sys: OdeSystem, x0: np.ndarray, t0: float, t_final: float, h: floa
     ``step(sys, t, x, h)`` makes one step: `rk4_step` by default, or
     `rk4_lifted_step`. ``observer(step_index, t, x)`` is invoked at the
     initial state and after every step; it is the hook trajectory recorders
-    attach to. Divergence surfaces as ``NonFiniteState`` from the step.
+    attach to, and the one that reads divergence: `rk4_lifted_step` does not
+    raise, it leaves the new state's magnitude in ``sys.steps``. A step that
+    raises (`rk4_step` on a non-finite derivative) ends the integration.
 
     The columns of a batched state ``(dim, B)`` are independent systems, and
     the observer may stop some of them: a boolean mask it returns stops the
     masked columns. A stopped column is parked: it is zero from then on and
-    still stepped, so the system, its workspace and ``B`` never change. A
-    step on a batched state that raises ``NonFiniteState`` stops the columns
-    it marks instead of raising: the observer is told by
-    ``observer(step_index, t, x, diverged=columns)``, with the state the
-    failed step started from, and the step is taken again with them parked.
-    The run ends at ``t_final`` or when every column has stopped.
+    still stepped, whatever its steps hold, so the system, its workspace and
+    ``B`` never change. The run ends at ``t_final`` or when every column has
+    stopped.
 
     Raises
     ------
     ValueError
         Before the first step, if ``h`` is not finite and > 0, or if
         ``t_final`` lies before ``t0``.
-    NonFiniteState
-        From a flat state, with no observer, or when only parked columns are
-        non-finite (one step from the origin is finite if the operator is).
     """
     _check_step(h)
     n_steps = int(round((t_final - t0) / h))
@@ -170,17 +171,7 @@ def integrate(sys: OdeSystem, x0: np.ndarray, t0: float, t_final: float, h: floa
             x = np.where(parked, 0.0, x)  # a new array: the observer's view keeps its values
         if k == n_steps or parked is not None and parked.all():
             return x
-        try:
-            x_next = step(sys, t, x, h)
-        except NonFiniteState as exc:
-            if observer is None or x.ndim == 1 or exc.columns is None:
-                raise
-            stop = exc.columns if parked is None else exc.columns & ~parked
-            if not stop.any():
-                raise
-            observer(k, t, x, diverged=stop)
-            continue
-        x, k = x_next, k + 1
+        x, k = step(sys, t, x, h), k + 1
         t = t0 + k * h
         stop = None if observer is None else observer(k, t, x)
 
@@ -197,7 +188,8 @@ class LiftedSteps:
     ``W`` into ``out``. ``maps`` and ``buffer`` hold the maps and the buffer,
     each column's map 64-byte aligned. Each step writes what it saw of the
     state it made: ``size`` is ``|x+|`` entrywise, ``(dim, B)`` (valid until
-    the next step), and ``top`` its largest entry, NaN if any entry is NaN.
+    the next step), and ``top`` its largest entry, NaN if any entry is NaN,
+    so ``top < inf`` is the test that every entry is finite.
     """
 
     h: float
@@ -243,14 +235,20 @@ def rk4_lifted_matrices(A: np.ndarray, h: float) -> tuple:
                           W = [(h/3) A, E + (h/6) A, (h/3) A, (h/6) A]
 
     so each map reads one contiguous run of the stack and holds no zero
-    block. Each map is ``(B, dim, k * width)``; every entry is computed from
-    its own column's ``A_b`` alone.
+    block. Each map is ``(B, dim, k * width)``, its blocks written straight
+    into a stack whose ``[b]`` starts on 64 bytes (`_aligned`); every entry
+    is computed from its own column's ``A_b`` alone.
     """
     A = np.asarray(A, dtype=float)
-    E = np.broadcast_to(np.eye(*A.shape[1:]), A.shape)
+    B, dim, width = A.shape
+    E = np.eye(dim, width)
     half, third, sixth = (h / 2.0) * A, (h / 3.0) * A, (h / 6.0) * A
-    return (E + half, np.concatenate([half, E], axis=2), np.concatenate([E, h * A], axis=2),
-            np.concatenate([third, E + sixth, third, sixth], axis=2))
+    blocks = ((E + half,), (half, E), (E, h * A), (third, E + sixth, third, sixth))
+    maps = tuple(_aligned((B, dim, len(row) * width)) for row in blocks)
+    for M, row in zip(maps, blocks):
+        for j, block in enumerate(row):
+            M[..., j * width:(j + 1) * width] = block
+    return maps
 
 
 def rk4_lifted_steps(A: np.ndarray, h: float, bind: Callable) -> LiftedSteps:
@@ -268,9 +266,9 @@ def rk4_lifted_steps(A: np.ndarray, h: float, bind: Callable) -> LiftedSteps:
         If ``h`` is not finite and > 0.
     """
     _check_step(h)
-    S1, S2, S3, W = maps = tuple(_aligned(M) for M in rk4_lifted_matrices(A, h))
+    S1, S2, S3, W = maps = rk4_lifted_matrices(A, h)
     B, dim, width = S1.shape
-    buf = _aligned(np.empty((1, 4 * width, B)))[0]
+    buf = _aligned((1, 4 * width, B))[0]
     buf[dim::width] = 1.0  # the constant entry of each lift; no stage writes it
     L2, L1, L3, L4 = (buf[j * width:(j + 1) * width] for j in range(4))
     stages = (bind(L1),
@@ -281,19 +279,17 @@ def rk4_lifted_steps(A: np.ndarray, h: float, bind: Callable) -> LiftedSteps:
     return LiftedSteps(h, maps, buf, L1[:dim], stages, column_gemv(W, buf), np.empty((dim, B)))
 
 
-def _aligned(M: np.ndarray) -> np.ndarray:
-    """A copy of the stack ``M`` in which each C-contiguous ``M[b]`` starts on 64 bytes.
+def _aligned(shape: tuple) -> np.ndarray:
+    """An empty float stack of ``shape`` in which each C-contiguous ``[b]`` starts on 64 bytes.
 
     A GEMV's time depends on where its operands start modulo 64 bytes (its
     bits do not), so the workspace fixes that start, not the heap's history.
     """
-    size = M[0].size
-    per = -(-size // 8) * 8  # floats from one M[b] to the next: a whole number of 64 bytes
-    raw = np.empty(len(M) * per + 8)
+    count, size = shape[0], math.prod(shape[1:])
+    per = -(-size // 8) * 8  # floats from one [b] to the next: a whole number of 64 bytes
+    raw = np.empty(count * per + 8)
     start = -raw.ctypes.data % 64 // 8
-    out = raw[start:start + len(M) * per].reshape(len(M), per)[:, :size].reshape(M.shape)
-    out[...] = M
-    return out
+    return raw[start:start + count * per].reshape(count, per)[:, :size].reshape(shape)
 
 
 def column_gemv(M: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> Callable:
@@ -322,20 +318,21 @@ def rk4_lifted_step(sys: LiftedOdeSystem, t: float, x: np.ndarray, h: float) -> 
     each stage state is one GEMV over the lifts so far, written straight
     into the buffer and lifted there, and the new state is one GEMV over the
     whole buffer into a fresh array. No stage derivative is formed. Its
-    ``|x+|`` and largest entry go to ``sys.steps.size`` and ``.top``; that one
-    maximum is also the finiteness test. The system is autonomous: ``t`` is
-    not read.
+    ``|x+|`` and largest entry go to ``sys.steps.size`` and ``.top``. The
+    system is autonomous: ``t`` is not read.
+
+    A step does not raise on divergence: that one maximum is the finiteness
+    test, read by the caller. A non-finite stage reaches the new state (every
+    entry of the buffer meets every row of ``W``, and ``0 * inf`` is NaN), a
+    NaN makes the maximum NaN, and NaN compares false, so the new state is
+    finite exactly when ``top < inf``; its non-finite columns are those of
+    ``size`` whose maximum is not ``< inf``.
 
     Raises
     ------
     ValueError
         If ``sys.steps`` was not built for the step ``h``, or for states of
         the shape of ``x``.
-    NonFiniteState
-        If the new state holds NaN or Inf; its ``columns`` mark the
-        non-finite columns. A non-finite stage reaches the new state: every
-        entry of the buffer meets every row of ``W``, and ``0 * inf`` is NaN.
-        A NaN makes the maximum NaN, and NaN compares false.
     """
     steps = sys.steps
     if steps is None or steps.h != h:
@@ -353,10 +350,7 @@ def rk4_lifted_step(sys: LiftedOdeSystem, t: float, x: np.ndarray, h: float) -> 
     np.abs(out, out=size)
     # the largest entry; argmax finds it faster than max on a state this small, and it
     # stops at the first NaN, so the maximum is NaN whenever an entry is
-    steps.top = top = size.item(size.argmax())
-    if not top < np.inf:
-        raise NonFiniteState(f"non-finite state at t={t + h:.6g}",
-                             columns=~np.isfinite(out).all(axis=0))
+    steps.top = size.item(size.argmax())
     return out
 
 
@@ -390,8 +384,7 @@ def rk4_linear(A: np.ndarray, x0: np.ndarray, h: float, n_steps: int) -> np.ndar
     ValueError
         If ``h`` is not finite and > 0.
     NonFiniteState
-        If any state holds NaN or Inf; its ``columns`` mark the non-finite
-        rows of a stacked ``x0`` (a flat state counts as one).
+        If any state holds NaN or Inf.
     """
     _check_step(h)
     R = rk4_matrix(A, h)
@@ -401,8 +394,6 @@ def rk4_linear(A: np.ndarray, x0: np.ndarray, h: float, n_steps: int) -> np.ndar
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
         for k in range(n_steps):
             np.matmul(R, cols[k], out=cols[k + 1])
-    finite = np.isfinite(xs).reshape(n_steps + 1, -1, xs.shape[-1]).all(axis=(0, 2))
-    if not finite.all():
-        raise NonFiniteState(f"non-finite linear state within {n_steps} steps of h={h:.6g}",
-                             columns=~finite)
+    if not np.isfinite(xs).all():
+        raise NonFiniteState(f"non-finite linear state within {n_steps} steps of h={h:.6g}")
     return xs

@@ -503,7 +503,10 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
     manifold with the generator at equilibrium. Divergence
     does not raise: the trajectory up to the failure is returned with the
     flag set. A column that diverges or passes ``abort_norm`` stops there;
-    `numerics.integrate` parks it and the others go on.
+    `numerics.integrate` parks it and the others go on. Both are read off the
+    magnitude each lifted step leaves in the workspace: a column with a NaN or
+    Inf entry diverged within that step and keeps neither its peak nor its
+    sample, and the norm abort applies to the finite columns.
     """
     batch = seed is not None and not isinstance(seed, (int, np.integer))
     seeds = [int(s) for s in seed] if batch else [scenario.seed if seed is None else int(seed)]
@@ -558,25 +561,32 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
         done[stopped] = True
         return stopped
 
-    def observe(k: int, t: float, state: np.ndarray, diverged=None):
+    abort = np.inf if abort_norm is None else abort_norm
+    # a step whose every entry is finite and at most abort_norm passes one comparison
+    limit = min(np.finfo(float).max, abort)
+
+    def observe(k: int, t: float, state: np.ndarray):
         """Keep step ``k``; the columns that stop: diverged, or past ``abort_norm``."""
         nonlocal kept
-        if diverged is not None:
-            for col in np.flatnonzero(diverged):
-                diverged_t[col] = t + h
-            return finish(diverged)
         if k == 0:
             return None
         size = steps.size  # |state|, from the step that made it
+        calm = steps.top <= limit
+        if not calm:
+            col_top = size.max(axis=0)
+            diverged = ~(col_top < np.inf) & ~done  # a parked column may step to NaN
+            for col in np.flatnonzero(diverged):
+                diverged_t[col] = (k - 1) * h + h  # its start time plus h, rounded so: not k * h
+            finish(diverged)  # before this step's peak and sample
         np.maximum(peak, size, out=peak)
         if k % dec == 0 or k == n_steps:
             X[kept], ks[kept] = state.T, k
             kept += 1
-        if abort_norm is not None and steps.top > abort_norm:
-            over = (size.max(axis=0) > abort_norm) & ~done
-            aborted[over] = True
-            return finish(over)
-        return None
+        if calm:
+            return None
+        over = (col_top > abort) & ~done
+        aborted[over] = True
+        return diverged | finish(over)
 
     # overflow on a diverging trajectory is expected and detected explicitly
     with np.errstate(over="ignore", invalid="ignore"):

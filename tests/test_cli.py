@@ -194,8 +194,9 @@ def test_check_warns_below_gain_bound(fast_cfg, capsys):
 
 @pytest.mark.parametrize("patch, argv", [
     ({}, ["--decimate", "0"]), ({}, ["--dt", "0"]), ({}, ["--t-final", "-1"]),
-    ({}, ["--sweep", "seeds=0"]), ({"sim.decimate": 0}, []),
-], ids=["decimate_flag", "dt_flag", "t_final_flag", "sweep_zero_seeds", "decimate_key"])
+    ({}, ["--sweep", "seeds=0"]), ({}, ["--sweep", "seeds=\u00b2"]), ({"sim.decimate": 0}, []),
+], ids=["decimate_flag", "dt_flag", "t_final_flag", "sweep_zero_seeds", "sweep_superscript_seeds",
+        "decimate_key"])
 def test_bad_run_settings_are_config_errors(patch, argv, fast_cfg, tmp_path, capsys):
     out_csv = tmp_path / "bad.csv"
     code = main(["simulate", "--config", str(fast_cfg(**patch)), "--out", str(out_csv), *argv])

@@ -13,10 +13,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from factories import build_plant
 from nesim.errors import NonFiniteState
+from nesim.game import QuadraticAggregativeGame
+from nesim.generator import GeneratorGains
+from nesim.graph import CommGraph
 from nesim.numerics import integrate, rk4_lifted_step, rk4_lifted_steps, rk4_step
-from nesim.plant import sample_uncertainty
-from nesim.simulation import assemble, run
+from nesim.plant import Exosystem, sample_uncertainty
+from nesim.simulation import Scenario, assemble, run
 
 STEPS = 300
 
@@ -96,6 +100,15 @@ def test_divergence_time_is_the_oracle_failing_step(k, t_final, sec5):
     assert len(traj.t) == 1 + done[-1] // scenario.decimate
 
 
+def test_divergence_time_is_the_failing_steps_start_plus_h(sec5):
+    # the failing step starts at (k - 1) h and its state is named by that time plus h, which
+    # rounds differently from k h at about a third of step indices; here at k = 1423
+    h = sec5.dt
+    traj = run(dataclasses.replace(sec5, t_final=2.0), seed=2)
+    k = round(traj.diverged_t / h)
+    assert traj.diverged and traj.diverged_t == (k - 1) * h + h != k * h
+
+
 def test_run_records_the_lifted_steps(stable, count_calls):
     short = dataclasses.replace(stable, t_final=0.2, decimate=1)
     steps = count_calls(rk4_lifted_step)  # also shows that counting it sees `run`'s steps
@@ -150,20 +163,19 @@ def test_workspace_rejects_states_of_another_width(shape, sec5):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_a_non_finite_column_is_marked_and_the_others_step_as_alone(bad, sec5):
-    # `|x+|`'s one maximum is NaN or Inf whenever an entry is; the column is named after it
+    # the step does not raise: `|x+|`'s one maximum, `top`, is NaN or Inf whenever an entry
+    # is, and the column is named by its own maximum in `size`
     scenario = sec5.escalated(4.0)
     loop = lifted_loop(scenario, (1, 2, 3))
     x = random_states(loop, 3, 45)
     x[loop.layout.z.start, 1] = bad
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteState) as exc:
-        rk4_lifted_step(loop, 0.0, x, scenario.dt)
-    assert exc.value.columns.tolist() == [False, True, False]
-    # the step again, in the same workspace, with the marked column parked at the origin
-    parked = rk4_lifted_step(loop, 0.0, np.where(exc.value.columns, 0.0, x), scenario.dt)
-    assert np.isfinite(parked[:, 1]).all()  # one step from the origin is finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = rk4_lifted_step(loop, 0.0, x, scenario.dt)
+    assert out.shape == x.shape and not loop.steps.top < np.inf
+    assert (~(loop.steps.size.max(axis=0) < np.inf)).tolist() == [False, True, False]
     for seed in (1, 3):
         one = rk4_lifted_step(lifted_loop(scenario, (seed,)), 0.0, x[:, [seed - 1]], scenario.dt)
-        assert one.tobytes() == np.ascontiguousarray(parked[:, [seed - 1]]).tobytes()
+        assert one.tobytes() == np.ascontiguousarray(out[:, [seed - 1]]).tobytes()
 
 
 def test_columns_that_stop_mid_run_leave_the_others_as_run_alone(sec5):
@@ -180,3 +192,33 @@ def test_columns_that_stop_mid_run_leave_the_others_as_run_alone(sec5):
         for name in ("t", "y", "p", "e", "u", "ne_dist", "v"):
             assert getattr(traj, name).tobytes() == getattr(alone, name).tobytes()
         assert (traj.max_state_norm, traj.diverged_t) == (alone.max_state_norm, alone.diverged_t)
+
+
+def test_a_column_parked_where_its_drift_is_not_finite_leaves_the_batch_running():
+    # the factory plant's drift plus 0 / z: the same bits wherever z != 0, NaN at the origin,
+    # where a column that passes the norm limit is parked and stepped from then on
+    def f0(z, x1, v, w):
+        return -z + 0.0 / z
+
+    scenario = Scenario(
+        game=QuadraticAggregativeGame(h1=np.array([1.0, 2.0, 3.0]), h2=np.full(3, 0.5),
+                                      h3=np.zeros(3)),
+        graph=CommGraph.ring(3), plant=dataclasses.replace(build_plant(3), f0=f0),
+        exo=Exosystem(S=np.array([[0.0, 1.0], [-1.0, 0.0]]),
+                      v0_box=np.array([[0.5, 1.0], [0.0, 0.0]])),
+        w_box=np.tile([-0.1, 0.1], (3, 1)), gains=GeneratorGains(1.0, 1.0), gamma2_auto=True,
+        controller_k=np.full((3, 1), 8.0), seed=2, R=0.5, t_final=1.0)
+    seeds = [1, 2, 3]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        peaks = sorted(traj.max_state_norm for traj in run(scenario, seed=seeds))
+        limit = (peaks[0] + peaks[-1]) / 2.0
+        batch = run(scenario, seed=seeds, abort_norm=limit)
+        alone = [run(scenario, seed=seed, abort_norm=limit) for seed in seeds]
+    aborted = [traj.aborted_norm for traj in batch]
+    assert any(aborted) and not all(aborted)
+    assert not any(traj.diverged for traj in batch)
+    for traj, one in zip(batch, alone):
+        assert traj.aborted_norm == one.aborted_norm
+        for name in ("t", "y", "p", "e", "u", "ne_dist", "v"):
+            assert getattr(traj, name).tobytes() == getattr(one, name).tobytes()
+        assert traj.max_state_norm == one.max_state_norm

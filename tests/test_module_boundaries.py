@@ -10,6 +10,9 @@ for nonlinear systems, and every other module hands it a ``step``.
 Only `simulation` and `game` call `estimate_constants` or `solve_ne`: a
 scenario's game constants and equilibrium are derived once, by
 `Scenario.synthesized`, and every other module reads them from there.
+
+No nesim module catches `NonFiniteState`: divergence is read off the
+magnitude a step leaves in its workspace, not caught from the step.
 """
 
 from __future__ import annotations
@@ -99,3 +102,30 @@ def test_only_the_synthesis_derives_the_constants_and_the_equilibrium():
     assert paths
     assert [hit for path in paths
             for hit in calls_of(SYNTHESIS, path.read_text(), path.name)] == []
+
+
+def handlers_of(name: str, source: str, filename: str = "<source>") -> list[str]:
+    """``file:line: name`` of each ``except`` clause that names ``name``, alone or in a tuple."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if not isinstance(node, ast.ExceptHandler) or node.type is None:
+            continue
+        named = {getattr(part, "id", getattr(part, "attr", None)) for part in ast.walk(node.type)}
+        if name in named:
+            found.append(f"{filename}:{node.lineno}: {name}")
+    return found
+
+
+def test_handler_detector_sees_names_attributes_and_tuples():
+    source = ("try:\n    f()\nexcept NonFiniteState:\n    pass\n"
+              "try:\n    f()\nexcept (ValueError, errors.NonFiniteState) as exc:\n    pass\n"
+              "try:\n    f()\nexcept ValueError:\n    raise NonFiniteState('x')\n"
+              "try:\n    f()\nexcept:\n    pass\n")
+    assert [int(hit.split(":")[1]) for hit in handlers_of("NonFiniteState", source)] == [3, 7]
+
+
+def test_no_module_catches_non_finite_state():
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    assert [hit for path in paths
+            for hit in handlers_of("NonFiniteState", path.read_text(), path.name)] == []

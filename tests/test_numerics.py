@@ -126,15 +126,9 @@ class TestRk4:
         sys = OdeSystem(1, lambda t, x: np.full(1, np.nan))
         with pytest.raises(NonFiniteState):
             rk4_step(sys, 0.0, np.array([1.0]), 0.1)
-
-    def test_non_finite_columns_are_marked(self):
-        sys = OdeSystem(1, lambda t, x: 1.0 / x)
-        with np.errstate(divide="ignore"), pytest.raises(NonFiniteState) as batch:
-            rk4_step(sys, 0.0, np.array([[1.0, 0.0, 2.0]]), 0.1)
-        assert batch.value.columns.tolist() == [False, True, False]
-        with np.errstate(divide="ignore"), pytest.raises(NonFiniteState) as flat:
-            rk4_step(sys, 0.0, np.array([0.0]), 0.1)
-        assert flat.value.columns.tolist() == [True]
+        # one non-finite column of a batch is enough
+        with np.errstate(divide="ignore"), pytest.raises(NonFiniteState):
+            rk4_step(OdeSystem(1, lambda t, x: 1.0 / x), 0.0, np.array([[1.0, 0.0, 2.0]]), 0.1)
 
     def test_batch_columns_step_independently(self):
         sys = OdeSystem(1, lambda t, x: -x)
@@ -200,13 +194,11 @@ class TestRk4Linear:
             assert xs[:, b].tobytes() == rk4_linear(A[b], x0[b], 0.05, 30).tobytes()
 
     def test_overflow_raises(self):
-        with pytest.raises(NonFiniteState) as flat:
+        with pytest.raises(NonFiniteState):
             rk4_linear(np.array([[1e3]]), np.array([1.0]), 1.0, 200)
-        assert flat.value.columns.tolist() == [True]
         A = np.array([[[-1.0]], [[1e3]], [[0.5]]])
-        with pytest.raises(NonFiniteState) as batch:
+        with pytest.raises(NonFiniteState):
             rk4_linear(A, np.ones((3, 1)), 1.0, 200)
-        assert batch.value.columns.tolist() == [False, True, False]
 
     @pytest.mark.parametrize("h", [0.0, -1e-3, np.nan, np.inf])
     def test_rejects_nonpositive_step(self, h):
@@ -249,6 +241,16 @@ class Cubic(LiftedOdeSystem):
     def restricted(self, keep) -> "Cubic":
         """The system of the columns ``keep`` alone, built anew: the oracle of a batch."""
         return Cubic.of(self.operator[np.flatnonzero(keep)], self.steps and self.steps.h)
+
+
+def reciprocal(A: np.ndarray, h: float) -> LiftedOdeSystem:
+    """``xdot = A_b [x_0; x_1; 1; 1 / x_0]`` per column: a lift that is not finite at 0."""
+    def bind(L):
+        def lift():
+            np.divide(1.0, L[0], out=L[3])
+        return lift
+
+    return LiftedOdeSystem(dimension=2, rhs=None, bind=bind, steps=rk4_lifted_steps(A, h, bind))
 
 
 class TestRk4LiftedStep:
@@ -305,13 +307,19 @@ class TestRk4LiftedStep:
             assert one.tobytes() == batch[:, keep].tobytes()
 
     def test_non_finite_columns_are_marked(self):
+        # the step does not raise: the magnitude it leaves in the workspace names the column
         rng = np.random.default_rng(33)
         sys = Cubic.drawn(rng, 3, 0.1)
         x = rng.normal(size=(2, 3))
         x[0, 1] = 1e200  # its cube overflows in the first lift
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteState) as exc:
-            rk4_lifted_step(sys, 0.0, x, 0.1)
-        assert exc.value.columns.tolist() == [False, True, False]
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = rk4_lifted_step(sys, 0.0, x, 0.1)
+        assert out.shape == (2, 3) and not sys.steps.top < np.inf
+        assert (~(sys.steps.size.max(axis=0) < np.inf)).tolist() == [False, True, False]
+        for b in (0, 2):
+            keep = np.arange(3) == b
+            one = rk4_lifted_step(sys.restricted(keep), 0.0, x[:, keep], 0.1)
+            assert one.tobytes() == out[:, keep].tobytes()
 
     def test_rejects_a_step_the_maps_are_not_built_for(self):
         rng = np.random.default_rng(34)
@@ -333,30 +341,31 @@ class TestIntegrateStopsColumns:
         keep = np.arange(x0.shape[1]) == b
         return integrate(sys.restricted(keep), x0[:, keep], 0.0, t_final, h, step=step)
 
-    @pytest.mark.parametrize("step", [None, rk4_lifted_step], ids=["rk4_step", "lifted"])
-    def test_diverging_column_stops_and_the_others_match_their_own_runs(self, step):
+    def test_diverging_column_stops_and_the_others_match_their_own_runs(self):
         rng = np.random.default_rng(35)
         sys = Cubic.drawn(rng, 3, 0.01, scale=0.3)
         x0 = rng.normal(scale=0.3, size=(2, 3))
         x0[0, 1] = 30.0  # x0^3 blows up within a few steps
         seen = []
 
-        def observer(k, t, x, diverged=None):
-            seen.append((k, t, x.shape[1], None if diverged is None else diverged.tolist()))
+        def observer(k, t, x):
+            # the observer reads divergence off the magnitude the step left in the workspace
+            diverged = ~(sys.steps.size.max(axis=0) < np.inf) if k else np.zeros(3, dtype=bool)
+            seen.append((k, t, x.shape[1], diverged.tolist()))
+            return diverged
 
         with np.errstate(over="ignore", invalid="ignore"):
-            final = integrate(sys, x0, 0.0, 0.5, 0.01, observer, step=step)
-            with pytest.raises(NonFiniteState):
-                self.alone(sys, x0, 1, 0.5, 0.01, step)
-        (fail,) = [entry for entry in seen if entry[3] is not None]
+            final = integrate(sys, x0, 0.0, 0.5, 0.01, observer, step=rk4_lifted_step)
+        (fail,) = [entry for entry in seen if any(entry[3])]
         k, t, width, diverged = fail
-        assert diverged == [False, True, False] and width == 3 and t == k * 0.01
-        assert seen[-1][:3] == (50, 0.5, 3)  # the step is taken again, at the full width
+        assert 0 < k < 50 and diverged == [False, True, False] and width == 3
+        assert seen[-1][:3] == (50, 0.5, 3)  # no step is taken again
+        assert [entry[0] for entry in seen] == list(range(51))
         assert {entry[2] for entry in seen} == {3}
-        assert [entry[0] for entry in seen] == list(range(k + 1)) + list(range(k, 51))
         assert final.shape == (2, 3) and not final[:, 1].any()
         for b in (0, 2):
-            assert final[:, b].tobytes() == self.alone(sys, x0, b, 0.5, 0.01, step).tobytes()
+            assert final[:, b].tobytes() == self.alone(sys, x0, b, 0.5, 0.01,
+                                                       rk4_lifted_step).tobytes()
 
     def test_observer_mask_stops_columns(self):
         rng = np.random.default_rng(36)
@@ -394,33 +403,47 @@ class TestIntegrateStopsColumns:
         assert seen == list(range(9)) and final.shape == (2, 3) and not final.any()
 
     def test_a_plain_system_without_select(self):
-        # an elementwise rhs: the columns never mix, and the system has no way to narrow
+        # an elementwise rhs stepped by `rk4_step`: the columns never mix, and the system has
+        # no way to narrow; with no workspace, the observer reads the state itself
         sys = OdeSystem(1, lambda t, x: x ** 3 - x)
         assert not hasattr(sys, "select")
         x0 = np.array([[0.5, 3.0, -0.2]])  # the middle column blows up in finite time
         seen = []
 
-        def observer(k, t, x, diverged=None):
-            if diverged is not None:
-                seen.append(diverged.tolist())
+        def observer(k, t, x):
+            seen.append(x.shape)
+            return np.abs(x[0]) > 4.0
 
-        with np.errstate(over="ignore", invalid="ignore"):
-            final = integrate(sys, x0, 0.0, 1.0, 0.01, observer)
-        assert seen == [[False, True, False]]
+        final = integrate(sys, x0, 0.0, 1.0, 0.01, observer)
+        assert seen == [(1, 3)] * 101
         assert final.shape == (1, 3) and final[0, 1] == 0.0
         for b in (0, 2):
             alone = integrate(sys, x0[:, [b]], 0.0, 1.0, 0.01)
             assert final[:, b].tobytes() == alone[:, 0].tobytes()
 
-    def test_a_column_non_finite_only_when_parked_raises(self):
-        # 1/x is not finite at the origin: stepping the parked column again would loop forever
-        sys = OdeSystem(1, lambda t, x: 1.0 / x - x)
+    def test_a_column_non_finite_when_parked_is_not_read(self):
+        # 1/x is not finite at the origin, so the parked column steps to NaN from then on;
+        # nothing reads it, and the other columns run to the end as they run alone
+        # x_0 settles where a x_0 + c + d / x_0 = 0, and x_1 follows it
+        A = np.array([[[a, 0.0, c, d], [1.0, -1.0, 0.0, 0.0]]
+                      for a, c, d in ((-1.0, 0.0, 1.0), (-2.0, 0.5, 1.0), (-1.0, 1.0, 0.5))])
+        x0, h = np.array([[2.0, 0.5, 1.5], [0.0, 1.0, -1.0]]), 0.01
+        sys = reciprocal(A, h)
+        seen = []
 
         def observer(k, t, x):
-            return np.array([False, True]) if k == 2 else None
+            seen.append(k)
+            return np.array([False, True, False]) if k == 2 else None
 
-        with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(NonFiniteState):
-            integrate(sys, np.array([[1.0, 2.0]]), 0.0, 1.0, 0.01, observer)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            final = integrate(sys, x0, 0.0, 1.0, h, observer, step=rk4_lifted_step)
+        assert not sys.steps.top < np.inf  # the parked column's last step
+        assert seen == list(range(101)) and final.shape == (2, 3) and not final[:, 1].any()
+        for b in (0, 2):
+            alone = integrate(reciprocal(A[[b]], h), x0[:, [b]], 0.0, 1.0, h,
+                              step=rk4_lifted_step)
+            assert np.isfinite(alone).all()
+            assert final[:, b].tobytes() == alone[:, 0].tobytes()
 
     def test_flat_state_still_raises(self):
         sys = OdeSystem(1, lambda t, x: x ** 3)
