@@ -126,9 +126,16 @@ class TestRk4:
         sys = OdeSystem(1, lambda t, x: np.full(1, np.nan))
         with pytest.raises(NonFiniteState):
             rk4_step(sys, 0.0, np.array([1.0]), 0.1)
-        # one non-finite column of a batch is enough
+
+    def test_non_finite_columns_are_marked(self):
+        # no mask on the error: one non-finite column of a batch is enough to raise,
+        # and the columns beside it step finitely on their own
+        sys = OdeSystem(1, lambda t, x: 1.0 / x)
         with np.errstate(divide="ignore"), pytest.raises(NonFiniteState):
-            rk4_step(OdeSystem(1, lambda t, x: 1.0 / x), 0.0, np.array([[1.0, 0.0, 2.0]]), 0.1)
+            rk4_step(sys, 0.0, np.array([[1.0, 0.0, 2.0]]), 0.1)
+        with np.errstate(divide="ignore"), pytest.raises(NonFiniteState):
+            rk4_step(sys, 0.0, np.array([0.0]), 0.1)
+        assert np.isfinite(rk4_step(sys, 0.0, np.array([[1.0, 2.0]]), 0.1)).all()
 
     def test_batch_columns_step_independently(self):
         sys = OdeSystem(1, lambda t, x: -x)
