@@ -90,10 +90,12 @@ def _number(path: str, value, kind=float):
     return number
 
 
-def _as_floats(path: str, value) -> list:
-    """``value``, a number or nested lists of numbers, as floats of the same nesting.
+def _array(path: str, value, ndim: int, shape: tuple = ()) -> np.ndarray:
+    """``value`` as a float array of ``ndim`` axes, every entry a finite number.
 
-    Booleans and strings are errors, although NumPy would convert them.
+    ``shape`` gives the sizes of the last ``len(shape)`` axes, None for any
+    size. Anything else fails with a config error naming the field ``path``,
+    booleans and strings too, although NumPy would convert them.
     """
     def numeric(item) -> bool:
         if isinstance(item, (list, tuple, np.ndarray)):
@@ -103,36 +105,22 @@ def _as_floats(path: str, value) -> list:
 
     try:
         arr = np.array(value, dtype=float) if numeric(value) else None
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         arr = None
-    if arr is None:
-        _fail(path, "expected a numeric array")
-    return arr.tolist()
-
-
-def _float_list(path: str, value, length: int | None = None) -> list:
-    """``value`` as a flat list of floats, ``length`` of them when given."""
-    arr = np.array(_as_floats(path, value))
-    if arr.ndim != 1:
-        _fail(path, f"expected a list of numbers, got {value!r}")
-    if length is not None and len(arr) != length:
-        _fail(path, f"expected length {length}, got {len(arr)}")
-    return arr.tolist()
-
-
-def _finite_matrix(path: str, value, message: str) -> np.ndarray:
-    """``value`` as a finite 2-D float array; anything else fails with ``message``."""
-    arr = np.array(_as_floats(path, value))
-    if arr.ndim != 2 or not np.isfinite(arr).all():
-        _fail(path, f"{message}, with finite entries")
+    axes = (None,) * (ndim - len(shape)) + tuple(shape)
+    if (arr is None or arr.ndim != ndim or not np.isfinite(arr).all()
+            or any(size not in (None, got) for size, got in zip(axes, arr.shape))):
+        sizes = ", ".join("*" if size is None else str(size) for size in axes)
+        _fail(path, f"expected a finite number, got {value!r}" if ndim == 0 else
+              f"expected a numeric array of shape ({sizes}) with finite entries")
     return arr
 
 
-def _finite_number(path: str, value) -> float:
-    number = _number(path, value)
-    if not np.isfinite(number):
-        _fail(path, f"expected a finite number, got {value!r}")
-    return number
+def _stabilizer_entry(path: str, entry) -> dict:
+    """An explicit internal-model entry: exactly ``{M, N}``, a matrix and a vector."""
+    _check_keys(path, entry, {"M", "N"})
+    return {"M": _array(f"{path}.M", entry.get("M"), 2).tolist(),
+            "N": _array(f"{path}.N", entry.get("N"), 1).tolist()}
 
 
 def normalize(raw: dict) -> dict:
@@ -170,9 +158,9 @@ def normalize(raw: dict) -> dict:
         for key in ("h1", "h2", "h3"):
             if key not in game:
                 _fail(f"game.{key}", "required for the quadratic_aggregative kind")
-        game["h1"] = _float_list("game.h1", game["h1"])
+        game["h1"] = _array("game.h1", game["h1"], 1).tolist()
         for key in ("h2", "h3"):
-            game[key] = _float_list(f"game.{key}", game[key], len(game["h1"]))
+            game[key] = _array(f"game.{key}", game[key], 1, (len(game["h1"]),)).tolist()
     elif kind == "custom":
         if "factory" not in game:
             _fail("game.factory", "required for the custom kind")
@@ -185,7 +173,7 @@ def normalize(raw: dict) -> dict:
         _fail("graph", "requires 'n' and 'edges'")
     graph["n"] = _number("graph.n", graph["n"], int)
     graph.setdefault("default_weight", 1.0)
-    default_weight = _finite_number("graph.default_weight", graph["default_weight"])
+    default_weight = _array("graph.default_weight", graph["default_weight"], 0).tolist()
     if not isinstance(graph["edges"], (list, tuple)):
         _fail("graph.edges", "expected a list of edges")
     edges = []
@@ -194,7 +182,7 @@ def normalize(raw: dict) -> dict:
         if not isinstance(edge, (list, tuple)) or len(edge) not in (2, 3):
             _fail(path, "expected [i, j] or [i, j, weight]")
         i, j = (_number(path, end, int) for end in edge[:2])
-        weight = _finite_number(path, edge[2]) if len(edge) == 3 else default_weight
+        weight = _array(path, edge[2], 0).tolist() if len(edge) == 3 else default_weight
         edges.append([i, j, weight])
     graph["edges"] = edges
 
@@ -203,10 +191,7 @@ def normalize(raw: dict) -> dict:
     if pkind == "example_sec5":
         if "g" not in plant:
             _fail("plant.g", "required for the example_sec5 kind")
-        g = _finite_matrix("plant.g", plant["g"], "expected one row of 6 parameters per agent")
-        if g.shape[1] != 6:
-            _fail("plant.g", "expected one row of 6 parameters per agent")
-        plant["g"] = g.tolist()
+        plant["g"] = _array("plant.g", plant["g"], 2, (6,)).tolist()
     elif pkind == "custom":
         if "factory" not in plant:
             _fail("plant.factory", "required for the custom kind")
@@ -216,20 +201,18 @@ def normalize(raw: dict) -> dict:
     for key in ("w_box", "v0_box"):
         if key not in plant:
             _fail(f"plant.{key}", "required")
-        box = _finite_matrix(f"plant.{key}", plant[key], "expected a list of [lo, hi] pairs")
-        if box.shape[1] != 2:
-            _fail(f"plant.{key}", "expected a list of [lo, hi] pairs")
+        box = _array(f"plant.{key}", plant[key], 2, (2,))
         if (box[:, 0] > box[:, 1]).any():
             _fail(f"plant.{key}", "lower bound exceeds upper bound")
         plant[key] = box.tolist()
     if "im_polys" in plant:
         if not isinstance(plant["im_polys"], (list, tuple)):
             _fail("plant.im_polys", "expected a list of coefficient lists")
-        plant["im_polys"] = [_float_list(f"plant.im_polys[{k}]", c)
+        plant["im_polys"] = [_array(f"plant.im_polys[{k}]", c, 1).tolist()
                              for k, c in enumerate(plant["im_polys"])]
 
     exo = out["exosystem"]
-    S = _finite_matrix("exosystem.S", exo["S"], "expected a square matrix")
+    S = _array("exosystem.S", exo["S"], 2)
     if S.shape[0] != S.shape[1]:
         _fail("exosystem.S", "expected a square matrix")
     exo["S"] = S.tolist()
@@ -239,20 +222,24 @@ def normalize(raw: dict) -> dict:
         _fail("internal_model.preset", f"unknown preset {im['preset']!r}")
     if "preset" in im and "explicit" in im:
         _fail("internal_model", "'preset' and 'explicit' are mutually exclusive")
+    if "explicit" in im:
+        if not isinstance(im["explicit"], (list, tuple)) or not all(
+                isinstance(levels, (list, tuple)) for levels in im["explicit"]):
+            _fail("internal_model.explicit", "expected one list of {M, N} entries per agent")
+        im["explicit"] = [[_stabilizer_entry(f"internal_model.explicit[{i}][{s}]", entry)
+                           for s, entry in enumerate(levels)]
+                          for i, levels in enumerate(im["explicit"])]
 
     gains = out["gains"]
     if "p0" in gains:
-        gains["p0"] = _finite_matrix("gains.p0", gains["p0"], "expected one row per agent").tolist()
+        gains["p0"] = _array("gains.p0", gains["p0"], 2).tolist()
     gains["gamma1"] = _number("gains.gamma1", gains["gamma1"])
     if gains["gamma2"] != "auto":
         gains["gamma2"] = _number("gains.gamma2", gains["gamma2"])
 
     ctrl = out["controller"]
     if ctrl["k"] != "auto":
-        karr = np.array(_as_floats("controller.k", ctrl["k"]))
-        if karr.ndim != 2:
-            _fail("controller.k", "expected one gain row per agent (or 'auto')")
-        ctrl["k"] = karr.tolist()
+        ctrl["k"] = _array("controller.k", ctrl["k"], 2).tolist()
     # each run and escalation setting takes the type of its default
     for path, section, defaults in (
             ("controller.escalation", ctrl["escalation"], _DEFAULTS["controller"]["escalation"]),
@@ -343,13 +330,9 @@ def build_scenario(norm: dict) -> Scenario:
     stabilizers = None
     if "explicit" in im_cfg:
         try:
-            stabilizers = tuple(
-                tuple(StabilizerPair(M=np.array(entry["M"], dtype=float),
-                                     N=np.array(entry["N"], dtype=float))
-                      for entry in agent_levels)
-                for agent_levels in im_cfg["explicit"]
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            stabilizers = tuple(tuple(StabilizerPair(**entry) for entry in agent_levels)
+                                for agent_levels in im_cfg["explicit"])
+        except ValueError as exc:
             raise ConfigError(f"internal_model.explicit: {exc}") from exc
         if len(stabilizers) != n or any(len(s) != model.r for s in stabilizers):
             raise ConfigError("internal_model.explicit: need one entry per agent and level")

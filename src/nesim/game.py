@@ -55,6 +55,8 @@ class QuadraticAggregativeGame:
             object.__setattr__(self, name, v)
         if not (self.h1.shape == self.h2.shape == self.h3.shape) or self.h1.ndim != 1:
             raise ValueError("h1, h2, h3 must be 1-d arrays of equal length")
+        if not all(np.isfinite(getattr(self, name)).all() for name in ("h1", "h2", "h3")):
+            raise ValueError("h1, h2, h3 must be finite")
         if self.n < 2:
             raise ValueError("need at least 2 players")
 

@@ -212,7 +212,9 @@ class LiftedOdeSystem(OdeSystem):
     there are no feature rows; row ``dim`` holds the one, and column ``b``
     reads only column ``b``. ``steps`` is the
     workspace `rk4_lifted_step` steps in (`rk4_lifted_steps`), built from
-    each column's ``A_b`` for one step size; None until built.
+    each column's ``A_b`` for one step size; None until built. A column
+    steps bit-identically however many share the batch only when ``dim`` is
+    at least 2 (see `column_gemv`).
     """
 
     bind: Callable = None
@@ -299,8 +301,11 @@ def column_gemv(M: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> 
     bound, ``gemv(out)``. One column uses ``dot`` (of a matrix and a column,
     which NumPy makes one GEMV), more a stacked ``matmul``; both are one GEMV
     per column, so a column's bits do not depend on how many share the
-    batch. The choice is made here, when the call is bound. ``out`` is
-    C-contiguous for one column.
+    batch, as long as each ``M[b]`` has at least two rows: with one row (a
+    system of one state) the ``dot`` and the stacked ``matmul`` round the
+    product differently, and a column of a batch can differ from its run
+    alone in the last bit. The choice is made here, when the call is bound.
+    ``out`` is C-contiguous for one column.
     """
     if len(M) == 1:
         return partial(M[0].dot, v) if out is None else partial(M[0].dot, v, out)

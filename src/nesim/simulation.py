@@ -576,7 +576,7 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
             col_top = size.max(axis=0)
             diverged = ~(col_top < np.inf) & ~done  # a parked column may step to NaN
             for col in np.flatnonzero(diverged):
-                diverged_t[col] = (k - 1) * h + h  # its start time plus h, rounded so: not k * h
+                diverged_t[col] = k * h  # the time of its first non-finite state
             finish(diverged)  # before this step's peak and sample
         np.maximum(peak, size, out=peak)
         if k % dec == 0 or k == n_steps:

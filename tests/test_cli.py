@@ -8,7 +8,7 @@ import pytest
 
 from nesim import cli, numerics
 from nesim.cli import main
-from nesim.config import load_scenario, normalize
+from nesim.config import dump_normalized, load_scenario, normalize
 from nesim.controller import ControllerGains
 from nesim.errors import ConfigError
 from nesim.generator import GeneratorGains
@@ -256,6 +256,25 @@ def test_bad_run_settings_are_config_errors(patch, argv, fast_cfg, tmp_path, cap
     ({"controller.k": [[True, 16.0]] + [[16.0, 16.0]] * 3}, [], "controller.k"),
     ({"controller.k": [["4", 16.0]] + [[16.0, 16.0]] * 3}, [], "controller.k"),
     ({"gains.p0": [[0.0, 0.0, 0.0, True]] + [[0.0] * 4] * 3}, [], "gains.p0"),
+    # every numeric array is finite: a game or recurrence with inf or NaN is named at load
+    ({"game.h1": [2.0, float("inf"), 3.0, 5.0]}, [], "game.h1"),
+    ({"game.h1": [2.0, 4.0, float("nan"), 5.0]}, [], "game.h1"),
+    ({"game.h2": [0.0, 0.0, 0.0, float("inf")]}, [], "game.h2"),
+    ({"game.h2": [float("nan"), 2.0, 2.0, 2.0]}, [], "game.h2"),
+    ({"game.h3": [1.0, float("-inf"), 1.0, 1.0]}, [], "game.h3"),
+    ({"game.h3": [1.0, 1.0, 1.0, float("nan")]}, [], "game.h3"),
+    ({"plant.im_polys": [[0.0, float("inf"), 0.0], [0.0, -4.0, 0.0, -5.0, 0.0]]}, [],
+     "plant.im_polys[0]"),
+    # an explicit internal-model entry is exactly {M, N}, a finite matrix and vector
+    ({"internal_model": {"explicit": [[{"M": [["-1"]], "N": [1.0]}]]}}, [],
+     "internal_model.explicit[0][0].M"),
+    ({"internal_model": {"explicit": [[{"M": [[-1.0]], "N": [True]}]]}}, [],
+     "internal_model.explicit[0][0].N"),
+    ({"internal_model": {"explicit": [[{"M": [[float("inf")]], "N": [1.0]}]]}}, [],
+     "internal_model.explicit[0][0].M"),
+    ({"internal_model": {"explicit": [[{"M": [[-1.0]], "N": [1.0], "junk": 1}]]}}, [],
+     "internal_model.explicit[0][0]"),
+    ({"internal_model": {"explicit": 5}}, [], "internal_model.explicit"),
 ], ids=["gamma1_zero", "gamma2_negative", "k_zero", "k_shape", "factor_one", "max_rounds_zero",
         "R_negative", "R_inf", "seed_negative", "seed_flag_negative", "dt_flag_nan",
         "t_final_flag_nan", "t_final_flag_inf", "dt_string", "seed_nan", "decimate_null",
@@ -264,7 +283,9 @@ def test_bad_run_settings_are_config_errors(patch, argv, fast_cfg, tmp_path, cap
         "h2_scalar", "h3_scalar", "im_polys_scalar", "t_final_huge", "step_count_overflow",
         "one_player", "seed_fraction", "seed_bool", "decimate_fraction", "graph_n_fraction",
         "max_rounds_fraction", "edge_end_fraction", "dt_bool", "gamma1_numeric_string",
-        "t_final_numeric_string", "R_bool", "k_bool", "k_numeric_string", "p0_bool"])
+        "t_final_numeric_string", "R_bool", "k_bool", "k_numeric_string", "p0_bool", "h1_inf",
+        "h1_nan", "h2_inf", "h2_nan", "h3_inf", "h3_nan", "im_polys_inf", "explicit_M_string",
+        "explicit_N_bool", "explicit_M_inf", "explicit_unknown_key", "explicit_not_a_list"])
 def test_malformed_values_are_config_errors(patch, argv, field, fast_cfg, tmp_path, capsys):
     out_csv = tmp_path / "bad.csv"
     code = main(["simulate", "--config", str(fast_cfg(**patch)), "--out", str(out_csv), *argv])
@@ -273,6 +294,19 @@ def test_malformed_values_are_config_errors(patch, argv, field, fast_cfg, tmp_pa
     assert f"config error: {field}: " in captured.err
     assert "Traceback" not in captured.err
     assert not out_csv.exists()
+
+
+def test_explicit_stabilizers_written_out_give_the_presets_bank(sec5, sec5_norm):
+    # the preset's pairs, given agent by agent and level by level as {M, N} entries
+    preset = sec5.synthesized().bank.levels
+    cfg = json.loads(json.dumps(sec5_norm))
+    cfg["internal_model"] = {"explicit": [[{"M": level.M[i].tolist(), "N": level.N[i].tolist()}
+                                           for level in preset] for i in range(sec5.n)]}
+    scenario, norm = load_scenario(cfg)
+    for level, expected in zip(scenario.synthesized().bank.levels, preset, strict=True):
+        for name in ("M", "N", "T", "Psi"):
+            assert np.array_equal(getattr(level, name), getattr(expected, name))
+    assert normalize(json.loads(dump_normalized(norm))) == norm
 
 
 def test_whole_number_floats_are_integers(fast_cfg):

@@ -149,6 +149,14 @@ class TestCustomGameBox:
             CustomGame(costs=smooth_costs(2, in_place=False), sample_box=box)
 
 
+class TestQuadraticGameVectors:
+    @pytest.mark.parametrize("h", [([1, np.nan], [1, 1], [0, 0]), ([1, 2], [1, np.inf], [0, 0]),
+                                   ([1, 2], [1, 1], [-np.inf, 0])], ids=["h1", "h2", "h3"])
+    def test_rejects_non_finite_entries(self, h):
+        with pytest.raises(ValueError, match="finite"):
+            quad(*h)
+
+
 class TestEstimateConstants:
     def test_decoupled_exact(self):
         g = quad([1, 2, 3, 4], [0, 0, 0, 0], [0, 0, 0, 0])

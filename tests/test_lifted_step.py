@@ -96,17 +96,17 @@ def test_divergence_time_is_the_oracle_failing_step(k, t_final, sec5):
     done = []  # the steps `rk4_step` completed before it raised
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteState):
         integrate(loop, x0, 0.0, t_final, scenario.dt, lambda step, t, x: done.append(step))
-    assert traj.diverged and traj.diverged_t == done[-1] * scenario.dt + scenario.dt
+    assert traj.diverged and traj.diverged_t == (done[-1] + 1) * scenario.dt
     assert len(traj.t) == 1 + done[-1] // scenario.decimate
 
 
-def test_divergence_time_is_the_failing_steps_start_plus_h(sec5):
-    # the failing step starts at (k - 1) h and its state is named by that time plus h, which
-    # rounds differently from k h at about a third of step indices; here at k = 1423
+def test_divergence_time_is_the_failing_steps_grid_time(sec5):
+    # the failing step k ends at k h, the time `t` gives step k; its start plus h,
+    # (k - 1) h + h, rounds differently at about a third of step indices, here at k = 1423
     h = sec5.dt
     traj = run(dataclasses.replace(sec5, t_final=2.0), seed=2)
     k = round(traj.diverged_t / h)
-    assert traj.diverged and traj.diverged_t == (k - 1) * h + h != k * h
+    assert traj.diverged and traj.diverged_t == k * h != (k - 1) * h + h
 
 
 def test_run_records_the_lifted_steps(stable, count_calls):

@@ -13,6 +13,10 @@ scenario's game constants and equilibrium are derived once, by
 
 No nesim module catches `NonFiniteState`: divergence is read off the
 magnitude a step leaves in its workspace, not caught from the step.
+
+`config.normalize` builds no array itself: every numeric array of a
+scenario file is read by `config._array`, the one reader that checks it is
+numeric, of the right shape and finite.
 """
 
 from __future__ import annotations
@@ -129,3 +133,36 @@ def test_no_module_catches_non_finite_state():
     assert paths
     assert [hit for path in paths
             for hit in handlers_of("NonFiniteState", path.read_text(), path.name)] == []
+
+
+ARRAY_BUILDERS = ("array", "asarray")
+
+
+def array_builds_in(function: str, source: str, filename: str = "<source>") -> list[str]:
+    """``file:line: name`` of each ``array`` or ``asarray`` call in a function named ``function``."""
+    found = []
+    for fn in ast.walk(ast.parse(source, filename=filename)):
+        if not isinstance(fn, ast.FunctionDef) or fn.name != function:
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in ARRAY_BUILDERS:
+                    found.append(f"{filename}:{node.lineno}: {name}")
+    return found
+
+
+def test_array_detector_sees_calls_in_the_function_only():
+    source = ("def normalize(raw):\n"
+              "    a = np.array(raw['a'], dtype=float)\n"
+              "    def inner(b):\n        return numpy.asarray(b)\n"
+              "    return _array('a', raw['a'], 1), array(raw['b'])\n"
+              "def build_scenario(norm):\n    return np.array(norm['a'])\n")
+    assert [hit.split(":", 1)[1] for hit in array_builds_in("normalize", source)] == \
+        ["2: array", "4: asarray", "5: array"]
+
+
+def test_normalize_reads_arrays_only_through_the_reader():
+    source = (SRC / "config.py").read_text()
+    assert "def normalize(" in source and "def _array(" in source
+    assert array_builds_in("normalize", source, "config.py") == []

@@ -7,13 +7,14 @@ import json
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")  # in the `test` extra
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nesim.cli import main
 
 # the dotted path of each value set; `controller.k.0.0` is the first agent's first gain
 FIELDS = ("gains.gamma1", "gains.gamma2", "controller.k.0.0", "controller.escalation.factor",
-          "controller.escalation.max_rounds", "sim.R", "sim.seed")
+          "controller.escalation.max_rounds", "sim.t_final", "sim.dt", "sim.decimate", "sim.R",
+          "sim.seed")
 # fields that hold a count, a vector, an edge list or a matrix, set whole or in one entry
 STRUCTURAL = ("graph.n", "graph.edges", "graph.edges.0", "graph.edges.0.1",
               "graph.default_weight", "plant.g", "plant.g.0", "plant.g.0.0", "plant.w_box",
@@ -31,13 +32,14 @@ NESTED = st.recursive(st.one_of(VALUES, st.integers(-2, 5)), lambda inner: st.li
 @st.composite
 def mutations(draw):
     field = draw(st.sampled_from(FIELDS + STRUCTURAL))
-    value = draw(st.integers(-3, 12) if field.endswith("max_rounds")
+    value = draw(st.integers(-3, 12) if field.endswith(("max_rounds", "decimate"))
                  else NESTED if field in STRUCTURAL else VALUES)
     return field, value
 
 
 @settings(max_examples=40, deadline=None, database=None)
 @given(mutation=mutations())
+@example(mutation=("game.h2", [0.0, 0.0, 0.0, float("inf")]))
 def test_malformed_value_gives_an_exit_code(mutation, sec5_norm, tmp_path_factory):
     field, value = mutation
     cfg = json.loads(json.dumps(sec5_norm))
@@ -54,3 +56,20 @@ def test_malformed_value_gives_an_exit_code(mutation, sec5_norm, tmp_path_factor
     code = main(["simulate", "--config", str(path), "--t-final", "0.01",
                  "--out", str(tmp / "out.csv")])
     assert code in (0, 1, 2)
+
+
+def numeric_leaves(node, path: tuple = ()) -> list[tuple]:
+    """The path of each number in ``node``, through its objects and lists."""
+    if isinstance(node, dict | list):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return [leaf for key, value in items for leaf in numeric_leaves(value, path + (str(key),))]
+    return [path] if isinstance(node, int | float) and not isinstance(node, bool) else []
+
+
+def test_every_numeric_value_of_the_scenario_is_fuzzed(sec5_norm):
+    # a value is fuzzed when its own path or that of a vector or matrix holding it is drawn
+    fuzzed = set(FIELDS + STRUCTURAL)
+    leaves = numeric_leaves(sec5_norm)
+    assert ("sim", "dt") in leaves and ("plant", "g", "0", "5") in leaves
+    assert [".".join(leaf) for leaf in leaves
+            if not any(".".join(leaf[:end]) in fuzzed for end in range(1, len(leaf) + 1))] == []
