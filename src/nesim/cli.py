@@ -23,8 +23,9 @@ from .controller import escalate_gains
 from .errors import NesimError
 from .game import pseudo_gradient, partial_gradient
 from .internal_model import sylvester_residual, verify_reproduction
-from .plant import check_steady_chain_consistency, check_steady_zero_pde, exo_trajectory
-from .simulation import assemble, format_summary, metrics, run, write_csv
+from .plant import (check_steady_chain_consistency, check_steady_zero_pde, exo_trajectory,
+                    sample_uncertainty, steady_state_chain)
+from .simulation import format_summary, metrics, run, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -192,11 +193,12 @@ def cmd_check(args) -> int:
                 for level in bank.levels for i in range(n))
     add("psi_readout_identity", worst <= 1e-10, f"max |Psi T - Gamma| {worst:.2e} (tol 1e-10)")
 
-    steady = assemble(scenario).steady  # the chain of the scenario seed's draw
+    w = sample_uncertainty(scenario.w_box, scenario.seed)  # the scenario seed's draw
+    steady = steady_state_chain(scenario.plant, p_star, scenario.exo, w)
     v0 = np.random.default_rng(scenario.seed + 1).uniform(
         scenario.exo.v0_box[:, 0], scenario.exo.v0_box[:, 1])
     exo_ts, exo_vs = exo_trajectory(scenario.exo, v0, t_final=5.0, h=1e-3)  # for both checks
-    pde = check_steady_zero_pde(scenario.plant, steady.w, p_star, exo_ts, exo_vs)
+    pde = check_steady_zero_pde(scenario.plant, w, p_star, exo_ts, exo_vs)
     add("steady_zero_pde", pde <= 1e-6, f"max residual {pde:.2e} (tol 1e-6)")
 
     cons = check_steady_chain_consistency(steady, exo_ts, exo_vs)
@@ -226,7 +228,7 @@ def cmd_check(args) -> int:
         vref = 10.0 * (1.0 + float(np.linalg.norm(traj_a.v[0])))
         add("exosystem_bounded", vmax <= vref, f"max |v| {vmax:.3g} (limit {vref:.3g})")
 
-    if scenario.gamma2_auto:
+    if scenario.gains.gamma2 is None:
         print("note: gamma2 resolved automatically from the guarantee bound")
     elif scenario.gains.gamma2 < synthesis.min_gamma2:
         print(f"warning: gamma2 = {scenario.gains.gamma2:g} is below the "

@@ -338,16 +338,14 @@ def build_scenario(norm: dict) -> Scenario:
             raise ConfigError("internal_model.explicit: need one entry per agent and level")
 
     gains_cfg = norm["gains"]
-    auto2 = gains_cfg["gamma2"] == "auto"
     p0 = np.array(gains_cfg["p0"], dtype=float) if "p0" in gains_cfg else None
 
     ctrl, sim = norm["controller"], norm["sim"]
     try:  # the classes check their values and name them as in the scenario file
-        gen_gains = GeneratorGains(gamma1=gains_cfg["gamma1"],
-                                   gamma2=1.0 if auto2 else gains_cfg["gamma2"])
+        gamma2 = None if gains_cfg["gamma2"] == "auto" else gains_cfg["gamma2"]
         scenario = Scenario(
             game=game, graph=graph, plant=model, exo=exo, w_box=w_box,
-            gains=gen_gains, gamma2_auto=auto2,
+            gains=GeneratorGains(gamma1=gains_cfg["gamma1"], gamma2=gamma2),
             controller_k=None if ctrl["k"] == "auto" else ctrl["k"],
             escalation=EscalationSpec(**ctrl["escalation"]),
             im_preset=im_cfg.get("preset"), im_stabilizers=stabilizers,

@@ -31,14 +31,19 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class GeneratorGains:
-    """Gradient gain (sets the time scale) and consensus gain."""
+    """Gradient gain (sets the time scale) and consensus gain.
+
+    A ``gamma2`` of None is auto: `Scenario.synthesized` resolves it from the
+    guarantee bound.
+    """
 
     gamma1: float
-    gamma2: float
+    gamma2: Optional[float]
 
     def __post_init__(self):
         require("gains.gamma1", self.gamma1, 0 < self.gamma1 < np.inf, "finite and > 0")
-        require("gains.gamma2", self.gamma2, 0 < self.gamma2 < np.inf, "finite and > 0")
+        if self.gamma2 is not None:
+            require("gains.gamma2", self.gamma2, 0 < self.gamma2 < np.inf, "finite and > 0")
 
 
 def min_gamma2(constants: GradientConstants, g: CommGraph) -> float:

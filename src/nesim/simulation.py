@@ -38,8 +38,8 @@ from .graph import CommGraph, is_connected
 from .internal_model import InternalModelBank, synthesize_bank
 from .numerics import (LiftedOdeSystem, column_gemv, integrate, rk4_lifted_step,
                        rk4_lifted_steps)
-from .plant import (Exosystem, PlantFeatures, PlantModel, SteadyState, drift_split,
-                    sample_uncertainty, steady_state_chain)
+from .plant import (Exosystem, PlantFeatures, PlantModel, drift_split, sample_uncertainty,
+                    steady_state_chain)
 
 AUTO_GAMMA2_MARGIN = 1.25
 _CSV_CHUNK = 256  # rows `write_csv` turns into Python floats at a time; bounds its transients
@@ -112,8 +112,7 @@ class Scenario:
     plant: PlantModel
     exo: Exosystem
     w_box: np.ndarray
-    gains: GeneratorGains            # gamma2 may be a placeholder; see gamma2_auto
-    gamma2_auto: bool = False        # resolve gamma2 from the guarantee bound
+    gains: GeneratorGains            # gamma2 None means auto (from the guarantee bound)
     controller_k: Optional[np.ndarray] = None   # None means auto (start gain + escalation)
     escalation: EscalationSpec = field(default_factory=EscalationSpec)
     im_preset: Optional[str] = None
@@ -131,6 +130,8 @@ class Scenario:
         require("sim.dt", self.dt, 0 < self.dt < np.inf, "finite and > 0")
         require("sim.t_final", self.t_final, self.t_final / self.dt < np.inf,
                 "a finite number of sim.dt steps")
+        require("sim.dt", self.dt, self.n_steps >= 1,
+                f"less than twice sim.t_final = {self.t_final:g}, for at least one step")
         require("sim.decimate", self.decimate, self.decimate >= 1, "at least 1")
         require("sim.seed", self.seed, self.seed >= 0, ">= 0")
         # R is the half-width of the initial box [-R, R], whose width must be finite
@@ -176,14 +177,18 @@ class Scenario:
         return replace(self, controller_k=self.controller_gains.scaled(factor).k,
                        gains=replace(self.gains, gamma1=self.gains.gamma1 * factor))
 
+    @property
+    def n_steps(self) -> int:
+        """RK4 steps of a run: ``t_final / dt``, rounded."""
+        return int(round(self.t_final / self.dt))
+
     def _synthesis_source(self) -> tuple:
         """The fields the synthesis derives from, compared by identity, then ``gains.gamma2``.
 
-        ``gamma2`` is a number, compared by value; under ``gamma2_auto`` it is a
-        placeholder the synthesis never reads, given as None.
+        ``gamma2`` is a number or None (auto), compared by value.
         """
-        return (self.game, self.graph, self.plant, self.exo, self.gamma2_auto, self.im_preset,
-                self.im_stabilizers, None if self.gamma2_auto else self.gains.gamma2)
+        return (self.game, self.graph, self.plant, self.exo, self.im_preset,
+                self.im_stabilizers, self.gains.gamma2)
 
     def synthesized(self) -> ScenarioSynthesis:
         """Game constants, equilibrium, gain bound, ``gamma2`` and bank, computed on first use.
@@ -195,7 +200,7 @@ class Scenario:
             p_star = _stage("equilibrium oracle", solve_ne, self.game, constants=constants)
             p_star.setflags(write=False)
             bound = _stage("consensus gain bound", min_gamma2, constants, self.graph)
-            gamma2 = AUTO_GAMMA2_MARGIN * bound if self.gamma2_auto else self.gains.gamma2
+            gamma2 = AUTO_GAMMA2_MARGIN * bound if self.gains.gamma2 is None else self.gains.gamma2
             bank = _stage("internal-model synthesis", synthesize_bank, self.plant.im_polys,
                           self.n, stabilizers=self.im_stabilizers, preset=self.im_preset)
             object.__setattr__(self, "synthesis", ScenarioSynthesis(
@@ -212,8 +217,7 @@ class Scenario:
 
     def kept_state_bytes(self) -> int:
         """Bytes of the states `run` keeps for one seed at this horizon, step and decimation."""
-        n_steps = int(round(self.t_final / self.dt))
-        return _kept_samples(n_steps, self.decimate) * self.layout().dim * 8
+        return _kept_samples(self.n_steps, self.decimate) * self.layout().dim * 8
 
 
 def _kept_samples(n_steps: int, decimate: int) -> int:
@@ -251,32 +255,22 @@ class StateLayout:
 
 @dataclass(frozen=True)
 class AssembledLoop(LiftedOdeSystem):
-    """The stacked closed-loop ODE for a batch of draws, plus everything synthesis produced.
+    """The stacked closed-loop ODE of a scenario for a batch of draws.
 
     The batch is the trailing axis: ``rhs`` takes a ``(dim, B)`` state, one
     column per row of ``draws``, and a loop with one draw also takes a flat
     ``(dim,)`` state. Columns never mix. Only ``operator`` and ``draws`` differ
     between columns. ``bind`` binds the fill of ``phi`` (`_closed_loop_bind`)
     for ``rhs`` and the lifted step alike; `run` builds the ``steps`` at its
-    step size.
-    A column's steady-state chain is built when it is read.
+    step size. The layout and the synthesis (equilibrium, ``gamma2``, bank)
+    are the scenario's: `Scenario.layout` and `Scenario.synthesized`.
     """
 
     scenario: Scenario = None
-    layout: StateLayout = None
-    bank: InternalModelBank = None
-    gamma2: float = 0.0
-    p_star: np.ndarray = None
     draws: np.ndarray = None         # (B, n_w): one uncertainty draw per column
     ablate: bool = False
     control_rows: np.ndarray = None  # U, (N, dim): the control law as u = U @ state
     operator: np.ndarray = None      # (B, dim, width): each column's map of [x; 1; phi(x)]
-
-    @property
-    def steady(self) -> SteadyState:
-        """The steady-state chain of a one-column loop."""
-        (w,) = self.draws
-        return steady_state_chain(self.scenario.plant, self.p_star, self.scenario.exo, w)
 
     def control(self, state: np.ndarray) -> np.ndarray:
         """Control input of every agent, ``U @ state``: `control_rows` placed on the state."""
@@ -284,12 +278,13 @@ class AssembledLoop(LiftedOdeSystem):
 
     def manifold_state(self, v0: np.ndarray, column: int = 0) -> np.ndarray:
         """Flat state of one column on the regulated manifold, generator at equilibrium."""
-        v0 = np.asarray(v0, dtype=float)
-        P = np.tile(self.p_star, self.layout.n_agents)  # every row at the equilibrium profile
+        v0, synthesis = np.asarray(v0, dtype=float), self.scenario.synthesized()
+        p_star = synthesis.p_star
+        P = np.tile(p_star, self.scenario.n)  # every row at the equilibrium profile
         eta = self.ideal_compensators(v0, column)
-        z = self.scenario.plant.steady_zero(self.p_star, v0, self.draws[column])
+        z = self.scenario.plant.steady_zero(p_star, v0, self.draws[column])
         # chain level s + 1 sits at the read-out of compensator level s
-        x = np.vstack([self.p_star] + psi_readouts(self.bank, eta)[:-1])
+        x = np.vstack([p_star] + psi_readouts(synthesis.bank, eta)[:-1])
         return np.concatenate([P, v0, z.ravel(), x.ravel()] + [e.ravel() for e in eta])
 
     def ideal_compensators(self, v: np.ndarray, column: int = 0) -> list[np.ndarray]:
@@ -298,13 +293,14 @@ class AssembledLoop(LiftedOdeSystem):
         They come from the exact derivative stacks of the plant's ``steady_poly``
         on the column's steady-state chain, built here.
         """
-        plant = self.scenario.plant
+        plant, synthesis = self.scenario.plant, self.scenario.synthesized()
         if plant.steady_poly is None:
             raise ConfigError("plant: the regulated manifold needs the plant's steady_poly "
                               "(exact steady-state signals), which this plant does not provide")
-        steady = steady_state_chain(plant, self.p_star, self.scenario.exo, self.draws[column])
+        steady = steady_state_chain(plant, synthesis.p_star, self.scenario.exo,
+                                    self.draws[column])
         return [np.einsum("ijk,ki->ij", level.T, steady.derivative_stack(s + 2, v, level.order))
-                for s, level in enumerate(self.bank.levels)]
+                for s, level in enumerate(synthesis.bank.levels)]
 
 
 def _stage(name: str, fn, *args, **kwargs):
@@ -334,18 +330,15 @@ def assemble(scenario: Scenario, ablate: bool = False,
     draws = np.array(draws, dtype=float)
     draws.setflags(write=False)
 
-    synthesis = scenario.synthesized()
-    p_star, gamma2, bank = synthesis.p_star, synthesis.gamma2, synthesis.bank
-
     layout = scenario.layout()
     J, features = drift_split(model, draws)
     # overflowing gains give a non-finite operator; the first RK4 step reports divergence
     with np.errstate(over="ignore", invalid="ignore"):
-        A3, U = _closed_loop_operator(scenario, layout, bank, gamma2, J, features, ablate)
+        A3, U = _closed_loop_operator(scenario, layout, J, features, ablate)
     bind = _closed_loop_bind(layout, features, scenario.game)
     return AssembledLoop(dimension=layout.dim, rhs=_closed_loop_rhs(A3, bind), bind=bind,
-                         scenario=scenario, layout=layout, bank=bank, gamma2=gamma2,
-                         p_star=p_star, draws=draws, ablate=ablate, control_rows=U, operator=A3)
+                         scenario=scenario, draws=draws, ablate=ablate, control_rows=U,
+                         operator=A3)
 
 
 def _closed_loop_bind(layout: StateLayout, features: PlantFeatures, game: GameSpec):
@@ -408,8 +401,8 @@ def _closed_loop_rhs(A3: np.ndarray, bind):
     return rhs
 
 
-def _closed_loop_operator(scenario: Scenario, layout: StateLayout, bank: InternalModelBank,
-                          gamma2: float, J: np.ndarray, features: PlantFeatures, ablate: bool):
+def _closed_loop_operator(scenario: Scenario, layout: StateLayout, J: np.ndarray,
+                          features: PlantFeatures, ablate: bool):
     """The closed loop as a linear map of the lifted state, and the control rows ``U``.
 
     The lifted state is ``[x; 1; phi]``: the state, a one and the features,
@@ -419,12 +412,12 @@ def _closed_loop_operator(scenario: Scenario, layout: StateLayout, bank: Interna
     only the plant rows differ, so the other rows are built once. ``U`` is shared.
 
     Each designed block comes in its own coordinates and is only placed here,
-    by index: `generator_rows` at the scenario's ``gains.gamma1``, the
-    exosystem ``S``, `InternalModelBank.rows` and `control_rows` at its
-    `Scenario.controller_gains`. Added here are the plant drift ``J``, the
-    chain shifts ``x_{s+1} -> dx_s``, ``u = U x`` on the top chain level and
-    the drives of the compensators: ``x_{s+1}`` for level ``s``, ``u`` for the
-    top level.
+    by index: `generator_rows` at the scenario's ``gains.gamma1`` and the
+    synthesis's ``gamma2``, the exosystem ``S``, the synthesis's
+    `InternalModelBank.rows` and `control_rows` at `Scenario.controller_gains`.
+    Added here are the plant drift ``J``, the chain shifts ``x_{s+1} -> dx_s``,
+    ``u = U x`` on the top chain level and the drives of the compensators:
+    ``x_{s+1}`` for level ``s``, ``u`` for the top level.
     """
     n, r, dim = layout.n_agents, layout.r, layout.dim
     P, v, zx, p_diag = layout.P, layout.v, layout.zx, layout.p_diag
@@ -442,16 +435,18 @@ def _closed_loop_operator(scenario: Scenario, layout: StateLayout, bank: Interna
             f"bind(zx, v, out) returns fill(), which writes the (count, B) features that "
             f"zx and v give into out")
     phi = slice(dim + 1, dim + 1 + features.count)
-    generator = generator_rows(scenario.game, scenario.graph, scenario.gains.gamma1, gamma2)
+    synthesis = scenario.synthesized()
+    generator = generator_rows(scenario.game, scenario.graph, scenario.gains.gamma1,
+                               synthesis.gamma2)
     # the rows every draw shares; the plant rows follow per draw
     A = np.zeros((dim, phi.stop + generator.shape[1] - P.stop - 1))
     A[P, P], A[P, dim] = generator[:, P], generator[:, P.stop]  # over [vec P; 1; partials]
     A[P, phi.stop:] = generator[:, P.stop + 1:]
     A[v, v] = scenario.exo.S
     U = np.zeros((n, dim))
-    local = control_rows(scenario.controller_gains, bank, ablate)  # over [p; x; eta]
+    local = control_rows(scenario.controller_gains, synthesis.bank, ablate)  # over [p; x; eta]
     U[:, p_diag], U[:, xa:] = local[:, :n], local[:, n:]
-    M, N, _, owner = bank.rows
+    M, N, _, owner = synthesis.bank.rows
     A[ea:, ea:dim] = M
     low = np.searchsorted(owner, (r - 1) * n)  # the levels below the top come first
     A[ea + np.arange(low), xa + n + owner[:low]] = N[:low]  # each driven by the next chain state
@@ -517,7 +512,7 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
         raise ValueError(f"unknown init_mode {init_mode!r}")
 
     n, lay, B = scenario.n, scenario.layout(), len(seeds)
-    box = scenario.exo.v0_box
+    box, p_star = scenario.exo.v0_box, scenario.synthesized().p_star
     state = np.empty((lay.dim, B))
     state[lay.P] = 0.0 if scenario.p0 is None else scenario.p0.reshape(n * n, 1)
     draws = np.empty((B, len(scenario.w_box)))
@@ -534,7 +529,7 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
         for b in range(B):
             state[:, b] = loop.manifold_state(state[lay.v, b], b)
 
-    n_steps = int(round(scenario.t_final / h))
+    n_steps = scenario.n_steps
     # every kept state (step 0, each dec-th step and the last) of every column,
     # and its step index; a stopped column keeps the samples it has
     try:
@@ -601,12 +596,12 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
             # the signals own their data, so a kept trajectory does not pin the buffer
             Xb, ksb = X[:samples[b], b], ks[:samples[b]]
             # the distance first: its two (K, N*N) temporaries then meet fewer live signals
-            ne_dist = np.linalg.norm(Xb[:, lay.P] - np.tile(loop.p_star, n), axis=1)
+            ne_dist = np.linalg.norm(Xb[:, lay.P] - np.tile(p_star, n), axis=1)
             y = Xb[:, lay.x.start:lay.x.start + n].copy()  # first chain level
             p = Xb[:, lay.p_diag]
             trajs.append(ClosedLoopTrajectory(
                 t=ksb * h, y=y, p=p, e=y - p, u=Xb @ loop.control_rows.T, ne_dist=ne_dist,
-                p_star=loop.p_star, v=Xb[:, lay.v].copy(), max_state_norm=float(max_norm[b]),
+                p_star=p_star, v=Xb[:, lay.v].copy(), max_state_norm=float(max_norm[b]),
                 diverged=diverged_t[b] is not None, diverged_t=diverged_t[b],
                 aborted_norm=bool(aborted[b]), seed=seed_b))
     return trajs if batch else trajs[0]

@@ -13,7 +13,7 @@ from factories import build_game, build_plant
 from nesim.config import load_scenario
 from nesim.generator import GeneratorGains
 from nesim.graph import CommGraph
-from nesim.plant import Exosystem
+from nesim.plant import Exosystem, steady_state_chain
 from nesim.simulation import Scenario, assemble
 
 
@@ -46,6 +46,14 @@ def sec5_loop(stable):
 
 
 @pytest.fixture(scope="session")
+def sec5_steady(sec5_loop):
+    """The steady-state chain of `sec5_loop`'s one draw."""
+    scenario = sec5_loop.scenario
+    return steady_state_chain(scenario.plant, scenario.synthesized().p_star, scenario.exo,
+                              sec5_loop.draws[0])
+
+
+@pytest.fixture(scope="session")
 def custom_scenario():
     """The test-factory finite-difference game with the generic custom plant.
 
@@ -56,8 +64,8 @@ def custom_scenario():
         game=build_game([1.0, 2.0, 3.0], 0.5), graph=CommGraph.ring(3),
         plant=build_plant(3), exo=Exosystem(S=np.array([[0.0, 1.0], [-1.0, 0.0]]),
                                             v0_box=np.array([[0.5, 1.0], [0.0, 0.0]])),
-        w_box=np.tile([-0.1, 0.1], (3, 1)), gains=GeneratorGains(1.0, 1.0),
-        gamma2_auto=True, controller_k=np.full((3, 1), 8.0), seed=2, R=0.5)
+        w_box=np.tile([-0.1, 0.1], (3, 1)), gains=GeneratorGains(1.0, None),
+        controller_k=np.full((3, 1), 8.0), seed=2, R=0.5)
     scenario.synthesized()
     return scenario
 

@@ -85,7 +85,7 @@ def reference_bounds(game: CustomGame, n_samples: int, seed: int) -> tuple[float
 
 def unpack(loop, state):
     """One column's flat state as ``(P, v, z, x, eta)``: named, reshaped views."""
-    n, lay = loop.layout.n_agents, loop.layout
+    n, lay = loop.scenario.n, loop.scenario.layout()
     return (state[lay.P].reshape(n, n), state[lay.v], state[lay.z].reshape(n, lay.n_z),
             state[lay.x].reshape(lay.r, n),
             [state[blk].reshape(n, order) for blk, order in zip(lay.eta, lay.im_orders)])
@@ -148,13 +148,15 @@ def plant_rhs(model, z, x, u, v, w) -> tuple[np.ndarray, np.ndarray]:
 def composed_rhs(loop, state, column: int = 0):
     """Closed-loop derivative and input of one column's flat state, composed per block and agent."""
     sc = loop.scenario
+    synthesis = sc.synthesized()
     P, v, z, x, eta = unpack(loop, state)
-    dP = kronecker_generator(sc.game, sc.graph, sc.gains.gamma1, loop.gamma2)(P)
-    u = backstepping_control(sc.controller_gains, loop.bank, P.diagonal(), x, eta, loop.ablate)
+    dP = kronecker_generator(sc.game, sc.graph, sc.gains.gamma1, synthesis.gamma2)(P)
+    u = backstepping_control(sc.controller_gains, synthesis.bank, P.diagonal(), x, eta,
+                             loop.ablate)
     dz, dx = plant_rhs(sc.plant, z, x, u, v, loop.draws[column])
     drives = list(x[1:]) + [u]  # level s is driven by x_{s+1}, the top level by u
     deta = [np.array([level.M[i] @ eta[s][i] + level.N[i] * drives[s][i] for i in range(sc.n)])
-            for s, level in enumerate(loop.bank.levels)]
+            for s, level in enumerate(synthesis.bank.levels)]
     flat = np.concatenate([dP, sc.exo.S @ v, dz.ravel(), dx.ravel()]
                           + [d.ravel() for d in deta])
     return flat, u

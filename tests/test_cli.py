@@ -208,6 +208,8 @@ def test_bad_run_settings_are_config_errors(patch, argv, fast_cfg, tmp_path, cap
 @pytest.mark.parametrize("patch, argv, field", [
     ({"gains.gamma1": 0}, [], "gains.gamma1"),
     ({"gains.gamma2": -1}, [], "gains.gamma2"),
+    # null is not "auto": only the library's GeneratorGains takes None for auto
+    ({"gains.gamma2": None}, [], "gains.gamma2"),
     ({"controller.k": [[0.0, 16.0]] + [[16.0, 16.0]] * 3}, [], "controller.k"),
     ({"controller.k": [[16.0, 16.0, 16.0]] * 4}, [], "controller.k"),
     ({"controller.escalation.factor": 1.0}, [], "controller.escalation.factor"),
@@ -239,6 +241,8 @@ def test_bad_run_settings_are_config_errors(patch, argv, fast_cfg, tmp_path, cap
     # 1e300 s keeps more states than an array can hold; more steps than a float is not finite
     ({}, ["--t-final", "1e300"], "sim.t_final"),
     ({}, ["--t-final", "1e300", "--dt", "1e-10"], "sim.t_final"),
+    # a step past the horizon gives runs of no step
+    ({"sim.dt": 0.5}, ["--t-final", "0.01"], "sim.dt"),
     ({"game.h1": [1.0], "game.h2": [1.0], "game.h3": [1.0], "graph.n": 1, "graph.edges": []},
      [], "game"),
     # an integer setting is a whole number, never truncated, and not a boolean
@@ -275,17 +279,18 @@ def test_bad_run_settings_are_config_errors(patch, argv, fast_cfg, tmp_path, cap
     ({"internal_model": {"explicit": [[{"M": [[-1.0]], "N": [1.0], "junk": 1}]]}}, [],
      "internal_model.explicit[0][0]"),
     ({"internal_model": {"explicit": 5}}, [], "internal_model.explicit"),
-], ids=["gamma1_zero", "gamma2_negative", "k_zero", "k_shape", "factor_one", "max_rounds_zero",
-        "R_negative", "R_inf", "seed_negative", "seed_flag_negative", "dt_flag_nan",
-        "t_final_flag_nan", "t_final_flag_inf", "dt_string", "seed_nan", "decimate_null",
-        "gamma1_string", "k_string", "graph_n_string", "edges_string", "edge_weight_string",
-        "p0_string", "S_string", "g_string", "w_box_nan", "v0_box_string", "h1_scalar",
-        "h2_scalar", "h3_scalar", "im_polys_scalar", "t_final_huge", "step_count_overflow",
-        "one_player", "seed_fraction", "seed_bool", "decimate_fraction", "graph_n_fraction",
-        "max_rounds_fraction", "edge_end_fraction", "dt_bool", "gamma1_numeric_string",
-        "t_final_numeric_string", "R_bool", "k_bool", "k_numeric_string", "p0_bool", "h1_inf",
-        "h1_nan", "h2_inf", "h2_nan", "h3_inf", "h3_nan", "im_polys_inf", "explicit_M_string",
-        "explicit_N_bool", "explicit_M_inf", "explicit_unknown_key", "explicit_not_a_list"])
+], ids=["gamma1_zero", "gamma2_negative", "gamma2_null", "k_zero", "k_shape", "factor_one",
+        "max_rounds_zero", "R_negative", "R_inf", "seed_negative", "seed_flag_negative",
+        "dt_flag_nan", "t_final_flag_nan", "t_final_flag_inf", "dt_string", "seed_nan",
+        "decimate_null", "gamma1_string", "k_string", "graph_n_string", "edges_string",
+        "edge_weight_string", "p0_string", "S_string", "g_string", "w_box_nan", "v0_box_string",
+        "h1_scalar", "h2_scalar", "h3_scalar", "im_polys_scalar", "t_final_huge",
+        "step_count_overflow", "dt_past_horizon", "one_player", "seed_fraction", "seed_bool",
+        "decimate_fraction", "graph_n_fraction", "max_rounds_fraction", "edge_end_fraction",
+        "dt_bool", "gamma1_numeric_string", "t_final_numeric_string", "R_bool", "k_bool",
+        "k_numeric_string", "p0_bool", "h1_inf", "h1_nan", "h2_inf", "h2_nan", "h3_inf", "h3_nan",
+        "im_polys_inf", "explicit_M_string", "explicit_N_bool", "explicit_M_inf",
+        "explicit_unknown_key", "explicit_not_a_list"])
 def test_malformed_values_are_config_errors(patch, argv, field, fast_cfg, tmp_path, capsys):
     out_csv = tmp_path / "bad.csv"
     code = main(["simulate", "--config", str(fast_cfg(**patch)), "--out", str(out_csv), *argv])

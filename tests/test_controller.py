@@ -78,12 +78,12 @@ class TestControlLaw:
 
 
 class TestTransform:
-    def test_manifold_point_maps_to_zero(self, bank, sec5_loop):
-        steady = sec5_loop.steady
+    def test_manifold_point_maps_to_zero(self, bank, sec5_steady):
+        steady = sec5_steady
         v0 = np.array([1.0, -0.2])
         rng = np.random.default_rng(7)
         theta = [rng.normal(size=(4, level.order)) for level in bank.levels]
-        p = sec5_loop.p_star
+        p = steady.p_star
         x = np.empty((2, 4))
         x[0] = p
         eta = [theta[0].copy(), theta[1].copy()]
@@ -91,17 +91,17 @@ class TestTransform:
         out = transform(steady.z_star(v0), x, eta, bank, steady, theta, p, v0)
         assert out.max_abs() < 1e-12
 
-    def test_compensator_shift_passes_through(self, bank, sec5_loop):
+    def test_compensator_shift_passes_through(self, bank, sec5_steady):
         rng = np.random.default_rng(8)
         z, x, eta, p = random_inputs(bank, rng)
         theta = [rng.normal(size=(4, level.order)) for level in bank.levels]
         v0 = np.array([0.4, 0.1])
-        base = transform(z, x, eta, bank, sec5_loop.steady, theta, p, v0)
+        base = transform(z, x, eta, bank, sec5_steady, theta, p, v0)
         delta = rng.normal(size=eta[1].shape)
         shifted = [eta[0], eta[1] + delta]
         # shifting the top-level compensator shifts nothing else except its
         # own error coordinate (the top read-out feeds only the input)
-        out = transform(z, x, shifted, bank, sec5_loop.steady, theta, p, v0)
+        out = transform(z, x, shifted, bank, sec5_steady, theta, p, v0)
         assert np.abs((out.eta_tilde[1] - base.eta_tilde[1]) - delta).max() < 1e-12
         assert np.abs(out.eta_tilde[0] - base.eta_tilde[0]).max() == 0.0
 
@@ -180,7 +180,7 @@ class TestStartGains:
 
 
 class TestManifoldInvariance:
-    def test_transformed_coordinates_stay_zero(self, sec5, sec5_loop):
+    def test_transformed_coordinates_stay_zero(self, sec5, sec5_loop, sec5_steady):
         v0 = np.array([1.1, 0.25])
         state = sec5_loop.manifold_state(v0)
         h = 1e-3
@@ -191,7 +191,8 @@ class TestManifoldInvariance:
             t += h
             P, v, z, x, eta = unpack(sec5_loop, state)
             theta = sec5_loop.ideal_compensators(v)
-            out = transform(z, x, eta, sec5_loop.bank, sec5_loop.steady, theta, P.diagonal(), v)
+            out = transform(z, x, eta, sec5.synthesized().bank, sec5_steady, theta,
+                            P.diagonal(), v)
             worst = max(worst, out.max_abs())
         assert worst < 1e-6
 
@@ -199,7 +200,7 @@ class TestManifoldInvariance:
         v0 = np.array([0.9, -0.1])
         state = sec5_loop.manifold_state(v0)
         deriv = sec5_loop.rhs(0.0, state)
-        n = sec5_loop.layout.n_agents
+        n = sec5_loop.scenario.n
         assert np.abs(deriv[:n * n]).max() < 1e-9
 
 

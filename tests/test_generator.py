@@ -23,6 +23,13 @@ def quad(h1, h2, h3):
                                     h3=np.array(h3, dtype=float))
 
 
+def test_gains_take_gamma2_none_as_auto_and_reject_other_non_numbers():
+    assert GeneratorGains(1.0, None).gamma2 is None
+    for gamma2 in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match=r"^gains\.gamma2: must be finite and > 0"):
+            GeneratorGains(1.0, gamma2)
+
+
 class TestMinGamma2:
     def test_ring(self):
         c = GradientConstants(strong_mono=2.0, lipschitz=2.0)
@@ -110,7 +117,7 @@ def ring(sec5):
     """A quadratic game on a ring, gamma2 at 1.25 times its bound, from zero over 6 s."""
     game = quad([2, 4, 3, 5], [2, 2, 2, 2], [1, 1, 1, 1])
     return dataclasses.replace(sec5, game=game, graph=CommGraph.ring(4),
-                               gains=GeneratorGains(1.0, 1.0), gamma2_auto=True, p0=None,
+                               gains=GeneratorGains(1.0, None), p0=None,
                                t_final=6.0, dt=1e-3, decimate=10)
 
 
@@ -126,7 +133,7 @@ class TestRunGenerator:
     def test_the_synthesis_rejects_a_numerically_disconnected_graph(self, ring):
         # connected edge by edge, but with no consensus gain bound: no run of it is certified
         weak = dataclasses.replace(ring, graph=CommGraph(ring.graph.weights * 1e-10),
-                                   gains=GeneratorGains(1.0, 5.0), gamma2_auto=False)
+                                   gains=GeneratorGains(1.0, 5.0))
         with pytest.raises(Disconnected, match="consensus gain bound: lambda2"):
             weak.synthesized()
 
@@ -153,7 +160,7 @@ class TestRunGenerator:
         assert np.array_equal(fifth.dist, every.dist[::5])
 
     def test_warns_below_guarantee_bound(self, ring):
-        low = dataclasses.replace(ring, gains=GeneratorGains(1.0, 0.01), gamma2_auto=False,
+        low = dataclasses.replace(ring, gains=GeneratorGains(1.0, 0.01),
                                   t_final=0.05)
         with pytest.warns(UserWarning, match="below the guarantee bound"):
             run_generator(low)

@@ -8,8 +8,7 @@ from nesim.internal_model import (_FD_STENCILS, _derivative_stack, companion_fro
                                   default_stabilizer, solve_sylvester, StabilizerPair,
                                   synthesize_bank, sylvester_residual, verify_reproduction)
 from nesim.numerics import OdeSystem, integrate
-from nesim.plant import exo_trajectory
-from nesim.simulation import assemble
+from nesim.plant import exo_trajectory, sample_uncertainty, steady_state_chain
 
 
 class TestCompanion:
@@ -211,11 +210,12 @@ class TestVerifyReproduction:
 
     def test_batch_of_sec5_agents_equals_one_column_calls(self, sec5):
         # each level's steady-state signals of sec5's four agents, as `nesim check` builds them
-        loop = assemble(sec5)
-        bank = sec5.synthesized().bank
+        synthesis = sec5.synthesized()
+        steady = steady_state_chain(sec5.plant, synthesis.p_star, sec5.exo,
+                                    sample_uncertainty(sec5.w_box, sec5.seed))
         ts, vs = exo_trajectory(sec5.exo, np.array([0.8, -0.4]), t_final=6.0, h=2e-3)
-        for s, level in enumerate(bank.levels):
-            signal = loop.steady.x_star(s + 2, vs)
+        for s, level in enumerate(synthesis.bank.levels):
+            signal = steady.x_star(s + 2, vs)
             batch = verify_reproduction(level, ts, signal)
             assert batch.shape == (sec5.n,)
             for i in range(sec5.n):

@@ -119,7 +119,7 @@ def test_run_records_the_lifted_steps(stable, count_calls):
     loop = assemble(short, draws=draw[None])
     loop = dataclasses.replace(loop, steps=rk4_lifted_steps(loop.operator, short.dt, loop.bind))
     states = trajectory(loop, x0[:, None], short.dt, step=rk4_lifted_step, n_steps=200)[..., 0]
-    y = states[:, loop.layout.x.start:loop.layout.x.start + short.n]
+    y = states[:, short.layout().x.start:short.layout().x.start + short.n]
     assert traj.y.tobytes() == np.ascontiguousarray(y).tobytes()
     assert traj.max_state_norm == np.abs(states[1:]).max()
 
@@ -168,7 +168,7 @@ def test_a_non_finite_column_is_marked_and_the_others_step_as_alone(bad, sec5):
     scenario = sec5.escalated(4.0)
     loop = lifted_loop(scenario, (1, 2, 3))
     x = random_states(loop, 3, 45)
-    x[loop.layout.z.start, 1] = bad
+    x[scenario.layout().z.start, 1] = bad
     with np.errstate(over="ignore", invalid="ignore"):
         out = rk4_lifted_step(loop, 0.0, x, scenario.dt)
     assert out.shape == x.shape and not loop.steps.top < np.inf
@@ -206,7 +206,7 @@ def test_a_column_parked_where_its_drift_is_not_finite_leaves_the_batch_running(
         graph=CommGraph.ring(3), plant=dataclasses.replace(build_plant(3), f0=f0),
         exo=Exosystem(S=np.array([[0.0, 1.0], [-1.0, 0.0]]),
                       v0_box=np.array([[0.5, 1.0], [0.0, 0.0]])),
-        w_box=np.tile([-0.1, 0.1], (3, 1)), gains=GeneratorGains(1.0, 1.0), gamma2_auto=True,
+        w_box=np.tile([-0.1, 0.1], (3, 1)), gains=GeneratorGains(1.0, None),
         controller_k=np.full((3, 1), 8.0), seed=2, R=0.5, t_final=1.0)
     seeds = [1, 2, 3]
     with np.errstate(divide="ignore", invalid="ignore"):

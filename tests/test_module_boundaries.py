@@ -11,6 +11,10 @@ Only `simulation` and `game` call `estimate_constants` or `solve_ne`: a
 scenario's game constants and equilibrium are derived once, by
 `Scenario.synthesized`, and every other module reads them from there.
 
+Only `simulation` calls `assemble`: a closed-loop operator is built only
+where it is stepped, and every other module reads the synthesis and the
+layout from the scenario.
+
 No nesim module catches `NonFiniteState`: divergence is read off the
 magnitude a step leaves in its workspace, not caught from the step.
 
@@ -106,6 +110,23 @@ def test_only_the_synthesis_derives_the_constants_and_the_equilibrium():
     assert paths
     assert [hit for path in paths
             for hit in calls_of(SYNTHESIS, path.read_text(), path.name)] == []
+
+
+ASSEMBLY = ("assemble",)
+
+
+def test_assembly_detector_sees_calls_not_references():
+    source = ("loop = assemble(scenario)\n"
+              "def f():\n    return simulation.assemble(scenario, draws=w).operator\n"
+              "wrapped = functools.wraps(assemble)(g)\n"
+              "from .simulation import assemble\n")
+    assert [int(hit.split(":")[1]) for hit in calls_of(ASSEMBLY, source)] == [1, 3]
+
+
+def test_only_simulation_assembles_the_closed_loop():
+    paths = [path for path in sorted(SRC.glob("*.py")) if path.name != "simulation.py"]
+    assert paths
+    assert [hit for path in paths for hit in calls_of(ASSEMBLY, path.read_text(), path.name)] == []
 
 
 def handlers_of(name: str, source: str, filename: str = "<source>") -> list[str]:

@@ -58,8 +58,8 @@ def test_placed_control_rows_match_backstepping_oracle(ablate, stable):
     for _ in range(20):
         state = rng.normal(size=loop.dimension)
         P, _, _, x, eta = unpack(loop, state)
-        want = backstepping_control(loop.scenario.controller_gains, loop.bank, P.diagonal(), x,
-                                    eta, ablate)
+        want = backstepping_control(stable.controller_gains, stable.synthesized().bank,
+                                    P.diagonal(), x, eta, ablate)
         assert np.abs(loop.control(state) - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -122,18 +122,19 @@ def test_replaced_inputs_are_synthesized_again(sec5):
     for field_name, value in (("graph", CommGraph.ring(4)),
                               ("plant", dataclasses.replace(sec5.plant)),
                               ("exo", dataclasses.replace(sec5.exo)),
-                              ("gamma2_auto", False), ("im_preset", None)):
+                              ("gains", GeneratorGains(1.0, 2.0)), ("im_preset", None)):
         assert dataclasses.replace(sec5, **{field_name: value}).synthesis is None, field_name
 
 
 def test_synthesis_compares_gamma2_by_value(sec5):
-    # sec5 resolves gamma2 from the guarantee bound: the configured one is a placeholder
-    assert sec5.gamma2_auto
+    # sec5 resolves gamma2 from the guarantee bound: new gains with gamma2 None keep that
+    assert sec5.gains.gamma2 is None
     kept, gamma1 = sec5.synthesized(), sec5.gains.gamma1
-    for gamma2 in (float("1.0"), 30.0):
-        assert dataclasses.replace(sec5, gains=GeneratorGains(gamma1, gamma2)).synthesis is kept
+    assert dataclasses.replace(sec5, gains=GeneratorGains(gamma1, None)).synthesis is kept
+    # a number in place of auto is another gamma2
+    explicit = dataclasses.replace(sec5, gains=GeneratorGains(gamma1, 30.0))
+    assert explicit.synthesis is None
     # an explicit gamma2 counts by value: an equal new float keeps the synthesis
-    explicit = dataclasses.replace(sec5, gamma2_auto=False)
     kept, gamma2 = explicit.synthesized(), explicit.gains.gamma2
     equal = GeneratorGains(gamma1, float(repr(gamma2)))
     assert equal.gamma2 == gamma2 and equal.gamma2 is not gamma2
@@ -255,11 +256,11 @@ def test_recorded_signals_match_per_sample_oracle(sec5, stable):
             peak = max(peak, float(np.abs(state).max()))
         P, v, z, x, eta = unpack(loop, state)
         refs = P.diagonal()
-        u = backstepping_control(loop.scenario.controller_gains, loop.bank, refs, x, eta)
+        u = backstepping_control(stable.controller_gains, stable.synthesized().bank, refs, x, eta)
         assert traj.t[k] == k * sec5.dt
         assert close(traj.y[k], x[0]) and close(traj.p[k], refs)
         assert close(traj.e[k], x[0] - refs) and close(traj.v[k], v)
-        assert close(traj.ne_dist[k], np.linalg.norm(P - loop.p_star))
+        assert close(traj.ne_dist[k], np.linalg.norm(P - stable.synthesized().p_star))
         assert close(traj.u[k], u)
     # the peak is the running maximum, which the last state no longer reaches; `run` steps
     # by the lifted step, so it matches the oracle's peak to the bound of the signals
@@ -340,6 +341,13 @@ def test_run_rejects_bad_arguments(settings, kwargs, stable):
         run(dataclasses.replace(stable, **dict(t_final=0.01) | settings), **kwargs)
 
 
+def test_a_step_past_the_horizon_is_rejected_by_the_scenario(sec5):
+    # 0.4 s in steps of 1 s rounds to no step at all: no run, escalation round or sweep
+    assert dataclasses.replace(sec5, t_final=0.4, dt=0.5).n_steps == 1
+    with pytest.raises(ValueError, match=r"^sim\.dt: must be less than twice sim\.t_final"):
+        dataclasses.replace(sec5, t_final=0.4, dt=1.0)
+
+
 def test_impossible_horizon_is_a_config_error_before_the_first_step(stable, count_calls):
     # 1e300 s at dt = 1e-3 keeps more states than one array can index
     steps = count_calls(rk4_lifted_step)
@@ -354,7 +362,7 @@ def test_operator_is_shared_rows_plus_plant_rows_per_draw(case, stable, request)
     seeds = (1, 2, 3)
     draws = np.stack([sample_uncertainty(scenario.w_box, s) for s in seeds])
     batch = assemble(scenario, draws=draws)
-    lay, n = batch.layout, scenario.n
+    lay, n = scenario.layout(), scenario.n
     assert np.array_equal(batch.draws, draws) and not hasattr(batch, "steadies")
     J, features = drift_split(scenario.plant, batch.draws)
     n_zx = lay.zx.stop - lay.zx.start
@@ -443,8 +451,7 @@ def test_zero_disturbance_decoupled_game_reaches_targets():
         exo=Exosystem(S=np.array([[0.0, 1.0], [-1.0, 0.0]]),
                       v0_box=np.zeros((2, 2))),
         w_box=np.zeros((24, 2)),
-        gains=GeneratorGains(1.0, 1.0),
-        gamma2_auto=True, controller_k=np.tile([16.0, 16.0], (4, 1)),
+        gains=GeneratorGains(1.0, None), controller_k=np.tile([16.0, 16.0], (4, 1)),
         escalation=EscalationSpec(), im_preset="sec5",
         t_final=20.0, dt=2e-3, seed=3, R=1.0, decimate=10,
     )
