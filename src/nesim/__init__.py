@@ -11,7 +11,7 @@ from .game import (CustomGame, GradientConstants, QuadraticAggregativeGame,
                    estimate_constants, extended_pseudo_gradient, partial_gradient,
                    pseudo_gradient, solve_ne)
 from .generator import GeneratorGains, min_gamma2, run_generator
-from .graph import CommGraph, is_connected, lambda2, laplacian
+from .graph import CommGraph, lambda2, laplacian
 from .internal_model import (CompanionPair, InternalModelBank, StabilizerPair,
                              companion_from_coeffs, default_stabilizer,
                              solve_sylvester, synthesize_bank, verify_reproduction)

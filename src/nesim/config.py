@@ -1,11 +1,10 @@
-"""Scenario file loading, validation, and normalization.
+"""Scenario file loading: the file's form is checked here, its meaning in the library.
 
 Scenario files are JSON documents with sections ``game``, ``graph``,
 ``plant``, ``exosystem``, ``internal_model``, ``gains``, ``controller`` and
-``sim``. Unknown keys are rejected everywhere, array lengths are checked
-against the player count, and semantic constraints (connected graph, strong
-monotonicity, admissible plant parameters) are verified at load so that the
-CLI can fail fast with a named field.
+``sim``. `normalize` checks their form (known keys, each number and array
+read by `_array`); the classes `build_scenario` builds check what the values
+mean and how the parts fit. Either names the field as the file does.
 
 Custom game or plant kinds reference a Python factory as ``"module:callable"``
 because arbitrary dynamics cannot be serialized as data; the factory receives
@@ -22,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, NesimError
+from .errors import ConfigError, InvalidParameter, NesimError
 from .game import CustomGame, QuadraticAggregativeGame
 from .generator import GeneratorGains
 from .graph import CommGraph
@@ -201,10 +200,7 @@ def normalize(raw: dict) -> dict:
     for key in ("w_box", "v0_box"):
         if key not in plant:
             _fail(f"plant.{key}", "required")
-        box = _array(f"plant.{key}", plant[key], 2, (2,))
-        if (box[:, 0] > box[:, 1]).any():
-            _fail(f"plant.{key}", "lower bound exceeds upper bound")
-        plant[key] = box.tolist()
+        plant[key] = _array(f"plant.{key}", plant[key], 2, (2,)).tolist()
     if "im_polys" in plant:
         if not isinstance(plant["im_polys"], (list, tuple)):
             _fail("plant.im_polys", "expected a list of coefficient lists")
@@ -212,16 +208,11 @@ def normalize(raw: dict) -> dict:
                              for k, c in enumerate(plant["im_polys"])]
 
     exo = out["exosystem"]
-    S = _array("exosystem.S", exo["S"], 2)
-    if S.shape[0] != S.shape[1]:
-        _fail("exosystem.S", "expected a square matrix")
-    exo["S"] = S.tolist()
+    exo["S"] = _array("exosystem.S", exo["S"], 2).tolist()
 
     im = out["internal_model"]
     if "preset" in im and im["preset"] not in ("sec5",):
         _fail("internal_model.preset", f"unknown preset {im['preset']!r}")
-    if "preset" in im and "explicit" in im:
-        _fail("internal_model", "'preset' and 'explicit' are mutually exclusive")
     if "explicit" in im:
         if not isinstance(im["explicit"], (list, tuple)) or not all(
                 isinstance(levels, (list, tuple)) for levels in im["explicit"]):
@@ -278,11 +269,10 @@ def build_scenario(norm: dict) -> Scenario:
         raise ConfigError(f"game: {exc}") from exc
     if custom and not isinstance(game, CustomGame):
         raise ConfigError("game.factory must return a CustomGame")
-    n = game.n
 
-    graph_cfg = norm["graph"]
-    if graph_cfg["n"] != n:
-        raise ConfigError(f"graph.n: {graph_cfg['n']} players in graph, {n} in game")
+    graph_cfg = norm["graph"]  # checked here: it sizes the (n, n) weights allocated next
+    if graph_cfg["n"] != game.n:
+        raise ConfigError(f"graph.n: {graph_cfg['n']} players in graph, {game.n} in game")
     try:
         graph = CommGraph.from_edges(graph_cfg["n"], graph_cfg["edges"])
     except ValueError as exc:
@@ -291,7 +281,7 @@ def build_scenario(norm: dict) -> Scenario:
     plant_cfg = norm["plant"]
     try:
         if plant_cfg["kind"] == "example_sec5":
-            model = example_plant(np.array(plant_cfg["g"]), n_agents=n)
+            model = example_plant(np.array(plant_cfg["g"]))
         else:
             model = _load_factory(plant_cfg["factory"])(**plant_cfg["args"])
             if not isinstance(model, PlantModel):
@@ -304,28 +294,6 @@ def build_scenario(norm: dict) -> Scenario:
         except ValueError as exc:
             raise ConfigError(f"plant.im_polys: {exc}") from exc
 
-    w_box = np.array(plant_cfg["w_box"], dtype=float)
-    if w_box.shape[0] != model.n_w:
-        raise ConfigError(f"plant.w_box: expected {model.n_w} coordinate ranges, "
-                          f"got {w_box.shape[0]}")
-    exo_cfg = norm["exosystem"]
-    v0_box = np.array(plant_cfg["v0_box"], dtype=float)
-    S = np.array(exo_cfg["S"], dtype=float)
-    if v0_box.shape[0] != S.shape[0]:
-        raise ConfigError("plant.v0_box: length must match the exosystem dimension")
-    exo = Exosystem(S=S, v0_box=v0_box)
-
-    if plant_cfg["kind"] == "example_sec5":
-        g1_hi = np.array(plant_cfg["g"])[:, 0] + w_box[0::6, 1]
-        if (g1_hi >= 0).any():
-            raise ConfigError("plant: g1 + w must stay negative over the whole "
-                              "uncertainty box (stable zero dynamics)")
-    try:
-        corners = [w_box[:, 0], w_box[:, 1], w_box.mean(axis=1)]
-        check_origin_equilibrium(model, corners, n_v=exo.n_v)
-    except NesimError as exc:
-        raise ConfigError(f"plant: {exc}") from exc
-
     im_cfg = norm["internal_model"]
     stabilizers = None
     if "explicit" in im_cfg:
@@ -334,27 +302,34 @@ def build_scenario(norm: dict) -> Scenario:
                                 for agent_levels in im_cfg["explicit"])
         except ValueError as exc:
             raise ConfigError(f"internal_model.explicit: {exc}") from exc
-        if len(stabilizers) != n or any(len(s) != model.r for s in stabilizers):
-            raise ConfigError("internal_model.explicit: need one entry per agent and level")
 
-    gains_cfg = norm["gains"]
-    p0 = np.array(gains_cfg["p0"], dtype=float) if "p0" in gains_cfg else None
-
-    ctrl, sim = norm["controller"], norm["sim"]
+    gains_cfg, ctrl, sim = norm["gains"], norm["controller"], norm["sim"]
     try:  # the classes check their values and name them as in the scenario file
         gamma2 = None if gains_cfg["gamma2"] == "auto" else gains_cfg["gamma2"]
         scenario = Scenario(
-            game=game, graph=graph, plant=model, exo=exo, w_box=w_box,
+            game=game, graph=graph, plant=model,
+            exo=Exosystem(S=norm["exosystem"]["S"], v0_box=plant_cfg["v0_box"]),
+            w_box=plant_cfg["w_box"],
             gains=GeneratorGains(gamma1=gains_cfg["gamma1"], gamma2=gamma2),
             controller_k=None if ctrl["k"] == "auto" else ctrl["k"],
             escalation=EscalationSpec(**ctrl["escalation"]),
             im_preset=im_cfg.get("preset"), im_stabilizers=stabilizers,
             t_final=sim["t_final"], dt=sim["dt"], seed=sim["seed"],
-            R=sim["R"], decimate=sim["decimate"], p0=p0,
+            R=sim["R"], decimate=sim["decimate"], p0=gains_cfg.get("p0"),
         )
+        # the box checks index the scenario's w_box: one row per uncertain parameter
+        w_box = scenario.w_box
+        if plant_cfg["kind"] == "example_sec5" and (
+                np.array(plant_cfg["g"])[:, 0] + w_box[0::6, 1] >= 0).any():
+            raise ConfigError("plant: g1 + w must stay negative over the whole "
+                              "uncertainty box (stable zero dynamics)")
+        check_origin_equilibrium(model, [w_box[:, 0], w_box[:, 1], w_box.mean(axis=1)],
+                                 n_v=scenario.exo.n_v)
         scenario.synthesized()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    except InvalidParameter as exc:
+        raise ConfigError(f"plant: {exc}") from exc
     return scenario
 
 

@@ -69,18 +69,3 @@ def laplacian(g: CommGraph) -> np.ndarray:
 def lambda2(g: CommGraph) -> float:
     """Second-smallest Laplacian eigenvalue (algebraic connectivity)."""
     return float(symmetric_eigenvalues(laplacian(g))[1])
-
-
-def is_connected(g: CommGraph) -> bool:
-    """Breadth-first search over positive-weight edges reaches every node."""
-    n = g.n
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        i = stack.pop()
-        for j in np.nonzero(g.weights[i] > 0)[0]:
-            if not seen[j]:
-                seen[j] = True
-                stack.append(int(j))
-    return bool(seen.all())

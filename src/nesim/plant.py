@@ -14,33 +14,43 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameter
+from .errors import InvalidParameter, require
 from .numerics import rk4_linear
 
 ORIGIN_EQ_TOL = 1e-12
 V_FD_STEP = 1e-5
 
 
+def checked_box(name: str, box, rows: int) -> np.ndarray:
+    """``box`` as a read-only ``(rows, 2)`` float array with lo <= hi in every row.
+
+    Any other box is a `ValueError` naming the scenario-file field ``name``.
+    """
+    box = np.array(box, dtype=float)
+    require(name, box.shape, box.shape == (rows, 2), f"of shape ({rows}, 2)")
+    bad = np.flatnonzero(~(box[:, 0] <= box[:, 1]))  # NaN bounds are not ordered either
+    require(name, f"row {bad[0]} = {box[bad[0]].tolist()}" if bad.size else None,
+            bad.size == 0, "lo <= hi in every row")
+    box.setflags(write=False)
+    return box
+
+
 @dataclass(frozen=True)
 class Exosystem:
-    """Autonomous disturbance generator ``vdot = S v`` with initial-set box."""
+    """Autonomous disturbance generator ``vdot = S v`` with initial-set box.
+
+    Checked here, named as in the scenario file: ``exosystem.S`` and ``plant.v0_box``.
+    """
 
     S: np.ndarray
     v0_box: np.ndarray  # (n_v, 2) lo/hi per coordinate
 
     def __post_init__(self):
         S = np.array(self.S, dtype=float)
-        box = np.array(self.v0_box, dtype=float)
-        if S.ndim != 2 or S.shape[0] != S.shape[1]:
-            raise ValueError("S must be square")
-        if box.shape != (S.shape[0], 2):
-            raise ValueError("v0_box must be (n_v, 2)")
-        if (box[:, 0] > box[:, 1]).any():
-            raise ValueError("v0_box lower bounds exceed upper bounds")
+        require("exosystem.S", S.shape, S.ndim == 2 and S.shape[0] == S.shape[1], "square")
         S.setflags(write=False)
-        box.setflags(write=False)
         object.__setattr__(self, "S", S)
-        object.__setattr__(self, "v0_box", box)
+        object.__setattr__(self, "v0_box", checked_box("plant.v0_box", self.v0_box, self.n_v))
 
     @property
     def n_v(self) -> int:
@@ -259,7 +269,7 @@ class SteadyState:
     def z_star(self, v: np.ndarray) -> np.ndarray:
         return self.model.steady_zero(self.p_star, np.asarray(v, dtype=float), self.w)
 
-    def x_star(self, s: int, v: np.ndarray, p: np.ndarray | None = None) -> np.ndarray:
+    def x_star(self, s: int, v: np.ndarray) -> np.ndarray:
         """Level-s steady-state signal, ``s`` in ``1 .. r+1`` (r+1 = input).
 
         ``v`` is one disturbance state ``(n_v,)``, giving ``(N,)``, or a stack
@@ -269,8 +279,7 @@ class SteadyState:
         """
         v = np.asarray(v, dtype=float)
         if s == 1:
-            ref = self.p_star if p is None else np.asarray(p, dtype=float)
-            return np.broadcast_to(ref, v.shape[:-1] + ref.shape).copy()
+            return np.broadcast_to(self.p_star, v.shape[:-1] + self.p_star.shape).copy()
         if self._polys is not None:
             return self._polys[s - 2](v)
         level = self._generic_level(s)
@@ -337,7 +346,7 @@ def steady_state_chain(model: PlantModel, p_star: np.ndarray, exo: Exosystem,
 # Built-in example plant
 
 
-def example_plant(g: np.ndarray, n_agents: int | None = None) -> PlantModel:
+def example_plant(g: np.ndarray) -> PlantModel:
     """Relative-degree-2 benchmark plant with six uncertain parameters per agent.
 
     Per agent (parameters ``g1 .. g6``, effective value = nominal + the
@@ -357,8 +366,6 @@ def example_plant(g: np.ndarray, n_agents: int | None = None) -> PlantModel:
     g = np.atleast_2d(np.array(g, dtype=float))
     if g.shape[1] != 6:
         raise InvalidParameter(f"expected 6 parameters per agent, got {g.shape[1]}")
-    if n_agents is not None and g.shape[0] != n_agents:
-        raise InvalidParameter(f"expected {n_agents} parameter rows, got {g.shape[0]}")
     if (g[:, 0] >= 0).any():
         raise InvalidParameter("g1 must be negative for every agent")
     n = g.shape[0]

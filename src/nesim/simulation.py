@@ -34,12 +34,12 @@ from .controller import (ControllerGains, TRACKING_TOL, STATE_NORM_LIMIT, contro
 from .errors import ConfigError, NesimError, require
 from .game import GameSpec, GradientConstants, estimate_constants, solve_ne
 from .generator import GeneratorGains, generator_rows, min_gamma2, partials_bind
-from .graph import CommGraph, is_connected
+from .graph import CommGraph
 from .internal_model import InternalModelBank, synthesize_bank
 from .numerics import (LiftedOdeSystem, column_gemv, integrate, rk4_lifted_step,
                        rk4_lifted_steps)
-from .plant import (Exosystem, PlantFeatures, PlantModel, drift_split, sample_uncertainty,
-                    steady_state_chain)
+from .plant import (Exosystem, PlantFeatures, PlantModel, checked_box, drift_split,
+                    sample_uncertainty, steady_state_chain)
 
 AUTO_GAMMA2_MARGIN = 1.25
 _CSV_CHUNK = 256  # rows `write_csv` turns into Python floats at a time; bounds its transients
@@ -104,7 +104,14 @@ class Scenario:
     The run settings ``t_final``, ``dt``, ``seed``, ``R`` and ``decimate``, the
     gains ``controller_k`` and the generator start ``p0`` are checked here, and
     only here, named as in the scenario file (``sim.dt``): a shorter or finer
-    run is a `replace`, and so is an escalation round (`escalated`).
+    run is a `replace`, and so is an escalation round (`escalated`). So is how
+    the parts fit, each named by its field: ``graph.n`` and ``plant`` have the
+    game's players, ``plant.w_box`` is ``(n_w, 2)`` with lo <= hi (kept
+    read-only), ``internal_model`` is a preset or explicit stabilizers, not
+    both, and ``internal_model.explicit`` has ``r`` of them for each agent. The
+    parts check their own values (`Exosystem` its ``S`` and ``v0_box``), and
+    the synthesis alone decides connectivity: its consensus-gain bound raises
+    `Disconnected` unless ``lambda2 > CONNECTIVITY_EPS``.
     """
 
     game: GameSpec
@@ -138,15 +145,24 @@ class Scenario:
         require("sim.R", self.R, 0 <= self.R <= np.finfo(float).max / 2,
                 "finite and >= 0, with a finite box width 2R")
         object.__setattr__(self, "R", self.R + 0.0)  # -0.0 would give the box [0, -0]
-        if not is_connected(self.graph):
-            raise ValueError("graph: communication graph must be connected")
+        n, plant = self.n, self.plant
+        require("graph.n", self.graph.n, self.graph.n == n, f"the game's player count {n}")
+        require("plant", f"{plant.n_agents} agents", plant.n_agents == n,
+                f"a model of the game's {n} agents")
+        object.__setattr__(self, "w_box", checked_box("plant.w_box", self.w_box, plant.n_w))
+        require("internal_model", "both", self.im_preset is None or self.im_stabilizers is None,
+                "a preset or explicit stabilizers, not both")
+        if self.im_stabilizers is not None:
+            counts = [len(levels) for levels in self.im_stabilizers]
+            require("internal_model.explicit", counts, counts == [plant.r] * n,
+                    f"{plant.r} entries for each of {n} agents")
         if self.controller_k is not None:
             k = ControllerGains(self.controller_k).k
-            shape = (self.n, self.plant.r)
+            shape = (n, plant.r)
             require("controller.k", k.shape, k.shape == shape, f"of shape {shape}")
             object.__setattr__(self, "controller_k", k)
         if self.p0 is not None:
-            p0, shape = np.array(self.p0, dtype=float), (self.n, self.n)
+            p0, shape = np.array(self.p0, dtype=float), (n, n)
             require("gains.p0", p0.shape, p0.shape == shape, f"of shape {shape}")
             p0.setflags(write=False)
             object.__setattr__(self, "p0", p0)
@@ -321,17 +337,13 @@ def assemble(scenario: Scenario, ablate: bool = False,
     and ``gains.gamma1``); the equilibrium, ``gamma2`` and the internal-model
     bank come from `Scenario.synthesized`.
     """
-    n = scenario.n
-    model = scenario.plant
-    if model.n_agents != n:
-        raise ValueError(f"plant has {model.n_agents} agents, game has {n}")
     if draws is None:
         draws = sample_uncertainty(scenario.w_box, scenario.seed)[None]
     draws = np.array(draws, dtype=float)
     draws.setflags(write=False)
 
     layout = scenario.layout()
-    J, features = drift_split(model, draws)
+    J, features = drift_split(scenario.plant, draws)
     # overflowing gains give a non-finite operator; the first RK4 step reports divergence
     with np.errstate(over="ignore", invalid="ignore"):
         A3, U = _closed_loop_operator(scenario, layout, J, features, ablate)

@@ -1,4 +1,5 @@
-"""Independent oracles: custom-game finite differences and constants, the closed loop.
+"""Independent oracles: custom-game finite differences and constants, graph
+connectivity by breadth-first search, the closed loop.
 
 The first are written out sample by sample, the way the definitions read, so
 that the whole-array code in `nesim.game` is checked against something other
@@ -81,6 +82,25 @@ def reference_bounds(game: CustomGame, n_samples: int, seed: int) -> tuple[float
         if dPn > 1e-8:
             lip = max(lip, float(np.linalg.norm(extended(Px) - extended(Py))) / dPn)
     return mono, lip
+
+
+def bfs_connected(g) -> bool:
+    """Breadth-first search over positive-weight edges reaches every node.
+
+    The combinatorial connectivity that the spectral rule ``lambda2 > 0`` is
+    held against.
+    """
+    n = g.n
+    seen = np.zeros(n, dtype=bool)
+    stack = [0]
+    seen[0] = True
+    while stack:
+        i = stack.pop()
+        for j in np.nonzero(g.weights[i] > 0)[0]:
+            if not seen[j]:
+                seen[j] = True
+                stack.append(int(j))
+    return bool(seen.all())
 
 
 def unpack(loop, state):

@@ -357,6 +357,23 @@ def test_custom_factories_relative_degree_one(tmp_path, capsys):
     assert out_csv.exists()
 
 
+@pytest.mark.parametrize("argv", [["simulate", "--out", "o.csv"], ["check"]],
+                         ids=["simulate", "check"])
+def test_custom_plant_of_another_agent_count_is_a_config_error(argv, tmp_path, capsys,
+                                                               monkeypatch):
+    # a 2-agent plant, its box sized to match, under the 3-player game
+    path = _custom_config(tmp_path, t_final=0.5)
+    cfg = json.loads(path.read_text())
+    cfg["plant"]["args"]["n_agents"] = 2
+    cfg["plant"]["w_box"] = [[-0.1, 0.1]] * 2
+    path.write_text(json.dumps(cfg))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "config error: plant: " in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("box", [[1.0, 1.0], [2.0, 1.0]], ids=["zero_width", "inverted"])
 def test_bad_custom_sample_box_is_config_error(box, tmp_path, capsys):
     path = _custom_config(tmp_path, t_final=3.0)

@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from nesim.graph import CommGraph, is_connected, lambda2, laplacian
+from nesim.graph import CommGraph, lambda2, laplacian
+from oracles import bfs_connected
 
 
 def random_graph(rng, n, p_edge=0.4):
@@ -37,15 +38,10 @@ def test_edgeless_graph_zero_laplacian():
     (lambda: CommGraph.ring(4), 2.0),
     (lambda: CommGraph(np.ones((4, 4)) - np.eye(4)), 4.0),
     (lambda: CommGraph.from_edges(3, [(0, 1), (1, 2)]), 1.0),
+    (lambda: CommGraph.from_edges(4, [(0, 1), (2, 3)]), 0.0),  # two components
 ])
 def test_lambda2_known_graphs(build, expected):
     assert lambda2(build()) == pytest.approx(expected, abs=1e-9)
-
-
-def test_is_connected_examples():
-    assert is_connected(CommGraph.ring(4))
-    assert not is_connected(CommGraph.from_edges(4, [(0, 1), (2, 3)]))
-    assert is_connected(CommGraph.from_edges(5, [(0, k) for k in range(1, 5)]))
 
 
 def test_laplacian_annihilates_ones():
@@ -64,7 +60,7 @@ def test_connected_graph_spectrum():
     found = 0
     while found < 20:
         g = random_graph(rng, int(rng.integers(2, 9)), p_edge=0.7)
-        if not is_connected(g):
+        if not bfs_connected(g):
             continue
         eigs = np.sort(np.linalg.eigvalsh(laplacian(g)))
         assert abs(eigs[0]) < 1e-9
@@ -76,7 +72,7 @@ def test_bfs_agrees_with_spectral_gap():
     rng = np.random.default_rng(3)
     for _ in range(100):
         g = random_graph(rng, int(rng.integers(2, 9)))
-        assert is_connected(g) == (lambda2(g) > 1e-9)
+        assert bfs_connected(g) == (lambda2(g) > 1e-9)
 
 
 def test_graph_validation():

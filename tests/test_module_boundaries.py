@@ -21,12 +21,17 @@ magnitude a step leaves in its workspace, not caught from the step.
 `config.normalize` builds no array itself: every numeric array of a
 scenario file is read by `config._array`, the one reader that checks it is
 numeric, of the right shape and finite.
+
+Every field a library class names in a `require` is a path of the scenario
+file, so an error from a `replace` reads like one from a file.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+
+from nesim.config import _ALLOWED_KEYS, _DEFAULTS, _SECTIONS
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "nesim"
 
@@ -187,3 +192,48 @@ def test_normalize_reads_arrays_only_through_the_reader():
     source = (SRC / "config.py").read_text()
     assert "def normalize(" in source and "def _array(" in source
     assert array_builds_in("normalize", source, "config.py") == []
+
+
+FIELD_CHECKS = ("require", "checked_box")  # each takes the field's name first
+
+
+def required_fields(source: str, filename: str = "<source>") -> list[tuple[str, str]]:
+    """``(file:line, field)`` of each string literal passed first to a field check."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) in FIELD_CHECKS
+                and node.args and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, str)):
+            found.append((f"{filename}:{node.lineno}", node.args[0].value))
+    return found
+
+
+def names_a_file_path(field: str) -> bool:
+    """``section``, ``section.key``, or ``controller.escalation.key``, as the file has them."""
+    section, *keys = field.split(".")
+    if section not in _SECTIONS or keys and keys[0] not in _ALLOWED_KEYS[section]:
+        return False
+    escalation = set(_DEFAULTS["controller"]["escalation"])
+    return len(keys) <= 1 or (keys[0] == "escalation" and len(keys) == 2
+                              and keys[1] in escalation)
+
+
+def test_field_detector_sees_literal_first_arguments_only():
+    source = ("require('sim.dt', dt, dt > 0, 'positive')\n"
+              "def f(box):\n    return plant.checked_box('plant.w_box', box, 3)\n"
+              "errors.require(name, 1, True, 'x')\n"
+              "require(f'sim.{key}', 1, True, 'x')\n"
+              "other('gains.p0', 1)\n")
+    assert [field for _, field in required_fields(source)] == ["sim.dt", "plant.w_box"]
+    fields = ["sim.dt", "graph", "controller.escalation.factor", "sim.dt.lo", "gains.gamma3",
+              "box", "controller.escalation.rate", "controller.k.0"]
+    assert [f for f in fields if not names_a_file_path(f)] == \
+        ["sim.dt.lo", "gains.gamma3", "box", "controller.escalation.rate", "controller.k.0"]
+
+
+def test_every_required_field_names_a_path_of_the_scenario_file():
+    fields = [hit for path in sorted(SRC.glob("*.py"))
+              for hit in required_fields(path.read_text(), path.name)]
+    assert len(fields) >= 20
+    assert [hit for hit in fields if not names_a_file_path(hit[1])] == []

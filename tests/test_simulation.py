@@ -2,17 +2,18 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import re
 import weakref
 
 import numpy as np
 import pytest
 
 from nesim.config import load_scenario
-from nesim.errors import ConfigError
+from nesim.errors import ConfigError, Disconnected
 from nesim.game import QuadraticAggregativeGame, estimate_constants, solve_ne
 from nesim.generator import GeneratorGains, min_gamma2, run_generator
 from nesim.graph import CommGraph
-from nesim.internal_model import synthesize_bank
+from nesim.internal_model import StabilizerPair, synthesize_bank
 from nesim.numerics import rk4_lifted_step, rk4_step
 from nesim.plant import (Exosystem, PlantFeatures, drift_split, example_plant,
                          sample_uncertainty, steady_state_chain)
@@ -144,8 +145,37 @@ def test_synthesis_compares_gamma2_by_value(sec5):
 
 
 def test_disconnected_graph_rejected(sec5):
-    with pytest.raises(ValueError, match="connected"):
-        dataclasses.replace(sec5, graph=CommGraph.from_edges(4, [(0, 1), (2, 3)]))
+    # connectivity is the synthesis's one rule, lambda2 > CONNECTIVITY_EPS
+    disconnected = dataclasses.replace(sec5, graph=CommGraph.from_edges(4, [(0, 1), (2, 3)]))
+    with pytest.raises(Disconnected, match="lambda2"):
+        disconnected.synthesized()
+
+
+def preset_pairs(scenario: Scenario, agents: int) -> tuple:
+    """The scenario's bank written out as explicit stabilizers for the first ``agents`` agents."""
+    levels = scenario.synthesized().bank.levels
+    return tuple(tuple(StabilizerPair(level.M[i], level.N[i]) for level in levels)
+                 for i in range(agents))
+
+
+@pytest.mark.parametrize("field, changes", [
+    ("graph.n", lambda sc: {"graph": CommGraph.ring(5)}),
+    ("plant.w_box", lambda sc: {"w_box": sc.w_box[:23]}),
+    ("plant.w_box", lambda sc: {"w_box": np.tile([0.1, -0.1], (len(sc.w_box), 1))}),
+    ("internal_model", lambda sc: {"im_stabilizers": preset_pairs(sc, sc.n)}),
+    ("internal_model.explicit",
+     lambda sc: {"im_preset": None, "im_stabilizers": preset_pairs(sc, 3)}),
+    ("plant", lambda sc: {"plant": example_plant(sc.plant.params["g"][:3])}),
+    ("exosystem.S", lambda sc: {"exo": Exosystem(S=np.zeros((2, 3)), v0_box=sc.exo.v0_box)}),
+    ("plant.v0_box", lambda sc: {"exo": Exosystem(S=sc.exo.S, v0_box=sc.exo.v0_box[:1])}),
+    ("plant.v0_box", lambda sc: {"exo": Exosystem(S=sc.exo.S, v0_box=[[1.0, 0.0], [0.0, 0.0]])}),
+], ids=["graph_of_5", "w_box_23_rows", "w_box_inverted", "preset_and_explicit",
+        "explicit_for_3_agents", "plant_of_3", "S_not_square", "v0_box_1_row",
+        "v0_box_inverted"])
+def test_parts_that_do_not_fit_are_named_by_their_field(field, changes, sec5):
+    # a library scenario checks how its parts fit where it is built, as a file would
+    with pytest.raises(ValueError, match=rf"^{re.escape(field)}: must be "):
+        dataclasses.replace(sec5, **changes(sec5))
 
 
 @pytest.mark.parametrize("k, rule", [
@@ -171,6 +201,12 @@ def test_p0_is_checked_by_the_scenario(sec5, count_calls):
     ints = np.arange(16).reshape(4, 4)
     p0 = dataclasses.replace(sec5, p0=ints).p0
     assert p0.dtype == float and np.array_equal(p0, ints) and not p0.flags.writeable
+
+
+def test_w_box_is_kept_as_a_read_only_float_array(sec5):
+    ints = np.tile([-1, 1], (len(sec5.w_box), 1))
+    w_box = dataclasses.replace(sec5, w_box=ints).w_box
+    assert w_box.dtype == float and np.array_equal(w_box, ints) and not w_box.flags.writeable
 
 
 def test_closed_loop_generator_block_is_the_generator_alone(stable):
