@@ -181,6 +181,8 @@ def normalize(raw: dict) -> dict:
         if not isinstance(edge, (list, tuple)) or len(edge) not in (2, 3):
             _fail(path, "expected [i, j] or [i, j, weight]")
         i, j = (_number(path, end, int) for end in edge[:2])
+        if not (0 <= i < graph["n"] and 0 <= j < graph["n"]) or i == j:
+            _fail(path, f"expected two distinct agents of 0..{graph['n'] - 1}, got ({i}, {j})")
         weight = _array(path, edge[2], 0).tolist() if len(edge) == 3 else default_weight
         edges.append([i, j, weight])
     graph["edges"] = edges

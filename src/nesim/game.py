@@ -86,9 +86,13 @@ class CustomGame:
     of ``profile`` is ignored in its favor), so that estimate vectors can be
     evaluated as well as true profiles. Each call gets a fresh ``profile``
     array of its own, which the callable may modify, and the calls come in a
-    fixed order. Gradients come from central finite differences; constants
-    are sampled over ``sample_box``, whose rows must be finite with
-    ``lo < hi``, and are therefore local to that box.
+    fixed order for a given scenario and seed. The callable must be a
+    deterministic function of its arguments: the closed loop evaluates each
+    stage's partials once for all the columns of a batch that hold the same
+    estimates (`generator.partials_bind`), so the number of calls does not
+    grow with the batch width. Gradients come from central finite
+    differences; constants are sampled over ``sample_box``, whose rows must
+    be finite with ``lo < hi``, and are therefore local to that box.
     """
 
     costs: Sequence[Callable[[float, np.ndarray], float]]
@@ -137,7 +141,9 @@ def _central_partials(costs, blocks: np.ndarray) -> np.ndarray:
     its own strategy on row i of block k, with step ``FD_REL_STEP * (1 +
     |y_i|)``. Each cost call gets a fresh copy of the row, so a callable that
     writes into its profile affects nothing else. Calls run block by block,
-    player by player, the upward step first.
+    player by player, the upward step first. Deterministic callables give
+    equal blocks equal partials: `generator.partials_bind` relies on that to
+    evaluate a batch of equal blocks once.
     """
     out = np.empty(blocks.shape[:2])
     for block, partials in zip(blocks, out):

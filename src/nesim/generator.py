@@ -98,6 +98,15 @@ def partials_bind(game: GameSpec, estimates: np.ndarray,
     column ``b`` from column ``b`` alone. None for a quadratic game: its
     extended gradient is affine and already in `generator_rows`. The views
     are taken once, here.
+
+    The generator reads no plant state and `run` starts every column at the
+    same ``p0``, so the live columns of a batch hold the same estimates. When
+    every column's estimate bits equal column 0's, the stencil runs once, on
+    column 0, and its partials go to every column; otherwise every column is
+    filled from its own block (a parked column, or one gone non-finite). The
+    cost callables are deterministic, so either way column ``b`` gets the
+    bits its own block gives. Bits, not ``==``: ``-0.0 == 0.0`` and NaN is
+    not equal to itself.
     """
     if isinstance(game, QuadraticAggregativeGame):
         return None
@@ -105,9 +114,17 @@ def partials_bind(game: GameSpec, estimates: np.ndarray,
     # one (n, n) view per column: the estimate rows of a lift buffer are contiguous
     blocks = estimates.reshape(n, n, -1).transpose(2, 0, 1)
     out = partials.T  # (B, n)
+    if len(out) == 1:
+        def fill() -> None:
+            out[...] = extended_pseudo_gradient(game, blocks)
+
+        return fill
+    bits = estimates.view(np.int64)
+    first = bits[:, :1]
 
     def fill() -> None:
-        out[...] = extended_pseudo_gradient(game, blocks)
+        same = (bits == first).all()
+        out[...] = extended_pseudo_gradient(game, blocks[0] if same else blocks)
 
     return fill
 

@@ -108,7 +108,8 @@ class Scenario:
     the parts fit, each named by its field: ``graph.n`` and ``plant`` have the
     game's players, ``plant.w_box`` is ``(n_w, 2)`` with lo <= hi (kept
     read-only), ``internal_model`` is a preset or explicit stabilizers, not
-    both, and ``internal_model.explicit`` has ``r`` of them for each agent. The
+    both, and ``internal_model.explicit`` has ``r`` of them for each agent,
+    each of its level's recurrence order (``plant.im_polys``). The
     parts check their own values (`Exosystem` its ``S`` and ``v0_box``), and
     the synthesis alone decides connectivity: its consensus-gain bound raises
     `Disconnected` unless ``lambda2 > CONNECTIVITY_EPS``.
@@ -156,6 +157,10 @@ class Scenario:
             counts = [len(levels) for levels in self.im_stabilizers]
             require("internal_model.explicit", counts, counts == [plant.r] * n,
                     f"{plant.r} entries for each of {n} agents")
+            orders = [[stab.order for stab in levels] for levels in self.im_stabilizers]
+            want = [len(coeffs) for coeffs in plant.im_polys]
+            require("internal_model.explicit", orders, orders == [want] * n,
+                    f"of the recurrence orders {want} of plant.im_polys for each agent")
         if self.controller_k is not None:
             k = ControllerGains(self.controller_k).k
             shape = (n, plant.r)

@@ -98,17 +98,23 @@ class TestGeneratorRhs:
                 assert np.abs(per_agent - stacked(P)).max() < 1e-12
 
     def test_partials_fill_reads_the_estimates_at_each_call(self):
-        # each column's partials are those of its own estimate rows as they are at the call
+        # each column's partials are those of its own estimate rows as they are at the call,
+        # whether the columns differ, all agree, or all but column 0 (parked at zero) agree
         game = build_game([1.0, 2.0, 3.0], 0.5)
-        lifted = np.zeros((13, 2))
-        fill = partials_bind(game, lifted[:9], lifted[10:])
         rng = np.random.default_rng(13)
-        for _ in range(2):
-            lifted[:9] = rng.normal(size=(9, 2))
-            fill()
-            for b in range(2):
-                want = extended_pseudo_gradient(game, lifted[:9, b].reshape(3, 3))
-                assert lifted[10:, b].tobytes() == want.tobytes()
+        same = np.tile(rng.normal(size=(9, 1)), 3)
+        parked = same.copy()
+        parked[:, 0] = 0.0
+        for B, contents in [(1, [rng.normal(size=(9, 1)) for _ in range(2)]),
+                            (3, [rng.normal(size=(9, 3)), same, parked, rng.normal(size=(9, 3))])]:
+            lifted = np.zeros((13, B))
+            fill = partials_bind(game, lifted[:9], lifted[10:])
+            for estimates in contents:
+                lifted[:9] = estimates
+                fill()
+                for b in range(B):
+                    want = extended_pseudo_gradient(game, lifted[:9, b].reshape(3, 3))
+                    assert lifted[10:, b].tobytes() == want.tobytes()
         assert partials_bind(quad([1, 2], [0.3, 0.3], [0, 0]), lifted[:4], lifted[5:]) is None
 
 

@@ -2,7 +2,8 @@
 
 Drawn: the scenario (bundled sec5, or the finite-difference custom game with
 the generic custom plant), one to three seeds, a gain multiplier from 1 to 16
-and the ablation flag.
+and the ablation flag; for the custom game's shared estimates, two or three
+seeds, the multiplier and a norm abort.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")  # in the `test` extra
 from hypothesis import given, settings, strategies as st
 
+from nesim import simulation
 from nesim.controller import ControllerGains
+from nesim.numerics import integrate
 from nesim.plant import sample_uncertainty
 from nesim.simulation import assemble, run
 from oracles import composed_rhs
@@ -56,3 +59,33 @@ def test_batched_run_matches_single_seed_runs(scenario, seeds, multiplier, ablat
     batch = run(short, ablate=ablate, seed=seeds)
     for traj in batch:
         assert_same_run(traj, run(short, ablate=ablate, seed=traj.seed))
+
+
+@settings(max_examples=10, deadline=None, database=None)
+@given(seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=2, max_size=3, unique=True),
+       multiplier=st.floats(1.0, 16.0), abort_norm=st.one_of(st.none(), st.floats(0.6, 1.0)))
+def test_live_columns_hold_the_same_estimates(seeds, multiplier, abort_norm, request):
+    # the generator reads no plant state and every column starts at p0, so the custom game's
+    # partial fill may evaluate one column for all: the estimate rows of the columns that
+    # have not stopped agree bit for bit at every step, whichever columns the norm stops
+    short = dataclasses.replace(drawn("custom", multiplier, request), t_final=0.2)
+    P, checked = short.layout().P, []
+
+    def spy(sys, x0, t0, t_final, h, observer, step):
+        live = np.ones(x0.shape[1], dtype=bool)
+
+        def watch(k, t, x):
+            stop = observer(k, t, x)
+            if stop is not None:
+                live[stop] = False
+            bits = x[P][:, live].view(np.int64)
+            assert (bits == bits[:, :1]).all(), k
+            checked.append(k)
+            return stop
+
+        return integrate(sys, x0, t0, t_final, h, watch, step)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulation, "integrate", spy)
+        run(short, seed=seeds, abort_norm=abort_norm)
+    assert checked[0] == 0 and len(checked) >= 2

@@ -10,7 +10,7 @@ import pytest
 
 from nesim.config import load_scenario
 from nesim.errors import ConfigError, Disconnected
-from nesim.game import QuadraticAggregativeGame, estimate_constants, solve_ne
+from nesim.game import CustomGame, QuadraticAggregativeGame, estimate_constants, solve_ne
 from nesim.generator import GeneratorGains, min_gamma2, run_generator
 from nesim.graph import CommGraph
 from nesim.internal_model import StabilizerPair, synthesize_bank
@@ -165,13 +165,16 @@ def preset_pairs(scenario: Scenario, agents: int) -> tuple:
     ("internal_model", lambda sc: {"im_stabilizers": preset_pairs(sc, sc.n)}),
     ("internal_model.explicit",
      lambda sc: {"im_preset": None, "im_stabilizers": preset_pairs(sc, 3)}),
+    ("internal_model.explicit",
+     lambda sc: {"im_preset": None,
+                 "im_stabilizers": ((StabilizerPair([[-1.0]], [1.0]),) * sc.plant.r,) * sc.n}),
     ("plant", lambda sc: {"plant": example_plant(sc.plant.params["g"][:3])}),
     ("exosystem.S", lambda sc: {"exo": Exosystem(S=np.zeros((2, 3)), v0_box=sc.exo.v0_box)}),
     ("plant.v0_box", lambda sc: {"exo": Exosystem(S=sc.exo.S, v0_box=sc.exo.v0_box[:1])}),
     ("plant.v0_box", lambda sc: {"exo": Exosystem(S=sc.exo.S, v0_box=[[1.0, 0.0], [0.0, 0.0]])}),
 ], ids=["graph_of_5", "w_box_23_rows", "w_box_inverted", "preset_and_explicit",
-        "explicit_for_3_agents", "plant_of_3", "S_not_square", "v0_box_1_row",
-        "v0_box_inverted"])
+        "explicit_for_3_agents", "explicit_of_order_1", "plant_of_3", "S_not_square",
+        "v0_box_1_row", "v0_box_inverted"])
 def test_parts_that_do_not_fit_are_named_by_their_field(field, changes, sec5):
     # a library scenario checks how its parts fit where it is built, as a file would
     with pytest.raises(ValueError, match=rf"^{re.escape(field)}: must be "):
@@ -356,6 +359,44 @@ def test_stopped_columns_match_single_seed_runs(abort_norm, sec5):
             before = run(dataclasses.replace(short, t_final=traj.t[-1] - sec5.dt),
                          seed=traj.seed, abort_norm=abort_norm)
             assert not before.aborted_norm and before.max_state_norm <= abort_norm
+
+
+def test_a_stopped_column_0_leaves_the_custom_batch_as_run_alone(custom_scenario):
+    # the custom game's partial fill reads column 0 alone while every column holds the same
+    # estimates; once column 0 is parked at zero they differ, and the others must still be
+    # their runs alone. Seed 1 starts with an entry above the abort norm, seeds 2 and 3 stay
+    # below it for 0.3 s
+    short = dataclasses.replace(custom_scenario, t_final=0.3, decimate=1)
+    batch = run(short, seed=(1, 2, 3), abort_norm=0.85)
+    assert batch[0].aborted_norm and len(batch[0].t) == 2
+    assert [len(traj.t) for traj in batch[1:]] == [301, 301]
+    for traj in batch:
+        assert_same_run(traj, run(short, seed=traj.seed, abort_norm=0.85))
+
+
+def test_a_batch_of_the_same_estimates_makes_the_cost_calls_of_one_column(custom_scenario):
+    # the generator reads no plant state, so three seeds make the cost calls of one, in order
+    calls = []
+
+    def counted(cost):
+        def call(yi, profile):
+            calls.append((yi, profile.tobytes()))
+            return cost(yi, profile)
+        return call
+
+    game = custom_scenario.game
+    counting = dataclasses.replace(
+        custom_scenario, t_final=0.01,
+        game=CustomGame([counted(cost) for cost in game.costs], game.sample_box))
+    counting.synthesized()
+    runs = []
+    for seed in (1, (1, 2, 3)):
+        calls.clear()
+        run(counting, seed=seed)
+        runs.append(list(calls))
+    # 10 steps of 4 stages, each with an upward and a downward call for each of 3 players
+    assert len(runs[0]) == 10 * 4 * 3 * 2
+    assert runs[1] == runs[0]
 
 
 def test_batched_rerun_is_bit_identical(stable):
