@@ -173,6 +173,8 @@ def normalize(raw: dict) -> dict:
     graph["n"] = _number("graph.n", graph["n"], int)
     graph.setdefault("default_weight", 1.0)
     default_weight = _array("graph.default_weight", graph["default_weight"], 0).tolist()
+    if default_weight < 0:
+        _fail("graph.default_weight", f"expected a weight >= 0, got {default_weight}")
     if not isinstance(graph["edges"], (list, tuple)):
         _fail("graph.edges", "expected a list of edges")
     edges = []
@@ -184,6 +186,8 @@ def normalize(raw: dict) -> dict:
         if not (0 <= i < graph["n"] and 0 <= j < graph["n"]) or i == j:
             _fail(path, f"expected two distinct agents of 0..{graph['n'] - 1}, got ({i}, {j})")
         weight = _array(path, edge[2], 0).tolist() if len(edge) == 3 else default_weight
+        if weight < 0:
+            _fail(path, f"expected a weight >= 0, got {weight}")
         edges.append([i, j, weight])
     graph["edges"] = edges
 

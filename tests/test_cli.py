@@ -252,9 +252,11 @@ def test_bad_run_settings_are_config_errors(patch, argv, fast_cfg, tmp_path, cap
     ({"graph.n": 4.9}, [], "graph.n"),
     ({"controller.escalation.max_rounds": 3.5}, [], "controller.escalation.max_rounds"),
     ({"graph.edges": [[0.5, 1], [1, 2], [2, 3]]}, [], "graph.edges[0]"),
-    # an edge joins two distinct agents of the graph
+    # an edge joins two distinct agents of the graph with a weight >= 0
     ({"graph.edges": [[0, 7], [1, 2], [2, 3]]}, [], "graph.edges[0]"),
     ({"graph.edges": [[0, 1], [2, 2], [2, 3]]}, [], "graph.edges[1]"),
+    ({"graph.edges": [[0, 1], [1, 2], [2, 3, -1.0]]}, [], "graph.edges[2]"),
+    ({"graph.default_weight": -2.0}, [], "graph.default_weight"),
     # a number is not a boolean or a string, although Python and NumPy would convert them
     ({"sim.dt": True}, [], "sim.dt"),
     ({"gains.gamma1": "2.5"}, [], "gains.gamma1"),
@@ -290,8 +292,8 @@ def test_bad_run_settings_are_config_errors(patch, argv, fast_cfg, tmp_path, cap
         "h1_scalar", "h2_scalar", "h3_scalar", "im_polys_scalar", "t_final_huge",
         "step_count_overflow", "dt_past_horizon", "one_player", "seed_fraction", "seed_bool",
         "decimate_fraction", "graph_n_fraction", "max_rounds_fraction", "edge_end_fraction",
-        "edge_out_of_range", "edge_self_loop", "dt_bool", "gamma1_numeric_string",
-        "t_final_numeric_string", "R_bool", "k_bool",
+        "edge_out_of_range", "edge_self_loop", "edge_weight_negative", "default_weight_negative",
+        "dt_bool", "gamma1_numeric_string", "t_final_numeric_string", "R_bool", "k_bool",
         "k_numeric_string", "p0_bool", "h1_inf", "h1_nan", "h2_inf", "h2_nan", "h3_inf", "h3_nan",
         "im_polys_inf", "explicit_M_string", "explicit_N_bool", "explicit_M_inf",
         "explicit_unknown_key", "explicit_not_a_list"])
