@@ -94,10 +94,10 @@ def partials_bind(game: GameSpec, estimates: np.ndarray,
 
     ``estimates`` is a ``(N*N, B)`` view of ``vec P`` (row-major) per column
     and ``partials`` the ``(N, B)`` rows the fill writes. Returns ``fill()``,
-    which overwrites ``partials`` from what ``estimates`` holds at each call,
-    column ``b`` from column ``b`` alone. None for a quadratic game: its
-    extended gradient is affine and already in `generator_rows`. The views
-    are taken once, here.
+    which overwrites ``partials`` from what ``estimates`` holds at each call:
+    column ``b`` gets the partials of its own block, read as the next
+    paragraph says. None for a quadratic game: its extended gradient is
+    affine and already in `generator_rows`. The views are taken once, here.
 
     The generator reads no plant state and `run` starts every column at the
     same ``p0``, so the live columns of a batch hold the same estimates. When
@@ -114,11 +114,6 @@ def partials_bind(game: GameSpec, estimates: np.ndarray,
     # one (n, n) view per column: the estimate rows of a lift buffer are contiguous
     blocks = estimates.reshape(n, n, -1).transpose(2, 0, 1)
     out = partials.T  # (B, n)
-    if len(out) == 1:
-        def fill() -> None:
-            out[...] = extended_pseudo_gradient(game, blocks)
-
-        return fill
     bits = estimates.view(np.int64)
     first = bits[:, :1]
 

@@ -158,7 +158,7 @@ class Scenario:
             require("internal_model.explicit", counts, counts == [plant.r] * n,
                     f"{plant.r} entries for each of {n} agents")
             orders = [[stab.order for stab in levels] for levels in self.im_stabilizers]
-            want = [len(coeffs) for coeffs in plant.im_polys]
+            want = [np.size(coeffs) for coeffs in plant.im_polys]
             require("internal_model.explicit", orders, orders == [want] * n,
                     f"of the recurrence orders {want} of plant.im_polys for each agent")
         if self.controller_k is not None:
@@ -364,8 +364,10 @@ def _closed_loop_bind(layout: StateLayout, features: PlantFeatures, game: GameSp
     ``lifted`` is a ``(width, B)`` array ``[x; 1; phi]``. The features
     ``phi`` are the plant's (see `drift_split`) and, for a custom game, each
     agent's finite-difference partial on its own estimate row, which
-    `generator.partials_bind` fills. Column ``b`` reads only column ``b``.
-    The views are taken once, at binding.
+    `generator.partials_bind` fills. Column ``b`` gets the features of its
+    own block; the partials of columns that hold the same estimates are
+    evaluated once (see `generator.partials_bind`). The views are taken
+    once, at binding.
     """
     dim = layout.dim
     P, v, zx = layout.P, layout.v, layout.zx  # rows of the state part of [x; 1; phi]

@@ -168,12 +168,16 @@ def preset_pairs(scenario: Scenario, agents: int) -> tuple:
     ("internal_model.explicit",
      lambda sc: {"im_preset": None,
                  "im_stabilizers": ((StabilizerPair([[-1.0]], [1.0]),) * sc.plant.r,) * sc.n}),
+    ("internal_model.explicit",  # a level's coefficients given as a 0-d array: order 1
+     lambda sc: {"plant": dataclasses.replace(sc.plant, im_polys=(0.0, sc.plant.im_polys[1])),
+                 "im_preset": None, "im_stabilizers": preset_pairs(sc, sc.n)}),
     ("plant", lambda sc: {"plant": example_plant(sc.plant.params["g"][:3])}),
     ("exosystem.S", lambda sc: {"exo": Exosystem(S=np.zeros((2, 3)), v0_box=sc.exo.v0_box)}),
     ("plant.v0_box", lambda sc: {"exo": Exosystem(S=sc.exo.S, v0_box=sc.exo.v0_box[:1])}),
     ("plant.v0_box", lambda sc: {"exo": Exosystem(S=sc.exo.S, v0_box=[[1.0, 0.0], [0.0, 0.0]])}),
 ], ids=["graph_of_5", "w_box_23_rows", "w_box_inverted", "preset_and_explicit",
-        "explicit_for_3_agents", "explicit_of_order_1", "plant_of_3", "S_not_square",
+        "explicit_for_3_agents", "explicit_of_order_1",
+        "explicit_over_a_0d_level", "plant_of_3", "S_not_square",
         "v0_box_1_row", "v0_box_inverted"])
 def test_parts_that_do_not_fit_are_named_by_their_field(field, changes, sec5):
     # a library scenario checks how its parts fit where it is built, as a file would
