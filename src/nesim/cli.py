@@ -21,10 +21,9 @@ import numpy as np
 from . import config as cfg
 from .controller import escalate_gains
 from .errors import NesimError
-from .game import pseudo_gradient, partial_gradient
+from .game import extended_pseudo_gradient, pseudo_gradient, partial_gradient
 from .internal_model import sylvester_residual, verify_reproduction
-from .plant import (check_steady_chain_consistency, check_steady_zero_pde, exo_trajectory,
-                    sample_uncertainty, steady_state_chain)
+from .plant import check_steady_state, exo_trajectory, sample_uncertainty, steady_state_chain
 from .simulation import format_summary, metrics, run, write_csv
 
 EXIT_OK = 0
@@ -74,6 +73,27 @@ def _resolve_gains(scenario, quiet: bool = False):
         print(f"gain escalation: passed at round {result.rounds} "
               f"(multiplier {result.multiplier:g}, box radius R={scenario.R:g})")
     return result.scenario, result.trajectory
+
+
+def _monotonicity_margin(game, strong_mono: float, rng: np.random.Generator) -> float:
+    """Least ``d . (F(a) - F(b)) - m |d|^2``, ``d = a - b``, over 1000 random pairs.
+
+    ``F`` is the pseudo-gradient and ``m`` is ``strong_mono`` shrunk by 1e-9.
+    The pairs are one draw from ``[-5, 5]``, the same stream as a draw per
+    profile; a pair closer than 1e-6 is skipped. The kept pairs' gradients
+    are one stack of profiles in the order ``a0, b0, a1, ..`` (so a custom
+    game's costs are called in that order), and each product is one dot
+    product, as a pair alone takes it.
+    """
+    ab = rng.uniform(-5, 5, size=(1000, 2, game.n))
+    d = ab[:, 0] - ab[:, 1]
+    dd = np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]
+    kept = dd >= 1e-12
+    ab, d, dd = ab[kept], d[kept], dd[kept]
+    grads = extended_pseudo_gradient(game, np.broadcast_to(ab[..., None, :],
+                                                           ab.shape + (game.n,)))
+    gaps = np.matmul(d[:, None, :], (grads[:, 0] - grads[:, 1])[:, :, None])[:, 0, 0]
+    return float(np.min(gaps - strong_mono * dd * (1 - 1e-9), initial=np.inf))
 
 
 def _fmt_matrix(M: np.ndarray) -> str:
@@ -173,16 +193,7 @@ def cmd_check(args) -> int:
         worst = max(worst, abs(fd - ana) / (1.0 + abs(ana)))
     add("gradient_fd_agreement", worst < 1e-5, f"max rel dev {worst:.2e} (tol 1e-5)")
 
-    worst = np.inf
-    for _ in range(1000):
-        a = rng.uniform(-5, 5, size=n)
-        b = rng.uniform(-5, 5, size=n)
-        d = a - b
-        dd = float(d @ d)
-        if dd < 1e-12:
-            continue
-        gap = float(d @ (pseudo_gradient(game, a) - pseudo_gradient(game, b)))
-        worst = min(worst, gap - constants.strong_mono * dd * (1 - 1e-9))
+    worst = _monotonicity_margin(game, constants.strong_mono, rng)
     add("monotonicity_sampling", worst >= 0, f"worst margin {worst:.2e}")
 
     worst = max(sylvester_residual(level, i)
@@ -197,20 +208,22 @@ def cmd_check(args) -> int:
     steady = steady_state_chain(scenario.plant, p_star, scenario.exo, w)
     v0 = np.random.default_rng(scenario.seed + 1).uniform(
         scenario.exo.v0_box[:, 0], scenario.exo.v0_box[:, 1])
-    exo_ts, exo_vs = exo_trajectory(scenario.exo, v0, t_final=5.0, h=1e-3)  # for both checks
-    pde = check_steady_zero_pde(scenario.plant, w, p_star, exo_ts, exo_vs)
+    pde, cons = check_steady_state(steady,
+                                   *exo_trajectory(scenario.exo, v0, t_final=5.0, h=1e-3))
     add("steady_zero_pde", pde <= 1e-6, f"max residual {pde:.2e} (tol 1e-6)")
-
-    cons = check_steady_chain_consistency(steady, exo_ts, exo_vs)
     add("steady_chain_consistency", cons <= 1e-6, f"max mismatch {cons:.2e} (tol 1e-6)")
 
-    # internal-model reproduction per level, every agent in one batched run; the
-    # top level needs higher-order finite-difference stacks, so its tolerance is
-    # wider and the trace step balances truncation against rounding in the stencils
+    # internal-model reproduction per level, every agent in one batched run, each
+    # compensator seeded from the exact derivative stack when the plant has
+    # `steady_poly`; a generic plant's seed is a central-difference stack, whose top
+    # level needs higher-order stencils, so its tolerance is wider and the trace step
+    # balances truncation against rounding in the stencils
     ts, vs = exo_trajectory(scenario.exo, v0, t_final=20.0, h=2e-3)
     tols = {0: 1e-5}
     for s, level in enumerate(bank.levels):
-        worst = float(verify_reproduction(level, ts, steady.x_star(s + 2, vs)).max())
+        seed = (None if scenario.plant.steady_poly is None
+                else steady.derivative_stack(s + 2, vs[0], level.order))
+        worst = float(verify_reproduction(level, ts, steady.x_star(s + 2, vs), seed).max())
         tol = tols.get(s, 1e-3)
         add(f"im_reproduction_level{s + 1}", worst <= tol,
             f"max error {worst:.2e} (tol {tol:g})")

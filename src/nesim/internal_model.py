@@ -24,7 +24,7 @@ HURWITZ_EPS = 1e-6
 CTRB_SV_EPS = 1e-8
 ROOT_REAL_EPS = 1e-8
 ROOT_SEP_EPS = 1e-6
-_READ_CHUNK = 256  # compensator steps read out at a time by `verify_reproduction`
+_READ_CHUNK = 1024  # compensator steps read out at a time by `verify_reproduction`
 
 
 @dataclass(frozen=True)
@@ -276,20 +276,25 @@ def _derivative_stack(values: np.ndarray, h: float, depth: int, at: int) -> np.n
     return out
 
 
-def verify_reproduction(level: LevelBank, ts: np.ndarray, values: np.ndarray) -> np.ndarray:
+def verify_reproduction(level: LevelBank, ts: np.ndarray, values: np.ndarray,
+                        stack: np.ndarray | None = None) -> np.ndarray:
     """Worst reproduction error of sampled signals by a level's synthesized models.
 
     ``values`` is ``(K, N)``, one signal per agent of ``level``; returns the
-    ``(N,)`` errors. Each agent's compensator state is initialized from its
-    signal's finite-difference derivative stack (central stencils, so the
-    start index is a few samples into the trace), propagated with the
-    conjugated dynamics ``T Phi T^-1``, and read out through ``Psi``. A
-    signal whose modes match the companion's spectrum reproduces to
-    finite-difference accuracy; mismatched modes make the error grow, which
-    is the intended negative control. The dynamics are linear, so every
-    agent steps by its own RK4 step matrix ``R(hA)``, one GEMV per agent
-    and step (columns never mix); the states are read out a chunk of steps
-    at a time and not kept.
+    ``(N,)`` errors. Each agent's compensator state is initialized from a
+    derivative stack of its signal, propagated with the conjugated dynamics
+    ``T Phi T^-1``, and read out through ``Psi``. ``stack``, when given, is
+    the exact ``(order, N)`` stack at ``ts[0]`` (value, first, ..., last
+    derivative; `plant.SteadyState.derivative_stack`), and the compensators
+    start at the first sample. Otherwise the stack is taken by central
+    finite differences of ``values``, so the start is a few samples into the
+    trace. A signal whose modes match the companion's spectrum reproduces to
+    the accuracy of its seed (roundoff for an exact stack, the stencils'
+    accuracy otherwise); mismatched modes make the error grow, which is the
+    intended negative control. The dynamics are linear, so every agent steps
+    by its own RK4 step matrix ``R(hA)`` through `numerics.rk4_linear`
+    (columns never mix); the states are read out a chunk of steps at a time
+    and not kept.
     """
     ts = np.asarray(ts, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -299,8 +304,13 @@ def verify_reproduction(level: LevelBank, ts: np.ndarray, values: np.ndarray) ->
     if values.ndim != 2 or values.shape[1] != agents:
         raise ValueError(f"need one signal per stabilizer pair ({agents}), got {values.shape}")
     h = float(ts[1] - ts[0])
-    j0 = max(_FD_STENCILS[k][0][-1] for k in range(n))
-    stack = _derivative_stack(values, h, n, j0)
+    if stack is None:
+        j0 = max(_FD_STENCILS[k][0][-1] for k in range(n))
+        stack = _derivative_stack(values, h, n, j0)
+    else:
+        j0, stack = 0, np.asarray(stack, dtype=float)
+        if stack.shape != (n, agents):
+            raise ValueError(f"the seed stack must be ({n}, {agents}), got {stack.shape}")
     theta = np.empty((agents, n))
     A = np.empty((agents, n, n))
     for b in range(agents):

@@ -267,7 +267,15 @@ class SteadyState:
             self._polys = model.steady_poly(self.p_star, self.w, exo.S)
 
     def z_star(self, v: np.ndarray) -> np.ndarray:
-        return self.model.steady_zero(self.p_star, np.asarray(v, dtype=float), self.w)
+        """Zero-dynamics steady state: ``(N, n_z)`` at one ``v``, ``(K, N, n_z)`` on a stack.
+
+        The model's ``steady_zero`` takes one state, so a stack is evaluated row
+        by row, one call per row.
+        """
+        v = np.asarray(v, dtype=float)
+        if v.ndim == 1:
+            return self.model.steady_zero(self.p_star, v, self.w)
+        return _per_row(self.z_star, v)
 
     def x_star(self, s: int, v: np.ndarray) -> np.ndarray:
         """Level-s steady-state signal, ``s`` in ``1 .. r+1`` (r+1 = input).
@@ -467,45 +475,58 @@ def check_origin_equilibrium(model: PlantModel, w_samples: Sequence[np.ndarray],
     return worst
 
 
-def check_steady_zero_pde(model: PlantModel, w: np.ndarray, s_values: np.ndarray,
-                          ts: np.ndarray, vs: np.ndarray) -> float:
+def check_steady_state(steady: SteadyState, ts: np.ndarray,
+                       vs: np.ndarray) -> tuple[float, float]:
+    """Both steady-state identities along one disturbance run: ``(pde, cons)``.
+
+    ``ts, vs`` is the run as `exo_trajectory` returns it, on a uniform grid.
+    The zero-dynamics map is evaluated once per sample (`SteadyState.z_star`),
+    and `check_steady_zero_pde` and `check_steady_chain_consistency` both read
+    those values.
+    """
+    zs = steady.z_star(vs)
+    return (check_steady_zero_pde(steady, ts, vs, zs),
+            check_steady_chain_consistency(steady, ts, vs, zs))
+
+
+def check_steady_zero_pde(steady: SteadyState, ts: np.ndarray, vs: np.ndarray,
+                          zs: np.ndarray) -> float:
     """Residual of the zero-dynamics steady-state map along a disturbance run.
 
-    With the output argument frozen, the time derivative of the map along
-    the exosystem flow (central differences in t) must equal the
-    zero-dynamics drift evaluated on the map. Returns the worst residual.
-    ``ts, vs`` is the run as `exo_trajectory` returns it, on a uniform grid.
+    With the output argument frozen at ``steady.p_star``, the time derivative
+    of the map along the exosystem flow (central differences in t) must equal
+    the zero-dynamics drift evaluated on the map. Returns the worst residual.
+    ``zs`` is the map on every sample, ``steady.z_star(vs)``; ``ts, vs`` is as
+    in `check_steady_state`.
     """
+    model, w, s_values = steady.model, steady.w, steady.p_star
     h = float(ts[1] - ts[0])
-    s_values = np.asarray(s_values, dtype=float)
-    zs = _per_row(lambda v: model.steady_zero(s_values, v, w), vs)
     num = (zs[2:] - zs[:-2]) / (2.0 * h)
     ana = _per_row(lambda z, v: model.f0(z, s_values, v, w), zs[1:-1], vs[1:-1])
     return float(np.abs(num - ana).max(initial=0.0))
 
 
-def check_steady_chain_consistency(steady: SteadyState, ts: np.ndarray,
-                                   vs: np.ndarray) -> float:
+def check_steady_chain_consistency(steady: SteadyState, ts: np.ndarray, vs: np.ndarray,
+                                   zs: np.ndarray) -> float:
     """Time-consistency of the steady-state chain along a disturbance run.
 
     For each level ``s >= 2``, the finite-difference time derivative of the
     level-s signal must match ``x_star(s+1) + drift_s`` evaluated on the
     starred states. Returns the worst mismatch across levels and time.
-    ``ts, vs`` is as in `check_steady_zero_pde`.
+    ``ts, vs, zs`` are as in `check_steady_zero_pde`.
     """
     model = steady.model
     if model.r == 1:
         return 0.0  # no level s >= 2
     h = float(ts[1] - ts[0])
     inner = vs[1:-1]
-    zs = _per_row(steady.z_star, inner)
     levels = [steady.x_star(1, vs), steady.x_star(2, vs)]  # starred x_1 .. x_s, each (K, N)
     worst = 0.0
     for s in range(2, model.r + 1):
         sig, nxt = levels[-1], steady.x_star(s + 1, vs)
         stars = np.stack(levels, axis=1)[1:-1]
         drift = _per_row(lambda z, x, v: model.f_levels[s - 1](z, x, v, steady.w),
-                         zs, stars, inner)
+                         zs[1:-1], stars, inner)
         num = (sig[2:] - sig[:-2]) / (2.0 * h)
         worst = max(worst, float(np.abs(num - (nxt[1:-1] + drift)).max(initial=0.0)))
         levels.append(nxt)

@@ -1,9 +1,10 @@
-"""Independent oracles: custom-game finite differences and constants, graph
-connectivity by breadth-first search, the closed loop.
+"""Independent oracles: custom-game finite differences and constants, the
+check suite's monotonicity sampling, RK4 on a linear system step by step,
+graph connectivity by breadth-first search, the closed loop.
 
-The first are written out sample by sample, the way the definitions read, so
-that the whole-array code in `nesim.game` is checked against something other
-than itself. `composed_rhs` composes the closed-loop derivative block by
+The first are written out sample by sample or step by step, the way the
+definitions read, so that the whole-array code in `nesim` is checked against
+something other than itself. `composed_rhs` composes the closed-loop derivative block by
 block and agent by agent from the definitions, never from the rows the
 operator places: the generator from its stacked Kronecker form, the control
 law from the backstepping recursion plus the top read-out, the plant from
@@ -21,8 +22,9 @@ import numpy as np
 
 from nesim.controller import backstepping_feedback
 from nesim.errors import NonFiniteState
-from nesim.game import CustomGame, GradientConstants, extended_pseudo_gradient
+from nesim.game import CustomGame, GradientConstants, extended_pseudo_gradient, pseudo_gradient
 from nesim.graph import laplacian
+from nesim.numerics import rk4_matrix
 
 
 def central_partial(cost, i: int, row: np.ndarray) -> float:
@@ -82,6 +84,40 @@ def reference_bounds(game: CustomGame, n_samples: int, seed: int) -> tuple[float
         if dPn > 1e-8:
             lip = max(lip, float(np.linalg.norm(extended(Px) - extended(Py))) / dPn)
     return mono, lip
+
+
+def monotonicity_margin(game, strong_mono: float, rng: np.random.Generator) -> float:
+    """`nesim check`'s sampled monotonicity margin, one pair at a time.
+
+    For each of 1000 pairs it draws ``a``, then ``b``; unless ``|a - b|^2 <
+    1e-12`` it takes ``(a - b) . (F(a) - F(b)) - m |a - b|^2`` with
+    `pseudo_gradient` at ``a``, then at ``b``, and ``m`` the constant shrunk
+    by 1e-9. Returns the least of them.
+    """
+    worst = np.inf
+    for _ in range(1000):
+        a = rng.uniform(-5, 5, size=game.n)
+        b = rng.uniform(-5, 5, size=game.n)
+        d = a - b
+        dd = float(d @ d)
+        if dd < 1e-12:
+            continue
+        gap = float(d @ (pseudo_gradient(game, a) - pseudo_gradient(game, b)))
+        worst = min(worst, gap - strong_mono * dd * (1 - 1e-9))
+    return worst
+
+
+def rk4_linear_stepwise(A: np.ndarray, x0: np.ndarray, h: float, n_steps: int) -> np.ndarray:
+    """States ``x_0 .. x_n_steps`` of RK4 on ``xdot = A x``: ``R(hA)`` applied once per step.
+
+    ``A`` is ``(n, n)`` with ``x0`` ``(n,)`` or a stack ``(B, n, n)`` with ``x0``
+    ``(B, n)``; returns ``(n_steps + 1,) + x0.shape``.
+    """
+    R = rk4_matrix(A, h)
+    xs = [np.asarray(x0, dtype=float)]
+    for _ in range(n_steps):
+        xs.append(np.einsum("...ij,...j->...i", R, xs[-1]))
+    return np.array(xs)
 
 
 def bfs_connected(g) -> bool:

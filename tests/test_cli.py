@@ -11,9 +11,12 @@ from nesim.cli import main
 from nesim.config import dump_normalized, load_scenario, normalize
 from nesim.controller import ControllerGains
 from nesim.errors import ConfigError
+from nesim.game import CustomGame
 from nesim.generator import GeneratorGains
+from nesim.internal_model import verify_reproduction
 from nesim.plant import exo_trajectory, steady_state_chain
 from nesim.simulation import EscalationSpec, Scenario, run, write_csv
+from oracles import monotonicity_margin
 
 
 @pytest.fixture()
@@ -161,6 +164,64 @@ def test_check_suite_does_not_integrate(count_calls, capsys):
     assert main(["check", "--config", "sec5", "--t-final", "2"]) == 0
     assert calls and [kw for _, kw in calls if kw.get("step") is not numerics.rk4_lifted_step] == []
     assert "FAIL" not in capsys.readouterr().out
+
+
+def _check_scenario(monkeypatch, scenario) -> int:
+    """``nesim check``'s exit code on ``scenario``, given as the loaded scenario file."""
+    monkeypatch.setattr(cli, "_load", lambda args: (scenario, None))
+    return main(["check", "--config", "sec5"])
+
+
+def test_check_evaluates_each_zero_steady_state_once(stable, monkeypatch, count_calls, capsys):
+    calls = []
+
+    def steady_zero(s, v, w):
+        calls.append(v)
+        return stable.plant.steady_zero(s, v, w)
+
+    plant = dataclasses.replace(stable.plant, steady_zero=steady_zero)
+    seeds = count_calls(verify_reproduction)
+    assert _check_scenario(monkeypatch, dataclasses.replace(stable, plant=plant, t_final=1.0)) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    # both steady-state lines read one pass over the 5 s trace at h = 1e-3; the chain's
+    # signals come from `steady_poly`, and so do the reproduction seeds
+    assert len(calls) == 5001
+    assert [args[3].shape for args, _ in seeds] == [(3, stable.n), (5, stable.n)]
+
+
+def test_check_seeds_a_generic_plants_reproduction_from_stencils(custom_scenario, monkeypatch,
+                                                                  count_calls, capsys):
+    # a plant without `steady_poly` has no exact derivative stack
+    assert custom_scenario.plant.steady_poly is None
+    seeds = count_calls(verify_reproduction)
+    assert _check_scenario(monkeypatch, dataclasses.replace(custom_scenario, t_final=0.5)) == 0
+    assert "im_reproduction_level1    PASS" in capsys.readouterr().out
+    assert [args[3] for args, _ in seeds] == [None]
+
+
+@pytest.mark.parametrize("kind", ["sec5", "custom"])
+def test_monotonicity_sampling_matches_the_per_pair_loop(kind, sec5, custom_scenario):
+    scenario = sec5 if kind == "sec5" else custom_scenario
+    calls = []
+
+    def recorded(i, cost):
+        def call(yi, profile):
+            calls.append((i, yi, profile.tobytes()))
+            return cost(yi, profile)
+        return call
+
+    game = scenario.game
+    if kind == "custom":  # the test factory's game, its cost calls recorded
+        game = CustomGame([recorded(i, c) for i, c in enumerate(game.costs)], game.sample_box)
+    strong_mono = scenario.synthesized().constants.strong_mono
+    want = monotonicity_margin(game, strong_mono, np.random.default_rng(7))
+    oracle_calls = calls[:]
+    calls.clear()
+    got = cli._monotonicity_margin(game, strong_mono, np.random.default_rng(7))
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    # the same cost calls, on the same profiles, in the same order
+    assert calls == oracle_calls
+    assert len(calls) == (0 if kind == "sec5" else 1000 * 2 * game.n * 2)
 
 
 def test_check_catches_wrong_recurrence(fast_cfg, capsys):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from nesim.errors import NonFiniteState, NotSymmetric, SingularMatrix
-from nesim.numerics import (LiftedOdeSystem, OdeSystem, integrate, lu_solve, rk4_lifted_matrices,
-                            rk4_lifted_step, rk4_lifted_steps, rk4_linear, rk4_matrix, rk4_step,
-                            symmetric_eigenvalues)
+from nesim.numerics import (LINEAR_BLOCK, LiftedOdeSystem, OdeSystem, integrate, lu_solve,
+                            rk4_lifted_matrices, rk4_lifted_step, rk4_lifted_steps, rk4_linear,
+                            rk4_matrix, rk4_step, symmetric_eigenvalues)
+from oracles import rk4_linear_stepwise
 
 
 class TestLuSolve:
@@ -199,6 +200,25 @@ class TestRk4Linear:
         for b in range(5):
             assert R[b].tobytes() == rk4_matrix(A[b], 0.05).tobytes()
             assert xs[:, b].tobytes() == rk4_linear(A[b], x0[b], 0.05, 30).tobytes()
+
+    @pytest.mark.parametrize("n_steps", [0, 1, LINEAR_BLOCK - 1, LINEAR_BLOCK, LINEAR_BLOCK + 1,
+                                         3 * LINEAR_BLOCK + 5])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["flat", "stacked"])
+    def test_blocks_of_steps_match_stepping_once_per_step(self, n_steps, stacked):
+        # a block's states are powers of R(hA) times its first state, so they agree with
+        # the stepwise oracle to roundoff, at every state and in every block
+        rng = np.random.default_rng(13)
+        A = rng.normal(size=(3, 4, 4))
+        A[1] = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])  # two undamped rotations
+        x0 = rng.normal(size=(3, 4))
+        if not stacked:
+            A, x0 = A[0], x0[0]
+        xs = rk4_linear(A, x0, 0.05, n_steps)
+        ref = rk4_linear_stepwise(A, x0, 0.05, n_steps)
+        assert xs.shape == ref.shape == (n_steps + 1,) + x0.shape
+        assert xs[0].tobytes() == np.asarray(x0).tobytes()
+        err = np.abs(xs - ref).max(axis=-1)
+        assert (err <= 1e-13 * np.abs(ref).max(axis=-1)).all()
 
     def test_overflow_raises(self):
         with pytest.raises(NonFiniteState):

@@ -8,9 +8,9 @@ import pytest
 from nesim.errors import InvalidParameter
 from nesim.numerics import OdeSystem, integrate
 from factories import build_plant
-from nesim.plant import (Exosystem, PlantModel, check_origin_equilibrium,
-                         check_steady_chain_consistency, check_steady_zero_pde, drift_split,
-                         example_plant, exo_trajectory, sample_uncertainty, steady_state_chain)
+from nesim.plant import (Exosystem, PlantModel, check_origin_equilibrium, check_steady_state,
+                         drift_split, example_plant, exo_trajectory, sample_uncertainty,
+                         steady_state_chain)
 from oracles import plant_rhs
 
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -205,12 +205,13 @@ class TestSteadyStateChain:
         model = demo_plant([[-1, 1, 0.5, 2, 0.3, 0.3]])
         steady = steady_state_chain(model, np.array([0.6]), self.exo(), zero_w(model))
         ts, vs = exo_trajectory(self.exo(), np.array([1.0, 0.2]), t_final=5.0, h=1e-3)
-        assert check_steady_chain_consistency(steady, ts, vs) < 1e-6
+        assert check_steady_state(steady, ts, vs)[1] < 1e-6
 
     def test_steady_zero_pde_residual(self):
         model = demo_plant([[-1, 1, 0.5, 2, 0.3, 0.3]])
+        steady = steady_state_chain(model, np.array([0.6]), self.exo(), zero_w(model))
         ts, vs = exo_trajectory(self.exo(), np.array([1.0, 0.2]), t_final=5.0, h=1e-3)
-        assert check_steady_zero_pde(model, zero_w(model), np.array([0.6]), ts, vs) < 1e-6
+        assert check_steady_state(steady, ts, vs)[0] < 1e-6
 
     def test_plant_dynamics_invariant_on_steady_manifold(self):
         # feeding the starred signals through the raw dynamics must reproduce
@@ -252,12 +253,15 @@ class TestSteadyStateChain:
             drift = model.f_levels[1](steady.z_star(vs[k]), stars, vs[k], w)
             num = (steady.x_star(2, vs[k + 1]) - steady.x_star(2, vs[k - 1])) / (2.0 * h)
             cons = max(cons, float(np.abs(num - (steady.u_star(vs[k]) + drift)).max()))
-        assert check_steady_zero_pde(model, w, p_star, ts, vs) == pde
-        assert check_steady_chain_consistency(steady, ts, vs) == cons
+        assert check_steady_state(steady, ts, vs) == (pde, cons)
 
     @staticmethod
     def assert_stack_matches_samples(steady, levels, vs):
-        """``x_star(s, V)`` on a ``(K, n_v)`` stack against the per-sample calls, bit for bit."""
+        """``x_star(s, V)`` and ``z_star(V)`` on a ``(K, n_v)`` stack against the per-sample
+        calls, bit for bit."""
+        rows = np.array([steady.z_star(v) for v in vs])
+        assert steady.z_star(vs).tobytes() == rows.tobytes()
+        assert steady.z_star(vs).shape == rows.shape
         for s in levels:
             rows = np.array([steady.x_star(s, v) for v in vs])
             stacked = steady.x_star(s, vs)
