@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import operator
 import sys
 from importlib import resources
 from pathlib import Path
@@ -23,7 +24,8 @@ from .controller import escalate_gains
 from .errors import NesimError
 from .game import extended_pseudo_gradient, pseudo_gradient, partial_gradient
 from .internal_model import sylvester_residual, verify_reproduction
-from .plant import check_steady_state, exo_trajectory, sample_uncertainty, steady_state_chain
+from .plant import (check_steady_chain_consistency, check_steady_zero_pde, exo_trajectory,
+                    sample_uncertainty, steady_state_chain)
 from .simulation import format_summary, metrics, run, write_csv
 
 EXIT_OK = 0
@@ -167,21 +169,35 @@ def cmd_solve_ne(args) -> int:
     return EXIT_OK
 
 
-def cmd_check(args) -> int:
-    scenario, _ = _load(args)
+@dataclasses.dataclass(frozen=True)
+class Check:
+    """A line of `nesim check`: ``passed`` compares ``value`` with ``tol``; a NaN fails."""
+    name: str
+    passed: bool
+    value: float
+    tol: float
+    detail: str  # the text after PASS or FAIL
+
+
+def _check(name: str, value, op, tol, detail: str) -> Check:
+    """``op(value, float(tol))``; ``tol`` is a number or the text the line prints."""
+    return Check(name, bool(op(value, float(tol))), float(value), float(tol),
+                 detail.format(value=value, tol=tol))
+
+
+def check_rows(scenario) -> list[Check]:
+    """`nesim check`'s lines on ``scenario``; each value keeps NaN (`np.max`, not `max`).
+
+    The stages run in a fixed order, which fixes the draws and which error is raised first:
+    the seed's stream (gradients, then monotonicity), its draw and steady-state chain, the
+    ``seed + 1`` start, the 5 s and 20 s traces, gain escalation, the dt/2 run.
+    """
     rng = np.random.default_rng(scenario.seed)
-    results = []  # (name, passed, detail)
-
-    def add(name, passed, detail):
-        results.append((name, bool(passed), detail))
-
-    game = scenario.game
-    n = scenario.n
+    game, n = scenario.game, scenario.n
     synthesis = scenario.synthesized()
-    constants, p_star, bank = synthesis.constants, synthesis.p_star, synthesis.bank
     # gradients against a five-point, fourth-order difference of the cost, at a step
     # far from the central difference a custom game's gradient uses
-    worst = 0.0
+    devs = []
     for _ in range(50):
         profile = rng.uniform(-5, 5, size=n)
         i = int(rng.integers(n))
@@ -190,70 +206,67 @@ def cmd_check(args) -> int:
         up1, dn1, up2, dn2 = (game.cost(i, row) for row in shifted)
         fd = (8.0 * (up1 - dn1) - (up2 - dn2)) / (12.0 * step)
         ana = partial_gradient(game, i, profile)
-        worst = max(worst, abs(fd - ana) / (1.0 + abs(ana)))
-    add("gradient_fd_agreement", worst < 1e-5, f"max rel dev {worst:.2e} (tol 1e-5)")
-
-    worst = _monotonicity_margin(game, constants.strong_mono, rng)
-    add("monotonicity_sampling", worst >= 0, f"worst margin {worst:.2e}")
-
-    worst = max(sylvester_residual(level, i)
-                for level in bank.levels for i in range(n))
-    add("sylvester_residual", worst <= 1e-10, f"max residual {worst:.2e} (tol 1e-10)")
-
-    worst = max(float(np.abs(level.Psi[i] @ level.T[i] - level.companion.Gamma.ravel()).max())
-                for level in bank.levels for i in range(n))
-    add("psi_readout_identity", worst <= 1e-10, f"max |Psi T - Gamma| {worst:.2e} (tol 1e-10)")
+        devs.append(abs(fd - ana) / (1.0 + abs(ana)))
+    margin = _monotonicity_margin(game, synthesis.constants.strong_mono, rng)
+    pairs = [(level, i) for level in synthesis.bank.levels for i in range(n)]
+    psi = [np.abs(lv.Psi[i] @ lv.T[i] - lv.companion.Gamma.ravel()).max() for lv, i in pairs]
+    rows = [_check("gradient_fd_agreement", np.max(devs), operator.lt, "1e-5",
+                   "max rel dev {value:.2e} (tol {tol})"),
+            _check("monotonicity_sampling", margin, operator.ge, 0.0, "worst margin {value:.2e}"),
+            _check("sylvester_residual", np.max([sylvester_residual(lv, i) for lv, i in pairs]),
+                   operator.le, "1e-10", "max residual {value:.2e} (tol {tol})"),
+            _check("psi_readout_identity", np.max(psi), operator.le, "1e-10",
+                   "max |Psi T - Gamma| {value:.2e} (tol {tol})")]
 
     w = sample_uncertainty(scenario.w_box, scenario.seed)  # the scenario seed's draw
-    steady = steady_state_chain(scenario.plant, p_star, scenario.exo, w)
-    v0 = np.random.default_rng(scenario.seed + 1).uniform(
-        scenario.exo.v0_box[:, 0], scenario.exo.v0_box[:, 1])
-    pde, cons = check_steady_state(steady,
-                                   *exo_trajectory(scenario.exo, v0, t_final=5.0, h=1e-3))
-    add("steady_zero_pde", pde <= 1e-6, f"max residual {pde:.2e} (tol 1e-6)")
-    add("steady_chain_consistency", cons <= 1e-6, f"max mismatch {cons:.2e} (tol 1e-6)")
+    steady = steady_state_chain(scenario.plant, synthesis.p_star, scenario.exo, w)
+    v0 = np.random.default_rng(scenario.seed + 1).uniform(*scenario.exo.v0_box.T)
+    ts, vs = exo_trajectory(scenario.exo, v0, t_final=5.0, h=1e-3)
+    zs = steady.z_star(vs)  # the zero-dynamics map once per sample, read by both lines
+    rows += [_check("steady_zero_pde", check_steady_zero_pde(steady, ts, vs, zs), operator.le,
+                    "1e-6", "max residual {value:.2e} (tol {tol})"),
+             _check("steady_chain_consistency", check_steady_chain_consistency(steady, ts, vs, zs),
+                    operator.le, "1e-6", "max mismatch {value:.2e} (tol {tol})")]
 
-    # internal-model reproduction per level, every agent in one batched run, each
-    # compensator seeded from the exact derivative stack when the plant has
-    # `steady_poly`; a generic plant's seed is a central-difference stack, whose top
-    # level needs higher-order stencils, so its tolerance is wider and the trace step
-    # balances truncation against rounding in the stencils
+    # reproduction per level, all agents in one batched run, each compensator seeded from
+    # the exact derivative stack (`steady_poly`), else a central-difference one, whose top
+    # level's wider stencils set the wider tolerance and the trace step
     ts, vs = exo_trajectory(scenario.exo, v0, t_final=20.0, h=2e-3)
-    tols = {0: 1e-5}
-    for s, level in enumerate(bank.levels):
+    for s, level in enumerate(synthesis.bank.levels):
         seed = (None if scenario.plant.steady_poly is None
                 else steady.derivative_stack(s + 2, vs[0], level.order))
-        worst = float(verify_reproduction(level, ts, steady.x_star(s + 2, vs), seed).max())
-        tol = tols.get(s, 1e-3)
-        add(f"im_reproduction_level{s + 1}", worst <= tol,
-            f"max error {worst:.2e} (tol {tol:g})")
+        rows.append(_check(f"im_reproduction_level{s + 1}",
+                           verify_reproduction(level, ts, steady.x_star(s + 2, vs), seed).max(),
+                           operator.le, "1e-05" if s == 0 else "0.001",
+                           "max error {value:.2e} (tol {tol})"))
 
     scenario, traj_a = _resolve_gains(scenario, quiet=True)
-    if traj_a is None:
-        traj_a = run(scenario)
+    traj_a = run(scenario) if traj_a is None else traj_a
     traj_b = run(dataclasses.replace(scenario, dt=scenario.dt / 2.0))
-    if traj_a.diverged or traj_b.diverged:
-        add("step_halving", False, "closed loop diverged")
-    else:
-        dev = float(np.abs(traj_a.y[-1] - traj_b.y[-1]).max())
-        add("step_halving", dev < 1e-6, f"output change {dev:.2e} (tol 1e-6)")
-        vmax = float(np.abs(traj_a.v).max())
-        vref = 10.0 * (1.0 + float(np.linalg.norm(traj_a.v[0])))
-        add("exosystem_bounded", vmax <= vref, f"max |v| {vmax:.3g} (limit {vref:.3g})")
+    diverged = traj_a.diverged or traj_b.diverged
+    dev = np.nan if diverged else np.abs(traj_a.y[-1] - traj_b.y[-1]).max()
+    rows.append(_check("step_halving", dev, operator.lt, "1e-6", "closed loop diverged"
+                       if diverged else "output change {value:.2e} (tol {tol})"))
+    if not diverged:
+        rows.append(_check("exosystem_bounded", np.abs(traj_a.v).max(), operator.le,
+                           10.0 * (1.0 + float(np.linalg.norm(traj_a.v[0]))),
+                           "max |v| {value:.3g} (limit {tol:.3g})"))
+    return rows
 
-    if scenario.gains.gamma2 is None:
+
+def cmd_check(args) -> int:
+    scenario, _ = _load(args)
+    rows = check_rows(scenario)
+    gamma2, bound = scenario.gains.gamma2, scenario.synthesized().min_gamma2  # kept by escalation
+    if gamma2 is None:
         print("note: gamma2 resolved automatically from the guarantee bound")
-    elif scenario.gains.gamma2 < synthesis.min_gamma2:
-        print(f"warning: gamma2 = {scenario.gains.gamma2:g} is below the "
-              f"guarantee bound {synthesis.min_gamma2:.4g} (sufficient, not necessary)")
-
-    width = max(len(name) for name, _, _ in results)
-    all_pass = True
-    for name, passed, detail in results:
-        status = "PASS" if passed else "FAIL"
-        all_pass &= passed
-        print(f"{name:<{width}}  {status}  {detail}")
-    return EXIT_OK if all_pass else EXIT_CHECK_FAILED
+    elif gamma2 < bound:
+        print(f"warning: gamma2 = {gamma2:g} is below the "
+              f"guarantee bound {bound:.4g} (sufficient, not necessary)")
+    width = max(len(row.name) for row in rows)
+    for row in rows:
+        print(f"{row.name:<{width}}  {'PASS' if row.passed else 'FAIL'}  {row.detail}")
+    return EXIT_OK if all(row.passed for row in rows) else EXIT_CHECK_FAILED
 
 
 def write_svg(traj, path) -> None:

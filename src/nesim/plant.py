@@ -475,20 +475,6 @@ def check_origin_equilibrium(model: PlantModel, w_samples: Sequence[np.ndarray],
     return worst
 
 
-def check_steady_state(steady: SteadyState, ts: np.ndarray,
-                       vs: np.ndarray) -> tuple[float, float]:
-    """Both steady-state identities along one disturbance run: ``(pde, cons)``.
-
-    ``ts, vs`` is the run as `exo_trajectory` returns it, on a uniform grid.
-    The zero-dynamics map is evaluated once per sample (`SteadyState.z_star`),
-    and `check_steady_zero_pde` and `check_steady_chain_consistency` both read
-    those values.
-    """
-    zs = steady.z_star(vs)
-    return (check_steady_zero_pde(steady, ts, vs, zs),
-            check_steady_chain_consistency(steady, ts, vs, zs))
-
-
 def check_steady_zero_pde(steady: SteadyState, ts: np.ndarray, vs: np.ndarray,
                           zs: np.ndarray) -> float:
     """Residual of the zero-dynamics steady-state map along a disturbance run.
@@ -496,8 +482,8 @@ def check_steady_zero_pde(steady: SteadyState, ts: np.ndarray, vs: np.ndarray,
     With the output argument frozen at ``steady.p_star``, the time derivative
     of the map along the exosystem flow (central differences in t) must equal
     the zero-dynamics drift evaluated on the map. Returns the worst residual.
-    ``zs`` is the map on every sample, ``steady.z_star(vs)``; ``ts, vs`` is as
-    in `check_steady_state`.
+    ``ts, vs`` is the run as `exo_trajectory` returns it, on a uniform grid, and
+    ``zs`` is the map on every sample, ``steady.z_star(vs)``.
     """
     model, w, s_values = steady.model, steady.w, steady.p_star
     h = float(ts[1] - ts[0])
@@ -528,6 +514,6 @@ def check_steady_chain_consistency(steady: SteadyState, ts: np.ndarray, vs: np.n
         drift = _per_row(lambda z, x, v: model.f_levels[s - 1](z, x, v, steady.w),
                          zs[1:-1], stars, inner)
         num = (sig[2:] - sig[:-2]) / (2.0 * h)
-        worst = max(worst, float(np.abs(num - (nxt[1:-1] + drift)).max(initial=0.0)))
+        worst = float(np.maximum(worst, np.abs(num - (nxt[1:-1] + drift)).max(initial=0.0)))
         levels.append(nxt)
     return worst

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import operator
 
 import numpy as np
 import pytest
@@ -13,9 +14,11 @@ from nesim.controller import ControllerGains
 from nesim.errors import ConfigError
 from nesim.game import CustomGame
 from nesim.generator import GeneratorGains
+from nesim.graph import CommGraph
 from nesim.internal_model import verify_reproduction
-from nesim.plant import exo_trajectory, steady_state_chain
+from nesim.plant import Exosystem, exo_trajectory, steady_state_chain
 from nesim.simulation import EscalationSpec, Scenario, run, write_csv
+from factories import build_game, build_plant
 from oracles import monotonicity_margin
 
 
@@ -197,6 +200,50 @@ def test_check_seeds_a_generic_plants_reproduction_from_stencils(custom_scenario
     assert _check_scenario(monkeypatch, dataclasses.replace(custom_scenario, t_final=0.5)) == 0
     assert "im_reproduction_level1    PASS" in capsys.readouterr().out
     assert [args[3] for args, _ in seeds] == [None]
+
+
+# each line's comparison: `<` for these two, `>= 0` for the monotonicity margin, else `<=`
+CHECK_OPS = {"gradient_fd_agreement": operator.lt, "monotonicity_sampling": operator.ge,
+             "step_halving": operator.lt}
+
+
+def test_check_rows_pin_each_comparison(stable, monkeypatch):
+    make, passed_at_tol = cli._check, {}
+
+    def also_at_tol(name, value, op, tol, detail):
+        passed_at_tol[name] = make(name, float(tol), op, tol, detail).passed
+        return make(name, value, op, tol, detail)
+
+    monkeypatch.setattr(cli, "_check", also_at_tol)
+    rows = cli.check_rows(dataclasses.replace(stable, t_final=1.0))
+    assert [row.name for row in rows] == [
+        "gradient_fd_agreement", "monotonicity_sampling", "sylvester_residual",
+        "psi_readout_identity", "steady_zero_pde", "steady_chain_consistency",
+        "im_reproduction_level1", "im_reproduction_level2", "step_halving", "exosystem_bounded"]
+    for row in rows:
+        assert row.passed == CHECK_OPS.get(row.name, operator.le)(row.value, row.tol), row
+    # a value at its tolerance fails a `<` line and passes a `<=` line (and `>= 0`)
+    assert passed_at_tol == {row.name: CHECK_OPS.get(row.name) is not operator.lt
+                             for row in rows}
+
+
+def test_nan_gradient_deviation_fails_its_line(monkeypatch, capsys):
+    # the costs are NaN for y_i > 4, outside the sample box, so the game loads; the
+    # suite samples profiles in [-5, 5] and meets some NaN deviations
+    quadratic = build_game([1.0, 2.0], 0.5, box=(-3.0, 3.0))
+
+    def nan_above_4(cost):
+        return lambda yi, profile: np.nan if yi > 4.0 else cost(yi, profile)
+
+    game = CustomGame([nan_above_4(c) for c in quadratic.costs], quadratic.sample_box)
+    scenario = Scenario(game=game, graph=CommGraph.ring(2), plant=build_plant(2),
+                        exo=Exosystem(S=np.array([[0.0, 1.0], [-1.0, 0.0]]),
+                                      v0_box=np.array([[0.5, 1.0], [0.0, 0.0]])),
+                        w_box=np.tile([-0.1, 0.1], (2, 1)), gains=GeneratorGains(1.0, None),
+                        controller_k=np.full((2, 1), 8.0), seed=2, R=0.5, t_final=0.5)
+    assert _check_scenario(monkeypatch, scenario) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert "gradient_fd_agreement     FAIL  max rel dev nan (tol 1e-5)" in lines
 
 
 @pytest.mark.parametrize("kind", ["sec5", "custom"])

@@ -8,9 +8,9 @@ import pytest
 from nesim.errors import InvalidParameter
 from nesim.numerics import OdeSystem, integrate
 from factories import build_plant
-from nesim.plant import (Exosystem, PlantModel, check_origin_equilibrium, check_steady_state,
-                         drift_split, example_plant, exo_trajectory, sample_uncertainty,
-                         steady_state_chain)
+from nesim.plant import (Exosystem, PlantModel, check_origin_equilibrium,
+                         check_steady_chain_consistency, check_steady_zero_pde, drift_split,
+                         example_plant, exo_trajectory, sample_uncertainty, steady_state_chain)
 from oracles import plant_rhs
 
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -205,13 +205,13 @@ class TestSteadyStateChain:
         model = demo_plant([[-1, 1, 0.5, 2, 0.3, 0.3]])
         steady = steady_state_chain(model, np.array([0.6]), self.exo(), zero_w(model))
         ts, vs = exo_trajectory(self.exo(), np.array([1.0, 0.2]), t_final=5.0, h=1e-3)
-        assert check_steady_state(steady, ts, vs)[1] < 1e-6
+        assert check_steady_chain_consistency(steady, ts, vs, steady.z_star(vs)) < 1e-6
 
     def test_steady_zero_pde_residual(self):
         model = demo_plant([[-1, 1, 0.5, 2, 0.3, 0.3]])
         steady = steady_state_chain(model, np.array([0.6]), self.exo(), zero_w(model))
         ts, vs = exo_trajectory(self.exo(), np.array([1.0, 0.2]), t_final=5.0, h=1e-3)
-        assert check_steady_state(steady, ts, vs)[0] < 1e-6
+        assert check_steady_zero_pde(steady, ts, vs, steady.z_star(vs)) < 1e-6
 
     def test_plant_dynamics_invariant_on_steady_manifold(self):
         # feeding the starred signals through the raw dynamics must reproduce
@@ -253,7 +253,18 @@ class TestSteadyStateChain:
             drift = model.f_levels[1](steady.z_star(vs[k]), stars, vs[k], w)
             num = (steady.x_star(2, vs[k + 1]) - steady.x_star(2, vs[k - 1])) / (2.0 * h)
             cons = max(cons, float(np.abs(num - (steady.u_star(vs[k]) + drift)).max()))
-        assert check_steady_state(steady, ts, vs) == (pde, cons)
+        zs = steady.z_star(vs)
+        assert check_steady_zero_pde(steady, ts, vs, zs) == pde
+        assert check_steady_chain_consistency(steady, ts, vs, zs) == cons
+
+    def test_chain_consistency_keeps_a_nan_drift(self):
+        # a level-2 drift that is NaN on every sample: the worst mismatch is NaN, not 0
+        model = demo_plant([[-1, 1, 0.5, 2, 0.3, 0.3]])
+        f1, f2 = model.f_levels
+        nan_model = dataclasses.replace(model, f_levels=(f1, lambda *a: f2(*a) * np.nan))
+        steady = steady_state_chain(nan_model, np.array([0.6]), self.exo(), zero_w(model))
+        ts, vs = exo_trajectory(self.exo(), np.array([1.0, 0.2]), t_final=0.1, h=1e-3)
+        assert np.isnan(check_steady_chain_consistency(steady, ts, vs, steady.z_star(vs)))
 
     @staticmethod
     def assert_stack_matches_samples(steady, levels, vs):
