@@ -25,7 +25,7 @@ from .errors import NesimError
 from .game import extended_pseudo_gradient, pseudo_gradient, partial_gradient
 from .internal_model import sylvester_residual, verify_reproduction
 from .plant import (check_steady_chain_consistency, check_steady_zero_pde, exo_trajectory,
-                    sample_uncertainty, steady_state_chain)
+                    sample_uncertainty, steady_drift, steady_state_chain)
 from .simulation import format_summary, metrics, run, write_csv
 
 EXIT_OK = 0
@@ -222,11 +222,15 @@ def check_rows(scenario) -> list[Check]:
     steady = steady_state_chain(scenario.plant, synthesis.p_star, scenario.exo, w)
     v0 = np.random.default_rng(scenario.seed + 1).uniform(*scenario.exo.v0_box.T)
     ts, vs = exo_trajectory(scenario.exo, v0, t_final=5.0, h=1e-3)
-    zs = steady.z_star(vs)  # the zero-dynamics map once per sample, read by both lines
-    rows += [_check("steady_zero_pde", check_steady_zero_pde(steady, ts, vs, zs), operator.le,
-                    "1e-6", "max residual {value:.2e} (tol {tol})"),
-             _check("steady_chain_consistency", check_steady_chain_consistency(steady, ts, vs, zs),
+    # the zero-dynamics map once per sample and the drift once per inner sample, read by both
+    zs = steady.z_star(vs)
+    drift = steady_drift(steady, vs[1:-1], zs[1:-1])
+    rows += [_check("steady_zero_pde", check_steady_zero_pde(steady, ts, vs, zs, drift),
+                    operator.le, "1e-6", "max residual {value:.2e} (tol {tol})"),
+             _check("steady_chain_consistency",
+                    check_steady_chain_consistency(steady, ts, vs, zs, drift),
                     operator.le, "1e-6", "max mismatch {value:.2e} (tol {tol})")]
+    del zs, drift  # not held through the runs below, which set the peak memory
 
     # reproduction per level, all agents in one batched run, each compensator seeded from
     # the exact derivative stack (`steady_poly`), else a central-difference one, whose top

@@ -19,6 +19,8 @@ from .numerics import rk4_linear
 
 ORIGIN_EQ_TOL = 1e-12
 V_FD_STEP = 1e-5
+# samples per `steady_drift` pass: the broadcast draws, the lifted states and J stay small
+STEADY_DRIFT_CHUNK = 128
 
 
 def checked_box(name: str, box, rows: int) -> np.ndarray:
@@ -273,9 +275,10 @@ class SteadyState:
         by row, one call per row.
         """
         v = np.asarray(v, dtype=float)
+        steady_zero, p_star, w = self.model.steady_zero, self.p_star, self.w
         if v.ndim == 1:
-            return self.model.steady_zero(self.p_star, v, self.w)
-        return _per_row(self.z_star, v)
+            return steady_zero(p_star, v, w)
+        return _per_row(lambda row: steady_zero(p_star, row, w), v)
 
     def x_star(self, s: int, v: np.ndarray) -> np.ndarray:
         """Level-s steady-state signal, ``s`` in ``1 .. r+1`` (r+1 = input).
@@ -475,45 +478,76 @@ def check_origin_equilibrium(model: PlantModel, w_samples: Sequence[np.ndarray],
     return worst
 
 
+def steady_drift(steady: SteadyState, vs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """The plant drift ``(K, n_zx)`` at each sample's starred state, through `drift_split`.
+
+    Sample ``k``'s state is ``zx = [z*, p*, x_2*, .., x_r*]`` at ``vs[k]``, with
+    ``zs[k]`` its zero-dynamics map (`SteadyState.z_star`); its drift rows are
+    ordered as ``zx`` (``f0``, then ``f_levels``). For a model with ``split``
+    this is the drift the closed loop integrates, as whole arrays; any other
+    model's ``f0`` and ``f_levels`` are called once per sample. The one draw
+    is broadcast over chunks of at most ``STEADY_DRIFT_CHUNK`` samples, and
+    each sample gets its own GEMV, as in the closed loop (`column_gemv`).
+    """
+    model, K = steady.model, len(vs)
+    n, z_rows = model.n_agents, model.n_agents * model.n_z
+    out = np.empty((K, z_rows + model.r * n))
+    for start in range(0, K, STEADY_DRIFT_CHUNK):
+        rows = slice(start, min(K, start + STEADY_DRIFT_CHUNK))
+        v = vs[rows].T
+        J, features = drift_split(model, np.broadcast_to(steady.w, (v.shape[1], model.n_w)))
+        n_zx, width = J.shape[1:]
+        v_cols = width - n_zx - features.count
+        lifted = np.empty((width, v.shape[1]))  # per sample: [z*, p*, x_2* .. x_r*, leading v, phi]
+        lifted[:z_rows] = zs[rows].reshape(-1, z_rows).T
+        for s in range(1, model.r + 1):
+            lifted[z_rows + (s - 1) * n:z_rows + s * n] = steady.x_star(s, vs[rows]).T
+        lifted[n_zx:n_zx + v_cols] = v[:v_cols]
+        features.bind(lifted[:n_zx], v, lifted[n_zx + v_cols:])()
+        np.matmul(J, lifted.T[..., None], out=out[rows, :, None])
+    return out
+
+
 def check_steady_zero_pde(steady: SteadyState, ts: np.ndarray, vs: np.ndarray,
-                          zs: np.ndarray) -> float:
+                          zs: np.ndarray, drift: np.ndarray | None = None) -> float:
     """Residual of the zero-dynamics steady-state map along a disturbance run.
 
     With the output argument frozen at ``steady.p_star``, the time derivative
     of the map along the exosystem flow (central differences in t) must equal
     the zero-dynamics drift evaluated on the map. Returns the worst residual.
-    ``ts, vs`` is the run as `exo_trajectory` returns it, on a uniform grid, and
-    ``zs`` is the map on every sample, ``steady.z_star(vs)``.
+    ``ts, vs`` is the run as `exo_trajectory` returns it, on a uniform grid,
+    ``zs`` is the map on every sample, ``steady.z_star(vs)``, and ``drift`` is
+    ``steady_drift(steady, vs[1:-1], zs[1:-1])``, computed here when not given.
     """
-    model, w, s_values = steady.model, steady.w, steady.p_star
+    if drift is None:
+        drift = steady_drift(steady, vs[1:-1], zs[1:-1])
     h = float(ts[1] - ts[0])
     num = (zs[2:] - zs[:-2]) / (2.0 * h)
-    ana = _per_row(lambda z, v: model.f0(z, s_values, v, w), zs[1:-1], vs[1:-1])
+    ana = drift[:, :steady.model.n_agents * steady.model.n_z].reshape(num.shape)
     return float(np.abs(num - ana).max(initial=0.0))
 
 
 def check_steady_chain_consistency(steady: SteadyState, ts: np.ndarray, vs: np.ndarray,
-                                   zs: np.ndarray) -> float:
+                                   zs: np.ndarray, drift: np.ndarray | None = None) -> float:
     """Time-consistency of the steady-state chain along a disturbance run.
 
     For each level ``s >= 2``, the finite-difference time derivative of the
     level-s signal must match ``x_star(s+1) + drift_s`` evaluated on the
     starred states. Returns the worst mismatch across levels and time.
-    ``ts, vs, zs`` are as in `check_steady_zero_pde`.
+    ``ts, vs, zs, drift`` are as in `check_steady_zero_pde`.
     """
     model = steady.model
     if model.r == 1:
         return 0.0  # no level s >= 2
+    if drift is None:
+        drift = steady_drift(steady, vs[1:-1], zs[1:-1])
     h = float(ts[1] - ts[0])
-    inner = vs[1:-1]
-    levels = [steady.x_star(1, vs), steady.x_star(2, vs)]  # starred x_1 .. x_s, each (K, N)
+    n = model.n_agents
+    level_drifts = drift[:, n * model.n_z:].reshape(len(drift), model.r, n)
+    signals = [steady.x_star(s, vs) for s in range(2, model.r + 2)]  # levels 2 .. r+1, (K, N)
     worst = 0.0
-    for s in range(2, model.r + 1):
-        sig, nxt = levels[-1], steady.x_star(s + 1, vs)
-        stars = np.stack(levels, axis=1)[1:-1]
-        drift = _per_row(lambda z, x, v: model.f_levels[s - 1](z, x, v, steady.w),
-                         zs[1:-1], stars, inner)
+    for s, (sig, nxt) in enumerate(zip(signals, signals[1:]), start=2):
         num = (sig[2:] - sig[:-2]) / (2.0 * h)
-        worst = float(np.maximum(worst, np.abs(num - (nxt[1:-1] + drift)).max(initial=0.0)))
-        levels.append(nxt)
+        worst = float(np.maximum(worst, np.abs(num - (nxt[1:-1] + level_drifts[:, s - 1]))
+                                 .max(initial=0.0)))
     return worst

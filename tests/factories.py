@@ -3,10 +3,12 @@ and custom games built from quadratic ones."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from nesim.game import CustomGame, QuadraticAggregativeGame
-from nesim.plant import PlantModel
+from nesim.plant import PlantModel, example_plant
 
 
 def build_game(h1, coupling, box=(-6.0, 6.0)):
@@ -60,3 +62,12 @@ def build_plant(n_agents, leak=1.0, feedthrough=1.0):
     return PlantModel(n_agents=n_agents, r=1, n_z=1, n_w=n_agents,
                       f0=f0, f_levels=(f1,), steady_zero=steady_zero,
                       im_polys=([-1.0, 0.0],))
+
+
+def build_plant_without_split(g):
+    """The built-in relative-degree-2 plant without its ``split`` hook.
+
+    Its drift reaches the closed loop and the check suite only through
+    ``f0``/``f_levels``, as `drift_split`'s generic features.
+    """
+    return dataclasses.replace(example_plant(g), split=None)

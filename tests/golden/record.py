@@ -8,16 +8,18 @@ Run from the repository root, with the package importable::
 
     PYTHONPATH=src python tests/golden/record.py
 
-Each case is a ``nesim`` argument list. The custom case reads the scenario
-file ``custom.json`` (the test factories of ``tests/factories.py``), which
-this script and ``tests/test_golden_outputs.py`` write into a temporary
+Each case is a ``nesim`` argument list. The custom cases read the scenario
+files of ``CONFIGS`` (built from the test factories of ``tests/factories.py``),
+which this script and ``tests/test_golden_outputs.py`` write into a temporary
 directory and run from there. Re-record only for a change that is meant to
-move the output, and say which lines moved and why.
+move the output, and say which lines moved and why: the script prints each
+case of the file it overwrites whose stdout moved, with the number of lines.
 """
 
 from __future__ import annotations
 
 import contextlib
+import difflib
 import io
 import json
 import os
@@ -41,20 +43,51 @@ CUSTOM_CONFIG = {
     "sim": {"t_final": 0.5, "dt": 1e-3, "seed": 2, "R": 0.5, "decimate": 10},
 }
 
+# sec5's game, graph, plant, exosystem and seed, the plant without its `split` hook (so
+# its drift is read through f0/f_levels), at explicit gains and a short horizon
+NO_SPLIT_CONFIG = {
+    "game": {"kind": "quadratic_aggregative", "h1": [2.0, 4.0, 3.0, 5.0],
+             "h2": [2.0, 2.0, 2.0, 2.0], "h3": [1.0, 1.0, 1.0, 1.0]},
+    "graph": {"n": 4, "edges": [[0, 1, 1.0], [1, 2, 1.0], [2, 3, 1.0], [3, 0, 1.0]]},
+    "plant": {"kind": "custom", "factory": "factories:build_plant_without_split",
+              "args": {"g": [[-1.0, 1.0, 0.5, 2.0, 0.3, 0.3],
+                             [-1.2, 0.8, 0.4, 2.2, 0.25, 0.35],
+                             [-0.9, 1.1, 0.6, 1.8, 0.35, 0.25],
+                             [-1.1, 0.9, 0.5, 2.0, 0.3, 0.3]]},
+              "w_box": [[-0.05, 0.05]] * 24,
+              "v0_box": [[0.6, 1.4], [-0.4, 0.4]]},
+    "exosystem": {"S": [[0.0, 1.0], [-1.0, 0.0]]},
+    "internal_model": {"preset": "sec5"},
+    "gains": {"gamma1": 1.0, "gamma2": "auto"},
+    "controller": {"k": [[16.0, 16.0]] * 4},
+    "sim": {"t_final": 0.5, "dt": 1e-3, "seed": 1, "R": 1.0, "decimate": 10},
+}
+
+CONFIGS = {"custom.json": CUSTOM_CONFIG, "no_split.json": NO_SPLIT_CONFIG}
+
 CASES = {
     "check_sec5_seed1": ["check", "--config", "sec5", "--t-final", "10", "--seed", "1"],
     "check_sec5_seed2": ["check", "--config", "sec5", "--t-final", "10", "--seed", "2"],
     "check_custom_factories": ["check", "--config", "custom.json"],
+    "check_sec5_plant_without_split": ["check", "--config", "no_split.json"],
 }
 
 
+def moved_lines(old: list[str], new: list[str]) -> int:
+    """How many lines of ``old`` were replaced or dropped, or added in ``new``."""
+    matcher = difflib.SequenceMatcher(None, old, new, autojunk=False)
+    return sum(max(i2 - i1, j2 - j1) for tag, i1, i2, j1, j2 in matcher.get_opcodes()
+               if tag != "equal")
+
+
 def main() -> None:
-    sys.path.insert(0, str(HERE.parent))  # `factories`, named by the custom config
+    sys.path.insert(0, str(HERE.parent))  # `factories`, named by the custom configs
     from nesim.cli import main as nesim_main
 
     cases = {}
     with tempfile.TemporaryDirectory() as scratch:
-        Path(scratch, "custom.json").write_text(json.dumps(CUSTOM_CONFIG))
+        for name, config in CONFIGS.items():
+            Path(scratch, name).write_text(json.dumps(config))
         cwd = os.getcwd()
         os.chdir(scratch)
         try:
@@ -66,8 +99,19 @@ def main() -> None:
                                 "stdout": out.getvalue().splitlines(keepends=True)}
         finally:
             os.chdir(cwd)
-    record = {"custom_config": CUSTOM_CONFIG, "cases": cases}
-    (HERE / "outputs.json").write_text(json.dumps(record, indent=1) + "\n")
+    path = HERE / "outputs.json"
+    before = json.loads(path.read_text())["cases"] if path.exists() else {}
+    for name, case in cases.items():
+        if name not in before:
+            print(f"{name}: new, {len(case['stdout'])} lines")
+        elif case != before[name]:
+            exit_moved = ("" if case["exit"] == before[name]["exit"]
+                          else f", exit {before[name]['exit']} -> {case['exit']}")
+            print(f"{name}: {moved_lines(before[name]['stdout'], case['stdout'])} lines moved"
+                  + exit_moved)
+    for name in before.keys() - cases.keys():
+        print(f"{name}: dropped")
+    path.write_text(json.dumps({"configs": CONFIGS, "cases": cases}, indent=1) + "\n")
 
 
 if __name__ == "__main__":

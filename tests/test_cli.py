@@ -192,6 +192,38 @@ def test_check_evaluates_each_zero_steady_state_once(stable, monkeypatch, count_
     assert [args[3].shape for args, _ in seeds] == [(3, stable.n), (5, stable.n)]
 
 
+@pytest.mark.parametrize("split", [True, False], ids=["split_hook", "no_split"])
+def test_check_evaluates_the_steady_drift_once(stable, monkeypatch, split):
+    # with `split`, the steady-state lines read the drift as whole arrays and `check_rows`
+    # calls no f0/f_levels; without it, `drift_split`'s generic features call f0 and each
+    # f_levels entry once per inner sample of the 5 s trace, for both lines together (the
+    # closed-loop runs, which also evaluate the drift through them, are not counted)
+    calls, counting = {"f0": 0, "f1": 0, "f2": 0}, [True]
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += counting[0]
+            return fn(*args)
+        return wrapper
+
+    def uncounted_run(*args, **kwargs):
+        counting[0] = False
+        try:
+            return run(*args, **kwargs)
+        finally:
+            counting[0] = True
+
+    f1, f2 = stable.plant.f_levels
+    plant = dataclasses.replace(stable.plant, f0=counted("f0", stable.plant.f0),
+                                f_levels=(counted("f1", f1), counted("f2", f2)),
+                                split=stable.plant.split if split else None)
+    if not split:
+        monkeypatch.setattr(cli, "run", uncounted_run)
+    rows = cli.check_rows(dataclasses.replace(stable, plant=plant, t_final=0.2))
+    assert all(row.passed for row in rows)
+    assert calls == dict.fromkeys(calls, 0 if split else 4999)
+
+
 def test_check_seeds_a_generic_plants_reproduction_from_stencils(custom_scenario, monkeypatch,
                                                                   count_calls, capsys):
     # a plant without `steady_poly` has no exact derivative stack

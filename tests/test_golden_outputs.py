@@ -21,7 +21,8 @@ RECORD = json.loads((Path(__file__).resolve().parent / "golden" / "outputs.json"
 @pytest.mark.parametrize("name", sorted(RECORD["cases"]))
 def test_check_stdout_is_the_recorded_one(name, tmp_path, monkeypatch, capsys):
     case = RECORD["cases"][name]
-    (tmp_path / "custom.json").write_text(json.dumps(RECORD["custom_config"]))
+    for file, config in RECORD["configs"].items():
+        (tmp_path / file).write_text(json.dumps(config))
     monkeypatch.chdir(tmp_path)
     assert main(case["argv"]) == case["exit"]
     got, want = capsys.readouterr().out, "".join(case["stdout"])

@@ -8,7 +8,7 @@ import pytest
 from nesim.errors import InvalidParameter
 from nesim.numerics import OdeSystem, integrate
 from factories import build_plant
-from nesim.plant import (Exosystem, PlantModel, check_origin_equilibrium,
+from nesim.plant import (Exosystem, PlantFeatures, PlantModel, check_origin_equilibrium,
                          check_steady_chain_consistency, check_steady_zero_pde, drift_split,
                          example_plant, exo_trajectory, sample_uncertainty, steady_state_chain)
 from oracles import plant_rhs
@@ -258,10 +258,34 @@ class TestSteadyStateChain:
         assert check_steady_chain_consistency(steady, ts, vs, zs) == cons
 
     def test_chain_consistency_keeps_a_nan_drift(self):
-        # a level-2 drift that is NaN on every sample: the worst mismatch is NaN, not 0
+        # a level-2 drift that is NaN on every sample: the worst mismatch is NaN, not 0; the
+        # model has no `split`, which would have to agree with the NaN f_levels
         model = demo_plant([[-1, 1, 0.5, 2, 0.3, 0.3]])
         f1, f2 = model.f_levels
-        nan_model = dataclasses.replace(model, f_levels=(f1, lambda *a: f2(*a) * np.nan))
+        nan_model = dataclasses.replace(model, f_levels=(f1, lambda *a: f2(*a) * np.nan),
+                                        split=None)
+        steady = steady_state_chain(nan_model, np.array([0.6]), self.exo(), zero_w(model))
+        ts, vs = exo_trajectory(self.exo(), np.array([1.0, 0.2]), t_final=0.1, h=1e-3)
+        assert np.isnan(check_steady_chain_consistency(steady, ts, vs, steady.z_star(vs)))
+
+    def test_chain_consistency_keeps_a_nan_split_feature(self):
+        # the same through a `split` hook: a feature fill that writes NaN makes the drift,
+        # and so the worst mismatch, NaN
+        model = demo_plant([[-1, 1, 0.5, 2, 0.3, 0.3]])
+
+        def nan_split(W):
+            J, features = model.split(W)
+
+            def bind(zx, v, out):
+                fill = features.bind(zx, v, out)
+
+                def nan_fill():
+                    fill()
+                    out[-1] = np.nan  # the x2 x1 feature of the level-2 drift
+                return nan_fill
+            return J, PlantFeatures(features.count, bind)
+
+        nan_model = dataclasses.replace(model, split=nan_split)
         steady = steady_state_chain(nan_model, np.array([0.6]), self.exo(), zero_w(model))
         ts, vs = exo_trajectory(self.exo(), np.array([1.0, 0.2]), t_final=0.1, h=1e-3)
         assert np.isnan(check_steady_chain_consistency(steady, ts, vs, steady.z_star(vs)))
