@@ -1,8 +1,9 @@
-"""Re-record ``outputs.json``: the exact ``nesim check`` stdout of a few cases.
+"""Re-record ``outputs.json``: the exact stdout and files of a few ``nesim`` runs.
 
 ``outputs.json`` keeps each case's argument list, its exit code and its
 stdout as a list of lines, each with its line end, so the lines joined are
-the exact bytes and a moved line shows as one line in a diff.
+the exact bytes and a moved line shows as one line in a diff. A case that
+writes files (``simulate``'s CSVs) also keeps the sha256 of each, by name.
 
 Run from the repository root, with the package importable::
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import difflib
+import hashlib
 import io
 import json
 import os
@@ -70,7 +72,37 @@ CASES = {
     "check_sec5_seed2": ["check", "--config", "sec5", "--t-final", "10", "--seed", "2"],
     "check_custom_factories": ["check", "--config", "custom.json"],
     "check_sec5_plant_without_split": ["check", "--config", "no_split.json"],
+    # the custom game's partials and the generic plant's drift in every stage, two seeds batched
+    "simulate_custom_factories_seeds2_3": ["simulate", "--config", "custom.json",
+                                           "--t-final", "3", "--sweep", "seeds=2"],
 }
+
+
+def run_case(argv: list[str], where: Path) -> dict:
+    """``argv``'s exit code, stdout lines and, if it wrote any, the sha256 of each new file.
+
+    ``nesim`` runs with ``where`` as its working directory; the files it writes
+    there are hashed and removed, so the next case starts from the configs alone.
+    """
+    from nesim.cli import main as nesim_main
+
+    before = set(os.listdir(where))
+    out = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(where)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = nesim_main(argv)
+    finally:
+        os.chdir(cwd)
+    case = {"argv": argv, "exit": code, "stdout": out.getvalue().splitlines(keepends=True)}
+    written = sorted(set(os.listdir(where)) - before)
+    if written:
+        case["files"] = {name: hashlib.sha256(Path(where, name).read_bytes()).hexdigest()
+                         for name in written}
+        for name in written:
+            Path(where, name).unlink()
+    return case
 
 
 def moved_lines(old: list[str], new: list[str]) -> int:
@@ -82,33 +114,26 @@ def moved_lines(old: list[str], new: list[str]) -> int:
 
 def main() -> None:
     sys.path.insert(0, str(HERE.parent))  # `factories`, named by the custom configs
-    from nesim.cli import main as nesim_main
-
     cases = {}
     with tempfile.TemporaryDirectory() as scratch:
         for name, config in CONFIGS.items():
             Path(scratch, name).write_text(json.dumps(config))
-        cwd = os.getcwd()
-        os.chdir(scratch)
-        try:
-            for name, argv in CASES.items():
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out):
-                    code = nesim_main(argv)
-                cases[name] = {"argv": argv, "exit": code,
-                                "stdout": out.getvalue().splitlines(keepends=True)}
-        finally:
-            os.chdir(cwd)
+        for name, argv in CASES.items():
+            cases[name] = run_case(argv, Path(scratch))
     path = HERE / "outputs.json"
     before = json.loads(path.read_text())["cases"] if path.exists() else {}
     for name, case in cases.items():
         if name not in before:
             print(f"{name}: new, {len(case['stdout'])} lines")
         elif case != before[name]:
-            exit_moved = ("" if case["exit"] == before[name]["exit"]
-                          else f", exit {before[name]['exit']} -> {case['exit']}")
-            print(f"{name}: {moved_lines(before[name]['stdout'], case['stdout'])} lines moved"
-                  + exit_moved)
+            old = before[name]
+            exit_moved = ("" if case["exit"] == old["exit"]
+                          else f", exit {old['exit']} -> {case['exit']}")
+            files = case.get("files", {})
+            files_moved = [file for file in files.keys() | old.get("files", {}).keys()
+                           if files.get(file) != old.get("files", {}).get(file)]
+            print(f"{name}: {moved_lines(old['stdout'], case['stdout'])} lines moved"
+                  + exit_moved + "".join(f", {file} moved" for file in sorted(files_moved)))
     for name in before.keys() - cases.keys():
         print(f"{name}: dropped")
     path.write_text(json.dumps({"configs": CONFIGS, "cases": cases}, indent=1) + "\n")

@@ -1,13 +1,15 @@
-"""``nesim check`` prints exactly the recorded stdout.
+"""``nesim`` prints exactly the recorded stdout and writes exactly the recorded files.
 
-``golden/outputs.json`` holds the stdout and exit code of each case, recorded
-by ``golden/record.py``. A change that moves a byte of a check line fails
-here and names the lines that differ.
+``golden/outputs.json`` holds the stdout and exit code of each case, and the
+sha256 of each file a case writes, recorded by ``golden/record.py``. A change
+that moves a byte of a line fails here and names the lines that differ; one
+that moves a byte of a written file names the file.
 """
 
 from __future__ import annotations
 
 import difflib
+import hashlib
 import json
 from pathlib import Path
 
@@ -29,3 +31,6 @@ def test_check_stdout_is_the_recorded_one(name, tmp_path, monkeypatch, capsys):
     moved = "\n".join(difflib.unified_diff(want.splitlines(), got.splitlines(),
                                            "recorded", "now", lineterm=""))
     assert got == want, f"nesim {' '.join(case['argv'])} moved:\n{moved}"
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.iterdir() if path.name not in RECORD["configs"]}
+    assert written == case.get("files", {})
