@@ -87,10 +87,10 @@ class CustomGame:
     evaluated as well as true profiles. Each call gets a fresh ``profile``
     array of its own, which the callable may modify, and the calls come in a
     fixed order for a given scenario and seed. The callable must be a
-    deterministic function of its arguments: the closed loop evaluates each
-    stage's partials once for all the columns of a batch that hold the same
-    estimates (`generator.partials_bind`), so the number of calls does not
-    grow with the batch width. Gradients come from central finite
+    deterministic function of its arguments: the closed loop makes ``8 n``
+    calls per RK4 step (two per player and stage), once for all the columns
+    of a batch that hold the same estimates (`generator.partials_bind`),
+    whatever the batch width. Gradients come from central finite
     differences; constants are sampled over ``sample_box``, whose rows must
     be finite with ``lo < hi``, and are therefore local to that box.
     """
@@ -128,33 +128,40 @@ GameSpec = Union[QuadraticAggregativeGame, CustomGame]
 def partial_gradient(game: GameSpec, i: int, profile: np.ndarray) -> float:
     """Derivative of player i's cost with respect to its own strategy.
 
-    Entry i of `pseudo_gradient`: closed form for the quadratic kind, central
-    finite difference with step ``1e-6 * (1 + |y_i|)`` otherwise.
+    Entry i of `pseudo_gradient`, bit for bit: closed form for the quadratic kind,
+    player i's `row_partial` alone (two cost calls) otherwise.
     """
-    return float(pseudo_gradient(game, profile)[i])
+    if isinstance(game, QuadraticAggregativeGame):
+        return float(pseudo_gradient(game, profile)[i])
+    return row_partial(game.costs[i], i, np.asarray(profile, dtype=float))
+
+
+def row_partial(cost: Callable[[float, np.ndarray], float], i: int, row: np.ndarray) -> float:
+    """Player i's central difference along its own strategy on the profile ``row``.
+
+    The step is ``FD_REL_STEP * (1 + |y_i|)``; the upward call comes first.
+    Each cost call gets a fresh copy of ``row``, so a callable that writes into
+    its profile affects nothing else. This is the one stencil of the package.
+    """
+    y = float(row[i])
+    step = FD_REL_STEP * (1.0 + abs(y))
+    up, dn = row.copy(), row.copy()
+    up[i], dn[i] = y + step, y - step
+    return (float(cost(y + step, up)) - float(cost(y - step, dn))) / (2.0 * step)
 
 
 def _central_partials(costs, blocks: np.ndarray) -> np.ndarray:
-    """Central differences of the cost callables on a ``(K, n, n)`` block stack.
+    """`row_partial` of every player on its own row of each block of a ``(K, n, n)`` stack.
 
-    Entry ``(k, i)`` of the ``(K, n)`` result is player i's derivative along
-    its own strategy on row i of block k, with step ``FD_REL_STEP * (1 +
-    |y_i|)``. Each cost call gets a fresh copy of the row, so a callable that
-    writes into its profile affects nothing else. Calls run block by block,
-    player by player, the upward step first. Deterministic callables give
-    equal blocks equal partials: `generator.partials_bind` relies on that to
-    evaluate a batch of equal blocks once.
+    Entry ``(k, i)`` of the ``(K, n)`` result is player i's partial on row i
+    of block k. Calls run block by block, player by player. Deterministic
+    callables give equal blocks equal partials: `generator.partials_bind`
+    relies on that to evaluate a batch of equal blocks once.
     """
     out = np.empty(blocks.shape[:2])
     for block, partials in zip(blocks, out):
         for i, cost in enumerate(costs):
-            row = block[i]
-            y = float(row[i])
-            step = FD_REL_STEP * (1.0 + abs(y))
-            up, dn = row.copy(), row.copy()
-            up[i] = y + step
-            dn[i] = y - step
-            partials[i] = (float(cost(y + step, up)) - float(cost(y - step, dn))) / (2.0 * step)
+            partials[i] = row_partial(cost, i, block[i])
     return out
 
 

@@ -21,7 +21,8 @@ from typing import TYPE_CHECKING, Callable, Optional
 import numpy as np
 
 from .errors import Disconnected, NonFiniteState, require
-from .game import GameSpec, GradientConstants, QuadraticAggregativeGame, extended_pseudo_gradient
+from .game import (GameSpec, GradientConstants, QuadraticAggregativeGame, extended_pseudo_gradient,
+                   row_partial)
 from .graph import CONNECTIVITY_EPS, CommGraph, lambda2, laplacian
 from .numerics import LiftedOdeSystem, integrate, rk4_lifted_step, rk4_lifted_steps
 
@@ -101,12 +102,12 @@ def partials_bind(game: GameSpec, estimates: np.ndarray,
 
     The generator reads no plant state and `run` starts every column at the
     same ``p0``, so the live columns of a batch hold the same estimates. When
-    every column's estimate bits equal column 0's, the stencil runs once, on
-    column 0, and its partials go to every column; otherwise every column is
-    filled from its own block (a parked column, or one gone non-finite). The
-    cost callables are deterministic, so either way column ``b`` gets the
-    bits its own block gives. Bits, not ``==``: ``-0.0 == 0.0`` and NaN is
-    not equal to itself.
+    every column's estimate bytes equal column 0's (always, for one column),
+    `game.row_partial` runs once per agent, on column 0's rows, and the
+    partials go to every column; otherwise every column is filled from its
+    own block (a parked column, or one gone non-finite). The costs are
+    deterministic, so either way column ``b`` gets the bits its own block
+    gives. Bytes, not ``==``: ``-0.0 == 0.0`` and NaN is not equal to itself.
     """
     if isinstance(game, QuadraticAggregativeGame):
         return None
@@ -114,12 +115,17 @@ def partials_bind(game: GameSpec, estimates: np.ndarray,
     # one (n, n) view per column: the estimate rows of a lift buffer are contiguous
     blocks = estimates.reshape(n, n, -1).transpose(2, 0, 1)
     out = partials.T  # (B, n)
-    bits = estimates.view(np.int64)
-    first = bits[:, :1]
+    one = np.empty(n)  # column 0's partials, broadcast to every column
+    lanes = tuple(zip(range(n), game.costs, blocks[0]))  # agent i's cost and estimate row
+    B, columns, size = len(out), estimates.T, estimates[:, 0].nbytes  # size: bytes per column
 
     def fill() -> None:
-        same = (bits == first).all()
-        out[...] = extended_pseudo_gradient(game, blocks[0] if same else blocks)
+        if B == 1 or (data := columns.tobytes()) == data[:size] * B:
+            for i, cost, row in lanes:
+                one[i] = row_partial(cost, i, row)
+            out[...] = one
+        else:
+            out[...] = extended_pseudo_gradient(game, blocks)
 
     return fill
 

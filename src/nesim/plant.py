@@ -146,8 +146,9 @@ def drift_split(model: PlantModel, w: np.ndarray) -> tuple[np.ndarray, PlantFeat
     count)``: per draw, one row per ``zx`` entry and the coefficients of
     ``zx``, of those disturbance coordinates and of the features, in that
     order. Models with a ``split`` hook supply both. Any other model gets
-    ``f0``/``f_levels`` themselves as features, evaluated column by column
-    with the column's draw, against an identity block of ``J``.
+    ``f0`` (raveled: ``(N, n_z)`` or flat) and ``f_levels`` themselves as
+    features, ``1 + r`` calls per column and fill with the column's draw,
+    against an identity block of ``J``.
     """
     W = np.asarray(w, dtype=float)
     if W.ndim != 2:
@@ -161,18 +162,19 @@ def drift_split(model: PlantModel, w: np.ndarray) -> tuple[np.ndarray, PlantFeat
     dim = n * n_z + r * n
 
     def bind(zx, v, out):
-        # per column: the views f0/f_levels read, its draw and the rows they write; a
-        # 1-D column reshapes without a copy, so the views see what zx holds at each fill
+        # per column: f0's views, its draw and rows, and one (f, xs, dx) per level; a 1-D
+        # column reshapes without a copy, so the views see what zx holds at each fill
         columns = []
         for col, vc, wv, dcol in zip(zx.T, v.T, W, out.T):
             z, x = col[:n * n_z].reshape(n, n_z), col[n * n_z:].reshape(r, n)
-            columns.append((z, x[0], [x[:s + 1] for s in range(r)], vc, wv, dcol[:n * n_z],
-                            [dcol[n * n_z + s * n:n * n_z + (s + 1) * n] for s in range(r)]))
+            levels = tuple((f, x[:s + 1], dcol[n * n_z + s * n:n * n_z + (s + 1) * n])
+                           for s, f in enumerate(f_levels))
+            columns.append((z, x[0], vc, wv, dcol[:n * n_z], levels))
 
         def fill():
-            for z, x1, chains, vc, wv, dz, dxs in columns:
-                dz[:] = np.ravel(f0(z, x1, vc, wv))
-                for f, xs, dx in zip(f_levels, chains, dxs):
+            for z, x1, vc, wv, dz, levels in columns:
+                dz[:] = np.asanyarray(f0(z, x1, vc, wv)).ravel()  # np.ravel, without its dispatch
+                for f, xs, dx in levels:
                     dx[:] = f(z, xs, vc, wv)
 
         return fill

@@ -1,5 +1,5 @@
 """Factories referenced by the custom-kind scenario configs in the tests,
-and custom games built from quadratic ones."""
+custom games built from quadratic ones, and non-quadratic cost callables."""
 
 from __future__ import annotations
 
@@ -39,6 +39,20 @@ def wrap_custom(game: QuadraticAggregativeGame, box=None) -> CustomGame:
             return (yi - game.h1[i]) ** 2 + yi * (game.h2[i] * y.sum() + game.h3[i])
         return cost
     return CustomGame(costs=[make(i) for i in range(game.n)], sample_box=box)
+
+
+def smooth_costs(n: int, *, in_place: bool):
+    """Non-quadratic costs; ``in_place`` ones write into their profile argument."""
+    def make(i):
+        def cost(yi, profile):
+            y = profile if in_place else profile.copy()
+            y[i] = yi
+            value = yi ** 4 / 4.0 + yi * np.sin(y.sum()) + 0.5 * (yi - i) ** 2
+            if in_place:
+                profile *= -3.0  # scribble over the argument after use
+            return value
+        return cost
+    return [make(i) for i in range(n)]
 
 
 def build_plant(n_agents, leak=1.0, feedthrough=1.0):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import nesim.game
-from factories import build_game, wrap_custom
+from factories import build_game, smooth_costs, wrap_custom
 from nesim.errors import NotStronglyMonotone, SingularMatrix
 from nesim.game import (CustomGame, QuadraticAggregativeGame, _central_partials,
                         estimate_constants, extended_pseudo_gradient, partial_gradient,
@@ -32,6 +32,26 @@ class TestPartialGradient:
         g = quad([0, 0, 0, 0], [1, 1, 1, 1], [0, 0, 0, 0])
         # 2*y0 + sum(y) + y0 = 2 + 4 + 1
         assert partial_gradient(g, 0, np.ones(4)) == pytest.approx(7.0)
+
+    def test_custom_game_calls_player_i_cost_twice_for_the_pseudo_gradient_bits(self):
+        # player i's own stencil alone, the upward call first, not the whole pseudo-gradient
+        calls = []
+
+        def counted(i, cost):
+            def call(yi, profile):
+                calls.append((i, yi))
+                return cost(yi, profile)
+            return call
+
+        costs = smooth_costs(4, in_place=False)
+        game = CustomGame(costs=[counted(i, cost) for i, cost in enumerate(costs)])
+        y = np.random.default_rng(6).uniform(-3, 3, 4)
+        want = central_partials(costs, np.tile(y, (1, 4, 1)))[0]
+        for i in range(4):
+            calls.clear()
+            got = partial_gradient(game, i, y)
+            assert [who for who, _ in calls] == [i, i] and calls[0][1] > calls[1][1]
+            assert np.float64(got).tobytes() == want[i].tobytes()
 
 
 class TestPseudoGradient:
@@ -88,20 +108,6 @@ class TestExtendedPseudoGradient:
             assert got[idx].tobytes() == one.tobytes()
         with pytest.raises(ValueError, match="stack"):
             extended_pseudo_gradient(game, state[:4, :3])
-
-
-def smooth_costs(n: int, *, in_place: bool):
-    """Non-quadratic costs; ``in_place`` ones write into their profile argument."""
-    def make(i):
-        def cost(yi, profile):
-            y = profile if in_place else profile.copy()
-            y[i] = yi
-            value = yi ** 4 / 4.0 + yi * np.sin(y.sum()) + 0.5 * (yi - i) ** 2
-            if in_place:
-                profile *= -3.0  # scribble over the argument after use
-            return value
-        return cost
-    return [make(i) for i in range(n)]
 
 
 class TestCentralPartials:

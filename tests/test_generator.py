@@ -6,15 +6,15 @@ import warnings
 import numpy as np
 import pytest
 
-from factories import build_game
+from factories import build_game, smooth_costs
 from nesim.errors import Disconnected, NonFiniteState
-from nesim.game import (GradientConstants, QuadraticAggregativeGame, estimate_constants,
-                        extended_pseudo_gradient, solve_ne)
+from nesim.game import (CustomGame, GradientConstants, QuadraticAggregativeGame,
+                        estimate_constants, solve_ne)
 from nesim.generator import (GeneratorGains, GeneratorTrajectory, generator_rows, min_gamma2,
                              partials_bind, run_generator)
 from nesim.graph import CommGraph
 from nesim.numerics import OdeSystem, integrate, rk4_lifted_step, rk4_step
-from oracles import kronecker_generator
+from oracles import central_partials, kronecker_generator
 
 
 def quad(h1, h2, h3):
@@ -113,9 +113,27 @@ class TestGeneratorRhs:
                 lifted[:9] = estimates
                 fill()
                 for b in range(B):
-                    want = extended_pseudo_gradient(game, lifted[:9, b].reshape(3, 3))
+                    want = central_partials(game.costs, lifted[:9, b].reshape(1, 3, 3))[0]
                     assert lifted[10:, b].tobytes() == want.tobytes()
         assert partials_bind(quad([1, 2], [0.3, 0.3], [0, 0]), lifted[:4], lifted[5:]) is None
+
+    @pytest.mark.parametrize("B", [1, 3])
+    def test_partials_fill_hands_each_cost_call_a_fresh_row(self, B):
+        # costs that write into their profile, on one column or three equal ones: the
+        # estimates stay as they were and the partials are those of costs that copy it
+        game = CustomGame(costs=smooth_costs(3, in_place=True))
+        rng = np.random.default_rng(15)
+        lifted = np.zeros((13, B))
+        fill = partials_bind(game, lifted[:9], lifted[10:])
+        for _ in range(3):
+            lifted[:9] = rng.normal(size=(9, 1))
+            before = lifted.copy()
+            fill()
+            assert lifted[:10].tobytes() == before[:10].tobytes()
+            want = central_partials(smooth_costs(3, in_place=False),
+                                    lifted[:9, 0].reshape(1, 3, 3))[0]
+            for b in range(B):
+                assert lifted[10:, b].tobytes() == want.tobytes()
 
 
 @pytest.fixture(scope="module")
