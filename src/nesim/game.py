@@ -133,7 +133,7 @@ def partial_gradient(game: GameSpec, i: int, profile: np.ndarray) -> float:
     """
     if isinstance(game, QuadraticAggregativeGame):
         return float(pseudo_gradient(game, profile)[i])
-    return row_partial(game.costs[i], i, np.asarray(profile, dtype=float))
+    return row_partial(game.costs[i], i, np.broadcast_to(np.asarray(profile, dtype=float), game.n))
 
 
 def row_partial(cost: Callable[[float, np.ndarray], float], i: int, row: np.ndarray) -> float:

@@ -52,6 +52,8 @@ class TestPartialGradient:
             got = partial_gradient(game, i, y)
             assert [who for who, _ in calls] == [i, i] and calls[0][1] > calls[1][1]
             assert np.float64(got).tobytes() == want[i].tobytes()
+        with pytest.raises(ValueError):
+            partial_gradient(game, 0, np.zeros(5))  # a profile of another length
 
 
 class TestPseudoGradient:
