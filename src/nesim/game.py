@@ -143,7 +143,7 @@ def row_partial(cost: Callable[[float, np.ndarray], float], i: int, row: np.ndar
     Each cost call gets a fresh copy of ``row``, so a callable that writes into
     its profile affects nothing else. This is the one stencil of the package.
     """
-    y = float(row[i])
+    y = row.item(i)  # float(row[i]), without the NumPy scalar
     step = FD_REL_STEP * (1.0 + abs(y))
     up, dn = row.copy(), row.copy()
     up[i], dn[i] = y + step, y - step
