@@ -129,11 +129,11 @@ def main() -> None:
             old = before[name]
             exit_moved = ("" if case["exit"] == old["exit"]
                           else f", exit {old['exit']} -> {case['exit']}")
-            files = case.get("files", {})
-            files_moved = [file for file in files.keys() | old.get("files", {}).keys()
-                           if files.get(file) != old.get("files", {}).get(file)]
+            files, old_files = case.get("files", {}), old.get("files", {})
+            files_moved = sorted(file for file in files.keys() | old_files.keys()
+                                 if files.get(file) != old_files.get(file))
             print(f"{name}: {moved_lines(old['stdout'], case['stdout'])} lines moved"
-                  + exit_moved + "".join(f", {file} moved" for file in sorted(files_moved)))
+                  + exit_moved + "".join(f", {file} moved" for file in files_moved))
     for name in before.keys() - cases.keys():
         print(f"{name}: dropped")
     path.write_text(json.dumps({"configs": CONFIGS, "cases": cases}, indent=1) + "\n")

@@ -50,29 +50,18 @@ class TestPlantRhs:
         assert np.allclose(dx[:, 0], [0.0, 1.0])
 
 
-def assert_generic_fill_matches_plant_rhs(model):
-    """`drift_split`'s generic fill at B = 3 against `plant_rhs`, column by column, bit for bit.
+def two_state_zero_dynamics_plant(flat: bool) -> PlantModel:
+    """Relative degree 1, two zero-dynamics states per agent; ``f0`` returns ``(N, 2)`` or its
+    agent-major ravel."""
+    def f0(z, x1, v, w):
+        dz = np.stack([-z[:, 0] + w * x1, v[0] * z[:, 0] - 2.0 * z[:, 1]], axis=1)
+        return dz.ravel() if flat else dz
 
-    The features are the drift alone: with the chain shifts and the input
-    added, each column's rows are the oracle's ``(dz, dx)``.
-    """
-    n, r, n_z, batch = model.n_agents, model.r, model.n_z, 3
-    rng = np.random.default_rng(16)
-    W = rng.uniform(-0.5, 0.5, (batch, model.n_w))
-    J, features = drift_split(model, W)
-    zx, v = np.empty((n * n_z + r * n, batch)), np.empty((2, batch))
-    phi = np.full((features.count, batch), np.nan)
-    fill = features.bind(zx, v, phi)
-    u = rng.normal(size=n)
-    for _ in range(3):
-        zx[...], v[...] = rng.normal(size=zx.shape), rng.normal(size=v.shape)
-        fill()
-        for b in range(batch):
-            z, x = zx[:n * n_z, b].reshape(n, n_z), zx[n * n_z:, b].reshape(r, n)
-            dz, dx = plant_rhs(model, z, x, u, v[:, b], W[b])
-            assert phi[:n * n_z, b].tobytes() == np.ravel(dz).tobytes()
-            shifted = phi[n * n_z:, b].reshape(r, n) + np.vstack([x[1:], u])
-            assert shifted.tobytes() == dx.tobytes()
+    def f1(z, xs, v, w):
+        return z[:, 1] * xs[0] + (1.0 + w) * v[1]
+
+    return PlantModel(n_agents=3, r=1, n_z=2, n_w=3, f0=f0, f_levels=(f1,),
+                      steady_zero=lambda s, v, w: np.zeros((3, 2)), im_polys=([-1.0, 0.0],))
 
 
 class TestExamplePlant:
@@ -182,24 +171,34 @@ class TestExamplePlant:
                                       model.f_levels[1](z, x, v[:, b], w)])
                 assert np.abs(split - ref).max() <= 1e-14 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("flat", [False, True], ids=["f0_stacked", "f0_flat"])
-    def test_generic_fill_matches_the_plant_rhs_oracle(self, flat):
-        # two zero-dynamics states per agent: f0 may return (N, n_z) or its agent-major ravel
-        def f0(z, x1, v, w):
-            dz = np.stack([-z[:, 0] + w * x1, v[0] * z[:, 0] - 2.0 * z[:, 1]], axis=1)
-            return dz.ravel() if flat else dz
-
-        def f1(z, xs, v, w):
-            return z[:, 1] * xs[0] + (1.0 + w) * v[1]
-
-        model = PlantModel(n_agents=3, r=1, n_z=2, n_w=3, f0=f0, f_levels=(f1,),
-                           steady_zero=lambda s, v, w: np.zeros((3, 2)), im_polys=([-1.0, 0.0],))
-        assert_generic_fill_matches_plant_rhs(model)
-
-    def test_generic_fill_matches_the_plant_rhs_oracle_at_relative_degree_2(self):
-        model = build_plant_without_split([[-1, 1, 0.5, 1, 0.3, 0.3],
-                                           [-1.2, 0.8, 0.4, 1.1, 0.25, 0.35]])
-        assert_generic_fill_matches_plant_rhs(model)
+    @pytest.mark.parametrize("build", [
+        lambda: two_state_zero_dynamics_plant(flat=False),
+        lambda: two_state_zero_dynamics_plant(flat=True),
+        lambda: build_plant_without_split([[-1, 1, 0.5, 1, 0.3, 0.3],
+                                           [-1.2, 0.8, 0.4, 1.1, 0.25, 0.35]]),
+    ], ids=["f0_stacked", "f0_flat", "relative_degree_2"])
+    def test_generic_fill_matches_the_plant_rhs_oracle(self, build):
+        # `drift_split`'s generic fill at B = 3, column by column, bit for bit: the features
+        # are the drift alone, so with the chain shifts and the input added they are the
+        # oracle's (dz, dx)
+        model = build()
+        n, r, n_z, batch = model.n_agents, model.r, model.n_z, 3
+        rng = np.random.default_rng(16)
+        W = rng.uniform(-0.5, 0.5, (batch, model.n_w))
+        J, features = drift_split(model, W)
+        zx, v = np.empty((n * n_z + r * n, batch)), np.empty((2, batch))
+        phi = np.full((features.count, batch), np.nan)
+        fill = features.bind(zx, v, phi)
+        u = rng.normal(size=n)
+        for _ in range(3):
+            zx[...], v[...] = rng.normal(size=zx.shape), rng.normal(size=v.shape)
+            fill()
+            for b in range(batch):
+                z, x = zx[:n * n_z, b].reshape(n, n_z), zx[n * n_z:, b].reshape(r, n)
+                dz, dx = plant_rhs(model, z, x, u, v[:, b], W[b])
+                assert phi[:n * n_z, b].tobytes() == np.ravel(dz).tobytes()
+                shifted = phi[n * n_z:, b].reshape(r, n) + np.vstack([x[1:], u])
+                assert shifted.tobytes() == dx.tobytes()
 
     def test_origin_equilibrium_over_box(self):
         model = demo_plant([[-1, 1, 0.5, 1, 0.3, 0.3], [-1.2, 0.8, 0.4, 1.1, 0.25, 0.35]])
