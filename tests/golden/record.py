@@ -65,7 +65,15 @@ NO_SPLIT_CONFIG = {
     "sim": {"t_final": 0.5, "dt": 1e-3, "seed": 1, "R": 1.0, "decimate": 10},
 }
 
-CONFIGS = {"custom.json": CUSTOM_CONFIG, "no_split.json": NO_SPLIT_CONFIG}
+# the bundled sec5 scenario at start gains too low for it, k = 4 on every level, for 2 s:
+# some seeds of a batch diverge and are parked while the others run on
+DIVERGING_CONFIG = json.loads(Path(HERE.parents[1], "src", "nesim", "data", "sec5.scenario")
+                              .read_text())
+DIVERGING_CONFIG["controller"] = {"k": [[4.0, 4.0]] * 4}
+DIVERGING_CONFIG["sim"]["t_final"] = 2.0
+
+CONFIGS = {"custom.json": CUSTOM_CONFIG, "no_split.json": NO_SPLIT_CONFIG,
+           "diverging.json": DIVERGING_CONFIG}
 
 CASES = {
     "check_sec5_seed1": ["check", "--config", "sec5", "--t-final", "10", "--seed", "1"],
@@ -75,6 +83,9 @@ CASES = {
     # the custom game's partials and the generic plant's drift in every stage, two seeds batched
     "simulate_custom_factories_seeds2_3": ["simulate", "--config", "custom.json",
                                            "--t-final", "3", "--sweep", "seeds=2"],
+    # seeds 1 and 2 diverge and are parked, seed 3 runs to the end: exit 2, three CSVs
+    "simulate_sec5_diverging_seeds1_3": ["simulate", "--config", "diverging.json",
+                                         "--sweep", "seeds=3"],
 }
 
 
