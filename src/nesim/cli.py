@@ -21,7 +21,7 @@ import numpy as np
 
 from . import config as cfg
 from .controller import escalate_gains
-from .errors import NesimError
+from .errors import InvalidParameter, NesimError
 from .game import extended_pseudo_gradient, pseudo_gradient, partial_gradient
 from .internal_model import sylvester_residual, verify_reproduction
 from .plant import (check_steady_chain_consistency, check_steady_zero_pde, exo_trajectory,
@@ -239,10 +239,13 @@ def check_rows(scenario) -> list[Check]:
     for s, level in enumerate(synthesis.bank.levels):
         seed = (None if scenario.plant.steady_poly is None
                 else steady.derivative_stack(s + 2, vs[0], level.order))
-        rows.append(_check(f"im_reproduction_level{s + 1}",
-                           verify_reproduction(level, ts, steady.x_star(s + 2, vs), seed).max(),
-                           operator.le, "1e-05" if s == 0 else "0.001",
-                           "max error {value:.2e} (tol {tol})"))
+        try:
+            error = verify_reproduction(level, ts, steady.x_star(s + 2, vs), seed).max()
+        except InvalidParameter as exc:  # a recurrence too deep for the stencils
+            raise cfg.ConfigError(f"plant.im_polys[{s}] (level {s + 1}): {exc}; give the "
+                                  f"plant a steady_poly for exact stacks") from exc
+        rows.append(_check(f"im_reproduction_level{s + 1}", error, operator.le,
+                           "1e-05" if s == 0 else "0.001", "max error {value:.2e} (tol {tol})"))
 
     scenario, traj_a = _resolve_gains(scenario, quiet=True)
     traj_a = run(scenario) if traj_a is None else traj_a

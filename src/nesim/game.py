@@ -88,11 +88,10 @@ class CustomGame:
     array of its own, which the callable may modify, and the calls come in a
     fixed order for a given scenario and seed. The callable must be a
     deterministic function of its arguments: the closed loop makes ``8 n``
-    calls per RK4 step (two per player and stage), once for all the columns
-    of a batch that hold the same estimates (`generator.partials_bind`),
-    whatever the batch width. Gradients come from central finite
-    differences; constants are sampled over ``sample_box``, whose rows must
-    be finite with ``lo < hi``, and are therefore local to that box.
+    calls per RK4 step (two per player and stage) per distinct estimate block
+    of a batch (`generator.partials_bind`). Gradients come from central
+    finite differences; constants are sampled over ``sample_box``, whose rows
+    must be finite with ``lo < hi``, and are therefore local to that box.
     """
 
     costs: Sequence[Callable[[float, np.ndarray], float]]
@@ -156,7 +155,7 @@ def _central_partials(costs, blocks: np.ndarray) -> np.ndarray:
     Entry ``(k, i)`` of the ``(K, n)`` result is player i's partial on row i
     of block k. Calls run block by block, player by player. Deterministic
     callables give equal blocks equal partials: `generator.partials_bind`
-    relies on that to evaluate a batch of equal blocks once.
+    relies on that to run one stencil per distinct block of a batch.
     """
     out = np.empty(blocks.shape[:2])
     for block, partials in zip(blocks, out):

@@ -21,8 +21,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 import numpy as np
 
 from .errors import Disconnected, NonFiniteState, require
-from .game import (GameSpec, GradientConstants, QuadraticAggregativeGame, extended_pseudo_gradient,
-                   row_partial)
+from .game import GameSpec, GradientConstants, QuadraticAggregativeGame, row_partial
 from .graph import CONNECTIVITY_EPS, CommGraph, lambda2, laplacian
 from .numerics import LiftedOdeSystem, integrate, rk4_lifted_step, rk4_lifted_steps
 
@@ -95,37 +94,37 @@ def partials_bind(game: GameSpec, estimates: np.ndarray,
 
     ``estimates`` is a ``(N*N, B)`` view of ``vec P`` (row-major) per column
     and ``partials`` the ``(N, B)`` rows the fill writes. Returns ``fill()``,
-    which overwrites ``partials`` from what ``estimates`` holds at each call:
-    column ``b`` gets the partials of its own block, read as the next
-    paragraph says. None for a quadratic game: its extended gradient is
-    affine and already in `generator_rows`. The views are taken once, here.
+    which overwrites ``partials`` from what ``estimates`` holds at each call.
+    None for a quadratic game: its extended gradient is affine and already in
+    `generator_rows`. The views are taken once, here.
 
-    The generator reads no plant state and `run` starts every column at the
-    same ``p0``, so the live columns of a batch hold the same estimates. When
-    every column's estimate bytes equal column 0's (always, for one column),
-    `game.row_partial` runs once per agent, on column 0's rows, and the
-    partials go to every column; otherwise every column is filled from its
-    own block (a parked column, or one gone non-finite). The costs are
-    deterministic, so either way column ``b`` gets the bits its own block
+    The fill runs one stencil per distinct estimate block: the first column
+    that holds a block's bytes gets `game.row_partial` once per agent, on its
+    own rows, and every later column with the same bytes copies those
+    partials. The generator reads no plant state and `run` starts every
+    column at the same ``p0``, so the live columns of a batch share one block
+    and one stencil; a parked column, or one gone non-finite, has its own.
+    The costs are deterministic, so column ``b`` gets the bits its own block
     gives. Bytes, not ``==``: ``-0.0 == 0.0`` and NaN is not equal to itself.
     """
     if isinstance(game, QuadraticAggregativeGame):
         return None
-    n = game.n
+    n, size = game.n, estimates[:, 0].nbytes  # size: bytes per column
     # one (n, n) view per column: the estimate rows of a lift buffer are contiguous
     blocks = estimates.reshape(n, n, -1).transpose(2, 0, 1)
-    out = partials.T  # (B, n)
-    one = np.empty(n)  # column 0's partials, broadcast to every column
-    lanes = tuple(zip(range(n), game.costs, blocks[0]))  # agent i's cost and estimate row
-    B, columns, size = len(out), estimates.T, estimates[:, 0].nbytes  # size: bytes per column
+    columns = estimates.T  # tobytes() lays the columns out one after another
+    # per column: its bytes, its partials and each agent's cost and estimate row
+    lanes = [(slice(b * size, (b + 1) * size), out, tuple(zip(range(n), game.costs, block)))
+             for b, (out, block) in enumerate(zip(partials.T, blocks))]
 
     def fill() -> None:
-        if B == 1 or (data := columns.tobytes()) == data[:size] * B:
-            for i, cost, row in lanes:
-                one[i] = row_partial(cost, i, row)
-            out[...] = one
-        else:
-            out[...] = extended_pseudo_gradient(game, blocks)
+        data, filled = columns.tobytes(), {}  # filled: each block's partials, by its bytes
+        for span, out, agents in lanes:
+            if (first := filled.setdefault(data[span], out)) is out:
+                for i, cost, row in agents:
+                    out[i] = row_partial(cost, i, row)
+            else:
+                out[...] = first
 
     return fill
 

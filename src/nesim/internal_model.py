@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidSpectrum, SingularMatrix, SingularT
+from .errors import InvalidParameter, InvalidSpectrum, SingularMatrix, SingularT
 from .numerics import lu_solve, rk4_linear
 
 SYLVESTER_RTOL = 1e-10
@@ -288,13 +288,14 @@ def verify_reproduction(level: LevelBank, ts: np.ndarray, values: np.ndarray,
     derivative; `plant.SteadyState.derivative_stack`), and the compensators
     start at the first sample. Otherwise the stack is taken by central
     finite differences of ``values``, so the start is a few samples into the
-    trace. A signal whose modes match the companion's spectrum reproduces to
-    the accuracy of its seed (roundoff for an exact stack, the stencils'
-    accuracy otherwise); mismatched modes make the error grow, which is the
-    intended negative control. The dynamics are linear, so every agent steps
-    by its own RK4 step matrix ``R(hA)`` through `numerics.rk4_linear`
-    (columns never mix); the states are read out a chunk of steps at a time
-    and not kept.
+    trace; a recurrence deeper than the stencils reach raises
+    `InvalidParameter`. A signal whose modes match the companion's spectrum
+    reproduces to the accuracy of its seed (roundoff for an exact stack, the
+    stencils' accuracy otherwise); mismatched modes make the error grow,
+    which is the intended negative control. The dynamics are linear, so every
+    agent steps by its own RK4 step matrix ``R(hA)`` through
+    `numerics.rk4_linear` (columns never mix); the states are read out a
+    chunk of steps at a time and not kept.
     """
     ts = np.asarray(ts, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -305,6 +306,9 @@ def verify_reproduction(level: LevelBank, ts: np.ndarray, values: np.ndarray,
         raise ValueError(f"need one signal per stabilizer pair ({agents}), got {values.shape}")
     h = float(ts[1] - ts[0])
     if stack is None:
+        if n > len(_FD_STENCILS):
+            raise InvalidParameter(f"recurrence order {n} > {len(_FD_STENCILS)}, the most a "
+                                   f"central-difference seed reaches")
         j0 = max(_FD_STENCILS[k][0][-1] for k in range(n))
         stack = _derivative_stack(values, h, n, j0)
     else:

@@ -511,7 +511,7 @@ def steady_drift(steady: SteadyState, vs: np.ndarray, zs: np.ndarray) -> np.ndar
 
 
 def check_steady_zero_pde(steady: SteadyState, ts: np.ndarray, vs: np.ndarray,
-                          zs: np.ndarray, drift: np.ndarray | None = None) -> float:
+                          zs: np.ndarray, drift: np.ndarray) -> float:
     """Residual of the zero-dynamics steady-state map along a disturbance run.
 
     With the output argument frozen at ``steady.p_star``, the time derivative
@@ -519,10 +519,8 @@ def check_steady_zero_pde(steady: SteadyState, ts: np.ndarray, vs: np.ndarray,
     the zero-dynamics drift evaluated on the map. Returns the worst residual.
     ``ts, vs`` is the run as `exo_trajectory` returns it, on a uniform grid,
     ``zs`` is the map on every sample, ``steady.z_star(vs)``, and ``drift`` is
-    ``steady_drift(steady, vs[1:-1], zs[1:-1])``, computed here when not given.
+    ``steady_drift(steady, vs[1:-1], zs[1:-1])``.
     """
-    if drift is None:
-        drift = steady_drift(steady, vs[1:-1], zs[1:-1])
     h = float(ts[1] - ts[0])
     num = (zs[2:] - zs[:-2]) / (2.0 * h)
     ana = drift[:, :steady.model.n_agents * steady.model.n_z].reshape(num.shape)
@@ -530,7 +528,7 @@ def check_steady_zero_pde(steady: SteadyState, ts: np.ndarray, vs: np.ndarray,
 
 
 def check_steady_chain_consistency(steady: SteadyState, ts: np.ndarray, vs: np.ndarray,
-                                   zs: np.ndarray, drift: np.ndarray | None = None) -> float:
+                                   zs: np.ndarray, drift: np.ndarray) -> float:
     """Time-consistency of the steady-state chain along a disturbance run.
 
     For each level ``s >= 2``, the finite-difference time derivative of the
@@ -541,8 +539,6 @@ def check_steady_chain_consistency(steady: SteadyState, ts: np.ndarray, vs: np.n
     model = steady.model
     if model.r == 1:
         return 0.0  # no level s >= 2
-    if drift is None:
-        drift = steady_drift(steady, vs[1:-1], zs[1:-1])
     h = float(ts[1] - ts[0])
     n = model.n_agents
     level_drifts = drift[:, n * model.n_z:].reshape(len(drift), model.r, n)

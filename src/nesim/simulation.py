@@ -365,9 +365,8 @@ def _closed_loop_bind(layout: StateLayout, features: PlantFeatures, game: GameSp
     ``phi`` are the plant's (see `drift_split`) and, for a custom game, each
     agent's finite-difference partial on its own estimate row, which
     `generator.partials_bind` fills. Column ``b`` gets the features of its
-    own block; the partials of columns that hold the same estimates are
-    evaluated once (see `generator.partials_bind`). The views are taken
-    once, at binding.
+    own block; the partials take one stencil per distinct estimate block
+    (see `generator.partials_bind`). The views are taken once, at binding.
     """
     dim = layout.dim
     P, v, zx = layout.P, layout.v, layout.zx  # rows of the state part of [x; 1; phi]

@@ -9,10 +9,11 @@ Run from the repository root, with the package importable::
 
     PYTHONPATH=src python tests/golden/record.py
 
-Each case is a ``nesim`` argument list. The custom cases read the scenario
-files of ``CONFIGS`` (built from the test factories of ``tests/factories.py``),
-which this script and ``tests/test_golden_outputs.py`` write into a temporary
-directory and run from there. Re-record only for a change that is meant to
+Each case is a ``nesim`` argument list. A case that names no bundled scenario
+reads a scenario file of ``CONFIGS`` (built from the test factories of
+``tests/factories.py``, or from the bundled sec5 scenario), which this script
+and ``tests/test_golden_outputs.py`` write into a temporary directory and run
+from there. Re-record only for a change that is meant to
 move the output, and say which lines moved and why: the script prints each
 case of the file it overwrites whose stdout moved, with the number of lines.
 """
@@ -27,6 +28,7 @@ import json
 import os
 import sys
 import tempfile
+from importlib import resources
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -67,7 +69,7 @@ NO_SPLIT_CONFIG = {
 
 # the bundled sec5 scenario at start gains too low for it, k = 4 on every level, for 2 s:
 # some seeds of a batch diverge and are parked while the others run on
-DIVERGING_CONFIG = json.loads(Path(HERE.parents[1], "src", "nesim", "data", "sec5.scenario")
+DIVERGING_CONFIG = json.loads(resources.files("nesim").joinpath("data", "sec5.scenario")
                               .read_text())
 DIVERGING_CONFIG["controller"] = {"k": [[4.0, 4.0]] * 4}
 DIVERGING_CONFIG["sim"]["t_final"] = 2.0

@@ -532,6 +532,19 @@ def test_bad_custom_sample_box_is_config_error(box, tmp_path, capsys):
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+def test_check_names_a_recurrence_too_deep_for_the_stencils(tmp_path, capsys):
+    # no `steady_poly`: the reproduction check seeds from central differences, whose stencils
+    # reach derivative 4, so a recurrence of order 7 (frequencies 0, 1, 2, 3) cannot be seeded
+    path = _custom_config(tmp_path, t_final=0.5)
+    cfg = json.loads(path.read_text())
+    cfg["plant"]["im_polys"] = [[0.0, -36.0, 0.0, -49.0, 0.0, -14.0, 0.0]]
+    path.write_text(json.dumps(cfg))
+    assert main(["check", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "config error: plant.im_polys[0] (level 1): recurrence order 7 > 5" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_check_passes_on_custom_game_and_plant(tmp_path, capsys):
     # no `steady_poly` and no `split`: the generic steady-state chain and drift
     assert main(["check", "--config", str(_custom_config(tmp_path, t_final=3.0))]) == 0

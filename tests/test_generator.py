@@ -99,19 +99,28 @@ class TestGeneratorRhs:
 
     def test_partials_fill_reads_the_estimates_at_each_call(self):
         # each column's partials are those of its own estimate rows as they are at the call,
-        # whether the columns differ, all agree, or all but column 0 (parked at zero) agree
+        # whether the columns differ, all agree, all but column 0 (parked at zero) agree, or
+        # columns 0 and 2 agree and column 1 differs; each distinct block costs one stencil,
+        # two cost calls per agent
         game = build_game([1.0, 2.0, 3.0], 0.5)
+        calls = []
+        counted = CustomGame([lambda y, profile, cost=cost: calls.append(y) or cost(y, profile)
+                              for cost in game.costs])
         rng = np.random.default_rng(13)
         same = np.tile(rng.normal(size=(9, 1)), 3)
-        parked = same.copy()
+        parked, outer = same.copy(), same.copy()
         parked[:, 0] = 0.0
-        for B, contents in [(1, [rng.normal(size=(9, 1)) for _ in range(2)]),
-                            (3, [rng.normal(size=(9, 3)), same, parked, rng.normal(size=(9, 3))])]:
+        outer[:, 1] = rng.normal(size=9)
+        for B, contents in [(1, [(rng.normal(size=(9, 1)), 1) for _ in range(2)]),
+                            (3, [(rng.normal(size=(9, 3)), 3), (same, 1), (parked, 2),
+                                 (outer, 2), (rng.normal(size=(9, 3)), 3)])]:
             lifted = np.zeros((13, B))
-            fill = partials_bind(game, lifted[:9], lifted[10:])
-            for estimates in contents:
+            fill = partials_bind(counted, lifted[:9], lifted[10:])
+            for estimates, blocks in contents:
                 lifted[:9] = estimates
+                calls.clear()
                 fill()
+                assert len(calls) == blocks * 3 * 2
                 for b in range(B):
                     want = central_partials(game.costs, lifted[:9, b].reshape(1, 3, 3))[0]
                     assert lifted[10:, b].tobytes() == want.tobytes()

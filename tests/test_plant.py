@@ -10,7 +10,8 @@ from nesim.numerics import OdeSystem, integrate
 from factories import build_plant, build_plant_without_split
 from nesim.plant import (Exosystem, PlantFeatures, PlantModel, check_origin_equilibrium,
                          check_steady_chain_consistency, check_steady_zero_pde, drift_split,
-                         example_plant, exo_trajectory, sample_uncertainty, steady_state_chain)
+                         example_plant, exo_trajectory, sample_uncertainty, steady_drift,
+                         steady_state_chain)
 from oracles import plant_rhs
 
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -248,13 +249,17 @@ class TestSteadyStateChain:
         model = demo_plant([[-1, 1, 0.5, 2, 0.3, 0.3]])
         steady = steady_state_chain(model, np.array([0.6]), self.exo(), zero_w(model))
         ts, vs = exo_trajectory(self.exo(), np.array([1.0, 0.2]), t_final=5.0, h=1e-3)
-        assert check_steady_chain_consistency(steady, ts, vs, steady.z_star(vs)) < 1e-6
+        zs = steady.z_star(vs)
+        drift = steady_drift(steady, vs[1:-1], zs[1:-1])
+        assert check_steady_chain_consistency(steady, ts, vs, zs, drift) < 1e-6
 
     def test_steady_zero_pde_residual(self):
         model = demo_plant([[-1, 1, 0.5, 2, 0.3, 0.3]])
         steady = steady_state_chain(model, np.array([0.6]), self.exo(), zero_w(model))
         ts, vs = exo_trajectory(self.exo(), np.array([1.0, 0.2]), t_final=5.0, h=1e-3)
-        assert check_steady_zero_pde(steady, ts, vs, steady.z_star(vs)) < 1e-6
+        zs = steady.z_star(vs)
+        drift = steady_drift(steady, vs[1:-1], zs[1:-1])
+        assert check_steady_zero_pde(steady, ts, vs, zs, drift) < 1e-6
 
     def test_plant_dynamics_invariant_on_steady_manifold(self):
         # feeding the starred signals through the raw dynamics must reproduce
@@ -297,8 +302,9 @@ class TestSteadyStateChain:
             num = (steady.x_star(2, vs[k + 1]) - steady.x_star(2, vs[k - 1])) / (2.0 * h)
             cons = max(cons, float(np.abs(num - (steady.u_star(vs[k]) + drift)).max()))
         zs = steady.z_star(vs)
-        assert check_steady_zero_pde(steady, ts, vs, zs) == pde
-        assert check_steady_chain_consistency(steady, ts, vs, zs) == cons
+        drift = steady_drift(steady, vs[1:-1], zs[1:-1])
+        assert check_steady_zero_pde(steady, ts, vs, zs, drift) == pde
+        assert check_steady_chain_consistency(steady, ts, vs, zs, drift) == cons
 
     def test_chain_consistency_keeps_a_nan_drift(self):
         # a level-2 drift that is NaN on every sample: the worst mismatch is NaN, not 0; the
@@ -309,7 +315,9 @@ class TestSteadyStateChain:
                                         split=None)
         steady = steady_state_chain(nan_model, np.array([0.6]), self.exo(), zero_w(model))
         ts, vs = exo_trajectory(self.exo(), np.array([1.0, 0.2]), t_final=0.1, h=1e-3)
-        assert np.isnan(check_steady_chain_consistency(steady, ts, vs, steady.z_star(vs)))
+        zs = steady.z_star(vs)
+        drift = steady_drift(steady, vs[1:-1], zs[1:-1])
+        assert np.isnan(check_steady_chain_consistency(steady, ts, vs, zs, drift))
 
     def test_chain_consistency_keeps_a_nan_split_feature(self):
         # the same through a `split` hook: a feature fill that writes NaN makes the drift,
@@ -331,7 +339,9 @@ class TestSteadyStateChain:
         nan_model = dataclasses.replace(model, split=nan_split)
         steady = steady_state_chain(nan_model, np.array([0.6]), self.exo(), zero_w(model))
         ts, vs = exo_trajectory(self.exo(), np.array([1.0, 0.2]), t_final=0.1, h=1e-3)
-        assert np.isnan(check_steady_chain_consistency(steady, ts, vs, steady.z_star(vs)))
+        zs = steady.z_star(vs)
+        drift = steady_drift(steady, vs[1:-1], zs[1:-1])
+        assert np.isnan(check_steady_chain_consistency(steady, ts, vs, zs, drift))
 
     @staticmethod
     def assert_stack_matches_samples(steady, levels, vs):

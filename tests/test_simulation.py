@@ -365,21 +365,9 @@ def test_stopped_columns_match_single_seed_runs(abort_norm, sec5):
             assert not before.aborted_norm and before.max_state_norm <= abort_norm
 
 
-def test_a_stopped_column_0_leaves_the_custom_batch_as_run_alone(custom_scenario):
-    # the custom game's partial fill reads column 0 alone while every column holds the same
-    # estimates; once column 0 is parked at zero they differ, and the others must still be
-    # their runs alone. Seed 1 starts with an entry above the abort norm, seeds 2 and 3 stay
-    # below it for 0.3 s
-    short = dataclasses.replace(custom_scenario, t_final=0.3, decimate=1)
-    batch = run(short, seed=(1, 2, 3), abort_norm=0.85)
-    assert batch[0].aborted_norm and len(batch[0].t) == 2
-    assert [len(traj.t) for traj in batch[1:]] == [301, 301]
-    for traj in batch:
-        assert_same_run(traj, run(short, seed=traj.seed, abort_norm=0.85))
-
-
-def test_a_batch_of_the_same_estimates_makes_the_cost_calls_of_one_column(custom_scenario):
-    # the generator reads no plant state, so three seeds make the cost calls of one, in order
+@pytest.fixture(scope="module")
+def counting_custom(custom_scenario):
+    """``(scenario, calls)``: the custom scenario, each of its cost calls appended to ``calls``."""
     calls = []
 
     def counted(cost):
@@ -390,9 +378,32 @@ def test_a_batch_of_the_same_estimates_makes_the_cost_calls_of_one_column(custom
 
     game = custom_scenario.game
     counting = dataclasses.replace(
-        custom_scenario, t_final=0.01,
-        game=CustomGame([counted(cost) for cost in game.costs], game.sample_box))
+        custom_scenario, game=CustomGame([counted(cost) for cost in game.costs], game.sample_box))
     counting.synthesized()
+    return counting, calls
+
+
+def test_a_stopped_column_0_leaves_the_custom_batch_as_run_alone(counting_custom):
+    # the custom game's partial fill runs one stencil per distinct estimate block
+    # (`generator.partials_bind`). Seed 1 starts with an entry above the abort norm and is
+    # parked at zero after step 1; seeds 2 and 3 stay below it for 0.3 s and still share
+    # one block, and each column must still be its run alone
+    scenario, calls = counting_custom
+    short = dataclasses.replace(scenario, t_final=0.3, decimate=1)
+    calls.clear()
+    batch = run(short, seed=(1, 2, 3), abort_norm=0.85)
+    # 4 stages of 3 players' two calls, for one block in step 1 and two in the other 299
+    assert len(calls) == 24 * (1 + 2 * 299)
+    assert batch[0].aborted_norm and len(batch[0].t) == 2
+    assert [len(traj.t) for traj in batch[1:]] == [301, 301]
+    for traj in batch:
+        assert_same_run(traj, run(short, seed=traj.seed, abort_norm=0.85))
+
+
+def test_a_batch_of_the_same_estimates_makes_the_cost_calls_of_one_column(counting_custom):
+    # the generator reads no plant state, so three seeds make the cost calls of one, in order
+    scenario, calls = counting_custom
+    counting = dataclasses.replace(scenario, t_final=0.01)
     runs = []
     for seed in (1, (1, 2, 3)):
         calls.clear()
