@@ -82,6 +82,9 @@ CASES = {
     "check_sec5_seed2": ["check", "--config", "sec5", "--t-final", "10", "--seed", "2"],
     "check_custom_factories": ["check", "--config", "custom.json"],
     "check_sec5_plant_without_split": ["check", "--config", "no_split.json"],
+    # the equilibrium and the sampled constants of the custom game, and sec5's exact ones
+    "solve_ne_custom_factories": ["solve-ne", "--config", "custom.json"],
+    "solve_ne_sec5": ["solve-ne", "--config", "sec5"],
     # the custom game's partials and the generic plant's drift in every stage, two seeds batched
     "simulate_custom_factories_seeds2_3": ["simulate", "--config", "custom.json",
                                            "--t-final", "3", "--sweep", "seeds=2"],
