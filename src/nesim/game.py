@@ -11,6 +11,7 @@ estimation over a configurable box.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import cycle
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -22,7 +23,8 @@ NE_RESID_TOL = 1e-10
 FD_REL_STEP = 1e-6
 MAX_NE_ITERS = 100_000
 # Bound on the temporaries of one chunk of `estimate_constants` samples for a
-# custom game: the draws, their mapped values and the block stack.
+# custom game: the draws, their mapped values, the block and profile stacks and the
+# cost calls' Python floats. A memory bound: the draw stream does not depend on it.
 SAMPLE_CHUNK_BYTES = 2 ** 20
 
 
@@ -84,14 +86,16 @@ class CustomGame:
 
     The callable must treat ``y_i`` as player i's strategy (the i-th entry
     of ``profile`` is ignored in its favor), so that estimate vectors can be
-    evaluated as well as true profiles. Each call gets a fresh ``profile``
-    array of its own, which the callable may modify, and the calls come in a
-    fixed order for a given scenario and seed. The callable must be a
-    deterministic function of its arguments: the closed loop makes ``8 n``
-    calls per RK4 step (two per player and stage) per distinct estimate block
-    of a batch (`generator.partials_bind`). Gradients come from central
-    finite differences; constants are sampled over ``sample_box``, whose rows
-    must be finite with ``lo < hi``, and are therefore local to that box.
+    evaluated as well as true profiles. Each call, `cost` included, gets a
+    fresh ``profile`` array of its own, which the callable may modify, and
+    the calls come in a fixed order for a given scenario and seed. The
+    callable must be a deterministic function of its arguments: the closed
+    loop makes ``8 n`` calls per RK4 step (two per player and stage) per
+    distinct estimate block of a batch's live columns
+    (`generator.partials_bind`), and `estimate_constants` ``8 n`` per sample.
+    Gradients come from central finite differences; constants are sampled
+    over ``sample_box``, whose rows must be finite with ``lo < hi``, and are
+    therefore local to that box.
     """
 
     costs: Sequence[Callable[[float, np.ndarray], float]]
@@ -117,7 +121,7 @@ class CustomGame:
         return len(self.costs)
 
     def cost(self, i: int, profile: np.ndarray) -> float:
-        y = np.asarray(profile, dtype=float)
+        y = np.array(profile, dtype=float)  # the callable's own copy
         return float(self.costs[i](float(y[i]), y))
 
 
@@ -138,30 +142,58 @@ def partial_gradient(game: GameSpec, i: int, profile: np.ndarray) -> float:
 def row_partial(cost: Callable[[float, np.ndarray], float], i: int, row: np.ndarray) -> float:
     """Player i's central difference along its own strategy on the profile ``row``.
 
-    The step is ``FD_REL_STEP * (1 + |y_i|)``; the upward call comes first.
-    Each cost call gets a fresh copy of ``row``, so a callable that writes into
-    its profile affects nothing else. This is the one stencil of the package.
+    The stencil of `_stencil_sides` and `_stencil_quotient` at one row; the
+    upward call comes first. Each cost call gets a fresh copy of ``row``, so a
+    callable that writes into its profile affects nothing else.
+    `_central_partials` runs the same stencil on a stack of blocks.
     """
     y = row.item(i)  # float(row[i]), without the NumPy scalar
-    step = FD_REL_STEP * (1.0 + abs(y))
+    step, y_up, y_dn = _stencil_sides(y)
     up, dn = row.copy(), row.copy()
-    up[i], dn[i] = y + step, y - step
-    return (float(cost(y + step, up)) - float(cost(y - step, dn))) / (2.0 * step)
+    up[i], dn[i] = y_up, y_dn
+    return _stencil_quotient(float(cost(y_up, up)), float(cost(y_dn, dn)), step)
+
+
+def _stencil_sides(y):
+    """The stencil's step ``FD_REL_STEP * (1 + |y|)`` at own strategy ``y``, then ``y +- step``.
+
+    ``y`` is a float or an array; each entry gets the bits the float would.
+    """
+    step = FD_REL_STEP * (1.0 + abs(y))
+    return step, y + step, y - step
+
+
+def _stencil_quotient(up, dn, step):
+    """The central difference of the upward and downward costs ``up``, ``dn`` at ``step``."""
+    return (up - dn) / (2.0 * step)
 
 
 def _central_partials(costs, blocks: np.ndarray) -> np.ndarray:
     """`row_partial` of every player on its own row of each block of a ``(K, n, n)`` stack.
 
     Entry ``(k, i)`` of the ``(K, n)`` result is player i's partial on row i
-    of block k. Calls run block by block, player by player. Deterministic
-    callables give equal blocks equal partials: `generator.partials_bind`
-    relies on that to run one stencil per distinct block of a batch.
+    of block k, with `row_partial`'s bits. The ``2 K n`` profiles are one
+    fresh ``(K, 2n, n)`` stack, row ``2i`` (upward) and ``2i + 1``
+    (downward) of block k being its row i with the diagonal entry moved; the
+    steps and quotients are whole arrays, and only the cost calls loop. The
+    calls run block by block, player by player, upward first, each on its own
+    row of the stack, which no other call sees. Deterministic callables give
+    equal blocks equal partials: `generator.partials_bind` relies on that to
+    run one stencil per distinct block of a batch.
     """
-    out = np.empty(blocks.shape[:2])
-    for block, partials in zip(blocks, out):
-        for i, cost in enumerate(costs):
-            partials[i] = row_partial(cost, i, block[i])
-    return out
+    K, n = blocks.shape[:2]
+    # the arithmetic is silent on overflow and inf - inf, as it is on Python floats
+    with np.errstate(over="ignore", invalid="ignore"):
+        step, y_up, y_dn = _stencil_sides(blocks.diagonal(axis1=1, axis2=2))
+        sides = np.stack((y_up, y_dn), axis=-1).reshape(K, 2 * n)
+    profiles = np.repeat(blocks, 2, axis=1)
+    own = np.arange(2 * n)
+    profiles.reshape(K, 2 * n * n)[:, own * n + own // 2] = sides  # row j, column j // 2
+    calls = zip(sides.ravel().tolist(), profiles.reshape(2 * K * n, n),
+                cycle([cost for cost in costs for _ in range(2)]))
+    values = np.array([float(cost(y, row)) for y, row, cost in calls]).reshape(K, n, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _stencil_quotient(values[..., 0], values[..., 1], step)
 
 
 def pseudo_gradient(game: GameSpec, profile: np.ndarray) -> np.ndarray:
@@ -240,8 +272,11 @@ def _sampled_constants(game: CustomGame, n_samples: int, seed: int) -> tuple[flo
     lo, hi = game.sample_box[:, 0], game.sample_box[:, 1]
     slot_lo, slot_span = np.tile(lo, 2), np.tile(hi - lo, 2)
     per_sample = n + 1
-    # a chunk's temporaries come to about eight times its draws
-    chunk = max(1, SAMPLE_CHUNK_BYTES // (8 * 8 * 2 * n * per_sample))
+    # per sample: about eight times its draws, its (4, 2n, n) profile stack, and two
+    # Python floats (its strategy and its value, 32 bytes each with the list slot)
+    # for each of its 8n cost calls
+    chunk = max(1, SAMPLE_CHUNK_BYTES // (8 * 8 * 2 * n * per_sample + 8 * 8 * n * n
+                                          + 8 * n * 2 * 32))
     mono, lip = np.inf, 0.0
     slots = np.empty((0, 2 * n))  # drawn and not yet used
     for done in range(0, n_samples, chunk):
@@ -334,12 +369,11 @@ def solve_ne(game: GameSpec, tol: float = NE_RESID_TOL,
                 break
         # column j from the pseudo-gradients at p +- dj e_j, all 2n of them in one
         # stack of broadcast profiles: up_0, dn_0, up_1, ...
-        dj = FD_REL_STEP * (1.0 + np.abs(p))
+        dj, p_up, p_dn = _stencil_sides(p)
         shifted, cols = np.repeat(p[None], 2 * n, axis=0), np.arange(n)
-        shifted[2 * cols, cols] += dj
-        shifted[2 * cols + 1, cols] -= dj
+        shifted[2 * cols, cols], shifted[2 * cols + 1, cols] = p_up, p_dn
         Fs = _central_partials(game.costs, np.broadcast_to(shifted[:, None], (2 * n, n, n)))
-        J = (Fs[0::2] - Fs[1::2]).T / (2.0 * dj)
+        J = _stencil_quotient(Fs[0::2], Fs[1::2], dj[:, None]).T
         newton_ok = False
         try:
             delta = lu_solve(J, -F)

@@ -88,39 +88,47 @@ def generator_rows(game: GameSpec, g: CommGraph, gamma1: float, gamma2: float) -
     return rows
 
 
-def partials_bind(game: GameSpec, estimates: np.ndarray,
-                  partials: np.ndarray) -> Optional[Callable[[], None]]:
+def partials_bind(game: GameSpec, estimates: np.ndarray, partials: np.ndarray,
+                  parked: Optional[np.ndarray] = None) -> Optional[Callable[[], None]]:
     """Bind the fill of a custom game's partials, each agent's on its own estimate row.
 
     ``estimates`` is a ``(N*N, B)`` view of ``vec P`` (row-major) per column
     and ``partials`` the ``(N, B)`` rows the fill writes. Returns ``fill()``,
     which overwrites ``partials`` from what ``estimates`` holds at each call.
     None for a quadratic game: its extended gradient is affine and already in
-    `generator_rows`. The views are taken once, here.
+    `generator_rows`. The views are taken once, here. ``parked``, a ``(B,)``
+    boolean mask read at each call, names the columns the caller has stopped
+    (`simulation.run`): the fill runs no stencil there and writes their
+    partials as zero. None parks no column.
 
-    The fill runs one stencil per distinct estimate block: the first column
-    that holds a block's bytes gets `game.row_partial` once per agent, on its
-    own rows, and every later column with the same bytes copies those
-    partials. The generator reads no plant state and `run` starts every
+    The fill runs one stencil per distinct estimate block: the first live
+    column that holds a block's bytes gets `game.row_partial` once per agent,
+    on its own rows, and every later live column with the same bytes copies
+    those partials. The generator reads no plant state and `run` starts every
     column at the same ``p0``, so the live columns of a batch share one block
-    and one stencil; a parked column, or one gone non-finite, has its own.
-    The costs are deterministic, so column ``b`` gets the bits its own block
-    gives. Bytes, not ``==``: ``-0.0 == 0.0`` and NaN is not equal to itself.
+    and one stencil. The costs are deterministic, so column ``b`` gets the
+    bits its own block gives. Bytes, not ``==``: ``-0.0 == 0.0`` and NaN is
+    not equal to itself.
     """
     if isinstance(game, QuadraticAggregativeGame):
         return None
     n, size = game.n, estimates[:, 0].nbytes  # size: bytes per column
+    if parked is None:
+        parked = np.zeros(estimates.shape[1], dtype=bool)
     # one (n, n) view per column: the estimate rows of a lift buffer are contiguous
     blocks = estimates.reshape(n, n, -1).transpose(2, 0, 1)
     columns = estimates.T  # tobytes() lays the columns out one after another
-    # per column: its bytes, its partials and each agent's cost and estimate row
-    lanes = [(slice(b * size, (b + 1) * size), out, tuple(zip(range(n), game.costs, block)))
+    # per column: its index, bytes, partials and each agent's cost and estimate row
+    lanes = [(b, slice(b * size, (b + 1) * size), out, tuple(zip(range(n), game.costs, block)))
              for b, (out, block) in enumerate(zip(partials.T, blocks))]
 
     def fill() -> None:
         data, filled = columns.tobytes(), {}  # filled: each block's partials, by its bytes
-        for span, out, agents in lanes:
-            if (first := filled.setdefault(data[span], out)) is out:
+        stopped = parked.tolist()
+        for b, span, out, agents in lanes:
+            if stopped[b]:
+                out[...] = 0.0
+            elif (first := filled.setdefault(data[span], out)) is out:
                 for i, cost, row in agents:
                     out[i] = row_partial(cost, i, row)
             else:

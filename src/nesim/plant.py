@@ -134,7 +134,8 @@ class PlantFeatures:
     bind: Callable
 
 
-def drift_split(model: PlantModel, w: np.ndarray) -> tuple[np.ndarray, PlantFeatures]:
+def drift_split(model: PlantModel, w: np.ndarray,
+                parked: np.ndarray | None = None) -> tuple[np.ndarray, PlantFeatures]:
     """The plant drift for a stack of draws as ``J_b @ [zx, v, phi(zx, v)]``.
 
     ``w`` is ``(B, n_w)``, one draw per row; the batch is the trailing axis
@@ -148,7 +149,10 @@ def drift_split(model: PlantModel, w: np.ndarray) -> tuple[np.ndarray, PlantFeat
     order. Models with a ``split`` hook supply both. Any other model gets
     ``f0`` (raveled: ``(N, n_z)`` or flat) and ``f_levels`` themselves as
     features, ``1 + r`` calls per column and fill with the column's draw,
-    against an identity block of ``J``.
+    against an identity block of ``J``. ``parked``, a ``(B,)`` boolean mask
+    read at each fill, names the columns the caller has stopped
+    (`simulation.run`): the generic fill makes no call there and writes
+    their features as zero. A ``split`` hook fills every column.
     """
     W = np.asarray(w, dtype=float)
     if W.ndim != 2:
@@ -160,6 +164,8 @@ def drift_split(model: PlantModel, w: np.ndarray) -> tuple[np.ndarray, PlantFeat
     f0, f_levels = model.f0, model.f_levels
 
     dim = n * n_z + r * n
+    if parked is None:
+        parked = np.zeros(len(W), dtype=bool)
 
     def bind(zx, v, out):
         # per column: f0's views, its draw and rows, and one (f, xs, dx) per level; a 1-D
@@ -169,10 +175,14 @@ def drift_split(model: PlantModel, w: np.ndarray) -> tuple[np.ndarray, PlantFeat
             z, x = col[:n * n_z].reshape(n, n_z), col[n * n_z:].reshape(r, n)
             levels = tuple((f, x[:s + 1], dcol[n * n_z + s * n:n * n_z + (s + 1) * n])
                            for s, f in enumerate(f_levels))
-            columns.append((z, x[0], vc, wv, dcol[:n * n_z], levels))
+            columns.append((dcol, z, x[0], vc, wv, dcol[:n * n_z], levels))
 
         def fill():
-            for z, x1, vc, wv, dz, levels in columns:
+            stopped = parked.tolist()
+            for b, (dcol, z, x1, vc, wv, dz, levels) in enumerate(columns):
+                if stopped[b]:
+                    dcol[:] = 0.0
+                    continue
                 dz[:] = np.asanyarray(f0(z, x1, vc, wv)).ravel()  # np.ravel, without its dispatch
                 for f, xs, dx in levels:
                     dx[:] = f(z, xs, vc, wv)

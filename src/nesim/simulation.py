@@ -283,8 +283,11 @@ class AssembledLoop(LiftedOdeSystem):
     ``(dim,)`` state. Columns never mix. Only ``operator`` and ``draws`` differ
     between columns. ``bind`` binds the fill of ``phi`` (`_closed_loop_bind`)
     for ``rhs`` and the lifted step alike; `run` builds the ``steps`` at its
-    step size. The layout and the synthesis (equilibrium, ``gamma2``, bank)
-    are the scenario's: `Scenario.layout` and `Scenario.synthesized`.
+    step size. ``parked`` is the mask of the columns whose features the
+    fills skip: all False from `assemble`, and `run` sets each column it
+    stops, which `numerics.integrate` parks. The layout and the synthesis
+    (equilibrium, ``gamma2``, bank) are the scenario's: `Scenario.layout`
+    and `Scenario.synthesized`.
     """
 
     scenario: Scenario = None
@@ -292,6 +295,7 @@ class AssembledLoop(LiftedOdeSystem):
     ablate: bool = False
     control_rows: np.ndarray = None  # U, (N, dim): the control law as u = U @ state
     operator: np.ndarray = None      # (B, dim, width): each column's map of [x; 1; phi(x)]
+    parked: np.ndarray = None        # (B,) bool: the columns the fills skip
 
     def control(self, state: np.ndarray) -> np.ndarray:
         """Control input of every agent, ``U @ state``: `control_rows` placed on the state."""
@@ -348,17 +352,19 @@ def assemble(scenario: Scenario, ablate: bool = False,
     draws.setflags(write=False)
 
     layout = scenario.layout()
-    J, features = drift_split(scenario.plant, draws)
+    parked = np.zeros(len(draws), dtype=bool)
+    J, features = drift_split(scenario.plant, draws, parked)
     # overflowing gains give a non-finite operator; the first RK4 step reports divergence
     with np.errstate(over="ignore", invalid="ignore"):
         A3, U = _closed_loop_operator(scenario, layout, J, features, ablate)
-    bind = _closed_loop_bind(layout, features, scenario.game)
+    bind = _closed_loop_bind(layout, features, scenario.game, parked)
     return AssembledLoop(dimension=layout.dim, rhs=_closed_loop_rhs(A3, bind), bind=bind,
                          scenario=scenario, draws=draws, ablate=ablate, control_rows=U,
-                         operator=A3)
+                         operator=A3, parked=parked)
 
 
-def _closed_loop_bind(layout: StateLayout, features: PlantFeatures, game: GameSpec):
+def _closed_loop_bind(layout: StateLayout, features: PlantFeatures, game: GameSpec,
+                      parked: np.ndarray):
     """The closed loop's ``bind``: ``bind(lifted)`` returns the fill of its ``phi``.
 
     ``lifted`` is a ``(width, B)`` array ``[x; 1; phi]``. The features
@@ -366,7 +372,9 @@ def _closed_loop_bind(layout: StateLayout, features: PlantFeatures, game: GameSp
     agent's finite-difference partial on its own estimate row, which
     `generator.partials_bind` fills. Column ``b`` gets the features of its
     own block; the partials take one stencil per distinct estimate block
-    (see `generator.partials_bind`). The views are taken once, at binding.
+    (see `generator.partials_bind`) and skip the ``parked`` columns, as the
+    generic plant features of `drift_split` do. The views are taken once, at
+    binding.
     """
     dim = layout.dim
     P, v, zx = layout.P, layout.v, layout.zx  # rows of the state part of [x; 1; phi]
@@ -380,7 +388,7 @@ def _closed_loop_bind(layout: StateLayout, features: PlantFeatures, game: GameSp
                 f"return fill(), which writes the (count, B) features that zx and v give "
                 f"into out; it returned {type(plant_fill).__name__}")
         # None for a quadratic game, whose extended gradient is already in the operator
-        partials_fill = partials_bind(game, lifted[P], lifted[phi.stop:])
+        partials_fill = partials_bind(game, lifted[P], lifted[phi.stop:], parked)
         if partials_fill is None:
             return plant_fill
 
@@ -563,7 +571,7 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
     peak = np.zeros_like(state)  # largest |value| of each state entry after step 0
     samples = np.zeros(B, dtype=np.int64)
     max_norm = np.zeros(B)
-    done = np.zeros(B, dtype=bool)  # the columns that have stopped; `integrate` parks them
+    done = loop.parked  # the stopped columns: `integrate` parks them and the fills skip them
     diverged_t = [None] * B
     aborted = np.zeros(B, dtype=bool)
 

@@ -131,6 +131,61 @@ class TestCentralPartials:
         want = central_partials(costs, np.ascontiguousarray(blocks))
         assert _central_partials(costs, blocks).tobytes() == want.tobytes()
 
+    def test_calls_come_in_the_oracles_order_each_on_its_own_profile(self):
+        # (player, strategy, profile bytes at the call) for every call, against the oracle's
+        # fresh copies; the costs scribble over their profile after reading it, so a shared
+        # row would show in a later call's bytes
+        def recording(calls, n):
+            def make(i):
+                def cost(yi, profile):
+                    calls.append((i, np.float64(yi).tobytes(), profile.tobytes()))
+                    value = yi * yi + 0.5 * yi * profile.sum()
+                    profile *= -3.0
+                    return value
+                return cost
+            return [make(i) for i in range(n)]
+
+        blocks = np.random.default_rng(8).uniform(-3, 3, (5, 3, 3))
+        before = blocks.copy()
+        got_calls, want_calls = [], []
+        got = _central_partials(recording(got_calls, 3), blocks)
+        want = central_partials(recording(want_calls, 3), blocks)
+        assert len(got_calls) == 5 * 3 * 2
+        assert got_calls == want_calls
+        assert got.tobytes() == want.tobytes()
+        assert blocks.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("value", [
+        lambda i, y: np.nan if y > 0 else y,
+        lambda i, y: np.inf if i == 1 else -np.inf,
+        lambda i, y: (-1) ** i * np.inf if y > 0 else 0.0,
+        lambda i, y: int(round(y * 1e7)) + i,
+        lambda i, y: np.float32(y * y + i),
+    ], ids=["nan", "inf_minus_inf", "inf_and_finite", "int", "float32"])
+    def test_cost_values_of_any_kind_give_the_oracles_bits(self, value):
+        costs = [lambda y, profile, i=i: value(i, y) for i in range(3)]
+        blocks = np.random.default_rng(9).uniform(-3, 3, (4, 3, 3))
+        got, want = _central_partials(costs, blocks), central_partials(costs, blocks)
+        assert got.tobytes() == want.tobytes()
+
+    def test_signed_zero_and_huge_strategies_give_the_oracles_bits(self):
+        # the step of -0.0 is the step of 0.0, and at +-1e300 the costs overflow to inf
+        costs = [lambda y, profile, i=i: y * y * (i + 1) + y * sum(profile.tolist())
+                 for i in range(3)]
+        blocks = np.random.default_rng(10).uniform(-3, 3, (3, 3, 3))
+        blocks[0][np.diag_indices(3)] = -0.0
+        blocks[1][np.diag_indices(3)] = [1e300, -1e300, 0.0]
+        blocks[2] = [[-1e300, -0.0, 1e300], [1e300, 1e300, -0.0], [-0.0, -1e300, -1e300]]
+        got, want = _central_partials(costs, blocks), central_partials(costs, blocks)
+        assert got.tobytes() == want.tobytes()
+
+    def test_empty_stack(self):
+        # a chunk of the sampled constants in which every sample is skipped: no call
+        def cost(y, profile):
+            raise AssertionError("no block, no call")
+
+        assert _central_partials([cost] * 3, np.empty((0, 3, 3))).shape == (0, 3)
+
     def test_cost_that_writes_into_its_profile(self):
         blocks = np.random.default_rng(4).uniform(-3, 3, (6, 3, 3))
         before = blocks.copy()
@@ -146,6 +201,14 @@ class TestCentralPartials:
         assert (extended_pseudo_gradient(game, P).tobytes()
                 == central_partials(game.costs, P[None])[0].tobytes())
         assert y.tobytes() == blocks[0, 0].tobytes() and P.tobytes() == blocks[1].tobytes()
+
+
+def test_custom_game_cost_leaves_the_callers_profile_as_it_was():
+    game = CustomGame(costs=smooth_costs(3, in_place=True))
+    profile = np.array([0.5, -1.0, 2.0])
+    want = smooth_costs(3, in_place=False)[1](-1.0, profile.copy())
+    assert game.cost(1, profile) == want
+    assert profile.tolist() == [0.5, -1.0, 2.0]
 
 
 class TestCustomGameBox:

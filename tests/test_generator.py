@@ -126,6 +126,26 @@ class TestGeneratorRhs:
                     assert lifted[10:, b].tobytes() == want.tobytes()
         assert partials_bind(quad([1, 2], [0.3, 0.3], [0, 0]), lifted[:4], lifted[5:]) is None
 
+    def test_partials_fill_skips_the_parked_columns(self):
+        # the mask is read at each call: a parked column costs no call and reads zero, and
+        # a live column is not filled from a parked one's block
+        game = build_game([1.0, 2.0, 3.0], 0.5)
+        calls = []
+        counted = CustomGame([lambda y, profile, cost=cost: calls.append(y) or cost(y, profile)
+                              for cost in game.costs])
+        lifted = np.zeros((13, 3))
+        lifted[:9] = np.random.default_rng(17).normal(size=(9, 1))
+        parked = np.zeros(3, dtype=bool)
+        fill = partials_bind(counted, lifted[:9], lifted[10:], parked)
+        want = central_partials(game.costs, lifted[:9, 0].reshape(1, 3, 3))[0]
+        for stopped, blocks in [((), 1), ((0,), 1), ((0, 2), 1), ((0, 1, 2), 0)]:
+            parked[list(stopped)] = True
+            calls.clear()
+            fill()
+            assert len(calls) == blocks * 3 * 2
+            for b in range(3):
+                assert lifted[10:, b].tobytes() == (np.zeros(3) if b in stopped else want).tobytes()
+
     @pytest.mark.parametrize("B", [1, 3])
     def test_partials_fill_hands_each_cost_call_a_fresh_row(self, B):
         # costs that write into their profile, on one column or three equal ones: the

@@ -181,20 +181,23 @@ class TestExamplePlant:
     def test_generic_fill_matches_the_plant_rhs_oracle(self, build):
         # `drift_split`'s generic fill at B = 3, column by column, bit for bit: the features
         # are the drift alone, so with the chain shifts and the input added they are the
-        # oracle's (dz, dx)
+        # oracle's (dz, dx); a parked column (the mask is read at each fill) reads zero
         model = build()
         n, r, n_z, batch = model.n_agents, model.r, model.n_z, 3
         rng = np.random.default_rng(16)
         W = rng.uniform(-0.5, 0.5, (batch, model.n_w))
-        J, features = drift_split(model, W)
+        parked = np.zeros(batch, dtype=bool)
+        J, features = drift_split(model, W, parked)
         zx, v = np.empty((n * n_z + r * n, batch)), np.empty((2, batch))
         phi = np.full((features.count, batch), np.nan)
         fill = features.bind(zx, v, phi)
         u = rng.normal(size=n)
-        for _ in range(3):
+        for stopped in [(), (1,), (0, 1)]:
+            parked[list(stopped)] = True
             zx[...], v[...] = rng.normal(size=zx.shape), rng.normal(size=v.shape)
             fill()
-            for b in range(batch):
+            assert not phi[:, list(stopped)].any()
+            for b in set(range(batch)) - set(stopped):
                 z, x = zx[:n * n_z, b].reshape(n, n_z), zx[n * n_z:, b].reshape(r, n)
                 dz, dx = plant_rhs(model, z, x, u, v[:, b], W[b])
                 assert phi[:n * n_z, b].tobytes() == np.ravel(dz).tobytes()

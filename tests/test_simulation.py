@@ -384,16 +384,18 @@ def counting_custom(custom_scenario):
 
 
 def test_a_stopped_column_0_leaves_the_custom_batch_as_run_alone(counting_custom):
-    # the custom game's partial fill runs one stencil per distinct estimate block
-    # (`generator.partials_bind`). Seed 1 starts with an entry above the abort norm and is
-    # parked at zero after step 1; seeds 2 and 3 stay below it for 0.3 s and still share
-    # one block, and each column must still be its run alone
+    # the custom game's partial fill runs one stencil per distinct estimate block of the
+    # live columns (`generator.partials_bind`). Seed 1 starts with an entry above the abort
+    # norm and is parked at zero after step 1, and the fill skips it from then on; seeds 2
+    # and 3 stay below it for 0.3 s and still share one block, and each column must still
+    # be its run alone
     scenario, calls = counting_custom
     short = dataclasses.replace(scenario, t_final=0.3, decimate=1)
     calls.clear()
     batch = run(short, seed=(1, 2, 3), abort_norm=0.85)
-    # 4 stages of 3 players' two calls, for one block in step 1 and two in the other 299
-    assert len(calls) == 24 * (1 + 2 * 299)
+    # 4 stages of 3 players' two calls, for one block in each of the 300 steps: the calls
+    # of the two live seeds alone
+    assert len(calls) == 24 * 300
     assert batch[0].aborted_norm and len(batch[0].t) == 2
     assert [len(traj.t) for traj in batch[1:]] == [301, 301]
     for traj in batch:
