@@ -24,7 +24,8 @@ FD_REL_STEP = 1e-6
 MAX_NE_ITERS = 100_000
 # Bound on the temporaries of one chunk of `estimate_constants` samples for a
 # custom game: the draws, their mapped values, the block and profile stacks and the
-# cost calls' Python floats. A memory bound: the draw stream does not depend on it.
+# cost calls' strategies as Python floats. A memory bound: the draw stream does not
+# depend on it.
 SAMPLE_CHUNK_BYTES = 2 ** 20
 
 
@@ -191,7 +192,8 @@ def _central_partials(costs, blocks: np.ndarray) -> np.ndarray:
     profiles.reshape(K, 2 * n * n)[:, own * n + own // 2] = sides  # row j, column j // 2
     calls = zip(sides.ravel().tolist(), profiles.reshape(2 * K * n, n),
                 cycle([cost for cost in costs for _ in range(2)]))
-    values = np.array([float(cost(y, row)) for y, row, cost in calls]).reshape(K, n, 2)
+    values = np.fromiter((float(cost(y, row)) for y, row, cost in calls), float,
+                         2 * K * n).reshape(K, n, 2)
     with np.errstate(over="ignore", invalid="ignore"):
         return _stencil_quotient(values[..., 0], values[..., 1], step)
 
@@ -272,9 +274,9 @@ def _sampled_constants(game: CustomGame, n_samples: int, seed: int) -> tuple[flo
     lo, hi = game.sample_box[:, 0], game.sample_box[:, 1]
     slot_lo, slot_span = np.tile(lo, 2), np.tile(hi - lo, 2)
     per_sample = n + 1
-    # per sample: about eight times its draws, its (4, 2n, n) profile stack, and two
-    # Python floats (its strategy and its value, 32 bytes each with the list slot)
-    # for each of its 8n cost calls
+    # per sample: about eight times its draws, its (4, 2n, n) profile stack, and for
+    # each of its 8n cost calls 64 bytes: its strategy as a Python float in a list (32
+    # bytes with the slot) and its entries in the stencil's arrays
     chunk = max(1, SAMPLE_CHUNK_BYTES // (8 * 8 * 2 * n * per_sample + 8 * 8 * n * n
                                           + 8 * n * 2 * 32))
     mono, lip = np.inf, 0.0
