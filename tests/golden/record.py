@@ -91,6 +91,11 @@ CASES = {
     # seeds 1 and 2 diverge and are parked, seed 3 runs to the end: exit 2, three CSVs
     "simulate_sec5_diverging_seeds1_3": ["simulate", "--config", "diverging.json",
                                          "--sweep", "seeds=3"],
+    # the bundled scenario as shipped: escalation, then seeds 1-3, plain and ablated
+    "simulate_sec5_seeds1_3": ["simulate", "--config", "sec5", "--t-final", "5",
+                               "--sweep", "seeds=3"],
+    "simulate_sec5_ablated_seeds1_3": ["simulate", "--config", "sec5", "--t-final", "5",
+                                       "--sweep", "seeds=3", "--ablate-internal-model"],
 }
 
 
