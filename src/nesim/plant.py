@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameter, require
+from .errors import ConfigError, InvalidParameter, require
 from .numerics import rk4_linear
 
 ORIGIN_EQ_TOL = 1e-12
@@ -134,7 +134,7 @@ class PlantFeatures:
     bind: Callable
 
 
-def drift_split(model: PlantModel, w: np.ndarray,
+def drift_split(model: PlantModel, w: np.ndarray, n_v: int,
                 parked: np.ndarray | None = None) -> tuple[np.ndarray, PlantFeatures]:
     """The plant drift for a stack of draws as ``J_b @ [zx, v, phi(zx, v)]``.
 
@@ -146,8 +146,9 @@ def drift_split(model: PlantModel, w: np.ndarray,
     ``phi`` (see `PlantFeatures`), so ``J`` is ``(B, n_zx, n_zx + v_cols +
     count)``: per draw, one row per ``zx`` entry and the coefficients of
     ``zx``, of those disturbance coordinates and of the features, in that
-    order. Models with a ``split`` hook supply both. Any other model gets
-    ``f0`` (raveled: ``(N, n_z)`` or flat) and ``f_levels`` themselves as
+    order, ``0 <= v_cols <= n_v``. A ``split`` hook supplies both, checked
+    here: a hook that breaks this, or whose ``bind`` returns no fill, is a
+    `ConfigError`. Any other model gets ``f0`` (raveled) and ``f_levels`` as
     features, ``1 + r`` calls per column and fill with the column's draw,
     against an identity block of ``J``. ``parked``, a ``(B,)`` boolean mask
     read at each fill, names the columns the caller has stopped
@@ -158,14 +159,33 @@ def drift_split(model: PlantModel, w: np.ndarray,
     if W.ndim != 2:
         # a flat draw would broadcast (n, 1) coefficients against (n,) states
         raise ValueError(f"drift_split expects a (B, n_w) stack of draws, got shape {W.shape}")
-    if model.split is not None:
-        return model.split(W)
     n, r, n_z = model.n_agents, model.r, model.n_z
-    f0, f_levels = model.f0, model.f_levels
-
     dim = n * n_z + r * n
-    if parked is None:
-        parked = np.zeros(len(W), dtype=bool)
+    if model.split is not None:
+        J, features = model.split(W)
+        valid = isinstance(features, PlantFeatures) and J.ndim == 3 and J.shape[:2] == (len(W), dim)
+        v_cols = J.shape[2] - dim - features.count if valid else -1
+        if not 0 <= v_cols <= n_v:
+            raise ConfigError(
+                f"plant split hook returned J of shape {J.shape} and a "
+                f"{type(features).__name__}; the hook takes a (B, n_w) stack of draws and "
+                f"returns J of shape (B, {dim}, {dim} + v_cols + count), 0 <= v_cols <= "
+                f"{n_v}, the coefficients of zx, of the leading v_cols disturbance "
+                f"coordinates and of the features, and PlantFeatures(count, bind), where "
+                f"bind(zx, v, out) returns fill(), which writes the (count, B) features that "
+                f"zx and v give into out")
+
+        def checked_bind(zx, v, out, hook_bind=features.bind):
+            if callable(fill := hook_bind(zx, v, out)):
+                return fill
+            raise ConfigError(  # a hook written for the former fill(zx, v, out)
+                f"plant split hook: PlantFeatures(count, bind) needs bind(zx, v, out) to "
+                f"return fill(), which writes the (count, B) features that zx and v give "
+                f"into out; it returned {type(fill).__name__}")
+        return J, PlantFeatures(features.count, checked_bind)
+
+    f0, f_levels = model.f0, model.f_levels
+    parked = np.zeros(len(W), dtype=bool) if parked is None else parked
 
     def bind(zx, v, out):
         # per column: f0's views, its draw and rows, and one (f, xs, dx) per level; a 1-D
@@ -467,7 +487,7 @@ def example_plant(g: np.ndarray) -> PlantModel:
 
 
 def check_origin_equilibrium(model: PlantModel, w_samples: Sequence[np.ndarray],
-                             n_v: int = 2, tol: float = ORIGIN_EQ_TOL) -> float:
+                             n_v: int) -> float:
     """Largest drift magnitude at the origin over the given parameter draws.
 
     Raises
@@ -476,17 +496,14 @@ def check_origin_equilibrium(model: PlantModel, w_samples: Sequence[np.ndarray],
         If the origin is not an equilibrium of the unforced plant for some
         draw (violates the model's admissibility requirement).
     """
-    n = model.n_agents
-    z0 = np.zeros((n, model.n_z))
-    x0 = np.zeros((model.r, n))
-    v0 = np.zeros(n_v)
-    worst = 0.0
+    n, worst = model.n_agents, 0.0
+    z0, x0, v0 = np.zeros((n, model.n_z)), np.zeros((model.r, n)), np.zeros(n_v)
     for w in w_samples:
         worst = max(worst, float(np.abs(model.f0(z0, x0[0], v0, w)).max()))
         for s in range(1, model.r + 1):
             worst = max(worst, float(np.abs(model.f_levels[s - 1](z0, x0[:s], v0, w)).max()))
-    if worst > tol:
-        raise InvalidParameter(f"origin drift {worst:.3e} exceeds {tol:.1e}")
+    if worst > ORIGIN_EQ_TOL:
+        raise InvalidParameter(f"origin drift {worst:.3e} exceeds {ORIGIN_EQ_TOL:.1e}")
     return worst
 
 
@@ -507,7 +524,8 @@ def steady_drift(steady: SteadyState, vs: np.ndarray, zs: np.ndarray) -> np.ndar
     for start in range(0, K, STEADY_DRIFT_CHUNK):
         rows = slice(start, min(K, start + STEADY_DRIFT_CHUNK))
         v = vs[rows].T
-        J, features = drift_split(model, np.broadcast_to(steady.w, (v.shape[1], model.n_w)))
+        J, features = drift_split(model, np.broadcast_to(steady.w, (v.shape[1], model.n_w)),
+                                  steady.exo.n_v)
         n_zx, width = J.shape[1:]
         v_cols = width - n_zx - features.count
         lifted = np.empty((width, v.shape[1]))  # per sample: [z*, p*, x_2* .. x_r*, leading v, phi]

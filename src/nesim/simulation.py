@@ -353,7 +353,7 @@ def assemble(scenario: Scenario, ablate: bool = False,
 
     layout = scenario.layout()
     parked = np.zeros(len(draws), dtype=bool)
-    J, features = drift_split(scenario.plant, draws, parked)
+    J, features = drift_split(scenario.plant, draws, scenario.exo.n_v, parked)
     # overflowing gains give a non-finite operator; the first RK4 step reports divergence
     with np.errstate(over="ignore", invalid="ignore"):
         A3, U = _closed_loop_operator(scenario, layout, J, features, ablate)
@@ -382,11 +382,6 @@ def _closed_loop_bind(layout: StateLayout, features: PlantFeatures, game: GameSp
 
     def bind(lifted: np.ndarray):
         plant_fill = features.bind(lifted[zx], lifted[v], lifted[phi])
-        if not callable(plant_fill):  # a hook written for the former fill(zx, v, out)
-            raise ConfigError(
-                f"plant split hook: PlantFeatures(count, bind) needs bind(zx, v, out) to "
-                f"return fill(), which writes the (count, B) features that zx and v give "
-                f"into out; it returned {type(plant_fill).__name__}")
         # None for a quadratic game, whose extended gradient is already in the operator
         partials_fill = partials_bind(game, lifted[P], lifted[phi.stop:], parked)
         if partials_fill is None:
@@ -449,17 +444,7 @@ def _closed_loop_operator(scenario: Scenario, layout: StateLayout, J: np.ndarray
     P, v, zx, p_diag = layout.P, layout.v, layout.zx, layout.p_diag
     xa, ea = layout.x.start, layout.x.stop  # the compensators follow the chain
     n_zx = zx.stop - zx.start
-    valid = isinstance(features, PlantFeatures) and J.ndim == 3 and J.shape[1] == n_zx
-    v_cols = J.shape[2] - n_zx - features.count if valid else -1
-    if not 0 <= v_cols <= layout.n_v:
-        raise ConfigError(
-            f"plant split hook returned J of shape {J.shape} and a "
-            f"{type(features).__name__}; the hook takes a (B, n_w) stack of draws and "
-            f"returns J of shape (B, {n_zx}, {n_zx} + v_cols + count), 0 <= v_cols <= "
-            f"{layout.n_v}, the coefficients of zx, of the leading v_cols disturbance "
-            f"coordinates and of the features, and PlantFeatures(count, bind), where "
-            f"bind(zx, v, out) returns fill(), which writes the (count, B) features that "
-            f"zx and v give into out")
+    v_cols = J.shape[2] - n_zx - features.count
     phi = slice(dim + 1, dim + 1 + features.count)
     synthesis = scenario.synthesized()
     generator = generator_rows(scenario.game, scenario.graph, scenario.gains.gamma1,
@@ -556,8 +541,8 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
             state[:, b] = loop.manifold_state(state[lay.v, b], b)
 
     n_steps = scenario.n_steps
-    # every kept state (step 0, each dec-th step and the last) of every column,
-    # and its step index; a stopped column keeps the samples it has
+    # every kept state (step 0, each dec-th step and the last) of every column; a
+    # stopped column keeps the samples it has, a prefix, so row j is step min(j dec, n_steps)
     try:
         X = np.empty((_kept_samples(n_steps, dec), B, lay.dim))
     except (ValueError, MemoryError) as exc:
@@ -565,7 +550,6 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
             f"sim.t_final: {scenario.t_final:g} s in steps of sim.dt = {h:g}, keeping every "
             f"sim.decimate = {dec}-th, gives {float(_kept_samples(n_steps, dec)):.3g} kept "
             f"states of {lay.dim} values per seed, which cannot be allocated") from exc
-    ks = np.zeros(len(X), dtype=np.int64)
     X[0] = state.T
     kept = 1
     peak = np.zeros_like(state)  # largest |value| of each state entry after step 0
@@ -601,7 +585,7 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
             finish(diverged)  # before this step's peak and sample
         np.maximum(peak, size, out=peak)
         if k % dec == 0 or k == n_steps:
-            X[kept], ks[kept] = state.T, k
+            X[kept] = state.T
             kept += 1
         if calm:
             return None
@@ -620,13 +604,14 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
         trajs = []
         for b, seed_b in enumerate(seeds):
             # the signals own their data, so a kept trajectory does not pin the buffer
-            Xb, ksb = X[:samples[b], b], ks[:samples[b]]
+            Xb = X[:samples[b], b]
             # the distance first: its two (K, N*N) temporaries then meet fewer live signals
             ne_dist = np.linalg.norm(Xb[:, lay.P] - np.tile(p_star, n), axis=1)
             y = Xb[:, lay.x.start:lay.x.start + n].copy()  # first chain level
             p = Xb[:, lay.p_diag]
             trajs.append(ClosedLoopTrajectory(
-                t=ksb * h, y=y, p=p, e=y - p, u=Xb @ loop.control_rows.T, ne_dist=ne_dist,
+                t=np.minimum(np.arange(samples[b]) * dec, n_steps) * h, y=y, p=p, e=y - p,
+                u=Xb @ loop.control_rows.T, ne_dist=ne_dist,
                 p_star=p_star, v=Xb[:, lay.v].copy(), max_state_norm=float(max_norm[b]),
                 diverged=diverged_t[b] is not None, diverged_t=diverged_t[b],
                 aborted_norm=bool(aborted[b]), seed=seed_b))

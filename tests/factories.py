@@ -8,7 +8,7 @@ import dataclasses
 import numpy as np
 
 from nesim.game import CustomGame, QuadraticAggregativeGame
-from nesim.plant import PlantModel, example_plant
+from nesim.plant import PlantFeatures, PlantModel, example_plant
 
 
 def build_game(h1, coupling, box=(-6.0, 6.0)):
@@ -85,3 +85,33 @@ def build_plant_without_split(g):
     ``f0``/``f_levels``, as `drift_split`'s generic features.
     """
     return dataclasses.replace(example_plant(g), split=None)
+
+
+def build_plant_with_malformed_split(g, hook):
+    """The built-in plant with a ``split`` hook that breaks its contract as ``hook`` names.
+
+    - ``one_flat_draw``: written for one flat draw, it returns a 2-D ``J``;
+    - ``one_draw_of_the_batch``: ``J`` holds the first draw only, whatever the batch;
+    - ``remainder``: the former contract, the linear part and an in-place remainder;
+    - ``v_cols_past_n_v``: ``J`` has a third disturbance column, past sec5's ``n_v`` = 2;
+    - ``fill_style``: the former ``PlantFeatures(count, fill)``, whose call returns None.
+    """
+    model = example_plant(g)
+    n = model.n_agents
+
+    def split(w):
+        J, features = model.split(w)
+        if hook == "one_flat_draw":
+            return J[0], features
+        if hook == "one_draw_of_the_batch":
+            return J[:1], features
+        if hook == "remainder":
+            return J[:, :, :3 * n + 2], lambda zx, v, out: None
+        if hook == "v_cols_past_n_v":  # a zero column after v1 and v2
+            return np.insert(J, 3 * n + 2, 0.0, axis=2), features
+        if hook == "fill_style":
+            return J, PlantFeatures(features.count,
+                                    lambda zx, v, out: features.bind(zx, v, out)())
+        raise ValueError(f"no such malformed hook: {hook}")
+
+    return dataclasses.replace(model, split=split)

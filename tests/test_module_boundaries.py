@@ -24,6 +24,10 @@ numeric, of the right shape and finite.
 
 Every field a library class names in a `require` is a path of the scenario
 file, so an error from a `replace` reads like one from a file.
+
+Only `plant` states the contract of a plant's ``split`` hook: `drift_split`
+is the one place that checks the hook's result, so no other module builds a
+`ConfigError` whose message starts ``plant split hook``.
 """
 
 from __future__ import annotations
@@ -237,3 +241,45 @@ def test_every_required_field_names_a_path_of_the_scenario_file():
               for hit in required_fields(path.read_text(), path.name)]
     assert len(fields) >= 20
     assert [hit for hit in fields if not names_a_file_path(hit[1])] == []
+
+
+SPLIT_HOOK_ERROR = "plant split hook"
+
+
+def leading_text(node: ast.expr) -> str:
+    """The literal text a string expression starts with: a constant, an f-string or a sum."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr) and node.values:
+        return leading_text(node.values[0])
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return leading_text(node.left)
+    return ""
+
+
+def split_hook_errors(source: str, filename: str = "<source>") -> list[str]:
+    """``file:line`` of each `ConfigError` built with a message that starts ``plant split hook``."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ConfigError"
+                and node.args and leading_text(node.args[0]).startswith(SPLIT_HOOK_ERROR)):
+            found.append(f"{filename}:{node.lineno}")
+    return found
+
+
+def test_split_hook_error_detector_sees_literals_f_strings_and_sums():
+    source = ("raise ConfigError('plant split hook: bad')\n"
+              "raise errors.ConfigError(f'plant split hook returned {J.shape}' f' and {x}')\n"
+              "raise ConfigError(f'{name}: plant split hook')\n"
+              "raise ValueError('plant split hook: bad')\n"
+              "raise cfg.ConfigError('plant' ' split hook, ' + str(x))\n"
+              "message = 'plant split hook'\n")
+    assert [int(hit.split(":")[1]) for hit in split_hook_errors(source)] == [1, 2, 5]
+
+
+def test_only_plant_states_the_split_hook_contract():
+    hits = {path.name: split_hook_errors(path.read_text(), path.name)
+            for path in sorted(SRC.glob("*.py"))}
+    assert len(hits.pop("plant.py")) == 2  # the hook's (J, features) and its bind's fill
+    assert hits and [hit for found in hits.values() for hit in found] == []

@@ -96,7 +96,7 @@ class TestExamplePlant:
             Z, X = rng.normal(size=(batch, n, 1)), rng.normal(size=(batch, 2, n))
             V = rng.normal(size=(batch, 2))
             zx = np.stack([np.concatenate([z.ravel(), x.ravel()]) for z, x in zip(Z, X)], axis=1)
-            J, features = drift_split(model, W)
+            J, features = drift_split(model, W, 2)
             n_zx, count = zx.shape[0], features.count
             v_cols = J.shape[2] - n_zx - count
             assert J.shape[:2] == (batch, n_zx) and 0 <= v_cols <= 2
@@ -111,12 +111,12 @@ class TestExamplePlant:
                                       model.f_levels[0](z, x[:1], v, w),
                                       model.f_levels[1](z, x, v, w)])
                 assert np.abs(split - ref).max() <= 1e-14 * np.abs(ref).max()
-                J1, one = drift_split(model, W[b:b + 1])
+                J1, one = drift_split(model, W[b:b + 1], 2)
                 alone = np.empty((count, 1))
                 one.bind(zx[:, b:b + 1], V.T[:, b:b + 1], alone)()
                 assert np.array_equal(J1[0], J[b]) and np.array_equal(alone[:, 0], phi[:, b])
         with pytest.raises(ValueError, match="stack of draws"):
-            drift_split(model, W[0])  # a flat draw is rejected, not broadcast
+            drift_split(model, W[0], 2)  # a flat draw is rejected, not broadcast
 
     def test_split_reproduces_drift(self):
         model = demo_plant([[-1, 1, 0.5, 1, 0.3, 0.3], [-1.2, 0.8, 0.4, 1.1, 0.25, 0.35],
@@ -130,7 +130,7 @@ class TestExamplePlant:
         zx, v = rng.normal(size=(6, 4)), rng.normal(size=(2, 4))
         phis = []
         for W in (rng.uniform(-0.5, 0.5, (4, model.n_w)), rng.uniform(-0.5, 0.5, (4, model.n_w))):
-            J, features = drift_split(model, W)
+            J, features = drift_split(model, W, 2)
             phis.append(np.empty((features.count, 4)))
             features.bind(zx, v, phis[-1])()
         assert features.count == 3 * model.n_agents
@@ -142,7 +142,7 @@ class TestExamplePlant:
             demo_plant([[-1, 1, 0.5, 1, 0.3, 0.3], [-1.2, 0.8, 0.4, 1.1, 0.25, 0.35]]),
             split=None)
         self.assert_split_reproduces_drift(model)
-        J, features = drift_split(model, np.zeros((2, model.n_w)))
+        J, features = drift_split(model, np.zeros((2, model.n_w)), 2)
         n_zx = 3 * model.n_agents
         assert features.count == n_zx
         assert np.array_equal(J, np.broadcast_to(np.eye(n_zx, 2 * n_zx, n_zx), J.shape))
@@ -156,7 +156,7 @@ class TestExamplePlant:
         n, batch = model.n_agents, 3
         rng = np.random.default_rng(14)
         W = rng.uniform(-0.5, 0.5, (batch, model.n_w))
-        J, features = drift_split(model, W)
+        J, features = drift_split(model, W, 2)
         zx, v = np.empty((3 * n, batch)), np.empty((2, batch))
         phi = np.full((features.count, batch), np.nan)
         fill = features.bind(zx, v, phi)
@@ -187,7 +187,7 @@ class TestExamplePlant:
         rng = np.random.default_rng(16)
         W = rng.uniform(-0.5, 0.5, (batch, model.n_w))
         parked = np.zeros(batch, dtype=bool)
-        J, features = drift_split(model, W, parked)
+        J, features = drift_split(model, W, 2, parked)
         zx, v = np.empty((n * n_z + r * n, batch)), np.empty((2, batch))
         phi = np.full((features.count, batch), np.nan)
         fill = features.bind(zx, v, phi)
@@ -207,7 +207,7 @@ class TestExamplePlant:
     def test_origin_equilibrium_over_box(self):
         model = demo_plant([[-1, 1, 0.5, 1, 0.3, 0.3], [-1.2, 0.8, 0.4, 1.1, 0.25, 0.35]])
         box = np.tile([-0.05, 0.05], (model.n_w, 1))
-        worst = check_origin_equilibrium(model, [box[:, 0], box[:, 1]], n_v=2)
+        worst = check_origin_equilibrium(model, [box[:, 0], box[:, 1]], 2)
         assert worst == 0.0
 
 

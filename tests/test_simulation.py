@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import json
 import re
 import weakref
 
 import numpy as np
 import pytest
 
+from nesim.cli import main
 from nesim.config import load_scenario
 from nesim.errors import ConfigError, Disconnected
 from nesim.game import CustomGame, QuadraticAggregativeGame, estimate_constants, solve_ne
@@ -458,7 +460,7 @@ def test_operator_is_shared_rows_plus_plant_rows_per_draw(case, stable, request)
     batch = assemble(scenario, draws=draws)
     lay, n = scenario.layout(), scenario.n
     assert np.array_equal(batch.draws, draws) and not hasattr(batch, "steadies")
-    J, features = drift_split(scenario.plant, batch.draws)
+    J, features = drift_split(scenario.plant, batch.draws, scenario.exo.n_v)
     n_zx = lay.zx.stop - lay.zx.start
     v_cols = J.shape[2] - n_zx - features.count
     # the lifted state [x; 1; plant features], then a custom game's partials
@@ -490,44 +492,38 @@ def test_kept_state_bytes_counts_the_recorded_samples(stable):
 
 SPLIT_CONTRACT = r"\(B, n_w\) stack of draws.*PlantFeatures\(count, bind\)"
 
-
-def test_one_draw_split_hook_is_a_config_error(sec5):
-    # a hook written for one flat draw returns a 2-D J
-    model = sec5.plant
-
-    def split(w):
-        J, features = model.split(np.reshape(w, (1, -1)))
-        return J[0], features
-
-    plant = dataclasses.replace(model, split=split)
-    with pytest.raises(ConfigError, match=SPLIT_CONTRACT):
-        assemble(dataclasses.replace(sec5, plant=plant))
+# each hook of `factories.build_plant_with_malformed_split` and what its error names
+MALFORMED_SPLITS = {
+    "one_flat_draw": SPLIT_CONTRACT,
+    "one_draw_of_the_batch": SPLIT_CONTRACT,
+    "remainder": SPLIT_CONTRACT,
+    "v_cols_past_n_v": SPLIT_CONTRACT,
+    "fill_style": r"PlantFeatures\(count, bind\).*returned NoneType",
+}
 
 
-def test_remainder_split_hook_is_a_config_error(sec5):
-    # a hook written for the former contract: the linear part and an in-place remainder
-    model = sec5.plant
-
-    def split(w):
-        J, _ = model.split(w)
-        return J[:, :, :3 * sec5.n + 2], lambda zx, v, out: None
-
-    plant = dataclasses.replace(model, split=split)
-    with pytest.raises(ConfigError, match=SPLIT_CONTRACT):
-        assemble(dataclasses.replace(sec5, plant=plant))
-
-
-def test_fill_style_split_hook_is_a_config_error(sec5):
-    # a hook written for the former PlantFeatures(count, fill): fill(zx, v, out) returns None
-    model = sec5.plant
-
-    def split(w):
-        J, features = model.split(w)
-        return J, PlantFeatures(features.count, lambda zx, v, out: features.bind(zx, v, out)())
-
-    plant = dataclasses.replace(model, split=split)
-    with pytest.raises(ConfigError, match=r"PlantFeatures\(count, bind\).*returned NoneType"):
-        run(dataclasses.replace(sec5, plant=plant, t_final=0.01))
+@pytest.mark.parametrize("argv", [["check", "--t-final", "1"],
+                                  ["simulate", "--t-final", "1", "--sweep", "seeds=2"]],
+                         ids=["check", "simulate"])
+@pytest.mark.parametrize("hook", list(MALFORMED_SPLITS))
+def test_malformed_split_hook_is_a_config_error(hook, argv, sec5_norm, tmp_path, monkeypatch,
+                                                capsys):
+    # sec5, its plant from a factory whose split hook breaks the contract, at explicit
+    # gains, so the batch of two is built without escalation
+    cfg = json.loads(json.dumps(sec5_norm))
+    plant = cfg["plant"]
+    cfg["plant"] = {"kind": "custom", "factory": "factories:build_plant_with_malformed_split",
+                    "args": {"g": plant["g"], "hook": hook},
+                    "w_box": plant["w_box"], "v0_box": plant["v0_box"]}
+    cfg["controller"]["k"] = [[16.0, 16.0]] * 4
+    (tmp_path / "malformed.json").write_text(json.dumps(cfg))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--config", "malformed.json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: plant split hook")
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+    assert re.search(MALFORMED_SPLITS[hook], captured.err)
+    assert captured.out == ""
 
 
 def test_escalation_predicate(stable):
