@@ -175,8 +175,8 @@ def drift_split(model: PlantModel, w: np.ndarray, n_v: int,
                 f"bind(zx, v, out) returns fill(), which writes the (count, B) features that "
                 f"zx and v give into out")
 
-        def checked_bind(zx, v, out, hook_bind=features.bind):
-            if callable(fill := hook_bind(zx, v, out)):
+        def checked_bind(zx, v, out):
+            if callable(fill := features.bind(zx, v, out)):
                 return fill
             raise ConfigError(  # a hook written for the former fill(zx, v, out)
                 f"plant split hook: PlantFeatures(count, bind) needs bind(zx, v, out) to "

@@ -17,7 +17,7 @@ from nesim.generator import GeneratorGains, min_gamma2, run_generator
 from nesim.graph import CommGraph
 from nesim.internal_model import StabilizerPair, synthesize_bank
 from nesim.numerics import rk4_lifted_step, rk4_step
-from nesim.plant import (Exosystem, PlantFeatures, drift_split, example_plant,
+from nesim.plant import (Exosystem, drift_split, example_plant,
                          sample_uncertainty, steady_state_chain)
 from nesim.simulation import (ClosedLoopTrajectory, EscalationSpec, Scenario, assemble,
                               closed_loop_passes, metrics, run, write_csv)
