@@ -74,8 +74,15 @@ DIVERGING_CONFIG = json.loads(resources.files("nesim").joinpath("data", "sec5.sc
 DIVERGING_CONFIG["controller"] = {"k": [[4.0, 4.0]] * 4}
 DIVERGING_CONFIG["sim"]["t_final"] = 2.0
 
+# the plant without its `split` hook at gains too low for it, k = 4 on every level, for 1.5 s:
+# seeds 1 and 2 diverge and are parked, and the generic drift's fill skips them from then on
+NO_SPLIT_DIVERGING_CONFIG = json.loads(json.dumps(NO_SPLIT_CONFIG))
+NO_SPLIT_DIVERGING_CONFIG["controller"] = {"k": [[4.0, 4.0]] * 4}
+NO_SPLIT_DIVERGING_CONFIG["sim"]["t_final"] = 1.5
+
 CONFIGS = {"custom.json": CUSTOM_CONFIG, "no_split.json": NO_SPLIT_CONFIG,
-           "diverging.json": DIVERGING_CONFIG}
+           "diverging.json": DIVERGING_CONFIG,
+           "no_split_diverging.json": NO_SPLIT_DIVERGING_CONFIG}
 
 CASES = {
     "check_sec5_seed1": ["check", "--config", "sec5", "--t-final", "10", "--seed", "1"],
@@ -85,12 +92,17 @@ CASES = {
     # the equilibrium and the sampled constants of the custom game, and sec5's exact ones
     "solve_ne_custom_factories": ["solve-ne", "--config", "custom.json"],
     "solve_ne_sec5": ["solve-ne", "--config", "sec5"],
+    # the bundled scenario's internal-model bank: every agent's M, N, T and Psi
+    "synthesize_sec5": ["synthesize", "--config", "sec5"],
     # the custom game's partials and the generic plant's drift in every stage, two seeds batched
     "simulate_custom_factories_seeds2_3": ["simulate", "--config", "custom.json",
                                            "--t-final", "3", "--sweep", "seeds=2"],
     # seeds 1 and 2 diverge and are parked, seed 3 runs to the end: exit 2, three CSVs
     "simulate_sec5_diverging_seeds1_3": ["simulate", "--config", "diverging.json",
                                          "--sweep", "seeds=3"],
+    # the same through the generic (no-`split`) drift: seeds 1 and 2 diverge, exit 2
+    "simulate_no_split_diverging_seeds1_3": ["simulate", "--config", "no_split_diverging.json",
+                                             "--sweep", "seeds=3"],
     # the bundled scenario as shipped: escalation, then seeds 1-3, plain and ablated
     "simulate_sec5_seeds1_3": ["simulate", "--config", "sec5", "--t-final", "5",
                                "--sweep", "seeds=3"],
