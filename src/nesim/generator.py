@@ -173,7 +173,8 @@ def run_generator(scenario: Scenario) -> GeneratorTrajectory:
     ------
     NonFiniteState
         If the estimates become non-finite, naming the time they do: the
-        observer reads it off the magnitude each step leaves in the workspace.
+        observer reads it off the last state of each block `numerics.integrate`
+        hands over, the only one that may not be finite.
     """
     game, n, h, dec = scenario.game, scenario.n, scenario.dt, scenario.decimate
     synthesis = scenario.synthesized()
@@ -191,12 +192,13 @@ def run_generator(scenario: Scenario) -> GeneratorTrajectory:
     target = np.tile(synthesis.p_star, n)
     ts, dists = [], []
 
-    def observer(step, t, x):
-        if not sys.steps.top < np.inf:
-            raise NonFiniteState(f"non-finite generator state at t={t:.6g}")
-        if step % dec == 0:
-            ts.append(t)
-            dists.append(float(np.linalg.norm(x[:, 0] - target)))
+    def observer(k, t, xs):
+        # every state of a block but its last passed integrate's calm test
+        if not np.abs(xs[-1]).max() < np.inf:
+            raise NonFiniteState(f"non-finite generator state at t={t[-1]:.6g}")
+        for j in range(-k % dec, len(xs), dec):
+            ts.append(t[j])
+            dists.append(float(np.linalg.norm(xs[j, :, 0] - target)))
 
     P0 = np.zeros((n, n)) if scenario.p0 is None else scenario.p0
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is raised, not warned

@@ -230,6 +230,9 @@ def synthesize_bank(im_polys: Sequence[np.ndarray], n_agents: int,
     stabilizers : optional
         ``stabilizers[agent][level]`` as `StabilizerPair`; defaults come
         from `default_stabilizer` (optionally with a preset) when omitted.
+
+    Within a level, one Sylvester solve serves every agent whose pair holds
+    the same bytes: the default pair is built once per level and shared.
     """
     levels = []
     for s, coeffs in enumerate(im_polys):
@@ -239,14 +242,18 @@ def synthesize_bank(im_polys: Sequence[np.ndarray], n_agents: int,
         Ns = np.empty((n_agents, n))
         Ts = np.empty((n_agents, n, n))
         Psis = np.empty((n_agents, n))
+        default = None if stabilizers is not None else default_stabilizer(n, preset=preset)
+        solved = {}  # (T, Psi) by the bytes of the pair they solve
         for i in range(n_agents):
-            stab = (stabilizers[i][s] if stabilizers is not None
-                    else default_stabilizer(n, preset=preset))
+            stab = default if default is not None else stabilizers[i][s]
             if stab.order != n:
                 raise ValueError(f"stabilizer order {stab.order} != recurrence order {n} "
                                  f"(agent {i}, level {s + 1})")
-            T, psi = solve_sylvester(comp.Phi, comp.Gamma, stab.M, stab.N)
-            Ms[i], Ns[i], Ts[i], Psis[i] = stab.M, stab.N, T, psi
+            key = (stab.M.tobytes(), stab.N.tobytes())
+            if key not in solved:
+                solved[key] = solve_sylvester(comp.Phi, comp.Gamma, stab.M, stab.N)
+            Ms[i], Ns[i] = stab.M, stab.N
+            Ts[i], Psis[i] = solved[key]
         levels.append(LevelBank(companion=comp, M=Ms, N=Ns, T=Ts, Psi=Psis))
     return InternalModelBank(levels=tuple(levels))
 

@@ -5,17 +5,21 @@ hook picks how one RK4 step is made:
 
 - `rk4_lifted_step` steps a system that is linear in a lifted state,
   ``xdot = A [x; 1; phi(x)]`` (the closed loop and the generator): each
-  stage is one GEMV by a matrix of `rk4_lifted_matrices`, five per step,
-  inside a workspace of `rk4_lifted_steps` whose GEMVs and lifts are bound
-  once;
+  stage is one GEMV by a matrix of `rk4_lifted_matrices`, four per step
+  (``S1``, ``S2``, ``S3`` and ``W``), inside a workspace of
+  `rk4_lifted_steps` whose GEMVs and lifts are bound once;
 - `rk4_step`, the default, steps any ``rhs``. No nesim path steps by it:
   it stays as the oracle the lifted step is tested against and as the
   per-step leaf that perfbench's tracer wraps.
 
-Divergence is read, not caught: `rk4_lifted_step` does not raise, it leaves
-the magnitude of the state it made in its workspace (``size`` and ``top``),
-and the observer `integrate` calls after each step reads it there
-(`simulation.run` stops a non-finite column, `generator.run_generator`
+`integrate` writes the states it makes into a block buffer of `STEP_BLOCK`
+rows and hands its observer each block once, so the observer's bookkeeping
+(a running peak, the decimated samples) is whole-array work per block, not
+per step. Divergence is read, not caught: `rk4_lifted_step` does not raise,
+and `integrate` tests each state it makes for calm with one dot product,
+ending the block at the first state that is not calm, so only a block's
+last state can be non-finite or past the caller's limit; the observer reads
+it there (`simulation.run` stops a non-finite column, `generator.run_generator`
 raises `NonFiniteState`).
 
 A linear system ``xdot = A x`` steps through `rk4_linear`: there one RK4
@@ -51,6 +55,11 @@ SYM_EPS = 1e-10  # allowed asymmetry for the symmetric eigensolver
 # state costs one n x n product whatever the block; a longer block makes fewer calls
 # but forms more powers per call, and on the check suite's traces 32 beat 16 and 64.
 LINEAR_BLOCK = 32
+
+# States `integrate` makes per block before its observer reads them. Each block costs one
+# observer call, one magnitude reduction and one sample copy whatever its length; on sec5's
+# 30 s run (one pinned core) 64 beat 8, 16 and 32, and 128 or 256 gained under 1% more
+STEP_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -111,8 +120,9 @@ def _check_step(h: float) -> None:
         raise ValueError(f"step size must be finite and > 0, got {h!r}")
 
 
-def rk4_step(sys: OdeSystem, t: float, x: np.ndarray, h: float) -> np.ndarray:
-    """One classical 4th-order Runge-Kutta step.
+def rk4_step(sys: OdeSystem, t: float, x: np.ndarray, h: float,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """One classical 4th-order Runge-Kutta step; the new state goes into ``out``, or a new array.
 
     ``x`` is one state ``(dim,)`` or a batch of independent states
     ``(dim, B)``, one per column.
@@ -135,26 +145,41 @@ def rk4_step(sys: OdeSystem, t: float, x: np.ndarray, h: float) -> np.ndarray:
     incr = k1 + 2.0 * k2 + 2.0 * k3 + k4
     if not np.isfinite(incr).all():
         raise NonFiniteState(f"non-finite derivative at t={t:.6g}")
-    return x + (h / 6.0) * incr
+    return np.add(x, (h / 6.0) * incr, out=out)
 
 
 def integrate(sys: OdeSystem, x0: np.ndarray, t0: float, t_final: float, h: float,
-              observer: Callable | None = None, step: Callable | None = None) -> np.ndarray:
+              observer: Callable | None = None, step: Callable | None = None,
+              limit: float = np.inf) -> np.ndarray:
     """Integrate with fixed-step RK4 from ``t0`` to ``t_final``; returns the final state.
 
-    ``step(sys, t, x, h)`` makes one step: `rk4_step` by default, or
-    `rk4_lifted_step`. ``observer(step_index, t, x)`` is invoked at the
-    initial state and after every step; it is the hook trajectory recorders
-    attach to, and the one that reads divergence: `rk4_lifted_step` does not
-    raise, it leaves the new state's magnitude in ``sys.steps``. A step that
-    raises (`rk4_step` on a non-finite derivative) ends the integration.
+    ``step(sys, t, x, h, out)`` makes one step from ``x`` at time ``t`` and
+    writes the new state into ``out``: `rk4_step` by default, or
+    `rk4_lifted_step`. The steps are made in blocks of up to `STEP_BLOCK`,
+    each written into its row of one block buffer, and each state made is
+    tested once for calm: the sum of the squares of its entries is at most
+    ``limit**2 (1 - 1e-9)``, with ``limit`` capped at ``1e154`` so that the
+    square stays finite. A calm state is finite and no entry exceeds
+    ``limit``; the first state that is not calm ends its block early. The
+    sum overflows past about ``1e154``, which NumPy reports as its error
+    state says.
+
+    ``observer(k, t, xs)`` is invoked at the initial state, as a block of one,
+    and after every block: ``xs`` holds the states of steps ``k, k + 1, ..``,
+    one per row, and ``t`` their times ``t0 + (k + j) h``. ``xs`` is a view
+    of the block buffer, valid until the observer returns; it is the hook
+    trajectory recorders attach to, and the one that reads divergence:
+    `rk4_lifted_step` does not raise, and every state of a block but its
+    last is calm. A step that raises (`rk4_step` on a non-finite
+    derivative) ends the integration.
 
     The columns of a batched state ``(dim, B)`` are independent systems, and
     the observer may stop some of them: a boolean mask it returns stops the
-    masked columns. A stopped column is parked: it is zero from then on and
-    still stepped, whatever its steps hold, so the system, its workspace and
-    ``B`` never change. The run ends at ``t_final`` or when every column has
-    stopped.
+    masked columns after the block's last state, so a column stopped for a
+    state that is not calm stops at that state's step. A stopped column is
+    parked: it is zero from then on and still stepped, whatever its steps
+    hold, so the system, its workspace and ``B`` never change. The run ends
+    at ``t_final`` or when every column has stopped.
 
     Raises
     ------
@@ -168,18 +193,26 @@ def integrate(sys: OdeSystem, x0: np.ndarray, t0: float, t_final: float, h: floa
         raise ValueError(f"t_final = {t_final:g} lies before t0 = {t0:g}")
     step = rk4_step if step is None else step
     x = np.array(x0, dtype=float)
-    k, t, parked = 0, t0, None
-    stop = None if observer is None else observer(k, t, x)
+    calm = float(min(limit, 1e154)) ** 2 * (1.0 - 1e-9)  # a Python float: no overflow warning
+    block = np.empty((max(1, min(STEP_BLOCK, n_steps)),) + x.shape)
+    rows = list(zip(block, block.reshape(len(block), -1)))  # each row, and flat for the dot
+    k, parked = 0, None
+    stop = None if observer is None else observer(0, np.array([t0]), x[None])
     while True:
         if stop is not None and stop.any():
             parked = stop if parked is None else parked | stop
-        if parked is not None:
-            x = np.where(parked, 0.0, x)  # a new array: the observer's view keeps its values
         if k == n_steps or parked is not None and parked.all():
-            return x
-        x, k = step(sys, t, x, h), k + 1
-        t = t0 + k * h
-        stop = None if observer is None else observer(k, t, x)
+            return x.copy() if parked is None else np.where(parked, 0.0, x)
+        first, x = k, x.copy()  # off the block: a step never writes the state it reads
+        for out, flat in rows[:n_steps - k]:
+            if parked is not None:
+                x = np.where(parked, 0.0, x)
+            x = step(sys, t0 + k * h, x, h, out)
+            k += 1
+            if not flat.dot(flat) <= calm:
+                break
+        stop = None if observer is None else observer(
+            first + 1, t0 + np.arange(first + 1, k + 1) * h, block[:k - first])
 
 
 @dataclass(eq=False)
@@ -192,10 +225,7 @@ class LiftedSteps:
     ``stages`` the zero-argument calls that fill the rest in order (the lift
     of ``L1``, then each stage's GEMV and lift), ``last(out)`` the GEMV by
     ``W`` into ``out``. ``maps`` and ``buffer`` hold the maps and the buffer,
-    each column's map 64-byte aligned. Each step writes what it saw of the
-    state it made: ``size`` is ``|x+|`` entrywise, ``(dim, B)`` (valid until
-    the next step), and ``top`` its largest entry, NaN if any entry is NaN,
-    so ``top < inf`` is the test that every entry is finite.
+    each column's map 64-byte aligned.
     """
 
     h: float
@@ -204,8 +234,6 @@ class LiftedSteps:
     state: np.ndarray
     stages: tuple
     last: Callable
-    size: np.ndarray
-    top: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -284,7 +312,7 @@ def rk4_lifted_steps(A: np.ndarray, h: float, bind: Callable) -> LiftedSteps:
               column_gemv(S2, buf[:2 * width], L3[:dim]), bind(L3),
               column_gemv(S3, buf[width:3 * width], L4[:dim]), bind(L4))
     stages = tuple(stage for stage in stages if stage is not None)  # a lift with no features
-    return LiftedSteps(h, maps, buf, L1[:dim], stages, column_gemv(W, buf), np.empty((dim, B)))
+    return LiftedSteps(h, maps, buf, L1[:dim], stages, column_gemv(W, buf))
 
 
 def _aligned(shape: tuple) -> np.ndarray:
@@ -321,23 +349,22 @@ def column_gemv(M: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> 
     return partial(np.matmul, M, vT, out=out.T[..., None])
 
 
-def rk4_lifted_step(sys: LiftedOdeSystem, t: float, x: np.ndarray, h: float) -> np.ndarray:
-    """One RK4 step of a `LiftedOdeSystem`, as five GEMVs per column.
+def rk4_lifted_step(sys: LiftedOdeSystem, t: float, x: np.ndarray, h: float,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """One RK4 step of a `LiftedOdeSystem`, as four GEMVs per column.
 
     ``x`` is ``(dim, B)``, one column per operator. It is copied into the
     state rows of ``L1`` in the workspace ``sys.steps`` (`rk4_lifted_steps`);
     each stage state is one GEMV over the lifts so far, written straight
     into the buffer and lifted there, and the new state is one GEMV over the
-    whole buffer into a fresh array. No stage derivative is formed. Its
-    ``|x+|`` and largest entry go to ``sys.steps.size`` and ``.top``. The
+    whole buffer into ``out`` (a C-contiguous ``(dim, B)`` array), or a
+    fresh array, which is returned. No stage derivative is formed. The
     system is autonomous: ``t`` is not read.
 
-    A step does not raise on divergence: that one maximum is the finiteness
-    test, read by the caller. A non-finite stage reaches the new state (every
-    entry of the buffer meets every row of ``W``, and ``0 * inf`` is NaN), a
-    NaN makes the maximum NaN, and NaN compares false, so the new state is
-    finite exactly when ``top < inf``; its non-finite columns are those of
-    ``size`` whose maximum is not ``< inf``.
+    A step does not raise on divergence, and it measures nothing: a
+    non-finite stage reaches the new state (every entry of the buffer meets
+    every row of ``W``, and ``0 * inf`` is NaN), where the caller reads it
+    (`integrate`'s calm test).
 
     Raises
     ------
@@ -355,13 +382,9 @@ def rk4_lifted_step(sys: LiftedOdeSystem, t: float, x: np.ndarray, h: float) -> 
     state[...] = x
     for stage in steps.stages:
         stage()
-    out = np.empty(state.shape)
+    if out is None:
+        out = np.empty(state.shape)
     steps.last(out)
-    size = steps.size
-    np.abs(out, out=size)
-    # the largest entry; argmax finds it faster than max on a state this small, and it
-    # stops at the first NaN, so the maximum is NaN whenever an entry is
-    steps.top = size.item(size.argmax())
     return out
 
 

@@ -9,8 +9,9 @@ the output deterministic. Everything except the plant drift and a custom
 game's gradient is affine, and those two are linear in a few features of the
 state, so the closed loop is linear in the lifted state ``[x; 1; phi(x)]``:
 `assemble` builds that operator once, and `run` folds RK4's stages into it,
-so each step is five GEMVs over the lifted stages (`numerics.rk4_lifted_step`) in a
-workspace `run` binds once.
+so each step is four GEMVs over the lifted stages (`numerics.rk4_lifted_step`) in a
+workspace `run` binds once, and `numerics.integrate` hands `run` its states a block
+at a time, so the peak and the samples are kept once per block.
 Seeds integrated together are the columns of one ``(dim, B)`` state: only
 the plant rows of the operator depend on the seed's draw, one row of the
 ``(B, n_w)`` draw array. The steady-state chain a draw induces is truth data
@@ -510,9 +511,12 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
     does not raise: the trajectory up to the failure is returned with the
     flag set. A column that diverges or passes ``abort_norm`` stops there;
     `numerics.integrate` parks it and the others go on. Both are read off the
-    magnitude each lifted step leaves in the workspace: a column with a NaN or
-    Inf entry diverged within that step and keeps neither its peak nor its
-    sample, and the norm abort applies to the finite columns.
+    block of states `numerics.integrate` hands over: a block whose every entry
+    is finite and at most ``abort_norm`` stops nothing, and is kept with one
+    peak reduction and one sample copy; otherwise only its last state can
+    stop a column (`integrate` ended the block there), and there a column
+    with a NaN or Inf entry diverged within that step and keeps neither its
+    peak nor its sample, and the norm abort applies to the finite columns.
     """
     batch = seed is not None and not isinstance(seed, (int, np.integer))
     seeds = [int(s) for s in seed] if batch else [scenario.seed if seed is None else int(seed)]
@@ -567,28 +571,40 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
         return stopped
 
     abort = np.inf if abort_norm is None else abort_norm
-    # a step whose every entry is finite and at most abort_norm passes one comparison
+    # a block whose every entry is finite and at most abort_norm passes one comparison
     limit = min(np.finfo(float).max, abort)
 
-    def observe(k: int, t: float, state: np.ndarray):
-        """Keep step ``k``; the columns that stop: diverged, or past ``abort_norm``."""
+    def keep(k: int, xs: np.ndarray, size: np.ndarray) -> None:
+        """Keep the states ``xs`` of steps ``k, k + 1, ..``: ``size``, their largest
+        ``|value|`` per entry, into the peak, and the samples among them."""
         nonlocal kept
+        np.maximum(peak, size, out=peak)
+        rows = list(range(-k % dec, len(xs), dec))  # the steps that are multiples of dec
+        if k + len(xs) - 1 == n_steps and n_steps % dec:
+            rows.append(len(xs) - 1)  # and the last step
+        X[kept:kept + len(rows)] = xs[rows].swapaxes(1, 2)
+        kept += len(rows)
+
+    def observe(k: int, t: np.ndarray, xs: np.ndarray):
+        """Keep the block of steps ``k, k + 1, ..``; the columns that stop at its last
+        state: diverged, or past ``abort_norm``."""
         if k == 0:
             return None
-        size = steps.size  # |state|, from the step that made it
-        calm = steps.top <= limit
-        if not calm:
-            col_top = size.max(axis=0)
-            diverged = ~(col_top < np.inf) & ~done  # a parked column may step to NaN
-            for col in np.flatnonzero(diverged):
-                diverged_t[col] = k * h  # the time of its first non-finite state
-            finish(diverged)  # before this step's peak and sample
-        np.maximum(peak, size, out=peak)
-        if k % dec == 0 or k == n_steps:
-            X[kept] = state.T
-            kept += 1
-        if calm:
+        size = np.abs(xs).max(axis=0)
+        if size.max() <= limit:
+            keep(k, xs, size)
             return None
+        # every state but the last passed integrate's calm test, so only the last stops
+        if len(xs) > 1:
+            keep(k, xs[:-1], np.abs(xs[:-1]).max(axis=0))
+        k += len(xs) - 1
+        size = np.abs(xs[-1])
+        col_top = size.max(axis=0)
+        diverged = ~(col_top < np.inf) & ~done  # a parked column may step to NaN
+        for col in np.flatnonzero(diverged):
+            diverged_t[col] = k * h  # the time of its first non-finite state
+        finish(diverged)  # before this step's peak and sample
+        keep(k, xs[-1:], size)
         over = (col_top > abort) & ~done
         aborted[over] = True
         return diverged | finish(over)
@@ -596,8 +612,8 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
     # overflow on a diverging trajectory is expected and detected explicitly
     with np.errstate(over="ignore", invalid="ignore"):
         loop = replace(loop, steps=rk4_lifted_steps(loop.operator, h, loop.bind))
-        steps = loop.steps
-        integrate(loop, state, 0.0, scenario.t_final, h, observe, step=rk4_lifted_step)
+        integrate(loop, state, 0.0, scenario.t_final, h, observe, step=rk4_lifted_step,
+                  limit=limit)
         finish(~done)
 
         # the signals of a diverged column may be as non-finite as its gains

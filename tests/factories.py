@@ -94,7 +94,10 @@ def build_plant_with_malformed_split(g, hook):
     - ``one_draw_of_the_batch``: ``J`` holds the first draw only, whatever the batch;
     - ``remainder``: the former contract, the linear part and an in-place remainder;
     - ``v_cols_past_n_v``: ``J`` has a third disturbance column, past sec5's ``n_v`` = 2;
-    - ``fill_style``: the former ``PlantFeatures(count, fill)``, whose call returns None.
+    - ``fill_style``: the former ``PlantFeatures(count, fill)``, whose call returns None;
+    - ``nested_lists``: ``J`` as nested lists, not an array;
+    - ``bare_j``: ``J`` alone, not a pair;
+    - ``three_tuple``: ``(J, features, None)``, a pair and one more.
     """
     model = example_plant(g)
     n = model.n_agents
@@ -112,6 +115,12 @@ def build_plant_with_malformed_split(g, hook):
         if hook == "fill_style":
             return J, PlantFeatures(features.count,
                                     lambda zx, v, out: features.bind(zx, v, out)())
+        if hook == "nested_lists":
+            return J.tolist(), features
+        if hook == "bare_j":
+            return J
+        if hook == "three_tuple":
+            return J, features, None
         raise ValueError(f"no such malformed hook: {hook}")
 
     return dataclasses.replace(model, split=split)

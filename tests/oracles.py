@@ -1,6 +1,7 @@
 """Independent oracles: custom-game finite differences and constants, the
 check suite's monotonicity sampling, RK4 on a linear system step by step,
-graph connectivity by breadth-first search, the closed loop.
+graph connectivity by breadth-first search, the closed loop, and `run`'s
+bookkeeping one lifted step at a time.
 
 The first are written out sample by sample or step by step, the way the
 definitions read, so that the whole-array code in `nesim` is checked against
@@ -18,13 +19,15 @@ the per-step leaf that perfbench's tracer wraps.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from nesim.controller import backstepping_feedback
 from nesim.errors import NonFiniteState
 from nesim.game import CustomGame, GradientConstants, extended_pseudo_gradient, pseudo_gradient
 from nesim.graph import laplacian
-from nesim.numerics import rk4_matrix
+from nesim.numerics import rk4_lifted_step, rk4_lifted_steps, rk4_matrix
 
 
 def central_partial(cost, i: int, row: np.ndarray) -> float:
@@ -118,6 +121,55 @@ def rk4_linear_stepwise(A: np.ndarray, x0: np.ndarray, h: float, n_steps: int) -
     for _ in range(n_steps):
         xs.append(np.einsum("...ij,...j->...i", R, xs[-1]))
     return np.array(xs)
+
+
+def stepwise_run(loop, x0: np.ndarray, h: float, n_steps: int, dec: int,
+                 abort_norm: float | None = None) -> list[dict]:
+    """`simulation.run`'s stop and park rules, applied after each lifted step of ``loop``.
+
+    ``x0`` is ``(dim, B)``. Each step is one `rk4_lifted_step` in a workspace
+    built here on the loop's own ``bind``, so its fills read ``loop.parked``.
+    After step ``k``, column by column: a live column with a NaN or Inf entry
+    diverged at ``k h`` and keeps neither this step's peak nor its sample;
+    else its largest ``|value|`` joins its peak and it keeps the state when
+    ``k`` is a multiple of ``dec`` or the last step; then it stops if that
+    ``|value|`` passes ``abort_norm``. A stopped column is parked: it is
+    stepped from zero from the next step on, and its fills skip it. The run
+    ends at ``n_steps`` or when every column has stopped.
+
+    Returns per column ``{"kept": (K, dim), "tops": [max |x_k|, ..],
+    "max_state_norm", "diverged_t", "aborted"}``, ``tops`` over the steps it
+    ran, its last step included.
+    """
+    abort = np.inf if abort_norm is None else abort_norm
+    loop = dataclasses.replace(loop, steps=rk4_lifted_steps(loop.operator, h, loop.bind))
+    parked = loop.parked
+    parked[:] = False
+    cols = [{"kept": [x0[:, b].copy()], "tops": [], "max_state_norm": 0.0,
+             "diverged_t": None, "aborted": False} for b in range(x0.shape[1])]
+    x = np.array(x0, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_steps + 1):
+            if parked.all():
+                break
+            x = rk4_lifted_step(loop, 0.0, np.where(parked, 0.0, x), h)
+            for b, col in enumerate(cols):
+                if parked[b]:
+                    continue
+                top = np.abs(x[:, b]).max()
+                col["tops"].append(top)
+                if not top < np.inf:
+                    col["diverged_t"] = k * h
+                    parked[b] = True
+                    continue
+                col["max_state_norm"] = max(col["max_state_norm"], top)
+                if k % dec == 0 or k == n_steps:
+                    col["kept"].append(x[:, b].copy())
+                if top > abort:
+                    col["aborted"] = parked[b] = True
+    for col in cols:
+        col["kept"] = np.array(col["kept"])
+    return cols
 
 
 def bfs_connected(g) -> bool:

@@ -272,7 +272,7 @@ def test_custom_game_steps_match_the_stacked_form(custom_scenario, count_calls):
     run_generator(dataclasses.replace(custom_scenario, p0=P0, t_final=steps * h, dt=h))
     lifted = calls[0][0][0]  # the lifted system `run_generator` stepped
     oracle_sys, states = stacked_system(game, g, gains), []
-    integrate(oracle_sys, P0.ravel(), 0.0, steps * h, h, lambda k, t, x: states.append(x))
+    integrate(oracle_sys, P0.ravel(), 0.0, steps * h, h, lambda k, t, xs: states.extend(xs.copy()))
     oracle = np.array(states)
     local = np.array([rk4_lifted_step(lifted, 0.0, x[:, None], h)[:, 0] for x in oracle[:-1]])
     nudged = np.array([rk4_step(oracle_sys, 0.0, np.nextafter(x, np.inf), h)

@@ -130,6 +130,33 @@ class TestBank:
             assert np.array_equal(la.Psi, lb.Psi)
             assert np.array_equal(la.T, lb.T)
 
+    @pytest.mark.parametrize("case", ["sec5", "explicit_two_pairs"])
+    def test_one_solve_per_distinct_pair_gives_the_per_agent_bits(self, case, count_calls):
+        # four agents: sec5's shared default pair on each level, or two distinct explicit
+        # pairs, equal in value but built apart, alternating over the agents
+        polys = [[0.0, -1.0, 0.0], [0.0, -4.0, 0.0, -5.0, 0.0]]
+        if case == "sec5":
+            pairs = [[default_stabilizer(3, preset="sec5"), default_stabilizer(5, preset="sec5")]] * 4
+            kwargs = dict(preset="sec5")
+        else:
+            twos = [(default_stabilizer(n), default_stabilizer(n, preset="sec5")) if n == 3
+                    else (default_stabilizer(n), StabilizerPair(M=-np.eye(n) + np.eye(n, k=1),
+                                                                N=np.eye(n)[-1]))
+                    for n in (3, 5)]
+            pairs = [[StabilizerPair(M=two[i % 2].M.copy(), N=two[i % 2].N.copy())
+                      for two in twos] for i in range(4)]
+            kwargs = dict(stabilizers=pairs)
+        calls = count_calls(solve_sylvester)
+        bank = synthesize_bank(polys, 4, **kwargs)
+        assert len(calls) == (2 if case == "sec5" else 4)  # one per distinct pair and level
+        for s, level in enumerate(bank.levels):
+            comp = level.companion
+            for i in range(4):
+                T, psi = solve_sylvester(comp.Phi, comp.Gamma, pairs[i][s].M, pairs[i][s].N)
+                assert level.M[i].tobytes() == pairs[i][s].M.tobytes()
+                assert level.N[i].tobytes() == pairs[i][s].N.tobytes()
+                assert (level.T[i].tobytes(), level.Psi[i].tobytes()) == (T.tobytes(), psi.tobytes())
+
     def test_residuals_all_entries(self):
         bank = synthesize_bank([[0.0, -1.0, 0.0], [0.0, -4.0, 0.0, -5.0, 0.0]], 4,
                                preset="sec5")
@@ -200,9 +227,10 @@ class TestVerifyReproduction:
         A = np.linalg.solve(T.T, (T @ comp.Phi).T).T
         worst = 0.0
 
-        def observer(step, t, theta):
+        def observer(k, t, thetas):
             nonlocal worst
-            worst = max(worst, abs(float(psi @ theta) - values[j0 + step]))
+            for step, theta in enumerate(thetas, start=k):
+                worst = max(worst, abs(float(psi @ theta) - values[j0 + step]))
 
         theta0 = T @ _derivative_stack(values, h, n, j0)
         integrate(OdeSystem(n, lambda t, theta: A @ theta), theta0, ts[j0], ts[-1], h, observer)

@@ -18,9 +18,10 @@ from nesim.errors import NonFiniteState
 from nesim.game import QuadraticAggregativeGame
 from nesim.generator import GeneratorGains
 from nesim.graph import CommGraph
-from nesim.numerics import integrate, rk4_lifted_step, rk4_lifted_steps, rk4_step
+from nesim.numerics import STEP_BLOCK, integrate, rk4_lifted_step, rk4_lifted_steps, rk4_step
 from nesim.plant import Exosystem, sample_uncertainty
 from nesim.simulation import Scenario, assemble, run
+from oracles import stepwise_run
 
 STEPS = 300
 
@@ -34,7 +35,7 @@ def lifted_loop(scenario, seeds, ablate=False):
 def trajectory(loop, x0, h, step=None, n_steps=STEPS):
     """Every state of ``n_steps`` steps from ``x0``, stacked."""
     states = []
-    integrate(loop, x0, 0.0, n_steps * h, h, lambda k, t, x: states.append(x.copy()), step=step)
+    integrate(loop, x0, 0.0, n_steps * h, h, lambda k, t, xs: states.extend(xs.copy()), step=step)
     return np.array(states)
 
 
@@ -93,9 +94,15 @@ def test_divergence_time_is_the_oracle_failing_step(k, t_final, sec5):
     traj = run(scenario)
     x0, draw = box_start(scenario, scenario.seed)
     loop = assemble(scenario, draws=draw[None])
-    done = []  # the steps `rk4_step` completed before it raised
+    done = [0]  # the steps `rk4_step` completed before it raised
+
+    def counted(*args):
+        out = rk4_step(*args)
+        done.append(done[-1] + 1)
+        return out
+
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteState):
-        integrate(loop, x0, 0.0, t_final, scenario.dt, lambda step, t, x: done.append(step))
+        integrate(loop, x0, 0.0, t_final, scenario.dt, step=counted)
     assert traj.diverged and traj.diverged_t == (done[-1] + 1) * scenario.dt
     assert len(traj.t) == 1 + done[-1] // scenario.decimate
 
@@ -163,16 +170,17 @@ def test_workspace_rejects_states_of_another_width(shape, sec5):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_a_non_finite_column_is_marked_and_the_others_step_as_alone(bad, sec5):
-    # the step does not raise: `|x+|`'s one maximum, `top`, is NaN or Inf whenever an entry
-    # is, and the column is named by its own maximum in `size`
+    # the step does not raise: the non-finite entry reaches its own column of the new state,
+    # and no other, where `integrate`'s calm test reads it
     scenario = sec5.escalated(4.0)
     loop = lifted_loop(scenario, (1, 2, 3))
     x = random_states(loop, 3, 45)
     x[scenario.layout().z.start, 1] = bad
     with np.errstate(over="ignore", invalid="ignore"):
         out = rk4_lifted_step(loop, 0.0, x, scenario.dt)
-    assert out.shape == x.shape and not loop.steps.top < np.inf
-    assert (~(loop.steps.size.max(axis=0) < np.inf)).tolist() == [False, True, False]
+        flat = out.ravel()
+        assert out.shape == x.shape and not flat.dot(flat) <= np.finfo(float).max
+    assert (~(np.abs(out).max(axis=0) < np.inf)).tolist() == [False, True, False]
     for seed in (1, 3):
         one = rk4_lifted_step(lifted_loop(scenario, (seed,)), 0.0, x[:, [seed - 1]], scenario.dt)
         assert one.tobytes() == np.ascontiguousarray(out[:, [seed - 1]]).tobytes()
@@ -222,3 +230,86 @@ def test_a_column_parked_where_its_drift_is_not_finite_leaves_the_batch_running(
         for name in ("t", "y", "p", "e", "u", "ne_dist", "v"):
             assert getattr(traj, name).tobytes() == getattr(one, name).tobytes()
         assert traj.max_state_norm == one.max_state_norm
+
+
+def diverging(sec5, decimate=10):
+    """sec5 at start gains too low for it, k = 4 on every level, for 1.5 s.
+
+    1500 steps, not a multiple of `STEP_BLOCK`. Seeds 1, 2 and 4 diverge, at
+    1.343, 1.423 and 1.331, seed 2 after it passes 1e195; seed 3 runs on.
+    """
+    return dataclasses.replace(sec5, controller_k=np.full((sec5.n, sec5.plant.r), 4.0),
+                               t_final=1.5, decimate=decimate)
+
+
+def assert_run_is_stepwise(scenario, seeds, abort_norm=None) -> list[dict]:
+    """`run` of ``seeds`` as one batch equals the per-step reference bit for bit.
+
+    Compared per column: the kept states' rows of ``y``, ``p`` and ``v``, the
+    sample count, the peak, the divergence time and the norm abort. Returns
+    the reference's columns.
+    """
+    starts, draws = zip(*(box_start(scenario, seed) for seed in seeds))
+    loop = assemble(scenario, draws=np.stack(draws))
+    ref = stepwise_run(loop, np.stack(starts, axis=1), scenario.dt, scenario.n_steps,
+                       scenario.decimate, abort_norm)
+    lay, n = scenario.layout(), scenario.n
+    for traj, col in zip(run(scenario, seed=list(seeds), abort_norm=abort_norm), ref):
+        kept = col["kept"]
+        assert len(traj.t) == len(kept)
+        for have, rows in ((traj.y, slice(lay.x.start, lay.x.start + n)), (traj.p, lay.p_diag),
+                           (traj.v, lay.v)):
+            assert have.tobytes() == np.ascontiguousarray(kept[:, rows]).tobytes()
+        assert (traj.max_state_norm, traj.diverged_t, traj.aborted_norm) == \
+            (col["max_state_norm"], col["diverged_t"], col["aborted"])
+    return ref
+
+
+@pytest.mark.parametrize("decimate", [10, 7])
+@pytest.mark.parametrize("seeds", [(1,), (1, 2, 3, 4)], ids=["B1", "B4"])
+def test_blocks_match_the_stepwise_reference_through_divergence(seeds, decimate, sec5):
+    ref = assert_run_is_stepwise(diverging(sec5, decimate), seeds)
+    assert [col["diverged_t"] for col in ref] == [1.343, 1.423, None, 1.331][:len(seeds)]
+
+
+@pytest.mark.parametrize("seeds", [(1,), (1, 2)], ids=["B1", "B2"])
+@pytest.mark.parametrize("stop", [1, STEP_BLOCK, STEP_BLOCK + 1],
+                         ids=["first_step", "last_of_a_block", "first_of_the_next"])
+def test_a_norm_stop_at_a_block_edge_matches_the_stepwise_reference(stop, seeds, sec5):
+    # seed 1's peak grows at each of its first steps: a limit at its peak before `stop`
+    # stops it at `stop` exactly, the first step, the last of the first block or the first
+    # of the second
+    scenario = diverging(sec5)
+    starts, draws = box_start(scenario, 1)
+    (free,) = stepwise_run(assemble(scenario, draws=draws[None]), starts[:, None], scenario.dt,
+                           scenario.n_steps, scenario.decimate)
+    tops = free["tops"]
+    limit = max(tops[:stop - 1]) if stop > 1 else tops[0] / 2.0
+    assert tops[stop - 1] > limit
+    ref = assert_run_is_stepwise(scenario, seeds, abort_norm=limit)
+    assert ref[0]["aborted"] and len(ref[0]["tops"]) == stop
+
+
+@pytest.mark.parametrize("limit", [1e160, 1e300])
+def test_a_limit_whose_square_overflows_matches_the_stepwise_reference(limit, sec5):
+    # past 1.34e154 a limit's square is not a float: seed 2 passes 1e160 at step 1422, the
+    # step before it diverges, and stays below 1e300
+    ref = assert_run_is_stepwise(diverging(sec5), (1, 2, 3, 4), abort_norm=limit)
+    assert [(col["aborted"], col["diverged_t"]) for col in ref] == \
+        [(False, 1.343), (limit < 1e195, None if limit < 1e195 else 1.423),
+         (False, None), (False, 1.331)]
+
+
+def test_a_limit_at_a_columns_exact_peak_matches_the_stepwise_reference(sec5):
+    # the calm test's margin: a limit at the peak, or one float above, stops nothing, and
+    # one float below stops the column at its peak's step
+    scenario = diverging(sec5)
+    starts, draws = box_start(scenario, 3)
+    (free,) = stepwise_run(assemble(scenario, draws=draws[None]), starts[:, None], scenario.dt,
+                           scenario.n_steps, scenario.decimate)
+    peak = free["max_state_norm"]
+    for limit, stops in ((np.nextafter(peak, np.inf), False), (peak, False),
+                         (np.nextafter(peak, -np.inf), True)):
+        (col,) = assert_run_is_stepwise(scenario, (3,), abort_norm=float(limit))
+        assert col["aborted"] == stops
+        assert len(col["tops"]) == (free["tops"].index(peak) + 1 if stops else scenario.n_steps)

@@ -67,25 +67,27 @@ def test_batched_run_matches_single_seed_runs(scenario, seeds, multiplier, ablat
 def test_live_columns_hold_the_same_estimates(seeds, multiplier, abort_norm, request):
     # the generator reads no plant state and every column starts at p0, so the custom game's
     # partial fill may evaluate one column for all: the estimate rows of the columns that
-    # have not stopped agree bit for bit at every step, whichever columns the norm stops
+    # have not stopped agree bit for bit at every step, whichever columns the norm stops; a
+    # column stops at the last state of a block, which it is not held to
     short = dataclasses.replace(drawn("custom", multiplier, request), t_final=0.2)
     P, checked = short.layout().P, []
 
-    def spy(sys, x0, t0, t_final, h, observer, step):
+    def spy(sys, x0, t0, t_final, h, observer, step, limit):
         live = np.ones(x0.shape[1], dtype=bool)
 
-        def watch(k, t, x):
-            stop = observer(k, t, x)
-            if stop is not None:
-                live[stop] = False
-            bits = x[P][:, live].view(np.int64)
-            assert (bits == bits[:, :1]).all(), k
-            checked.append(k)
+        def watch(k, t, xs):
+            stop = observer(k, t, xs)
+            for step_k, x in enumerate(xs, start=k):
+                if step_k == k + len(xs) - 1 and stop is not None:
+                    live[stop] = False
+                bits = x[P][:, live].view(np.int64)
+                assert (bits == bits[:, :1]).all(), step_k
+                checked.append(step_k)
             return stop
 
-        return integrate(sys, x0, t0, t_final, h, watch, step)
+        return integrate(sys, x0, t0, t_final, h, watch, step, limit)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simulation, "integrate", spy)
         run(short, seed=seeds, abort_norm=abort_norm)
-    assert checked[0] == 0 and len(checked) >= 2
+    assert checked == list(range(len(checked))) and len(checked) >= 2

@@ -334,15 +334,15 @@ class TestRk4LiftedStep:
             assert one.tobytes() == batch[:, keep].tobytes()
 
     def test_non_finite_columns_are_marked(self):
-        # the step does not raise: the magnitude it leaves in the workspace names the column
+        # the step does not raise: the column it leaves non-finite names itself
         rng = np.random.default_rng(33)
         sys = Cubic.drawn(rng, 3, 0.1)
         x = rng.normal(size=(2, 3))
         x[0, 1] = 1e200  # its cube overflows in the first lift
         with np.errstate(over="ignore", invalid="ignore"):
             out = rk4_lifted_step(sys, 0.0, x, 0.1)
-        assert out.shape == (2, 3) and not sys.steps.top < np.inf
-        assert (~(sys.steps.size.max(axis=0) < np.inf)).tolist() == [False, True, False]
+        assert out.shape == (2, 3)
+        assert (~(np.abs(out).max(axis=0) < np.inf)).tolist() == [False, True, False]
         for b in (0, 2):
             keep = np.arange(3) == b
             one = rk4_lifted_step(sys.restricted(keep), 0.0, x[:, keep], 0.1)
@@ -360,13 +360,21 @@ class TestRk4LiftedStep:
 class TestIntegrateStopsColumns:
     """`integrate` on a batched state: columns stop on their own and are parked at zero.
 
-    The system and the width never change, and the other columns step as they do alone.
+    The observer sees each block of states once, and a stop takes effect after
+    the block's last state; a block ends early at its first state that is not
+    calm, so a stop for such a state is a stop at its step. The system and the
+    width never change, and the other columns step as they do alone.
     """
 
     @staticmethod
     def alone(sys, x0, b, t_final, h, step):
         keep = np.arange(x0.shape[1]) == b
         return integrate(sys.restricted(keep), x0[:, keep], 0.0, t_final, h, step=step)
+
+    @staticmethod
+    def steps_of(seen):
+        """The steps of the observed blocks, in order: ``seen`` holds ``(k, len(xs))`` first."""
+        return [k + j for k, count, *_ in seen for j in range(count)]
 
     def test_diverging_column_stops_and_the_others_match_their_own_runs(self):
         rng = np.random.default_rng(35)
@@ -375,74 +383,81 @@ class TestIntegrateStopsColumns:
         x0[0, 1] = 30.0  # x0^3 blows up within a few steps
         seen = []
 
-        def observer(k, t, x):
-            # the observer reads divergence off the magnitude the step left in the workspace
-            diverged = ~(sys.steps.size.max(axis=0) < np.inf) if k else np.zeros(3, dtype=bool)
-            seen.append((k, t, x.shape[1], diverged.tolist()))
+        def observer(k, t, xs):
+            # every state of a block but its last is calm, so the last names the divergence
+            diverged = ~(np.abs(xs[-1]).max(axis=0) < np.inf)
+            seen.append((k, len(xs), float(t[-1]), xs.shape[2], diverged.tolist(),
+                         bool(np.isfinite(xs[:-1]).all())))
             return diverged
 
         with np.errstate(over="ignore", invalid="ignore"):
             final = integrate(sys, x0, 0.0, 0.5, 0.01, observer, step=rk4_lifted_step)
-        (fail,) = [entry for entry in seen if any(entry[3])]
-        k, t, width, diverged = fail
-        assert 0 < k < 50 and diverged == [False, True, False] and width == 3
-        assert seen[-1][:3] == (50, 0.5, 3)  # no step is taken again
-        assert [entry[0] for entry in seen] == list(range(51))
-        assert {entry[2] for entry in seen} == {3}
+        (fail,) = [entry for entry in seen if any(entry[4])]
+        k, count, t, width, diverged, before = fail
+        assert 0 < k + count - 1 < 50 and diverged == [False, True, False] and width == 3
+        assert before  # the block ended at the column's first non-finite state
+        assert self.steps_of(seen) == list(range(51))  # no step is taken again
+        assert seen[-1][2] == 0.5
+        assert {entry[3] for entry in seen} == {3}
         assert final.shape == (2, 3) and not final[:, 1].any()
         for b in (0, 2):
             assert final[:, b].tobytes() == self.alone(sys, x0, b, 0.5, 0.01,
                                                        rk4_lifted_step).tobytes()
 
     def test_observer_mask_stops_columns(self):
+        # the mask a block returns stops its columns from the step after the block
         rng = np.random.default_rng(36)
         sys = Cubic.drawn(rng, 3, 0.01, scale=0.3)
         x0 = rng.normal(scale=0.3, size=(2, 3))
-        widths = []
+        seen = []
 
-        def observer(k, t, x):
-            widths.append(x.shape[1])
-            return np.array([False, True, False]) if k == 5 else None
+        def observer(k, t, xs):
+            seen.append((k, len(xs), xs.shape[2]))
+            return np.array([False, True, False]) if k == 1 else None
 
         final = integrate(sys, x0, 0.0, 0.2, 0.01, observer, step=rk4_lifted_step)
-        assert widths == [3] * 21
+        assert self.steps_of(seen) == list(range(21)) and {w for *_, w in seen} == {3}
         assert not final[:, 1].any()
         for b in (0, 2):
             assert final[:, b].tobytes() == self.alone(sys, x0, b, 0.2, 0.01,
                                                        rk4_lifted_step).tobytes()
         calls = []
         stop_all = integrate(sys, x0, 0.0, 0.2, 0.01,
-                             lambda k, t, x: calls.append(k) or np.ones(3, dtype=bool))
+                             lambda k, t, xs: calls.append(k) or np.ones(3, dtype=bool))
         assert calls == [0] and stop_all.shape == (2, 3) and not stop_all.any()
 
     def test_the_loop_ends_when_every_column_has_stopped(self):
+        # a limit of zero leaves no state calm: every block is one state, so a stop at any
+        # step is a stop at that step
         rng = np.random.default_rng(39)
         sys = Cubic.drawn(rng, 3, 0.01, scale=0.3)
         x0 = rng.normal(scale=0.3, size=(2, 3))
         stops = {5: [False, True, False], 8: [True, False, True]}
         seen = []
 
-        def observer(k, t, x):
-            seen.append(k)
+        def observer(k, t, xs):
+            seen.append((k, len(xs)))
             return np.array(stops[k]) if k in stops else None
 
-        final = integrate(sys, x0, 0.0, 0.2, 0.01, observer, step=rk4_lifted_step)
-        assert seen == list(range(9)) and final.shape == (2, 3) and not final.any()
+        final = integrate(sys, x0, 0.0, 0.2, 0.01, observer, step=rk4_lifted_step, limit=0.0)
+        assert seen == [(k, 1) for k in range(9)] and final.shape == (2, 3) and not final.any()
 
     def test_a_plain_system_without_select(self):
         # an elementwise rhs stepped by `rk4_step`: the columns never mix, and the system has
-        # no way to narrow; with no workspace, the observer reads the state itself
+        # no way to narrow; with no workspace, the observer reads the state itself, and a
+        # column past the limit ends its block there
         sys = OdeSystem(1, lambda t, x: x ** 3 - x)
         assert not hasattr(sys, "select")
         x0 = np.array([[0.5, 3.0, -0.2]])  # the middle column blows up in finite time
         seen = []
 
-        def observer(k, t, x):
-            seen.append(x.shape)
-            return np.abs(x[0]) > 4.0
+        def observer(k, t, xs):
+            seen.append((k, len(xs), xs.shape[1:]))
+            assert (np.abs(xs[:-1]) <= 4.0).all()
+            return np.abs(xs[-1, 0]) > 4.0
 
-        final = integrate(sys, x0, 0.0, 1.0, 0.01, observer)
-        assert seen == [(1, 3)] * 101
+        final = integrate(sys, x0, 0.0, 1.0, 0.01, observer, limit=4.0)
+        assert self.steps_of(seen) == list(range(101)) and {s for *_, s in seen} == {(1, 3)}
         assert final.shape == (1, 3) and final[0, 1] == 0.0
         for b in (0, 2):
             alone = integrate(sys, x0[:, [b]], 0.0, 1.0, 0.01)
@@ -458,14 +473,15 @@ class TestIntegrateStopsColumns:
         sys = reciprocal(A, h)
         seen = []
 
-        def observer(k, t, x):
-            seen.append(k)
-            return np.array([False, True, False]) if k == 2 else None
+        def observer(k, t, xs):
+            seen.append((k, len(xs), xs[-1].copy()))
+            return np.array([False, True, False]) if k == 1 else None
 
         with np.errstate(divide="ignore", invalid="ignore"):
             final = integrate(sys, x0, 0.0, 1.0, h, observer, step=rk4_lifted_step)
-        assert not sys.steps.top < np.inf  # the parked column's last step
-        assert seen == list(range(101)) and final.shape == (2, 3) and not final[:, 1].any()
+        assert not np.isfinite(seen[-1][2][:, 1]).any()  # the parked column's last step
+        assert self.steps_of(seen) == list(range(101))
+        assert final.shape == (2, 3) and not final[:, 1].any()
         for b in (0, 2):
             alone = integrate(reciprocal(A[[b]], h), x0[:, [b]], 0.0, 1.0, h,
                               step=rk4_lifted_step)
@@ -490,7 +506,7 @@ class TestIntegrateRejectsABadStep:
         # without the check, a negative step never reaches t_final and a zero one divides by 0
         sys, seen = Cubic.drawn(np.random.default_rng(37), 1, 1e-3), []
         with pytest.raises(ValueError, match="step size must be finite and > 0"):
-            integrate(sys, np.zeros((2, 1)), 0.0, 0.1, h, lambda k, t, x: seen.append(k),
+            integrate(sys, np.zeros((2, 1)), 0.0, 0.1, h, lambda k, t, xs: seen.append(k),
                       step=step)
         assert seen == []
 

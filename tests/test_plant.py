@@ -5,9 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nesim.errors import InvalidParameter
+from nesim.errors import ConfigError, InvalidParameter
 from nesim.numerics import OdeSystem, integrate
-from factories import build_plant, build_plant_without_split
+from factories import build_plant, build_plant_with_malformed_split, build_plant_without_split
 from nesim.plant import (Exosystem, PlantFeatures, PlantModel, check_origin_equilibrium,
                          check_steady_chain_consistency, check_steady_zero_pde, drift_split,
                          example_plant, exo_trajectory, sample_uncertainty, steady_drift,
@@ -204,6 +204,15 @@ class TestExamplePlant:
                 shifted = phi[n * n_z:, b].reshape(r, n) + np.vstack([x[1:], u])
                 assert shifted.tobytes() == dx.tobytes()
 
+    @pytest.mark.parametrize("batch", [1, 2, 3])
+    @pytest.mark.parametrize("hook", ["nested_lists", "bare_j", "three_tuple"])
+    def test_a_split_hook_that_returns_no_pair_of_array_and_features(self, hook, batch):
+        # J as nested lists, J alone and a pair with one more are read before they are
+        # unpacked: each is the hook's ConfigError, whatever the batch unpacks to
+        model = build_plant_with_malformed_split([[-1, 1, 0.5, 1, 0.3, 0.3]] * 4, hook)
+        with pytest.raises(ConfigError, match=r"^plant split hook returned .*\(B, n_w\) stack"):
+            drift_split(model, np.zeros((batch, model.n_w)), 2)
+
     def test_origin_equilibrium_over_box(self):
         model = demo_plant([[-1, 1, 0.5, 1, 0.3, 0.3], [-1.2, 0.8, 0.4, 1.1, 0.25, 0.35]])
         box = np.tile([-0.05, 0.05], (model.n_w, 1))
@@ -382,14 +391,14 @@ class TestExosystem:
 
     def test_trajectory_matches_recorded_copies(self):
         # reference: the per-stage RK4 trajectory of `integrate`, recorded as a list of
-        # copies, one per observed step; the step matrix R(hS) rounds differently
+        # copies, one per observed state; the step matrix R(hS) rounds differently
         exo = Exosystem(S=np.array([[0.0, 2.0], [-2.0, 0.1]]), v0_box=np.array([[1, 1], [0, 0]]))
         v0, t_final, h = np.array([0.7, -0.2]), 3.0, 2e-3
         ts_ref, vs_ref = [], []
 
-        def observer(step, t, v):
-            ts_ref.append(t)
-            vs_ref.append(v.copy())
+        def observer(k, t, vs):
+            ts_ref.extend(t)
+            vs_ref.extend(vs.copy())
 
         integrate(OdeSystem(2, lambda t, v: exo.S @ v), v0, 0.0, t_final, h, observer)
         ts, vs = exo_trajectory(exo, v0, t_final, h)
