@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nesim.errors import NonFiniteState, NotSymmetric, SingularMatrix
-from nesim.numerics import (LINEAR_BLOCK, LiftedOdeSystem, OdeSystem, integrate, lu_solve,
+from nesim.numerics import (LINEAR_BLOCK, STEP_BLOCK, LiftedOdeSystem, OdeSystem, integrate, lu_solve,
                             rk4_lifted_matrices, rk4_lifted_step, rk4_lifted_steps, rk4_linear,
                             rk4_matrix, rk4_step, symmetric_eigenvalues)
 from oracles import rk4_linear_stepwise
@@ -462,6 +462,20 @@ class TestIntegrateStopsColumns:
         for b in (0, 2):
             alone = integrate(sys, x0[:, [b]], 0.0, 1.0, 0.01)
             assert final[:, b].tobytes() == alone[:, 0].tobytes()
+
+    def test_a_state_one_float_past_the_limit_ends_its_block(self):
+        # one entry, so the sum of squares is the square itself: a limit one float below each
+        # state of a growing solution ends the block at that state and not before; a margin
+        # that let a square pass the limit's by a relative 1e-16 would miss every one
+        sys, x0 = OdeSystem(1, lambda t, x: x), np.array([1.0])
+        free = []
+        integrate(sys, x0, 0.0, 1.0, 0.01, lambda k, t, xs: free.extend(xs[:, 0]))
+        for s in range(1, 101):
+            ends = []
+            integrate(sys, x0, 0.0, 1.0, 0.01, lambda k, t, xs: ends.append(k + len(xs) - 1),
+                      limit=float(np.nextafter(free[s], -np.inf)))
+            want = list(range(0, s, STEP_BLOCK)) + [s]  # full blocks, then the one it ends
+            assert ends[:len(want)] == want
 
     def test_a_column_non_finite_when_parked_is_not_read(self):
         # 1/x is not finite at the origin, so the parked column steps to NaN from then on;
