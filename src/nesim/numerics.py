@@ -193,7 +193,7 @@ def integrate(sys: OdeSystem, x0: np.ndarray, t0: float, t_final: float, h: floa
         raise ValueError(f"t_final = {t_final:g} lies before t0 = {t0:g}")
     step = rk4_step if step is None else step
     x = np.array(x0, dtype=float)
-    calm = float(min(limit, 1e154)) ** 2 * (1.0 - 1e-9)  # a Python float: no overflow warning
+    calm = float(min(limit, 1e154)) ** 2 * (1.0 - 1e-9)  # capped: a finite square, no warning
     block = np.empty((max(1, min(STEP_BLOCK, n_steps)),) + x.shape)
     rows = list(zip(block, block.reshape(len(block), -1)))  # each row, and flat for the dot
     k, parked = 0, None

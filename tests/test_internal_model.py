@@ -136,7 +136,7 @@ class TestBank:
         # pairs, equal in value but built apart, alternating over the agents
         polys = [[0.0, -1.0, 0.0], [0.0, -4.0, 0.0, -5.0, 0.0]]
         if case == "sec5":
-            pairs = [[default_stabilizer(3, preset="sec5"), default_stabilizer(5, preset="sec5")]] * 4
+            pairs = [[default_stabilizer(n, preset="sec5") for n in (3, 5)]] * 4
             kwargs = dict(preset="sec5")
         else:
             twos = [(default_stabilizer(n), default_stabilizer(n, preset="sec5")) if n == 3
@@ -155,7 +155,8 @@ class TestBank:
                 T, psi = solve_sylvester(comp.Phi, comp.Gamma, pairs[i][s].M, pairs[i][s].N)
                 assert level.M[i].tobytes() == pairs[i][s].M.tobytes()
                 assert level.N[i].tobytes() == pairs[i][s].N.tobytes()
-                assert (level.T[i].tobytes(), level.Psi[i].tobytes()) == (T.tobytes(), psi.tobytes())
+                assert level.T[i].tobytes() == T.tobytes()
+                assert level.Psi[i].tobytes() == psi.tobytes()
 
     def test_residuals_all_entries(self):
         bank = synthesize_bank([[0.0, -1.0, 0.0], [0.0, -4.0, 0.0, -5.0, 0.0]], 4,

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from nesim.errors import NonFiniteState, NotSymmetric, SingularMatrix
-from nesim.numerics import (LINEAR_BLOCK, STEP_BLOCK, LiftedOdeSystem, OdeSystem, integrate, lu_solve,
-                            rk4_lifted_matrices, rk4_lifted_step, rk4_lifted_steps, rk4_linear,
-                            rk4_matrix, rk4_step, symmetric_eigenvalues)
+from nesim.numerics import (LINEAR_BLOCK, STEP_BLOCK, LiftedOdeSystem, OdeSystem, integrate,
+                            lu_solve, rk4_lifted_matrices, rk4_lifted_step, rk4_lifted_steps,
+                            rk4_linear, rk4_matrix, rk4_step, symmetric_eigenvalues)
 from oracles import rk4_linear_stepwise
 
 
