@@ -159,10 +159,10 @@ def integrate(sys: OdeSystem, x0: np.ndarray, t0: float, t_final: float, h: floa
     each written into its row of one block buffer, and each state made is
     tested once for calm: the sum of the squares of its entries is at most
     ``limit**2 (1 - 1e-9)``, with ``limit`` capped at ``1e154`` so that the
-    square stays finite. A calm state is finite and no entry exceeds
-    ``limit``; the first state that is not calm ends its block early. The
-    sum overflows past about ``1e154``, which NumPy reports as its error
-    state says.
+    square stays finite; no state is calm under a negative (or NaN)
+    ``limit``. A calm state is finite and no entry exceeds ``limit``; the
+    first state that is not calm ends its block early. The sum overflows
+    past about ``1e154``, which NumPy reports as its error state says.
 
     ``observer(k, t, xs)`` is invoked at the initial state, as a block of one,
     and after every block: ``xs`` holds the states of steps ``k, k + 1, ..``,
@@ -193,7 +193,8 @@ def integrate(sys: OdeSystem, x0: np.ndarray, t0: float, t_final: float, h: floa
         raise ValueError(f"t_final = {t_final:g} lies before t0 = {t0:g}")
     step = rk4_step if step is None else step
     x = np.array(x0, dtype=float)
-    calm = float(min(limit, 1e154)) ** 2 * (1.0 - 1e-9)  # capped: a finite square, no warning
+    # capped: a finite square, no warning; below a negative limit, not even zero is calm
+    calm = float(min(limit, 1e154)) ** 2 * (1.0 - 1e-9) if limit >= 0 else -1.0
     block = np.empty((max(1, min(STEP_BLOCK, n_steps)),) + x.shape)
     rows = list(zip(block, block.reshape(len(block), -1)))  # each row, and flat for the dot
     k, parked = 0, None

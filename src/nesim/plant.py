@@ -164,19 +164,15 @@ def drift_split(model: PlantModel, w: np.ndarray, n_v: int,
     if model.split is not None:
         result = model.split(W)
         pair = isinstance(result, tuple) and len(result) == 2
-        J, features = result if pair else (None, None)
+        J, features = result if pair else (result, None)
         valid = (isinstance(J, np.ndarray) and isinstance(features, PlantFeatures)
                  and J.ndim == 3 and J.shape[:2] == (len(W), dim))
         v_cols = J.shape[2] - dim - features.count if valid else -1
         if not 0 <= v_cols <= n_v:
-            if not pair:
-                size = f" of length {len(result)}" if isinstance(result, tuple) else ""
-                got = f"{type(result).__name__}{size} instead of a pair (J, features)"
-            else:
-                got = (f"J of shape {J.shape}" if isinstance(J, np.ndarray)
-                       else f"J of type {type(J).__name__}") + f" and a {type(features).__name__}"
+            got = f"shape {J.shape}" if isinstance(J, np.ndarray) else f"type {type(J).__name__}"
             raise ConfigError(
-                f"plant split hook returned {got}; the hook takes a (B, n_w) stack of draws and "
+                f"plant split hook returned J of {got} and a "
+                f"{type(features).__name__}; the hook takes a (B, n_w) stack of draws and "
                 f"returns J of shape (B, {dim}, {dim} + v_cols + count), 0 <= v_cols <= "
                 f"{n_v}, the coefficients of zx, of the leading v_cols disturbance "
                 f"coordinates and of the features, and PlantFeatures(count, bind), where "

@@ -300,6 +300,12 @@ def test_a_limit_whose_square_overflows_matches_the_stepwise_reference(limit, se
          (False, None), (False, 1.331)]
 
 
+def test_a_negative_limit_stops_every_column_at_step_1(sec5):
+    # every |value| passes -1e3, whose square would have made sec5's first states calm
+    ref = assert_run_is_stepwise(diverging(sec5), (1, 2), abort_norm=-1e3)
+    assert [(col["aborted"], len(col["tops"])) for col in ref] == [(True, 1)] * 2
+
+
 def test_a_limit_at_a_columns_exact_peak_matches_the_stepwise_reference(sec5):
     # the calm test's margin: a limit at the peak, or one float above, stops nothing, and
     # one float below stops the column at its peak's step

@@ -405,7 +405,8 @@ class TestIntegrateStopsColumns:
                                                        rk4_lifted_step).tobytes()
 
     def test_observer_mask_stops_columns(self):
-        # the mask a block returns stops its columns from the step after the block
+        # the mask a block returns stops its columns from the step after the block; a limit
+        # of zero makes every block one state, so column 1 is parked for steps 6 to 20
         rng = np.random.default_rng(36)
         sys = Cubic.drawn(rng, 3, 0.01, scale=0.3)
         x0 = rng.normal(scale=0.3, size=(2, 3))
@@ -413,10 +414,10 @@ class TestIntegrateStopsColumns:
 
         def observer(k, t, xs):
             seen.append((k, len(xs), xs.shape[2]))
-            return np.array([False, True, False]) if k == 1 else None
+            return np.array([False, True, False]) if k == 5 else None
 
-        final = integrate(sys, x0, 0.0, 0.2, 0.01, observer, step=rk4_lifted_step)
-        assert self.steps_of(seen) == list(range(21)) and {w for *_, w in seen} == {3}
+        final = integrate(sys, x0, 0.0, 0.2, 0.01, observer, step=rk4_lifted_step, limit=0.0)
+        assert seen == [(k, 1, 3) for k in range(21)]
         assert not final[:, 1].any()
         for b in (0, 2):
             assert final[:, b].tobytes() == self.alone(sys, x0, b, 0.2, 0.01,
@@ -441,6 +442,15 @@ class TestIntegrateStopsColumns:
 
         final = integrate(sys, x0, 0.0, 0.2, 0.01, observer, step=rk4_lifted_step, limit=0.0)
         assert seen == [(k, 1) for k in range(9)] and final.shape == (2, 3) and not final.any()
+
+    def test_a_negative_limit_leaves_no_state_calm(self):
+        # a state at zero passes a limit of zero, and not a negative one
+        sys, x0 = OdeSystem(1, lambda t, x: 0.0 * x), np.zeros(1)
+        for limit, blocks in ((0.0, [(0, 1), (1, 10)]), (-1.0, [(k, 1) for k in range(11)])):
+            seen = []
+            integrate(sys, x0, 0.0, 0.1, 0.01, lambda k, t, xs: seen.append((k, len(xs))),
+                      limit=limit)
+            assert seen == blocks
 
     def test_a_plain_system_without_select(self):
         # an elementwise rhs stepped by `rk4_step`: the columns never mix, and the system has
