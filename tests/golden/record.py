@@ -108,6 +108,8 @@ CASES = {
                                "--sweep", "seeds=3"],
     "simulate_sec5_ablated_seeds1_3": ["simulate", "--config", "sec5", "--t-final", "5",
                                        "--sweep", "seeds=3", "--ablate-internal-model"],
+    # the bundled scenario's normalized config, every default filled in, as echoed
+    "dump_normalized_sec5": ["simulate", "--config", "sec5", "--dump-normalized"],
 }
 
 
