@@ -173,8 +173,8 @@ def run_generator(scenario: Scenario) -> GeneratorTrajectory:
     ------
     NonFiniteState
         If the estimates become non-finite, naming the time they do: the
-        observer reads it off the last state of each block `numerics.integrate`
-        hands over, the only one that may not be finite.
+        observer reads it off the first non-finite state of the block
+        `numerics.integrate` hands over.
     """
     game, n, h, dec = scenario.game, scenario.n, scenario.dt, scenario.decimate
     synthesis = scenario.synthesized()
@@ -193,16 +193,16 @@ def run_generator(scenario: Scenario) -> GeneratorTrajectory:
     ts, dists = [], []
 
     def observer(k, t, xs):
-        # every state of a block but its last passed integrate's calm test
-        if not np.abs(xs[-1]).max() < np.inf:
-            raise NonFiniteState(f"non-finite generator state at t={t[-1]:.6g}")
-        for j in range(-k % dec, len(xs), dec):
-            ts.append(t[j])
-            dists.append(float(np.linalg.norm(xs[j, :, 0] - target)))
+        bad = ~(np.abs(xs).max(axis=(1, 2)) < np.inf)
+        if bad.any():
+            raise NonFiniteState(f"non-finite generator state at t={t[bad.argmax()]:.6g}")
+        rows = slice(-k % dec, None, dec)
+        ts.append(t[rows])
+        dists.append(np.linalg.norm(xs[rows, :, 0] - target, axis=1))
 
     P0 = np.zeros((n, n)) if scenario.p0 is None else scenario.p0
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is raised, not warned
         final = integrate(sys, P0.reshape(n * n, 1), 0.0, scenario.t_final, h, observer,
                           step=rk4_lifted_step)
-    return GeneratorTrajectory(t=np.array(ts), dist=np.array(dists),
+    return GeneratorTrajectory(t=np.concatenate(ts), dist=np.concatenate(dists),
                                final_estimates=final.reshape(n, n), p_star=synthesis.p_star)

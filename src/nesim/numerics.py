@@ -15,12 +15,10 @@ hook picks how one RK4 step is made:
 `integrate` writes the states it makes into a block buffer of `STEP_BLOCK`
 rows and hands its observer each block once, so the observer's bookkeeping
 (a running peak, the decimated samples) is whole-array work per block, not
-per step. Divergence is read, not caught: `rk4_lifted_step` does not raise,
-and `integrate` tests each state it makes for calm with one dot product,
-ending the block at the first state that is not calm, so only a block's
-last state can be non-finite or past the caller's limit; the observer reads
-it there (`simulation.run` stops a non-finite column, `generator.run_generator`
-raises `NonFiniteState`).
+per step. Divergence is read, not caught: `rk4_lifted_step` does not raise
+and `integrate` measures nothing, so the observer finds a block's first
+non-finite state itself (`simulation.run` stops that column there,
+`generator.run_generator` raises `NonFiniteState`).
 
 A linear system ``xdot = A x`` steps through `rk4_linear`: there one RK4
 step is exactly ``x+ = R(hA) x``, with `rk4_matrix` giving RK4's step
@@ -149,37 +147,31 @@ def rk4_step(sys: OdeSystem, t: float, x: np.ndarray, h: float,
 
 
 def integrate(sys: OdeSystem, x0: np.ndarray, t0: float, t_final: float, h: float,
-              observer: Callable | None = None, step: Callable | None = None,
-              limit: float = np.inf) -> np.ndarray:
+              observer: Callable | None = None, step: Callable | None = None) -> np.ndarray:
     """Integrate with fixed-step RK4 from ``t0`` to ``t_final``; returns the final state.
 
     ``step(sys, t, x, h, out)`` makes one step from ``x`` at time ``t`` and
     writes the new state into ``out``: `rk4_step` by default, or
-    `rk4_lifted_step`. The steps are made in blocks of up to `STEP_BLOCK`,
-    each written into its row of one block buffer, and each state made is
-    tested once for calm: the sum of the squares of its entries is at most
-    ``limit**2 (1 - 1e-9)``, with ``limit`` capped at ``1e154`` so that the
-    square stays finite; no state is calm under a negative (or NaN)
-    ``limit``. A calm state is finite and no entry exceeds ``limit``; the
-    first state that is not calm ends its block early. The sum overflows
-    past about ``1e154``, which NumPy reports as its error state says.
+    `rk4_lifted_step`. The steps are made in blocks of `STEP_BLOCK` (the
+    last block holds what is left), each written into its row of one block
+    buffer.
 
     ``observer(k, t, xs)`` is invoked at the initial state, as a block of one,
     and after every block: ``xs`` holds the states of steps ``k, k + 1, ..``,
     one per row, and ``t`` their times ``t0 + (k + j) h``. ``xs`` is a view
     of the block buffer, valid until the observer returns; it is the hook
     trajectory recorders attach to, and the one that reads divergence:
-    `rk4_lifted_step` does not raise, and every state of a block but its
-    last is calm. A step that raises (`rk4_step` on a non-finite
-    derivative) ends the integration.
+    `rk4_lifted_step` does not raise, so any state of a block may be
+    non-finite. A step that raises (`rk4_step` on a non-finite derivative)
+    ends the integration.
 
     The columns of a batched state ``(dim, B)`` are independent systems, and
     the observer may stop some of them: a boolean mask it returns stops the
-    masked columns after the block's last state, so a column stopped for a
-    state that is not calm stops at that state's step. A stopped column is
-    parked: it is zero from then on and still stepped, whatever its steps
-    hold, so the system, its workspace and ``B`` never change. The run ends
-    at ``t_final`` or when every column has stopped.
+    masked columns after the block's last state, so a column the observer
+    stops at a state inside the block is still stepped to the block's end.
+    A stopped column is parked: it is zero from then on and still stepped,
+    whatever its steps hold, so the system, its workspace and ``B`` never
+    change. The run ends at ``t_final`` or when every column has stopped.
 
     Raises
     ------
@@ -193,10 +185,7 @@ def integrate(sys: OdeSystem, x0: np.ndarray, t0: float, t_final: float, h: floa
         raise ValueError(f"t_final = {t_final:g} lies before t0 = {t0:g}")
     step = rk4_step if step is None else step
     x = np.array(x0, dtype=float)
-    # capped: a finite square, no warning; below a negative limit, not even zero is calm
-    calm = float(min(limit, 1e154)) ** 2 * (1.0 - 1e-9) if limit >= 0 else -1.0
     block = np.empty((max(1, min(STEP_BLOCK, n_steps)),) + x.shape)
-    rows = list(zip(block, block.reshape(len(block), -1)))  # each row, and flat for the dot
     k, parked = 0, None
     stop = None if observer is None else observer(0, np.array([t0]), x[None])
     while True:
@@ -205,13 +194,11 @@ def integrate(sys: OdeSystem, x0: np.ndarray, t0: float, t_final: float, h: floa
         if k == n_steps or parked is not None and parked.all():
             return x.copy() if parked is None else np.where(parked, 0.0, x)
         first, x = k, x.copy()  # off the block: a step never writes the state it reads
-        for out, flat in rows[:n_steps - k]:
+        for out in block[:n_steps - k]:
             if parked is not None:
                 x = np.where(parked, 0.0, x)
             x = step(sys, t0 + k * h, x, h, out)
             k += 1
-            if not flat.dot(flat) <= calm:
-                break
         stop = None if observer is None else observer(
             first + 1, t0 + np.arange(first + 1, k + 1) * h, block[:k - first])
 
@@ -365,7 +352,7 @@ def rk4_lifted_step(sys: LiftedOdeSystem, t: float, x: np.ndarray, h: float,
     A step does not raise on divergence, and it measures nothing: a
     non-finite stage reaches the new state (every entry of the buffer meets
     every row of ``W``, and ``0 * inf`` is NaN), where the caller reads it
-    (`integrate`'s calm test).
+    (`integrate`'s observer).
 
     Raises
     ------

@@ -510,13 +510,15 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
     manifold with the generator at equilibrium. Divergence
     does not raise: the trajectory up to the failure is returned with the
     flag set. A column that diverges or passes ``abort_norm`` stops there;
-    `numerics.integrate` parks it and the others go on. Both are read off the
-    block of states `numerics.integrate` hands over: a block whose every entry
-    is finite and at most ``abort_norm`` stops nothing, and is kept with one
-    peak reduction and one sample copy; otherwise only its last state can
-    stop a column (`integrate` ended the block there), and there a column
-    with a NaN or Inf entry diverged within that step and keeps neither its
-    peak nor its sample, and the norm abort applies to the finite columns.
+    `numerics.integrate` parks it and the others go on. Both are read off
+    each block of states `numerics.integrate` hands over, per column: a
+    column whose every entry in the block is finite and at most
+    ``abort_norm`` goes on, and the block is kept with one ``|x|`` maximum
+    per column and one sample copy. A column that stops, stops at its first
+    state that is not: a state with a NaN or Inf entry diverged within its
+    step and keeps neither its peak nor its sample; else the state is past
+    ``abort_norm`` and is kept. The states the column is stepped through
+    after it, to the block's end, are not kept.
     """
     batch = seed is not None and not isinstance(seed, (int, np.integer))
     seeds = [int(s) for s in seed] if batch else [scenario.seed if seed is None else int(seed)]
@@ -556,79 +558,61 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
             f"states of {lay.dim} values per seed, which cannot be allocated") from exc
     X[0] = state.T
     kept = 1
-    peak = np.zeros_like(state)  # largest |value| of each state entry after step 0
-    samples = np.zeros(B, dtype=np.int64)
-    max_norm = np.zeros(B)
+    peak = np.zeros(B)  # each column's largest |value| after step 0, up to its last kept step
+    ends = np.full(B, n_steps)  # each column's last kept step
     done = loop.parked  # the stopped columns: `integrate` parks them and the fills skip them
     diverged_t = [None] * B
     aborted = np.zeros(B, dtype=bool)
-
-    def finish(stopped: np.ndarray) -> np.ndarray:
-        """Finish the masked columns: the samples and peak they have are their run."""
-        samples[stopped] = kept
-        max_norm[stopped] = peak[:, stopped].max(axis=0)
-        done[stopped] = True
-        return stopped
-
     abort = np.inf if abort_norm is None else abort_norm
-    # a block whose every entry is finite and at most abort_norm passes one comparison
-    limit = min(np.finfo(float).max, abort)
 
-    def keep(k: int, xs: np.ndarray, size: np.ndarray) -> None:
-        """Keep the states ``xs`` of steps ``k, k + 1, ..``: ``size``, their largest
-        ``|value|`` per entry, into the peak, and the samples among them."""
+    def observe(k: int, t: np.ndarray, xs: np.ndarray):
+        """Keep the block of steps ``k, k + 1, ..``; return the columns that stop in it:
+        diverged, or past ``abort_norm``."""
         nonlocal kept
-        np.maximum(peak, size, out=peak)
+        if k == 0:
+            return None
+        # each column's largest |value| in the block; NumPy reduces over the leading axes one
+        # at a time ten times faster than over axes (0, 1) at once, where B > 1
+        tops = np.abs(xs).max(axis=0).max(axis=0)
+        # two tests, not ~(tops <= abort), which would stop every column at a NaN abort_norm
+        stop = (~(tops < np.inf) | (tops > abort)) & ~done
+        for b in np.flatnonzero(stop):
+            col = np.abs(xs[..., b]).max(axis=1)  # the largest |value| of each state
+            j = int(np.argmax(~(col < np.inf) | (col > abort)))  # the state it stops at
+            if col[j] < np.inf:
+                aborted[b], j = True, j + 1  # past abort_norm: the state is kept
+            else:
+                diverged_t[b] = (k + j) * h  # the time of its first non-finite state
+            ends[b], peak[b] = k + j - 1, col[:j].max(initial=peak[b])
+        done[stop] = True
+        np.maximum(peak, tops, out=peak, where=~done)
         rows = list(range(-k % dec, len(xs), dec))  # the steps that are multiples of dec
         if k + len(xs) - 1 == n_steps and n_steps % dec:
             rows.append(len(xs) - 1)  # and the last step
         X[kept:kept + len(rows)] = xs[rows].swapaxes(1, 2)
         kept += len(rows)
-
-    def observe(k: int, t: np.ndarray, xs: np.ndarray):
-        """Keep the block of steps ``k, k + 1, ..``; the columns that stop at its last
-        state: diverged, or past ``abort_norm``."""
-        if k == 0:
-            return None
-        size = np.abs(xs).max(axis=0)
-        if size.max() <= limit:
-            keep(k, xs, size)
-            return None
-        # every state but the last passed integrate's calm test, so only the last stops
-        if len(xs) > 1:
-            keep(k, xs[:-1], np.abs(xs[:-1]).max(axis=0))
-        k += len(xs) - 1
-        size = np.abs(xs[-1])
-        col_top = size.max(axis=0)
-        diverged = ~(col_top < np.inf) & ~done  # a parked column may step to NaN
-        for col in np.flatnonzero(diverged):
-            diverged_t[col] = k * h  # the time of its first non-finite state
-        finish(diverged)  # before this step's peak and sample
-        keep(k, xs[-1:], size)
-        over = (col_top > abort) & ~done
-        aborted[over] = True
-        return diverged | finish(over)
+        return stop
 
     # overflow on a diverging trajectory is expected and detected explicitly
     with np.errstate(over="ignore", invalid="ignore"):
         loop = replace(loop, steps=rk4_lifted_steps(loop.operator, h, loop.bind))
-        integrate(loop, state, 0.0, scenario.t_final, h, observe, step=rk4_lifted_step,
-                  limit=limit)
-        finish(~done)
+        integrate(loop, state, 0.0, scenario.t_final, h, observe, step=rk4_lifted_step)
 
         # the signals of a diverged column may be as non-finite as its gains
         trajs = []
+        steps = np.minimum(np.arange(len(X)) * dec, n_steps)  # the step of each kept row
         for b, seed_b in enumerate(seeds):
+            samples = int(np.searchsorted(steps, ends[b], side="right"))
             # the signals own their data, so a kept trajectory does not pin the buffer
-            Xb = X[:samples[b], b]
+            Xb = X[:samples, b]
             # the distance first: its two (K, N*N) temporaries then meet fewer live signals
             ne_dist = np.linalg.norm(Xb[:, lay.P] - np.tile(p_star, n), axis=1)
             y = Xb[:, lay.x.start:lay.x.start + n].copy()  # first chain level
             p = Xb[:, lay.p_diag]
             trajs.append(ClosedLoopTrajectory(
-                t=np.minimum(np.arange(samples[b]) * dec, n_steps) * h, y=y, p=p, e=y - p,
+                t=steps[:samples] * h, y=y, p=p, e=y - p,
                 u=Xb @ loop.control_rows.T, ne_dist=ne_dist,
-                p_star=p_star, v=Xb[:, lay.v].copy(), max_state_norm=float(max_norm[b]),
+                p_star=p_star, v=Xb[:, lay.v].copy(), max_state_norm=float(peak[b]),
                 diverged=diverged_t[b] is not None, diverged_t=diverged_t[b],
                 aborted_norm=bool(aborted[b]), seed=seed_b))
     return trajs if batch else trajs[0]

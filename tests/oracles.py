@@ -1,7 +1,7 @@
 """Independent oracles: custom-game finite differences and constants, the
 check suite's monotonicity sampling, RK4 on a linear system step by step,
 graph connectivity by breadth-first search, the closed loop, and `run`'s
-bookkeeping one lifted step at a time.
+draw of a box start and its bookkeeping one lifted step at a time.
 
 The first are written out sample by sample or step by step, the way the
 definitions read, so that the whole-array code in `nesim` is checked against
@@ -28,6 +28,7 @@ from nesim.errors import NonFiniteState
 from nesim.game import CustomGame, GradientConstants, extended_pseudo_gradient, pseudo_gradient
 from nesim.graph import laplacian
 from nesim.numerics import rk4_lifted_step, rk4_lifted_steps, rk4_matrix
+from nesim.plant import sample_uncertainty
 
 
 def central_partial(cost, i: int, row: np.ndarray) -> float:
@@ -121,6 +122,17 @@ def rk4_linear_stepwise(A: np.ndarray, x0: np.ndarray, h: float, n_steps: int) -
     for _ in range(n_steps):
         xs.append(np.einsum("...ij,...j->...i", R, xs[-1]))
     return np.array(xs)
+
+
+def box_start(scenario, seed):
+    """The flat initial state and the draw of a one-seed box start, drawn as `run` draws them."""
+    assert scenario.p0 is None
+    rng = np.random.default_rng(seed)
+    draw = sample_uncertainty(scenario.w_box, rng)
+    lay, box = scenario.layout(), scenario.exo.v0_box
+    v0 = rng.uniform(box[:, 0], box[:, 1])
+    rest = rng.uniform(-scenario.R, scenario.R, size=lay.dim - lay.z.start)
+    return np.concatenate([np.zeros(lay.v.start), v0, rest]), draw
 
 
 def stepwise_run(loop, x0: np.ndarray, h: float, n_steps: int, dec: int,

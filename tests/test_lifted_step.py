@@ -21,7 +21,7 @@ from nesim.graph import CommGraph
 from nesim.numerics import STEP_BLOCK, integrate, rk4_lifted_step, rk4_lifted_steps, rk4_step
 from nesim.plant import Exosystem, sample_uncertainty
 from nesim.simulation import Scenario, assemble, run
-from oracles import stepwise_run
+from oracles import box_start, stepwise_run
 
 STEPS = 300
 
@@ -37,17 +37,6 @@ def trajectory(loop, x0, h, step=None, n_steps=STEPS):
     states = []
     integrate(loop, x0, 0.0, n_steps * h, h, lambda k, t, xs: states.extend(xs.copy()), step=step)
     return np.array(states)
-
-
-def box_start(scenario, seed):
-    """The flat initial state and the draw of a one-seed box start, drawn as `run` draws them."""
-    assert scenario.p0 is None
-    rng = np.random.default_rng(seed)
-    draw = sample_uncertainty(scenario.w_box, rng)
-    lay, box = scenario.layout(), scenario.exo.v0_box
-    v0 = rng.uniform(box[:, 0], box[:, 1])
-    rest = rng.uniform(-scenario.R, scenario.R, size=lay.dim - lay.z.start)
-    return np.concatenate([np.zeros(lay.v.start), v0, rest]), draw
 
 
 def relative_gap(have, want):
@@ -171,7 +160,7 @@ def test_workspace_rejects_states_of_another_width(shape, sec5):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_a_non_finite_column_is_marked_and_the_others_step_as_alone(bad, sec5):
     # the step does not raise: the non-finite entry reaches its own column of the new state,
-    # and no other, where `integrate`'s calm test reads it
+    # and no other, where `integrate`'s observer reads it
     scenario = sec5.escalated(4.0)
     loop = lifted_loop(scenario, (1, 2, 3))
     x = random_states(loop, 3, 45)
@@ -301,14 +290,21 @@ def test_a_limit_whose_square_overflows_matches_the_stepwise_reference(limit, se
 
 
 def test_a_negative_limit_stops_every_column_at_step_1(sec5):
-    # every |value| passes -1e3, whose square would have made sec5's first states calm
+    # every |value| passes -1e3, so every column aborts at its first step
     ref = assert_run_is_stepwise(diverging(sec5), (1, 2), abort_norm=-1e3)
     assert [(col["aborted"], len(col["tops"])) for col in ref] == [(True, 1)] * 2
 
 
+def test_a_nan_limit_stops_nothing_as_in_the_stepwise_reference(sec5):
+    # every top compares False with NaN: `~(tops <= abort)` would abort every column at step 1
+    ref = assert_run_is_stepwise(diverging(sec5), (1, 2, 3, 4), abort_norm=float("nan"))
+    assert [(col["aborted"], col["diverged_t"]) for col in ref] == \
+        [(False, 1.343), (False, 1.423), (False, None), (False, 1.331)]
+
+
 def test_a_limit_at_a_columns_exact_peak_matches_the_stepwise_reference(sec5):
-    # the calm test's margin: a limit at the peak, or one float above, stops nothing, and
-    # one float below stops the column at its peak's step
+    # a limit at the peak, or one float above, stops nothing, and one float below stops the
+    # column at its peak's step
     scenario = diverging(sec5)
     starts, draws = box_start(scenario, 3)
     (free,) = stepwise_run(assemble(scenario, draws=draws[None]), starts[:, None], scenario.dt,

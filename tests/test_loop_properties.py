@@ -68,11 +68,11 @@ def test_live_columns_hold_the_same_estimates(seeds, multiplier, abort_norm, req
     # the generator reads no plant state and every column starts at p0, so the custom game's
     # partial fill may evaluate one column for all: the estimate rows of the columns that
     # have not stopped agree bit for bit at every step, whichever columns the norm stops; a
-    # column stops at the last state of a block, which it is not held to
+    # column is held to the others up to the last state of the block it stops in, exclusive
     short = dataclasses.replace(drawn("custom", multiplier, request), t_final=0.2)
     P, checked = short.layout().P, []
 
-    def spy(sys, x0, t0, t_final, h, observer, step, limit):
+    def spy(sys, x0, t0, t_final, h, observer, step):
         live = np.ones(x0.shape[1], dtype=bool)
 
         def watch(k, t, xs):
@@ -85,7 +85,7 @@ def test_live_columns_hold_the_same_estimates(seeds, multiplier, abort_norm, req
                 checked.append(step_k)
             return stop
 
-        return integrate(sys, x0, t0, t_final, h, watch, step, limit)
+        return integrate(sys, x0, t0, t_final, h, watch, step)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simulation, "integrate", spy)

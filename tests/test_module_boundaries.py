@@ -16,8 +16,7 @@ where it is stepped, and every other module reads the synthesis and the
 layout from the scenario.
 
 No nesim module catches `NonFiniteState`: divergence is read off the
-states a step makes (`integrate`'s calm test and its observer), not caught
-from the step.
+states a step makes (by `integrate`'s observer), not caught from the step.
 
 `config.normalize` builds no array itself: every numeric array of a
 scenario file is read by `config._array`, the one reader that checks it is

@@ -361,9 +361,10 @@ class TestIntegrateStopsColumns:
     """`integrate` on a batched state: columns stop on their own and are parked at zero.
 
     The observer sees each block of states once, and a stop takes effect after
-    the block's last state; a block ends early at its first state that is not
-    calm, so a stop for such a state is a stop at its step. The system and the
-    width never change, and the other columns step as they do alone.
+    the block's last state; every block but the initial state and the last
+    holds `STEP_BLOCK` states, so a column the observer stops inside a block
+    is stepped to the block's end. The system and the width never change, and
+    the other columns step as they do alone.
     """
 
     @staticmethod
@@ -372,9 +373,15 @@ class TestIntegrateStopsColumns:
         return integrate(sys.restricted(keep), x0[:, keep], 0.0, t_final, h, step=step)
 
     @staticmethod
-    def steps_of(seen):
-        """The steps of the observed blocks, in order: ``seen`` holds ``(k, len(xs))`` first."""
-        return [k + j for k, count, *_ in seen for j in range(count)]
+    def full_blocks(n_steps):
+        """``(k, len(xs))`` of each block of ``n_steps`` steps: the start, then `STEP_BLOCK` each."""
+        return [(0, 1)] + [(k, min(STEP_BLOCK, n_steps + 1 - k))
+                           for k in range(1, n_steps + 1, STEP_BLOCK)]
+
+    @staticmethod
+    def from_zero(sys, keep, h, step):
+        """One step of the columns ``keep`` alone from zero: each state of a parked column."""
+        return step(sys.restricted(keep), 0.0, np.zeros((2, 1)), h)[:, 0]
 
     def test_diverging_column_stops_and_the_others_match_their_own_runs(self):
         rng = np.random.default_rng(35)
@@ -384,43 +391,52 @@ class TestIntegrateStopsColumns:
         seen = []
 
         def observer(k, t, xs):
-            # every state of a block but its last is calm, so the last names the divergence
-            diverged = ~(np.abs(xs[-1]).max(axis=0) < np.inf)
-            seen.append((k, len(xs), float(t[-1]), xs.shape[2], diverged.tolist(),
-                         bool(np.isfinite(xs[:-1]).all())))
+            bad = ~(np.abs(xs).max(axis=1) < np.inf)  # (len(xs), B): the non-finite states
+            diverged = bad.any(axis=0)
+            first = [int(np.argmax(bad[:, b])) if diverged[b] else None for b in range(3)]
+            seen.append((k, len(xs), float(t[-1]), xs.shape[2], diverged.tolist(), first,
+                         xs[:, :, 1].copy()))
             return diverged
 
         with np.errstate(over="ignore", invalid="ignore"):
-            final = integrate(sys, x0, 0.0, 0.5, 0.01, observer, step=rk4_lifted_step)
+            final = integrate(sys, x0, 0.0, 2.0, 0.01, observer, step=rk4_lifted_step)
         (fail,) = [entry for entry in seen if any(entry[4])]
-        k, count, t, width, diverged, before = fail
-        assert 0 < k + count - 1 < 50 and diverged == [False, True, False] and width == 3
-        assert before  # the block ended at the column's first non-finite state
-        assert self.steps_of(seen) == list(range(51))  # no step is taken again
-        assert seen[-1][2] == 0.5
+        k, count, t, width, diverged, first, _ = fail
+        assert k == 1 and diverged == [False, True, False] and width == 3
+        assert 0 < first[1] < STEP_BLOCK - 1  # it diverged inside the block, stepped to its end
+        assert [entry[:2] for entry in seen] == self.full_blocks(200)  # no step taken again
+        assert seen[-1][2] == 2.0
         assert {entry[3] for entry in seen} == {3}
+        parked = self.from_zero(sys, [False, True, False], 0.01, rk4_lifted_step)
+        for entry in seen[2:]:  # parked from the step after the block: stepped from zero
+            assert (entry[6] == parked).all()
         assert final.shape == (2, 3) and not final[:, 1].any()
         for b in (0, 2):
-            assert final[:, b].tobytes() == self.alone(sys, x0, b, 0.5, 0.01,
+            assert final[:, b].tobytes() == self.alone(sys, x0, b, 2.0, 0.01,
                                                        rk4_lifted_step).tobytes()
 
     def test_observer_mask_stops_columns(self):
-        # the mask a block returns stops its columns from the step after the block; a limit
-        # of zero makes every block one state, so column 1 is parked for steps 6 to 20
+        # the mask a block returns stops its columns from the step after the block: column 1,
+        # stopped by the first block of steps, is parked for the rest
         rng = np.random.default_rng(36)
         sys = Cubic.drawn(rng, 3, 0.01, scale=0.3)
         x0 = rng.normal(scale=0.3, size=(2, 3))
         seen = []
 
         def observer(k, t, xs):
-            seen.append((k, len(xs), xs.shape[2]))
-            return np.array([False, True, False]) if k == 5 else None
+            seen.append((k, len(xs), xs.shape[2], xs[:, :, 1].copy()))
+            return np.array([False, True, False]) if k == 1 else None
 
-        final = integrate(sys, x0, 0.0, 0.2, 0.01, observer, step=rk4_lifted_step, limit=0.0)
-        assert seen == [(k, 1, 3) for k in range(21)]
+        final = integrate(sys, x0, 0.0, 2.0, 0.01, observer, step=rk4_lifted_step)
+        assert [entry[:2] for entry in seen] == self.full_blocks(200)
+        assert {entry[2] for entry in seen} == {3}
+        parked = self.from_zero(sys, [False, True, False], 0.01, rk4_lifted_step)
+        assert (seen[1][3] != parked).any()  # the first block still steps it from x0
+        for entry in seen[2:]:
+            assert (entry[3] == parked).all()
         assert not final[:, 1].any()
         for b in (0, 2):
-            assert final[:, b].tobytes() == self.alone(sys, x0, b, 0.2, 0.01,
+            assert final[:, b].tobytes() == self.alone(sys, x0, b, 2.0, 0.01,
                                                        rk4_lifted_step).tobytes()
         calls = []
         stop_all = integrate(sys, x0, 0.0, 0.2, 0.01,
@@ -428,69 +444,49 @@ class TestIntegrateStopsColumns:
         assert calls == [0] and stop_all.shape == (2, 3) and not stop_all.any()
 
     def test_the_loop_ends_when_every_column_has_stopped(self):
-        # a limit of zero leaves no state calm: every block is one state, so a stop at any
-        # step is a stop at that step
+        # the first two blocks of steps stop the columns between them; the third is never made
         rng = np.random.default_rng(39)
         sys = Cubic.drawn(rng, 3, 0.01, scale=0.3)
         x0 = rng.normal(scale=0.3, size=(2, 3))
-        stops = {5: [False, True, False], 8: [True, False, True]}
+        stops = {1: [False, True, False], 1 + STEP_BLOCK: [True, False, True]}
         seen = []
 
         def observer(k, t, xs):
             seen.append((k, len(xs)))
             return np.array(stops[k]) if k in stops else None
 
-        final = integrate(sys, x0, 0.0, 0.2, 0.01, observer, step=rk4_lifted_step, limit=0.0)
-        assert seen == [(k, 1) for k in range(9)] and final.shape == (2, 3) and not final.any()
-
-    def test_a_negative_limit_leaves_no_state_calm(self):
-        # a state at zero passes a limit of zero, and not a negative one
-        sys, x0 = OdeSystem(1, lambda t, x: 0.0 * x), np.zeros(1)
-        for limit, blocks in ((0.0, [(0, 1), (1, 10)]), (-1.0, [(k, 1) for k in range(11)])):
-            seen = []
-            integrate(sys, x0, 0.0, 0.1, 0.01, lambda k, t, xs: seen.append((k, len(xs))),
-                      limit=limit)
-            assert seen == blocks
+        final = integrate(sys, x0, 0.0, 2.0, 0.01, observer, step=rk4_lifted_step)
+        assert seen == self.full_blocks(200)[:3] and final.shape == (2, 3) and not final.any()
 
     def test_a_plain_system_without_select(self):
         # an elementwise rhs stepped by `rk4_step`: the columns never mix, and the system has
-        # no way to narrow; with no workspace, the observer reads the state itself, and a
-        # column past the limit ends its block there
+        # no way to narrow; with no workspace, the observer reads the state itself, and the
+        # middle column, past 1.5 at step 59 and stopped by its block, is parked at zero,
+        # where it stays, before its blow-up at about t = 0.88 can make `rk4_step` raise
         sys = OdeSystem(1, lambda t, x: x ** 3 - x)
         assert not hasattr(sys, "select")
-        x0 = np.array([[0.5, 3.0, -0.2]])  # the middle column blows up in finite time
+        x0 = np.array([[0.5, 1.1, -0.2]])  # the middle column grows past the unstable 1
         seen = []
 
         def observer(k, t, xs):
-            seen.append((k, len(xs), xs.shape[1:]))
-            assert (np.abs(xs[:-1]) <= 4.0).all()
-            return np.abs(xs[-1, 0]) > 4.0
+            over = (np.abs(xs[:, 0]) > 1.5).any(axis=0)
+            seen.append((k, len(xs), xs.shape[1:], over.tolist(), xs[:, 0, 1].copy()))
+            return over
 
-        final = integrate(sys, x0, 0.0, 1.0, 0.01, observer, limit=4.0)
-        assert self.steps_of(seen) == list(range(101)) and {s for *_, s in seen} == {(1, 3)}
+        final = integrate(sys, x0, 0.0, 0.8, 0.01, observer)
+        assert {shape for _, _, shape, *_ in seen} == {(1, 3)}
+        assert [(k, count) for k, count, *_ in seen] == self.full_blocks(80)
+        assert [over for *_, over, _ in seen] == [[False] * 3, [False, True, False], [False] * 3]
+        assert not seen[2][4].any()
         assert final.shape == (1, 3) and final[0, 1] == 0.0
         for b in (0, 2):
-            alone = integrate(sys, x0[:, [b]], 0.0, 1.0, 0.01)
+            alone = integrate(sys, x0[:, [b]], 0.0, 0.8, 0.01)
             assert final[:, b].tobytes() == alone[:, 0].tobytes()
-
-    def test_a_state_one_float_past_the_limit_ends_its_block(self):
-        # one entry, so the sum of squares is the square itself: a limit one float below each
-        # state of a growing solution ends the block at that state and not before; a margin
-        # that let a square pass the limit's by a relative 1e-16 would miss every one
-        sys, x0 = OdeSystem(1, lambda t, x: x), np.array([1.0])
-        free = []
-        integrate(sys, x0, 0.0, 1.0, 0.01, lambda k, t, xs: free.extend(xs[:, 0]))
-        for s in range(1, 101):
-            ends = []
-            integrate(sys, x0, 0.0, 1.0, 0.01, lambda k, t, xs: ends.append(k + len(xs) - 1),
-                      limit=float(np.nextafter(free[s], -np.inf)))
-            want = list(range(0, s, STEP_BLOCK)) + [s]  # full blocks, then the one it ends
-            assert ends[:len(want)] == want
 
     def test_a_column_non_finite_when_parked_is_not_read(self):
         # 1/x is not finite at the origin, so the parked column steps to NaN from then on;
-        # nothing reads it, and the other columns run to the end as they run alone
-        # x_0 settles where a x_0 + c + d / x_0 = 0, and x_1 follows it
+        # nothing reads it: the blocks stay whole, and the other columns run to the end as
+        # they run alone; x_0 settles where a x_0 + c + d / x_0 = 0, and x_1 follows it
         A = np.array([[[a, 0.0, c, d], [1.0, -1.0, 0.0, 0.0]]
                       for a, c, d in ((-1.0, 0.0, 1.0), (-2.0, 0.5, 1.0), (-1.0, 1.0, 0.5))])
         x0, h = np.array([[2.0, 0.5, 1.5], [0.0, 1.0, -1.0]]), 0.01
@@ -504,7 +500,7 @@ class TestIntegrateStopsColumns:
         with np.errstate(divide="ignore", invalid="ignore"):
             final = integrate(sys, x0, 0.0, 1.0, h, observer, step=rk4_lifted_step)
         assert not np.isfinite(seen[-1][2][:, 1]).any()  # the parked column's last step
-        assert self.steps_of(seen) == list(range(101))
+        assert [(k, count) for k, count, _ in seen] == self.full_blocks(100)
         assert final.shape == (2, 3) and not final[:, 1].any()
         for b in (0, 2):
             alone = integrate(reciprocal(A[[b]], h), x0[:, [b]], 0.0, 1.0, h,
