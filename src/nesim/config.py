@@ -9,6 +9,8 @@ mean and how the parts fit. Either names the field as the file does.
 Custom game or plant kinds reference a Python factory as ``"module:callable"``
 because arbitrary dynamics cannot be serialized as data; the factory receives
 the section's ``args`` mapping and must return a `CustomGame` / `PlantModel`.
+A library error of any build (a `TypeError`, `ValueError` or nesim error) is
+named by its section in one place, `_build`.
 """
 
 from __future__ import annotations
@@ -60,15 +62,22 @@ _ALLOWED_KEYS = {
     "sim": set(_DEFAULTS["sim"]),
 }
 
+# the keys each kind of game and plant requires
+_KIND_KEYS = {
+    "game": {"quadratic_aggregative": ("h1", "h2", "h3"), "custom": ("factory",)},
+    "plant": {"example_sec5": ("g",), "custom": ("factory",)},
+}
+
 
 def _fail(path: str, message: str):
     raise ConfigError(f"{path}: {message}")
 
 
-def _check_keys(path: str, section: dict, allowed: set):
+def _check_keys(path: str, section, allowed: set | None = None):
+    """Fail unless ``section`` is an object whose keys are all ``allowed`` (any key, if None)."""
     if not isinstance(section, dict):
         _fail(path, f"expected an object, got {type(section).__name__}")
-    unknown = set(section) - allowed
+    unknown = set() if allowed is None else set(section) - allowed
     if unknown:
         _fail(path, f"unknown keys {sorted(unknown)} (allowed: {sorted(allowed)})")
 
@@ -122,6 +131,19 @@ def _stabilizer_entry(path: str, entry) -> dict:
             "N": _array(f"{path}.N", entry.get("N"), 1).tolist()}
 
 
+def _check_kind(name: str, section: dict) -> str:
+    """The section's ``kind``, each key it requires present; a custom kind's ``args`` an object."""
+    kind, kinds = section.get("kind"), _KIND_KEYS[name]
+    if not isinstance(kind, str) or kind not in kinds:
+        _fail(f"{name}.kind", f"unknown kind {kind!r}")
+    for key in kinds[kind]:
+        if key not in section:
+            _fail(f"{name}.{key}", f"required for the {kind} kind")
+    if kind == "custom":
+        _check_keys(f"{name}.args", section.setdefault("args", {}))
+    return kind
+
+
 def normalize(raw: dict) -> dict:
     """Fill defaults and validate structure; returns a canonical dict.
 
@@ -139,33 +161,18 @@ def normalize(raw: dict) -> dict:
 
     out = {}
     for name in _SECTIONS:
-        section = copy.deepcopy(raw.get(name, {}))
-        defaults = copy.deepcopy(_DEFAULTS.get(name, {}))
-        if name == "controller" and "escalation" in section:
-            merged = dict(defaults["escalation"])
-            _check_keys("controller.escalation", section["escalation"], set(merged))
-            merged.update(section["escalation"])
-            section["escalation"] = merged
-        for key, val in defaults.items():
-            section.setdefault(key, val)
+        section = raw.get(name, {})
         _check_keys(name, section, _ALLOWED_KEYS[name])
-        out[name] = section
+        out[name] = copy.deepcopy({**_DEFAULTS.get(name, {}), **section})
+    escalation = _DEFAULTS["controller"]["escalation"]
+    _check_keys("controller.escalation", out["controller"]["escalation"], set(escalation))
+    out["controller"]["escalation"] = {**escalation, **out["controller"]["escalation"]}
 
     game = out["game"]
-    kind = game.get("kind")
-    if kind == "quadratic_aggregative":
-        for key in ("h1", "h2", "h3"):
-            if key not in game:
-                _fail(f"game.{key}", "required for the quadratic_aggregative kind")
+    if _check_kind("game", game) == "quadratic_aggregative":
         game["h1"] = _array("game.h1", game["h1"], 1).tolist()
         for key in ("h2", "h3"):
             game[key] = _array(f"game.{key}", game[key], 1, (len(game["h1"]),)).tolist()
-    elif kind == "custom":
-        if "factory" not in game:
-            _fail("game.factory", "required for the custom kind")
-        game.setdefault("args", {})
-    else:
-        _fail("game.kind", f"unknown kind {kind!r}")
 
     graph = out["graph"]
     if "n" not in graph or "edges" not in graph:
@@ -192,17 +199,8 @@ def normalize(raw: dict) -> dict:
     graph["edges"] = edges
 
     plant = out["plant"]
-    pkind = plant.get("kind")
-    if pkind == "example_sec5":
-        if "g" not in plant:
-            _fail("plant.g", "required for the example_sec5 kind")
+    if _check_kind("plant", plant) == "example_sec5":
         plant["g"] = _array("plant.g", plant["g"], 2, (6,)).tolist()
-    elif pkind == "custom":
-        if "factory" not in plant:
-            _fail("plant.factory", "required for the custom kind")
-        plant.setdefault("args", {})
-    else:
-        _fail("plant.kind", f"unknown kind {pkind!r}")
     for key in ("w_box", "v0_box"):
         if key not in plant:
             _fail(f"plant.{key}", "required")
@@ -246,15 +244,33 @@ def normalize(raw: dict) -> dict:
     return out
 
 
-def _load_factory(spec: str):
-    if ":" not in spec:
-        raise ConfigError(f"factory {spec!r} must look like 'module:callable'")
+def _load_factory(path: str, spec):
+    """The callable that the ``"module:callable"`` spec of the field ``path`` names."""
+    if not isinstance(spec, str) or ":" not in spec:
+        _fail(path, f"factory {spec!r} must look like 'module:callable'")
     mod_name, attr = spec.split(":", 1)
     try:
-        module = importlib.import_module(mod_name)
-        return getattr(module, attr)
-    except (ImportError, AttributeError) as exc:
-        raise ConfigError(f"cannot import factory {spec!r}: {exc}") from exc
+        return getattr(importlib.import_module(mod_name), attr)
+    except (ImportError, AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: cannot import factory {spec!r}: {exc}") from exc
+
+
+def _build(section: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a library error becomes a config error naming ``section``."""
+    try:
+        return build(*args, **kwargs)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, NesimError) as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
+
+
+def _custom(name: str, section: dict, cls: type):
+    """What the section's factory returns for its ``args``, which must be a ``cls``."""
+    made = _build(name, _load_factory(f"{name}.factory", section["factory"]), **section["args"])
+    if not isinstance(made, cls):
+        raise ConfigError(f"{name}.factory must return a {cls.__name__}")
+    return made
 
 
 def build_scenario(norm: dict) -> Scenario:
@@ -265,49 +281,27 @@ def build_scenario(norm: dict) -> Scenario:
     and carries the synthesis.
     """
     game_cfg = norm["game"]
-    custom = game_cfg["kind"] == "custom"
-    try:
-        game = (_load_factory(game_cfg["factory"])(**game_cfg["args"]) if custom else
-                QuadraticAggregativeGame(h1=np.array(game_cfg["h1"]),
-                                         h2=np.array(game_cfg["h2"]),
-                                         h3=np.array(game_cfg["h3"])))
-    except ValueError as exc:
-        raise ConfigError(f"game: {exc}") from exc
-    if custom and not isinstance(game, CustomGame):
-        raise ConfigError("game.factory must return a CustomGame")
+    game = (_custom("game", game_cfg, CustomGame) if game_cfg["kind"] == "custom" else
+            _build("game", QuadraticAggregativeGame, h1=np.array(game_cfg["h1"]),
+                   h2=np.array(game_cfg["h2"]), h3=np.array(game_cfg["h3"])))
 
     graph_cfg = norm["graph"]  # checked here: it sizes the (n, n) weights allocated next
     if graph_cfg["n"] != game.n:
         raise ConfigError(f"graph.n: {graph_cfg['n']} players in graph, {game.n} in game")
-    try:
-        graph = CommGraph.from_edges(graph_cfg["n"], graph_cfg["edges"])
-    except ValueError as exc:
-        raise ConfigError(f"graph: {exc}") from exc
+    graph = _build("graph", CommGraph.from_edges, graph_cfg["n"], graph_cfg["edges"])
 
     plant_cfg = norm["plant"]
-    try:
-        if plant_cfg["kind"] == "example_sec5":
-            model = example_plant(np.array(plant_cfg["g"]))
-        else:
-            model = _load_factory(plant_cfg["factory"])(**plant_cfg["args"])
-            if not isinstance(model, PlantModel):
-                raise ConfigError("plant.factory must return a PlantModel")
-    except NesimError as exc:
-        raise ConfigError(f"plant: {exc}") from exc
+    model = (_custom("plant", plant_cfg, PlantModel) if plant_cfg["kind"] == "custom" else
+             _build("plant", example_plant, np.array(plant_cfg["g"])))
     if "im_polys" in plant_cfg:
-        try:
-            model = dataclasses.replace(model, im_polys=[np.array(c) for c in plant_cfg["im_polys"]])
-        except ValueError as exc:
-            raise ConfigError(f"plant.im_polys: {exc}") from exc
+        model = _build("plant.im_polys", dataclasses.replace, model,
+                       im_polys=[np.array(c) for c in plant_cfg["im_polys"]])
 
     im_cfg = norm["internal_model"]
     stabilizers = None
     if "explicit" in im_cfg:
-        try:
-            stabilizers = tuple(tuple(StabilizerPair(**entry) for entry in agent_levels)
-                                for agent_levels in im_cfg["explicit"])
-        except ValueError as exc:
-            raise ConfigError(f"internal_model.explicit: {exc}") from exc
+        stabilizers = tuple(tuple(_build("internal_model.explicit", StabilizerPair, **entry)
+                                  for entry in agent_levels) for agent_levels in im_cfg["explicit"])
 
     gains_cfg, ctrl, sim = norm["gains"], norm["controller"], norm["sim"]
     try:  # the classes check their values and name them as in the scenario file
@@ -350,7 +344,7 @@ def load_scenario(source) -> tuple[Scenario, dict]:
         path = Path(source)
         try:
             text = path.read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read {source}: {exc}") from exc
         try:
             raw = json.loads(text)

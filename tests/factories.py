@@ -78,6 +78,12 @@ def build_plant(n_agents, leak=1.0, feedthrough=1.0):
                       im_polys=([-1.0, 0.0],))
 
 
+def build_plant_off_origin(n_agents, offset):
+    """`build_plant` with ``offset`` added to its zero-dynamics drift: the origin is no equilibrium."""
+    model = build_plant(n_agents)
+    return dataclasses.replace(model, f0=lambda z, x1, v, w: model.f0(z, x1, v, w) + offset)
+
+
 def build_plant_without_split(g):
     """The built-in relative-degree-2 plant without its ``split`` hook.
 

@@ -22,25 +22,38 @@ from factories import build_game, build_plant
 from oracles import monotonicity_margin
 
 
+MISSING = object()  # a patch value that removes the key
+
+
+def rewrite(path, **patch):
+    """Set each value of the scenario file ``path`` named by its dotted path, such as ``sim.dt``."""
+    cfg = json.loads(path.read_text())
+    for dotted, value in patch.items():
+        *parents, key = dotted.split(".")
+        node = cfg
+        for name in parents:
+            node = node[name]
+        if value is MISSING:
+            del node[key]
+        else:
+            node[key] = value
+    path.write_text(json.dumps(cfg))
+    return path
+
+
 @pytest.fixture()
 def fast_cfg(sec5_norm, tmp_path):
     """Bundled scenario with explicit stabilizing gains and a short horizon.
 
-    Each keyword names a value by its dotted path, such as ``sim.dt``.
+    Each keyword names a value by its dotted path, such as ``sim.dt`` (see `rewrite`).
     """
     def make(**patch):
         cfg = json.loads(json.dumps(sec5_norm))
         cfg["controller"]["k"] = [[16.0, 16.0]] * 4
         cfg["sim"]["t_final"] = 2.0
-        for dotted, value in patch.items():
-            *parents, key = dotted.split(".")
-            node = cfg
-            for name in parents:
-                node = node[name]
-            node[key] = value
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(cfg))
-        return path
+        return rewrite(path, **patch)
     return make
 
 
@@ -530,6 +543,118 @@ def test_bad_custom_sample_box_is_config_error(box, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "config error: game: sample_box" in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.fixture()
+def scenario_file(fast_cfg, tmp_path):
+    """``make(base, patch)``: the path of a scenario file to load.
+
+    A ``sec5`` base is `fast_cfg`'s file and a ``custom`` base `_custom_config`'s,
+    with the dotted fields of ``patch`` set (see `rewrite`); a ``bytes`` base is a
+    file that holds ``patch``, and a ``directory`` base is a directory.
+    """
+    def make(base, patch):
+        if base == "bytes":
+            (tmp_path / "raw.json").write_bytes(patch)
+            return tmp_path / "raw.json"
+        if base == "directory":
+            return tmp_path
+        if base == "sec5":
+            return fast_cfg(**patch)
+        return rewrite(_custom_config(tmp_path, t_final=0.5), **patch)
+    return make
+
+
+# `PlantModel` itself as the factory, given no drift for its one integrator level
+PLANT_MODEL_ARGS = {"n_agents": 3, "r": 1, "n_z": 1, "n_w": 3, "f0": 0, "f_levels": [],
+                    "steady_zero": 0, "im_polys": [[-1.0, 0.0]]}
+
+
+def config_error_line(path, capsys) -> str:
+    """The one line `solve-ne` prints on the scenario file ``path``, which it must reject."""
+    assert main(["solve-ne", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and captured.out == ""
+    [line] = captured.err.splitlines()
+    return line
+
+
+@pytest.mark.parametrize("base, patch, message", [
+    ("sec5", {"sim": [0.001]}, "sim: expected an object, got list"),
+    ("sec5", {"gains": "fast"}, "gains: expected an object, got str"),
+    ("sec5", {"exosystem": [[0.0, 1.0], [-1.0, 0.0]]}, "exosystem: expected an object, got list"),
+    ("sec5", {"controller": ["escalation"]}, "controller: expected an object, got list"),
+    ("custom", {"game.args": [[1.0, 2.0, 3.0], 0.5]}, "game.args: expected an object, got list"),
+    ("custom", {"plant.args": "n_agents=3"}, "plant.args: expected an object, got str"),
+    ("custom", {"game.args.rate": 1.0},
+     "game: build_game() got an unexpected keyword argument 'rate'"),
+    ("custom", {"plant.args.rate": 1.0},
+     "plant: build_plant() got an unexpected keyword argument 'rate'"),
+    ("custom", {"plant.factory": "nesim.plant:PlantModel", "plant.args": PLANT_MODEL_ARGS},
+     "plant: need one drift callable per integrator level"),
+    ("custom", {"game.factory": "factories:np"}, "game: 'module' object is not callable"),
+], ids=["sim_list", "gains_string", "exosystem_list", "controller_list", "game_args_list",
+        "plant_args_string", "game_args_unknown_key", "plant_args_unknown_key",
+        "plant_factory_value_error", "factory_not_callable"])
+def test_malformed_sections_and_factories_are_config_errors(base, patch, message, scenario_file,
+                                                            capsys):
+    assert config_error_line(scenario_file(base, patch), capsys).startswith(
+        f"config error: {message}")
+
+
+@pytest.mark.parametrize("base, patch, message", [
+    ("bytes", b"[1.0]", "top level: expected an object"),
+    ("sec5", {"solver": {}}, "top level: unknown sections ['solver']"),
+    ("sec5", {"plant": MISSING}, "top level: missing required section 'plant'"),
+    ("sec5", {"game.h1": MISSING}, "game.h1: required for the quadratic_aggregative kind"),
+    ("custom", {"game.factory": MISSING}, "game.factory: required for the custom kind"),
+    ("sec5", {"game.kind": "quadratic"}, "game.kind: unknown kind 'quadratic'"),
+    ("sec5", {"game.kind": ["custom"]}, "game.kind: unknown kind ['custom']"),
+    ("sec5", {"graph.n": MISSING}, "graph: requires 'n' and 'edges'"),
+    ("sec5", {"plant.g": MISSING}, "plant.g: required for the example_sec5 kind"),
+    ("custom", {"plant.factory": MISSING}, "plant.factory: required for the custom kind"),
+    ("sec5", {"plant.kind": "sec5"}, "plant.kind: unknown kind 'sec5'"),
+    ("sec5", {"plant.w_box": MISSING}, "plant.w_box: required"),
+    ("sec5", {"internal_model.preset": "sec6"}, "internal_model.preset: unknown preset 'sec6'"),
+    ("custom", {"game.factory": "factories.build_game"},
+     "game.factory: factory 'factories.build_game' must look like 'module:callable'"),
+    ("custom", {"game.factory": 5}, "game.factory: factory 5 must look like 'module:callable'"),
+    ("custom", {"plant.factory": "factories:build_plant_v2"},
+     "plant.factory: cannot import factory 'factories:build_plant_v2'"),
+    ("custom", {"plant.factory": "nesim_plugins:build_plant"},
+     "plant.factory: cannot import factory 'nesim_plugins:build_plant'"),
+    ("custom", {"game.factory": ".factories:build_game"},
+     "game.factory: cannot import factory '.factories:build_game'"),
+    ("custom", {"game.factory": "factories:build_plant", "game.args": {"n_agents": 3}},
+     "game.factory must return a CustomGame"),
+    ("custom", {"plant.factory": "factories:build_game",
+                "plant.args": {"h1": [1.0, 2.0, 3.0], "coupling": 0.5}},
+     "plant.factory must return a PlantModel"),
+    # a config error the factory raises is not named again: here a nested load's own
+    ("custom", {"game.factory": "nesim.config:load_scenario", "game.args": {"source": {}}},
+     "top level: missing required section 'game'"),
+    ("sec5", {"graph.n": 5}, "graph.n: 5 players in graph, 4 in game"),
+    ("directory", None, "cannot read {path}"),
+    ("bytes", b'{"game": ', "{path} is not valid JSON"),
+    ("bytes", b"\xff\xfe{}", "cannot read {path}"),
+    # models the library rejects as inadmissible
+    ("custom", {"plant.factory": "factories:build_plant_off_origin",
+                "plant.args": {"n_agents": 3, "offset": 0.25}},
+     "plant: origin drift 2.500e-01 exceeds"),
+    ("sec5", {"internal_model": {"explicit": [[{"M": [[1.0]], "N": [1.0]}]]}},
+     "internal_model.explicit: M is not Hurwitz"),
+    ("sec5", {"plant.w_box": [[-0.05, 1.5]] + [[-0.05, 0.05]] * 23},
+     "plant: g1 + w must stay negative over the whole uncertainty box"),
+], ids=["top_level_list", "unknown_section", "no_plant", "no_h1", "no_game_factory",
+        "unknown_game_kind", "game_kind_list", "graph_without_n", "no_g", "no_plant_factory",
+        "unknown_plant_kind", "no_w_box", "unknown_preset", "factory_without_colon",
+        "factory_not_a_string", "factory_attribute_missing", "factory_module_missing",
+        "factory_relative_module", "game_factory_wrong_type", "plant_factory_wrong_type",
+        "factory_config_error", "graph_n_not_the_players", "path_is_a_directory", "invalid_json", "not_utf8",
+        "origin_not_an_equilibrium", "explicit_stabilizer_not_hurwitz", "g1_plus_w_not_negative"])
+def test_each_config_error_names_its_field(base, patch, message, scenario_file, capsys):
+    path = scenario_file(base, patch)
+    assert config_error_line(path, capsys).startswith(f"config error: {message.format(path=path)}")
 
 
 def test_check_names_a_recurrence_too_deep_for_the_stencils(tmp_path, capsys):

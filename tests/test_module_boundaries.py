@@ -28,6 +28,12 @@ file, so an error from a `replace` reads like one from a file.
 Only `plant` states the contract of a plant's ``split`` hook: `drift_split`
 is the one place that checks the hook's result, so no other module builds a
 `ConfigError` whose message starts ``plant split hook``.
+
+`config` names library errors in one helper: `config._build` turns an error
+of a library build into a config error naming the section, `build_scenario`
+holds at most one ``try`` (around the `Scenario` and its synthesis), and no
+other function of `config` catches an exception but the readers of numbers,
+arrays, factories and files.
 """
 
 from __future__ import annotations
@@ -283,3 +289,46 @@ def test_only_plant_states_the_split_hook_contract():
             for path in sorted(SRC.glob("*.py"))}
     assert len(hits.pop("plant.py")) == 2  # the hook's (J, features) and its bind's fill
     assert hits and [hit for found in hits.values() for hit in found] == []
+
+
+# the functions of `config` that may catch an exception, each for the value it reads or builds
+ERROR_NAMERS = ("_number", "_array", "_load_factory", "load_scenario", "_build")
+
+
+def handler_breaks(source: str, filename: str = "<source>") -> list[str]:
+    """``file:line: function`` of each ``try`` with an ``except`` that `config` may not hold.
+
+    A ``try`` belongs to the top-level function around it. Those of
+    `ERROR_NAMERS` are allowed; those of ``build_scenario`` when it holds more
+    than one, and every other, are not.
+    """
+    tries = sorted(((getattr(top, "name", "<module>"), node.lineno)
+                    for top in ast.parse(source, filename=filename).body
+                    for node in ast.walk(top) if isinstance(node, ast.Try) and node.handlers),
+                   key=lambda hit: hit[1])
+    in_build = sum(name == "build_scenario" for name, _ in tries)
+    return [f"{filename}:{line}: {name}" for name, line in tries
+            if name not in ERROR_NAMERS and (name != "build_scenario" or in_build > 1)]
+
+
+def test_handler_rule_detector_sees_nested_functions_and_counts_build_scenario():
+    source = ("def build_scenario(norm):\n"
+              "    try:\n        a()\n    except ValueError:\n        pass\n"
+              "    try:\n        b()\n    finally:\n        pass\n"
+              "    def inner():\n"
+              "        try:\n            c()\n        except NesimError:\n            pass\n"
+              "def _build(section, build):\n"
+              "    try:\n        return build()\n    except ValueError:\n        raise\n"
+              "def normalize(raw):\n"
+              "    try:\n        d()\n    except (TypeError, KeyError):\n        pass\n"
+              "try:\n    import x\nexcept ImportError:\n    x = None\n")
+    assert [hit.split(":", 1)[1] for hit in handler_breaks(source)] == \
+        ["2: build_scenario", "11: build_scenario", "21: normalize", "25: <module>"]
+    one = "def build_scenario(norm):\n    try:\n        a()\n    except ValueError:\n        pass\n"
+    assert handler_breaks(one) == []
+
+
+def test_config_names_library_errors_in_one_helper():
+    source = (SRC / "config.py").read_text()
+    assert all(f"def {name}(" in source for name in ERROR_NAMERS + ("build_scenario",))
+    assert handler_breaks(source, "config.py") == []

@@ -21,6 +21,9 @@ STRUCTURAL = ("graph.n", "graph.edges", "graph.edges.0", "graph.edges.0.1",
               "plant.w_box.0", "plant.v0_box", "plant.v0_box.1.0", "exosystem.S",
               "exosystem.S.0", "exosystem.S.1.0", "gains.p0", "game.h1", "game.h2", "game.h3",
               "plant.im_polys")
+# objects replaced whole by a non-object, which no section or escalation setting may be
+OBJECTS = ("game", "graph", "plant", "exosystem", "internal_model", "gains", "controller",
+           "controller.escalation", "sim")
 VALUES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                    st.sampled_from([0.0, -1.0, float("nan"), float("inf"), float("-inf"),
                                     "x", None]))
@@ -31,15 +34,16 @@ NESTED = st.recursive(st.one_of(VALUES, st.integers(-2, 5)), lambda inner: st.li
 
 @st.composite
 def mutations(draw):
-    field = draw(st.sampled_from(FIELDS + STRUCTURAL))
+    field = draw(st.sampled_from(FIELDS + STRUCTURAL + OBJECTS))
     value = draw(st.integers(-3, 12) if field.endswith(("max_rounds", "decimate"))
-                 else NESTED if field in STRUCTURAL else VALUES)
+                 else NESTED if field in STRUCTURAL + OBJECTS else VALUES)
     return field, value
 
 
 @settings(max_examples=40, deadline=None, database=None)
 @given(mutation=mutations())
 @example(mutation=("game.h2", [0.0, 0.0, 0.0, float("inf")]))
+@example(mutation=("sim", [0.001]))
 def test_malformed_value_gives_an_exit_code(mutation, sec5_norm, tmp_path_factory):
     field, value = mutation
     cfg = json.loads(json.dumps(sec5_norm))
