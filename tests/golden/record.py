@@ -80,9 +80,16 @@ NO_SPLIT_DIVERGING_CONFIG = json.loads(json.dumps(NO_SPLIT_CONFIG))
 NO_SPLIT_DIVERGING_CONFIG["controller"] = {"k": [[4.0, 4.0]] * 4}
 NO_SPLIT_DIVERGING_CONFIG["sim"]["t_final"] = 1.5
 
+# the bundled sec5 scenario at the gains its escalation passes with (round 3, x4) for 2 s
+DENSE_CONFIG = json.loads(resources.files("nesim").joinpath("data", "sec5.scenario")
+                          .read_text())
+DENSE_CONFIG["controller"] = {"k": [[16.0, 16.0]] * 4}
+DENSE_CONFIG["gains"]["gamma1"] = 4.0
+DENSE_CONFIG["sim"]["t_final"] = 2.0
+
 CONFIGS = {"custom.json": CUSTOM_CONFIG, "no_split.json": NO_SPLIT_CONFIG,
            "diverging.json": DIVERGING_CONFIG,
-           "no_split_diverging.json": NO_SPLIT_DIVERGING_CONFIG}
+           "no_split_diverging.json": NO_SPLIT_DIVERGING_CONFIG, "dense.json": DENSE_CONFIG}
 
 CASES = {
     "check_sec5_seed1": ["check", "--config", "sec5", "--t-final", "10", "--seed", "1"],
@@ -108,6 +115,9 @@ CASES = {
                                "--sweep", "seeds=3"],
     "simulate_sec5_ablated_seeds1_3": ["simulate", "--config", "sec5", "--t-final", "5",
                                        "--sweep", "seeds=3", "--ablate-internal-model"],
+    # two seeds batched at fixed gains, every step kept: the cells the seeds share
+    "simulate_sec5_dense_seeds1_2": ["simulate", "--config", "dense.json", "--decimate", "1",
+                                     "--sweep", "seeds=2"],
     # the bundled scenario's normalized config, every default filled in, as echoed
     "dump_normalized_sec5": ["simulate", "--config", "sec5", "--dump-normalized"],
 }
