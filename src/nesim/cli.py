@@ -124,12 +124,12 @@ def cmd_simulate(args) -> int:
         trajs = dict(reused)
         if fresh:
             trajs.update(zip(fresh, run(scenario, ablate=ablate, seed=fresh)))
-        for seed in chunk:
-            traj = trajs[seed]
-            out_path = Path(args.out)
-            if len(seeds) > 1:
-                out_path = out_path.with_name(f"{out_path.stem}_s{seed}{out_path.suffix}")
-            write_csv(traj, out_path)
+        out = Path(args.out)
+        pairs = [(trajs[seed], out if len(seeds) == 1
+                  else out.with_name(f"{out.stem}_s{seed}{out.suffix}")) for seed in chunk]
+        # the batch's CSVs together, so the cells its seeds share are formatted once
+        write_csv(*pairs[0], batch=pairs[1:])
+        for seed, (traj, out_path) in zip(chunk, pairs):
             if args.svg:
                 write_svg(traj, args.svg if len(seeds) == 1
                           else Path(args.svg).with_name(f"{Path(args.svg).stem}_s{seed}.svg"))

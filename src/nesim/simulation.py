@@ -25,6 +25,7 @@ plant/compensator initial box.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -44,6 +45,7 @@ from .plant import (Exosystem, PlantFeatures, PlantModel, checked_box, drift_spl
 
 AUTO_GAMMA2_MARGIN = 1.25
 _CSV_CHUNK = 256  # rows `write_csv` turns into Python floats at a time; bounds its transients
+_NE_CHUNK = 1024  # rows of `run`'s distance to equilibrium at a time; bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -519,6 +521,11 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
     step and keeps neither its peak nor its sample; else the state is past
     ``abort_norm`` and is kept. The states the column is stepped through
     after it, to the block's end, are not kept.
+
+    Each column keeps its states in a buffer of its own. After integration
+    the columns are derived one at a time, ``ne_dist`` in row chunks, and
+    each buffer is freed once its trajectory is built: the peak is the kept
+    states and one column's signals (`Scenario.kept_state_bytes` per seed).
     """
     batch = seed is not None and not isinstance(seed, (int, np.integer))
     seeds = [int(s) for s in seed] if batch else [scenario.seed if seed is None else int(seed)]
@@ -545,18 +552,23 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
     if init_mode == "manifold":
         for b in range(B):
             state[:, b] = loop.manifold_state(state[lay.v, b], b)
+    # overflowing gains give non-finite stage maps; the first block reports divergence. The
+    # workspace is built before the kept states, so its temporaries never meet them
+    with np.errstate(over="ignore", invalid="ignore"):
+        stepped = replace(loop, steps=rk4_lifted_steps(loop.operator, h, loop.bind))
 
-    n_steps = scenario.n_steps
-    # every kept state (step 0, each dec-th step and the last) of every column; a
-    # stopped column keeps the samples it has, a prefix, so row j is step min(j dec, n_steps)
+    n_steps, n_kept = scenario.n_steps, _kept_samples(scenario.n_steps, dec)
+    # each column's kept states (step 0, each dec-th step and the last) in a buffer of its own;
+    # a stopped column keeps the samples it has, a prefix, so row j is step min(j dec, n_steps)
     try:
-        X = np.empty((_kept_samples(n_steps, dec), B, lay.dim))
+        kept_states = [np.empty((n_kept, lay.dim)) for _ in range(B)]
     except (ValueError, MemoryError) as exc:
         raise ConfigError(
             f"sim.t_final: {scenario.t_final:g} s in steps of sim.dt = {h:g}, keeping every "
-            f"sim.decimate = {dec}-th, gives {float(_kept_samples(n_steps, dec)):.3g} kept "
+            f"sim.decimate = {dec}-th, gives {float(n_kept):.3g} kept "
             f"states of {lay.dim} values per seed, which cannot be allocated") from exc
-    X[0] = state.T
+    for column, x0 in zip(kept_states, state.T):
+        column[0] = x0
     kept = 1
     peak = np.zeros(B)  # each column's largest |value| after step 0, up to its last kept step
     ends = np.full(B, n_steps)  # each column's last kept step
@@ -589,24 +601,31 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
         rows = list(range(-k % dec, len(xs), dec))  # the steps that are multiples of dec
         if k + len(xs) - 1 == n_steps and n_steps % dec:
             rows.append(len(xs) - 1)  # and the last step
-        X[kept:kept + len(rows)] = xs[rows].swapaxes(1, 2)
+        picked = xs[rows]
+        for b, column in enumerate(kept_states):
+            column[kept:kept + len(rows)] = picked[..., b]
         kept += len(rows)
         return stop
 
     # overflow on a diverging trajectory is expected and detected explicitly
     with np.errstate(over="ignore", invalid="ignore"):
-        loop = replace(loop, steps=rk4_lifted_steps(loop.operator, h, loop.bind))
-        integrate(loop, state, 0.0, scenario.t_final, h, observe, step=rk4_lifted_step)
+        integrate(stepped, state, 0.0, scenario.t_final, h, observe, step=rk4_lifted_step)
+        del stepped  # the workspace, freed before the signals are derived
 
         # the signals of a diverged column may be as non-finite as its gains
         trajs = []
-        steps = np.minimum(np.arange(len(X)) * dec, n_steps)  # the step of each kept row
+        steps = np.minimum(np.arange(n_kept) * dec, n_steps)  # the step of each kept row
+        p_stacked = np.tile(p_star, n)
         for b, seed_b in enumerate(seeds):
             samples = int(np.searchsorted(steps, ends[b], side="right"))
-            # the signals own their data, so a kept trajectory does not pin the buffer
-            Xb = X[:samples, b]
-            # the distance first: its two (K, N*N) temporaries then meet fewer live signals
-            ne_dist = np.linalg.norm(Xb[:, lay.P] - np.tile(p_star, n), axis=1)
+            # popped, so the column's buffer is freed when the next column's replaces it; the
+            # signals own their data, so a kept trajectory does not pin it
+            Xb = kept_states.pop(0)[:samples]
+            ne_dist = np.empty(samples)
+            # a row's norm has the same bits in any chunk
+            for start in range(0, samples, _NE_CHUNK):
+                rows = slice(start, start + _NE_CHUNK)
+                ne_dist[rows] = np.linalg.norm(Xb[rows, lay.P] - p_stacked, axis=1)
             y = Xb[:, lay.x.start:lay.x.start + n].copy()  # first chain level
             p = Xb[:, lay.p_diag]
             trajs.append(ClosedLoopTrajectory(
@@ -657,31 +676,74 @@ def metrics(traj: ClosedLoopTrajectory) -> dict:
     return out
 
 
-def write_csv(traj: ClosedLoopTrajectory, path) -> None:
-    """Export the trajectory with a fixed column schema.
+def write_csv(traj: ClosedLoopTrajectory, path, batch: Sequence[tuple] = ()) -> None:
+    """Export the trajectory with a fixed column schema, and ``batch``'s along with it.
 
     Columns: ``t, p_star_1..N, y_1..N, p_1..N, e_1..N, u_1..N, ne_dist``.
     Values are printed with 17 significant digits ('.' decimal separator),
     so identical runs produce byte-identical files. The bytes are those of
-    ``np.savetxt`` with ``fmt="%.17g"``. The constant ``p_star`` cells are
-    formatted once per file, into the one format string every row is
-    printed with, and the rows are turned into Python floats one chunk at a
-    time.
+    ``np.savetxt`` with ``fmt="%.17g"``. ``batch`` holds more ``(trajectory,
+    path)`` pairs, each file the bytes of its trajectory written alone: the
+    writer for the seeds of one run. Trajectories whose ``t``, ``p_star``,
+    ``p`` and ``ne_dist`` hold the same bytes (checked, never assumed: ``-0.0``
+    and ``0.0`` print differently) are written together, their shared cells
+    formatted once per row into the format string each file's own ``y``,
+    ``e`` and ``u`` cells are then printed with. The constant ``p_star``
+    cells are formatted once per group, and the rows are turned into Python
+    floats one chunk at a time.
     """
-    n = traj.p_star.shape[0]
+    groups = []  # the pairs, grouped by the bytes of their shared cells
+    for pair in [(traj, path), *batch]:
+        for group in groups:
+            if _shares_cells(group[0][0], pair[0]):
+                group.append(pair)
+                break
+        else:
+            groups.append([pair])
+    for group in groups:
+        _write_csv_group(group)
+
+
+def _shares_cells(a: ClosedLoopTrajectory, b: ClosedLoopTrajectory) -> bool:
+    """Whether ``a`` and ``b`` print the same ``t``, ``p_star``, ``p`` and ``ne_dist`` cells."""
+    return all(x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+               for x, y in ((a.t, b.t), (a.p_star, b.p_star), (a.p, b.p),
+                            (a.ne_dist, b.ne_dist)))
+
+
+def _write_csv_group(group: list) -> None:
+    """Write `write_csv`'s files for ``(trajectory, path)`` pairs that share their cells.
+
+    A group of one formats every cell in one pass. In a larger group the
+    first pass leaves each ``y``, ``e`` and ``u`` cell as ``%.17g`` (written
+    ``%%.17g``), which each file's own pass fills.
+    """
+    first = group[0][0]
+    n = first.p_star.shape[0]
     cols = (["t"] + [f"p_star_{i + 1}" for i in range(n)]
             + [f"y_{i + 1}" for i in range(n)] + [f"p_{i + 1}" for i in range(n)]
             + [f"e_{i + 1}" for i in range(n)] + [f"u_{i + 1}" for i in range(n)]
             + ["ne_dist"])
     cell = "%.17g"
-    row = ",".join([cell, *(cell % p for p in traj.p_star), *[cell] * (4 * n + 1)]) + "\n"
-    signals = (traj.t, traj.y, traj.p, traj.e, traj.u, traj.ne_dist)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(cols) + "\n")
-        for start in range(0, len(traj.t), _CSV_CHUNK):
-            block = np.column_stack([sig[start:start + _CSV_CHUNK] for sig in signals])
-            for cells in block.tolist():
-                fh.write(row % tuple(cells))
+    own = "%" + cell if len(group) > 1 else cell
+    row = ",".join([cell, *(cell % p for p in first.p_star), *[own] * n, *[cell] * n,
+                    *[own] * (2 * n), cell]) + "\n"
+    shared = ((first.t, first.y, first.p, first.e, first.u, first.ne_dist) if len(group) == 1
+              else (first.t, first.p, first.ne_dist))
+    with contextlib.ExitStack() as files:
+        handles = [files.enter_context(open(path, "w", newline="")) for _, path in group]
+        for fh in handles:
+            fh.write(",".join(cols) + "\n")
+        for start in range(0, len(first.t), _CSV_CHUNK):
+            chunk = slice(start, start + _CSV_CHUNK)
+            lines = [row % tuple(cells)
+                     for cells in np.column_stack([sig[chunk] for sig in shared]).tolist()]
+            if len(group) == 1:
+                handles[0].write("".join(lines))
+                continue
+            for (traj, _), fh in zip(group, handles):
+                cells = np.column_stack([traj.y[chunk], traj.e[chunk], traj.u[chunk]]).tolist()
+                fh.write("".join([line % tuple(c) for line, c in zip(lines, cells)]))
 
 
 def format_summary(m: dict) -> str:

@@ -24,9 +24,14 @@ STRUCTURAL = ("graph.n", "graph.edges", "graph.edges.0", "graph.edges.0.1",
 # objects replaced whole by a non-object, which no section or escalation setting may be
 OBJECTS = ("game", "graph", "plant", "exosystem", "internal_model", "gains", "controller",
            "controller.escalation", "sim")
-VALUES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
-                   st.sampled_from([0.0, -1.0, float("nan"), float("inf"), float("-inf"),
-                                    "x", None]))
+SPECIALS = st.sampled_from([0.0, -1.0, float("nan"), float("inf"), float("-inf"), "x", None])
+VALUES = st.one_of(st.floats(allow_nan=False, allow_infinity=False), SPECIALS)
+# no positive step below 1e-5, which caps an example at 1000 steps per escalation round of
+# its 0.01 s horizon; a tiny step would run millions. This bounds the test's cost only: nesim
+# accepts any finite step > 0 that fits the horizon
+DT_VALUES = st.one_of(st.floats(max_value=0.0, allow_nan=False, allow_infinity=False),
+                      st.floats(min_value=1e-5, allow_nan=False, allow_infinity=False),
+                      SPECIALS)
 # scalars, and lists of them nested a few levels deep, such as [[1.0, "x"], []]
 NESTED = st.recursive(st.one_of(VALUES, st.integers(-2, 5)), lambda inner: st.lists(
     inner, max_size=4), max_leaves=8)
@@ -36,7 +41,8 @@ NESTED = st.recursive(st.one_of(VALUES, st.integers(-2, 5)), lambda inner: st.li
 def mutations(draw):
     field = draw(st.sampled_from(FIELDS + STRUCTURAL + OBJECTS))
     value = draw(st.integers(-3, 12) if field.endswith(("max_rounds", "decimate"))
-                 else NESTED if field in STRUCTURAL + OBJECTS else VALUES)
+                 else NESTED if field in STRUCTURAL + OBJECTS
+                 else DT_VALUES if field == "sim.dt" else VALUES)
     return field, value
 
 

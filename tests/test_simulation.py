@@ -4,13 +4,16 @@ import dataclasses
 import gc
 import json
 import re
+import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nesim.cli import main
 from nesim.config import load_scenario
+from nesim.controller import escalate_gains
 from nesim.errors import ConfigError, Disconnected
 from nesim.game import CustomGame, QuadraticAggregativeGame, estimate_constants, solve_ne
 from nesim.generator import GeneratorGains, min_gamma2, run_generator
@@ -483,6 +486,21 @@ def test_operator_is_shared_rows_plus_plant_rows_per_draw(case, stable, request)
         assert np.array_equal(batch.operator[b, others], batch.operator[0, others])
 
 
+def test_run_holds_each_column_only_until_it_is_derived(sec5):
+    # two seeds, every step kept, at the gains sec5's escalation passes with (x4): the peak
+    # is the kept states of both columns and one column's signals, not a copy of the history
+    # or whole-history temporaries of the distance to equilibrium (1.6x on the former layout)
+    dense = dataclasses.replace(sec5.escalated(4.0), t_final=5.0, decimate=1)
+    run(dataclasses.replace(dense, t_final=0.01), seed=[1, 2])  # lazy imports, not run's memory
+    tracemalloc.start()
+    try:
+        run(dense, seed=[1, 2])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.4 * 2 * dense.kept_state_bytes()
+
+
 def test_kept_state_bytes_counts_the_recorded_samples(stable):
     short = dataclasses.replace(stable, t_final=0.05, decimate=3)  # steps 0, 3, .., 48 and 50
     traj = run(short)
@@ -654,3 +672,59 @@ def test_csv_bytes_equal_savetxt(tmp_path):
                                    for i in range(n)] + ["ne_dist"])
         np.savetxt(fh, rows, fmt="%.17g", delimiter=",", header=header, comments="")
     assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+GOLDEN_CONFIGS = json.loads((Path(__file__).resolve().parent / "golden" / "outputs.json")
+                            .read_text())["configs"]
+
+
+def shared_cells(a: ClosedLoopTrajectory, b: ClosedLoopTrajectory) -> bool:
+    """Whether ``a`` and ``b`` hold the same bytes in every cell a batch may format once."""
+    return all(x.tobytes() == y.tobytes()
+               for x, y in ((a.t, b.t), (a.p_star, b.p_star), (a.p, b.p), (a.ne_dist, b.ne_dist)))
+
+
+def batch_of(case: str, sec5) -> tuple[list, list]:
+    """The trajectories of one batch, and which pairs of them share their cells."""
+    if case == "two_seeds":
+        dense = dataclasses.replace(sec5.escalated(4.0), t_final=1.0, decimate=1)
+        return run(dense, seed=[1, 2]), [(0, 1)]
+    if case == "one_diverged":
+        # the golden no-split settings at gains too low: seed 1 diverges at t = 1.343 and
+        # keeps a shorter history, seeds 3 and 5 run to the end
+        scenario, _ = load_scenario(GOLDEN_CONFIGS["no_split_diverging.json"])
+        trajs = run(scenario, seed=[1, 3, 5])
+        assert [traj.diverged for traj in trajs] == [True, False, False]
+        return trajs, [(1, 2)]
+    # escalation's passing run stands for the scenario seed, the next seed is integrated
+    found = escalate_gains(dataclasses.replace(sec5, t_final=5.0,
+                                               escalation=EscalationSpec(factor=4.0)))
+    return [found.trajectory, *run(found.scenario, seed=[sec5.seed + 1])], [(0, 1)]
+
+
+@pytest.mark.parametrize("case", ["two_seeds", "one_diverged", "reused_passing"])
+def test_csv_batch_gives_each_file_the_bytes_it_has_alone(case, sec5, tmp_path):
+    trajs, sharing = batch_of(case, sec5)
+    pairs = [(i, j) for i in range(len(trajs)) for j in range(i + 1, len(trajs))]
+    assert [pair for pair in pairs if shared_cells(*(trajs[k] for k in pair))] == sharing
+    together = [tmp_path / f"together_{i}.csv" for i in range(len(trajs))]
+    write_csv(trajs[0], together[0], batch=list(zip(trajs[1:], together[1:])))
+    for traj, path in zip(trajs, together):
+        alone = tmp_path / "alone.csv"
+        write_csv(traj, alone)
+        assert path.read_bytes() == alone.read_bytes()
+
+
+def test_csv_batch_shares_no_cell_that_prints_differently(tmp_path):
+    # equal as numbers, not as bytes: a -0.0 estimate prints "-0" and a 0.0 one "0"
+    t = np.array([0.0, 0.5])
+    signal = np.array([[0.0, 1.5], [2.0, -3.0]])
+    a = ClosedLoopTrajectory(t=t, y=signal, p=signal, e=signal, u=signal,
+                             ne_dist=np.array([1.0, 0.5]), p_star=np.array([0.1, -2.0]),
+                             v=np.zeros((2, 2)), max_state_norm=0.0)
+    b = dataclasses.replace(a, p=np.array([[-0.0, 1.5], [2.0, -3.0]]))
+    assert np.array_equal(a.p, b.p) and not shared_cells(a, b)
+    write_csv(a, tmp_path / "a.csv", batch=[(b, tmp_path / "b.csv")])
+    rows = [path.read_text().splitlines()[1].split(",") for path in (tmp_path / "a.csv",
+                                                                     tmp_path / "b.csv")]
+    assert (rows[0][5], rows[1][5]) == ("0", "-0")  # the p_1 cell of the first row
