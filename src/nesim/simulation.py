@@ -736,14 +736,15 @@ def _write_csv_group(group: list) -> None:
             fh.write(",".join(cols) + "\n")
         for start in range(0, len(first.t), _CSV_CHUNK):
             chunk = slice(start, start + _CSV_CHUNK)
-            lines = [row % tuple(cells)
-                     for cells in np.column_stack([sig[chunk] for sig in shared]).tolist()]
+            lines = (row % tuple(cells)
+                     for cells in np.column_stack([sig[chunk] for sig in shared]).tolist())
             if len(group) == 1:
-                handles[0].write("".join(lines))
+                handles[0].writelines(lines)
                 continue
+            lines = list(lines)  # each file of the group fills its own cells into them
             for (traj, _), fh in zip(group, handles):
                 cells = np.column_stack([traj.y[chunk], traj.e[chunk], traj.u[chunk]]).tolist()
-                fh.write("".join([line % tuple(c) for line, c in zip(lines, cells)]))
+                fh.writelines(line % tuple(c) for line, c in zip(lines, cells))
 
 
 def format_summary(m: dict) -> str:
