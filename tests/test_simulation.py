@@ -489,7 +489,7 @@ def test_operator_is_shared_rows_plus_plant_rows_per_draw(case, stable, request)
 def test_run_holds_each_column_only_until_it_is_derived(sec5):
     # two seeds, every step kept, at the gains sec5's escalation passes with (x4): the peak
     # is the kept states of both columns and one column's signals, not a copy of the history
-    # or whole-history temporaries of the distance to equilibrium (1.6x on the former layout)
+    # or whole-history temporaries of the distance to equilibrium
     dense = dataclasses.replace(sec5.escalated(4.0), t_final=5.0, decimate=1)
     run(dataclasses.replace(dense, t_final=0.01), seed=[1, 2])  # lazy imports, not run's memory
     tracemalloc.start()
