@@ -118,6 +118,15 @@ CASES = {
     # two seeds batched at fixed gains, every step kept: the cells the seeds share
     "simulate_sec5_dense_seeds1_2": ["simulate", "--config", "dense.json", "--decimate", "1",
                                      "--sweep", "seeds=2"],
+    # 2501 rows kept per seed: past `run`'s first window of kept states, so one slide and a last
+    # window that overlaps the one before it
+    "simulate_sec5_dense_t2_5_seeds1_2": ["simulate", "--config", "dense.json", "--decimate",
+                                          "1", "--t-final", "2.5", "--sweep", "seeds=2"],
+    # every step kept: seed 4 diverges at row 1331, before the first slide, seeds 3 and 5 at
+    # rows 2091 and 2217, after it: exit 2
+    "simulate_sec5_diverging_dense_seeds3_5": ["simulate", "--config", "diverging.json",
+                                               "--decimate", "1", "--t-final", "2.5",
+                                               "--seed", "3", "--sweep", "seeds=3"],
     # the bundled scenario's normalized config, every default filled in, as echoed
     "dump_normalized_sec5": ["simulate", "--config", "sec5", "--dump-normalized"],
 }
