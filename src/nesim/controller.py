@@ -4,8 +4,7 @@ empirical gain-escalation loop.
 The control law is linear in the agents' own references, the chain states
 and the compensator states: `control_rows` writes its rows ``U`` once and
 the closed loop places them. Its gain structure comes from a backstepping
-recursion, `backstepping_feedback`, the independent route it is tested
-against.
+recursion, which the tests' oracles fold one level at a time.
 """
 
 from __future__ import annotations
@@ -78,20 +77,6 @@ def psi_readouts(bank: InternalModelBank, eta: Sequence[np.ndarray]) -> list[np.
     """Per-level compensator read-outs ``Psi_s eta_s``, each shaped (N,)."""
     _, _, Psi, _ = bank.rows
     return list((Psi @ np.concatenate([np.ravel(e) for e in eta])).reshape(bank.r, -1))
-
-
-def backstepping_feedback(gains: ControllerGains, x_bar: np.ndarray) -> np.ndarray:
-    """Transformed-coordinate feedback via the recursive gain construction.
-
-    Independent evaluation route used to cross-check `control_rows`: fold the
-    transformed chain states one level at a time and feed back the top fold.
-    """
-    x_bar = np.asarray(x_bar, dtype=float)
-    r = x_bar.shape[0]
-    xhat = x_bar[0]
-    for s in range(1, r):
-        xhat = x_bar[s] + gains.k[:, s - 1] * xhat
-    return -gains.k[:, r - 1] * xhat
 
 
 @dataclass

@@ -45,7 +45,13 @@ from .plant import (Exosystem, PlantFeatures, PlantModel, checked_box, drift_spl
 
 AUTO_GAMMA2_MARGIN = 1.25
 _CSV_CHUNK = 256  # rows `write_csv` turns into Python floats at a time; bounds its transients
-_NE_CHUNK = 1024  # rows of `run`'s distance to equilibrium at a time; bounds its temporaries
+# `run` passes each column's kept states through a window of 2 _U_WINDOW rows that slides by
+# _U_WINDOW, so each `u` product spans at least _U_WINDOW rows from a multiple of _U_WINDOW and
+# gives each row the bits of the whole history's product. On scipy-openblas 0.3.31, SkylakeX
+# kernels round a row alike in every product of at least 301, 151, 76 and 2 rows at (N, dim) =
+# (4, 62), (8, 154), (16, 434) and (3, 23); Haswell kernels round a product's last row apart
+# when its row count is odd. tests/test_blas_contract.py holds the rule.
+_U_WINDOW = 1024
 
 
 @dataclass(frozen=True)
@@ -240,8 +246,10 @@ class Scenario:
                            r=self.plant.r, im_orders=orders)
 
     def kept_state_bytes(self) -> int:
-        """Bytes of the states `run` keeps for one seed at this horizon, step and decimation."""
-        return _kept_samples(self.n_steps, self.decimate) * self.layout().dim * 8
+        """Bytes `run` holds for one seed at this horizon, step and decimation: the signals
+        ``t``, ``y``, ``p``, ``e``, ``u``, ``v`` and ``ne_dist`` and the window of kept states."""
+        kept, lay = _kept_samples(self.n_steps, self.decimate), self.layout()
+        return 8 * (kept * (4 * self.n + lay.n_v + 2) + min(kept, 2 * _U_WINDOW) * lay.dim)
 
 
 def _kept_samples(n_steps: int, decimate: int) -> int:
@@ -522,10 +530,15 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
     ``abort_norm`` and is kept. The states the column is stepped through
     after it, to the block's end, are not kept.
 
-    Each column keeps its states in a buffer of its own. After integration
-    the columns are derived one at a time, ``ne_dist`` in row chunks, and
-    each buffer is freed once its trajectory is built: the peak is the kept
-    states and one column's signals (`Scenario.kept_state_bytes` per seed).
+    Each column's kept states pass through a window of its own, of at most
+    ``2 _U_WINDOW`` rows, into its signals. When the window fills, the rows
+    not derived yet are derived, ``u`` as one product over the whole window,
+    and its last ``_U_WINDOW`` rows move to its front; at the column's last
+    kept state (its stop or the horizon) the rest are derived the same way
+    and the window is freed. So each row's ``u`` has the bits of one product
+    over the whole history (a history of at most ``2 _U_WINDOW`` rows is
+    one product), and `run` holds each seed's signals and one window
+    (`Scenario.kept_state_bytes`), not every kept state.
     """
     batch = seed is not None and not isinstance(seed, (int, np.integer))
     seeds = [int(s) for s in seed] if batch else [scenario.seed if seed is None else int(seed)]
@@ -558,29 +571,47 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
         stepped = replace(loop, steps=rk4_lifted_steps(loop.operator, h, loop.bind))
 
     n_steps, n_kept = scenario.n_steps, _kept_samples(scenario.n_steps, dec)
-    # each column's kept states (step 0, each dec-th step and the last) in a buffer of its own;
-    # a stopped column keeps the samples it has, a prefix, so row j is step min(j dec, n_steps)
+    cap = min(n_kept, 2 * _U_WINDOW)
+    # each column's kept states (step 0, each dec-th step and the last) pass through a window of
+    # its own into its signals y, p, e, u, v and ne_dist; row j is step min(j dec, n_steps), and
+    # a stopped column keeps the samples it has, a prefix
     try:
-        kept_states = [np.empty((n_kept, lay.dim)) for _ in range(B)]
+        windows = [np.empty((cap, lay.dim)) for _ in range(B)]
+        signals = [[np.empty((n_kept,) + shape) for shape in [(n,)] * 4 + [(lay.n_v,), ()]]
+                   for _ in range(B)]
     except (ValueError, MemoryError) as exc:
         raise ConfigError(
             f"sim.t_final: {scenario.t_final:g} s in steps of sim.dt = {h:g}, keeping every "
             f"sim.decimate = {dec}-th, gives {float(n_kept):.3g} kept "
-            f"states of {lay.dim} values per seed, which cannot be allocated") from exc
-    for column, x0 in zip(kept_states, state.T):
-        column[0] = x0
-    kept = 1
+            f"samples per seed, which cannot be allocated") from exc
+    for window, x0 in zip(windows, state.T):
+        window[0] = x0
+    kept = 1  # the rows each live column has kept
+    top = derived = 0  # the kept row at the windows' front, and the first row not derived
+    U, p_stacked = loop.control_rows, np.tile(p_star, n)
+    y_cols = slice(lay.x.start, lay.x.start + n)  # the first chain level
     peak = np.zeros(B)  # each column's largest |value| after step 0, up to its last kept step
     ends = np.full(B, n_steps)  # each column's last kept step
+    counts = np.full(B, n_kept)  # each column's kept rows
     done = loop.parked  # the stopped columns: `integrate` parks them and the fills skip them
     diverged_t = [None] * B
     aborted = np.zeros(B, dtype=bool)
     abort = np.inf if abort_norm is None else abort_norm
 
+    def derive(b: int, stop: int) -> None:
+        """Derive column ``b``'s signals of its kept rows ``derived .. stop`` from its window."""
+        xs = windows[b][:stop - top]
+        new, rows = xs[derived - top:], slice(derived, stop)
+        y, p, e, u, v, ne_dist = signals[b]
+        y[rows], p[rows], v[rows] = new[:, y_cols], new[:, lay.p_diag], new[:, lay.v]
+        np.subtract(y[rows], p[rows], out=e[rows])
+        u[rows] = (xs @ U.T)[derived - top:]
+        ne_dist[rows] = np.linalg.norm(new[:, lay.P] - p_stacked, axis=1)
+
     def observe(k: int, t: np.ndarray, xs: np.ndarray):
         """Keep the block of steps ``k, k + 1, ..``; return the columns that stop in it:
         diverged, or past ``abort_norm``."""
-        nonlocal kept
+        nonlocal kept, top, derived
         if k == 0:
             return None
         # each column's largest |value| in the block; NumPy reduces over the leading axes one
@@ -596,44 +627,49 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
             else:
                 diverged_t[b] = (k + j) * h  # the time of its first non-finite state
             ends[b], peak[b] = k + j - 1, col[:j].max(initial=peak[b])
+            if ends[b] < n_steps:
+                counts[b] = ends[b] // dec + 1
         done[stop] = True
         np.maximum(peak, tops, out=peak, where=~done)
         rows = list(range(-k % dec, len(xs), dec))  # the steps that are multiples of dec
-        if k + len(xs) - 1 == n_steps and n_steps % dec:
+        last = k + len(xs) - 1 == n_steps
+        if last and n_steps % dec:
             rows.append(len(xs) - 1)  # and the last step
         picked = xs[rows]
-        for b, column in enumerate(kept_states):
-            column[kept:kept + len(rows)] = picked[..., b]
-        kept += len(rows)
-        return stop
+        ending = [b for b in range(B) if windows[b] is not None and (stop[b] or last)]
+        at = 0
+        while True:
+            size = min(len(picked) - at, top + cap - kept)  # the rows the windows still take
+            for b, window in enumerate(windows):
+                if window is not None:
+                    window[kept - top:kept - top + size] = picked[at:at + size, :, b]
+            kept, at = kept + size, at + size
+            for b in ending:  # a column derives the rest at its last kept state
+                if windows[b] is not None and counts[b] <= kept:
+                    derive(b, counts[b])
+                    windows[b] = None
+            if at == len(picked):
+                return stop
+            # the windows are full: derive their rows not derived yet, then slide them
+            for b, window in enumerate(windows):
+                if window is not None:
+                    derive(b, kept)
+                    window[:_U_WINDOW] = window[_U_WINDOW:]
+            derived, top = kept, top + _U_WINDOW
 
     # overflow on a diverging trajectory is expected and detected explicitly
     with np.errstate(over="ignore", invalid="ignore"):
         integrate(stepped, state, 0.0, scenario.t_final, h, observe, step=rk4_lifted_step)
-        del stepped  # the workspace, freed before the signals are derived
+    del stepped
 
-        # the signals of a diverged column may be as non-finite as its gains
-        trajs = []
-        steps = np.minimum(np.arange(n_kept) * dec, n_steps)  # the step of each kept row
-        p_stacked = np.tile(p_star, n)
-        for b, seed_b in enumerate(seeds):
-            samples = int(np.searchsorted(steps, ends[b], side="right"))
-            # popped, so the column's buffer is freed when the next column's replaces it; the
-            # signals own their data, so a kept trajectory does not pin it
-            Xb = kept_states.pop(0)[:samples]
-            ne_dist = np.empty(samples)
-            # a row's norm has the same bits in any chunk
-            for start in range(0, samples, _NE_CHUNK):
-                rows = slice(start, start + _NE_CHUNK)
-                ne_dist[rows] = np.linalg.norm(Xb[rows, lay.P] - p_stacked, axis=1)
-            y = Xb[:, lay.x.start:lay.x.start + n].copy()  # first chain level
-            p = Xb[:, lay.p_diag]
-            trajs.append(ClosedLoopTrajectory(
-                t=steps[:samples] * h, y=y, p=p, e=y - p,
-                u=Xb @ loop.control_rows.T, ne_dist=ne_dist,
-                p_star=p_star, v=Xb[:, lay.v].copy(), max_state_norm=float(peak[b]),
-                diverged=diverged_t[b] is not None, diverged_t=diverged_t[b],
-                aborted_norm=bool(aborted[b]), seed=seed_b))
+    trajs = []
+    steps = np.minimum(np.arange(n_kept) * dec, n_steps)  # the step of each kept row
+    for b, seed_b in enumerate(seeds):
+        y, p, e, u, v, ne_dist = (signal[:counts[b]] for signal in signals[b])
+        trajs.append(ClosedLoopTrajectory(
+            t=steps[:counts[b]] * h, y=y, p=p, e=e, u=u, ne_dist=ne_dist, p_star=p_star, v=v,
+            max_state_norm=float(peak[b]), diverged=diverged_t[b] is not None,
+            diverged_t=diverged_t[b], aborted_norm=bool(aborted[b]), seed=seed_b))
     return trajs if batch else trajs[0]
 
 

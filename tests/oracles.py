@@ -1,16 +1,17 @@
 """Independent oracles: custom-game finite differences and constants, the
 check suite's monotonicity sampling, RK4 on a linear system step by step,
 graph connectivity by breadth-first search, the closed loop, and `run`'s
-draw of a box start and its bookkeeping one lifted step at a time.
+draw of a box start, its bookkeeping one lifted step at a time and its
+signals derived from a column's whole history.
 
 The first are written out sample by sample or step by step, the way the
 definitions read, so that the whole-array code in `nesim` is checked against
 something other than itself. `composed_rhs` composes the closed-loop derivative block by
 block and agent by agent from the definitions, never from the rows the
 operator places: the generator from its stacked Kronecker form, the control
-law from the backstepping recursion plus the top read-out, the plant from
-its ``f0``/``f_levels`` (`plant_rhs`) and each compensator from its own
-``M``, ``N`` and ``Psi``.
+law from the backstepping recursion (`backstepping_feedback`) plus the top
+read-out, the plant from its ``f0``/``f_levels`` (`plant_rhs`) and each
+compensator from its own ``M``, ``N`` and ``Psi``.
 
 No nesim path steps by `nesim.numerics.rk4_step` any more: it stays in the
 library only as the per-stage RK4 the lifted step is held against and as
@@ -23,7 +24,6 @@ import dataclasses
 
 import numpy as np
 
-from nesim.controller import backstepping_feedback
 from nesim.errors import NonFiniteState
 from nesim.game import CustomGame, GradientConstants, extended_pseudo_gradient, pseudo_gradient
 from nesim.graph import laplacian
@@ -151,13 +151,14 @@ def stepwise_run(loop, x0: np.ndarray, h: float, n_steps: int, dec: int,
 
     Returns per column ``{"kept": (K, dim), "tops": [max |x_k|, ..],
     "max_state_norm", "diverged_t", "aborted"}``, ``tops`` over the steps it
-    ran, its last step included.
+    ran, its last step included, and the signals `whole_history_signals`
+    derives from ``kept``.
     """
     abort = np.inf if abort_norm is None else abort_norm
     loop = dataclasses.replace(loop, steps=rk4_lifted_steps(loop.operator, h, loop.bind))
     parked = loop.parked
     parked[:] = False
-    cols = [{"kept": [x0[:, b].copy()], "tops": [], "max_state_norm": 0.0,
+    cols = [{"kept": [x0[:, b].copy()], "steps": [0], "tops": [], "max_state_norm": 0.0,
              "diverged_t": None, "aborted": False} for b in range(x0.shape[1])]
     x = np.array(x0, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -177,11 +178,31 @@ def stepwise_run(loop, x0: np.ndarray, h: float, n_steps: int, dec: int,
                 col["max_state_norm"] = max(col["max_state_norm"], top)
                 if k % dec == 0 or k == n_steps:
                     col["kept"].append(x[:, b].copy())
+                    col["steps"].append(k)
                 if top > abort:
                     col["aborted"] = parked[b] = True
     for col in cols:
         col["kept"] = np.array(col["kept"])
+        col.update(whole_history_signals(loop, col["kept"], np.array(col["steps"]) * h))
     return cols
+
+
+def whole_history_signals(loop, kept: np.ndarray, t: np.ndarray) -> dict:
+    """A trajectory's signals, each from one column's whole history of kept states at once.
+
+    ``kept`` is ``(K, dim)`` and ``t`` its times. ``u`` is one product
+    ``kept @ U.T`` over every row and ``ne_dist`` one norm of every row's
+    estimates less the stacked equilibrium, as `simulation.run` derived
+    them before it passed the kept states through a window.
+    """
+    scenario = loop.scenario
+    lay, n = scenario.layout(), scenario.n
+    y, p = kept[:, lay.x.start:lay.x.start + n].copy(), kept[:, lay.p_diag]
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged column's huge states
+        return {"t": t, "y": y, "p": p, "e": y - p, "u": kept @ loop.control_rows.T,
+                "v": kept[:, lay.v].copy(),
+                "ne_dist": np.linalg.norm(kept[:, lay.P]
+                                          - np.tile(scenario.synthesized().p_star, n), axis=1)}
 
 
 def bfs_connected(g) -> bool:
@@ -233,6 +254,21 @@ def kronecker_generator(game, graph, gamma1: float, gamma2: float):
         return -gamma1 * Rsel.T @ F - gamma1 * gamma2 * Lbig @ P.ravel()
 
     return generator
+
+
+def backstepping_feedback(gains, x_bar: np.ndarray) -> np.ndarray:
+    """Transformed-coordinate feedback via the recursive gain construction.
+
+    The independent route `control_rows` is held against: fold the
+    transformed chain states ``x_bar`` ``(r, N)`` one level at a time and
+    feed back the top fold, with the gains ``k`` ``(N, r)`` of ``gains``.
+    """
+    x_bar = np.asarray(x_bar, dtype=float)
+    r = x_bar.shape[0]
+    xhat = x_bar[0]
+    for s in range(1, r):
+        xhat = x_bar[s] + gains.k[:, s - 1] * xhat
+    return -gains.k[:, r - 1] * xhat
 
 
 def backstepping_control(gains, bank, p, x, eta, ablate: bool = False) -> np.ndarray:

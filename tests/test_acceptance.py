@@ -14,14 +14,14 @@ import time
 import numpy as np
 import pytest
 
-from nesim.controller import (ControllerGains, backstepping_feedback, control_rows,
-                              escalate_gains, psi_readouts)
+from nesim.controller import ControllerGains, control_rows, escalate_gains, psi_readouts
 from nesim.game import extended_pseudo_gradient, partial_gradient, pseudo_gradient, solve_ne
 from nesim.generator import GeneratorGains, generator_rows, run_generator
 from nesim.graph import laplacian
 from nesim.internal_model import synthesize_bank, sylvester_residual
 from nesim.numerics import OdeSystem, integrate
 from nesim.simulation import run, write_csv
+from oracles import backstepping_feedback
 
 SEEDS = (1, 2, 3, 4, 5)
 

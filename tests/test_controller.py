@@ -5,15 +5,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nesim.controller import (ControllerGains, backstepping_feedback, control_rows,
-                              escalate_gains, psi_readouts, transform)
+from nesim.controller import (ControllerGains, control_rows, escalate_gains, psi_readouts,
+                              transform)
 from nesim.errors import EscalationExhausted
 from nesim.game import estimate_constants, solve_ne
 from nesim.generator import GeneratorGains
 from nesim.internal_model import synthesize_bank
 from nesim.numerics import rk4_step
 from nesim.simulation import EscalationSpec, run, start_gains, write_csv
-from oracles import unpack
+from oracles import backstepping_feedback, unpack
 
 
 @pytest.fixture(scope="module")

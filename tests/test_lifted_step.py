@@ -234,21 +234,19 @@ def diverging(sec5, decimate=10):
 def assert_run_is_stepwise(scenario, seeds, abort_norm=None) -> list[dict]:
     """`run` of ``seeds`` as one batch equals the per-step reference bit for bit.
 
-    Compared per column: the kept states' rows of ``y``, ``p`` and ``v``, the
-    sample count, the peak, the divergence time and the norm abort. Returns
-    the reference's columns.
+    Compared per column: every signal (``t``, ``y``, ``p``, ``e``, ``u``, ``v``
+    and ``ne_dist``, the reference's from the column's whole kept history),
+    the peak, the divergence time and the norm abort. Returns the
+    reference's columns.
     """
     starts, draws = zip(*(box_start(scenario, seed) for seed in seeds))
     loop = assemble(scenario, draws=np.stack(draws))
     ref = stepwise_run(loop, np.stack(starts, axis=1), scenario.dt, scenario.n_steps,
                        scenario.decimate, abort_norm)
-    lay, n = scenario.layout(), scenario.n
     for traj, col in zip(run(scenario, seed=list(seeds), abort_norm=abort_norm), ref):
-        kept = col["kept"]
-        assert len(traj.t) == len(kept)
-        for have, rows in ((traj.y, slice(lay.x.start, lay.x.start + n)), (traj.p, lay.p_diag),
-                           (traj.v, lay.v)):
-            assert have.tobytes() == np.ascontiguousarray(kept[:, rows]).tobytes()
+        for name in ("t", "y", "p", "e", "u", "v", "ne_dist"):
+            have, want = getattr(traj, name), col[name]
+            assert have.shape == want.shape and have.tobytes() == want.tobytes(), name
         assert (traj.max_state_norm, traj.diverged_t, traj.aborted_norm) == \
             (col["max_state_norm"], col["diverged_t"], col["aborted"])
     return ref
@@ -315,3 +313,4 @@ def test_a_limit_at_a_columns_exact_peak_matches_the_stepwise_reference(sec5):
         (col,) = assert_run_is_stepwise(scenario, (3,), abort_norm=float(limit))
         assert col["aborted"] == stops
         assert len(col["tops"]) == (free["tops"].index(peak) + 1 if stops else scenario.n_steps)
+

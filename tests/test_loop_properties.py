@@ -3,7 +3,9 @@
 Drawn: the scenario (bundled sec5, or the finite-difference custom game with
 the generic custom plant), one to three seeds, a gain multiplier from 1 to 16
 and the ablation flag; for the custom game's shared estimates, two or three
-seeds, the multiplier and a norm abort.
+seeds, the multiplier and a norm abort; for `run` against the per-step
+reference, the seeds, the decimation, the history's length, diverging or
+stable gains and a norm abort.
 """
 
 from __future__ import annotations
@@ -14,14 +16,15 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")  # in the `test` extra
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from nesim import simulation
 from nesim.controller import ControllerGains
 from nesim.numerics import integrate
 from nesim.plant import sample_uncertainty
-from nesim.simulation import assemble, run
+from nesim.simulation import _U_WINDOW, assemble, run
 from oracles import composed_rhs
+from test_lifted_step import assert_run_is_stepwise, diverging
 from test_simulation import assert_same_run
 
 CASES = dict(
@@ -91,3 +94,26 @@ def test_live_columns_hold_the_same_estimates(seeds, multiplier, abort_norm, req
         patch.setattr(simulation, "integrate", spy)
         run(short, seed=seeds, abort_norm=abort_norm)
     assert checked == list(range(len(checked))) and len(checked) >= 2
+
+
+# full histories of fewer kept rows than `run`'s window holds, just more, and several windows
+# long; under 10k steps each, about 5 s in all
+@settings(max_examples=8, deadline=None, database=None)
+@example(seeds=[3, 4, 5], decimate=1, rows=2501, stable=False, abort_norm=None)
+@example(seeds=[5, 3], decimate=1, rows=2501, stable=False, abort_norm=1e3)
+@example(seeds=[1, 2], decimate=1, rows=4 * _U_WINDOW + 100, stable=True, abort_norm=None)
+@given(seeds=st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True),
+       decimate=st.sampled_from([1, 2, 3, 7]),
+       rows=st.sampled_from([700, 2 * _U_WINDOW - 1, 2 * _U_WINDOW, 2 * _U_WINDOW + 1,
+                             2 * _U_WINDOW + 60, 3 * _U_WINDOW + 30]),
+       stable=st.booleans(),
+       abort_norm=st.one_of(st.none(), st.integers(0, 200).map(lambda e: 10.0 ** e)))
+def test_run_matches_the_whole_history_reference(seeds, decimate, rows, stable, abort_norm,
+                                                 sec5):
+    # the explicit examples stop seeds 3 and 5 past the first slide, at their divergence
+    # (rows 2091 and 2217) or at 1e3 (seed 5 at row 2144), and seed 4 before it (row 1331)
+    assume(rows * decimate <= 10_000)
+    scenario = sec5.escalated(4.0) if stable else diverging(sec5, decimate)
+    scenario = dataclasses.replace(scenario, t_final=(rows - 1) * decimate * scenario.dt,
+                                   decimate=decimate)
+    assert_run_is_stepwise(scenario, seeds, abort_norm)

@@ -486,26 +486,44 @@ def test_operator_is_shared_rows_plus_plant_rows_per_draw(case, stable, request)
         assert np.array_equal(batch.operator[b, others], batch.operator[0, others])
 
 
-def test_run_holds_each_column_only_until_it_is_derived(sec5):
-    # two seeds, every step kept, at the gains sec5's escalation passes with (x4): the peak
-    # is the kept states of both columns and one column's signals, not a copy of the history
-    # or whole-history temporaries of the distance to equilibrium
-    dense = dataclasses.replace(sec5.escalated(4.0), t_final=5.0, decimate=1)
-    run(dataclasses.replace(dense, t_final=0.01), seed=[1, 2])  # lazy imports, not run's memory
+def traced_peak(scenario, seeds) -> int:
+    """The tracemalloc peak of `run` over ``seeds``, after a short run has done its imports."""
+    run(dataclasses.replace(scenario, t_final=0.01), seed=seeds)  # lazy imports, not run's memory
     tracemalloc.start()
     try:
-        run(dense, seed=[1, 2])
-        _, peak = tracemalloc.get_traced_memory()
+        run(scenario, seed=seeds)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.4 * 2 * dense.kept_state_bytes()
+
+
+def test_run_holds_each_column_only_until_it_is_derived(sec5):
+    # two seeds, every step kept, at the gains sec5's escalation passes with (x4): 5001 rows,
+    # so the peak is no copy of the history nor whole-history temporaries of the distance to
+    # equilibrium
+    dense = dataclasses.replace(sec5.escalated(4.0), t_final=5.0, decimate=1)
+    assert traced_peak(dense, [1, 2]) <= 1.4 * 2 * 5001 * dense.layout().dim * 8
+
+
+def test_run_does_not_hold_every_kept_state(sec5):
+    # 10001 rows of two seeds: the peak is each seed's signals and one window of kept states
+    # (`Scenario.kept_state_bytes`) and the stepping workspace, not every kept state
+    dense = dataclasses.replace(sec5.escalated(4.0), t_final=10.0, decimate=1)
+    peak, every_state = traced_peak(dense, [1, 2]), 2 * 10001 * dense.layout().dim * 8
+    assert peak <= 0.7 * every_state
+    assert 2 * dense.kept_state_bytes() <= peak <= 2 * dense.kept_state_bytes() + 2 * 2 ** 20
 
 
 def test_kept_state_bytes_counts_the_recorded_samples(stable):
-    short = dataclasses.replace(stable, t_final=0.05, decimate=3)  # steps 0, 3, .., 48 and 50
-    traj = run(short)
-    assert len(traj.t) == 18
-    assert short.kept_state_bytes() == len(traj.t) * assemble(short).dimension * 8
+    # steps 0, 3, .., 48 and 50, all in the window; then more rows than the window holds
+    for t_final, decimate, rows in ((0.05, 3, 18), (2.5, 1, 2501)):
+        short = dataclasses.replace(stable, t_final=t_final, decimate=decimate)
+        traj = run(short)
+        assert len(traj.t) == rows
+        signals = sum(getattr(traj, name).nbytes
+                      for name in ("t", "y", "p", "e", "u", "v", "ne_dist"))
+        window = min(rows, 2048) * assemble(short).dimension * 8
+        assert short.kept_state_bytes() == signals + window
 
 
 SPLIT_CONTRACT = r"\(B, n_w\) stack of draws.*PlantFeatures\(count, bind\)"
