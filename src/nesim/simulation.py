@@ -49,8 +49,9 @@ _CSV_CHUNK = 256  # rows `write_csv` turns into Python floats at a time; bounds 
 # _U_WINDOW, so each `u` product spans at least _U_WINDOW rows from a multiple of _U_WINDOW and
 # gives each row the bits of the whole history's product. On scipy-openblas 0.3.31, SkylakeX
 # kernels round a row alike in every product of at least 301, 151, 76 and 2 rows at (N, dim) =
-# (4, 62), (8, 154), (16, 434) and (3, 23); Haswell kernels round a product's last row apart
-# when its row count is odd. tests/test_blas_contract.py holds the rule.
+# (4, 62), (8, 154), (16, 434) and (3, 23). Haswell kernels round the last row of each BLAS
+# thread's share apart when the share's row count is odd, which the windows match with one
+# thread only. tests/test_blas_contract.py holds the rule.
 _U_WINDOW = 1024
 
 
@@ -572,13 +573,18 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
 
     n_steps, n_kept = scenario.n_steps, _kept_samples(scenario.n_steps, dec)
     cap = min(n_kept, 2 * _U_WINDOW)
+
+    def signals_of(rows: int) -> list:
+        """Empty ``y``, ``p``, ``e``, ``u``, ``v`` and ``ne_dist`` of ``rows`` kept rows."""
+        return [np.empty((rows,) + shape) for shape in [(n,)] * 4 + [(lay.n_v,), ()]]
+
     # each column's kept states (step 0, each dec-th step and the last) pass through a window of
-    # its own into its signals y, p, e, u, v and ne_dist; row j is step min(j dec, n_steps), and
-    # a stopped column keeps the samples it has, a prefix
+    # its own into its signals; row j is step min(j dec, n_steps), and a stopped column keeps the
+    # samples it has, a prefix. A window that never slides is derived once, into signals of its
+    # column's rows made then; else the signals are needed while stepping, and made here
     try:
         windows = [np.empty((cap, lay.dim)) for _ in range(B)]
-        signals = [[np.empty((n_kept,) + shape) for shape in [(n,)] * 4 + [(lay.n_v,), ()]]
-                   for _ in range(B)]
+        signals = [signals_of(n_kept) if n_kept > cap else None for _ in range(B)]
     except (ValueError, MemoryError) as exc:
         raise ConfigError(
             f"sim.t_final: {scenario.t_final:g} s in steps of sim.dt = {h:g}, keeping every "
@@ -600,13 +606,17 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
 
     def derive(b: int, stop: int) -> None:
         """Derive column ``b``'s signals of its kept rows ``derived .. stop`` from its window."""
+        if signals[b] is None:
+            signals[b] = signals_of(stop)
         xs = windows[b][:stop - top]
         new, rows = xs[derived - top:], slice(derived, stop)
         y, p, e, u, v, ne_dist = signals[b]
         y[rows], p[rows], v[rows] = new[:, y_cols], new[:, lay.p_diag], new[:, lay.v]
         np.subtract(y[rows], p[rows], out=e[rows])
         u[rows] = (xs @ U.T)[derived - top:]
-        ne_dist[rows] = np.linalg.norm(new[:, lay.P] - p_stacked, axis=1)
+        # the bits of np.linalg.norm(.., axis=1), with one temporary
+        gap = new[:, lay.P] - p_stacked
+        ne_dist[rows] = np.sqrt(np.square(gap, out=gap).sum(axis=1))
 
     def observe(k: int, t: np.ndarray, xs: np.ndarray):
         """Keep the block of steps ``k, k + 1, ..``; return the columns that stop in it:
@@ -632,11 +642,9 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
         done[stop] = True
         np.maximum(peak, tops, out=peak, where=~done)
         rows = list(range(-k % dec, len(xs), dec))  # the steps that are multiples of dec
-        last = k + len(xs) - 1 == n_steps
-        if last and n_steps % dec:
+        if k + len(xs) - 1 == n_steps and n_steps % dec:
             rows.append(len(xs) - 1)  # and the last step
         picked = xs[rows]
-        ending = [b for b in range(B) if windows[b] is not None and (stop[b] or last)]
         at = 0
         while True:
             size = min(len(picked) - at, top + cap - kept)  # the rows the windows still take
@@ -644,7 +652,7 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
                 if window is not None:
                     window[kept - top:kept - top + size] = picked[at:at + size, :, b]
             kept, at = kept + size, at + size
-            for b in ending:  # a column derives the rest at its last kept state
+            for b in np.flatnonzero(stop):  # a stopped column derives the rest at its last row
                 if windows[b] is not None and counts[b] <= kept:
                     derive(b, counts[b])
                     windows[b] = None
@@ -660,7 +668,11 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
     # overflow on a diverging trajectory is expected and detected explicitly
     with np.errstate(over="ignore", invalid="ignore"):
         integrate(stepped, state, 0.0, scenario.t_final, h, observe, step=rk4_lifted_step)
-    del stepped
+        del stepped  # the workspace, freed before the columns that ran to the horizon are derived
+        for b in range(B):
+            if windows[b] is not None:
+                derive(b, n_kept)
+                windows[b] = None
 
     trajs = []
     steps = np.minimum(np.arange(n_kept) * dec, n_steps)  # the step of each kept row

@@ -51,7 +51,8 @@ def history(scenario, seed: int, n_rows: int) -> np.ndarray:
 
 
 def windows(n: int) -> list[tuple[int, int]]:
-    """The rows ``(start, stop)`` of each product `run` takes over a history of ``n`` rows."""
+    """The rows ``(start, stop)`` of each product `run` takes over a history of ``n`` rows:
+    ``[(0, 2W), (W, 3W), .., (top, n)]``, or ``[(0, n)]`` for ``n <= 2W``."""
     top, out = 0, []
     while top + 2 * W < n:
         out.append((top, top + 2 * W))
@@ -82,12 +83,6 @@ def test_each_window_product_has_the_whole_history_bits(case, cases):
         whole = X[:n] @ U.T
         for start, stop in windows(n):
             assert np.array_equal(X[start:stop] @ U.T, whole[start:stop]), (n, start, stop)
-
-
-def test_windows_follow_run_s_rule():
-    assert windows(2 * W) == [(0, 2 * W)]
-    assert windows(2 * W + 1) == [(0, 2 * W), (W, 2 * W + 1)]
-    assert windows(4 * W + 100) == [(0, 2 * W), (W, 3 * W), (2 * W, 4 * W), (3 * W, 4 * W + 100)]
 
 
 @pytest.mark.parametrize("case", ["sec5", "custom", "ring8"])
