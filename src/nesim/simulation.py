@@ -45,13 +45,11 @@ from .plant import (Exosystem, PlantFeatures, PlantModel, checked_box, drift_spl
 
 AUTO_GAMMA2_MARGIN = 1.25
 _CSV_CHUNK = 256  # rows `write_csv` turns into Python floats at a time; bounds its transients
-# `run` passes each column's kept states through a window of 2 _U_WINDOW rows that slides by
-# _U_WINDOW, so each `u` product spans at least _U_WINDOW rows from a multiple of _U_WINDOW and
-# gives each row the bits of the whole history's product. On scipy-openblas 0.3.31, SkylakeX
-# kernels round a row alike in every product of at least 301, 151, 76 and 2 rows at (N, dim) =
-# (4, 62), (8, 154), (16, 434) and (3, 23). Haswell kernels round the last row of each BLAS
-# thread's share apart when the share's row count is odd, which the windows match with one
-# thread only. tests/test_blas_contract.py holds the rule.
+# `run`'s window of kept states holds 2 _U_WINDOW rows and slides by _U_WINDOW, so each `u`
+# product spans at least _U_WINDOW rows from a multiple of _U_WINDOW and gives each row the bits
+# of the whole history's product: scipy-openblas 0.3.31's SkylakeX kernels round a row alike in
+# every product of at least 301, 151, 76 and 2 rows at (N, dim) = (4, 62), (8, 154), (16, 434)
+# and (3, 23). tests/test_blas_contract.py holds the rule, and says where Haswell kernels break it.
 _U_WINDOW = 1024
 
 
@@ -535,11 +533,12 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
     ``2 _U_WINDOW`` rows, into its signals. When the window fills, the rows
     not derived yet are derived, ``u`` as one product over the whole window,
     and its last ``_U_WINDOW`` rows move to its front; at the column's last
-    kept state (its stop or the horizon) the rest are derived the same way
-    and the window is freed. So each row's ``u`` has the bits of one product
-    over the whole history (a history of at most ``2 _U_WINDOW`` rows is
-    one product), and `run` holds each seed's signals and one window
-    (`Scenario.kept_state_bytes`), not every kept state.
+    kept state (its stop, or the horizon once the stepping workspace is
+    freed) the rest are derived the same way and the window is freed. So
+    each row's ``u`` has the bits of one product over the whole history (a
+    history of at most ``2 _U_WINDOW`` rows is one product), and `run`
+    holds each seed's signals and one window (`Scenario.kept_state_bytes`),
+    not every kept state.
     """
     batch = seed is not None and not isinstance(seed, (int, np.integer))
     seeds = [int(s) for s in seed] if batch else [scenario.seed if seed is None else int(seed)]
@@ -605,18 +604,25 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
     abort = np.inf if abort_norm is None else abort_norm
 
     def derive(b: int, stop: int) -> None:
-        """Derive column ``b``'s signals of its kept rows ``derived .. stop`` from its window."""
-        if signals[b] is None:
-            signals[b] = signals_of(stop)
+        """Derive column ``b``'s signals of its kept rows ``derived .. stop`` from its window,
+        and free the window at the column's last row."""
         xs = windows[b][:stop - top]
         new, rows = xs[derived - top:], slice(derived, stop)
+        # the bits of np.linalg.norm(.., axis=1) with one temporary, contiguous so that no ufunc
+        # buffers it, and freed before the signals are made
+        gap = new[:, lay.P].copy()
+        gap -= p_stacked
+        dist = np.sqrt(np.square(gap, out=gap).sum(axis=1))
+        del gap
+        if signals[b] is None:
+            signals[b] = signals_of(stop)
         y, p, e, u, v, ne_dist = signals[b]
-        y[rows], p[rows], v[rows] = new[:, y_cols], new[:, lay.p_diag], new[:, lay.v]
+        y[rows], p[rows], v[rows], ne_dist[rows] = (new[:, y_cols], new[:, lay.p_diag],
+                                                    new[:, lay.v], dist)
         np.subtract(y[rows], p[rows], out=e[rows])
         u[rows] = (xs @ U.T)[derived - top:]
-        # the bits of np.linalg.norm(.., axis=1), with one temporary
-        gap = new[:, lay.P] - p_stacked
-        ne_dist[rows] = np.sqrt(np.square(gap, out=gap).sum(axis=1))
+        if stop == counts[b]:
+            windows[b] = None
 
     def observe(k: int, t: np.ndarray, xs: np.ndarray):
         """Keep the block of steps ``k, k + 1, ..``; return the columns that stop in it:
@@ -637,8 +643,7 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
             else:
                 diverged_t[b] = (k + j) * h  # the time of its first non-finite state
             ends[b], peak[b] = k + j - 1, col[:j].max(initial=peak[b])
-            if ends[b] < n_steps:
-                counts[b] = ends[b] // dec + 1
+            counts[b] = n_kept if ends[b] == n_steps else ends[b] // dec + 1
         done[stop] = True
         np.maximum(peak, tops, out=peak, where=~done)
         rows = list(range(-k % dec, len(xs), dec))  # the steps that are multiples of dec
@@ -655,7 +660,6 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
             for b in np.flatnonzero(stop):  # a stopped column derives the rest at its last row
                 if windows[b] is not None and counts[b] <= kept:
                     derive(b, counts[b])
-                    windows[b] = None
             if at == len(picked):
                 return stop
             # the windows are full: derive their rows not derived yet, then slide them
@@ -672,7 +676,6 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
         for b in range(B):
             if windows[b] is not None:
                 derive(b, n_kept)
-                windows[b] = None
 
     trajs = []
     steps = np.minimum(np.arange(n_kept) * dec, n_steps)  # the step of each kept row
