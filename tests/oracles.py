@@ -192,8 +192,8 @@ def whole_history_signals(loop, kept: np.ndarray, t: np.ndarray) -> dict:
 
     ``kept`` is ``(K, dim)`` and ``t`` its times. ``u`` is one product
     ``kept @ U.T`` over every row and ``ne_dist`` one norm of every row's
-    estimates less the stacked equilibrium, as `simulation.run` derived
-    them before it passed the kept states through a window.
+    estimates less the stacked equilibrium: the route whose bits
+    `simulation.run`'s window of kept states must give.
     """
     scenario = loop.scenario
     lay, n = scenario.layout(), scenario.n

@@ -97,7 +97,7 @@ def test_live_columns_hold_the_same_estimates(seeds, multiplier, abort_norm, req
 
 
 # full histories of fewer kept rows than `run`'s window holds, just more, and several windows
-# long; under 10k steps each, about 5 s in all
+# long; under 10k steps each, about 3 s in all
 @settings(max_examples=8, deadline=None, database=None)
 @example(seeds=[3, 4, 5], decimate=1, rows=2501, stable=False, abort_norm=None)
 @example(seeds=[5, 3], decimate=1, rows=2501, stable=False, abort_norm=1e3)
