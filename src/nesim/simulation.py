@@ -45,11 +45,12 @@ from .plant import (Exosystem, PlantFeatures, PlantModel, checked_box, drift_spl
 
 AUTO_GAMMA2_MARGIN = 1.25
 _CSV_CHUNK = 256  # rows `write_csv` turns into Python floats at a time; bounds its transients
-# `run`'s window of kept states holds 2 _U_WINDOW rows and slides by _U_WINDOW, so each `u`
-# product spans at least _U_WINDOW rows from a multiple of _U_WINDOW and gives each row the bits
-# of the whole history's product: scipy-openblas 0.3.31's SkylakeX kernels round a row alike in
-# every product of at least 301, 151, 76 and 2 rows at (N, dim) = (4, 62), (8, 154), (16, 434)
-# and (3, 23). tests/test_blas_contract.py holds the rule, and says where Haswell kernels break it.
+# `run`'s window of kept states holds 2 _U_WINDOW rows; when it fills, its first _U_WINDOW rows
+# are derived and it slides by _U_WINDOW, so each `u` product spans at least _U_WINDOW rows from
+# a multiple of _U_WINDOW and gives each row the bits of the whole history's product:
+# scipy-openblas 0.3.31's SkylakeX kernels round a row alike in every product of at least 301,
+# 151, 76 and 2 rows at (N, dim) = (4, 62), (8, 154), (16, 434) and (3, 23).
+# tests/test_blas_contract.py holds the rule, and says where Haswell kernels break it.
 _U_WINDOW = 1024
 
 
@@ -530,11 +531,11 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
     after it, to the block's end, are not kept.
 
     Each column's kept states pass through a window of its own, of at most
-    ``2 _U_WINDOW`` rows, into its signals. When the window fills, the rows
-    not derived yet are derived, ``u`` as one product over the whole window,
-    and its last ``_U_WINDOW`` rows move to its front; at the column's last
-    kept state (its stop, or the horizon once the stepping workspace is
-    freed) the rest are derived the same way and the window is freed. So
+    ``2 _U_WINDOW`` rows, into its signals. When the window fills, its first
+    ``_U_WINDOW`` rows are derived, ``u`` as one product over them, and its
+    last ``_U_WINDOW`` rows move to its front; at the column's last kept
+    state (its stop, or the horizon once the stepping workspace is freed)
+    the rows it holds are derived the same way and the window is freed. So
     each row's ``u`` has the bits of one product over the whole history (a
     history of at most ``2 _U_WINDOW`` rows is one product), and `run`
     holds each seed's signals and one window (`Scenario.kept_state_bytes`),
@@ -592,7 +593,7 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
     for window, x0 in zip(windows, state.T):
         window[0] = x0
     kept = 1  # the rows each live column has kept
-    top = derived = 0  # the kept row at the windows' front, and the first row not derived
+    top = 0  # the kept row at the windows' front; the rows before it are derived
     U, p_stacked = loop.control_rows, np.tile(p_star, n)
     y_cols = slice(lay.x.start, lay.x.start + n)  # the first chain level
     peak = np.zeros(B)  # each column's largest |value| after step 0, up to its last kept step
@@ -604,30 +605,29 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
     abort = np.inf if abort_norm is None else abort_norm
 
     def derive(b: int, stop: int) -> None:
-        """Derive column ``b``'s signals of its kept rows ``derived .. stop`` from its window,
-        and free the window at the column's last row."""
-        xs = windows[b][:stop - top]
-        new, rows = xs[derived - top:], slice(derived, stop)
+        """Derive column ``b``'s signals of its kept rows ``top .. stop``, the first rows of its
+        window, and free the window at the column's last row."""
+        xs, rows = windows[b][:stop - top], slice(top, stop)
         # the bits of np.linalg.norm(.., axis=1) with one temporary, contiguous so that no ufunc
         # buffers it, and freed before the signals are made
-        gap = new[:, lay.P].copy()
+        gap = xs[:, lay.P].copy()
         gap -= p_stacked
         dist = np.sqrt(np.square(gap, out=gap).sum(axis=1))
         del gap
         if signals[b] is None:
             signals[b] = signals_of(stop)
         y, p, e, u, v, ne_dist = signals[b]
-        y[rows], p[rows], v[rows], ne_dist[rows] = (new[:, y_cols], new[:, lay.p_diag],
-                                                    new[:, lay.v], dist)
+        y[rows], p[rows], v[rows], ne_dist[rows] = (xs[:, y_cols], xs[:, lay.p_diag],
+                                                    xs[:, lay.v], dist)
         np.subtract(y[rows], p[rows], out=e[rows])
-        u[rows] = (xs @ U.T)[derived - top:]
+        u[rows] = xs @ U.T
         if stop == counts[b]:
             windows[b] = None
 
     def observe(k: int, t: np.ndarray, xs: np.ndarray):
         """Keep the block of steps ``k, k + 1, ..``; return the columns that stop in it:
         diverged, or past ``abort_norm``."""
-        nonlocal kept, top, derived
+        nonlocal kept, top
         if k == 0:
             return None
         # each column's largest |value| in the block; NumPy reduces over the leading axes one
@@ -662,12 +662,12 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
                     derive(b, counts[b])
             if at == len(picked):
                 return stop
-            # the windows are full: derive their rows not derived yet, then slide them
+            # the windows are full: derive the rows that leave them, then slide them
             for b, window in enumerate(windows):
                 if window is not None:
-                    derive(b, kept)
+                    derive(b, top + _U_WINDOW)
                     window[:_U_WINDOW] = window[_U_WINDOW:]
-            derived, top = kept, top + _U_WINDOW
+            top += _U_WINDOW
 
     # overflow on a diverging trajectory is expected and detected explicitly
     with np.errstate(over="ignore", invalid="ignore"):

@@ -3,10 +3,11 @@
 - `numerics.column_gemv` gives a column the same bits at every batch size
   ``B``, so a seed's run is bit-identical alone and in a batch.
 - `simulation.run` derives ``u = X @ U.T`` through a window of kept states
-  (`simulation._U_WINDOW`): one product over ``2 _U_WINDOW`` rows each time
-  the window fills, the window then sliding by ``_U_WINDOW``, and one over
-  the rest at the history's end. Each row of those products must have the
-  bits of the one product over the whole history.
+  (`simulation._U_WINDOW`): one product over the window's first
+  ``_U_WINDOW`` rows each time the window of ``2 _U_WINDOW`` rows fills,
+  the window then sliding by ``_U_WINDOW``, and one over the rest at the
+  history's end. Each row of those products must have the bits of the one
+  product over the whole history.
 
 Measured on scipy-openblas 0.3.31.188.0 with its SkylakeX kernels: a row of
 ``X[a:a + m] @ U.T`` has the bits of the whole product's row for every
@@ -15,8 +16,8 @@ Measured on scipy-openblas 0.3.31.188.0 with its SkylakeX kernels: a row of
 kernel. With ``OPENBLAS_CORETYPE=Haswell`` the same library rounds the
 last row of each thread's share of a product apart when the share's row
 count is odd: with one BLAS thread `run`'s windows still give the whole
-history's bits, as each starts at a multiple of ``_U_WINDOW`` and ends at
-``2 _U_WINDOW`` rows or at the history's end, but with two threads the
+history's bits, as each starts at a multiple of ``_U_WINDOW`` and spans
+``_U_WINDOW`` rows or ends at the history's end, but with two threads the
 whole product's shares end at rows no window ends at, and the window test
 here fails. A BLAS that breaks either property fails here first, not in
 every golden case.
@@ -52,10 +53,11 @@ def history(scenario, seed: int, n_rows: int) -> np.ndarray:
 
 def windows(n: int) -> list[tuple[int, int]]:
     """The rows ``(start, stop)`` of each product `run` takes over a history of ``n`` rows:
-    ``[(0, 2W), (W, 3W), .., (top, n)]``, or ``[(0, n)]`` for ``n <= 2W``."""
+    ``[(0, W), (W, 2W), .., (top, n)]`` with ``W < n - top <= 2W``, or ``[(0, n)]`` for
+    ``n <= 2W``."""
     top, out = 0, []
     while top + 2 * W < n:
-        out.append((top, top + 2 * W))
+        out.append((top, top + W))
         top += W
     return out + [(top, n)]
 
