@@ -46,8 +46,8 @@ from .plant import (Exosystem, PlantFeatures, PlantModel, checked_box, drift_spl
 AUTO_GAMMA2_MARGIN = 1.25
 _CSV_CHUNK = 256  # rows `write_csv` turns into Python floats at a time; bounds its transients
 # `run`'s window of kept states holds 2 _U_WINDOW rows; when it fills, its first _U_WINDOW rows
-# are derived and it slides by _U_WINDOW, so each `u` product spans at least _U_WINDOW rows from
-# a multiple of _U_WINDOW and gives each row the bits of the whole history's product:
+# are derived and it slides by _U_WINDOW, so each `u` product is the whole history or spans at
+# least _U_WINDOW rows from a multiple of _U_WINDOW, and gives each row the whole product's bits:
 # scipy-openblas 0.3.31's SkylakeX kernels round a row alike in every product of at least 301,
 # 151, 76 and 2 rows at (N, dim) = (4, 62), (8, 154), (16, 434) and (3, 23).
 # tests/test_blas_contract.py holds the rule, and says where Haswell kernels break it.

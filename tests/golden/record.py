@@ -119,7 +119,7 @@ CASES = {
     "simulate_sec5_dense_seeds1_2": ["simulate", "--config", "dense.json", "--decimate", "1",
                                      "--sweep", "seeds=2"],
     # 2501 rows kept per seed: past `run`'s first window of kept states, so one slide and a last
-    # window that overlaps the one before it
+    # window of 1477 rows
     "simulate_sec5_dense_t2_5_seeds1_2": ["simulate", "--config", "dense.json", "--decimate",
                                           "1", "--t-final", "2.5", "--sweep", "seeds=2"],
     # every step kept: seed 4 diverges at row 1331, before the first slide, seeds 3 and 5 at
