@@ -8,8 +8,8 @@ consensus on the Nash equilibrium when the consensus gain is large enough.
 
 The generator is linear in ``[vec P; 1; partials]``: `generator_rows` writes
 that map once, `partials_bind` fills a custom game's partials, and
-`run_generator` steps it by RK4 stages folded into the map
-(`numerics.rk4_lifted_step`), as the closed loop is stepped.
+`run_generator` steps it by RK4 stages folded into the map, in a workspace
+of `numerics.rk4_lifted_steps`, as the closed loop is stepped.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from .errors import Disconnected, NonFiniteState, require
 from .game import GameSpec, GradientConstants, QuadraticAggregativeGame, row_partial
 from .graph import CONNECTIVITY_EPS, CommGraph, lambda2, laplacian
-from .numerics import LiftedOdeSystem, integrate, rk4_lifted_step, rk4_lifted_steps
+from .numerics import integrate, rk4_lifted_steps
 
 if TYPE_CHECKING:
     from .simulation import Scenario
@@ -164,10 +164,10 @@ def run_generator(scenario: Scenario) -> GeneratorTrajectory:
     The game, graph, ``gains.gamma1``, start ``p0`` (zeros if None), horizon,
     step and decimation (the distance is kept every ``decimate``-th step) are
     the scenario's; ``gamma2``, the equilibrium and the constants come from
-    `Scenario.synthesized`, and the dynamics never see the equilibrium. The
-    rows of `generator_rows` step by `numerics.rk4_lifted_step` in a workspace
-    built here. A consensus gain below the synthesis's ``min_gamma2`` only
-    triggers a warning, since the bound is sufficient, not necessary.
+    `Scenario.synthesized`, and the dynamics never see the equilibrium.
+    `numerics.integrate` steps the rows of `generator_rows` in a workspace of
+    `numerics.rk4_lifted_steps`. A consensus gain below the synthesis's
+    ``min_gamma2`` only warns, since the bound is sufficient, not necessary.
 
     Raises
     ------
@@ -183,8 +183,7 @@ def run_generator(scenario: Scenario) -> GeneratorTrajectory:
     def bind(lifted: np.ndarray) -> Optional[Callable[[], None]]:
         return partials_bind(game, lifted[:n * n], lifted[n * n + 1:])
 
-    sys = LiftedOdeSystem(dimension=n * n, rhs=None, bind=bind,
-                          steps=rk4_lifted_steps(rows[None], h, bind))
+    steps = rk4_lifted_steps(rows[None], h, bind)
 
     if synthesis.gamma2 < synthesis.min_gamma2:
         warnings.warn(f"gamma2 = {synthesis.gamma2:.4g} is below the guarantee bound "
@@ -202,7 +201,6 @@ def run_generator(scenario: Scenario) -> GeneratorTrajectory:
 
     P0 = np.zeros((n, n)) if scenario.p0 is None else scenario.p0
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is raised, not warned
-        final = integrate(sys, P0.reshape(n * n, 1), 0.0, scenario.t_final, h, observer,
-                          step=rk4_lifted_step)
+        final = integrate(steps, P0.reshape(n * n, 1), 0.0, scenario.t_final, h, observer)
     return GeneratorTrajectory(t=np.concatenate(ts), dist=np.concatenate(dists),
                                final_estimates=final.reshape(n, n), p_star=synthesis.p_star)

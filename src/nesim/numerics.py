@@ -1,24 +1,16 @@
 """Checked dense linear algebra (LAPACK via NumPy) and a fixed-step RK4 integrator.
 
-`integrate` is the one stepping loop for nonlinear systems; its ``step``
-hook picks how one RK4 step is made:
-
-- `rk4_lifted_step` steps a system that is linear in a lifted state,
-  ``xdot = A [x; 1; phi(x)]`` (the closed loop and the generator): each
-  stage is one GEMV by a matrix of `rk4_lifted_matrices`, four per step
-  (``S1``, ``S2``, ``S3`` and ``W``), inside a workspace of
-  `rk4_lifted_steps` whose GEMVs and lifts are bound once;
-- `rk4_step`, the default, steps any ``rhs``. No nesim path steps by it:
-  it stays as the oracle the lifted step is tested against and as the
-  per-step leaf that perfbench's tracer wraps.
-
-`integrate` writes the states it makes into a block buffer of `STEP_BLOCK`
-rows and hands its observer each block once, so the observer's bookkeeping
-(a running peak, the decimated samples) is whole-array work per block, not
-per step. Divergence is read, not caught: `rk4_lifted_step` does not raise
-and `integrate` measures nothing, so the observer finds a block's first
-non-finite state itself (`simulation.run` stops that column there,
-`generator.run_generator` raises `NonFiniteState`).
+`integrate` is the one stepping loop for nonlinear systems. It steps a
+`LiftedSteps` workspace by `rk4_lifted_step`: a system linear in a lifted
+state, ``xdot = A [x; 1; phi(x)]`` (the closed loop and the generator),
+whose RK4 stages are one GEMV each by the maps of `rk4_lifted_matrices`,
+bound once with the system's lifts by `rk4_lifted_steps`. It steps any
+other `OdeSystem` by `rk4_step` on its ``rhs``; no nesim path does, and
+`rk4_step` stays as the lifted step's oracle and the per-step leaf that
+perfbench's tracer wraps. `integrate` hands its observer the states a block
+of `STEP_BLOCK` at a time, so the observer's bookkeeping is whole-array
+work per block. Divergence is read, not caught: `rk4_lifted_step` does not
+raise, so the observer finds a block's first non-finite state itself.
 
 A linear system ``xdot = A x`` steps through `rk4_linear`: there one RK4
 step is exactly ``x+ = R(hA) x``, with `rk4_matrix` giving RK4's step
@@ -39,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -146,13 +138,13 @@ def rk4_step(sys: OdeSystem, t: float, x: np.ndarray, h: float,
     return np.add(x, (h / 6.0) * incr, out=out)
 
 
-def integrate(sys: OdeSystem, x0: np.ndarray, t0: float, t_final: float, h: float,
-              observer: Callable | None = None, step: Callable | None = None) -> np.ndarray:
+def integrate(sys: OdeSystem | LiftedSteps, x0: np.ndarray, t0: float, t_final: float,
+              h: float, observer: Callable | None = None) -> np.ndarray:
     """Integrate with fixed-step RK4 from ``t0`` to ``t_final``; returns the final state.
 
-    ``step(sys, t, x, h, out)`` makes one step from ``x`` at time ``t`` and
-    writes the new state into ``out``: `rk4_step` by default, or
-    `rk4_lifted_step`. The steps are made in blocks of `STEP_BLOCK` (the
+    ``sys`` is a `LiftedSteps` workspace, stepped by `rk4_lifted_step`, or
+    an `OdeSystem`, stepped by `rk4_step`; the stepper is looked up in this
+    module at each call. The steps are made in blocks of `STEP_BLOCK` (the
     last block holds what is left), each written into its row of one block
     buffer.
 
@@ -183,7 +175,7 @@ def integrate(sys: OdeSystem, x0: np.ndarray, t0: float, t_final: float, h: floa
     n_steps = int(round((t_final - t0) / h))
     if n_steps < 0:
         raise ValueError(f"t_final = {t_final:g} lies before t0 = {t0:g}")
-    step = rk4_step if step is None else step
+    step = rk4_lifted_step if isinstance(sys, LiftedSteps) else rk4_step
     x = np.array(x0, dtype=float)
     block = np.empty((max(1, min(STEP_BLOCK, n_steps)),) + x.shape)
     k, parked = 0, None
@@ -205,7 +197,7 @@ def integrate(sys: OdeSystem, x0: np.ndarray, t0: float, t_final: float, h: floa
 
 @dataclass(eq=False)
 class LiftedSteps:
-    """A workspace for `rk4_lifted_step`: RK4's stage maps at step ``h``, bound once.
+    """A lifted system as `integrate` steps it: RK4's stage maps at step ``h``, bound once.
 
     The maps ``S1, S2, S3, W`` of `rk4_lifted_matrices` and the system's lift
     are bound to one lift buffer ``[L2; L1; L3; L4]`` of ``(4 width, B)``,
@@ -222,25 +214,6 @@ class LiftedSteps:
     state: np.ndarray
     stages: tuple
     last: Callable
-
-
-@dataclass(frozen=True)
-class LiftedOdeSystem(OdeSystem):
-    """``xdot = A_b [x_b; 1; phi(x_b)]`` for each column ``b`` of a ``(dim, B)`` state.
-
-    ``bind(L)`` takes a lifted ``(width, B)`` array ``L`` and returns
-    ``lift()``, which overwrites the feature rows ``dim + 1:`` of ``L`` from
-    the states in its rows ``:dim`` as they are at each call, or None when
-    there are no feature rows; row ``dim`` holds the one, and column ``b``
-    reads only column ``b``. ``steps`` is the
-    workspace `rk4_lifted_step` steps in (`rk4_lifted_steps`), built from
-    each column's ``A_b`` for one step size; None until built. A column
-    steps bit-identically however many share the batch only when ``dim`` is
-    at least 2 (see `column_gemv`).
-    """
-
-    bind: Callable = None
-    steps: Optional[LiftedSteps] = None
 
 
 def rk4_lifted_matrices(A: np.ndarray, h: float) -> tuple:
@@ -278,11 +251,16 @@ def rk4_lifted_matrices(A: np.ndarray, h: float) -> tuple:
 def rk4_lifted_steps(A: np.ndarray, h: float, bind: Callable) -> LiftedSteps:
     """The workspace `rk4_lifted_step` steps ``xdot = A [x; 1; phi(x)]`` in, at step ``h``.
 
-    ``A`` is ``(B, dim, width)`` and ``bind`` the system's
-    (`LiftedOdeSystem`). The stage maps (`rk4_lifted_matrices`), the lift
-    buffer, the four lifts and the GEMVs' source and destination views are
-    made here, once, so a step slices and allocates nothing but its new
-    state.
+    ``A`` is ``(B, dim, width)``, one operator per column. ``bind(L)`` takes
+    a lifted ``(width, B)`` array ``L`` and returns ``lift()``, which
+    overwrites the feature rows ``dim + 1:`` of ``L`` from the states in its
+    rows ``:dim`` as they are at each call, or None when there are no
+    feature rows; row ``dim`` holds the one, and column ``b`` reads only
+    column ``b``. The stage maps (`rk4_lifted_matrices`), the lift buffer,
+    the four lifts and the GEMVs' source and destination views are made
+    here, once, so a step slices and allocates nothing but its new state. A
+    column steps bit-identically however many share the batch only when
+    ``dim`` is at least 2 (see `column_gemv`).
 
     Raises
     ------
@@ -337,17 +315,17 @@ def column_gemv(M: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> 
     return partial(np.matmul, M, vT, out=out.T[..., None])
 
 
-def rk4_lifted_step(sys: LiftedOdeSystem, t: float, x: np.ndarray, h: float,
+def rk4_lifted_step(steps: LiftedSteps, t: float, x: np.ndarray, h: float,
                     out: np.ndarray | None = None) -> np.ndarray:
-    """One RK4 step of a `LiftedOdeSystem`, as four GEMVs per column.
+    """One RK4 step in the workspace ``steps`` (`rk4_lifted_steps`), as four GEMVs per column.
 
     ``x`` is ``(dim, B)``, one column per operator. It is copied into the
-    state rows of ``L1`` in the workspace ``sys.steps`` (`rk4_lifted_steps`);
-    each stage state is one GEMV over the lifts so far, written straight
-    into the buffer and lifted there, and the new state is one GEMV over the
-    whole buffer into ``out`` (a C-contiguous ``(dim, B)`` array), or a
-    fresh array, which is returned. No stage derivative is formed. The
-    system is autonomous: ``t`` is not read.
+    state rows of ``L1`` in the workspace; each stage state is one GEMV over
+    the lifts so far, written straight into the buffer and lifted there, and
+    the new state is one GEMV over the whole buffer into ``out`` (a
+    C-contiguous ``(dim, B)`` array), or a fresh array, which is returned.
+    No stage derivative is formed. The system is autonomous: ``t`` is not
+    read.
 
     A step does not raise on divergence, and it measures nothing: a
     non-finite stage reaches the new state (every entry of the buffer meets
@@ -357,11 +335,10 @@ def rk4_lifted_step(sys: LiftedOdeSystem, t: float, x: np.ndarray, h: float,
     Raises
     ------
     ValueError
-        If ``sys.steps`` was not built for the step ``h``, or for states of
-        the shape of ``x``.
+        If ``steps`` was not built for the step ``h``, or for states of the
+        shape of ``x``.
     """
-    steps = sys.steps
-    if steps is None or steps.h != h:
+    if steps.h != h:
         raise ValueError(f"the lifted stage maps are not built for the step h={h:.6g}")
     state = steps.state
     if x.shape != state.shape:

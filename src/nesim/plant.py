@@ -332,9 +332,6 @@ class SteadyState:
         level = self._generic_level(s)
         return level(v) if v.ndim == 1 else _per_row(level, v)
 
-    def u_star(self, v: np.ndarray) -> np.ndarray:
-        return self.x_star(self.model.r + 1, v)
-
     def derivative_stack(self, s: int, v: np.ndarray, depth: int) -> np.ndarray:
         """Exact time-derivative stack of the level-s signal (needs polys)."""
         if self._polys is None:

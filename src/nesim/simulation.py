@@ -9,9 +9,9 @@ the output deterministic. Everything except the plant drift and a custom
 game's gradient is affine, and those two are linear in a few features of the
 state, so the closed loop is linear in the lifted state ``[x; 1; phi(x)]``:
 `assemble` builds that operator once, and `run` folds RK4's stages into it,
-so each step is four GEMVs over the lifted stages (`numerics.rk4_lifted_step`) in a
-workspace `run` binds once, and `numerics.integrate` hands `run` its states a block
-at a time, so the peak and the samples are kept once per block.
+in a workspace (`numerics.rk4_lifted_steps`) that `numerics.integrate` steps by
+four GEMVs over the lifted stages and hands `run` its states a block at a time,
+so the peak and the samples are kept once per block.
 Seeds integrated together are the columns of one ``(dim, B)`` state: only
 the plant rows of the operator depend on the seed's draw, one row of the
 ``(B, n_w)`` draw array. The steady-state chain a draw induces is truth data
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -38,8 +38,7 @@ from .game import GameSpec, GradientConstants, estimate_constants, solve_ne
 from .generator import GeneratorGains, generator_rows, min_gamma2, partials_bind
 from .graph import CommGraph
 from .internal_model import InternalModelBank, synthesize_bank
-from .numerics import (LiftedOdeSystem, column_gemv, integrate, rk4_lifted_step,
-                       rk4_lifted_steps)
+from .numerics import OdeSystem, column_gemv, integrate, rk4_lifted_steps
 from .plant import (Exosystem, PlantFeatures, PlantModel, checked_box, drift_split,
                     sample_uncertainty, steady_state_chain)
 
@@ -286,21 +285,22 @@ class StateLayout:
 
 
 @dataclass(frozen=True)
-class AssembledLoop(LiftedOdeSystem):
+class AssembledLoop(OdeSystem):
     """The stacked closed-loop ODE of a scenario for a batch of draws.
 
     The batch is the trailing axis: ``rhs`` takes a ``(dim, B)`` state, one
     column per row of ``draws``, and a loop with one draw also takes a flat
     ``(dim,)`` state. Columns never mix. Only ``operator`` and ``draws`` differ
     between columns. ``bind`` binds the fill of ``phi`` (`_closed_loop_bind`)
-    for ``rhs`` and the lifted step alike; `run` builds the ``steps`` at its
-    step size. ``parked`` is the mask of the columns whose features the
-    fills skip: all False from `assemble`, and `run` sets each column it
-    stops, which `numerics.integrate` parks. The layout and the synthesis
-    (equilibrium, ``gamma2``, bank) are the scenario's: `Scenario.layout`
-    and `Scenario.synthesized`.
+    for ``rhs`` and for the workspace `run` steps (`numerics.rk4_lifted_steps`).
+    ``parked`` is the mask of the columns whose features the fills skip: all
+    False from `assemble`, and `run` sets each column it stops, which
+    `numerics.integrate` parks. The layout and the synthesis (equilibrium,
+    ``gamma2``, bank) are the scenario's: `Scenario.layout` and
+    `Scenario.synthesized`.
     """
 
+    bind: Callable = None            # bind(lifted) -> the fill of phi
     scenario: Scenario = None
     draws: np.ndarray = None         # (B, n_w): one uncertainty draw per column
     ablate: bool = False
@@ -513,13 +513,14 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
     `replace` them on the scenario, which keeps its synthesis. ``seed`` is one
     seed, giving one trajectory, or a sequence of seeds, giving a list: the
     seeds are then stepped as one ``(dim, B)`` state, one column per seed, and
-    each trajectory is bit-identical to the run of its seed alone.
-    ``init_mode="box"`` draws plant and compensator initial states uniformly
-    from the scenario's box (generator estimates start at the configured
-    values, zero by default); ``"manifold"`` starts exactly on the regulated
-    manifold with the generator at equilibrium. Divergence
-    does not raise: the trajectory up to the failure is returned with the
-    flag set. A column that diverges or passes ``abort_norm`` stops there;
+    each trajectory is bit-identical to the run of its seed alone, stepped in
+    one workspace (`numerics.rk4_lifted_steps`). ``init_mode="box"`` draws
+    plant and compensator initial states uniformly from the scenario's box
+    (generator estimates start at the configured values, zero by default);
+    ``"manifold"`` starts exactly on the regulated manifold with the
+    generator at equilibrium. Divergence does not raise: the trajectory up
+    to the failure is returned with the flag set. A column that diverges or
+    passes ``abort_norm`` stops there;
     `numerics.integrate` parks it and the others go on. Both are read off
     each block of states `numerics.integrate` hands over, per column: a
     column whose every entry in the block is finite and at most
@@ -569,7 +570,7 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
     # overflowing gains give non-finite stage maps; the first block reports divergence. The
     # workspace is built before the kept states, so its temporaries never meet them
     with np.errstate(over="ignore", invalid="ignore"):
-        stepped = replace(loop, steps=rk4_lifted_steps(loop.operator, h, loop.bind))
+        stepped = rk4_lifted_steps(loop.operator, h, loop.bind)
 
     n_steps, n_kept = scenario.n_steps, _kept_samples(scenario.n_steps, dec)
     cap = min(n_kept, 2 * _U_WINDOW)
@@ -671,7 +672,7 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
 
     # overflow on a diverging trajectory is expected and detected explicitly
     with np.errstate(over="ignore", invalid="ignore"):
-        integrate(stepped, state, 0.0, scenario.t_final, h, observe, step=rk4_lifted_step)
+        integrate(stepped, state, 0.0, scenario.t_final, h, observe)
         del stepped  # the workspace, freed before the columns that ran to the horizon are derived
         for b in range(B):
             if windows[b] is not None:

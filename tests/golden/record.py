@@ -4,6 +4,9 @@
 stdout as a list of lines, each with its line end, so the lines joined are
 the exact bytes and a moved line shows as one line in a diff. A case that
 writes files (``simulate``'s CSVs) also keeps the sha256 of each, by name.
+It also keeps the OpenBLAS core the cases were recorded under
+(`blas_core`): the bits are those of that core's kernels, and a failing
+case names it next to the core it runs under.
 
 Run from the repository root, with the package importable::
 
@@ -132,6 +135,29 @@ CASES = {
 }
 
 
+def blas_core() -> str:
+    """The core whose kernels NumPy's bundled OpenBLAS runs, or ``"unknown"``.
+
+    It is what ``scipy_openblas_get_corename64_`` of the scipy-openblas
+    library NumPy ships (``numpy.libs``, or ``numpy/.dylibs`` on macOS)
+    returns: the CPU's, unless ``OPENBLAS_CORETYPE`` names another.
+    """
+    import ctypes
+
+    import numpy as np
+
+    root = Path(np.__file__).resolve().parent
+    for lib in [*sorted(root.parent.glob("numpy.libs/libscipy_openblas*")),
+                *sorted(root.glob(".dylibs/libscipy_openblas*"))]:
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def run_case(argv: list[str], where: Path) -> dict:
     """``argv``'s exit code, stdout lines and, if it wrote any, the sha256 of each new file.
 
@@ -190,7 +216,8 @@ def main() -> None:
                   + exit_moved + "".join(f", {file} moved" for file in files_moved))
     for name in before.keys() - cases.keys():
         print(f"{name}: dropped")
-    path.write_text(json.dumps({"configs": CONFIGS, "cases": cases}, indent=1) + "\n")
+    path.write_text(json.dumps({"blas_core": blas_core(), "configs": CONFIGS, "cases": cases},
+                               indent=1) + "\n")
 
 
 if __name__ == "__main__":

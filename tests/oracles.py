@@ -20,8 +20,6 @@ the per-step leaf that perfbench's tracer wraps.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from nesim.errors import NonFiniteState
@@ -155,7 +153,7 @@ def stepwise_run(loop, x0: np.ndarray, h: float, n_steps: int, dec: int,
     derives from ``kept``.
     """
     abort = np.inf if abort_norm is None else abort_norm
-    loop = dataclasses.replace(loop, steps=rk4_lifted_steps(loop.operator, h, loop.bind))
+    steps = rk4_lifted_steps(loop.operator, h, loop.bind)
     parked = loop.parked
     parked[:] = False
     cols = [{"kept": [x0[:, b].copy()], "steps": [0], "tops": [], "max_state_norm": 0.0,
@@ -165,7 +163,7 @@ def stepwise_run(loop, x0: np.ndarray, h: float, n_steps: int, dec: int,
         for k in range(1, n_steps + 1):
             if parked.all():
                 break
-            x = rk4_lifted_step(loop, 0.0, np.where(parked, 0.0, x), h)
+            x = rk4_lifted_step(steps, 0.0, np.where(parked, 0.0, x), h)
             for b, col in enumerate(cols):
                 if parked[b]:
                     continue

@@ -30,7 +30,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nesim.numerics import column_gemv, integrate, rk4_lifted_step, rk4_lifted_steps
+from nesim.numerics import column_gemv, integrate, rk4_lifted_steps
 from nesim.simulation import _U_WINDOW, assemble
 from oracles import box_start
 
@@ -42,12 +42,10 @@ def history(scenario, seed: int, n_rows: int) -> np.ndarray:
     scenario = dataclasses.replace(scenario, t_final=(n_rows - 1) * scenario.dt, decimate=1)
     x0, draw = box_start(scenario, seed)
     loop = assemble(scenario, draws=draw[None])
-    stepped = dataclasses.replace(loop, steps=rk4_lifted_steps(loop.operator, scenario.dt,
-                                                               loop.bind))
     rows = [x0]
-    integrate(stepped, x0[:, None], 0.0, scenario.t_final, scenario.dt,
-              lambda k, t, xs: rows.extend(xs[:, :, 0].copy()) if k else None,
-              step=rk4_lifted_step)
+    integrate(rk4_lifted_steps(loop.operator, scenario.dt, loop.bind), x0[:, None], 0.0,
+              scenario.t_final, scenario.dt,
+              lambda k, t, xs: rows.extend(xs[:, :, 0].copy()) if k else None)
     return np.array(rows)
 
 

@@ -173,12 +173,13 @@ def test_check_passes_on_bundled_scenario(fast_cfg, capsys, count_calls):
 
 
 def test_check_suite_does_not_integrate(count_calls, capsys):
-    # the suite's linear ODEs step by RK4's step matrix R(hA); `run` steps the closed loop
-    # through `integrate` by the lifted step, and any other `integrate` call means a check
-    # went back to stepping its linear ODE one RHS closure at a time
+    # the suite's linear ODEs step by RK4's step matrix R(hA); `run` hands `integrate` the
+    # closed loop's lifted workspace, and any other `integrate` call means a check went back
+    # to stepping its linear ODE one RHS closure at a time
     calls = count_calls(numerics.integrate)
     assert main(["check", "--config", "sec5", "--t-final", "2"]) == 0
-    assert calls and [kw for _, kw in calls if kw.get("step") is not numerics.rk4_lifted_step] == []
+    assert calls and [args for args, _ in calls
+                      if not isinstance(args[0], numerics.LiftedSteps)] == []
     assert "FAIL" not in capsys.readouterr().out
 
 

@@ -1,9 +1,10 @@
 """The closed loop stepped by RK4 stages folded into its lifted operator.
 
-`run` steps by `numerics.rk4_lifted_step`; the per-stage `numerics.rk4_step`
-on the loop's ``rhs`` is its oracle. The two round differently, so they agree
-to roundoff, 1e-12 relative to ``1 + |x|``; a batch of columns agrees with its
-one-column runs bit for bit.
+`run` steps the loop's workspace (`numerics.rk4_lifted_steps`) by
+`numerics.rk4_lifted_step`; the per-stage `numerics.rk4_step` on the loop's
+``rhs`` is its oracle. The two round differently, so they agree to roundoff,
+1e-12 relative to ``1 + |x|``; a batch of columns agrees with its one-column
+runs bit for bit.
 """
 
 from __future__ import annotations
@@ -27,15 +28,16 @@ STEPS = 300
 
 
 def lifted_loop(scenario, seeds, ablate=False):
+    """The loop of ``seeds`` and its workspace at the scenario's step."""
     draws = np.stack([sample_uncertainty(scenario.w_box, s) for s in seeds])
     loop = assemble(scenario, ablate=ablate, draws=draws)
-    return dataclasses.replace(loop, steps=rk4_lifted_steps(loop.operator, scenario.dt, loop.bind))
+    return loop, rk4_lifted_steps(loop.operator, scenario.dt, loop.bind)
 
 
-def trajectory(loop, x0, h, step=None, n_steps=STEPS):
-    """Every state of ``n_steps`` steps from ``x0``, stacked."""
+def trajectory(sys, x0, h, n_steps=STEPS):
+    """Every state of ``n_steps`` steps of ``sys``, a loop or a workspace, from ``x0``, stacked."""
     states = []
-    integrate(loop, x0, 0.0, n_steps * h, h, lambda k, t, xs: states.extend(xs.copy()), step=step)
+    integrate(sys, x0, 0.0, n_steps * h, h, lambda k, t, xs: states.extend(xs.copy()))
     return np.array(states)
 
 
@@ -50,14 +52,14 @@ def test_lifted_step_matches_rk4_step(case, factor, batch, sec5, request):
     base = request.getfixturevalue("custom_scenario") if case == "custom" else sec5
     scenario = base.escalated(factor)
     seeds, ablate = (1, 2)[:batch], case == "sec5_ablated"
-    loop = lifted_loop(scenario, seeds, ablate)
+    loop, steps = lifted_loop(scenario, seeds, ablate)
     x0 = np.random.default_rng(40).uniform(-scenario.R, scenario.R, size=(loop.dimension, batch))
     h = scenario.dt
     oracle = trajectory(loop, x0, h)
-    lifted = trajectory(loop, x0, h, step=rk4_lifted_step)
+    lifted = trajectory(steps, x0, h)
     assert lifted.shape == oracle.shape == (STEPS + 1, loop.dimension, batch)
     # each lifted step from a state of the oracle lands on the oracle's next state
-    local = np.array([rk4_lifted_step(loop, 0.0, x, h) for x in oracle[:-1]])
+    local = np.array([rk4_lifted_step(steps, 0.0, x, h) for x in oracle[:-1]])
     if case == "custom":
         # a custom game's finite-difference partials resolve its flow only to roundoff over
         # the difference step: one oracle step from each state's next float up moves by as
@@ -71,29 +73,23 @@ def test_lifted_step_matches_rk4_step(case, factor, batch, sec5, request):
     if batch == 2:
         # each column is bit-identical to its one-seed run
         for b, seed in enumerate(seeds):
-            one = trajectory(lifted_loop(scenario, (seed,), ablate), x0[:, b:b + 1], h,
-                             step=rk4_lifted_step)
+            one = trajectory(lifted_loop(scenario, (seed,), ablate)[1], x0[:, b:b + 1], h)
             assert one.tobytes() == np.ascontiguousarray(lifted[:, :, b:b + 1]).tobytes()
 
 
 @pytest.mark.parametrize("k, t_final", [(4.0, 10.0), (1e300, 0.01)], ids=["weak", "overflowing"])
-def test_divergence_time_is_the_oracle_failing_step(k, t_final, sec5):
+def test_divergence_time_is_the_oracle_failing_step(k, t_final, sec5, count_calls):
     scenario = dataclasses.replace(sec5, controller_k=np.full((sec5.n, sec5.plant.r), k),
                                    t_final=t_final)
     traj = run(scenario)
     x0, draw = box_start(scenario, scenario.seed)
     loop = assemble(scenario, draws=draw[None])
-    done = [0]  # the steps `rk4_step` completed before it raised
-
-    def counted(*args):
-        out = rk4_step(*args)
-        done.append(done[-1] + 1)
-        return out
-
+    steps = count_calls(rk4_step)  # `integrate` steps the loop itself by `rk4_step`
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteState):
-        integrate(loop, x0, 0.0, t_final, scenario.dt, step=counted)
-    assert traj.diverged and traj.diverged_t == (done[-1] + 1) * scenario.dt
-    assert len(traj.t) == 1 + done[-1] // scenario.decimate
+        integrate(loop, x0, 0.0, t_final, scenario.dt)
+    done = len(steps) - 1  # the steps `rk4_step` completed before the one that raised
+    assert traj.diverged and traj.diverged_t == (done + 1) * scenario.dt
+    assert len(traj.t) == 1 + done // scenario.decimate
 
 
 def test_divergence_time_is_the_failing_steps_grid_time(sec5):
@@ -113,8 +109,8 @@ def test_run_records_the_lifted_steps(stable, count_calls):
     # bit for bit: the outputs and the running peak of the states the lifted step makes
     x0, draw = box_start(short, short.seed)
     loop = assemble(short, draws=draw[None])
-    loop = dataclasses.replace(loop, steps=rk4_lifted_steps(loop.operator, short.dt, loop.bind))
-    states = trajectory(loop, x0[:, None], short.dt, step=rk4_lifted_step, n_steps=200)[..., 0]
+    states = trajectory(rk4_lifted_steps(loop.operator, short.dt, loop.bind), x0[:, None],
+                        short.dt, n_steps=200)[..., 0]
     y = states[:, short.layout().x.start:short.layout().x.start + short.n]
     assert traj.y.tobytes() == np.ascontiguousarray(y).tobytes()
     assert traj.max_state_norm == np.abs(states[1:]).max()
@@ -128,11 +124,11 @@ def random_states(loop, batch, seed):
 def test_workspace_keeps_nothing_between_steps(case, sec5, request):
     # the buffer is reused, so a step after another from elsewhere must not see its traces
     scenario = (request.getfixturevalue("custom_scenario") if case == "custom" else sec5)
-    loop = lifted_loop(scenario.escalated(4.0), (1, 2))
+    loop, steps = lifted_loop(scenario.escalated(4.0), (1, 2))
     x, elsewhere = random_states(loop, 2, 41), random_states(loop, 2, 42)
-    first = rk4_lifted_step(loop, 0.0, x, scenario.dt)
-    rk4_lifted_step(loop, 0.0, elsewhere, scenario.dt)
-    again = rk4_lifted_step(loop, 0.0, x, scenario.dt)
+    first = rk4_lifted_step(steps, 0.0, x, scenario.dt)
+    rk4_lifted_step(steps, 0.0, elsewhere, scenario.dt)
+    again = rk4_lifted_step(steps, 0.0, x, scenario.dt)
     assert first.tobytes() == again.tobytes()
     assert not np.shares_memory(first, again)  # each step's state is its own
 
@@ -140,21 +136,21 @@ def test_workspace_keeps_nothing_between_steps(case, sec5, request):
 def test_interleaved_loops_step_as_they_do_alone(sec5):
     scenario = sec5.escalated(4.0)
     h, loops = scenario.dt, [lifted_loop(scenario, (1,)), lifted_loop(scenario, (2, 3))]
-    starts = [random_states(loops[0], 1, 43), random_states(loops[1], 2, 44)]
-    alone = [trajectory(loop, x0, h, step=rk4_lifted_step, n_steps=50)
-             for loop, x0 in zip(loops, starts)]
+    starts = [random_states(loops[0][0], 1, 43), random_states(loops[1][0], 2, 44)]
+    workspaces = [steps for _, steps in loops]
+    alone = [trajectory(steps, x0, h, n_steps=50) for steps, x0 in zip(workspaces, starts)]
     states = starts
     for k in range(50):
-        states = [rk4_lifted_step(loop, 0.0, x, h) for loop, x in zip(loops, states)]
+        states = [rk4_lifted_step(steps, 0.0, x, h) for steps, x in zip(workspaces, states)]
         for x, ref in zip(states, alone):
             assert x.tobytes() == ref[k + 1].tobytes()
 
 
 @pytest.mark.parametrize("shape", [(1,), (3,), ()], ids=["B1", "B3", "flat"])
 def test_workspace_rejects_states_of_another_width(shape, sec5):
-    loop = lifted_loop(sec5, (1, 2))
+    loop, steps = lifted_loop(sec5, (1, 2))
     with pytest.raises(ValueError, match="built for states of shape"):
-        rk4_lifted_step(loop, 0.0, np.zeros((loop.dimension,) + shape), sec5.dt)
+        rk4_lifted_step(steps, 0.0, np.zeros((loop.dimension,) + shape), sec5.dt)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -162,16 +158,17 @@ def test_a_non_finite_column_is_marked_and_the_others_step_as_alone(bad, sec5):
     # the step does not raise: the non-finite entry reaches its own column of the new state,
     # and no other, where `integrate`'s observer reads it
     scenario = sec5.escalated(4.0)
-    loop = lifted_loop(scenario, (1, 2, 3))
+    loop, steps = lifted_loop(scenario, (1, 2, 3))
     x = random_states(loop, 3, 45)
     x[scenario.layout().z.start, 1] = bad
     with np.errstate(over="ignore", invalid="ignore"):
-        out = rk4_lifted_step(loop, 0.0, x, scenario.dt)
+        out = rk4_lifted_step(steps, 0.0, x, scenario.dt)
         flat = out.ravel()
         assert out.shape == x.shape and not flat.dot(flat) <= np.finfo(float).max
     assert (~(np.abs(out).max(axis=0) < np.inf)).tolist() == [False, True, False]
     for seed in (1, 3):
-        one = rk4_lifted_step(lifted_loop(scenario, (seed,)), 0.0, x[:, [seed - 1]], scenario.dt)
+        one = rk4_lifted_step(lifted_loop(scenario, (seed,))[1], 0.0, x[:, [seed - 1]],
+                              scenario.dt)
         assert one.tobytes() == np.ascontiguousarray(out[:, [seed - 1]]).tobytes()
 
 

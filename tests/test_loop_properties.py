@@ -75,7 +75,7 @@ def test_live_columns_hold_the_same_estimates(seeds, multiplier, abort_norm, req
     short = dataclasses.replace(drawn("custom", multiplier, request), t_final=0.2)
     P, checked = short.layout().P, []
 
-    def spy(sys, x0, t0, t_final, h, observer, step):
+    def spy(sys, x0, t0, t_final, h, observer):
         live = np.ones(x0.shape[1], dtype=bool)
 
         def watch(k, t, xs):
@@ -88,7 +88,7 @@ def test_live_columns_hold_the_same_estimates(seeds, multiplier, abort_norm, req
                 checked.append(step_k)
             return stop
 
-        return integrate(sys, x0, t0, t_final, h, watch, step)
+        return integrate(sys, x0, t0, t_final, h, watch)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simulation, "integrate", spy)

@@ -4,8 +4,10 @@ No nesim module imports another module's private names: a name with a
 leading underscore is internal to its module; a second module that needs it
 should get a public entry point instead.
 
-Only `numerics` calls an RK4 stepper: `integrate` is the one stepping loop
-for nonlinear systems, and every other module hands it a ``step``.
+Only `numerics` names an RK4 stepper: `integrate` is the one stepping loop
+for nonlinear systems and picks the stepper by what it is handed, a
+`LiftedSteps` workspace or an `OdeSystem`, so no other module imports,
+calls or passes one.
 
 Only `simulation` and `game` call `estimate_constants` or `solve_ne`: a
 scenario's game constants and equilibrium are derived once, by
@@ -89,23 +91,37 @@ def calls_of(names: tuple, source: str, filename: str = "<source>") -> list[str]
     return found
 
 
-def stepper_calls(source: str, filename: str = "<source>") -> list[str]:
-    """``file:line: name`` of each call of an RK4 stepper, by its name or as an attribute."""
-    return calls_of(STEPPERS, source, filename)
+def names_of(names: tuple, source: str, filename: str = "<source>") -> list[str]:
+    """``file:line: name`` of each import, call or reference of one of ``names``, by its name
+    or as an attribute, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if isinstance(node, ast.ImportFrom):
+            hits = [alias.name for alias in node.names]
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            hits = [getattr(node, "id", getattr(node, "attr", None))]
+        else:
+            continue
+        found += [(node.lineno, name) for name in hits if name in names]
+    return [f"{filename}:{line}: {name}" for line, name in sorted(found)]
 
 
-def test_stepper_detector_sees_calls_not_references():
-    source = ("x = rk4_step(sys, t, x, h)\n"
+def test_stepper_detector_sees_imports_calls_and_references():
+    source = ("from .numerics import integrate, rk4_lifted_step\n"
+              "x = rk4_step(sys, t, x, h)\n"
               "def f():\n    return numerics.rk4_lifted_step(sys, t, x, h)\n"
               "integrate(sys, x, 0.0, 1.0, h, step=rk4_lifted_step)\n"
-              "rk4_matrix(A, h)\n")
-    assert [hit.split(": ")[1] for hit in stepper_calls(source)] == list(STEPPERS)
+              "steppers = {'a': numerics.rk4_step}\n"
+              "rk4_lifted_steps(A, h, bind)\nrk4_matrix(A, h)\n")
+    assert names_of(STEPPERS, source) == [
+        "<source>:1: rk4_lifted_step", "<source>:2: rk4_step", "<source>:4: rk4_lifted_step",
+        "<source>:5: rk4_lifted_step", "<source>:6: rk4_step"]
 
 
-def test_only_numerics_calls_a_stepper():
+def test_only_numerics_names_a_stepper():
     paths = [path for path in sorted(SRC.glob("*.py")) if path.name != "numerics.py"]
     assert paths
-    assert [hit for path in paths for hit in stepper_calls(path.read_text(), path.name)] == []
+    assert [hit for path in paths for hit in names_of(STEPPERS, path.read_text(), path.name)] == []
 
 
 SYNTHESIS = ("estimate_constants", "solve_ne")

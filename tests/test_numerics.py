@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nesim.errors import NonFiniteState, NotSymmetric, SingularMatrix
-from nesim.numerics import (LINEAR_BLOCK, STEP_BLOCK, LiftedOdeSystem, OdeSystem, integrate,
+from nesim.numerics import (LINEAR_BLOCK, STEP_BLOCK, LiftedSteps, OdeSystem, integrate,
                             lu_solve, rk4_lifted_matrices, rk4_lifted_step, rk4_lifted_steps,
                             rk4_linear, rk4_matrix, rk4_step, symmetric_eigenvalues)
 from oracles import rk4_linear_stepwise
@@ -234,10 +234,16 @@ class TestRk4Linear:
 
 
 @dataclasses.dataclass(frozen=True)
-class Cubic(LiftedOdeSystem):
-    """``xdot = M x + c + F [x_0^3, x_0 x_1]`` per column, with ``A = [M, c, F]`` over the lift."""
+class Cubic(OdeSystem):
+    """``xdot = M x + c + F [x_0^3, x_0 x_1]`` per column, with ``A = [M, c, F]`` over the lift.
 
+    ``rhs`` is the ODE written out, stepped by `rk4_step`; ``steps`` is the
+    lifted workspace at one step size, stepped by `rk4_lifted_step`, or None.
+    """
+
+    bind: object = None
     operator: np.ndarray = None
+    steps: LiftedSteps | None = None
 
     @classmethod
     def drawn(cls, rng, B: int, h: float | None = None, scale: float = 1.0) -> "Cubic":
@@ -270,14 +276,14 @@ class Cubic(LiftedOdeSystem):
         return Cubic.of(self.operator[np.flatnonzero(keep)], self.steps and self.steps.h)
 
 
-def reciprocal(A: np.ndarray, h: float) -> LiftedOdeSystem:
+def reciprocal(A: np.ndarray, h: float) -> LiftedSteps:
     """``xdot = A_b [x_0; x_1; 1; 1 / x_0]`` per column: a lift that is not finite at 0."""
     def bind(L):
         def lift():
             np.divide(1.0, L[0], out=L[3])
         return lift
 
-    return LiftedOdeSystem(dimension=2, rhs=None, bind=bind, steps=rk4_lifted_steps(A, h, bind))
+    return rk4_lifted_steps(A, h, bind)
 
 
 class TestRk4LiftedStep:
@@ -291,7 +297,7 @@ class TestRk4LiftedStep:
             x = rng.normal(scale=0.5, size=(2, 3))
             lifted, ref = x, x
             for _ in range(50):
-                lifted, ref = rk4_lifted_step(sys, 0.0, lifted, h), rk4_step(sys, 0.0, ref, h)
+                lifted, ref = rk4_lifted_step(sys.steps, 0.0, lifted, h), rk4_step(sys, 0.0, ref, h)
                 assert (np.abs(lifted - ref) / (1.0 + np.abs(ref))).max() <= 1e-12
 
     def test_stage_maps_hold_the_tableau(self):
@@ -327,10 +333,10 @@ class TestRk4LiftedStep:
         rng = np.random.default_rng(32)
         sys = Cubic.drawn(rng, 3, 0.05)
         x = rng.normal(size=(2, 3))
-        batch = rk4_lifted_step(sys, 0.0, x, 0.05)
+        batch = rk4_lifted_step(sys.steps, 0.0, x, 0.05)
         for b in range(3):
             keep = np.arange(3) == b
-            one = rk4_lifted_step(sys.restricted(keep), 0.0, x[:, keep], 0.05)
+            one = rk4_lifted_step(sys.restricted(keep).steps, 0.0, x[:, keep], 0.05)
             assert one.tobytes() == batch[:, keep].tobytes()
 
     def test_non_finite_columns_are_marked(self):
@@ -340,21 +346,21 @@ class TestRk4LiftedStep:
         x = rng.normal(size=(2, 3))
         x[0, 1] = 1e200  # its cube overflows in the first lift
         with np.errstate(over="ignore", invalid="ignore"):
-            out = rk4_lifted_step(sys, 0.0, x, 0.1)
+            out = rk4_lifted_step(sys.steps, 0.0, x, 0.1)
         assert out.shape == (2, 3)
         assert (~(np.abs(out).max(axis=0) < np.inf)).tolist() == [False, True, False]
         for b in (0, 2):
             keep = np.arange(3) == b
-            one = rk4_lifted_step(sys.restricted(keep), 0.0, x[:, keep], 0.1)
+            one = rk4_lifted_step(sys.restricted(keep).steps, 0.0, x[:, keep], 0.1)
             assert one.tobytes() == out[:, keep].tobytes()
 
     def test_rejects_a_step_the_maps_are_not_built_for(self):
         rng = np.random.default_rng(34)
         x = rng.normal(size=(2, 1))
         with pytest.raises(ValueError, match="not built"):
-            rk4_lifted_step(Cubic.drawn(rng, 1, 0.1), 0.0, x, 0.05)
-        with pytest.raises(ValueError, match="not built"):
-            rk4_lifted_step(Cubic.drawn(rng, 1), 0.0, x, 0.05)
+            rk4_lifted_step(Cubic.drawn(rng, 1, 0.1).steps, 0.0, x, 0.05)
+        with pytest.raises(ValueError, match="not built"):  # and through `integrate`
+            integrate(Cubic.drawn(rng, 1, 0.1).steps, x, 0.0, 1.0, 0.05)
 
 
 class TestIntegrateStopsColumns:
@@ -368,9 +374,10 @@ class TestIntegrateStopsColumns:
     """
 
     @staticmethod
-    def alone(sys, x0, b, t_final, h, step):
+    def alone(sys, x0, b, t_final, h):
+        """The column ``b`` run alone in its own workspace."""
         keep = np.arange(x0.shape[1]) == b
-        return integrate(sys.restricted(keep), x0[:, keep], 0.0, t_final, h, step=step)
+        return integrate(sys.restricted(keep).steps, x0[:, keep], 0.0, t_final, h)
 
     @staticmethod
     def full_blocks(n_steps):
@@ -379,9 +386,9 @@ class TestIntegrateStopsColumns:
                            for k in range(1, n_steps + 1, STEP_BLOCK)]
 
     @staticmethod
-    def from_zero(sys, keep, h, step):
+    def from_zero(sys, keep, h):
         """One step of the columns ``keep`` alone from zero: each state of a parked column."""
-        return step(sys.restricted(keep), 0.0, np.zeros((2, 1)), h)[:, 0]
+        return rk4_lifted_step(sys.restricted(keep).steps, 0.0, np.zeros((2, 1)), h)[:, 0]
 
     def test_diverging_column_stops_and_the_others_match_their_own_runs(self):
         rng = np.random.default_rng(35)
@@ -399,7 +406,7 @@ class TestIntegrateStopsColumns:
             return diverged
 
         with np.errstate(over="ignore", invalid="ignore"):
-            final = integrate(sys, x0, 0.0, 2.0, 0.01, observer, step=rk4_lifted_step)
+            final = integrate(sys.steps, x0, 0.0, 2.0, 0.01, observer)
         (fail,) = [entry for entry in seen if any(entry[4])]
         k, count, t, width, diverged, first, _ = fail
         assert k == 1 and diverged == [False, True, False] and width == 3
@@ -407,13 +414,12 @@ class TestIntegrateStopsColumns:
         assert [entry[:2] for entry in seen] == self.full_blocks(200)  # no step taken again
         assert seen[-1][2] == 2.0
         assert {entry[3] for entry in seen} == {3}
-        parked = self.from_zero(sys, [False, True, False], 0.01, rk4_lifted_step)
+        parked = self.from_zero(sys, [False, True, False], 0.01)
         for entry in seen[2:]:  # parked from the step after the block: stepped from zero
             assert (entry[6] == parked).all()
         assert final.shape == (2, 3) and not final[:, 1].any()
         for b in (0, 2):
-            assert final[:, b].tobytes() == self.alone(sys, x0, b, 2.0, 0.01,
-                                                       rk4_lifted_step).tobytes()
+            assert final[:, b].tobytes() == self.alone(sys, x0, b, 2.0, 0.01).tobytes()
 
     def test_observer_mask_stops_columns(self):
         # the mask a block returns stops its columns from the step after the block: column 1,
@@ -427,19 +433,18 @@ class TestIntegrateStopsColumns:
             seen.append((k, len(xs), xs.shape[2], xs[:, :, 1].copy()))
             return np.array([False, True, False]) if k == 1 else None
 
-        final = integrate(sys, x0, 0.0, 2.0, 0.01, observer, step=rk4_lifted_step)
+        final = integrate(sys.steps, x0, 0.0, 2.0, 0.01, observer)
         assert [entry[:2] for entry in seen] == self.full_blocks(200)
         assert {entry[2] for entry in seen} == {3}
-        parked = self.from_zero(sys, [False, True, False], 0.01, rk4_lifted_step)
+        parked = self.from_zero(sys, [False, True, False], 0.01)
         assert (seen[1][3] != parked).any()  # the first block still steps it from x0
         for entry in seen[2:]:
             assert (entry[3] == parked).all()
         assert not final[:, 1].any()
         for b in (0, 2):
-            assert final[:, b].tobytes() == self.alone(sys, x0, b, 2.0, 0.01,
-                                                       rk4_lifted_step).tobytes()
+            assert final[:, b].tobytes() == self.alone(sys, x0, b, 2.0, 0.01).tobytes()
         calls = []
-        stop_all = integrate(sys, x0, 0.0, 0.2, 0.01,
+        stop_all = integrate(sys.steps, x0, 0.0, 0.2, 0.01,
                              lambda k, t, xs: calls.append(k) or np.ones(3, dtype=bool))
         assert calls == [0] and stop_all.shape == (2, 3) and not stop_all.any()
 
@@ -455,7 +460,7 @@ class TestIntegrateStopsColumns:
             seen.append((k, len(xs)))
             return np.array(stops[k]) if k in stops else None
 
-        final = integrate(sys, x0, 0.0, 2.0, 0.01, observer, step=rk4_lifted_step)
+        final = integrate(sys.steps, x0, 0.0, 2.0, 0.01, observer)
         assert seen == self.full_blocks(200)[:3] and final.shape == (2, 3) and not final.any()
 
     def test_a_plain_system_without_select(self):
@@ -490,7 +495,7 @@ class TestIntegrateStopsColumns:
         A = np.array([[[a, 0.0, c, d], [1.0, -1.0, 0.0, 0.0]]
                       for a, c, d in ((-1.0, 0.0, 1.0), (-2.0, 0.5, 1.0), (-1.0, 1.0, 0.5))])
         x0, h = np.array([[2.0, 0.5, 1.5], [0.0, 1.0, -1.0]]), 0.01
-        sys = reciprocal(A, h)
+        steps = reciprocal(A, h)
         seen = []
 
         def observer(k, t, xs):
@@ -498,13 +503,12 @@ class TestIntegrateStopsColumns:
             return np.array([False, True, False]) if k == 1 else None
 
         with np.errstate(divide="ignore", invalid="ignore"):
-            final = integrate(sys, x0, 0.0, 1.0, h, observer, step=rk4_lifted_step)
+            final = integrate(steps, x0, 0.0, 1.0, h, observer)
         assert not np.isfinite(seen[-1][2][:, 1]).any()  # the parked column's last step
         assert [(k, count) for k, count, _ in seen] == self.full_blocks(100)
         assert final.shape == (2, 3) and not final[:, 1].any()
         for b in (0, 2):
-            alone = integrate(reciprocal(A[[b]], h), x0[:, [b]], 0.0, 1.0, h,
-                              step=rk4_lifted_step)
+            alone = integrate(reciprocal(A[[b]], h), x0[:, [b]], 0.0, 1.0, h)
             assert np.isfinite(alone).all()
             assert final[:, b].tobytes() == alone[:, 0].tobytes()
 
@@ -521,13 +525,13 @@ class TestIntegrateRejectsABadStep:
     """A step size that is not finite and > 0 is a `ValueError` before the first step."""
 
     @pytest.mark.parametrize("h", BAD_STEPS)
-    @pytest.mark.parametrize("step", [None, rk4_lifted_step], ids=["rk4_step", "lifted"])
+    @pytest.mark.parametrize("step", ["rk4_step", "lifted"])
     def test_either_stepper(self, step, h):
         # without the check, a negative step never reaches t_final and a zero one divides by 0
         sys, seen = Cubic.drawn(np.random.default_rng(37), 1, 1e-3), []
         with pytest.raises(ValueError, match="step size must be finite and > 0"):
-            integrate(sys, np.zeros((2, 1)), 0.0, 0.1, h, lambda k, t, xs: seen.append(k),
-                      step=step)
+            integrate(sys.steps if step == "lifted" else sys, np.zeros((2, 1)), 0.0, 0.1, h,
+                      lambda k, t, xs: seen.append(k))
         assert seen == []
 
     @pytest.mark.parametrize("h", BAD_STEPS)

@@ -230,7 +230,7 @@ class TestSteadyStateChain:
         v0 = np.zeros(2)
         assert np.abs(steady.z_star(v0)).max() == 0.0
         assert np.abs(steady.x_star(2, v0)).max() == 0.0
-        assert np.abs(steady.u_star(v0)).max() == 0.0
+        assert np.abs(steady.x_star(model.r + 1, v0)).max() == 0.0
 
     def test_direct_disturbance_feedthrough(self):
         # g3 = g5 = g6 = 0 decouples the chain from the zero dynamics:
@@ -239,7 +239,7 @@ class TestSteadyStateChain:
         steady = steady_state_chain(model, np.array([0.7]), self.exo(), zero_w(model))
         v = np.array([0.3, -1.1])
         assert steady.x_star(2, v)[0] == pytest.approx(1.1)
-        assert steady.u_star(v)[0] == pytest.approx(0.3)
+        assert steady.x_star(model.r + 1, v)[0] == pytest.approx(0.3)
 
     def test_generic_recursion_matches_closed_form(self):
         model = demo_plant([[-1, 1, 0.5, 2, 0.3, 0.3], [-1.2, 0.8, 0.4, 2.2, 0.25, 0.35]])
@@ -255,7 +255,8 @@ class TestSteadyStateChain:
         for _ in range(10):
             v = rng.uniform(-1.5, 1.5, 2)
             assert np.abs(steady.x_star(2, v) - generic.x_star(2, v)).max() < 1e-8
-            assert np.abs(steady.u_star(v) - generic.u_star(v)).max() < 1e-6
+            u, generic_u = (chain.x_star(model.r + 1, v) for chain in (steady, generic))
+            assert np.abs(u - generic_u).max() < 1e-6
 
     def test_time_consistency_along_disturbance(self):
         model = demo_plant([[-1, 1, 0.5, 2, 0.3, 0.3]])
@@ -284,7 +285,7 @@ class TestSteadyStateChain:
         for _ in range(5):
             v = rng.uniform(-1.2, 1.2, 2)
             dz, dx = plant_rhs(model, steady.z_star(v), np.vstack([p_star, steady.x_star(2, v)]),
-                               u=steady.u_star(v), v=v, w=w)
+                               u=steady.x_star(model.r + 1, v), v=v, w=w)
             x2_rate = steady.derivative_stack(2, v, 2)[1]
             assert np.abs(dx[0]).max() < 1e-9            # output rate = frozen reference rate
             assert np.abs(dx[1] - x2_rate).max() < 1e-9  # level-2 rate matches the signal
@@ -312,7 +313,8 @@ class TestSteadyStateChain:
             stars = np.array([p_star, steady.x_star(2, vs[k])])
             drift = model.f_levels[1](steady.z_star(vs[k]), stars, vs[k], w)
             num = (steady.x_star(2, vs[k + 1]) - steady.x_star(2, vs[k - 1])) / (2.0 * h)
-            cons = max(cons, float(np.abs(num - (steady.u_star(vs[k]) + drift)).max()))
+            u = steady.x_star(model.r + 1, vs[k])
+            cons = max(cons, float(np.abs(num - (u + drift)).max()))
         zs = steady.z_star(vs)
         drift = steady_drift(steady, vs[1:-1], zs[1:-1])
         assert check_steady_zero_pde(steady, ts, vs, zs, drift) == pde
