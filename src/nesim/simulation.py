@@ -44,13 +44,6 @@ from .plant import (Exosystem, PlantFeatures, PlantModel, checked_box, drift_spl
 
 AUTO_GAMMA2_MARGIN = 1.25
 _CSV_CHUNK = 256  # rows `write_csv` turns into Python floats at a time; bounds its transients
-# `run`'s window of kept states holds 2 _U_WINDOW rows; when it fills, its first _U_WINDOW rows
-# are derived and it slides by _U_WINDOW, so each `u` product is the whole history or spans at
-# least _U_WINDOW rows from a multiple of _U_WINDOW, and gives each row the whole product's bits:
-# scipy-openblas 0.3.31's SkylakeX kernels round a row alike in every product of at least 301,
-# 151, 76 and 2 rows at (N, dim) = (4, 62), (8, 154), (16, 434) and (3, 23).
-# tests/test_blas_contract.py holds the rule, and says where Haswell kernels break it.
-_U_WINDOW = 1024
 
 
 @dataclass(frozen=True)
@@ -246,9 +239,8 @@ class Scenario:
 
     def kept_state_bytes(self) -> int:
         """Bytes `run` holds for one seed at this horizon, step and decimation: the signals
-        ``t``, ``y``, ``p``, ``e``, ``u``, ``v`` and ``ne_dist`` and the window of kept states."""
-        kept, lay = _kept_samples(self.n_steps, self.decimate), self.layout()
-        return 8 * (kept * (4 * self.n + lay.n_v + 2) + min(kept, 2 * _U_WINDOW) * lay.dim)
+        ``t``, ``y``, ``p``, ``e``, ``u``, ``v`` and ``ne_dist``."""
+        return 8 * _kept_samples(self.n_steps, self.decimate) * (4 * self.n + self.exo.n_v + 2)
 
 
 def _kept_samples(n_steps: int, decimate: int) -> int:
@@ -260,10 +252,10 @@ def _kept_samples(n_steps: int, decimate: int) -> int:
 class StateLayout:
     """Block slices of the stacked closed-loop state, computed once.
 
-    ``P``, ``v``, ``z``, ``x`` and ``zx`` (the plant rows ``z`` through
-    ``x``) are slices, ``eta`` holds one slice per compensator level,
-    ``p_diag`` indexes each agent's estimate of its own strategy, and
-    ``dim`` is the state dimension.
+    ``P``, ``v``, ``z``, ``x``, ``zx`` (the plant rows ``z`` through ``x``)
+    and ``p_diag`` (each agent's estimate of its own strategy, a strided
+    slice of ``P``) are slices, ``eta`` holds one slice per compensator
+    level, and ``dim`` is the state dimension.
     """
 
     n_agents: int
@@ -279,7 +271,7 @@ class StateLayout:
             pos += size
         P, v, z, x, *eta = blocks
         derived = dict(P=P, v=v, z=z, x=x, zx=slice(z.start, x.stop), eta=tuple(eta),
-                       p_diag=P.start + np.arange(n) * (n + 1), dim=pos)
+                       p_diag=slice(P.start, P.stop, n + 1), dim=pos)
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
@@ -531,16 +523,12 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
     ``abort_norm`` and is kept. The states the column is stepped through
     after it, to the block's end, are not kept.
 
-    Each column's kept states pass through a window of its own, of at most
-    ``2 _U_WINDOW`` rows, into its signals. When the window fills, its first
-    ``_U_WINDOW`` rows are derived, ``u`` as one product over them, and its
-    last ``_U_WINDOW`` rows move to its front; at the column's last kept
-    state (its stop, or the horizon once the stepping workspace is freed)
-    the rows it holds are derived the same way and the window is freed. So
-    each row's ``u`` has the bits of one product over the whole history (a
-    history of at most ``2 _U_WINDOW`` rows is one product), and `run`
-    holds each seed's signals and one window (`Scenario.kept_state_bytes`),
-    not every kept state.
+    Each block's kept states (step 0, each ``decimate``-th step and the
+    last) are derived into every column's signals as the block arrives, in
+    one pass over the batch. ``u`` is one GEMV per kept state, ``U @ x``, so
+    a row's bits do not depend on how many rows are derived together. `run`
+    holds each seed's signals (`Scenario.kept_state_bytes`), not its kept
+    states.
     """
     batch = seed is not None and not isinstance(seed, (int, np.integer))
     seeds = [int(s) for s in seed] if batch else [scenario.seed if seed is None else int(seed)]
@@ -568,122 +556,81 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
         for b in range(B):
             state[:, b] = loop.manifold_state(state[lay.v, b], b)
     # overflowing gains give non-finite stage maps; the first block reports divergence. The
-    # workspace is built before the kept states, so its temporaries never meet them
+    # workspace is built before the signals, so its temporaries never meet them
     with np.errstate(over="ignore", invalid="ignore"):
         stepped = rk4_lifted_steps(loop.operator, h, loop.bind)
 
+    # every column's signals, row j from step min(j dec, n_steps); a stopped column keeps the
+    # samples it has, a prefix
     n_steps, n_kept = scenario.n_steps, _kept_samples(scenario.n_steps, dec)
-    cap = min(n_kept, 2 * _U_WINDOW)
-
-    def signals_of(rows: int) -> list:
-        """Empty ``y``, ``p``, ``e``, ``u``, ``v`` and ``ne_dist`` of ``rows`` kept rows."""
-        return [np.empty((rows,) + shape) for shape in [(n,)] * 4 + [(lay.n_v,), ()]]
-
-    # each column's kept states (step 0, each dec-th step and the last) pass through a window of
-    # its own into its signals; row j is step min(j dec, n_steps), and a stopped column keeps the
-    # samples it has, a prefix. A window that never slides is derived once, into signals of its
-    # column's rows made then; else the signals are needed while stepping, and made here
     try:
-        windows = [np.empty((cap, lay.dim)) for _ in range(B)]
-        signals = [signals_of(n_kept) if n_kept > cap else None for _ in range(B)]
+        y, p, e, u, v, ne_dist = (np.empty((B, n_kept) + shape)
+                                  for shape in [(n,)] * 4 + [(lay.n_v,), ()])
     except (ValueError, MemoryError) as exc:
         raise ConfigError(
             f"sim.t_final: {scenario.t_final:g} s in steps of sim.dt = {h:g}, keeping every "
             f"sim.decimate = {dec}-th, gives {float(n_kept):.3g} kept "
             f"samples per seed, which cannot be allocated") from exc
-    for window, x0 in zip(windows, state.T):
-        window[0] = x0
-    kept = 1  # the rows each live column has kept
-    top = 0  # the kept row at the windows' front; the rows before it are derived
+    kept = 0  # the rows derived so far
     U, p_stacked = loop.control_rows, np.tile(p_star, n)
     y_cols = slice(lay.x.start, lay.x.start + n)  # the first chain level
     peak = np.zeros(B)  # each column's largest |value| after step 0, up to its last kept step
-    ends = np.full(B, n_steps)  # each column's last kept step
     counts = np.full(B, n_kept)  # each column's kept rows
     done = loop.parked  # the stopped columns: `integrate` parks them and the fills skip them
     diverged_t = [None] * B
     aborted = np.zeros(B, dtype=bool)
     abort = np.inf if abort_norm is None else abort_norm
 
-    def derive(b: int, stop: int) -> None:
-        """Derive column ``b``'s signals of its kept rows ``top .. stop``, the first rows of its
-        window, and free the window at the column's last row."""
-        xs, rows = windows[b][:stop - top], slice(top, stop)
-        # the bits of np.linalg.norm(.., axis=1) with one temporary, contiguous so that no ufunc
-        # buffers it, and freed before the signals are made
-        gap = xs[:, lay.P].copy()
-        gap -= p_stacked
-        dist = np.sqrt(np.square(gap, out=gap).sum(axis=1))
-        del gap
-        if signals[b] is None:
-            signals[b] = signals_of(stop)
-        y, p, e, u, v, ne_dist = signals[b]
-        y[rows], p[rows], v[rows], ne_dist[rows] = (xs[:, y_cols], xs[:, lay.p_diag],
-                                                    xs[:, lay.v], dist)
-        np.subtract(y[rows], p[rows], out=e[rows])
-        u[rows] = xs @ U.T
-        if stop == counts[b]:
-            windows[b] = None
-
     def observe(k: int, t: np.ndarray, xs: np.ndarray):
         """Keep the block of steps ``k, k + 1, ..``; return the columns that stop in it:
         diverged, or past ``abort_norm``."""
-        nonlocal kept, top
-        if k == 0:
-            return None
-        # each column's largest |value| in the block; NumPy reduces over the leading axes one
-        # at a time ten times faster than over axes (0, 1) at once, where B > 1
-        tops = np.abs(xs).max(axis=0).max(axis=0)
-        # two tests, not ~(tops <= abort), which would stop every column at a NaN abort_norm
-        stop = (~(tops < np.inf) | (tops > abort)) & ~done
-        for b in np.flatnonzero(stop):
-            col = np.abs(xs[..., b]).max(axis=1)  # the largest |value| of each state
-            j = int(np.argmax(~(col < np.inf) | (col > abort)))  # the state it stops at
-            if col[j] < np.inf:
-                aborted[b], j = True, j + 1  # past abort_norm: the state is kept
-            else:
-                diverged_t[b] = (k + j) * h  # the time of its first non-finite state
-            ends[b], peak[b] = k + j - 1, col[:j].max(initial=peak[b])
-            counts[b] = n_kept if ends[b] == n_steps else ends[b] // dec + 1
-        done[stop] = True
-        np.maximum(peak, tops, out=peak, where=~done)
-        rows = list(range(-k % dec, len(xs), dec))  # the steps that are multiples of dec
+        nonlocal kept
+        stop = None
+        if k:  # step 0 is kept, but neither stops a column nor joins its peak
+            # each column's largest |value| in the block; NumPy reduces over the leading axes
+            # one at a time ten times faster than over axes (0, 1) at once, where B > 1
+            tops = np.abs(xs).max(axis=0).max(axis=0)
+            # two tests, not ~(tops <= abort), which would stop every column at a NaN abort_norm
+            stop = (~(tops < np.inf) | (tops > abort)) & ~done
+            for b in np.flatnonzero(stop):
+                col = np.abs(xs[..., b]).max(axis=1)  # the largest |value| of each state
+                j = int(np.argmax(~(col < np.inf) | (col > abort)))  # the state it stops at
+                if col[j] < np.inf:
+                    aborted[b], j = True, j + 1  # past abort_norm: the state is kept
+                else:
+                    diverged_t[b] = (k + j) * h  # the time of its first non-finite state
+                end, peak[b] = k + j - 1, col[:j].max(initial=peak[b])  # its last kept step
+                counts[b] = n_kept if end == n_steps else end // dec + 1
+            done[stop] = True
+            np.maximum(peak, tops, out=peak, where=~done)
+        rows = slice(-k % dec, None, dec)  # the steps that are multiples of dec
         if k + len(xs) - 1 == n_steps and n_steps % dec:
-            rows.append(len(xs) - 1)  # and the last step
-        picked = xs[rows]
-        at = 0
-        while True:
-            size = min(len(picked) - at, top + cap - kept)  # the rows the windows still take
-            for b, window in enumerate(windows):
-                if window is not None:
-                    window[kept - top:kept - top + size] = picked[at:at + size, :, b]
-            kept, at = kept + size, at + size
-            for b in np.flatnonzero(stop):  # a stopped column derives the rest at its last row
-                if windows[b] is not None and counts[b] <= kept:
-                    derive(b, counts[b])
-            if at == len(picked):
-                return stop
-            # the windows are full: derive the rows that leave them, then slide them
-            for b, window in enumerate(windows):
-                if window is not None:
-                    derive(b, top + _U_WINDOW)
-                    window[:_U_WINDOW] = window[_U_WINDOW:]
-            top += _U_WINDOW
+            rows = [*range(len(xs))[rows], len(xs) - 1]  # and the last step
+        # each column's kept states, (B, rows, dim), each row contiguous; the rows past a
+        # column's stop are derived too, and cut off below
+        xs = np.ascontiguousarray(xs[rows].transpose(2, 0, 1))
+        at = slice(kept, kept + len(xs[0]))
+        y[:, at], p[:, at], v[:, at] = xs[..., y_cols], xs[..., lay.p_diag], xs[..., lay.v]
+        np.subtract(y[:, at], p[:, at], out=e[:, at])
+        # the bits of np.linalg.norm(.., axis=-1): each row's sum over its contiguous entries
+        gap = np.subtract(xs[..., lay.P], p_stacked)
+        np.sqrt(np.square(gap, out=gap).sum(axis=-1), out=ne_dist[:, at])
+        np.matmul(U, xs[..., None], out=u[:, at, :, None])  # one GEMV per kept state
+        kept = at.stop
+        return stop
 
     # overflow on a diverging trajectory is expected and detected explicitly
     with np.errstate(over="ignore", invalid="ignore"):
         integrate(stepped, state, 0.0, scenario.t_final, h, observe)
-        del stepped  # the workspace, freed before the columns that ran to the horizon are derived
-        for b in range(B):
-            if windows[b] is not None:
-                derive(b, n_kept)
+    del stepped  # the workspace, freed before the trajectories' times are made
 
     trajs = []
     steps = np.minimum(np.arange(n_kept) * dec, n_steps)  # the step of each kept row
     for b, seed_b in enumerate(seeds):
-        y, p, e, u, v, ne_dist = (signal[:counts[b]] for signal in signals[b])
+        kept_b = slice(counts[b])
         trajs.append(ClosedLoopTrajectory(
-            t=steps[:counts[b]] * h, y=y, p=p, e=e, u=u, ne_dist=ne_dist, p_star=p_star, v=v,
+            t=steps[kept_b] * h, y=y[b, kept_b], p=p[b, kept_b], e=e[b, kept_b],
+            u=u[b, kept_b], ne_dist=ne_dist[b, kept_b], p_star=p_star, v=v[b, kept_b],
             max_state_norm=float(peak[b]), diverged=diverged_t[b] is not None,
             diverged_t=diverged_t[b], aborted_norm=bool(aborted[b]), seed=seed_b))
     return trajs if batch else trajs[0]

@@ -186,19 +186,19 @@ def stepwise_run(loop, x0: np.ndarray, h: float, n_steps: int, dec: int,
 
 
 def whole_history_signals(loop, kept: np.ndarray, t: np.ndarray) -> dict:
-    """A trajectory's signals, each from one column's whole history of kept states at once.
+    """A trajectory's signals, each from one column's whole history of kept states.
 
-    ``kept`` is ``(K, dim)`` and ``t`` its times. ``u`` is one product
-    ``kept @ U.T`` over every row and ``ne_dist`` one norm of every row's
-    estimates less the stacked equilibrium: the route whose bits
-    `simulation.run`'s window of kept states must give.
+    ``kept`` is ``(K, dim)`` and ``t`` its times. ``u`` is the definition,
+    ``U @ x`` of each kept state ``x`` on its own, and ``ne_dist`` one norm
+    of every row's estimates less the stacked equilibrium: the bits
+    `simulation.run`'s per-block derivation must give.
     """
     scenario = loop.scenario
     lay, n = scenario.layout(), scenario.n
     y, p = kept[:, lay.x.start:lay.x.start + n].copy(), kept[:, lay.p_diag]
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged column's huge states
-        return {"t": t, "y": y, "p": p, "e": y - p, "u": kept @ loop.control_rows.T,
-                "v": kept[:, lay.v].copy(),
+        return {"t": t, "y": y, "p": p, "e": y - p,
+                "u": np.array([loop.control_rows @ x for x in kept]), "v": kept[:, lay.v].copy(),
                 "ne_dist": np.linalg.norm(kept[:, lay.P]
                                           - np.tile(scenario.synthesized().p_star, n), axis=1)}
 

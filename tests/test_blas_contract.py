@@ -2,25 +2,21 @@
 
 - `numerics.column_gemv` gives a column the same bits at every batch size
   ``B``, so a seed's run is bit-identical alone and in a batch.
-- `simulation.run` derives ``u = X @ U.T`` through a window of kept states
-  (`simulation._U_WINDOW`): one product over the window's first
-  ``_U_WINDOW`` rows each time the window of ``2 _U_WINDOW`` rows fills,
-  the window then sliding by ``_U_WINDOW``, and one over the rest at the
-  history's end. Each row of those products must have the bits of the one
-  product over the whole history.
+- `simulation.run` derives ``u`` of each block of kept states as one
+  stacked ``np.matmul(U, X[..., None])`` over the batch, ``X`` holding each
+  column's kept states of the block as contiguous rows: one GEMV per kept
+  state. A row's ``u`` must have the bits of ``U @ x`` of its state alone,
+  whatever the block's length and the batch's width, so that it depends
+  neither on how `numerics.integrate` blocks the steps nor on which seeds
+  share the batch.
 
-Measured on scipy-openblas 0.3.31.188.0 with its SkylakeX kernels: a row of
-``X[a:a + m] @ U.T`` has the bits of the whole product's row for every
-``m`` of at least 301, 151, 76 and 2 rows at (N, dim) = (4, 62), (8, 154),
-(16, 434) and (3, 23), at any offset ``a``; shorter products take another
-kernel. With ``OPENBLAS_CORETYPE=Haswell`` the same library rounds the
-last row of each thread's share of a product apart when the share's row
-count is odd: with one BLAS thread `run`'s windows still give the whole
-history's bits, as each starts at a multiple of ``_U_WINDOW`` and spans
-``_U_WINDOW`` rows or ends at the history's end, but with two threads the
-whole product's shares end at rows no window ends at, and the window test
-here fails. A BLAS that breaks either property fails here first, not in
-every golden case.
+Both hold on scipy-openblas 0.3.31.188.0, with its SkylakeX kernels on one
+and two BLAS threads and with ``OPENBLAS_CORETYPE=Haswell`` on two: a GEMV
+of the control rows is a dot product per output entry, however many states
+are stacked. (A product over many states at once, ``X @ U.T``, is one GEMM,
+whose rounding of a row depends on the kernel, the row count and the
+threads' shares.) A BLAS that breaks either property fails here first, not
+in every golden case.
 """
 
 from __future__ import annotations
@@ -31,15 +27,15 @@ import numpy as np
 import pytest
 
 from nesim.numerics import column_gemv, integrate, rk4_lifted_steps
-from nesim.simulation import _U_WINDOW, assemble
+from nesim.simulation import assemble
 from oracles import box_start
 
-W = _U_WINDOW
+ROWS = 400  # kept states per column
 
 
-def history(scenario, seed: int, n_rows: int) -> np.ndarray:
-    """The first ``n_rows`` states of a one-seed box-start run of ``scenario``, every step."""
-    scenario = dataclasses.replace(scenario, t_final=(n_rows - 1) * scenario.dt, decimate=1)
+def history(scenario, seed: int) -> np.ndarray:
+    """The first `ROWS` states of a one-seed box-start run of ``scenario``, every step."""
+    scenario = dataclasses.replace(scenario, t_final=(ROWS - 1) * scenario.dt, decimate=1)
     x0, draw = box_start(scenario, seed)
     loop = assemble(scenario, draws=draw[None])
     rows = [x0]
@@ -49,40 +45,38 @@ def history(scenario, seed: int, n_rows: int) -> np.ndarray:
     return np.array(rows)
 
 
-def windows(n: int) -> list[tuple[int, int]]:
-    """The rows ``(start, stop)`` of each product `run` takes over a history of ``n`` rows:
-    ``[(0, W), (W, 2W), .., (top, n)]`` with ``W < n - top <= 2W``, or ``[(0, n)]`` for
-    ``n <= 2W``."""
-    top, out = 0, []
-    while top + 2 * W < n:
-        out.append((top, top + W))
-        top += W
-    return out + [(top, n)]
-
-
 @pytest.fixture(scope="module")
 def cases(sec5, custom_scenario):
-    """``(X, U)`` per shape: sec5's and the custom factory's control rows over a real history
-    of theirs, and random rows at the 8-ring's size."""
+    """``(X, U)`` per shape: three seeds' real histories ``(3, ROWS, dim)`` of sec5 and of the
+    custom factory with their control rows, and random rows at the 8-ring's size."""
     dense = sec5.escalated(4.0)
     rng = np.random.default_rng(0)
-    return {"sec5": (history(dense, 1, 4 * W + 100), assemble(dense).control_rows),
-            "custom": (history(custom_scenario, 2, 3 * W + 100),
+    return {"sec5": (np.stack([history(dense, seed) for seed in (1, 2, 3)]),
+                     assemble(dense).control_rows),
+            "custom": (np.stack([history(custom_scenario, seed) for seed in (1, 2, 3)]),
                        assemble(custom_scenario).control_rows),
-            "ring8": (rng.standard_normal((3 * W + 100, 154)),
-                      rng.standard_normal((8, 154)))}
+            "ring8": (rng.standard_normal((3, ROWS, 154)), rng.standard_normal((8, 154)))}
 
 
 @pytest.mark.parametrize("case", ["sec5", "custom", "ring8"])
-def test_each_window_product_has_the_whole_history_bits(case, cases):
+def test_u_of_a_kept_state_has_its_bits_alone_in_every_block_and_batch(case, cases):
     X, U = cases[case]
-    # last windows of W + 1 to 2W rows (each of the first 16, then every 7th), and histories
-    # of two and three slides
-    for n in {*range(2 * W + 1, 2 * W + 17), *range(2 * W + 1, 3 * W + 1, 7), 3 * W,
-              3 * W + 1, 3 * W + 99, len(X)}:
-        whole = X[:n] @ U.T
-        for start, stop in windows(n):
-            assert np.array_equal(X[start:stop] @ U.T, whole[start:stop]), (n, start, stop)
+    alone = np.array([[U @ x for x in column] for column in X])
+    rng = np.random.default_rng(2)
+    # blocks of one row, of each length to 70 (a block holds up to 64 states), of drawn
+    # lengths to the whole history, and the whole history as one block
+    partitions = [[1] * ROWS, *([m] * -(-ROWS // m) for m in range(2, 71)),
+                  *(rng.integers(1, ROWS, size=ROWS) for _ in range(20)), [ROWS]]
+    for B in range(1, len(X) + 1):
+        for lengths in partitions:
+            u, kept = np.empty((B, ROWS, len(U))), 0
+            for m in lengths:
+                at = slice(kept, min(kept + m, ROWS))
+                np.matmul(U, np.ascontiguousarray(X[:B, at])[..., None], out=u[:, at, :, None])
+                kept = at.stop
+                if kept == ROWS:
+                    break
+            assert np.array_equal(u, alone[:B]), (B, list(lengths[:3]))
 
 
 @pytest.mark.parametrize("case", ["sec5", "custom", "ring8"])
