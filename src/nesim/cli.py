@@ -33,11 +33,11 @@ EXIT_CONFIG = 1
 EXIT_DIVERGED = 2
 EXIT_CHECK_FAILED = 3
 
-# Seeds per batched sweep run, bounded in count and in kept-state bytes. On sec5
+# Seeds per batched sweep run, bounded in count and in the bytes they keep. On sec5
 # (30 s, one core, one BLAS thread) the time per seed falls from 0.56 s at 8 seeds
-# per batch to 0.37 s at 16 and 0.34 s at 32. Each seed's signals and window of kept
-# states (`Scenario.kept_state_bytes`) take 1.5 MB at decimate 10 and 5.8 MB at
-# decimate 1; a batch holds at most SWEEP_KEPT_BYTES of them.
+# per batch to 0.37 s at 16 and 0.34 s at 32. Each seed's signals
+# (`Scenario.kept_state_bytes`) take 0.48 MB at decimate 10 and 4.8 MB at decimate 1;
+# a batch holds at most SWEEP_KEPT_BYTES of them.
 SWEEP_BATCH = 16
 SWEEP_KEPT_BYTES = 32 * 2 ** 20
 

@@ -47,8 +47,10 @@ SYM_EPS = 1e-10  # allowed asymmetry for the symmetric eigensolver
 LINEAR_BLOCK = 32
 
 # States `integrate` makes per block before its observer reads them. Each block costs one
-# observer call, one magnitude reduction and one sample copy whatever its length; on sec5's
-# 30 s run (one pinned core) 64 beat 8, 16 and 32, and 128 or 256 gained under 1% more
+# observer call, one magnitude reduction and one derivation of its kept states into the
+# signals whatever its length. On sec5's 30 s run (decimate 10, one pinned core) 64 beat 8, 16
+# and 32; 128 and 256 were faster than 64 in 16 and 17 of 20 alternating runs, by 2-3% in the
+# median, inside the 0.37-0.46 s spread of the runs at 64
 STEP_BLOCK = 64
 
 

@@ -11,7 +11,7 @@ state, so the closed loop is linear in the lifted state ``[x; 1; phi(x)]``:
 `assemble` builds that operator once, and `run` folds RK4's stages into it,
 in a workspace (`numerics.rk4_lifted_steps`) that `numerics.integrate` steps by
 four GEMVs over the lifted stages and hands `run` its states a block at a time,
-so the peak and the samples are kept once per block.
+so the peak is kept and the signals are derived once per block.
 Seeds integrated together are the columns of one ``(dim, B)`` state: only
 the plant rows of the operator depend on the seed's draw, one row of the
 ``(B, n_w)`` draw array. The steady-state chain a draw induces is truth data
@@ -517,7 +517,7 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
     each block of states `numerics.integrate` hands over, per column: a
     column whose every entry in the block is finite and at most
     ``abort_norm`` goes on, and the block is kept with one ``|x|`` maximum
-    per column and one sample copy. A column that stops, stops at its first
+    per column. A column that stops, stops at its first
     state that is not: a state with a NaN or Inf entry diverged within its
     step and keeps neither its peak nor its sample; else the state is past
     ``abort_norm`` and is kept. The states the column is stepped through

@@ -93,6 +93,28 @@ def build_plant_without_split(g):
     return dataclasses.replace(example_plant(g), split=None)
 
 
+def build_plant_with_offset_steady_state(g, part, offset):
+    """The built-in plant with one of its steady-state maps off by the constant ``offset``.
+
+    ``part`` names the map: ``"steady_poly"`` offsets its level-2 signal
+    ``x_2*``, ``"steady_zero"`` the zero-dynamics map ``z*``. The drift is the
+    built-in one, so the steady-state lines of ``nesim check`` meet a map that
+    does not solve it.
+    """
+    model = example_plant(g)
+    if part == "steady_zero":
+        return dataclasses.replace(
+            model, steady_zero=lambda s, v, w: model.steady_zero(s, v, w) + offset)
+    if part != "steady_poly":
+        raise ValueError(f"no such steady-state map: {part}")
+
+    def steady_poly(p_star, w, S):
+        x2, u = model.steady_poly(p_star, w, S)
+        return [dataclasses.replace(x2, c0=x2.c0 + offset), u]
+
+    return dataclasses.replace(model, steady_poly=steady_poly)
+
+
 def build_plant_with_malformed_split(g, hook):
     """The built-in plant with a ``split`` hook that breaks its contract as ``hook`` names.
 

@@ -326,6 +326,39 @@ def test_check_catches_wrong_recurrence(fast_cfg, capsys):
     assert "im_reproduction_level2" in out and "FAIL" in out
 
 
+SEC5_G = [[-1.0, 1.0, 0.5, 2.0, 0.3, 0.3], [-1.2, 0.8, 0.4, 2.2, 0.25, 0.35],
+          [-0.9, 1.1, 0.6, 1.8, 0.35, 0.25], [-1.1, 0.9, 0.5, 2.0, 0.3, 0.3]]
+
+
+def offset_plant(part: str) -> dict:
+    """sec5's plant section, built by `factories.build_plant_with_offset_steady_state`."""
+    return {"kind": "custom", "factory": "factories:build_plant_with_offset_steady_state",
+            "args": {"g": SEC5_G, "part": part, "offset": 0.01},
+            "w_box": [[-0.05, 0.05]] * 24, "v0_box": [[0.6, 1.4], [-0.4, 0.4]]}
+
+
+# a real fault per line, each through `nesim check` at explicit gains for 1 s
+@pytest.mark.parametrize("patch, argv, failing", [
+    # x4 gains at 5 dt: |h lambda| = 2.46 is inside RK4's region but inaccurate (2.1e-6)
+    ({"gains.gamma1": 4.0}, ["--dt", "5e-3"], {"step_halving"}),
+    # a level-1 recurrence of frequencies {0, sqrt 2}, not the signals' {0, 1} (2.8)
+    ({"plant.im_polys": [[0.0, -2.0, 0.0], [0.0, -4.0, 0.0, -5.0, 0.0]]}, [],
+     {"im_reproduction_level1"}),
+    # x_2* off by 0.01: the level-2 drift on it misses its derivative by g6 p* 0.01 (4.4e-3)
+    ({"plant": offset_plant("steady_poly")}, [], {"steady_chain_consistency"}),
+    # z* off by 0.01 fails its own line, and the chain's too: the level-2 drift reads z*, so
+    # the chain check evaluates it on the wrong zero-dynamics state
+    ({"plant": offset_plant("steady_zero")}, [], {"steady_zero_pde", "steady_chain_consistency"}),
+], ids=["step_halving", "im_reproduction_level1", "steady_poly", "steady_zero"])
+def test_a_real_fault_fails_its_check_line(patch, argv, failing, fast_cfg, capsys):
+    assert main(["check", "--config", str(fast_cfg(**patch)), "--t-final", "1", *argv]) == 3
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    statuses = {parts[0]: parts[1] for parts in lines
+                if len(parts) > 1 and parts[1] in ("PASS", "FAIL")}
+    assert len(statuses) == 10
+    assert {name for name, status in statuses.items() if status == "FAIL"} == failing
+
+
 def test_bad_recurrence_spectrum_exit_code(fast_cfg, capsys):
     # a root at +1 violates the marginally-stable distinct-roots requirement
     cfg = fast_cfg(**{"plant.im_polys": [[1.0], [0.0]]})
