@@ -499,10 +499,10 @@ def traced_peak(scenario, seeds) -> int:
 
 def test_run_holds_each_column_only_until_it_is_derived(sec5):
     # two seeds, every step kept, at the gains sec5's escalation passes with (x4): 5001 rows,
-    # so the peak is no copy of the history nor whole-history temporaries of the distance to
-    # equilibrium
+    # so the peak (2.5 MB) is each seed's signals and the workspace, half of one copy of the
+    # history (5.0 MB), and no whole-history temporaries of the distance to equilibrium
     dense = dataclasses.replace(sec5.escalated(4.0), t_final=5.0, decimate=1)
-    assert traced_peak(dense, [1, 2]) <= 1.4 * 2 * 5001 * dense.layout().dim * 8
+    assert traced_peak(dense, [1, 2]) <= 0.6 * 2 * 5001 * dense.layout().dim * 8
 
 
 def test_run_does_not_hold_every_kept_state(sec5):
