@@ -128,7 +128,8 @@ def cmd_simulate(args) -> int:
         out = Path(args.out)
         pairs = [(trajs[seed], out if len(seeds) == 1
                   else out.with_name(f"{out.stem}_s{seed}{out.suffix}")) for seed in chunk]
-        # the batch's CSVs together, so the cells its seeds share are formatted once
+        # the batch's CSVs together: the cells its seeds share are formatted once per chunk,
+        # and each file's rows reuse their bytes
         write_csv(*pairs[0], batch=pairs[1:])
         for seed, (traj, out_path) in zip(chunk, pairs):
             if args.svg:

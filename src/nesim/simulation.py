@@ -31,6 +31,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import csvtext
 from .controller import (ControllerGains, TRACKING_TOL, STATE_NORM_LIMIT, control_rows,
                          psi_readouts)
 from .errors import ConfigError, NesimError, require
@@ -43,7 +44,11 @@ from .plant import (Exosystem, PlantFeatures, PlantModel, checked_box, drift_spl
                     sample_uncertainty, steady_state_chain)
 
 AUTO_GAMMA2_MARGIN = 1.25
-_CSV_CHUNK = 256  # rows `write_csv` turns into Python floats at a time; bounds its transients
+# rows `write_csv` formats at a time. On a 2-seed, 10 001-row sec5 batch (in-process, one
+# pinned core) 64, 96 and 128 rows write it in 111, 101 and 95 ms, their loops peaking at
+# 263, 386 and 510 KB of traced memory; the per-cell writer's 256 rows took 177 ms and
+# 346 KB, and comparing the batch's shared cells peaks at 626 KB in both
+_CSV_CHUNK = 96
 
 
 @dataclass(frozen=True)
@@ -685,11 +690,11 @@ def write_csv(traj: ClosedLoopTrajectory, path, batch: Sequence[tuple] = ()) -> 
     path)`` pairs, each file the bytes of its trajectory written alone: the
     writer for the seeds of one run. Trajectories whose ``t``, ``p_star``,
     ``p`` and ``ne_dist`` hold the same bytes (checked, never assumed: ``-0.0``
-    and ``0.0`` print differently) are written together, their shared cells
-    formatted once per row into the format string each file's own ``y``,
-    ``e`` and ``u`` cells are then printed with. The constant ``p_star``
-    cells are formatted once per group, and the rows are turned into Python
-    floats one chunk at a time.
+    and ``0.0`` print differently) are written together. The cells are
+    formatted by `csvtext.cell_words`, a whole-array kernel with an exact
+    per-cell fallback, one chunk of rows at a time; a group's shared cells
+    are formatted once per chunk and reused as byte blocks in each file's
+    rows, and the constant ``p_star`` cells once per group.
     """
     groups = []  # the pairs, grouped by the bytes of their shared cells
     for pair in [(traj, path), *batch]:
@@ -713,37 +718,40 @@ def _shares_cells(a: ClosedLoopTrajectory, b: ClosedLoopTrajectory) -> bool:
 def _write_csv_group(group: list) -> None:
     """Write `write_csv`'s files for ``(trajectory, path)`` pairs that share their cells.
 
-    A group of one formats every cell in one pass. In a larger group the
-    first pass leaves each ``y``, ``e`` and ``u`` cell as ``%.17g`` (written
-    ``%%.17g``), which each file's own pass fills.
+    A chunk's shared cells are formatted once, into a buffer of cell words
+    (`csvtext.cell_words`) in which each file's own ``y``, ``e`` and ``u``
+    cells then take their columns; a group of one formats all in one call.
     """
     first = group[0][0]
     n = first.p_star.shape[0]
-    cols = (["t"] + [f"p_star_{i + 1}" for i in range(n)]
-            + [f"y_{i + 1}" for i in range(n)] + [f"p_{i + 1}" for i in range(n)]
-            + [f"e_{i + 1}" for i in range(n)] + [f"u_{i + 1}" for i in range(n)]
-            + ["ne_dist"])
-    cell = "%.17g"
-    own = "%" + cell if len(group) > 1 else cell
-    row = ",".join([cell, *(cell % p for p in first.p_star), *[own] * n, *[cell] * n,
-                    *[own] * (2 * n), cell]) + "\n"
-    shared = ((first.t, first.y, first.p, first.e, first.u, first.ne_dist) if len(group) == 1
-              else (first.t, first.p, first.ne_dist))
+    cols, at = [], {}  # the header, and the columns of each signal
+    for name in ("t", "p_star", "y", "p", "e", "u", "ne_dist"):
+        labels = [name] if name in ("t", "ne_dist") else [f"{name}_{i + 1}" for i in range(n)]
+        at[name] = list(range(len(cols), len(cols) + len(labels)))
+        cols += labels
+    delims = np.array([csvtext.COMMA] * (len(cols) - 1) + [csvtext.NEWLINE])
+    own = ("y", "e", "u") if len(group) > 1 else ()
+    shared = [name for name in ("t", "y", "p", "e", "u", "ne_dist") if name not in own]
+    shared_at, own_at = (sum((at[name] for name in block), []) for block in (shared, own))
+    buf = np.empty((min(_CSV_CHUNK, len(first.t)), len(cols), csvtext.CELL_WORDS), np.int64)
+    buf[:, at["p_star"]] = csvtext.cell_words(first.p_star[None, :], delims[at["p_star"]])
+
+    def words(traj, names, place, chunk):
+        cells = np.column_stack([getattr(traj, name)[chunk] for name in names])
+        return csvtext.cell_words(cells, delims[place])
+
     with contextlib.ExitStack() as files:
-        handles = [files.enter_context(open(path, "w", newline="")) for _, path in group]
+        handles = [files.enter_context(open(path, "wb")) for _, path in group]
         for fh in handles:
-            fh.write(",".join(cols) + "\n")
+            fh.write((",".join(cols) + "\n").encode())
         for start in range(0, len(first.t), _CSV_CHUNK):
             chunk = slice(start, start + _CSV_CHUNK)
-            lines = (row % tuple(cells)
-                     for cells in np.column_stack([sig[chunk] for sig in shared]).tolist())
-            if len(group) == 1:
-                handles[0].writelines(lines)
-                continue
-            lines = list(lines)  # each file of the group fills its own cells into them
+            rows = buf[:len(first.t[chunk])]
+            rows[:, shared_at] = words(first, shared, shared_at, chunk)
             for (traj, _), fh in zip(group, handles):
-                cells = np.column_stack([traj.y[chunk], traj.e[chunk], traj.u[chunk]]).tolist()
-                fh.writelines(line % tuple(c) for line, c in zip(lines, cells))
+                if own:
+                    rows[:, own_at] = words(traj, own, own_at, chunk)
+                fh.write(rows.tobytes().translate(None, csvtext.PADDING))
 
 
 def format_summary(m: dict) -> str:

@@ -10,11 +10,19 @@ import numpy as np
 import pytest
 
 from factories import build_game, build_plant
+from golden.record import blas_core
 from nesim.config import load_scenario
 from nesim.generator import GeneratorGains
 from nesim.graph import CommGraph
 from nesim.plant import Exosystem, steady_state_chain
 from nesim.simulation import Scenario, assemble
+
+
+def pytest_report_header(config):
+    # the kernels a run used: the golden cases hold one BLAS core's bits (the CSV kernel
+    # needs only IEEE float64 arithmetic, whatever the long double)
+    return (f"numpy {np.__version__}, BLAS core {blas_core()}, "
+            f"long double mantissa {np.finfo(np.longdouble).nmant} bits")
 
 
 @pytest.fixture(scope="session")

@@ -349,7 +349,14 @@ def offset_plant(part: str) -> dict:
     # z* off by 0.01 fails its own line, and the chain's too: the level-2 drift reads z*, so
     # the chain check evaluates it on the wrong zero-dynamics state
     ({"plant": offset_plant("steady_zero")}, [], {"steady_zero_pde", "steady_chain_consistency"}),
-], ids=["step_halving", "im_reproduction_level1", "steady_poly", "steady_zero"])
+    # an unstable exosystem, its modes growing as e^{3.5 t}: max |v| passes the limit only from
+    # sigma = 3.5 (21.2 against 23.8 at 3.0). The steady-state and reproduction lines read the
+    # same v over 5 s and 20 s and fail first (already at sigma 0.5), so they fail with it
+    ({"gains.gamma1": 4.0, "exosystem.S": [[3.5, 1.0], [-1.0, 3.5]]}, [],
+     {"exosystem_bounded", "steady_zero_pde", "steady_chain_consistency",
+      "im_reproduction_level1", "im_reproduction_level2"}),
+], ids=["step_halving", "im_reproduction_level1", "steady_poly", "steady_zero",
+        "exosystem_bounded"])
 def test_a_real_fault_fails_its_check_line(patch, argv, failing, fast_cfg, capsys):
     assert main(["check", "--config", str(fast_cfg(**patch)), "--t-final", "1", *argv]) == 3
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]

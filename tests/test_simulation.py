@@ -6,11 +6,14 @@ import json
 import re
 import tracemalloc
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from nesim import csvtext, simulation
 from nesim.cli import main
 from nesim.config import load_scenario
 from nesim.controller import escalate_gains
@@ -669,10 +672,10 @@ def test_csv_bytes_are_17_significant_digits(tmp_path):
 
 def test_csv_bytes_equal_savetxt(tmp_path):
     # oracle: `np.savetxt` on the stacked columns, with the writer's fmt, delimiter and header;
-    # 600 rows is not a multiple of the writer's chunk, and non-finite and signed-zero cells
-    # sit in every column block
+    # the row count is not a multiple of the writer's chunk, and non-finite and signed-zero
+    # cells sit in every column block
     rng = np.random.default_rng(5)
-    K, n = 600, 3
+    K, n = 2 * simulation._CSV_CHUNK + 88, 3
     sig = rng.normal(size=(4, K, n)) * 10.0 ** rng.integers(-300, 300, size=(4, K, n))
     sig[:, 7] = [np.nan, np.inf, -np.inf]
     sig[:, 8] = -0.0
@@ -689,6 +692,72 @@ def test_csv_bytes_equal_savetxt(tmp_path):
                                    for i in range(n)] + ["ne_dist"])
         np.savetxt(fh, rows, fmt="%.17g", delimiter=",", header=header, comments="")
     assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+def kernel_bytes(cells: np.ndarray) -> bytes:
+    """The text `csvtext.cell_words` gives ``(rows, k)`` cells, with the writer's delimiters."""
+    delims = np.full(cells.shape[1], csvtext.COMMA)
+    delims[-1] = csvtext.NEWLINE
+    return csvtext.cell_words(cells, delims).tobytes().translate(None, csvtext.PADDING)
+
+
+def formatted(cells: np.ndarray) -> bytes:
+    """The oracle: Python's own ``.17g`` of each cell, joined by the writer's delimiters."""
+    return "".join(",".join(format(x, ".17g") for x in row) + "\n"
+                   for row in cells.tolist()).encode()
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(1, 6).flatmap(lambda k: st.lists(
+    st.lists(st.integers(0, 2 ** 64 - 1), min_size=k, max_size=k), min_size=1, max_size=8)))
+def test_cell_kernel_gives_the_bytes_of_17g_for_any_bit_pattern(rows):
+    cells = np.array(rows, dtype=np.uint64).view(np.float64)
+    assert kernel_bytes(cells) == formatted(cells)
+
+
+def cell_edges() -> np.ndarray:
+    """Doubles where a 17-digit conversion can go wrong, with both signs."""
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    near = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
+    ints = np.array([float(v) for base in (10 ** 16, 10 ** 17) for v in range(base - 40, base + 41)])
+    switch = np.array([0.0001, 9.9999999999999991e-05, 1e16, 99999999999999984.0, 1e17])
+    special = np.array([5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1e-300,
+                        1.03e-290, 1.03e-289, 9.99e299,  # about the kernel's range
+                        0.0, np.nan, np.inf, 1.7976931348623157e308, 0.5, 0.1, 1.0 / 3.0,
+                        1e15 + 0.25, 1e15 + 0.75, 1e15 + 1.25])  # exact ties at the 17th digit
+    edges = np.concatenate([near, ints, switch, special])
+    return np.concatenate([edges, -edges])
+
+
+def test_cell_kernel_gives_the_bytes_of_17g_at_the_edges():
+    # every power of ten and its neighbours, integers about 1e16 and 1e17 (the decade edges
+    # of the 17-digit significand), the fixed/scientific switches at E = -5/-4 and 16/17,
+    # subnormals, signed zeros, NaN and infinities
+    cells = cell_edges().reshape(-1, 2)
+    assert kernel_bytes(cells) == formatted(cells)
+
+
+def test_cell_kernel_fallback_alone_gives_the_same_bytes(monkeypatch):
+    # a tie bound of 1/2 sends every cell to the exact per-cell path
+    cells = np.concatenate([cell_edges(), np.random.default_rng(3).normal(size=400)])
+    monkeypatch.setattr(csvtext, "TIE_BOUND", 0.5)
+    words = csvtext.cell_words(cells[:, None], np.array([csvtext.COMMA])).tobytes()
+    size = 8 * csvtext.CELL_WORDS
+    assert all(b" " in words[i:i + size] for i in range(0, len(words), size))  # `%`'s padding
+    assert kernel_bytes(cells[:, None]) == formatted(cells[:, None])
+
+
+def test_cell_kernel_scales_are_double_doubles_of_powers_of_ten():
+    # oracle: exact rational arithmetic. hi is 10^(16 - E) correctly rounded and lo the rest
+    # rounded; hi's split hh + hl is exact, in parts short enough for exact products
+    scale = csvtext._TABLES["scale"]
+    for E, (hi, hh, hl, lo) in zip(range(csvtext._E_MIN, csvtext._E_MAX + 1), scale.T.tolist()):
+        exact = Fraction(10) ** (16 - E)
+        assert hi == float(exact) and lo == float(exact - Fraction(hi))
+        assert Fraction(hh) + Fraction(hl) == Fraction(hi)
+        for part in (hh, hl):  # significant bits of the numerator, trailing zeros dropped
+            num = abs(part.as_integer_ratio()[0])
+            assert num == 0 or (num // (num & -num)).bit_length() <= 27
 
 
 GOLDEN_CONFIGS = json.loads((Path(__file__).resolve().parent / "golden" / "outputs.json")
