@@ -126,12 +126,10 @@ def cmd_simulate(args) -> int:
         if fresh:
             trajs.update(zip(fresh, run(scenario, ablate=ablate, seed=fresh)))
         out = Path(args.out)
-        pairs = [(trajs[seed], out if len(seeds) == 1
-                  else out.with_name(f"{out.stem}_s{seed}{out.suffix}")) for seed in chunk]
-        # the batch's CSVs together: the cells its seeds share are formatted once per chunk,
-        # and each file's rows reuse their bytes
-        write_csv(*pairs[0], batch=pairs[1:])
-        for seed, (traj, out_path) in zip(chunk, pairs):
+        for seed in chunk:
+            traj = trajs[seed]
+            out_path = out if len(seeds) == 1 else out.with_name(f"{out.stem}_s{seed}{out.suffix}")
+            write_csv(traj, out_path)
             if args.svg:
                 write_svg(traj, args.svg if len(seeds) == 1
                           else Path(args.svg).with_name(f"{Path(args.svg).stem}_s{seed}.svg"))

@@ -25,7 +25,6 @@ plant/compensator initial box.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
@@ -44,10 +43,9 @@ from .plant import (Exosystem, PlantFeatures, PlantModel, checked_box, drift_spl
                     sample_uncertainty, steady_state_chain)
 
 AUTO_GAMMA2_MARGIN = 1.25
-# rows `write_csv` formats at a time. On a 2-seed, 10 001-row sec5 batch (in-process, one
-# pinned core) 64, 96 and 128 rows write it in 111, 101 and 95 ms, their loops peaking at
-# 263, 386 and 510 KB of traced memory; the per-cell writer's 256 rows took 177 ms and
-# 346 KB, and comparing the batch's shared cells peaks at 626 KB in both
+# rows `write_csv` formats at a time. On one 10 001-row sec5 trajectory (in-process, one
+# pinned core) 64, 96 and 128 rows write it in 39, 35 and 34 ms, the call peaking at 362,
+# 533 and 699 KB of traced memory, whatever the trajectory's length
 _CSV_CHUNK = 96
 
 
@@ -680,78 +678,33 @@ def metrics(traj: ClosedLoopTrajectory) -> dict:
     return out
 
 
-def write_csv(traj: ClosedLoopTrajectory, path, batch: Sequence[tuple] = ()) -> None:
-    """Export the trajectory with a fixed column schema, and ``batch``'s along with it.
+def write_csv(traj: ClosedLoopTrajectory, path) -> None:
+    """Export the trajectory to ``path`` with a fixed column schema.
 
     Columns: ``t, p_star_1..N, y_1..N, p_1..N, e_1..N, u_1..N, ne_dist``.
     Values are printed with 17 significant digits ('.' decimal separator),
-    so identical runs produce byte-identical files. The bytes are those of
-    ``np.savetxt`` with ``fmt="%.17g"``. ``batch`` holds more ``(trajectory,
-    path)`` pairs, each file the bytes of its trajectory written alone: the
-    writer for the seeds of one run. Trajectories whose ``t``, ``p_star``,
-    ``p`` and ``ne_dist`` hold the same bytes (checked, never assumed: ``-0.0``
-    and ``0.0`` print differently) are written together. The cells are
-    formatted by `csvtext.cell_words`, a whole-array kernel with an exact
-    per-cell fallback, one chunk of rows at a time; a group's shared cells
-    are formatted once per chunk and reused as byte blocks in each file's
-    rows, and the constant ``p_star`` cells once per group.
+    so identical runs produce byte-identical files: the bytes of
+    ``np.savetxt`` with ``fmt="%.17g"``. The cells are formatted by
+    `csvtext.cell_words`, a whole-array kernel with an exact per-cell
+    fallback, one chunk of rows at a time into a buffer of cell words; the
+    constant ``p_star`` cells are formatted once.
     """
-    groups = []  # the pairs, grouped by the bytes of their shared cells
-    for pair in [(traj, path), *batch]:
-        for group in groups:
-            if _shares_cells(group[0][0], pair[0]):
-                group.append(pair)
-                break
-        else:
-            groups.append([pair])
-    for group in groups:
-        _write_csv_group(group)
-
-
-def _shares_cells(a: ClosedLoopTrajectory, b: ClosedLoopTrajectory) -> bool:
-    """Whether ``a`` and ``b`` print the same ``t``, ``p_star``, ``p`` and ``ne_dist`` cells."""
-    return all(x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
-               for x, y in ((a.t, b.t), (a.p_star, b.p_star), (a.p, b.p),
-                            (a.ne_dist, b.ne_dist)))
-
-
-def _write_csv_group(group: list) -> None:
-    """Write `write_csv`'s files for ``(trajectory, path)`` pairs that share their cells.
-
-    A chunk's shared cells are formatted once, into a buffer of cell words
-    (`csvtext.cell_words`) in which each file's own ``y``, ``e`` and ``u``
-    cells then take their columns; a group of one formats all in one call.
-    """
-    first = group[0][0]
-    n = first.p_star.shape[0]
-    cols, at = [], {}  # the header, and the columns of each signal
-    for name in ("t", "p_star", "y", "p", "e", "u", "ne_dist"):
-        labels = [name] if name in ("t", "ne_dist") else [f"{name}_{i + 1}" for i in range(n)]
-        at[name] = list(range(len(cols), len(cols) + len(labels)))
-        cols += labels
+    n = traj.p_star.shape[0]
+    cols = ["t"] + [f"{name}_{i + 1}" for name in ("p_star", "y", "p", "e", "u")
+                    for i in range(n)] + ["ne_dist"]
     delims = np.array([csvtext.COMMA] * (len(cols) - 1) + [csvtext.NEWLINE])
-    own = ("y", "e", "u") if len(group) > 1 else ()
-    shared = [name for name in ("t", "y", "p", "e", "u", "ne_dist") if name not in own]
-    shared_at, own_at = (sum((at[name] for name in block), []) for block in (shared, own))
-    buf = np.empty((min(_CSV_CHUNK, len(first.t)), len(cols), csvtext.CELL_WORDS), np.int64)
-    buf[:, at["p_star"]] = csvtext.cell_words(first.p_star[None, :], delims[at["p_star"]])
-
-    def words(traj, names, place, chunk):
-        cells = np.column_stack([getattr(traj, name)[chunk] for name in names])
-        return csvtext.cell_words(cells, delims[place])
-
-    with contextlib.ExitStack() as files:
-        handles = [files.enter_context(open(path, "wb")) for _, path in group]
-        for fh in handles:
-            fh.write((",".join(cols) + "\n").encode())
-        for start in range(0, len(first.t), _CSV_CHUNK):
+    rest = np.r_[0, n + 1:len(cols)]  # every column but p_star's
+    buf = np.empty((min(_CSV_CHUNK, len(traj.t)), len(cols), csvtext.CELL_WORDS), np.int64)
+    buf[:, 1:n + 1] = csvtext.cell_words(traj.p_star[None, :], delims[1:n + 1])
+    with open(path, "wb") as fh:
+        fh.write((",".join(cols) + "\n").encode())
+        for start in range(0, len(traj.t), _CSV_CHUNK):
             chunk = slice(start, start + _CSV_CHUNK)
-            rows = buf[:len(first.t[chunk])]
-            rows[:, shared_at] = words(first, shared, shared_at, chunk)
-            for (traj, _), fh in zip(group, handles):
-                if own:
-                    rows[:, own_at] = words(traj, own, own_at, chunk)
-                fh.write(rows.tobytes().translate(None, csvtext.PADDING))
+            cells = np.column_stack([getattr(traj, name)[chunk]
+                                     for name in ("t", "y", "p", "e", "u", "ne_dist")])
+            rows = buf[:len(cells)]
+            rows[:, rest] = csvtext.cell_words(cells, delims[rest])
+            fh.write(rows.tobytes().translate(None, csvtext.PADDING))
 
 
 def format_summary(m: dict) -> str:

@@ -15,7 +15,7 @@ from nesim.errors import ConfigError
 from nesim.game import CustomGame
 from nesim.generator import GeneratorGains
 from nesim.graph import CommGraph
-from nesim.internal_model import verify_reproduction
+from nesim.internal_model import StabilizerPair, default_stabilizer, verify_reproduction
 from nesim.plant import Exosystem, exo_trajectory, steady_state_chain
 from nesim.simulation import EscalationSpec, Scenario, run, write_csv
 from factories import build_game, build_plant
@@ -273,6 +273,15 @@ def test_check_rows_pin_each_comparison(stable, monkeypatch):
                              for row in rows}
 
 
+def ring2_scenario(game: CustomGame) -> Scenario:
+    """``game`` on a 2-ring of the relative-degree-one test plants, 0.5 s at explicit gains."""
+    return Scenario(game=game, graph=CommGraph.ring(2), plant=build_plant(2),
+                    exo=Exosystem(S=np.array([[0.0, 1.0], [-1.0, 0.0]]),
+                                  v0_box=np.array([[0.5, 1.0], [0.0, 0.0]])),
+                    w_box=np.tile([-0.1, 0.1], (2, 1)), gains=GeneratorGains(1.0, None),
+                    controller_k=np.full((2, 1), 8.0), seed=2, R=0.5, t_final=0.5)
+
+
 def test_nan_gradient_deviation_fails_its_line(monkeypatch, capsys):
     # the costs are NaN for y_i > 4, outside the sample box, so the game loads; the
     # suite samples profiles in [-5, 5] and meets some NaN deviations
@@ -282,14 +291,28 @@ def test_nan_gradient_deviation_fails_its_line(monkeypatch, capsys):
         return lambda yi, profile: np.nan if yi > 4.0 else cost(yi, profile)
 
     game = CustomGame([nan_above_4(c) for c in quadratic.costs], quadratic.sample_box)
-    scenario = Scenario(game=game, graph=CommGraph.ring(2), plant=build_plant(2),
-                        exo=Exosystem(S=np.array([[0.0, 1.0], [-1.0, 0.0]]),
-                                      v0_box=np.array([[0.5, 1.0], [0.0, 0.0]])),
-                        w_box=np.tile([-0.1, 0.1], (2, 1)), gains=GeneratorGains(1.0, None),
-                        controller_k=np.full((2, 1), 8.0), seed=2, R=0.5, t_final=0.5)
-    assert _check_scenario(monkeypatch, scenario) == 3
+    assert _check_scenario(monkeypatch, ring2_scenario(game)) == 3
     lines = capsys.readouterr().out.splitlines()
     assert "gradient_fd_agreement     FAIL  max rel dev nan (tol 1e-5)" in lines
+
+
+def test_a_game_monotone_only_on_its_sample_box_fails_monotonicity_sampling(monkeypatch,
+                                                                            capsys):
+    # J_i = (y_i - h_i)^2 + y_i (y_1 + y_2) / 2 - y_i^4 / 20: the pseudo-gradient's Jacobian
+    # has diagonal 3 - 0.6 y_i^2, so the game is strongly monotone on its sample box
+    # [-1.5, 1.5] (which `estimate_constants` samples, else `NotStronglyMonotone`) and not
+    # on the suite's [-5, 5]. Plain float costs keep the 10 000 sampled pairs quick
+    h = (0.5, 1.0)
+
+    def cost(i):
+        return lambda yi, profile: ((yi - h[i]) ** 2 + 0.5 * yi * (yi + float(profile[1 - i]))
+                                    - 0.05 * yi ** 4)
+
+    game = CustomGame([cost(0), cost(1)], np.tile([-1.5, 1.5], (2, 1)))
+    assert _check_scenario(monkeypatch, ring2_scenario(game)) == 3
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    failing = [parts[0] for parts in lines if len(parts) > 1 and parts[1] == "FAIL"]
+    assert failing == ["monotonicity_sampling"]
 
 
 @pytest.mark.parametrize("kind", ["sec5", "custom"])
@@ -337,8 +360,30 @@ def offset_plant(part: str) -> dict:
             "w_box": [[-0.05, 0.05]] * 24, "v0_box": [[0.6, 1.4], [-0.4, 0.4]]}
 
 
+def stabilizers(level1: StabilizerPair, level2: StabilizerPair) -> dict:
+    """An explicit ``internal_model`` section giving each of sec5's agents these two pairs."""
+    return {"explicit": [[{"M": pair.M.tolist(), "N": pair.N.tolist()}
+                          for pair in (level1, level2)]] * 4}
+
+
+SEC5_PAIRS = [default_stabilizer(order, preset="sec5") for order in (3, 5)]
+
+
 # a real fault per line, each through `nesim check` at explicit gains for 1 s
 @pytest.mark.parametrize("patch, argv, failing", [
+    # level 2's input vector N scaled by 1e7: T grows to 1.3e5, and T Phi - M T = N Gamma holds
+    # only to 1.6e-9; `solve_sylvester` raises `SingularT` only above 1e-10 (1 + |N Gamma|) = 1e-3
+    ({"internal_model": stabilizers(SEC5_PAIRS[0],
+                                    StabilizerPair(SEC5_PAIRS[1].M, 1e7 * SEC5_PAIRS[1].N))},
+     [], {"sylvester_residual"}),
+    # two level-1 modes 1e-7 apart: the pair is just controllable (least singular value of its
+    # controllability matrix 2.8e-8, `StabilizerPair` refuses 1e-8) and cond T is 1.1e8
+    # (`lu_solve` refuses 1e12), so Psi = Gamma T^-1 solves only to 3.7e-10, and the
+    # conjugated T Phi T^-1 the reproduction check steps grows (error 3.5e6). |Psi| is 1e7,
+    # so R = 1e-6 keeps the first read-outs, and the closed loop, bounded
+    ({"internal_model": stabilizers(StabilizerPair(np.diag([-1.0, -1.0 - 1e-7, -3.0]),
+                                                   np.ones(3)), SEC5_PAIRS[1]),
+      "sim.R": 1e-6}, [], {"psi_readout_identity", "im_reproduction_level1"}),
     # x4 gains at 5 dt: |h lambda| = 2.46 is inside RK4's region but inaccurate (2.1e-6)
     ({"gains.gamma1": 4.0}, ["--dt", "5e-3"], {"step_halving"}),
     # a level-1 recurrence of frequencies {0, sqrt 2}, not the signals' {0, 1} (2.8)
@@ -355,8 +400,8 @@ def offset_plant(part: str) -> dict:
     ({"gains.gamma1": 4.0, "exosystem.S": [[3.5, 1.0], [-1.0, 3.5]]}, [],
      {"exosystem_bounded", "steady_zero_pde", "steady_chain_consistency",
       "im_reproduction_level1", "im_reproduction_level2"}),
-], ids=["step_halving", "im_reproduction_level1", "steady_poly", "steady_zero",
-        "exosystem_bounded"])
+], ids=["sylvester_residual", "psi_readout_identity", "step_halving",
+        "im_reproduction_level1", "steady_poly", "steady_zero", "exosystem_bounded"])
 def test_a_real_fault_fails_its_check_line(patch, argv, failing, fast_cfg, capsys):
     assert main(["check", "--config", str(fast_cfg(**patch)), "--t-final", "1", *argv]) == 3
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]

@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 from nesim import csvtext, simulation
 from nesim.cli import main
 from nesim.config import load_scenario
-from nesim.controller import escalate_gains
 from nesim.errors import ConfigError, Disconnected
 from nesim.game import CustomGame, QuadraticAggregativeGame, estimate_constants, solve_ne
 from nesim.generator import GeneratorGains, min_gamma2, run_generator
@@ -764,53 +763,46 @@ GOLDEN_CONFIGS = json.loads((Path(__file__).resolve().parent / "golden" / "outpu
                             .read_text())["configs"]
 
 
-def shared_cells(a: ClosedLoopTrajectory, b: ClosedLoopTrajectory) -> bool:
-    """Whether ``a`` and ``b`` hold the same bytes in every cell a batch may format once."""
-    return all(x.tobytes() == y.tobytes()
-               for x, y in ((a.t, b.t), (a.p_star, b.p_star), (a.p, b.p), (a.ne_dist, b.ne_dist)))
+def test_csv_of_a_diverged_seed_equals_savetxt(tmp_path):
+    # the golden no-split settings at gains too low: seed 1 diverges at t = 1.343 and keeps
+    # a shorter history than seeds 3 and 5 of its batch; oracle: `np.savetxt` of its own
+    # stacked columns
+    scenario, _ = load_scenario(GOLDEN_CONFIGS["no_split_diverging.json"])
+    trajs = run(scenario, seed=[1, 3, 5])
+    assert [traj.diverged for traj in trajs] == [True, False, False]
+    traj = trajs[0]
+    K, n = traj.y.shape
+    assert K < len(trajs[1].t)
+    path = tmp_path / "diverged.csv"
+    write_csv(traj, path)
+    with open(tmp_path / "oracle.csv", "w", newline="") as fh:
+        rows = np.column_stack([traj.t, np.broadcast_to(traj.p_star, (K, n)), traj.y, traj.p,
+                                traj.e, traj.u, traj.ne_dist])
+        header = ",".join(["t"] + [f"{name}_{i + 1}" for name in ("p_star", "y", "p", "e", "u")
+                                   for i in range(n)] + ["ne_dist"])
+        np.savetxt(fh, rows, fmt="%.17g", delimiter=",", header=header, comments="")
+    assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
-def batch_of(case: str, sec5) -> tuple[list, list]:
-    """The trajectories of one batch, and which pairs of them share their cells."""
-    if case == "two_seeds":
-        dense = dataclasses.replace(sec5.escalated(4.0), t_final=1.0, decimate=1)
-        return run(dense, seed=[1, 2]), [(0, 1)]
-    if case == "one_diverged":
-        # the golden no-split settings at gains too low: seed 1 diverges at t = 1.343 and
-        # keeps a shorter history, seeds 3 and 5 run to the end
-        scenario, _ = load_scenario(GOLDEN_CONFIGS["no_split_diverging.json"])
-        trajs = run(scenario, seed=[1, 3, 5])
-        assert [traj.diverged for traj in trajs] == [True, False, False]
-        return trajs, [(1, 2)]
-    # escalation's passing run stands for the scenario seed, the next seed is integrated
-    found = escalate_gains(dataclasses.replace(sec5, t_final=5.0,
-                                               escalation=EscalationSpec(factor=4.0)))
-    return [found.trajectory, *run(found.scenario, seed=[sec5.seed + 1])], [(0, 1)]
+def random_trajectory(K: int, n: int, rng) -> ClosedLoopTrajectory:
+    """A trajectory of ``K`` rows and ``n`` agents, its signals drawn from a normal."""
+    sig = rng.normal(size=(4, K, n))
+    return ClosedLoopTrajectory(t=np.linspace(0.0, 1e-3 * K, K), y=sig[0], p=sig[1], e=sig[2],
+                                u=sig[3], ne_dist=np.abs(rng.normal(size=K)),
+                                p_star=rng.normal(size=n), v=np.zeros((K, 2)), max_state_norm=0.0)
 
 
-@pytest.mark.parametrize("case", ["two_seeds", "one_diverged", "reused_passing"])
-def test_csv_batch_gives_each_file_the_bytes_it_has_alone(case, sec5, tmp_path):
-    trajs, sharing = batch_of(case, sec5)
-    pairs = [(i, j) for i in range(len(trajs)) for j in range(i + 1, len(trajs))]
-    assert [pair for pair in pairs if shared_cells(*(trajs[k] for k in pair))] == sharing
-    together = [tmp_path / f"together_{i}.csv" for i in range(len(trajs))]
-    write_csv(trajs[0], together[0], batch=list(zip(trajs[1:], together[1:])))
-    for traj, path in zip(trajs, together):
-        alone = tmp_path / "alone.csv"
-        write_csv(traj, alone)
-        assert path.read_bytes() == alone.read_bytes()
-
-
-def test_csv_batch_shares_no_cell_that_prints_differently(tmp_path):
-    # equal as numbers, not as bytes: a -0.0 estimate prints "-0" and a 0.0 one "0"
-    t = np.array([0.0, 0.5])
-    signal = np.array([[0.0, 1.5], [2.0, -3.0]])
-    a = ClosedLoopTrajectory(t=t, y=signal, p=signal, e=signal, u=signal,
-                             ne_dist=np.array([1.0, 0.5]), p_star=np.array([0.1, -2.0]),
-                             v=np.zeros((2, 2)), max_state_norm=0.0)
-    b = dataclasses.replace(a, p=np.array([[-0.0, 1.5], [2.0, -3.0]]))
-    assert np.array_equal(a.p, b.p) and not shared_cells(a, b)
-    write_csv(a, tmp_path / "a.csv", batch=[(b, tmp_path / "b.csv")])
-    rows = [path.read_text().splitlines()[1].split(",") for path in (tmp_path / "a.csv",
-                                                                     tmp_path / "b.csv")]
-    assert (rows[0][5], rows[1][5]) == ("0", "-0")  # the p_1 cell of the first row
+def test_csv_writer_holds_no_whole_signal(tmp_path):
+    # guards "no whole-signal copy": the writer's traced peak (its chunk buffer and the
+    # kernel's temporaries) stays below one (K, N) signal, 1.28 MB here; the bound is that
+    # signal's size, not a peak measured on one machine
+    rng = np.random.default_rng(9)
+    write_csv(random_trajectory(100, 4, rng), tmp_path / "warm.csv")  # lazy imports
+    traj = random_trajectory(40_001, 4, rng)
+    tracemalloc.start()
+    try:
+        write_csv(traj, tmp_path / "big.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < traj.y.nbytes
