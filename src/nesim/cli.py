@@ -4,8 +4,8 @@ Subcommands: ``simulate`` (closed loop, CSV/SVG export), ``synthesize``
 (print the internal-model synthesis), ``solve-ne`` (equilibrium oracle and
 generator gain bound), ``check`` (invariant suite against a scenario).
 
-Exit codes: 0 success, 1 configuration or synthesis error, 2 closed-loop
-divergence, 3 invariant-check failure.
+Exit codes: 0 success, 1 configuration, synthesis or output-file error,
+2 closed-loop divergence, 3 invariant-check failure.
 """
 
 from __future__ import annotations
@@ -372,7 +372,7 @@ def main(argv=None) -> int:
     except cfg.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NesimError as exc:
+    except (NesimError, OSError) as exc:  # OSError: an --out or --svg file not writable
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -258,76 +258,48 @@ def estimate_constants(game: GameSpec, n_samples: int = 10_000, seed: int = 0) -
 def _sampled_constants(game: CustomGame, n_samples: int, seed: int) -> tuple[float, float]:
     """Sampled ``(monotonicity, Lipschitz)`` bounds of a custom game, before safety factors.
 
-    Each sample draws ``x, y ~ U(box)``; unless ``|x - y|^2 < 1e-16`` it
-    also draws two ``(n, n)`` estimate matrices ``Px, Py ~ U(box)`` row by
-    row for the extended map, which count toward the Lipschitz bound when
-    ``|Px - Py| > 1e-8``. The draws come in chunks of whole-array uniforms,
-    ``lo + (hi - lo) * u`` as `Generator.uniform` computes them, in the
-    stream order of one sample at a time. The stream is cut into slots of
-    ``2n`` values (``x`` and ``y``, or two rows of ``Px`` and ``Py``): a
-    sample takes one slot, or ``n + 1`` when it draws its matrices. A chunk
-    draws enough slots for all its samples and hands the ones it did not use
-    to the next chunk, so the stream is the same whatever the chunk size.
+    Each sample draws ``x, y ~ U(box)`` and two ``(n, n)`` estimate matrices
+    ``Px, Py ~ U(box)`` for the extended map, row by row, whether or not it
+    is skipped. A sample with ``|x - y|^2 < 1e-16`` is skipped: it makes no
+    cost call and counts toward neither bound. ``Px, Py`` count toward the
+    Lipschitz bound when ``|Px - Py| > 1e-8``. The draws come in chunks of
+    whole-array uniforms, ``lo + (hi - lo) * u`` as `Generator.uniform`
+    computes them, ``2n + 2`` rows of ``n`` per sample in the stream order
+    of one sample at a time, so they do not depend on the chunk size. All
+    the gradients of a chunk come from one `_central_partials` call on the
+    stack of blocks ``x, y, Px, Py`` of its samples that are not skipped.
     """
     n = game.n
     rng = np.random.default_rng(seed)
     lo, hi = game.sample_box[:, 0], game.sample_box[:, 1]
-    slot_lo, slot_span = np.tile(lo, 2), np.tile(hi - lo, 2)
-    per_sample = n + 1
-    # per sample: about eight times its draws, its (4, 2n, n) profile stack, and for
-    # each of its 8n cost calls 64 bytes: its strategy as a Python float in a list (32
-    # bytes with the slot) and its entries in the stencil's arrays
-    chunk = max(1, SAMPLE_CHUNK_BYTES // (8 * 8 * 2 * n * per_sample + 8 * 8 * n * n
+    # per sample: about eight times its 2n(n + 1) draws, its (4, 2n, n) profile stack,
+    # and for each of its 8n cost calls 64 bytes: its strategy as a Python float in a
+    # list (32 bytes with the slot) and its entries in the stencil's arrays
+    chunk = max(1, SAMPLE_CHUNK_BYTES // (8 * 8 * 2 * n * (n + 1) + 8 * 8 * n * n
                                           + 8 * n * 2 * 32))
     mono, lip = np.inf, 0.0
-    slots = np.empty((0, 2 * n))  # drawn and not yet used
     for done in range(0, n_samples, chunk):
         m = min(chunk, n_samples - done)
-        u = rng.random((max(0, m * per_sample - len(slots)), 2 * n))
-        slots = np.concatenate([slots, slot_lo + slot_span * u])
-        used, monos, lips = _chunk_ratios(game.costs, slots, m)
+        draws = lo + (hi - lo) * rng.random((m, 2 * n + 2, n))
+        d = draws[:, 0] - draws[:, 1]
+        norm2 = np.vecdot(d, d)
+        kept = norm2 >= 1e-16
+        draws, d, norm2 = draws[kept], d[kept], norm2[kept]
+        k = len(draws)
+        blocks = np.empty((k, 4, n, n))  # x, y, Px, Py
+        blocks[:, :2] = draws[:, :2, None]
+        blocks[:, 2:] = draws[:, 2:].reshape(k, 2, n, n)
+        F = _central_partials(game.costs, blocks.reshape(4 * k, n, n)).reshape(k, 4, n)
+        dF, dFe = F[:, 0] - F[:, 1], F[:, 2] - F[:, 3]
+        dP = (blocks[:, 2] - blocks[:, 3]).reshape(k, n * n)
+        dPn = np.sqrt(np.vecdot(dP, dP))
+        wide = dPn > 1e-8
         # fmin/fmax pass over a NaN ratio (a cost that is NaN somewhere in the box)
-        mono = np.fmin.reduce(monos, initial=mono)
-        lip = np.fmax.reduce(lips, initial=lip)
-        slots = slots[used:]
+        mono = np.fmin.reduce(np.vecdot(d, dF) / norm2, initial=mono)
+        lip = np.fmax.reduce(np.concatenate([
+            np.sqrt(np.vecdot(dF, dF)) / np.sqrt(norm2),
+            np.sqrt(np.vecdot(dFe[wide], dFe[wide])) / dPn[wide]]), initial=lip)
     return float(mono), float(lip)
-
-
-def _chunk_ratios(costs, slots: np.ndarray, m: int):
-    """The next ``m`` samples of `_sampled_constants` from its ``(S, 2n)`` slots.
-
-    Returns the number of slots used, each sample's monotonicity ratio and
-    its Lipschitz ratios (plain map, then the extended map where it counts).
-    All the gradients come from one `_central_partials` call on the
-    ``(4k, n, n)`` stack of blocks ``x, y, Px, Py`` of the ``k`` samples
-    that are not skipped.
-    """
-    n = slots.shape[1] // 2
-    dxy = slots[:, :n] - slots[:, n:]
-    norm2 = np.vecdot(dxy, dxy)
-    skips = (norm2 < 1e-16).tolist()
-    starts, s = [], 0
-    for _ in range(m):
-        if skips[s]:
-            s += 1
-        else:
-            starts.append(s)
-            s += n + 1
-    idx = np.array(starts, dtype=np.intp)
-    k = len(idx)
-    mats = slots[idx[:, None] + np.arange(1, n + 1)].reshape(k, 2, n, n)  # Px, Py
-    blocks = np.empty((k, 4, n, n))
-    blocks[:, 0] = slots[idx, None, :n]
-    blocks[:, 1] = slots[idx, None, n:]
-    blocks[:, 2:] = mats
-    F = _central_partials(costs, blocks.reshape(4 * k, n, n)).reshape(k, 4, n)
-    d, norm2, dF, dFe = dxy[idx], norm2[idx], F[:, 0] - F[:, 1], F[:, 2] - F[:, 3]
-    dP = (mats[:, 0] - mats[:, 1]).reshape(k, n * n)
-    dPn = np.sqrt(np.vecdot(dP, dP))
-    wide = dPn > 1e-8
-    lips = np.concatenate([np.sqrt(np.vecdot(dF, dF)) / np.sqrt(norm2),
-                           np.sqrt(np.vecdot(dFe[wide], dFe[wide])) / dPn[wide]])
-    return s, np.vecdot(d, dF) / norm2, lips
 
 
 def solve_ne(game: GameSpec, tol: float = NE_RESID_TOL,

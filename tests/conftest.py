@@ -17,6 +17,16 @@ from nesim.graph import CommGraph
 from nesim.plant import Exosystem, steady_state_chain
 from nesim.simulation import Scenario, assemble
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # no example database and no deadline: every property test draws afresh, and its
+    # examples may take the time their runs take
+    settings.register_profile("nesim", database=None, deadline=None)
+    settings.load_profile("nesim")
+
 
 def pytest_report_header(config):
     # the kernels a run used: the golden cases hold one BLAS core's bits (the CSV kernel

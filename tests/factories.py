@@ -84,6 +84,16 @@ def build_plant_off_origin(n_agents, offset):
     return dataclasses.replace(model, f0=lambda z, x1, v, w: model.f0(z, x1, v, w) + offset)
 
 
+def build_plant_with_offset_zero_map(n_agents, offset):
+    """`build_plant` with its zero-dynamics map ``z*`` off by the constant ``offset``.
+
+    Its level-1 drift reads no ``z``, so no other steady-state signal meets the wrong map.
+    """
+    model = build_plant(n_agents)
+    return dataclasses.replace(
+        model, steady_zero=lambda s, v, w: model.steady_zero(s, v, w) + offset)
+
+
 def build_plant_without_split(g):
     """The built-in relative-degree-2 plant without its ``split`` hook.
 

@@ -55,9 +55,9 @@ def reference_bounds(game: CustomGame, n_samples: int, seed: int) -> tuple[float
     """Sampled monotonicity and Lipschitz bounds, one sample and one
     `Generator.uniform` call at a time.
 
-    Each sample draws ``x`` and ``y``; unless ``|x - y|^2 < 1e-16`` it also
-    draws the estimate matrices ``Px`` and ``Py``, which bound the extended
-    map when ``|Px - Py| > 1e-8``.
+    Each sample draws ``x``, ``y`` and the estimate matrices ``Px`` and
+    ``Py``; unless ``|x - y|^2 < 1e-16`` it bounds the plain map, and the
+    extended map when ``|Px - Py| > 1e-8``.
     """
     n = game.n
     rng = np.random.default_rng(seed)
@@ -73,6 +73,8 @@ def reference_bounds(game: CustomGame, n_samples: int, seed: int) -> tuple[float
     for _ in range(n_samples):
         x = rng.uniform(lo, hi)
         y = rng.uniform(lo, hi)
+        Px = rng.uniform(lo, hi, size=(n, n))
+        Py = rng.uniform(lo, hi, size=(n, n))
         dxy = x - y
         norm2 = float(dxy @ dxy)
         if norm2 < 1e-16:
@@ -80,8 +82,6 @@ def reference_bounds(game: CustomGame, n_samples: int, seed: int) -> tuple[float
         dF = gradient(x) - gradient(y)
         mono = min(mono, float(dxy @ dF) / norm2)
         lip = max(lip, float(np.linalg.norm(dF) / np.sqrt(norm2)))
-        Px = rng.uniform(lo, hi, size=(n, n))
-        Py = rng.uniform(lo, hi, size=(n, n))
         dPn = float(np.linalg.norm((Px - Py).ravel()))
         if dPn > 1e-8:
             lip = max(lip, float(np.linalg.norm(extended(Px) - extended(Py))) / dPn)

@@ -116,6 +116,19 @@ def test_simulate_writes_csv(fast_cfg, tmp_path, capsys):
     assert "final_tracking_max" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag", ["--out", "--svg"])
+def test_unwritable_output_is_one_error_line(flag, fast_cfg, tmp_path, capsys):
+    # explicit gains, so the run reaches the write; --svg writes its CSV first
+    missing = str(tmp_path / "missing" / "run")
+    out = missing if flag == "--out" else str(tmp_path / "run.csv")
+    svg = ["--svg", missing] if flag == "--svg" else []
+    code = main(["simulate", "--config", str(fast_cfg()), "--t-final", "0.5", "--out", out, *svg])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and missing in err
+    assert "Traceback" not in err
+
+
 def test_simulate_sweep_writes_per_seed_files(fast_cfg, tmp_path, count_calls):
     chains = count_calls(steady_state_chain)
     out_csv = tmp_path / "sweep.csv"
@@ -369,6 +382,14 @@ def stabilizers(level1: StabilizerPair, level2: StabilizerPair) -> dict:
 SEC5_PAIRS = [default_stabilizer(order, preset="sec5") for order in (3, 5)]
 
 
+def relative_degree_one(factory: str, **args) -> dict:
+    """A patch giving sec5's game a `factories.build_plant`-style plant, one level, k = 16."""
+    return {"plant": {"kind": "custom", "factory": f"factories:{factory}",
+                      "args": {"n_agents": 4, **args}, "w_box": [[-0.05, 0.05]] * 4,
+                      "v0_box": [[0.6, 1.4], [-0.4, 0.4]]},
+            "internal_model": MISSING, "controller.k": [[16.0]] * 4}
+
+
 # a real fault per line, each through `nesim check` at explicit gains for 1 s
 @pytest.mark.parametrize("patch, argv, failing", [
     # level 2's input vector N scaled by 1e7: T grows to 1.3e5, and T Phi - M T = N Gamma holds
@@ -394,20 +415,33 @@ SEC5_PAIRS = [default_stabilizer(order, preset="sec5") for order in (3, 5)]
     # z* off by 0.01 fails its own line, and the chain's too: the level-2 drift reads z*, so
     # the chain check evaluates it on the wrong zero-dynamics state
     ({"plant": offset_plant("steady_zero")}, [], {"steady_zero_pde", "steady_chain_consistency"}),
+    # z* off by 0.01 on a relative-degree-1 plant whose level-1 drift reads no z: no chain
+    # level for the chain line, and a reproduction signal that does not read z*
+    (relative_degree_one("build_plant_with_offset_zero_map", offset=0.01), [],
+     {"steady_zero_pde"}),
     # an unstable exosystem, its modes growing as e^{3.5 t}: max |v| passes the limit only from
     # sigma = 3.5 (21.2 against 23.8 at 3.0). The steady-state and reproduction lines read the
     # same v over 5 s and 20 s and fail first (already at sigma 0.5), so they fail with it
     ({"gains.gamma1": 4.0, "exosystem.S": [[3.5, 1.0], [-1.0, 3.5]]}, [],
      {"exosystem_bounded", "steady_zero_pde", "steady_chain_consistency",
       "im_reproduction_level1", "im_reproduction_level2"}),
+    # alone, a growing mode fails this line only where no steady-state signal reads it, for
+    # the steady-state and reproduction lines read v over 5 s and 20 s: here a third mode,
+    # e^{3.5 t}, beside the sinusoid v1 that a relative-degree-1 plant reads and tracks
+    (relative_degree_one("build_plant")
+     | {"plant.v0_box": [[0.6, 1.4], [-0.4, 0.4], [0.5, 1.0]],
+        "exosystem.S": [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 3.5]]},
+     [], {"exosystem_bounded"}),
 ], ids=["sylvester_residual", "psi_readout_identity", "step_halving",
-        "im_reproduction_level1", "steady_poly", "steady_zero", "exosystem_bounded"])
+        "im_reproduction_level1", "steady_poly", "steady_zero", "steady_zero_alone",
+        "exosystem_bounded", "exosystem_bounded_alone"])
 def test_a_real_fault_fails_its_check_line(patch, argv, failing, fast_cfg, capsys):
     assert main(["check", "--config", str(fast_cfg(**patch)), "--t-final", "1", *argv]) == 3
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
     statuses = {parts[0]: parts[1] for parts in lines
                 if len(parts) > 1 and parts[1] in ("PASS", "FAIL")}
-    assert len(statuses) == 10
+    levels = 1 if patch.get("internal_model") is MISSING else 2  # one on relative degree 1
+    assert len(statuses) == 8 + levels
     assert {name for name, status in statuses.items() if status == "FAIL"} == failing
 
 

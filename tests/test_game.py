@@ -275,10 +275,10 @@ class TestEstimateConstants:
         skipped = wide = 0
         for _ in range(400):  # the reference loop's stream, read for its branches
             d = rng.uniform(lo, hi) - rng.uniform(lo, hi)
+            dP = rng.uniform(lo, hi, (3, 3)) - rng.uniform(lo, hi, (3, 3))
             if d @ d < 1e-16:
                 skipped += 1
                 continue
-            dP = rng.uniform(lo, hi, (3, 3)) - rng.uniform(lo, hi, (3, 3))
             wide += np.linalg.norm(dP) > 1e-8
         assert 0 < skipped < 400 and 0 < wide < 400 - skipped
         assert estimate_constants(game, n_samples=400, seed=2) == reference_constants(game, 400, 2)

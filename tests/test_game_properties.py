@@ -31,7 +31,7 @@ def wrapped_quadratic_games(draw):
     return wrap_custom(game, box=np.tile([center - half_width, center + half_width], (n, 1)))
 
 
-@settings(max_examples=20, deadline=None, database=None)
+@settings(max_examples=20)
 @given(game=wrapped_quadratic_games(), seed=st.integers(0, 2 ** 32 - 1),
        n_samples=st.integers(1, 300), chunk_bytes=st.sampled_from([1, 4096, None]))
 def test_chunked_constants_match_per_sample_reference(game, seed, n_samples, chunk_bytes):

@@ -42,7 +42,7 @@ def drawn(name, multiplier, request):
 
 
 # 15 + 10 examples, about 4 s together
-@settings(max_examples=15, deadline=None, database=None)
+@settings(max_examples=15)
 @given(**CASES)
 def test_lifted_rhs_matches_composed_blocks(scenario, seeds, multiplier, ablate, request):
     scenario = drawn(scenario, multiplier, request)
@@ -55,7 +55,7 @@ def test_lifted_rhs_matches_composed_blocks(scenario, seeds, multiplier, ablate,
         assert np.abs(fused[:, b] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-@settings(max_examples=10, deadline=None, database=None)
+@settings(max_examples=10)
 @given(**CASES)
 def test_batched_run_matches_single_seed_runs(scenario, seeds, multiplier, ablate, request):
     short = dataclasses.replace(drawn(scenario, multiplier, request), t_final=0.2, decimate=1)
@@ -64,7 +64,7 @@ def test_batched_run_matches_single_seed_runs(scenario, seeds, multiplier, ablat
         assert_same_run(traj, run(short, ablate=ablate, seed=traj.seed))
 
 
-@settings(max_examples=10, deadline=None, database=None)
+@settings(max_examples=10)
 @given(seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=2, max_size=3, unique=True),
        multiplier=st.floats(1.0, 16.0), abort_norm=st.one_of(st.none(), st.floats(0.6, 1.0)))
 def test_live_columns_hold_the_same_estimates(seeds, multiplier, abort_norm, request):
@@ -98,7 +98,7 @@ def test_live_columns_hold_the_same_estimates(seeds, multiplier, abort_norm, req
 
 # histories of one block (up to 64 steps), of many blocks, of whole blocks and with a partial
 # last block; under 10k steps each, about 3 s in all
-@settings(max_examples=8, deadline=None, database=None)
+@settings(max_examples=8)
 @example(seeds=[3, 4, 5], decimate=1, rows=2501, stable=False, abort_norm=None)
 @example(seeds=[5, 3], decimate=1, rows=2501, stable=False, abort_norm=1e3)
 @example(seeds=[1, 2], decimate=1, rows=4196, stable=True, abort_norm=None)

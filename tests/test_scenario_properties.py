@@ -46,7 +46,7 @@ def mutations(draw):
     return field, value
 
 
-@settings(max_examples=40, deadline=None, database=None)
+@settings(max_examples=40)
 @given(mutation=mutations())
 @example(mutation=("game.h2", [0.0, 0.0, 0.0, float("inf")]))
 @example(mutation=("sim", [0.001]))

@@ -706,7 +706,7 @@ def formatted(cells: np.ndarray) -> bytes:
                    for row in cells.tolist()).encode()
 
 
-@settings(max_examples=200, deadline=None, database=None)
+@settings(max_examples=200)
 @given(st.integers(1, 6).flatmap(lambda k: st.lists(
     st.lists(st.integers(0, 2 ** 64 - 1), min_size=k, max_size=k), min_size=1, max_size=8)))
 def test_cell_kernel_gives_the_bytes_of_17g_for_any_bit_pattern(rows):
