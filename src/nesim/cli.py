@@ -33,23 +33,18 @@ EXIT_CONFIG = 1
 EXIT_DIVERGED = 2
 EXIT_CHECK_FAILED = 3
 
-# Seeds per batched sweep run, bounded in count and in the bytes they keep. On sec5
-# (30 s, one core, one BLAS thread) the time per seed falls from 0.56 s at 8 seeds
-# per batch to 0.37 s at 16 and 0.34 s at 32. Each seed's signals
-# (`Scenario.kept_state_bytes`) take 0.48 MB at decimate 10 and 4.8 MB at decimate 1;
-# a batch holds at most SWEEP_KEPT_BYTES of them.
-SWEEP_BATCH = 16
-SWEEP_KEPT_BYTES = 32 * 2 ** 20
+# Bytes a sweep batch holds: as many seeds as fit at `Scenario.seed_bytes` each, at least one
+SWEEP_BYTES = 32 * 2 ** 20
 
 
 def _resolve_config(path_arg: str) -> Path:
-    """Filesystem path first; fall back to a bundled scenario name."""
+    """Filesystem path first; a bare name (``sec5``, ``sec5.scenario``) may be a bundled one."""
     path = Path(path_arg)
     if path.exists():
         return path
     name = path.name if path.name.endswith(".scenario") else path.name + ".scenario"
     bundled = resources.files("nesim").joinpath("data", name)
-    if bundled.is_file():
+    if path_arg == path.name and bundled.is_file():
         return Path(str(bundled))
     raise cfg.ConfigError(f"no such config file: {path_arg}")
 
@@ -117,8 +112,8 @@ def cmd_simulate(args) -> int:
     ablate = args.ablate_internal_model
     reused = {} if passing is None or ablate else {passing.seed: passing}
     worst_exit = EXIT_OK
-    # the other seeds are integrated together, in batches bounded in count and kept bytes
-    batch = max(1, min(SWEEP_BATCH, SWEEP_KEPT_BYTES // scenario.kept_state_bytes()))
+    # the other seeds are integrated together, in batches that fit SWEEP_BYTES
+    batch = max(1, SWEEP_BYTES // scenario.seed_bytes())
     for start in range(0, len(seeds), batch):
         chunk = seeds[start:start + batch]
         fresh = [seed for seed in chunk if seed not in reused]

@@ -334,7 +334,7 @@ def build_scenario(norm: dict) -> Scenario:
 
 
 def load_scenario(source) -> tuple[Scenario, dict]:
-    """Load a scenario from a path, JSON string, or dict.
+    """Load a scenario from a path or a dict.
 
     Returns the scenario together with its normalized dict form.
     """

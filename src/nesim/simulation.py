@@ -34,11 +34,11 @@ from . import csvtext
 from .controller import (ControllerGains, TRACKING_TOL, STATE_NORM_LIMIT, control_rows,
                          psi_readouts)
 from .errors import ConfigError, NesimError, require
-from .game import GameSpec, GradientConstants, estimate_constants, solve_ne
+from .game import CustomGame, GameSpec, GradientConstants, estimate_constants, solve_ne
 from .generator import GeneratorGains, generator_rows, min_gamma2, partials_bind
 from .graph import CommGraph
 from .internal_model import InternalModelBank, synthesize_bank
-from .numerics import OdeSystem, column_gemv, integrate, rk4_lifted_steps
+from .numerics import STEP_BLOCK, OdeSystem, column_gemv, integrate, rk4_lifted_steps
 from .plant import (Exosystem, PlantFeatures, PlantModel, checked_box, drift_split,
                     sample_uncertainty, steady_state_chain)
 
@@ -241,9 +241,21 @@ class Scenario:
                            r=self.plant.r, im_orders=orders)
 
     def kept_state_bytes(self) -> int:
-        """Bytes `run` holds for one seed at this horizon, step and decimation: the signals
-        ``t``, ``y``, ``p``, ``e``, ``u``, ``v`` and ``ne_dist``."""
+        """Bytes of one seed's signals ``t``, ``y``, ``p``, ``e``, ``u``, ``v`` and ``ne_dist``."""
         return 8 * _kept_samples(self.n_steps, self.decimate) * (4 * self.n + self.exo.n_v + 2)
+
+    def seed_bytes(self) -> int:
+        """Bytes `run` holds per seed of a batch, counted without building an operator: its
+        signals, its operator and stage maps (ten ``(dim, width)`` blocks), two step blocks' rows."""
+        _, features = drift_split(self.plant, self.w_box[None, :, 0], self.exo.n_v)
+        columns = 10 * self._lifted_width(features) + 2 * min(STEP_BLOCK, self.n_steps)
+        return 8 * self.layout().dim * columns + self.kept_state_bytes()
+
+    def _lifted_width(self, features: PlantFeatures) -> int:
+        """Rows of ``[x; 1; phi]``: the state, the one, the plant's ``features`` and a custom
+        game's partials, one per agent (the trailing columns of `generator_rows`)."""
+        partials = self.n if isinstance(self.game, CustomGame) else 0
+        return self.layout().dim + 1 + features.count + partials
 
 
 def _kept_samples(n_steps: int, decimate: int) -> int:
@@ -456,7 +468,7 @@ def _closed_loop_operator(scenario: Scenario, layout: StateLayout, J: np.ndarray
     generator = generator_rows(scenario.game, scenario.graph, scenario.gains.gamma1,
                                synthesis.gamma2)
     # the rows every draw shares; the plant rows follow per draw
-    A = np.zeros((dim, phi.stop + generator.shape[1] - P.stop - 1))
+    A = np.zeros((dim, scenario._lifted_width(features)))
     A[P, P], A[P, dim] = generator[:, P], generator[:, P.stop]  # over [vec P; 1; partials]
     A[P, phi.stop:] = generator[:, P.stop + 1:]
     A[v, v] = scenario.exo.S
@@ -529,9 +541,8 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
     Each block's kept states (step 0, each ``decimate``-th step and the
     last) are derived into every column's signals as the block arrives, in
     one pass over the batch. ``u`` is one GEMV per kept state, ``U @ x``, so
-    a row's bits do not depend on how many rows are derived together. `run`
-    holds each seed's signals (`Scenario.kept_state_bytes`), not its kept
-    states.
+    a row's bits do not depend on how many rows are derived together. A seed
+    costs `Scenario.seed_bytes`: its signals, not its kept states, and its maps.
     """
     batch = seed is not None and not isinstance(seed, (int, np.integer))
     seeds = [int(s) for s in seed] if batch else [scenario.seed if seed is None else int(seed)]

@@ -4,11 +4,15 @@ custom games built from quadratic ones, and non-quadratic cost callables."""
 from __future__ import annotations
 
 import dataclasses
+import json
+from importlib import resources
 
 import numpy as np
 
+from nesim.config import load_scenario
 from nesim.game import CustomGame, QuadraticAggregativeGame
 from nesim.plant import PlantFeatures, PlantModel, example_plant
+from nesim.simulation import start_gains
 
 
 def build_game(h1, coupling, box=(-6.0, 6.0)):
@@ -28,6 +32,32 @@ def build_game(h1, coupling, box=(-6.0, 6.0)):
 
     return CustomGame(costs=[make(i) for i in range(n)],
                       sample_box=np.tile(box, (n, 1)))
+
+
+def ring_config(n: int, gain: float = 4.0, **sim) -> dict:
+    """A scenario dict of sec5's parts on a ring of ``n`` agents, at sec5's start gains times
+    ``gain`` (``gamma1`` and every backstepping gain, as `Scenario.escalated` scales them).
+
+    ``h1`` cycles 2, 3, 4, 5, with ``h2`` 2 and ``h3`` 1; sec5's ``g`` rows are
+    cycled, every ring weight is 1 and every ``w_box`` entry is +-0.05; the
+    exosystem, ``v0_box`` and internal-model preset are sec5's. ``sim`` updates
+    the ``sim`` section. At sec5's dt 1e-3 the ring diverges from ``n`` = 8 on;
+    the 8-ring passes at ``gain`` 4 with dt 2.5e-4.
+    """
+    cfg = json.loads(resources.files("nesim").joinpath("data", "sec5.scenario").read_text())
+    g = cfg["plant"]["g"]
+    cfg["game"].update(h1=[2.0 + i % 4 for i in range(n)], h2=[2.0] * n, h3=[1.0] * n)
+    cfg["graph"] = {"n": n, "edges": [[i, (i + 1) % n, 1.0] for i in range(n)]}
+    cfg["plant"].update(g=[g[i % len(g)] for i in range(n)], w_box=[[-0.05, 0.05]] * (6 * n))
+    cfg["gains"]["gamma1"] = gain
+    cfg["controller"]["k"] = [(gain * start_gains(2)).tolist()] * n
+    cfg["sim"].update(sim)
+    return cfg
+
+
+def ring_scenario(n: int, gain: float = 4.0, **sim):
+    """The scenario of `ring_config`."""
+    return load_scenario(ring_config(n, gain, **sim))[0]
 
 
 def wrap_custom(game: QuadraticAggregativeGame, box=None) -> CustomGame:

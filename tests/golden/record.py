@@ -4,13 +4,20 @@
 stdout as a list of lines, each with its line end, so the lines joined are
 the exact bytes and a moved line shows as one line in a diff. A case that
 writes files (``simulate``'s CSVs) also keeps the sha256 of each, by name.
-It also keeps the OpenBLAS core the cases were recorded under
-(`blas_core`): the bits are those of that core's kernels, and a failing
-case names it next to the core it runs under.
+The bits are those of the OpenBLAS core whose kernels ran (`blas_core`), so
+every case is recorded under each core this CPU runs, one subprocess per
+core with ``OPENBLAS_CORETYPE`` set, and ``exit``, ``stdout`` and ``files``
+each hold a list of variants ``{"cores": [..], "value": ..}``: a value is
+stored once for all the cores that give it. ``cores`` lists the recorded
+cores.
 
 Run from the repository root, with the package importable::
 
     PYTHONPATH=src python tests/golden/record.py
+
+``record.py --cases [NAME ..]`` runs the named cases (all by default) under
+this process's core and prints ``{"core": .., "cases": ..}`` as JSON, the
+values unmerged.
 
 Each case is a ``nesim`` argument list. A case that names no bundled scenario
 reads a scenario file of ``CONFIGS`` (built from the test factories of
@@ -29,12 +36,21 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from importlib import resources
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+
+# OpenBLAS's x86-64 core names: each selects the kernels of a core the CPU can run, the one
+# named or an older one; the distinct cores they select are the ones recorded
+CORE_NAMES = ("Katmai", "Prescott", "Core2", "Penryn", "Dunnington", "Nehalem", "Atom",
+              "Opteron", "Barcelona", "Bobcat", "Bulldozer", "Piledriver", "Steamroller",
+              "Excavator", "Zen", "Sandybridge", "Haswell", "SkylakeX", "Cooperlake",
+              "SapphireRapids")
+FIELDS = ("exit", "stdout", "files")
 
 # the custom game and the generic relative-degree-1 plant of the test factories
 CUSTOM_CONFIG = {
@@ -191,32 +207,78 @@ def moved_lines(old: list[str], new: list[str]) -> int:
                if tag != "equal")
 
 
-def main() -> None:
+def record_cases(names) -> dict:
+    """The named cases' records under this process's core, run from a scratch directory."""
     sys.path.insert(0, str(HERE.parent))  # `factories`, named by the custom configs
-    cases = {}
     with tempfile.TemporaryDirectory() as scratch:
         for name, config in CONFIGS.items():
             Path(scratch, name).write_text(json.dumps(config))
-        for name, argv in CASES.items():
-            cases[name] = run_case(argv, Path(scratch))
+        return {name: run_case(CASES[name], Path(scratch)) for name in names}
+
+
+def under_core(name: str, *args: str) -> dict:
+    """``record.py --cases *args`` in a subprocess with ``OPENBLAS_CORETYPE=name``."""
+    path = [str(HERE.parents[1] / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, OPENBLAS_CORETYPE=name, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--cases", *args],
+                          env=env, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def variant(case: dict, field: str, core: str):
+    """The value of ``field`` that ``case`` holds for ``core``, or None when it holds none."""
+    return next((v["value"] for v in case[field] if core in v["cores"]), None)
+
+
+def merged(by_core: dict) -> dict:
+    """Per case, its argument list and each field's variants, each value stored once."""
+    cases = {}
+    for name, argv in CASES.items():
+        case = {"argv": argv}
+        for field in FIELDS:
+            variants = []
+            for core, record in sorted(by_core.items()):
+                value = record[name].get(field, {})  # a case that writes no file: {}
+                same = next((v for v in variants if v["value"] == value), None)
+                if same is None:
+                    variants.append({"cores": [core], "value": value})
+                else:
+                    same["cores"].append(core)
+            case[field] = variants
+        cases[name] = case
+    return cases
+
+
+def main() -> None:
+    if sys.argv[1:2] == ["--cases"]:
+        print(json.dumps({"core": blas_core(),
+                          "cases": record_cases(sys.argv[2:] or list(CASES))}))
+        return
+    by_core = {}
+    for name in CORE_NAMES:
+        probe = under_core(name, "dump_normalized_sec5")  # the cheapest case
+        if probe["core"] not in by_core:
+            by_core[probe["core"]] = under_core(name)["cases"]
     path = HERE / "outputs.json"
-    before = json.loads(path.read_text())["cases"] if path.exists() else {}
-    for name, case in cases.items():
-        if name not in before:
-            print(f"{name}: new, {len(case['stdout'])} lines")
-        elif case != before[name]:
-            old = before[name]
-            exit_moved = ("" if case["exit"] == old["exit"]
-                          else f", exit {old['exit']} -> {case['exit']}")
-            files, old_files = case.get("files", {}), old.get("files", {})
-            files_moved = sorted(file for file in files.keys() | old_files.keys()
-                                 if files.get(file) != old_files.get(file))
-            print(f"{name}: {moved_lines(old['stdout'], case['stdout'])} lines moved"
-                  + exit_moved + "".join(f", {file} moved" for file in files_moved))
-    for name in before.keys() - cases.keys():
+    before = json.loads(path.read_text()) if path.exists() else {"cases": {}}
+    for name in CASES:
+        for core, record in sorted(by_core.items()):
+            old = before["cases"].get(name)
+            if old is None or core not in before.get("cores", ()):
+                print(f"{name} under {core}: new, {len(record[name]['stdout'])} lines")
+                continue
+            new = {field: record[name].get(field, {}) for field in FIELDS}
+            was = {field: variant(old, field, core) for field in FIELDS}
+            moved = [f"{moved_lines(was['stdout'], new['stdout'])} lines moved"]
+            moved += [] if new["exit"] == was["exit"] else [f"exit {was['exit']} -> {new['exit']}"]
+            moved += [f"{file} moved" for file in sorted(new["files"].keys() | was["files"].keys())
+                      if new["files"].get(file) != was["files"].get(file)]
+            if new != was:
+                print(f"{name} under {core}: " + ", ".join(moved))
+    for name in before["cases"].keys() - CASES.keys():
         print(f"{name}: dropped")
-    path.write_text(json.dumps({"blas_core": blas_core(), "configs": CONFIGS, "cases": cases},
-                               indent=1) + "\n")
+    path.write_text(json.dumps({"cores": sorted(by_core), "configs": CONFIGS,
+                                "cases": merged(by_core)}, indent=1) + "\n")
 
 
 if __name__ == "__main__":

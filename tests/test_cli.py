@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from nesim.graph import CommGraph
 from nesim.internal_model import StabilizerPair, default_stabilizer, verify_reproduction
 from nesim.plant import Exosystem, exo_trajectory, steady_state_chain
 from nesim.simulation import EscalationSpec, Scenario, run, write_csv
-from factories import build_game, build_plant
+from factories import build_game, build_plant, ring_config
 from oracles import monotonicity_margin
 
 
@@ -94,6 +95,18 @@ def test_bundled_name_resolution(capsys):
     out = capsys.readouterr().out
     assert "equilibrium = [-0.25, 0.75, 0.25, 1.25]" in out
     assert "min_gamma2 = 24" in out
+
+
+@pytest.mark.parametrize("form", ["absolute", "relative"])
+def test_missing_config_path_with_a_directory_part_is_a_config_error(form, tmp_path,
+                                                                   monkeypatch, capsys):
+    # a bundled name is looked up only bare: a path with a directory part names a file
+    monkeypatch.chdir(tmp_path)
+    arg = str(tmp_path / "no" / "such" / "sec5") if form == "absolute" else "./typo/sec5.scenario"
+    assert main(["solve-ne", "--config", arg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: no such config file: {arg}\n"
 
 
 def test_synthesize_prints_readout_rows(sec5_path, capsys):
@@ -852,16 +865,32 @@ def test_simulate_reuses_the_passing_escalation_run(sec5, tmp_path, capsys, coun
     assert ablated.read_bytes() == explicit_csv("explicit_ablated.csv", ablate=True)
 
 
-@pytest.mark.parametrize("bound", ["count", "bytes"])
-def test_sweep_spanning_batches_matches_one_seed_runs(bound, fast_cfg, tmp_path, monkeypatch,
+def test_a_16_ring_sweep_steps_one_seed_per_batch(tmp_path, count_calls, capsys):
+    # a 16-ring seed holds 17.2 MB (`Scenario.seed_bytes`), so no two fit SWEEP_BYTES. At dt
+    # 1e-3 the runs diverge in their first block (exit 2), after the workspace that sets the
+    # peak is allocated. Measured: 28.8 MB traced for 1 seed and for 16; 431 MB as one batch
+    path = tmp_path / "ring16.scenario"
+    path.write_text(json.dumps(ring_config(16, t_final=0.05)))
+    out = str(tmp_path / "sweep.csv")
+    main(["simulate", "--config", str(path), "--t-final", "0.01", "--out", out])  # imports
+    calls, peaks = count_calls(run), {}
+    for seeds in (1, 16):
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--config", str(path), "--sweep", f"seeds={seeds}",
+                         "--out", out]) == 2
+            peaks[seeds] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert [kw["seed"] for _, kw in calls] == [[1]] + [[seed] for seed in range(1, 17)]
+    assert peaks[16] <= 1.1 * peaks[1]
+
+
+def test_sweep_spanning_batches_matches_one_seed_runs(fast_cfg, tmp_path, monkeypatch,
                                                       count_calls):
     path = fast_cfg()
     scenario, _ = load_scenario(path)
-    # two seeds per batch, by the seed count or by the kept-state bytes
-    if bound == "count":
-        monkeypatch.setattr(cli, "SWEEP_BATCH", 2)
-    else:
-        monkeypatch.setattr(cli, "SWEEP_KEPT_BYTES", 3 * scenario.kept_state_bytes() - 1)
+    monkeypatch.setattr(cli, "SWEEP_BYTES", 3 * scenario.seed_bytes() - 1)  # two seeds a batch
     # stand in for a passing escalation run of the scenario seed, which is reused
     passing = run(scenario)
     monkeypatch.setattr(cli, "_resolve_gains", lambda sc, quiet=False: (sc, passing))

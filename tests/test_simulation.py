@@ -26,6 +26,7 @@ from nesim.plant import (Exosystem, drift_split, example_plant,
                          sample_uncertainty, steady_state_chain)
 from nesim.simulation import (ClosedLoopTrajectory, EscalationSpec, Scenario, assemble,
                               closed_loop_passes, metrics, run, write_csv)
+from factories import ring_scenario
 from oracles import backstepping_control, composed_rhs, unpack
 
 
@@ -525,6 +526,44 @@ def test_kept_state_bytes_counts_the_recorded_samples(stable):
         signals = sum(getattr(traj, name).nbytes
                       for name in ("t", "y", "p", "e", "u", "v", "ne_dist"))
         assert short.kept_state_bytes() == signals
+
+
+def traced_per_column(scenario, monkeypatch) -> tuple[float, float]:
+    """What `run` holds when its first block arrives and its traced peak, per column added
+    to the batch: the difference between batches of 5 and 2 seeds, over 3."""
+    held, real = [], simulation.integrate
+
+    def integrate(steps, x0, t0, t_final, h, observer):
+        def observe(k, t, xs):
+            if not k:  # the workspace, the block buffer and the signals are all allocated
+                held.append(tracemalloc.get_traced_memory()[0])
+            return observer(k, t, xs)
+        return real(steps, x0, t0, t_final, h, observe)
+
+    monkeypatch.setattr(simulation, "integrate", integrate)
+    at = {}
+    for B in (2, 5):
+        run(dataclasses.replace(scenario, t_final=0.01), seed=list(range(1, B + 1)))
+        held.clear()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run(scenario, seed=list(range(1, B + 1)))
+            at[B] = held[0] - base, tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    return (at[5][0] - at[2][0]) / 3, (at[5][1] - at[2][1]) / 3
+
+
+@pytest.mark.parametrize("case", ["sec5", "ring8"])
+def test_seed_bytes_lies_between_what_run_holds_and_its_peak_per_column(case, sec5,
+                                                                        monkeypatch):
+    # measured per column, held <= seed_bytes <= peak: 402 <= 423 <= 597 KB on sec5 at x4,
+    # 2301 <= 2369 <= 3532 KB on the 8-ring; the peak adds `rk4_lifted_matrices`' temporaries
+    scenario = sec5.escalated(4.0) if case == "sec5" else ring_scenario(8, dt=2.5e-4)
+    scenario = dataclasses.replace(scenario, t_final=0.05)
+    held, peak = traced_per_column(scenario, monkeypatch)
+    assert held <= scenario.seed_bytes() <= peak
 
 
 SPLIT_CONTRACT = r"\(B, n_w\) stack of draws.*PlantFeatures\(count, bind\)"
