@@ -201,6 +201,6 @@ def run_generator(scenario: Scenario) -> GeneratorTrajectory:
 
     P0 = np.zeros((n, n)) if scenario.p0 is None else scenario.p0
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is raised, not warned
-        final = integrate(steps, P0.reshape(n * n, 1), 0.0, scenario.t_final, h, observer)
+        final = integrate(steps, P0.reshape(n * n, 1), scenario.n_steps, observer)
     return GeneratorTrajectory(t=np.concatenate(ts), dist=np.concatenate(dists),
                                final_estimates=final.reshape(n, n), p_star=synthesis.p_star)

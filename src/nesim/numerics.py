@@ -1,16 +1,16 @@
 """Checked dense linear algebra (LAPACK via NumPy) and a fixed-step RK4 integrator.
 
 `integrate` is the one stepping loop for nonlinear systems. It steps a
-`LiftedSteps` workspace by `rk4_lifted_step`: a system linear in a lifted
-state, ``xdot = A [x; 1; phi(x)]`` (the closed loop and the generator),
-whose RK4 stages are one GEMV each by the maps of `rk4_lifted_matrices`,
-bound once with the system's lifts by `rk4_lifted_steps`. It steps any
-other `OdeSystem` by `rk4_step` on its ``rhs``; no nesim path does, and
-`rk4_step` stays as the lifted step's oracle and the per-step leaf that
-perfbench's tracer wraps. `integrate` hands its observer the states a block
-of `STEP_BLOCK` at a time, so the observer's bookkeeping is whole-array
-work per block. Divergence is read, not caught: `rk4_lifted_step` does not
-raise, so the observer finds a block's first non-finite state itself.
+`LiftedSteps` workspace, and nothing else, by `rk4_lifted_step`: a system
+linear in a lifted state, ``xdot = A [x; 1; phi(x)]`` (the closed loop and
+the generator), whose RK4 stages are one GEMV each by the maps of
+`rk4_lifted_matrices`, bound once with the system's lifts and step size by
+`rk4_lifted_steps`. `integrate` hands its observer the states a block of
+`STEP_BLOCK` at a time, so the observer's bookkeeping is whole-array work
+per block. Divergence is read, not caught: `rk4_lifted_step` does not raise,
+so the observer finds a block's first non-finite state itself. No nesim path
+steps an `OdeSystem` by `rk4_step`: it stays as the lifted step's per-stage
+oracle and the per-step leaf that perfbench's tracer wraps.
 
 A linear system ``xdot = A x`` steps through `rk4_linear`: there one RK4
 step is exactly ``x+ = R(hA) x``, with `rk4_matrix` giving RK4's step
@@ -22,8 +22,9 @@ vectors up to a few hundred entries). Apart from the lifted workspace, the
 routines are pure functions. A workspace (`LiftedSteps`) is mutable and
 belongs to one loop: each run builds its own, so concurrent runs stay
 independent, and no two threads may step one loop at once. `rk4_step` and
-the oracle derivatives it steps keep their buffers per call. Every stepper
-rejects a step size that is not finite and > 0 (`ValueError`).
+the oracle derivatives it steps keep their buffers per call. `rk4_step`,
+`rk4_linear` and `rk4_lifted_steps`, which makes the workspace, reject a step
+size that is not finite and > 0 (`ValueError`).
 """
 
 from __future__ import annotations
@@ -140,61 +141,46 @@ def rk4_step(sys: OdeSystem, t: float, x: np.ndarray, h: float,
     return np.add(x, (h / 6.0) * incr, out=out)
 
 
-def integrate(sys: OdeSystem | LiftedSteps, x0: np.ndarray, t0: float, t_final: float,
-              h: float, observer: Callable | None = None) -> np.ndarray:
-    """Integrate with fixed-step RK4 from ``t0`` to ``t_final``; returns the final state.
+def integrate(steps: LiftedSteps, x0: np.ndarray, n_steps: int,
+              observer: Callable | None = None) -> np.ndarray:
+    """Make ``n_steps`` RK4 steps in the workspace ``steps`` from ``x0``; returns the last state.
 
-    ``sys`` is a `LiftedSteps` workspace, stepped by `rk4_lifted_step`, or
-    an `OdeSystem`, stepped by `rk4_step`; the stepper is looked up in this
-    module at each call. The steps are made in blocks of `STEP_BLOCK` (the
-    last block holds what is left), each written into its row of one block
-    buffer.
+    Time starts at 0, the step size is the workspace's, ``steps.h``, and
+    each step is one `rk4_lifted_step`. The steps are made in blocks of
+    `STEP_BLOCK` (the last block holds what is left), each written into its
+    row of one block buffer.
 
     ``observer(k, t, xs)`` is invoked at the initial state, as a block of one,
     and after every block: ``xs`` holds the states of steps ``k, k + 1, ..``,
-    one per row, and ``t`` their times ``t0 + (k + j) h``. ``xs`` is a view
-    of the block buffer, valid until the observer returns; it is the hook
-    trajectory recorders attach to, and the one that reads divergence:
-    `rk4_lifted_step` does not raise, so any state of a block may be
-    non-finite. A step that raises (`rk4_step` on a non-finite derivative)
-    ends the integration.
+    one per row, and ``t`` their times ``(k + j) h``. ``xs`` is a view of the
+    block buffer, valid until the observer returns; it is the hook trajectory
+    recorders attach to, and the one that reads divergence: a step does not
+    raise, so any state of a block may be non-finite. The observer returns
+    True to end the run after that block.
 
-    The columns of a batched state ``(dim, B)`` are independent systems, and
-    the observer may stop some of them: a boolean mask it returns stops the
-    masked columns after the block's last state, so a column the observer
-    stops at a state inside the block is still stepped to the block's end.
-    A stopped column is parked: it is zero from then on and still stepped,
-    whatever its steps hold, so the system, its workspace and ``B`` never
-    change. The run ends at ``t_final`` or when every column has stopped.
+    The columns of a batched state ``(dim, B)`` are independent systems: each
+    has its own GEMV and fill, so a column the caller has stopped is stepped
+    on, whatever its steps hold, and moves no other column.
 
     Raises
     ------
     ValueError
-        Before the first step, if ``h`` is not finite and > 0, or if
-        ``t_final`` lies before ``t0``.
+        Before the first step, if ``n_steps`` is negative.
     """
-    _check_step(h)
-    n_steps = int(round((t_final - t0) / h))
     if n_steps < 0:
-        raise ValueError(f"t_final = {t_final:g} lies before t0 = {t0:g}")
-    step = rk4_lifted_step if isinstance(sys, LiftedSteps) else rk4_step
+        raise ValueError(f"the step count must be >= 0, got {n_steps}")
     x = np.array(x0, dtype=float)
     block = np.empty((max(1, min(STEP_BLOCK, n_steps)),) + x.shape)
-    k, parked = 0, None
-    stop = None if observer is None else observer(0, np.array([t0]), x[None])
-    while True:
-        if stop is not None and stop.any():
-            parked = stop if parked is None else parked | stop
-        if k == n_steps or parked is not None and parked.all():
-            return x.copy() if parked is None else np.where(parked, 0.0, x)
-        first, x = k, x.copy()  # off the block: a step never writes the state it reads
-        for out in block[:n_steps - k]:
-            if parked is not None:
-                x = np.where(parked, 0.0, x)
-            x = step(sys, t0 + k * h, x, h, out)
+    k = 0
+    done = observer is not None and observer(0, np.zeros(1), x[None])
+    while k < n_steps and not done:
+        first = k
+        for out in block[:n_steps - k]:  # the step copies ``x`` in before it writes ``out``
+            x = rk4_lifted_step(steps, x, out)
             k += 1
-        stop = None if observer is None else observer(
-            first + 1, t0 + np.arange(first + 1, k + 1) * h, block[:k - first])
+        done = observer is not None and observer(
+            first + 1, np.arange(first + 1, k + 1) * steps.h, block[:k - first])
+    return x.copy()
 
 
 @dataclass(eq=False)
@@ -234,19 +220,27 @@ def rk4_lifted_matrices(A: np.ndarray, h: float) -> tuple:
                           W = [(h/3) A, E + (h/6) A, (h/3) A, (h/6) A]
 
     so each map reads one contiguous run of the stack and holds no zero
-    block. Each map is ``(B, dim, k * width)``, its blocks written straight
-    into a stack whose ``[b]`` starts on 64 bytes (`_aligned`); every entry
-    is computed from its own column's ``A_b`` alone.
+    block. Each map is ``(B, dim, k * width)``, in a stack whose ``[b]``
+    starts on 64 bytes (`_aligned`). Each block is written straight into its
+    slot, ``s A`` and then ``E +`` it in place, so no operator-sized
+    temporary is made; every entry is computed from its own column's ``A_b``
+    alone.
     """
     A = np.asarray(A, dtype=float)
     B, dim, width = A.shape
     E = np.eye(dim, width)
-    half, third, sixth = (h / 2.0) * A, (h / 3.0) * A, (h / 6.0) * A
-    blocks = ((E + half,), (half, E), (E, h * A), (third, E + sixth, third, sixth))
-    maps = tuple(_aligned((B, dim, len(row) * width)) for row in blocks)
-    for M, row in zip(maps, blocks):
-        for j, block in enumerate(row):
-            M[..., j * width:(j + 1) * width] = block
+    S1, S2, S3, W = maps = tuple(_aligned((B, dim, k * width)) for k in (1, 2, 2, 4))
+
+    def block(M: np.ndarray, j: int) -> np.ndarray:
+        return M[..., j * width:(j + 1) * width]
+
+    # exactly these scalars: h * (1 / 3), for one, rounds apart from h / 3.0
+    for M, j, s in ((S1, 0, h / 2.0), (S2, 0, h / 2.0), (S3, 1, h), (W, 0, h / 3.0),
+                    (W, 1, h / 6.0), (W, 2, h / 3.0), (W, 3, h / 6.0)):
+        np.multiply(s, A, out=block(M, j))
+    for M, j in ((S1, 0), (W, 1)):
+        np.add(E, block(M, j), out=block(M, j))
+    block(S2, 1)[...] = block(S3, 0)[...] = E
     return maps
 
 
@@ -317,7 +311,7 @@ def column_gemv(M: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> 
     return partial(np.matmul, M, vT, out=out.T[..., None])
 
 
-def rk4_lifted_step(steps: LiftedSteps, t: float, x: np.ndarray, h: float,
+def rk4_lifted_step(steps: LiftedSteps, x: np.ndarray,
                     out: np.ndarray | None = None) -> np.ndarray:
     """One RK4 step in the workspace ``steps`` (`rk4_lifted_steps`), as four GEMVs per column.
 
@@ -326,8 +320,8 @@ def rk4_lifted_step(steps: LiftedSteps, t: float, x: np.ndarray, h: float,
     the lifts so far, written straight into the buffer and lifted there, and
     the new state is one GEMV over the whole buffer into ``out`` (a
     C-contiguous ``(dim, B)`` array), or a fresh array, which is returned.
-    No stage derivative is formed. The system is autonomous: ``t`` is not
-    read.
+    No stage derivative is formed. The system is autonomous, and the step
+    size is the workspace's, ``steps.h``.
 
     A step does not raise on divergence, and it measures nothing: a
     non-finite stage reaches the new state (every entry of the buffer meets
@@ -337,11 +331,8 @@ def rk4_lifted_step(steps: LiftedSteps, t: float, x: np.ndarray, h: float,
     Raises
     ------
     ValueError
-        If ``steps`` was not built for the step ``h``, or for states of the
-        shape of ``x``.
+        If ``steps`` was not built for states of the shape of ``x``.
     """
-    if steps.h != h:
-        raise ValueError(f"the lifted stage maps are not built for the step h={h:.6g}")
     state = steps.state
     if x.shape != state.shape:
         raise ValueError(f"the lifted workspace is built for states of shape {state.shape}, "

@@ -301,8 +301,8 @@ class AssembledLoop(OdeSystem):
     between columns. ``bind`` binds the fill of ``phi`` (`_closed_loop_bind`)
     for ``rhs`` and for the workspace `run` steps (`numerics.rk4_lifted_steps`).
     ``parked`` is the mask of the columns whose features the fills skip: all
-    False from `assemble`, and `run` sets each column it stops, which
-    `numerics.integrate` parks. The layout and the synthesis (equilibrium,
+    False from `assemble`, and `run` sets each column it stops, which is
+    still stepped and never read. The layout and the synthesis (equilibrium,
     ``gamma2``, bank) are the scenario's: `Scenario.layout` and
     `Scenario.synthesized`.
     """
@@ -527,8 +527,8 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
     ``"manifold"`` starts exactly on the regulated manifold with the
     generator at equilibrium. Divergence does not raise: the trajectory up
     to the failure is returned with the flag set. A column that diverges or
-    passes ``abort_norm`` stops there;
-    `numerics.integrate` parks it and the others go on. Both are read off
+    passes ``abort_norm`` stops there: it is marked in the loop's ``parked``,
+    stepped on but never read, and the others go on. Both are read off
     each block of states `numerics.integrate` hands over, per column: a
     column whose every entry in the block is finite and at most
     ``abort_norm`` goes on, and the block is kept with one ``|x|`` maximum
@@ -590,16 +590,15 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
     y_cols = slice(lay.x.start, lay.x.start + n)  # the first chain level
     peak = np.zeros(B)  # each column's largest |value| after step 0, up to its last kept step
     counts = np.full(B, n_kept)  # each column's kept rows
-    done = loop.parked  # the stopped columns: `integrate` parks them and the fills skip them
+    done = loop.parked  # the stopped columns: the fills skip them, and nothing reads them
     diverged_t = [None] * B
     aborted = np.zeros(B, dtype=bool)
     abort = np.inf if abort_norm is None else abort_norm
 
     def observe(k: int, t: np.ndarray, xs: np.ndarray):
-        """Keep the block of steps ``k, k + 1, ..``; return the columns that stop in it:
-        diverged, or past ``abort_norm``."""
+        """Keep the block of steps ``k, k + 1, ..`` and stop the columns that stop in it:
+        diverged, or past ``abort_norm``; True once every column has stopped."""
         nonlocal kept
-        stop = None
         if k:  # step 0 is kept, but neither stops a column nor joins its peak
             # each column's largest |value| in the block; NumPy reduces over the leading axes
             # one at a time ten times faster than over axes (0, 1) at once, where B > 1
@@ -631,11 +630,11 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
         np.sqrt(np.square(gap, out=gap).sum(axis=-1), out=ne_dist[:, at])
         np.matmul(U, xs[..., None], out=u[:, at, :, None])  # one GEMV per kept state
         kept = at.stop
-        return stop
+        return done.all()
 
     # overflow on a diverging trajectory is expected and detected explicitly
     with np.errstate(over="ignore", invalid="ignore"):
-        integrate(stepped, state, 0.0, scenario.t_final, h, observe)
+        integrate(stepped, state, n_steps, observe)
     del stepped  # the workspace, freed before the trajectories' times are made
 
     trajs = []

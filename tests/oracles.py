@@ -1,8 +1,8 @@
 """Independent oracles: custom-game finite differences and constants, the
-check suite's monotonicity sampling, RK4 on a linear system step by step,
-graph connectivity by breadth-first search, the closed loop, and `run`'s
-draw of a box start, its bookkeeping one lifted step at a time and its
-signals derived from a column's whole history.
+check suite's monotonicity sampling, RK4 step by step on any system and on
+a linear one, graph connectivity by breadth-first search, the closed loop,
+and `run`'s draw of a box start, its bookkeeping one lifted step at a time
+and its signals derived from a column's whole history.
 
 The first are written out sample by sample or step by step, the way the
 definitions read, so that the whole-array code in `nesim` is checked against
@@ -14,8 +14,8 @@ read-out, the plant from its ``f0``/``f_levels`` (`plant_rhs`) and each
 compensator from its own ``M``, ``N`` and ``Psi``.
 
 No nesim path steps by `nesim.numerics.rk4_step` any more: it stays in the
-library only as the per-stage RK4 the lifted step is held against and as
-the per-step leaf that perfbench's tracer wraps.
+library only as the per-stage RK4 the lifted step is held against, stepped
+here by `rk4_states`, and as the per-step leaf that perfbench's tracer wraps.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from nesim.errors import NonFiniteState
 from nesim.game import CustomGame, GradientConstants, extended_pseudo_gradient, pseudo_gradient
 from nesim.graph import laplacian
-from nesim.numerics import rk4_lifted_step, rk4_lifted_steps, rk4_matrix
+from nesim.numerics import rk4_lifted_step, rk4_lifted_steps, rk4_matrix, rk4_step
 from nesim.plant import sample_uncertainty
 
 
@@ -109,6 +109,19 @@ def monotonicity_margin(game, strong_mono: float, rng: np.random.Generator) -> f
     return worst
 
 
+def rk4_states(sys, x0: np.ndarray, h: float, n_steps: int):
+    """Yield the states ``x_0 .. x_n_steps`` of fixed-step RK4 on ``sys``, an `OdeSystem`.
+
+    One `rk4_step` per step, at times ``k h``; a step that raises
+    (`NonFiniteState`) ends the iteration there.
+    """
+    x = np.array(x0, dtype=float)
+    yield x
+    for k in range(n_steps):
+        x = rk4_step(sys, k * h, x, h)
+        yield x
+
+
 def rk4_linear_stepwise(A: np.ndarray, x0: np.ndarray, h: float, n_steps: int) -> np.ndarray:
     """States ``x_0 .. x_n_steps`` of RK4 on ``xdot = A x``: ``R(hA)`` applied once per step.
 
@@ -135,7 +148,7 @@ def box_start(scenario, seed):
 
 def stepwise_run(loop, x0: np.ndarray, h: float, n_steps: int, dec: int,
                  abort_norm: float | None = None) -> list[dict]:
-    """`simulation.run`'s stop and park rules, applied after each lifted step of ``loop``.
+    """`simulation.run`'s stop rules, applied after each lifted step of ``loop``.
 
     ``x0`` is ``(dim, B)``. Each step is one `rk4_lifted_step` in a workspace
     built here on the loop's own ``bind``, so its fills read ``loop.parked``.
@@ -143,9 +156,9 @@ def stepwise_run(loop, x0: np.ndarray, h: float, n_steps: int, dec: int,
     diverged at ``k h`` and keeps neither this step's peak nor its sample;
     else its largest ``|value|`` joins its peak and it keeps the state when
     ``k`` is a multiple of ``dec`` or the last step; then it stops if that
-    ``|value|`` passes ``abort_norm``. A stopped column is parked: it is
-    stepped from zero from the next step on, and its fills skip it. The run
-    ends at ``n_steps`` or when every column has stopped.
+    ``|value|`` passes ``abort_norm``. A stopped column is marked in
+    ``loop.parked``: it is stepped on, its fills skip it, and nothing reads
+    it. The run ends at ``n_steps`` or when every column has stopped.
 
     Returns per column ``{"kept": (K, dim), "tops": [max |x_k|, ..],
     "max_state_norm", "diverged_t", "aborted"}``, ``tops`` over the steps it
@@ -163,7 +176,7 @@ def stepwise_run(loop, x0: np.ndarray, h: float, n_steps: int, dec: int,
         for k in range(1, n_steps + 1):
             if parked.all():
                 break
-            x = rk4_lifted_step(steps, 0.0, np.where(parked, 0.0, x), h)
+            x = rk4_lifted_step(steps, x)
             for b, col in enumerate(cols):
                 if parked[b]:
                     continue

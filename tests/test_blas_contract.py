@@ -39,9 +39,8 @@ def history(scenario, seed: int) -> np.ndarray:
     x0, draw = box_start(scenario, seed)
     loop = assemble(scenario, draws=draw[None])
     rows = [x0]
-    integrate(rk4_lifted_steps(loop.operator, scenario.dt, loop.bind), x0[:, None], 0.0,
-              scenario.t_final, scenario.dt,
-              lambda k, t, xs: rows.extend(xs[:, :, 0].copy()) if k else None)
+    integrate(rk4_lifted_steps(loop.operator, scenario.dt, loop.bind), x0[:, None],
+              scenario.n_steps, lambda k, t, xs: rows.extend(xs[:, :, 0].copy()) if k else None)
     return np.array(rows)
 
 

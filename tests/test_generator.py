@@ -14,7 +14,7 @@ from nesim.generator import (GeneratorGains, GeneratorTrajectory, generator_rows
                              partials_bind, run_generator)
 from nesim.graph import CommGraph
 from nesim.numerics import OdeSystem, integrate, rk4_lifted_step, rk4_step
-from oracles import central_partials, kronecker_generator
+from oracles import central_partials, kronecker_generator, rk4_states
 
 
 def quad(h1, h2, h3):
@@ -255,9 +255,11 @@ def test_run_matches_the_stacked_form_over_criterion_2(sec5):
     # criterion 2's run; the lifted step and the per-stage step round differently
     gains = GeneratorGains(sec5.gains.gamma1, sec5.synthesized().gamma2)
     t_final, n = 20.0 / gains.gamma1, sec5.n
-    traj = run_generator(dataclasses.replace(sec5, t_final=t_final))
-    oracle = integrate(stacked_system(sec5.game, sec5.graph, gains), np.zeros(n * n), 0.0,
-                       t_final, sec5.dt).reshape(n, n)
+    scenario = dataclasses.replace(sec5, t_final=t_final)
+    traj = run_generator(scenario)
+    *_, oracle = rk4_states(stacked_system(sec5.game, sec5.graph, gains), np.zeros(n * n),
+                            sec5.dt, scenario.n_steps)
+    oracle = oracle.reshape(n, n)
     assert np.abs(traj.final_estimates - oracle).max() <= 1e-12 * (1.0 + np.abs(oracle).max())
 
 
@@ -275,10 +277,9 @@ def test_custom_game_steps_match_the_stacked_form(custom_scenario, count_calls):
     calls = count_calls(integrate)
     run_generator(dataclasses.replace(custom_scenario, p0=P0, t_final=steps * h, dt=h))
     lifted = calls[0][0][0]  # the lifted system `run_generator` stepped
-    oracle_sys, states = stacked_system(game, g, gains), []
-    integrate(oracle_sys, P0.ravel(), 0.0, steps * h, h, lambda k, t, xs: states.extend(xs.copy()))
-    oracle = np.array(states)
-    local = np.array([rk4_lifted_step(lifted, 0.0, x[:, None], h)[:, 0] for x in oracle[:-1]])
+    oracle_sys = stacked_system(game, g, gains)
+    oracle = np.array(list(rk4_states(oracle_sys, P0.ravel(), h, steps)))
+    local = np.array([rk4_lifted_step(lifted, x[:, None])[:, 0] for x in oracle[:-1]])
     nudged = np.array([rk4_step(oracle_sys, 0.0, np.nextafter(x, np.inf), h)
                        for x in oracle[:-1]])
     assert relative_gap(local, oracle[1:]) <= max(1e-12, 2.0 * relative_gap(nudged, oracle[1:]))

@@ -7,8 +7,9 @@ from nesim.errors import InvalidSpectrum, SingularT
 from nesim.internal_model import (_FD_STENCILS, _derivative_stack, companion_from_coeffs,
                                   default_stabilizer, solve_sylvester, StabilizerPair,
                                   synthesize_bank, sylvester_residual, verify_reproduction)
-from nesim.numerics import OdeSystem, integrate
+from nesim.numerics import OdeSystem
 from nesim.plant import exo_trajectory, sample_uncertainty, steady_state_chain
+from oracles import rk4_states
 
 
 class TestCompanion:
@@ -227,14 +228,10 @@ class TestVerifyReproduction:
         j0 = max(_FD_STENCILS[k][0][-1] for k in range(n))
         A = np.linalg.solve(T.T, (T @ comp.Phi).T).T
         worst = 0.0
-
-        def observer(k, t, thetas):
-            nonlocal worst
-            for step, theta in enumerate(thetas, start=k):
-                worst = max(worst, abs(float(psi @ theta) - values[j0 + step]))
-
         theta0 = T @ _derivative_stack(values, h, n, j0)
-        integrate(OdeSystem(n, lambda t, theta: A @ theta), theta0, ts[j0], ts[-1], h, observer)
+        thetas = rk4_states(OdeSystem(n, lambda t, theta: A @ theta), theta0, h, len(ts) - 1 - j0)
+        for step, theta in enumerate(thetas):
+            worst = max(worst, abs(float(psi @ theta) - values[j0 + step]))
         return worst
 
     def test_batch_of_sec5_agents_equals_one_column_calls(self, sec5):

@@ -2,7 +2,7 @@
 
 `run` steps the loop's workspace (`numerics.rk4_lifted_steps`) by
 `numerics.rk4_lifted_step`; the per-stage `numerics.rk4_step` on the loop's
-``rhs`` is its oracle. The two round differently, so they agree to roundoff,
+``rhs``, stepped by `oracles.rk4_states`, is its oracle. The two round differently, so they agree to roundoff,
 1e-12 relative to ``1 + |x|``; a batch of columns agrees with its one-column
 runs bit for bit.
 """
@@ -22,7 +22,7 @@ from nesim.graph import CommGraph
 from nesim.numerics import STEP_BLOCK, integrate, rk4_lifted_step, rk4_lifted_steps, rk4_step
 from nesim.plant import Exosystem, sample_uncertainty
 from nesim.simulation import Scenario, assemble, run
-from oracles import box_start, stepwise_run
+from oracles import box_start, rk4_states, stepwise_run
 
 STEPS = 300
 
@@ -34,10 +34,10 @@ def lifted_loop(scenario, seeds, ablate=False):
     return loop, rk4_lifted_steps(loop.operator, scenario.dt, loop.bind)
 
 
-def trajectory(sys, x0, h, n_steps=STEPS):
-    """Every state of ``n_steps`` steps of ``sys``, a loop or a workspace, from ``x0``, stacked."""
+def trajectory(steps, x0, n_steps=STEPS):
+    """Every state of ``n_steps`` steps of the workspace ``steps`` from ``x0``, stacked."""
     states = []
-    integrate(sys, x0, 0.0, n_steps * h, h, lambda k, t, xs: states.extend(xs.copy()))
+    integrate(steps, x0, n_steps, lambda k, t, xs: states.extend(xs.copy()))
     return np.array(states)
 
 
@@ -55,11 +55,11 @@ def test_lifted_step_matches_rk4_step(case, factor, batch, sec5, request):
     loop, steps = lifted_loop(scenario, seeds, ablate)
     x0 = np.random.default_rng(40).uniform(-scenario.R, scenario.R, size=(loop.dimension, batch))
     h = scenario.dt
-    oracle = trajectory(loop, x0, h)
-    lifted = trajectory(steps, x0, h)
+    oracle = np.array(list(rk4_states(loop, x0, h, STEPS)))
+    lifted = trajectory(steps, x0)
     assert lifted.shape == oracle.shape == (STEPS + 1, loop.dimension, batch)
     # each lifted step from a state of the oracle lands on the oracle's next state
-    local = np.array([rk4_lifted_step(steps, 0.0, x, h) for x in oracle[:-1]])
+    local = np.array([rk4_lifted_step(steps, x) for x in oracle[:-1]])
     if case == "custom":
         # a custom game's finite-difference partials resolve its flow only to roundoff over
         # the difference step: one oracle step from each state's next float up moves by as
@@ -73,21 +73,20 @@ def test_lifted_step_matches_rk4_step(case, factor, batch, sec5, request):
     if batch == 2:
         # each column is bit-identical to its one-seed run
         for b, seed in enumerate(seeds):
-            one = trajectory(lifted_loop(scenario, (seed,), ablate)[1], x0[:, b:b + 1], h)
+            one = trajectory(lifted_loop(scenario, (seed,), ablate)[1], x0[:, b:b + 1])
             assert one.tobytes() == np.ascontiguousarray(lifted[:, :, b:b + 1]).tobytes()
 
 
 @pytest.mark.parametrize("k, t_final", [(4.0, 10.0), (1e300, 0.01)], ids=["weak", "overflowing"])
-def test_divergence_time_is_the_oracle_failing_step(k, t_final, sec5, count_calls):
+def test_divergence_time_is_the_oracle_failing_step(k, t_final, sec5):
     scenario = dataclasses.replace(sec5, controller_k=np.full((sec5.n, sec5.plant.r), k),
                                    t_final=t_final)
     traj = run(scenario)
     x0, draw = box_start(scenario, scenario.seed)
     loop = assemble(scenario, draws=draw[None])
-    steps = count_calls(rk4_step)  # `integrate` steps the loop itself by `rk4_step`
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteState):
-        integrate(loop, x0, 0.0, t_final, scenario.dt)
-    done = len(steps) - 1  # the steps `rk4_step` completed before the one that raised
+        for done, _ in enumerate(rk4_states(loop, x0, scenario.dt, scenario.n_steps)):
+            pass  # done: the steps `rk4_step` completed before the one that raised
     assert traj.diverged and traj.diverged_t == (done + 1) * scenario.dt
     assert len(traj.t) == 1 + done // scenario.decimate
 
@@ -110,7 +109,7 @@ def test_run_records_the_lifted_steps(stable, count_calls):
     x0, draw = box_start(short, short.seed)
     loop = assemble(short, draws=draw[None])
     states = trajectory(rk4_lifted_steps(loop.operator, short.dt, loop.bind), x0[:, None],
-                        short.dt, n_steps=200)[..., 0]
+                        n_steps=200)[..., 0]
     y = states[:, short.layout().x.start:short.layout().x.start + short.n]
     assert traj.y.tobytes() == np.ascontiguousarray(y).tobytes()
     assert traj.max_state_norm == np.abs(states[1:]).max()
@@ -126,22 +125,22 @@ def test_workspace_keeps_nothing_between_steps(case, sec5, request):
     scenario = (request.getfixturevalue("custom_scenario") if case == "custom" else sec5)
     loop, steps = lifted_loop(scenario.escalated(4.0), (1, 2))
     x, elsewhere = random_states(loop, 2, 41), random_states(loop, 2, 42)
-    first = rk4_lifted_step(steps, 0.0, x, scenario.dt)
-    rk4_lifted_step(steps, 0.0, elsewhere, scenario.dt)
-    again = rk4_lifted_step(steps, 0.0, x, scenario.dt)
+    first = rk4_lifted_step(steps, x)
+    rk4_lifted_step(steps, elsewhere)
+    again = rk4_lifted_step(steps, x)
     assert first.tobytes() == again.tobytes()
     assert not np.shares_memory(first, again)  # each step's state is its own
 
 
 def test_interleaved_loops_step_as_they_do_alone(sec5):
     scenario = sec5.escalated(4.0)
-    h, loops = scenario.dt, [lifted_loop(scenario, (1,)), lifted_loop(scenario, (2, 3))]
+    loops = [lifted_loop(scenario, (1,)), lifted_loop(scenario, (2, 3))]
     starts = [random_states(loops[0][0], 1, 43), random_states(loops[1][0], 2, 44)]
     workspaces = [steps for _, steps in loops]
-    alone = [trajectory(steps, x0, h, n_steps=50) for steps, x0 in zip(workspaces, starts)]
+    alone = [trajectory(steps, x0, n_steps=50) for steps, x0 in zip(workspaces, starts)]
     states = starts
     for k in range(50):
-        states = [rk4_lifted_step(steps, 0.0, x, h) for steps, x in zip(workspaces, states)]
+        states = [rk4_lifted_step(steps, x) for steps, x in zip(workspaces, states)]
         for x, ref in zip(states, alone):
             assert x.tobytes() == ref[k + 1].tobytes()
 
@@ -150,7 +149,7 @@ def test_interleaved_loops_step_as_they_do_alone(sec5):
 def test_workspace_rejects_states_of_another_width(shape, sec5):
     loop, steps = lifted_loop(sec5, (1, 2))
     with pytest.raises(ValueError, match="built for states of shape"):
-        rk4_lifted_step(steps, 0.0, np.zeros((loop.dimension,) + shape), sec5.dt)
+        rk4_lifted_step(steps, np.zeros((loop.dimension,) + shape))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -162,20 +161,19 @@ def test_a_non_finite_column_is_marked_and_the_others_step_as_alone(bad, sec5):
     x = random_states(loop, 3, 45)
     x[scenario.layout().z.start, 1] = bad
     with np.errstate(over="ignore", invalid="ignore"):
-        out = rk4_lifted_step(steps, 0.0, x, scenario.dt)
+        out = rk4_lifted_step(steps, x)
         flat = out.ravel()
         assert out.shape == x.shape and not flat.dot(flat) <= np.finfo(float).max
     assert (~(np.abs(out).max(axis=0) < np.inf)).tolist() == [False, True, False]
     for seed in (1, 3):
-        one = rk4_lifted_step(lifted_loop(scenario, (seed,))[1], 0.0, x[:, [seed - 1]],
-                              scenario.dt)
+        one = rk4_lifted_step(lifted_loop(scenario, (seed,))[1], x[:, [seed - 1]])
         assert one.tobytes() == np.ascontiguousarray(out[:, [seed - 1]]).tobytes()
 
 
 def test_columns_that_stop_mid_run_leave_the_others_as_run_alone(sec5):
     # at the start gains every sec5 seed blows up, each at its own time: seeds 1 and 4 overflow
     # (to NaN, with Inf beside it on seed 4) while below 1e150, and seeds 2 and 3 pass 1e150
-    # first, so the batch loses columns to both causes, parked three times
+    # first, so the batch loses columns to both causes, one at a time
     scenario, seeds, limit = dataclasses.replace(sec5, t_final=3.0), [1, 2, 3, 4], 1e150
     batch = run(scenario, seed=seeds, abort_norm=limit)
     assert [(t.diverged, t.aborted_norm) for t in batch] == \
@@ -189,8 +187,9 @@ def test_columns_that_stop_mid_run_leave_the_others_as_run_alone(sec5):
 
 
 def test_a_column_parked_where_its_drift_is_not_finite_leaves_the_batch_running():
-    # the factory plant's drift plus 0 / z: the same bits wherever z != 0, NaN at the origin,
-    # where a column that passes the norm limit is parked and stepped from then on
+    # the factory plant's drift plus 0 / z: the same bits wherever z != 0, NaN at the origin;
+    # a column that passes the norm limit stops, is stepped on, and its fill skips it, and
+    # the batch runs as its columns run alone
     def f0(z, x1, v, w):
         return -z + 0.0 / z
 

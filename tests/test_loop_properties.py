@@ -73,24 +73,30 @@ def test_live_columns_hold_the_same_estimates(seeds, multiplier, abort_norm, req
     # have not stopped agree bit for bit at every step, whichever columns the norm stops; a
     # column is held to the others up to the last state of the block it stops in, exclusive
     short = dataclasses.replace(drawn("custom", multiplier, request), t_final=0.2)
-    P, checked = short.layout().P, []
+    P, checked, loops = short.layout().P, [], []
 
-    def spy(sys, x0, t0, t_final, h, observer):
-        live = np.ones(x0.shape[1], dtype=bool)
+    def assemble_spy(*args, **kwargs):
+        loops.append(assemble(*args, **kwargs))
+        return loops[-1]
+
+    def spy(steps, x0, n_steps, observer):
+        stopped = loops[-1].parked  # the columns `run`'s observer has stopped
 
         def watch(k, t, xs):
-            stop = observer(k, t, xs)
+            live = ~stopped
+            done = observer(k, t, xs)
             for step_k, x in enumerate(xs, start=k):
-                if step_k == k + len(xs) - 1 and stop is not None:
-                    live[stop] = False
+                if step_k == k + len(xs) - 1:
+                    live = ~stopped
                 bits = x[P][:, live].view(np.int64)
                 assert (bits == bits[:, :1]).all(), step_k
                 checked.append(step_k)
-            return stop
+            return done
 
-        return integrate(sys, x0, t0, t_final, h, watch)
+        return integrate(steps, x0, n_steps, watch)
 
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulation, "assemble", assemble_spy)
         patch.setattr(simulation, "integrate", spy)
         run(short, seed=seeds, abort_norm=abort_norm)
     assert checked == list(range(len(checked))) and len(checked) >= 2

@@ -5,9 +5,8 @@ leading underscore is internal to its module; a second module that needs it
 should get a public entry point instead.
 
 Only `numerics` names an RK4 stepper: `integrate` is the one stepping loop
-for nonlinear systems and picks the stepper by what it is handed, a
-`LiftedSteps` workspace or an `OdeSystem`, so no other module imports,
-calls or passes one.
+for nonlinear systems and steps a `LiftedSteps` workspace by
+`rk4_lifted_step`, so no other module imports, calls or passes a stepper.
 
 Only `simulation` and `game` call `estimate_constants` or `solve_ne`: a
 scenario's game constants and equilibrium are derived once, by
@@ -109,8 +108,8 @@ def names_of(names: tuple, source: str, filename: str = "<source>") -> list[str]
 def test_stepper_detector_sees_imports_calls_and_references():
     source = ("from .numerics import integrate, rk4_lifted_step\n"
               "x = rk4_step(sys, t, x, h)\n"
-              "def f():\n    return numerics.rk4_lifted_step(sys, t, x, h)\n"
-              "integrate(sys, x, 0.0, 1.0, h, step=rk4_lifted_step)\n"
+              "def f():\n    return numerics.rk4_lifted_step(steps, x)\n"
+              "integrate(steps, x, n_steps, step=rk4_lifted_step)\n"
               "steppers = {'a': numerics.rk4_step}\n"
               "rk4_lifted_steps(A, h, bind)\nrk4_matrix(A, h)\n")
     assert names_of(STEPPERS, source) == [

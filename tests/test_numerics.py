@@ -9,7 +9,7 @@ from nesim.errors import NonFiniteState, NotSymmetric, SingularMatrix
 from nesim.numerics import (LINEAR_BLOCK, STEP_BLOCK, LiftedSteps, OdeSystem, integrate,
                             lu_solve, rk4_lifted_matrices, rk4_lifted_step, rk4_lifted_steps,
                             rk4_linear, rk4_matrix, rk4_step, symmetric_eigenvalues)
-from oracles import rk4_linear_stepwise
+from oracles import rk4_linear_stepwise, rk4_states
 
 
 class TestLuSolve:
@@ -110,14 +110,14 @@ class TestRk4:
         sys = OdeSystem(2, lambda t, v: S @ v)
         n_steps = 1571  # h close to 1e-3 with an exact endpoint
         h = (np.pi / 2) / n_steps
-        v = integrate(sys, np.array([1.0, 0.0]), 0.0, np.pi / 2, h)
+        *_, v = rk4_states(sys, np.array([1.0, 0.0]), h, n_steps)
         assert np.abs(v - np.array([0.0, -1.0])).max() < 1e-8
 
     def test_order_four_convergence(self):
         sys = OdeSystem(1, lambda t, x: -x)
 
         def global_error(h):
-            x = integrate(sys, np.array([1.0]), 0.0, 1.0, h)
+            *_, x = rk4_states(sys, np.array([1.0]), h, round(1.0 / h))
             return abs(x[0] - np.exp(-1.0))
 
         ratio = global_error(0.02) / global_error(0.01)
@@ -297,21 +297,26 @@ class TestRk4LiftedStep:
             x = rng.normal(scale=0.5, size=(2, 3))
             lifted, ref = x, x
             for _ in range(50):
-                lifted, ref = rk4_lifted_step(sys.steps, 0.0, lifted, h), rk4_step(sys, 0.0, ref, h)
+                lifted, ref = rk4_lifted_step(sys.steps, lifted), rk4_step(sys, 0.0, ref, h)
                 assert (np.abs(lifted - ref) / (1.0 + np.abs(ref))).max() <= 1e-12
 
     def test_stage_maps_hold_the_tableau(self):
+        # bit for bit, with the scalars h / 2, h / 3 and h / 6 (at h = 0.03, h * (1 / 3) and
+        # h * (1 / 6) round otherwise), and -0.0 entries on and off the diagonal, which E +
+        # keeps or clears by the sign rules
         rng = np.random.default_rng(31)
-        A, h = rng.normal(size=(2, 3, 7)), 0.1
+        A, h = rng.normal(size=(2, 3, 7)), 0.03
+        A[0, 0, 0] = A[0, 1, 4] = A[1, 2, 2] = A[1, 0, 6] = -0.0
         E = np.eye(3, 7)
         S1, S2, S3, W = rk4_lifted_matrices(A, h)
         for b in range(2):
             a = A[b]
-            assert np.allclose(S1[b], E + h / 2 * a, rtol=0, atol=1e-15)
-            assert np.allclose(S2[b], np.hstack([h / 2 * a, E]), rtol=0, atol=1e-15)
-            assert np.allclose(S3[b], np.hstack([E, h * a]), rtol=0, atol=1e-15)
-            assert np.allclose(W[b], np.hstack([h / 3 * a, E + h / 6 * a, h / 3 * a, h / 6 * a]),
-                               rtol=0, atol=1e-15)
+            for have, want in ((S1[b], E + h / 2 * a), (S2[b], np.hstack([h / 2 * a, E])),
+                               (S3[b], np.hstack([E, h * a])),
+                               (W[b], np.hstack([h / 3 * a, E + h / 6 * a, h / 3 * a,
+                                                 h / 6 * a]))):
+                assert have.tobytes() == want.tobytes()
+        assert np.signbit(S2[0, 1, 4]) and not np.signbit(S1[0, 1, 4])  # h/2 (-0.0), 0 + it
 
     @pytest.mark.parametrize("batch", [1, 2, 3])
     def test_workspace_maps_and_buffer_start_64_byte_aligned(self, batch):
@@ -333,10 +338,10 @@ class TestRk4LiftedStep:
         rng = np.random.default_rng(32)
         sys = Cubic.drawn(rng, 3, 0.05)
         x = rng.normal(size=(2, 3))
-        batch = rk4_lifted_step(sys.steps, 0.0, x, 0.05)
+        batch = rk4_lifted_step(sys.steps, x)
         for b in range(3):
             keep = np.arange(3) == b
-            one = rk4_lifted_step(sys.restricted(keep).steps, 0.0, x[:, keep], 0.05)
+            one = rk4_lifted_step(sys.restricted(keep).steps, x[:, keep])
             assert one.tobytes() == batch[:, keep].tobytes()
 
     def test_non_finite_columns_are_marked(self):
@@ -346,38 +351,30 @@ class TestRk4LiftedStep:
         x = rng.normal(size=(2, 3))
         x[0, 1] = 1e200  # its cube overflows in the first lift
         with np.errstate(over="ignore", invalid="ignore"):
-            out = rk4_lifted_step(sys.steps, 0.0, x, 0.1)
+            out = rk4_lifted_step(sys.steps, x)
         assert out.shape == (2, 3)
         assert (~(np.abs(out).max(axis=0) < np.inf)).tolist() == [False, True, False]
         for b in (0, 2):
             keep = np.arange(3) == b
-            one = rk4_lifted_step(sys.restricted(keep).steps, 0.0, x[:, keep], 0.1)
+            one = rk4_lifted_step(sys.restricted(keep).steps, x[:, keep])
             assert one.tobytes() == out[:, keep].tobytes()
-
-    def test_rejects_a_step_the_maps_are_not_built_for(self):
-        rng = np.random.default_rng(34)
-        x = rng.normal(size=(2, 1))
-        with pytest.raises(ValueError, match="not built"):
-            rk4_lifted_step(Cubic.drawn(rng, 1, 0.1).steps, 0.0, x, 0.05)
-        with pytest.raises(ValueError, match="not built"):  # and through `integrate`
-            integrate(Cubic.drawn(rng, 1, 0.1).steps, x, 0.0, 1.0, 0.05)
 
 
 class TestIntegrateStopsColumns:
-    """`integrate` on a batched state: columns stop on their own and are parked at zero.
+    """`integrate` on a batched state: the columns are independent, and the observer ends the run.
 
-    The observer sees each block of states once, and a stop takes effect after
-    the block's last state; every block but the initial state and the last
-    holds `STEP_BLOCK` states, so a column the observer stops inside a block
-    is stepped to the block's end. The system and the width never change, and
-    the other columns step as they do alone.
+    The observer sees each block of states once; every block but the initial
+    state and the last holds `STEP_BLOCK` states. A column its caller has
+    stopped, diverged or not, is stepped on to the end, and the other columns
+    step as they do alone. The run ends after the block whose observer returns
+    True.
     """
 
-    @staticmethod
-    def alone(sys, x0, b, t_final, h):
-        """The column ``b`` run alone in its own workspace."""
+    @classmethod
+    def alone(cls, steps_of, x0, b, n_steps):
+        """Every state of the column ``b`` run alone in its own workspace ``steps_of(keep)``."""
         keep = np.arange(x0.shape[1]) == b
-        return integrate(sys.restricted(keep).steps, x0[:, keep], 0.0, t_final, h)
+        return cls.recorded(steps_of(keep), x0[:, keep], n_steps)[2]
 
     @staticmethod
     def full_blocks(n_steps):
@@ -386,153 +383,116 @@ class TestIntegrateStopsColumns:
                            for k in range(1, n_steps + 1, STEP_BLOCK)]
 
     @staticmethod
-    def from_zero(sys, keep, h):
-        """One step of the columns ``keep`` alone from zero: each state of a parked column."""
-        return rk4_lifted_step(sys.restricted(keep).steps, 0.0, np.zeros((2, 1)), h)[:, 0]
+    def recorded(steps, x0, n_steps, observer=lambda k, xs: None):
+        """``(final, blocks, states)`` of `integrate`: ``(k, len(xs))`` of each block, and
+        every state, stacked; ``observer(k, xs)`` decides each block's return."""
+        blocks, states = [], []
+
+        def record(k, t, xs):
+            assert t.tobytes() == (np.arange(k, k + len(xs)) * steps.h).tobytes()
+            blocks.append((k, len(xs)))
+            states.extend(xs.copy())
+            return observer(k, xs)
+
+        final = integrate(steps, x0, n_steps, record)
+        return final, blocks, np.array(states)
 
     def test_diverging_column_stops_and_the_others_match_their_own_runs(self):
+        # the middle column overflows inside the first block and is stepped on, non-finite, to
+        # the end; nothing stops the run, and the other columns are their runs alone
         rng = np.random.default_rng(35)
         sys = Cubic.drawn(rng, 3, 0.01, scale=0.3)
         x0 = rng.normal(scale=0.3, size=(2, 3))
         x0[0, 1] = 30.0  # x0^3 blows up within a few steps
-        seen = []
-
-        def observer(k, t, xs):
-            bad = ~(np.abs(xs).max(axis=1) < np.inf)  # (len(xs), B): the non-finite states
-            diverged = bad.any(axis=0)
-            first = [int(np.argmax(bad[:, b])) if diverged[b] else None for b in range(3)]
-            seen.append((k, len(xs), float(t[-1]), xs.shape[2], diverged.tolist(), first,
-                         xs[:, :, 1].copy()))
-            return diverged
-
         with np.errstate(over="ignore", invalid="ignore"):
-            final = integrate(sys.steps, x0, 0.0, 2.0, 0.01, observer)
-        (fail,) = [entry for entry in seen if any(entry[4])]
-        k, count, t, width, diverged, first, _ = fail
-        assert k == 1 and diverged == [False, True, False] and width == 3
-        assert 0 < first[1] < STEP_BLOCK - 1  # it diverged inside the block, stepped to its end
-        assert [entry[:2] for entry in seen] == self.full_blocks(200)  # no step taken again
-        assert seen[-1][2] == 2.0
-        assert {entry[3] for entry in seen} == {3}
-        parked = self.from_zero(sys, [False, True, False], 0.01)
-        for entry in seen[2:]:  # parked from the step after the block: stepped from zero
-            assert (entry[6] == parked).all()
-        assert final.shape == (2, 3) and not final[:, 1].any()
+            final, blocks, states = self.recorded(sys.steps, x0, 200)
+        bad = ~(np.abs(states).max(axis=1) < np.inf)  # (201, 3): the non-finite states
+        first = int(np.argmax(bad[:, 1]))
+        assert 1 < first < STEP_BLOCK and bad[first:, 1].all() and not bad[:, [0, 2]].any()
+        assert blocks == self.full_blocks(200)  # no step taken again, none left out
+        assert final.shape == (2, 3) and final.tobytes() == states[-1].tobytes()
         for b in (0, 2):
-            assert final[:, b].tobytes() == self.alone(sys, x0, b, 2.0, 0.01).tobytes()
+            alone = self.alone(lambda keep: sys.restricted(keep).steps, x0, b, 200)
+            assert alone[..., 0].tobytes() == np.ascontiguousarray(states[..., b]).tobytes()
 
     def test_observer_mask_stops_columns(self):
-        # the mask a block returns stops its columns from the step after the block: column 1,
-        # stopped by the first block of steps, is parked for the rest
+        # the observer keeps its own mask of stopped columns, as `run` does: column 1, stopped
+        # by the first block of steps, is still stepped, and every column steps as it does
+        # alone; the run goes on while any column is live
         rng = np.random.default_rng(36)
         sys = Cubic.drawn(rng, 3, 0.01, scale=0.3)
         x0 = rng.normal(scale=0.3, size=(2, 3))
-        seen = []
+        stopped = np.zeros(3, dtype=bool)
 
-        def observer(k, t, xs):
-            seen.append((k, len(xs), xs.shape[2], xs[:, :, 1].copy()))
-            return np.array([False, True, False]) if k == 1 else None
+        def observer(k, xs):
+            stopped[1] |= k == 1
+            return stopped.all()
 
-        final = integrate(sys.steps, x0, 0.0, 2.0, 0.01, observer)
-        assert [entry[:2] for entry in seen] == self.full_blocks(200)
-        assert {entry[2] for entry in seen} == {3}
-        parked = self.from_zero(sys, [False, True, False], 0.01)
-        assert (seen[1][3] != parked).any()  # the first block still steps it from x0
-        for entry in seen[2:]:
-            assert (entry[3] == parked).all()
-        assert not final[:, 1].any()
-        for b in (0, 2):
-            assert final[:, b].tobytes() == self.alone(sys, x0, b, 2.0, 0.01).tobytes()
-        calls = []
-        stop_all = integrate(sys.steps, x0, 0.0, 0.2, 0.01,
-                             lambda k, t, xs: calls.append(k) or np.ones(3, dtype=bool))
-        assert calls == [0] and stop_all.shape == (2, 3) and not stop_all.any()
+        final, blocks, states = self.recorded(sys.steps, x0, 200, observer)
+        assert blocks == self.full_blocks(200) and stopped.tolist() == [False, True, False]
+        assert final.tobytes() == states[-1].tobytes()
+        for b in range(3):
+            alone = self.alone(lambda keep: sys.restricted(keep).steps, x0, b, 200)
+            assert alone[..., 0].tobytes() == np.ascontiguousarray(states[..., b]).tobytes()
 
     def test_the_loop_ends_when_every_column_has_stopped(self):
-        # the first two blocks of steps stop the columns between them; the third is never made
+        # the observer returns True after the second block of steps: the third is never made,
+        # and the last state is that block's last; True at the start makes no step at all
         rng = np.random.default_rng(39)
         sys = Cubic.drawn(rng, 3, 0.01, scale=0.3)
         x0 = rng.normal(scale=0.3, size=(2, 3))
-        stops = {1: [False, True, False], 1 + STEP_BLOCK: [True, False, True]}
-        seen = []
-
-        def observer(k, t, xs):
-            seen.append((k, len(xs)))
-            return np.array(stops[k]) if k in stops else None
-
-        final = integrate(sys.steps, x0, 0.0, 2.0, 0.01, observer)
-        assert seen == self.full_blocks(200)[:3] and final.shape == (2, 3) and not final.any()
-
-    def test_a_plain_system_without_select(self):
-        # an elementwise rhs stepped by `rk4_step`: the columns never mix, and the system has
-        # no way to narrow; with no workspace, the observer reads the state itself, and the
-        # middle column, past 1.5 at step 59 and stopped by its block, is parked at zero,
-        # where it stays, before its blow-up at about t = 0.88 can make `rk4_step` raise
-        sys = OdeSystem(1, lambda t, x: x ** 3 - x)
-        assert not hasattr(sys, "select")
-        x0 = np.array([[0.5, 1.1, -0.2]])  # the middle column grows past the unstable 1
-        seen = []
-
-        def observer(k, t, xs):
-            over = (np.abs(xs[:, 0]) > 1.5).any(axis=0)
-            seen.append((k, len(xs), xs.shape[1:], over.tolist(), xs[:, 0, 1].copy()))
-            return over
-
-        final = integrate(sys, x0, 0.0, 0.8, 0.01, observer)
-        assert {shape for _, _, shape, *_ in seen} == {(1, 3)}
-        assert [(k, count) for k, count, *_ in seen] == self.full_blocks(80)
-        assert [over for *_, over, _ in seen] == [[False] * 3, [False, True, False], [False] * 3]
-        assert not seen[2][4].any()
-        assert final.shape == (1, 3) and final[0, 1] == 0.0
-        for b in (0, 2):
-            alone = integrate(sys, x0[:, [b]], 0.0, 0.8, 0.01)
-            assert final[:, b].tobytes() == alone[:, 0].tobytes()
+        final, blocks, states = self.recorded(sys.steps, x0, 200,
+                                              lambda k, xs: k == 1 + STEP_BLOCK)
+        assert blocks == self.full_blocks(200)[:3] and len(states) == 1 + 2 * STEP_BLOCK
+        assert final.tobytes() == states[-1].tobytes()
+        for b in range(3):
+            alone = self.alone(lambda keep: sys.restricted(keep).steps, x0, b, 200)
+            assert final[:, b].tobytes() == alone[2 * STEP_BLOCK, :, 0].tobytes()
+        final, blocks, _ = self.recorded(sys.steps, x0, 200, lambda k, xs: True)
+        assert blocks == [(0, 1)] and final.tobytes() == x0.tobytes()
 
     def test_a_column_non_finite_when_parked_is_not_read(self):
-        # 1/x is not finite at the origin, so the parked column steps to NaN from then on;
-        # nothing reads it: the blocks stay whole, and the other columns run to the end as
-        # they run alone; x_0 settles where a x_0 + c + d / x_0 = 0, and x_1 follows it
+        # 1/x is not finite at the origin, so the middle column, started there, steps to NaN
+        # from its first step on; nothing reads it: the blocks stay whole, and the other
+        # columns run to the end as they run alone; x_0 settles where a x_0 + c + d / x_0 = 0,
+        # and x_1 follows it
         A = np.array([[[a, 0.0, c, d], [1.0, -1.0, 0.0, 0.0]]
                       for a, c, d in ((-1.0, 0.0, 1.0), (-2.0, 0.5, 1.0), (-1.0, 1.0, 0.5))])
-        x0, h = np.array([[2.0, 0.5, 1.5], [0.0, 1.0, -1.0]]), 0.01
-        steps = reciprocal(A, h)
-        seen = []
-
-        def observer(k, t, xs):
-            seen.append((k, len(xs), xs[-1].copy()))
-            return np.array([False, True, False]) if k == 1 else None
-
+        x0, h = np.array([[2.0, 0.0, 1.5], [0.0, 1.0, -1.0]]), 0.01
         with np.errstate(divide="ignore", invalid="ignore"):
-            final = integrate(steps, x0, 0.0, 1.0, h, observer)
-        assert not np.isfinite(seen[-1][2][:, 1]).any()  # the parked column's last step
-        assert [(k, count) for k, count, _ in seen] == self.full_blocks(100)
-        assert final.shape == (2, 3) and not final[:, 1].any()
+            final, blocks, states = self.recorded(reciprocal(A, h), x0, 100)
+        assert np.isnan(states[1:, :, 1]).all()
+        assert blocks == self.full_blocks(100)
+        assert final.shape == (2, 3) and final.tobytes() == states[-1].tobytes()
         for b in (0, 2):
-            alone = integrate(reciprocal(A[[b]], h), x0[:, [b]], 0.0, 1.0, h)
+            alone = self.alone(lambda keep: reciprocal(A[keep], h), x0, b, 100)
             assert np.isfinite(alone).all()
-            assert final[:, b].tobytes() == alone[:, 0].tobytes()
-
-    def test_flat_state_still_raises(self):
-        sys = OdeSystem(1, lambda t, x: x ** 3)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteState):
-            integrate(sys, np.array([1e100]), 0.0, 1.0, 0.1, lambda k, t, x: None)
+            assert alone[..., 0].tobytes() == np.ascontiguousarray(states[..., b]).tobytes()
 
 
 BAD_STEPS = [0.0, -1e-3, np.nan, np.inf]
 
 
 class TestIntegrateRejectsABadStep:
-    """A step size that is not finite and > 0 is a `ValueError` before the first step."""
+    """A step size that is not finite and > 0 is a `ValueError` before the first step.
+
+    `rk4_step` checks it at each call; a lifted step's size is its
+    workspace's, checked when `rk4_lifted_steps` builds it, so `integrate`
+    is never handed one.
+    """
 
     @pytest.mark.parametrize("h", BAD_STEPS)
     @pytest.mark.parametrize("step", ["rk4_step", "lifted"])
     def test_either_stepper(self, step, h):
-        # without the check, a negative step never reaches t_final and a zero one divides by 0
-        sys, seen = Cubic.drawn(np.random.default_rng(37), 1, 1e-3), []
+        # without the check, a negative step runs time backwards and a zero one stands still
+        rng, seen = np.random.default_rng(37), []
         with pytest.raises(ValueError, match="step size must be finite and > 0"):
-            integrate(sys.steps if step == "lifted" else sys, np.zeros((2, 1)), 0.0, 0.1, h,
-                      lambda k, t, xs: seen.append(k))
-        assert seen == []
+            if step == "lifted":
+                integrate(Cubic.drawn(rng, 1, h).steps, np.zeros((2, 1)), 100,
+                          lambda k, t, xs: seen.append(k))
+            else:
+                seen.extend(rk4_states(Cubic.drawn(rng, 1), np.zeros((2, 1)), h, 100))
+        assert len(seen) == (0 if step == "lifted" else 1)  # the start alone, and no step
 
     @pytest.mark.parametrize("h", BAD_STEPS)
     def test_the_steppers_and_the_workspace(self, h):
@@ -543,8 +503,11 @@ class TestIntegrateRejectsABadStep:
             rk4_lifted_steps(sys.operator, h, sys.bind)
 
     def test_a_final_time_before_the_start(self):
-        sys = OdeSystem(1, lambda t, x: -x)
-        with pytest.raises(ValueError, match="lies before"):
-            integrate(sys, np.array([1.0]), 0.0, -1.0, 1e-3)
-        # a horizon that rounds to no step returns the start
-        assert integrate(sys, np.array([1.0]), 0.0, -1e-4, 1e-3).tolist() == [1.0]
+        # a negative step count, before any observer call; no step returns the start
+        steps, x0, seen = Cubic.drawn(np.random.default_rng(39), 1, 1e-3).steps, np.ones((2, 1)), []
+        with pytest.raises(ValueError, match="step count must be >= 0"):
+            integrate(steps, x0, -1, lambda k, t, xs: seen.append(k))
+        assert seen == []
+        assert integrate(steps, x0, 0, lambda k, t, xs: seen.append((k, t.tolist()))).tolist() == \
+            x0.tolist()
+        assert seen == [(0, [0.0])]

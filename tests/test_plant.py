@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from nesim.errors import ConfigError, InvalidParameter
-from nesim.numerics import OdeSystem, integrate
+from nesim.numerics import OdeSystem
 from factories import build_plant, build_plant_with_malformed_split, build_plant_without_split
 from nesim.plant import (Exosystem, PlantFeatures, PlantModel, check_origin_equilibrium,
                          check_steady_chain_consistency, check_steady_zero_pde, drift_split,
                          example_plant, exo_trajectory, sample_uncertainty, steady_drift,
                          steady_state_chain)
-from oracles import plant_rhs
+from oracles import plant_rhs, rk4_states
 
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -392,20 +392,14 @@ class TestExosystem:
         assert np.abs(norms - 1.0).max() < 1e-8
 
     def test_trajectory_matches_recorded_copies(self):
-        # reference: the per-stage RK4 trajectory of `integrate`, recorded as a list of
-        # copies, one per observed state; the step matrix R(hS) rounds differently
+        # reference: the per-stage RK4 trajectory, one `rk4_step` per step, on the grid k h;
+        # the step matrix R(hS) rounds differently
         exo = Exosystem(S=np.array([[0.0, 2.0], [-2.0, 0.1]]), v0_box=np.array([[1, 1], [0, 0]]))
         v0, t_final, h = np.array([0.7, -0.2]), 3.0, 2e-3
-        ts_ref, vs_ref = [], []
-
-        def observer(k, t, vs):
-            ts_ref.extend(t)
-            vs_ref.extend(vs.copy())
-
-        integrate(OdeSystem(2, lambda t, v: exo.S @ v), v0, 0.0, t_final, h, observer)
+        n_steps = round(t_final / h)
+        vs_ref = np.array(list(rk4_states(OdeSystem(2, lambda t, v: exo.S @ v), v0, h, n_steps)))
         ts, vs = exo_trajectory(exo, v0, t_final, h)
-        assert ts.tobytes() == np.array(ts_ref).tobytes()
-        vs_ref = np.array(vs_ref)
+        assert ts.tobytes() == (np.arange(n_steps + 1) * h).tobytes()
         assert vs.shape == vs_ref.shape
         assert (np.abs(vs - vs_ref) <= 1e-12 * (1.0 + np.abs(vs_ref))).all()
 
@@ -452,6 +446,6 @@ def test_zero_dynamics_decay_with_pinned_output():
     state = np.concatenate([[z0], v0])
     zbar0 = 2.0
     for t_hi in np.linspace(0.5, 4.0, 8):
-        state = integrate(sys, state, t_hi - 0.5, t_hi, 1e-3)
+        *_, state = rk4_states(sys, state, 1e-3, 500)
         zbar = state[0] - model.steady_zero(p, state[1:], w)[0, 0]
         assert abs(zbar) <= zbar0 * np.exp(-1.0 * t_hi / 2.0) + 1e-12

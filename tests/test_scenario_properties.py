@@ -1,15 +1,19 @@
-"""Property test: a malformed scenario value gives an exit code, never a traceback (hypothesis)."""
+"""Property tests of scenario files (hypothesis): a malformed value gives an exit code, never a
+traceback, and a drawn scenario survives its normalized dump."""
 
 from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")  # in the `test` extra
 from hypothesis import example, given, settings, strategies as st
 
 from nesim.cli import main
+from nesim.config import dump_normalized, load_scenario, normalize
+from strategies import connected_graphs, quadratic_games, stabilizer_pairs
 
 # the dotted path of each value set; `controller.k.0.0` is the first agent's first gain
 FIELDS = ("gains.gamma1", "gains.gamma2", "controller.k.0.0", "controller.escalation.factor",
@@ -83,3 +87,32 @@ def test_every_numeric_value_of_the_scenario_is_fuzzed(sec5_norm):
     assert ("sim", "dt") in leaves and ("plant", "g", "0", "5") in leaves
     assert [".".join(leaf) for leaf in leaves
             if not any(".".join(leaf[:end]) in fuzzed for end in range(1, len(leaf) + 1))] == []
+
+
+@st.composite
+def drawn_scenarios(draw, sec5_norm):
+    """sec5 with a drawn game and graph of 2 to 5 agents, its plant's ``g`` rows cycled, and a
+    drawn explicit stabilizer pair for each agent and level, orders 3 and 5."""
+    n = draw(st.integers(2, 5))
+    cfg = json.loads(json.dumps(sec5_norm))
+    g = cfg["plant"]["g"]
+    cfg["game"], cfg["graph"] = draw(quadratic_games(n)), draw(connected_graphs(n))
+    cfg["plant"]["g"] = [g[i % len(g)] for i in range(n)]
+    cfg["plant"]["w_box"] = [[-0.05, 0.05]] * (len(g[0]) * n)
+    cfg["internal_model"] = {"explicit": [[
+        {"M": pair.M.tolist(), "N": pair.N.tolist()}
+        for pair in (draw(stabilizer_pairs(order)) for order in (3, 5))] for _ in range(n)]}
+    return cfg
+
+
+# 20 examples, 0.4 s in all: two normalizations and two synthesized loads each
+@settings(max_examples=20)
+@given(data=st.data())
+def test_normalized_dump_loads_back_to_the_same_scenario(data, sec5_norm):
+    cfg = data.draw(drawn_scenarios(sec5_norm))
+    norm = normalize(json.loads(json.dumps(cfg)))
+    again = normalize(json.loads(dump_normalized(norm)))
+    assert again == norm and dump_normalized(again) == dump_normalized(norm)
+    first, second = (load_scenario(source)[0].synthesized() for source in (norm, again))
+    assert first.p_star.tobytes() == second.p_star.tobytes()
+    assert np.float64(first.min_gamma2).tobytes() == np.float64(second.min_gamma2).tobytes()

@@ -533,12 +533,12 @@ def traced_per_column(scenario, monkeypatch) -> tuple[float, float]:
     to the batch: the difference between batches of 5 and 2 seeds, over 3."""
     held, real = [], simulation.integrate
 
-    def integrate(steps, x0, t0, t_final, h, observer):
+    def integrate(steps, x0, n_steps, observer):
         def observe(k, t, xs):
             if not k:  # the workspace, the block buffer and the signals are all allocated
                 held.append(tracemalloc.get_traced_memory()[0])
             return observer(k, t, xs)
-        return real(steps, x0, t0, t_final, h, observe)
+        return real(steps, x0, n_steps, observe)
 
     monkeypatch.setattr(simulation, "integrate", integrate)
     at = {}
@@ -558,12 +558,14 @@ def traced_per_column(scenario, monkeypatch) -> tuple[float, float]:
 @pytest.mark.parametrize("case", ["sec5", "ring8"])
 def test_seed_bytes_lies_between_what_run_holds_and_its_peak_per_column(case, sec5,
                                                                         monkeypatch):
-    # measured per column, held <= seed_bytes <= peak: 402 <= 423 <= 597 KB on sec5 at x4,
-    # 2301 <= 2369 <= 3532 KB on the 8-ring; the peak adds `rk4_lifted_matrices`' temporaries
+    # measured per column, held <= seed_bytes <= 1.05 peak: 402 <= 423 <= 437 KB on sec5 at
+    # x4 (peak 416), 2301 <= 2369 <= 2551 KB on the 8-ring (peak 2429); the stage maps are
+    # written in place, so the peak holds few temporaries, and the 5% fails a count of eleven
+    # (dim, width) blocks as it fails nine
     scenario = sec5.escalated(4.0) if case == "sec5" else ring_scenario(8, dt=2.5e-4)
     scenario = dataclasses.replace(scenario, t_final=0.05)
     held, peak = traced_per_column(scenario, monkeypatch)
-    assert held <= scenario.seed_bytes() <= peak
+    assert held <= scenario.seed_bytes() <= 1.05 * peak
 
 
 SPLIT_CONTRACT = r"\(B, n_w\) stack of draws.*PlantFeatures\(count, bind\)"

@@ -49,16 +49,17 @@ def test_per_step_targets_resolve_and_are_counted(tracing, stable):
         simulation.run(short)
     layers = tracer.layer_metrics()
     assert layers["simulation.run_calls"] == layers["simulation.assemble_calls"] == 1
-    # `run` steps by the lifted step; `rk4_step` and the loop's rhs are what `integrate`
-    # steps an assembled loop with by default
+    # `run` steps by the lifted step; the per-step leaves are the per-stage `rk4_step` on an
+    # assembled loop, whose rhs the tracer wraps when it is assembled
     tracer = tracing.Tracer()
-    with tracer.installed(), tracer.span("test"):
+    with tracer.installed(), tracer.span("test") as span:
         loop = simulation.assemble(short)
-        numerics.integrate(loop, np.zeros(loop.dimension), 0.0, short.t_final, short.dt)
+        x = np.zeros(loop.dimension)
+        for k in range(10):
+            x = numerics.rk4_step(loop, k * short.dt, x, short.dt)
     assert numerics.rk4_step is rk4 and simulation.AssembledLoop.control is control
-    layers = tracer.layer_metrics()
-    assert layers["numerics.integrate_steps"] == 10
-    assert layers["simulation.rhs_calls"] == 40
+    assert {name: calls for name, (calls, _) in span.leaves.items()} == \
+        {"numerics.rk4_step": 10, "simulation.rhs": 40}
 
 
 def test_traced_escalation_counts_each_round(tracing, sec5):
