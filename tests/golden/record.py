@@ -43,6 +43,9 @@ from importlib import resources
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent))  # `factories`: the ring config, the custom configs' hooks
+
+from factories import ring_config  # noqa: E402
 
 # OpenBLAS's x86-64 core names: each selects the kernels of a core the CPU can run, the one
 # named or an older one; the distinct cores they select are the ones recorded
@@ -106,9 +109,13 @@ DENSE_CONFIG["controller"] = {"k": [[16.0, 16.0]] * 4}
 DENSE_CONFIG["gains"]["gamma1"] = 4.0
 DENSE_CONFIG["sim"]["t_final"] = 2.0
 
+# sec5's parts on a ring of 8 agents at x4 gains, at the step the 8-ring passes with, for 0.5 s
+RING8_CONFIG = ring_config(8, gain=4.0, dt=2.5e-4, t_final=0.5)
+
 CONFIGS = {"custom.json": CUSTOM_CONFIG, "no_split.json": NO_SPLIT_CONFIG,
            "diverging.json": DIVERGING_CONFIG,
-           "no_split_diverging.json": NO_SPLIT_DIVERGING_CONFIG, "dense.json": DENSE_CONFIG}
+           "no_split_diverging.json": NO_SPLIT_DIVERGING_CONFIG, "dense.json": DENSE_CONFIG,
+           "ring8.json": RING8_CONFIG}
 
 CASES = {
     "check_sec5_seed1": ["check", "--config", "sec5", "--t-final", "10", "--seed", "1"],
@@ -145,6 +152,8 @@ CASES = {
     "simulate_sec5_diverging_dense_seeds3_5": ["simulate", "--config", "diverging.json",
                                                "--decimate", "1", "--t-final", "2.5",
                                                "--seed", "3", "--sweep", "seeds=3"],
+    # two seeds of the 8-ring batched, 154 state rows each
+    "simulate_ring8_seeds1_2": ["simulate", "--config", "ring8.json", "--sweep", "seeds=2"],
     # the bundled scenario's normalized config, every default filled in, as echoed
     "dump_normalized_sec5": ["simulate", "--config", "sec5", "--dump-normalized"],
 }
@@ -209,7 +218,6 @@ def moved_lines(old: list[str], new: list[str]) -> int:
 
 def record_cases(names) -> dict:
     """The named cases' records under this process's core, run from a scratch directory."""
-    sys.path.insert(0, str(HERE.parent))  # `factories`, named by the custom configs
     with tempfile.TemporaryDirectory() as scratch:
         for name, config in CONFIGS.items():
             Path(scratch, name).write_text(json.dumps(config))
