@@ -217,7 +217,8 @@ def check_rows(scenario) -> list[Check]:
     steady = steady_state_chain(scenario.plant, synthesis.p_star, scenario.exo, w)
     v0 = np.random.default_rng(scenario.seed + 1).uniform(*scenario.exo.v0_box.T)
     ts, vs = exo_trajectory(scenario.exo, v0, t_final=5.0, h=1e-3)
-    # the zero-dynamics map once per sample and the drift once per inner sample, read by both
+    # the zero-dynamics map in one hook call over the whole trace and the drift once per
+    # inner sample, read by both
     zs = steady.z_star(vs)
     drift = steady_drift(steady, vs[1:-1], zs[1:-1])
     rows += [_check("steady_zero_pde", check_steady_zero_pde(steady, ts, vs, zs, drift),

@@ -84,9 +84,12 @@ class PlantModel:
     ``f0(z, x1, v, w)`` drives the zero-dynamics block; ``f_levels[s-1]``
     is the drift of the s-th integrator (its arguments are ``z`` and the
     states ``x_1 .. x_s``). ``steady_zero(s, v, w)`` is the zero-dynamics
-    steady-state map, and ``im_polys`` holds the recurrence coefficients of
-    the steady-state signals per level (level r's entry describes the
-    feedforward input). ``steady_poly``, when provided, returns exact
+    steady-state map on a stack of disturbance states: ``v`` of shape
+    ``(..., n_v)`` gives ``(..., N, n_z)``, each row from its own state
+    alone, so one call covers one state or a whole trace. ``im_polys``
+    holds the recurrence coefficients of the steady-state signals per level
+    (level r's entry describes the feedforward input). ``f0`` and
+    ``f_levels`` take one state. ``steady_poly``, when provided, returns exact
     constant/linear/quadratic-in-v representations of those signals and
     unlocks machine-precision diagnostics. ``split``, when provided, returns
     the drift with a stack of draws ``w`` folded in as one linear map per
@@ -307,14 +310,19 @@ class SteadyState:
     def z_star(self, v: np.ndarray) -> np.ndarray:
         """Zero-dynamics steady state: ``(N, n_z)`` at one ``v``, ``(K, N, n_z)`` on a stack.
 
-        The model's ``steady_zero`` takes one state, so a stack is evaluated row
-        by row, one call per row.
+        One call of the model's ``steady_zero`` covers the whole stack. A result
+        of any other shape is a `ConfigError`, so a hook written for one state
+        fails here rather than broadcasting into a wrong residual.
         """
         v = np.asarray(v, dtype=float)
-        steady_zero, p_star, w = self.model.steady_zero, self.p_star, self.w
-        if v.ndim == 1:
-            return steady_zero(p_star, v, w)
-        return _per_row(lambda row: steady_zero(p_star, row, w), v)
+        model = self.model
+        z = np.asarray(model.steady_zero(self.p_star, v, self.w))
+        want = v.shape[:-1] + (model.n_agents, model.n_z)
+        if z.shape != want:
+            raise ConfigError(f"plant.steady_zero returned shape {z.shape} for v of shape "
+                              f"{v.shape}; it must map (..., n_v) to (..., N, n_z), "
+                              f"here {want}")
+        return z
 
     def x_star(self, s: int, v: np.ndarray) -> np.ndarray:
         """Level-s steady-state signal, ``s`` in ``1 .. r+1`` (r+1 = input).
@@ -463,7 +471,8 @@ def example_plant(g: np.ndarray) -> PlantModel:
         ge = geff(w)
         g1, g2 = ge[:, 0], ge[:, 1]
         den = g1 ** 2 + 1.0
-        return (-g1 * g2 * v[0] / den - g2 * v[1] / den - np.asarray(s, dtype=float) / g1)[:, None]
+        v1, v2 = v[..., 0, None], v[..., 1, None]  # (..., 1): one row of agents per state
+        return (-g1 * g2 * v1 / den - g2 * v2 / den - np.asarray(s, dtype=float) / g1)[..., None]
 
     def steady_poly(p_star, w, S):
         ge = geff(w)

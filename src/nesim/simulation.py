@@ -39,7 +39,7 @@ from .generator import GeneratorGains, generator_rows, min_gamma2, partials_bind
 from .graph import CommGraph
 from .internal_model import InternalModelBank, synthesize_bank
 from .numerics import STEP_BLOCK, OdeSystem, column_gemv, integrate, rk4_lifted_steps
-from .plant import (Exosystem, PlantFeatures, PlantModel, checked_box, drift_split,
+from .plant import (Exosystem, PlantFeatures, PlantModel, SteadyState, checked_box, drift_split,
                     sample_uncertainty, steady_state_chain)
 
 AUTO_GAMMA2_MARGIN = 1.25
@@ -324,11 +324,12 @@ class AssembledLoop(OdeSystem):
         v0, synthesis = np.asarray(v0, dtype=float), self.scenario.synthesized()
         p_star = synthesis.p_star
         P = np.tile(p_star, self.scenario.n)  # every row at the equilibrium profile
-        eta = self.ideal_compensators(v0, column)
-        z = self.scenario.plant.steady_zero(p_star, v0, self.draws[column])
+        steady = self._exact_chain(column)
+        eta = _ideal_compensators(steady, synthesis.bank, v0)
         # chain level s + 1 sits at the read-out of compensator level s
         x = np.vstack([p_star] + psi_readouts(synthesis.bank, eta)[:-1])
-        return np.concatenate([P, v0, z.ravel(), x.ravel()] + [e.ravel() for e in eta])
+        return np.concatenate([P, v0, steady.z_star(v0).ravel(), x.ravel()]
+                              + [e.ravel() for e in eta])
 
     def ideal_compensators(self, v: np.ndarray, column: int = 0) -> list[np.ndarray]:
         """The compensator states of one column that exactly reproduce the steady signals.
@@ -336,14 +337,24 @@ class AssembledLoop(OdeSystem):
         They come from the exact derivative stacks of the plant's ``steady_poly``
         on the column's steady-state chain, built here.
         """
-        plant, synthesis = self.scenario.plant, self.scenario.synthesized()
+        return _ideal_compensators(self._exact_chain(column), self.scenario.synthesized().bank,
+                                   v)
+
+    def _exact_chain(self, column: int) -> SteadyState:
+        """The steady-state chain of one column's draw, from the plant's ``steady_poly``."""
+        plant = self.scenario.plant
         if plant.steady_poly is None:
             raise ConfigError("plant: the regulated manifold needs the plant's steady_poly "
                               "(exact steady-state signals), which this plant does not provide")
-        steady = steady_state_chain(plant, synthesis.p_star, self.scenario.exo,
-                                    self.draws[column])
-        return [np.einsum("ijk,ki->ij", level.T, steady.derivative_stack(s + 2, v, level.order))
-                for s, level in enumerate(synthesis.bank.levels)]
+        return steady_state_chain(plant, self.scenario.synthesized().p_star, self.scenario.exo,
+                                  self.draws[column])
+
+
+def _ideal_compensators(steady: SteadyState, bank: InternalModelBank,
+                        v: np.ndarray) -> list[np.ndarray]:
+    """Each level's compensator states on ``steady``'s exact derivative stacks at ``v``."""
+    return [np.einsum("ijk,ki->ij", level.T, steady.derivative_stack(s + 2, v, level.order))
+            for s, level in enumerate(bank.levels)]
 
 
 def _stage(name: str, fn, *args, **kwargs):

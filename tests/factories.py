@@ -101,7 +101,7 @@ def build_plant(n_agents, leak=1.0, feedthrough=1.0):
         return feedthrough * (1.0 + np.asarray(w)) * v[0]
 
     def steady_zero(s, v, w):
-        return np.zeros((n_agents, 1))
+        return np.zeros(np.shape(v)[:-1] + (n_agents, 1))
 
     return PlantModel(n_agents=n_agents, r=1, n_z=1, n_w=n_agents,
                       f0=f0, f_levels=(f1,), steady_zero=steady_zero,

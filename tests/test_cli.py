@@ -226,10 +226,25 @@ def test_check_evaluates_each_zero_steady_state_once(stable, monkeypatch, count_
     seeds = count_calls(verify_reproduction)
     assert _check_scenario(monkeypatch, dataclasses.replace(stable, plant=plant, t_final=1.0)) == 0
     assert "FAIL" not in capsys.readouterr().out
-    # both steady-state lines read one pass over the 5 s trace at h = 1e-3; the chain's
-    # signals come from `steady_poly`, and so do the reproduction seeds
-    assert len(calls) == 5001
+    # both steady-state lines read one call over the 5001 rows of the 5 s trace at h = 1e-3;
+    # the chain's signals come from `steady_poly`, and so do the reproduction seeds
+    [vs] = calls
+    assert vs.shape == (5001, stable.exo.n_v)
+    assert np.array_equal(vs, exo_trajectory(stable.exo, vs[0], t_final=5.0, h=1e-3)[1])
     assert [args[3].shape for args, _ in seeds] == [(3, stable.n), (5, stable.n)]
+
+
+def test_check_refuses_a_zero_map_written_for_one_state(stable, monkeypatch, capsys):
+    # a hook that returns one state's (N, 1) whatever `v` holds would broadcast against the
+    # trace's (K, N, 1); `z_star` names the hook and its contract instead
+    plant = dataclasses.replace(stable.plant,
+                                steady_zero=lambda s, v, w: np.zeros((stable.n, 1)))
+    assert _check_scenario(monkeypatch, dataclasses.replace(stable, plant=plant)) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    [line] = captured.err.splitlines()
+    assert line.startswith("config error: plant.steady_zero returned shape (4, 1)")
+    assert "(..., n_v) to (..., N, n_z)" in line
 
 
 @pytest.mark.parametrize("split", [True, False], ids=["split_hook", "no_split"])

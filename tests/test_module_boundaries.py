@@ -30,6 +30,10 @@ Only `plant` states the contract of a plant's ``split`` hook: `drift_split`
 is the one place that checks the hook's result, so no other module builds a
 `ConfigError` whose message starts ``plant split hook``.
 
+Only `plant` calls a plant's ``steady_zero`` hook: `SteadyState.z_star` is
+the one caller, which checks the hook's stack contract, so every other module
+reads the zero-dynamics map through a steady-state chain.
+
 `config` names library errors in one helper: `config._build` turns an error
 of a library build into a config error naming the section, `build_scenario`
 holds at most one ``try`` (around the `Scenario` and its synthesis), and no
@@ -303,6 +307,26 @@ def test_only_plant_states_the_split_hook_contract():
     hits = {path.name: split_hook_errors(path.read_text(), path.name)
             for path in sorted(SRC.glob("*.py"))}
     assert len(hits.pop("plant.py")) == 2  # the hook's (J, features) and its bind's fill
+    assert hits and [hit for found in hits.values() for hit in found] == []
+
+
+ZERO_MAP = ("steady_zero",)
+
+
+def test_zero_map_detector_sees_calls_not_definitions_or_references():
+    source = ("z = plant.steady_zero(p_star, v, w)\n"
+              "def steady_zero(s, v, w):\n    return s\n"
+              "hook = model.steady_zero\n"
+              "z = steady_zero(p_star, v, w)\n"
+              "PlantModel(steady_zero=steady_zero)\n"
+              "self.scenario.plant.steady_zero(p_star, v0, self.draws[column])\n")
+    assert [int(hit.split(":")[1]) for hit in calls_of(ZERO_MAP, source)] == [1, 5, 7]
+
+
+def test_only_plant_calls_the_zero_map():
+    hits = {path.name: calls_of(ZERO_MAP, path.read_text(), path.name)
+            for path in sorted(SRC.glob("*.py"))}
+    assert len(hits.pop("plant.py")) == 1  # `SteadyState.z_star`
     assert hits and [hit for found in hits.values() for hit in found] == []
 
 

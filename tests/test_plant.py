@@ -44,7 +44,7 @@ class TestPlantRhs:
         model = PlantModel(n_agents=1, r=2, n_z=1, n_w=1,
                            f0=lambda z, x1, v, w: np.zeros((1, 1)),
                            f_levels=(zero, zero),
-                           steady_zero=lambda s, v, w: np.zeros((1, 1)),
+                           steady_zero=lambda s, v, w: np.zeros(np.shape(v)[:-1] + (1, 1)),
                            im_polys=([0.0], [0.0]))
         _, dx = plant_rhs(model, np.zeros((1, 1)), np.zeros((2, 1)), u=np.ones(1),
                           v=np.zeros(1), w=np.zeros(1))
@@ -62,7 +62,8 @@ def two_state_zero_dynamics_plant(flat: bool) -> PlantModel:
         return z[:, 1] * xs[0] + (1.0 + w) * v[1]
 
     return PlantModel(n_agents=3, r=1, n_z=2, n_w=3, f0=f0, f_levels=(f1,),
-                      steady_zero=lambda s, v, w: np.zeros((3, 2)), im_polys=([-1.0, 0.0],))
+                      steady_zero=lambda s, v, w: np.zeros(np.shape(v)[:-1] + (3, 2)),
+                      im_polys=([-1.0, 0.0],))
 
 
 class TestExamplePlant:
