@@ -91,12 +91,12 @@ class CustomGame:
     fresh ``profile`` array of its own, which the callable may modify, and
     the calls come in a fixed order for a given scenario and seed. The
     callable must be a deterministic function of its arguments: the closed
-    loop makes ``8 n`` calls per RK4 step (two per player and stage) per
-    distinct estimate block of a batch's live columns
-    (`generator.partials_bind`), and `estimate_constants` ``8 n`` per sample.
-    Gradients come from central finite differences; constants are sampled
-    over ``sample_box``, whose rows must be finite with ``lo < hi``, and are
-    therefore local to that box.
+    loop makes up to ``8 n`` calls per RK4 step per distinct estimate block
+    of a batch (`generator.partials_bind`): two per player and stage whose
+    own strategy is not NaN (`row_partial`). `estimate_constants` makes
+    ``8 n`` per sample. Gradients come from central finite differences;
+    constants are sampled over ``sample_box``, whose rows must be finite
+    with ``lo < hi``, and are therefore local to that box.
     """
 
     costs: Sequence[Callable[[float, np.ndarray], float]]
@@ -132,8 +132,8 @@ GameSpec = Union[QuadraticAggregativeGame, CustomGame]
 def partial_gradient(game: GameSpec, i: int, profile: np.ndarray) -> float:
     """Derivative of player i's cost with respect to its own strategy.
 
-    Entry i of `pseudo_gradient`, bit for bit: closed form for the quadratic kind,
-    player i's `row_partial` alone (two cost calls) otherwise.
+    Entry i of `pseudo_gradient`, bit for bit where ``profile[i]`` is not NaN: closed
+    form for the quadratic kind, player i's `row_partial` alone (two cost calls) otherwise.
     """
     if isinstance(game, QuadraticAggregativeGame):
         return float(pseudo_gradient(game, profile)[i])
@@ -145,10 +145,14 @@ def row_partial(cost: Callable[[float, np.ndarray], float], i: int, row: np.ndar
 
     The stencil of `_stencil_sides` and `_stencil_quotient` at one row; the
     upward call comes first. Each cost call gets a fresh copy of ``row``, so a
-    callable that writes into its profile affects nothing else.
-    `_central_partials` runs the same stencil on a stack of blocks.
+    callable that writes into its profile affects nothing else. A NaN own
+    strategy makes the step NaN, so the partial is NaN whatever the costs
+    return: it is returned without a call. `_central_partials` runs the same
+    stencil on a stack of blocks.
     """
     y = row.item(i)  # float(row[i]), without the NumPy scalar
+    if y != y:
+        return y
     step, y_up, y_dn = _stencil_sides(y)
     up, dn = row.copy(), row.copy()
     up[i], dn[i] = y_up, y_dn
@@ -173,14 +177,14 @@ def _central_partials(costs, blocks: np.ndarray) -> np.ndarray:
     """`row_partial` of every player on its own row of each block of a ``(K, n, n)`` stack.
 
     Entry ``(k, i)`` of the ``(K, n)`` result is player i's partial on row i
-    of block k, with `row_partial`'s bits. The ``2 K n`` profiles are one
-    fresh ``(K, 2n, n)`` stack, row ``2i`` (upward) and ``2i + 1``
-    (downward) of block k being its row i with the diagonal entry moved; the
-    steps and quotients are whole arrays, and only the cost calls loop. The
-    calls run block by block, player by player, upward first, each on its own
-    row of the stack, which no other call sees. Deterministic callables give
-    equal blocks equal partials: `generator.partials_bind` relies on that to
-    run one stencil per distinct block of a batch.
+    of block k, with `row_partial`'s bits where its strategy is not NaN. The
+    ``2 K n`` profiles are one fresh ``(K, 2n, n)`` stack, row ``2i`` (upward)
+    and ``2i + 1`` (downward) of block k being its row i with the diagonal
+    entry moved; the steps and quotients are whole arrays, and only the cost
+    calls loop. The calls run block by block, player by player, upward first,
+    each on its own row of the stack, which no other call sees. Deterministic
+    callables give equal blocks equal partials: `generator.partials_bind`
+    relies on that to run one stencil per distinct block of a batch.
     """
     K, n = blocks.shape[:2]
     # the arithmetic is silent on overflow and inf - inf, as it is on Python floats

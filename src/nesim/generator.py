@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .errors import Disconnected, NonFiniteState, require
 from .game import GameSpec, GradientConstants, QuadraticAggregativeGame, row_partial
 from .graph import CONNECTIVITY_EPS, CommGraph, lambda2, laplacian
-from .numerics import integrate, rk4_lifted_steps
+from .numerics import integrate, kept_rows, rk4_lifted_steps
 
 if TYPE_CHECKING:
     from .simulation import Scenario
@@ -88,53 +88,45 @@ def generator_rows(game: GameSpec, g: CommGraph, gamma1: float, gamma2: float) -
     return rows
 
 
-def partials_bind(game: GameSpec, estimates: np.ndarray, partials: np.ndarray,
-                  parked: Optional[np.ndarray] = None) -> Optional[Callable[[], None]]:
+def partials_bind(game: GameSpec, estimates: np.ndarray, partials: np.ndarray) -> tuple:
     """Bind the fill of a custom game's partials, each agent's on its own estimate row.
 
     ``estimates`` is a ``(N*N, B)`` view of ``vec P`` (row-major) per column
-    and ``partials`` the ``(N, B)`` rows the fill writes. Returns ``fill()``,
-    which overwrites ``partials`` from what ``estimates`` holds at each call.
-    None for a quadratic game: its extended gradient is affine and already in
-    `generator_rows`. The views are taken once, here. ``parked``, a ``(B,)``
-    boolean mask read at each call, names the columns the caller has stopped
-    (`simulation.run`): the fill runs no stencil there and writes their
-    partials as zero. None parks no column.
+    and ``partials`` the ``(N, B)`` rows the fill writes. Returns ``(fill,)``,
+    where ``fill()`` overwrites ``partials`` from what ``estimates`` holds at
+    each call, or ``()`` for a quadratic game: its extended gradient is
+    affine and already in `generator_rows`. The views are taken once, here.
 
-    The fill runs one stencil per distinct estimate block: the first live
-    column that holds a block's bytes gets `game.row_partial` once per agent,
-    on its own rows, and every later live column with the same bytes copies
-    those partials. The generator reads no plant state and `run` starts every
-    column at the same ``p0``, so the live columns of a batch share one block
-    and one stencil. The costs are deterministic, so column ``b`` gets the
+    The fill runs one stencil per distinct estimate block: the first column
+    that holds a block's bytes gets `game.row_partial` once per agent, on its
+    own rows, and every later column with the same bytes copies those
+    partials. The generator reads no plant state and `run` starts every
+    column at the same ``p0``, so the columns of a batch share one block and
+    one stencil until one diverges, whose NaN strategies then cost no call
+    (`row_partial`). The costs are deterministic, so column ``b`` gets the
     bits its own block gives. Bytes, not ``==``: ``-0.0 == 0.0`` and NaN is
     not equal to itself.
     """
     if isinstance(game, QuadraticAggregativeGame):
-        return None
+        return ()
     n, size = game.n, estimates[:, 0].nbytes  # size: bytes per column
-    if parked is None:
-        parked = np.zeros(estimates.shape[1], dtype=bool)
     # one (n, n) view per column: the estimate rows of a lift buffer are contiguous
     blocks = estimates.reshape(n, n, -1).transpose(2, 0, 1)
     columns = estimates.T  # tobytes() lays the columns out one after another
-    # per column: its index, bytes, partials and each agent's cost and estimate row
-    lanes = [(b, slice(b * size, (b + 1) * size), out, tuple(zip(range(n), game.costs, block)))
+    # per column: its bytes, partials and each agent's cost and estimate row
+    lanes = [(slice(b * size, (b + 1) * size), out, tuple(zip(range(n), game.costs, block)))
              for b, (out, block) in enumerate(zip(partials.T, blocks))]
 
     def fill() -> None:
         data, filled = columns.tobytes(), {}  # filled: each block's partials, by its bytes
-        stopped = parked.tolist()
-        for b, span, out, agents in lanes:
-            if stopped[b]:
-                out[...] = 0.0
-            elif (first := filled.setdefault(data[span], out)) is out:
+        for span, out, agents in lanes:
+            if (first := filled.setdefault(data[span], out)) is out:
                 for i, cost, row in agents:
                     out[i] = row_partial(cost, i, row)
             else:
                 out[...] = first
 
-    return fill
+    return (fill,)
 
 
 @dataclass
@@ -162,8 +154,9 @@ def run_generator(scenario: Scenario) -> GeneratorTrajectory:
     """Integrate the scenario's generator alone and record its distance to equilibrium.
 
     The game, graph, ``gains.gamma1``, start ``p0`` (zeros if None), horizon,
-    step and decimation (the distance is kept every ``decimate``-th step) are
-    the scenario's; ``gamma2``, the equilibrium and the constants come from
+    step and decimation (the distance is kept at the steps of
+    `numerics.kept_rows`, as `simulation.run` keeps its states) are the
+    scenario's; ``gamma2``, the equilibrium and the constants come from
     `Scenario.synthesized`, and the dynamics never see the equilibrium.
     `numerics.integrate` steps the rows of `generator_rows` in a workspace of
     `numerics.rk4_lifted_steps`. A consensus gain below the synthesis's
@@ -180,7 +173,7 @@ def run_generator(scenario: Scenario) -> GeneratorTrajectory:
     synthesis = scenario.synthesized()
     rows = generator_rows(game, scenario.graph, scenario.gains.gamma1, synthesis.gamma2)
 
-    def bind(lifted: np.ndarray) -> Optional[Callable[[], None]]:
+    def bind(lifted: np.ndarray) -> tuple:
         return partials_bind(game, lifted[:n * n], lifted[n * n + 1:])
 
     steps = rk4_lifted_steps(rows[None], h, bind)
@@ -195,7 +188,7 @@ def run_generator(scenario: Scenario) -> GeneratorTrajectory:
         bad = ~(np.abs(xs).max(axis=(1, 2)) < np.inf)
         if bad.any():
             raise NonFiniteState(f"non-finite generator state at t={t[bad.argmax()]:.6g}")
-        rows = slice(-k % dec, None, dec)
+        rows = kept_rows(k, len(xs), scenario.n_steps, dec)
         ts.append(t[rows])
         dists.append(np.linalg.norm(xs[rows, :, 0] - target, axis=1))
 

@@ -183,6 +183,15 @@ def integrate(steps: LiftedSteps, x0: np.ndarray, n_steps: int,
     return x.copy()
 
 
+def kept_rows(k: int, count: int, n_steps: int, decimate: int) -> slice | list:
+    """The rows of `integrate`'s block of ``count`` states from step ``k`` that a record of
+    ``n_steps`` steps keeps: each ``decimate``-th step (step 0 among them) and the last."""
+    rows = slice(-k % decimate, None, decimate)
+    if k + count - 1 == n_steps and n_steps % decimate:
+        return [*range(count)[rows], count - 1]
+    return rows
+
+
 @dataclass(eq=False)
 class LiftedSteps:
     """A lifted system as `integrate` steps it: RK4's stage maps at step ``h``, bound once.
@@ -190,10 +199,10 @@ class LiftedSteps:
     The maps ``S1, S2, S3, W`` of `rk4_lifted_matrices` and the system's lift
     are bound to one lift buffer ``[L2; L1; L3; L4]`` of ``(4 width, B)``,
     whose constant rows are set once: ``state`` is the state rows of ``L1``,
-    ``stages`` the zero-argument calls that fill the rest in order (the lift
-    of ``L1``, then each stage's GEMV and lift), ``last(out)`` the GEMV by
-    ``W`` into ``out``. ``maps`` and ``buffer`` hold the maps and the buffer,
-    each column's map 64-byte aligned.
+    ``stages`` the zero-argument calls that fill the rest in order, flat (the
+    fills of ``L1``, then each stage's GEMV and fills), ``last(out)`` the
+    GEMV by ``W`` into ``out``. ``maps`` and ``buffer`` hold the maps and the
+    buffer, each column's map 64-byte aligned.
     """
 
     h: float
@@ -248,10 +257,10 @@ def rk4_lifted_steps(A: np.ndarray, h: float, bind: Callable) -> LiftedSteps:
     """The workspace `rk4_lifted_step` steps ``xdot = A [x; 1; phi(x)]`` in, at step ``h``.
 
     ``A`` is ``(B, dim, width)``, one operator per column. ``bind(L)`` takes
-    a lifted ``(width, B)`` array ``L`` and returns ``lift()``, which
-    overwrites the feature rows ``dim + 1:`` of ``L`` from the states in its
-    rows ``:dim`` as they are at each call, or None when there are no
-    feature rows; row ``dim`` holds the one, and column ``b`` reads only
+    a lifted ``(width, B)`` array ``L`` and returns a tuple, empty when there
+    are no feature rows, of zero-argument fills that overwrite its feature
+    rows ``dim + 1:``, in order, from the states in its rows ``:dim`` as they
+    are at each call; row ``dim`` holds the one, and column ``b`` reads only
     column ``b``. The stage maps (`rk4_lifted_matrices`), the lift buffer,
     the four lifts and the GEMVs' source and destination views are made
     here, once, so a step slices and allocates nothing but its new state. A
@@ -269,11 +278,10 @@ def rk4_lifted_steps(A: np.ndarray, h: float, bind: Callable) -> LiftedSteps:
     buf = _aligned((1, 4 * width, B))[0]
     buf[dim::width] = 1.0  # the constant entry of each lift; no stage writes it
     L2, L1, L3, L4 = (buf[j * width:(j + 1) * width] for j in range(4))
-    stages = (bind(L1),
-              column_gemv(S1, L1, L2[:dim]), bind(L2),
-              column_gemv(S2, buf[:2 * width], L3[:dim]), bind(L3),
-              column_gemv(S3, buf[width:3 * width], L4[:dim]), bind(L4))
-    stages = tuple(stage for stage in stages if stage is not None)  # a lift with no features
+    stages = (*bind(L1),
+              column_gemv(S1, L1, L2[:dim]), *bind(L2),
+              column_gemv(S2, buf[:2 * width], L3[:dim]), *bind(L3),
+              column_gemv(S3, buf[width:3 * width], L4[:dim]), *bind(L4))
     return LiftedSteps(h, maps, buf, L1[:dim], stages, column_gemv(W, buf))
 
 

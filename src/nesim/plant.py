@@ -155,8 +155,8 @@ def drift_split(model: PlantModel, w: np.ndarray, n_v: int,
     features, ``1 + r`` calls per column and fill with the column's draw,
     against an identity block of ``J``. ``parked``, a ``(B,)`` boolean mask
     read at each fill, names the columns the caller has stopped
-    (`simulation.run`): the generic fill makes no call there and writes
-    their features as zero. A ``split`` hook fills every column.
+    (`simulation.run`): the generic fill makes no call there and leaves
+    their features as they are. A ``split`` hook fills every column.
     """
     W = np.asarray(w, dtype=float)
     if W.ndim != 2:
@@ -202,13 +202,11 @@ def drift_split(model: PlantModel, w: np.ndarray, n_v: int,
             z, x = col[:n * n_z].reshape(n, n_z), col[n * n_z:].reshape(r, n)
             levels = tuple((f, x[:s + 1], dcol[n * n_z + s * n:n * n_z + (s + 1) * n])
                            for s, f in enumerate(f_levels))
-            columns.append((dcol, z, x[0], vc, wv, dcol[:n * n_z], levels))
+            columns.append((z, x[0], vc, wv, dcol[:n * n_z], levels))
 
         def fill():
-            stopped = parked.tolist()
-            for b, (dcol, z, x1, vc, wv, dz, levels) in enumerate(columns):
-                if stopped[b]:
-                    dcol[:] = 0.0
+            for stopped, (z, x1, vc, wv, dz, levels) in zip(parked.tolist(), columns):
+                if stopped:
                     continue
                 dz[:] = np.asanyarray(f0(z, x1, vc, wv)).ravel()  # np.ravel, without its dispatch
                 for f, xs, dx in levels:

@@ -38,7 +38,8 @@ from .game import CustomGame, GameSpec, GradientConstants, estimate_constants, s
 from .generator import GeneratorGains, generator_rows, min_gamma2, partials_bind
 from .graph import CommGraph
 from .internal_model import InternalModelBank, synthesize_bank
-from .numerics import STEP_BLOCK, OdeSystem, column_gemv, integrate, rk4_lifted_steps
+from .numerics import (STEP_BLOCK, OdeSystem, column_gemv, integrate, kept_rows,
+                       rk4_lifted_steps)
 from .plant import (Exosystem, PlantFeatures, PlantModel, SteadyState, checked_box, drift_split,
                     sample_uncertainty, steady_state_chain)
 
@@ -259,7 +260,7 @@ class Scenario:
 
 
 def _kept_samples(n_steps: int, decimate: int) -> int:
-    """Samples `run` keeps of ``n_steps`` steps: step 0, every ``decimate``-th and the last."""
+    """Samples `run` keeps of ``n_steps`` steps: those of `numerics.kept_rows`."""
     return 1 + -(-n_steps // decimate)
 
 
@@ -298,22 +299,22 @@ class AssembledLoop(OdeSystem):
     The batch is the trailing axis: ``rhs`` takes a ``(dim, B)`` state, one
     column per row of ``draws``, and a loop with one draw also takes a flat
     ``(dim,)`` state. Columns never mix. Only ``operator`` and ``draws`` differ
-    between columns. ``bind`` binds the fill of ``phi`` (`_closed_loop_bind`)
+    between columns. ``bind`` binds the fills of ``phi`` (`_closed_loop_bind`)
     for ``rhs`` and for the workspace `run` steps (`numerics.rk4_lifted_steps`).
-    ``parked`` is the mask of the columns whose features the fills skip: all
-    False from `assemble`, and `run` sets each column it stops, which is
-    still stepped and never read. The layout and the synthesis (equilibrium,
-    ``gamma2``, bank) are the scenario's: `Scenario.layout` and
-    `Scenario.synthesized`.
+    ``parked`` is the mask of the columns which the generic plant fill skips
+    (`drift_split`): all False from `assemble`, and `run` sets each column it
+    stops, which is still stepped and never read. The layout and the
+    synthesis (equilibrium, ``gamma2``, bank) are the scenario's:
+    `Scenario.layout` and `Scenario.synthesized`.
     """
 
-    bind: Callable = None            # bind(lifted) -> the fill of phi
+    bind: Callable = None            # bind(lifted) -> the fills of phi
     scenario: Scenario = None
     draws: np.ndarray = None         # (B, n_w): one uncertainty draw per column
     ablate: bool = False
     control_rows: np.ndarray = None  # U, (N, dim): the control law as u = U @ state
     operator: np.ndarray = None      # (B, dim, width): each column's map of [x; 1; phi(x)]
-    parked: np.ndarray = None        # (B,) bool: the columns the fills skip
+    parked: np.ndarray = None        # (B,) bool: the columns the generic plant fill skips
 
     def control(self, state: np.ndarray) -> np.ndarray:
         """Control input of every agent, ``U @ state``: `control_rows` placed on the state."""
@@ -386,41 +387,31 @@ def assemble(scenario: Scenario, ablate: bool = False,
     # overflowing gains give a non-finite operator; the first RK4 step reports divergence
     with np.errstate(over="ignore", invalid="ignore"):
         A3, U = _closed_loop_operator(scenario, layout, J, features, ablate)
-    bind = _closed_loop_bind(layout, features, scenario.game, parked)
+    bind = _closed_loop_bind(layout, features, scenario.game)
     return AssembledLoop(dimension=layout.dim, rhs=_closed_loop_rhs(A3, bind), bind=bind,
                          scenario=scenario, draws=draws, ablate=ablate, control_rows=U,
                          operator=A3, parked=parked)
 
 
-def _closed_loop_bind(layout: StateLayout, features: PlantFeatures, game: GameSpec,
-                      parked: np.ndarray):
-    """The closed loop's ``bind``: ``bind(lifted)`` returns the fill of its ``phi``.
+def _closed_loop_bind(layout: StateLayout, features: PlantFeatures, game: GameSpec):
+    """The closed loop's ``bind``: ``bind(lifted)`` returns the fills of its ``phi``, a tuple.
 
     ``lifted`` is a ``(width, B)`` array ``[x; 1; phi]``. The features
     ``phi`` are the plant's (see `drift_split`) and, for a custom game, each
     agent's finite-difference partial on its own estimate row, which
-    `generator.partials_bind` fills. Column ``b`` gets the features of its
-    own block; the partials take one stencil per distinct estimate block
-    (see `generator.partials_bind`) and skip the ``parked`` columns, as the
-    generic plant features of `drift_split` do. The views are taken once, at
+    `generator.partials_bind` fills; a quadratic game has none, its extended
+    gradient being already in the operator. Column ``b`` gets the features
+    of its own block; the partials take one stencil per distinct estimate
+    block (see `generator.partials_bind`). The views are taken once, at
     binding.
     """
     dim = layout.dim
     P, v, zx = layout.P, layout.v, layout.zx  # rows of the state part of [x; 1; phi]
     phi = slice(dim + 1, dim + 1 + features.count)
 
-    def bind(lifted: np.ndarray):
-        plant_fill = features.bind(lifted[zx], lifted[v], lifted[phi])
-        # None for a quadratic game, whose extended gradient is already in the operator
-        partials_fill = partials_bind(game, lifted[P], lifted[phi.stop:], parked)
-        if partials_fill is None:
-            return plant_fill
-
-        def lift() -> None:
-            plant_fill()
-            partials_fill()
-
-        return lift
+    def bind(lifted: np.ndarray) -> tuple:
+        return (features.bind(lifted[zx], lifted[v], lifted[phi]),
+                *partials_bind(game, lifted[P], lifted[phi.stop:]))
 
     return bind
 
@@ -443,7 +434,8 @@ def _closed_loop_rhs(A3: np.ndarray, bind):
         columns = state.reshape(dim, -1)
         lifted = blank.copy()
         lifted[:dim] = columns
-        bind(lifted)()
+        for fill in bind(lifted):
+            fill()
         out = np.empty_like(columns)
         column_gemv(A3, lifted, out)()
         return out.reshape(state.shape)
@@ -539,7 +531,8 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
     generator at equilibrium. Divergence does not raise: the trajectory up
     to the failure is returned with the flag set. A column that diverges or
     passes ``abort_norm`` stops there: it is marked in the loop's ``parked``,
-    stepped on but never read, and the others go on. Both are read off
+    which the generic plant fill skips, stepped on but never read, and the
+    others go on. Both are read off
     each block of states `numerics.integrate` hands over, per column: a
     column whose every entry in the block is finite and at most
     ``abort_norm`` goes on, and the block is kept with one ``|x|`` maximum
@@ -601,7 +594,7 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
     y_cols = slice(lay.x.start, lay.x.start + n)  # the first chain level
     peak = np.zeros(B)  # each column's largest |value| after step 0, up to its last kept step
     counts = np.full(B, n_kept)  # each column's kept rows
-    done = loop.parked  # the stopped columns: the fills skip them, and nothing reads them
+    done = loop.parked  # the stopped columns: the generic plant fill skips them, nothing reads them
     diverged_t = [None] * B
     aborted = np.zeros(B, dtype=bool)
     abort = np.inf if abort_norm is None else abort_norm
@@ -627,9 +620,7 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
                 counts[b] = n_kept if end == n_steps else end // dec + 1
             done[stop] = True
             np.maximum(peak, tops, out=peak, where=~done)
-        rows = slice(-k % dec, None, dec)  # the steps that are multiples of dec
-        if k + len(xs) - 1 == n_steps and n_steps % dec:
-            rows = [*range(len(xs))[rows], len(xs) - 1]  # and the last step
+        rows = kept_rows(k, len(xs), n_steps, dec)
         # each column's kept states, (B, rows, dim), each row contiguous; the rows past a
         # column's stop are derived too, and cut off below
         xs = np.ascontiguousarray(xs[rows].transpose(2, 0, 1))

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from factories import build_game, build_plant
+from factories import build_game, build_plant, nan_rejecting, wrap_custom
 from golden.record import blas_core
 from nesim.config import load_scenario
 from nesim.generator import GeneratorGains
@@ -86,6 +86,22 @@ def custom_scenario():
         controller_k=np.full((3, 1), 8.0), seed=2, R=0.5)
     scenario.synthesized()
     return scenario
+
+
+@pytest.fixture(scope="session")
+def nan_rejecting_sec5(sec5):
+    """``(scenario, calls)``: sec5 as a custom game whose costs raise on a NaN own strategy.
+
+    Its gains are 4 on every level, at which seeds 1, 2 and 4 diverge within
+    the 1.5 s horizon and seed 3 runs to its end; each cost call's own
+    strategy is appended to ``calls``. Synthesized once here.
+    """
+    calls = []
+    scenario = dataclasses.replace(
+        sec5, game=nan_rejecting(wrap_custom(sec5.game), calls),
+        controller_k=np.full((sec5.n, sec5.plant.r), 4.0), t_final=1.5, decimate=10, seed=1)
+    scenario.synthesized()
+    return scenario, calls
 
 
 @pytest.fixture()

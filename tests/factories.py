@@ -71,6 +71,19 @@ def wrap_custom(game: QuadraticAggregativeGame, box=None) -> CustomGame:
     return CustomGame(costs=[make(i) for i in range(game.n)], sample_box=box)
 
 
+def nan_rejecting(game: CustomGame, calls: list) -> CustomGame:
+    """``game``'s costs, each appending its own strategy to ``calls`` and raising
+    ``ValueError`` when that strategy is NaN, as a cost that checks its input may."""
+    def make(cost):
+        def checked(yi, profile):
+            if np.isnan(yi):
+                raise ValueError("cost called with a NaN own strategy")
+            calls.append(yi)
+            return cost(yi, profile)
+        return checked
+    return CustomGame([make(cost) for cost in game.costs], game.sample_box)
+
+
 def smooth_costs(n: int, *, in_place: bool):
     """Non-quadratic costs; ``in_place`` ones write into their profile argument."""
     def make(i):

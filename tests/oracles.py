@@ -151,14 +151,15 @@ def stepwise_run(loop, x0: np.ndarray, h: float, n_steps: int, dec: int,
     """`simulation.run`'s stop rules, applied after each lifted step of ``loop``.
 
     ``x0`` is ``(dim, B)``. Each step is one `rk4_lifted_step` in a workspace
-    built here on the loop's own ``bind``, so its fills read ``loop.parked``.
+    built here on the loop's own ``bind``, so its generic plant fill reads
+    ``loop.parked``.
     After step ``k``, column by column: a live column with a NaN or Inf entry
     diverged at ``k h`` and keeps neither this step's peak nor its sample;
     else its largest ``|value|`` joins its peak and it keeps the state when
     ``k`` is a multiple of ``dec`` or the last step; then it stops if that
     ``|value|`` passes ``abort_norm``. A stopped column is marked in
-    ``loop.parked``: it is stepped on, its fills skip it, and nothing reads
-    it. The run ends at ``n_steps`` or when every column has stopped.
+    ``loop.parked``: it is stepped on, the generic plant fill skips it, and
+    nothing reads it. The run ends at ``n_steps`` or when every column has stopped.
 
     Returns per column ``{"kept": (K, dim), "tops": [max |x_k|, ..],
     "max_state_norm", "diverged_t", "aborted"}``, ``tops`` over the steps it

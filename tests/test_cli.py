@@ -159,6 +159,21 @@ def test_divergence_exit_code(fast_cfg, tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("sweep", [[], ["--sweep", "seeds=3"]], ids=["alone", "sweep"])
+def test_a_cost_that_rejects_nan_leaves_a_diverging_run_exit_2(sweep, nan_rejecting_sec5,
+                                                               monkeypatch, tmp_path, capsys):
+    # seed 1 diverges at k = 4, alone or in a sweep with seeds 2 (diverges) and 3 (runs on);
+    # its NaN estimates reach no cost, which would raise
+    scenario, _ = nan_rejecting_sec5
+    monkeypatch.setattr(cli, "_load", lambda args: (scenario, None))
+    out = tmp_path / "run.csv"
+    assert main(["simulate", "--config", "sec5", "--out", str(out), *sweep]) == 2
+    err = capsys.readouterr().err
+    assert "DIVERGED at t = 1.343" in err and "Traceback" not in err
+    written = [out] if not sweep else [tmp_path / f"run_s{seed}.csv" for seed in (1, 2, 3)]
+    assert sorted(tmp_path.iterdir()) == sorted(written)
+
+
 def test_disconnected_graph_exit_code(fast_cfg, capsys):
     cfg = fast_cfg(**{"graph.edges": [[0, 1, 1.0], [2, 3, 1.0]]})
     assert main(["solve-ne", "--config", str(cfg)]) == 1

@@ -14,6 +14,7 @@ from nesim.generator import (GeneratorGains, GeneratorTrajectory, generator_rows
                              partials_bind, run_generator)
 from nesim.graph import CommGraph
 from nesim.numerics import OdeSystem, integrate, rk4_lifted_step, rk4_step
+from nesim.simulation import run
 from oracles import central_partials, kronecker_generator, rk4_states
 
 
@@ -52,8 +53,7 @@ def derivative(game, g, gains, P):
     rows = generator_rows(game, g, gains.gamma1, gains.gamma2)
     lifted = np.empty((rows.shape[1], 1))
     lifted[:n * n, 0], lifted[n * n] = np.ravel(P), 1.0
-    fill = partials_bind(game, lifted[:n * n], lifted[n * n + 1:])
-    if fill is not None:
+    for fill in partials_bind(game, lifted[:n * n], lifted[n * n + 1:]):
         fill()
     return (rows @ lifted[:, 0]).reshape(n, n)
 
@@ -99,7 +99,7 @@ class TestGeneratorRhs:
 
     def test_partials_fill_reads_the_estimates_at_each_call(self):
         # each column's partials are those of its own estimate rows as they are at the call,
-        # whether the columns differ, all agree, all but column 0 (parked at zero) agree, or
+        # whether the columns differ, all agree, all but column 0 (zeroed) agree, or
         # columns 0 and 2 agree and column 1 differs; each distinct block costs one stencil,
         # two cost calls per agent
         game = build_game([1.0, 2.0, 3.0], 0.5)
@@ -108,14 +108,14 @@ class TestGeneratorRhs:
                               for cost in game.costs])
         rng = np.random.default_rng(13)
         same = np.tile(rng.normal(size=(9, 1)), 3)
-        parked, outer = same.copy(), same.copy()
-        parked[:, 0] = 0.0
+        zeroed, outer = same.copy(), same.copy()
+        zeroed[:, 0] = 0.0
         outer[:, 1] = rng.normal(size=9)
         for B, contents in [(1, [(rng.normal(size=(9, 1)), 1) for _ in range(2)]),
-                            (3, [(rng.normal(size=(9, 3)), 3), (same, 1), (parked, 2),
+                            (3, [(rng.normal(size=(9, 3)), 3), (same, 1), (zeroed, 2),
                                  (outer, 2), (rng.normal(size=(9, 3)), 3)])]:
             lifted = np.zeros((13, B))
-            fill = partials_bind(counted, lifted[:9], lifted[10:])
+            fill, = partials_bind(counted, lifted[:9], lifted[10:])
             for estimates, blocks in contents:
                 lifted[:9] = estimates
                 calls.clear()
@@ -124,27 +124,33 @@ class TestGeneratorRhs:
                 for b in range(B):
                     want = central_partials(game.costs, lifted[:9, b].reshape(1, 3, 3))[0]
                     assert lifted[10:, b].tobytes() == want.tobytes()
-        assert partials_bind(quad([1, 2], [0.3, 0.3], [0, 0]), lifted[:4], lifted[5:]) is None
+        assert partials_bind(quad([1, 2], [0.3, 0.3], [0, 0]), lifted[:4], lifted[5:]) == ()
 
-    def test_partials_fill_skips_the_parked_columns(self):
-        # the mask is read at each call: a parked column costs no call and reads zero, and
-        # a live column is not filled from a parked one's block
+    def test_partials_fill_calls_no_cost_on_a_nan_strategy(self):
+        # columns: a NaN block, a finite block, a block with agent 1's own strategy NaN, a
+        # finite block of other bytes, and the first finite block again. A NaN own strategy
+        # reads NaN and costs no call; each other agent of each distinct block costs its two
+        # calls, and equal bytes share one stencil
         game = build_game([1.0, 2.0, 3.0], 0.5)
         calls = []
         counted = CustomGame([lambda y, profile, cost=cost: calls.append(y) or cost(y, profile)
                               for cost in game.costs])
-        lifted = np.zeros((13, 3))
-        lifted[:9] = np.random.default_rng(17).normal(size=(9, 1))
-        parked = np.zeros(3, dtype=bool)
-        fill = partials_bind(counted, lifted[:9], lifted[10:], parked)
-        want = central_partials(game.costs, lifted[:9, 0].reshape(1, 3, 3))[0]
-        for stopped, blocks in [((), 1), ((0,), 1), ((0, 2), 1), ((0, 1, 2), 0)]:
-            parked[list(stopped)] = True
-            calls.clear()
-            fill()
-            assert len(calls) == blocks * 3 * 2
-            for b in range(3):
-                assert lifted[10:, b].tobytes() == (np.zeros(3) if b in stopped else want).tobytes()
+        rng = np.random.default_rng(17)
+        lifted = np.zeros((13, 5))
+        lifted[:9] = rng.normal(size=(9, 1))
+        lifted[:9, 0] = np.nan
+        lifted[4, 2] = np.nan  # row 1, column 1 of the block: agent 1's own strategy
+        lifted[:9, 3] = rng.normal(size=9)
+        fill, = partials_bind(counted, lifted[:9], lifted[10:])
+        fill()
+        assert len(calls) == 2 * (0 + 3 + 2 + 3) and not np.isnan(calls).any()
+        assert np.isnan(lifted[10:, 0]).all()
+        assert np.isnan(lifted[11, 2]) and not np.isnan(lifted[[10, 12], 2]).any()
+        for b in (1, 2, 3, 4):
+            want = central_partials(game.costs, lifted[:9, b].reshape(1, 3, 3))[0]
+            assert lifted[10:, b][~np.isnan(want)].tobytes() == want[~np.isnan(want)].tobytes()
+        assert lifted[10:, 4].tobytes() == lifted[10:, 1].tobytes()
+        assert not np.array_equal(lifted[10:, 3], lifted[10:, 1])
 
     @pytest.mark.parametrize("B", [1, 3])
     def test_partials_fill_hands_each_cost_call_a_fresh_row(self, B):
@@ -153,7 +159,7 @@ class TestGeneratorRhs:
         game = CustomGame(costs=smooth_costs(3, in_place=True))
         rng = np.random.default_rng(15)
         lifted = np.zeros((13, B))
-        fill = partials_bind(game, lifted[:9], lifted[10:])
+        fill, = partials_bind(game, lifted[:9], lifted[10:])
         for _ in range(3):
             lifted[:9] = rng.normal(size=(9, 1))
             before = lifted.copy()
@@ -211,6 +217,17 @@ class TestRunGenerator:
         assert len(every.t) == 501 and len(fifth.t) == 101
         assert np.array_equal(fifth.t, every.t[::5])
         assert np.array_equal(fifth.dist, every.dist[::5])
+
+    def test_keeps_the_last_step_as_run_does(self, sec5):
+        # 50 steps kept every 3rd: steps 0, 3, .., 48 and the last, 50, whose distance is
+        # that of the final estimates, summed over its entries as a row's norm is (a 1-D
+        # np.linalg.norm takes a dot product, which rounds otherwise)
+        scenario = dataclasses.replace(sec5, t_final=0.05, decimate=3)
+        traj = run_generator(scenario)
+        assert np.array_equal(traj.t, run(scenario).t)
+        assert len(traj.t) == 18 and traj.t[-1] == scenario.t_final
+        gap = traj.final_estimates.ravel() - np.tile(traj.p_star, sec5.n)
+        assert traj.dist[-1].tobytes() == np.sqrt(np.square(gap).sum()).tobytes()
 
     def test_warns_below_guarantee_bound(self, ring):
         low = dataclasses.replace(ring, gains=GeneratorGains(1.0, 0.01),

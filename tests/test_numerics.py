@@ -259,7 +259,7 @@ class Cubic(OdeSystem):
             def lift():
                 L[3] = L[0] ** 3
                 L[4] = L[0] * L[1]
-            return lift
+            return (lift,)
 
         def rhs(t, x):  # the oracle: the ODE written out, not the lifted product
             cols = x.reshape(2, -1)
@@ -281,7 +281,7 @@ def reciprocal(A: np.ndarray, h: float) -> LiftedSteps:
     def bind(L):
         def lift():
             np.divide(1.0, L[0], out=L[3])
-        return lift
+        return (lift,)
 
     return rk4_lifted_steps(A, h, bind)
 
@@ -325,7 +325,7 @@ class TestRk4LiftedStep:
         A, h = rng.normal(size=(batch, 2, 3)), 0.1
         held = []  # allocations of odd sizes between builds, so each build meets another heap
         for _ in range(5):
-            steps = rk4_lifted_steps(A, h, lambda L: None)
+            steps = rk4_lifted_steps(A, h, lambda L: ())
             for have, want in zip(steps.maps, rk4_lifted_matrices(A, h)):
                 assert have.tobytes() == want.tobytes()
                 assert all(have[b].ctypes.data % 64 == 0 and have[b].flags.c_contiguous

@@ -393,10 +393,10 @@ def counting_custom(custom_scenario):
 
 def test_a_stopped_column_0_leaves_the_custom_batch_as_run_alone(counting_custom):
     # the custom game's partial fill runs one stencil per distinct estimate block of the
-    # live columns (`generator.partials_bind`). Seed 1 starts with an entry above the abort
-    # norm and is parked at zero after step 1, and the fill skips it from then on; seeds 2
-    # and 3 stay below it for 0.3 s and still share one block, and each column must still
-    # be its run alone
+    # batch (`generator.partials_bind`). Seed 1 starts with an entry above the abort norm
+    # and is stopped after step 1, but the generator reads no plant state, so its estimates
+    # still share the one block of seeds 2 and 3, which stay below the norm for 0.3 s; each
+    # column must still be its run alone
     scenario, calls = counting_custom
     short = dataclasses.replace(scenario, t_final=0.3, decimate=1)
     calls.clear()
@@ -408,6 +408,22 @@ def test_a_stopped_column_0_leaves_the_custom_batch_as_run_alone(counting_custom
     assert [len(traj.t) for traj in batch[1:]] == [301, 301]
     for traj in batch:
         assert_same_run(traj, run(short, seed=traj.seed, abort_norm=0.85))
+
+
+def test_a_diverging_seed_calls_no_cost_on_its_nan_strategies(nan_rejecting_sec5):
+    # the costs raise on a NaN own strategy, which a diverged column's estimates reach: no
+    # call sees one, each seed of the batch is its run alone, and the diverged seed's calls
+    # are those its live partner makes anyway (one shared stencil until it diverges)
+    scenario, calls = nan_rejecting_sec5
+    calls.clear()
+    batch = run(scenario, seed=[1, 3])
+    in_batch = len(calls)
+    assert [traj.diverged for traj in batch] == [True, False]
+    for traj in batch:
+        calls.clear()
+        assert_same_run(traj, run(scenario, seed=traj.seed))
+        if not traj.diverged:
+            assert in_batch == len(calls) == 4 * 4 * 2 * scenario.n_steps
 
 
 def test_a_batch_of_the_same_estimates_makes_the_cost_calls_of_one_column(counting_custom):
