@@ -27,6 +27,8 @@ class CommGraph:
             raise ValueError("weight matrix must be square")
         if w.shape[0] < 2:
             raise ValueError("graph needs at least 2 nodes")
+        if not np.isfinite(w).all():  # NaN would pass the symmetry test below
+            raise ValueError("edge weights must be finite")
         if np.abs(w - w.T).max() > 0:
             raise ValueError("weight matrix must be symmetric")
         if (w < 0).any():

@@ -137,8 +137,7 @@ class PlantFeatures:
     bind: Callable
 
 
-def drift_split(model: PlantModel, w: np.ndarray, n_v: int,
-                parked: np.ndarray | None = None) -> tuple[np.ndarray, PlantFeatures]:
+def drift_split(model: PlantModel, w: np.ndarray, n_v: int) -> tuple[np.ndarray, PlantFeatures]:
     """The plant drift for a stack of draws as ``J_b @ [zx, v, phi(zx, v)]``.
 
     ``w`` is ``(B, n_w)``, one draw per row; the batch is the trailing axis
@@ -153,10 +152,7 @@ def drift_split(model: PlantModel, w: np.ndarray, n_v: int,
     here: a hook that breaks this, or whose ``bind`` returns no fill, is a
     `ConfigError`. Any other model gets ``f0`` (raveled) and ``f_levels`` as
     features, ``1 + r`` calls per column and fill with the column's draw,
-    against an identity block of ``J``. ``parked``, a ``(B,)`` boolean mask
-    read at each fill, names the columns the caller has stopped
-    (`simulation.run`): the generic fill makes no call there and leaves
-    their features as they are. A ``split`` hook fills every column.
+    against an identity block of ``J``. Either fill fills every column at every call.
     """
     W = np.asarray(w, dtype=float)
     if W.ndim != 2:
@@ -192,7 +188,6 @@ def drift_split(model: PlantModel, w: np.ndarray, n_v: int,
         return J, PlantFeatures(features.count, checked_bind)
 
     f0, f_levels = model.f0, model.f_levels
-    parked = np.zeros(len(W), dtype=bool) if parked is None else parked
 
     def bind(zx, v, out):
         # per column: f0's views, its draw and rows, and one (f, xs, dx) per level; a 1-D
@@ -205,9 +200,7 @@ def drift_split(model: PlantModel, w: np.ndarray, n_v: int,
             columns.append((z, x[0], vc, wv, dcol[:n * n_z], levels))
 
         def fill():
-            for stopped, (z, x1, vc, wv, dz, levels) in zip(parked.tolist(), columns):
-                if stopped:
-                    continue
+            for z, x1, vc, wv, dz, levels in columns:
                 dz[:] = np.asanyarray(f0(z, x1, vc, wv)).ravel()  # np.ravel, without its dispatch
                 for f, xs, dx in levels:
                     dx[:] = f(z, xs, vc, wv)

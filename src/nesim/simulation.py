@@ -60,8 +60,13 @@ class EscalationSpec:
     def __post_init__(self):
         require("controller.escalation.factor", self.factor, 1 < self.factor < np.inf,
                 "finite and > 1")
-        require("controller.escalation.max_rounds", self.max_rounds, self.max_rounds >= 1,
-                "at least 1")
+        require("controller.escalation.max_rounds", self.max_rounds,
+                _integer(self.max_rounds) and self.max_rounds >= 1, "an integer >= 1")
+
+
+def _integer(value) -> bool:
+    """Whether ``value`` is an integer and not a bool: no count or seed is 2.5 or True."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def start_gains(r: int) -> np.ndarray:
@@ -145,8 +150,9 @@ class Scenario:
                 "a finite number of sim.dt steps")
         require("sim.dt", self.dt, self.n_steps >= 1,
                 f"less than twice sim.t_final = {self.t_final:g}, for at least one step")
-        require("sim.decimate", self.decimate, self.decimate >= 1, "at least 1")
-        require("sim.seed", self.seed, self.seed >= 0, ">= 0")
+        require("sim.decimate", self.decimate, _integer(self.decimate) and self.decimate >= 1,
+                "an integer >= 1")
+        require("sim.seed", self.seed, _integer(self.seed) and self.seed >= 0, "an integer >= 0")
         # R is the half-width of the initial box [-R, R], whose width must be finite
         require("sim.R", self.R, 0 <= self.R <= np.finfo(float).max / 2,
                 "finite and >= 0, with a finite box width 2R")
@@ -301,11 +307,10 @@ class AssembledLoop(OdeSystem):
     ``(dim,)`` state. Columns never mix. Only ``operator`` and ``draws`` differ
     between columns. ``bind`` binds the fills of ``phi`` (`_closed_loop_bind`)
     for ``rhs`` and for the workspace `run` steps (`numerics.rk4_lifted_steps`).
-    ``parked`` is the mask of the columns which the generic plant fill skips
-    (`drift_split`): all False from `assemble`, and `run` sets each column it
-    stops, which is still stepped and never read. The layout and the
-    synthesis (equilibrium, ``gamma2``, bank) are the scenario's:
-    `Scenario.layout` and `Scenario.synthesized`.
+    It holds no run state and its arrays are read-only, so any number of
+    workspaces can step it. The layout and the synthesis (equilibrium,
+    ``gamma2``, bank) are the scenario's: `Scenario.layout` and
+    `Scenario.synthesized`.
     """
 
     bind: Callable = None            # bind(lifted) -> the fills of phi
@@ -314,7 +319,6 @@ class AssembledLoop(OdeSystem):
     ablate: bool = False
     control_rows: np.ndarray = None  # U, (N, dim): the control law as u = U @ state
     operator: np.ndarray = None      # (B, dim, width): each column's map of [x; 1; phi(x)]
-    parked: np.ndarray = None        # (B,) bool: the columns the generic plant fill skips
 
     def control(self, state: np.ndarray) -> np.ndarray:
         """Control input of every agent, ``U @ state``: `control_rows` placed on the state."""
@@ -382,15 +386,14 @@ def assemble(scenario: Scenario, ablate: bool = False,
     draws.setflags(write=False)
 
     layout = scenario.layout()
-    parked = np.zeros(len(draws), dtype=bool)
-    J, features = drift_split(scenario.plant, draws, scenario.exo.n_v, parked)
+    J, features = drift_split(scenario.plant, draws, scenario.exo.n_v)
     # overflowing gains give a non-finite operator; the first RK4 step reports divergence
     with np.errstate(over="ignore", invalid="ignore"):
         A3, U = _closed_loop_operator(scenario, layout, J, features, ablate)
     bind = _closed_loop_bind(layout, features, scenario.game)
     return AssembledLoop(dimension=layout.dim, rhs=_closed_loop_rhs(A3, bind), bind=bind,
                          scenario=scenario, draws=draws, ablate=ablate, control_rows=U,
-                         operator=A3, parked=parked)
+                         operator=A3)
 
 
 def _closed_loop_bind(layout: StateLayout, features: PlantFeatures, game: GameSpec):
@@ -451,7 +454,8 @@ def _closed_loop_operator(scenario: Scenario, layout: StateLayout, J: np.ndarray
     those of the plant (``features``, see `drift_split`) and, for a custom
     game, one finite-difference partial per agent. The operator is ``(B, dim,
     dim + 1 + count [+ N])``, one per draw of the stacked drift split ``J``;
-    only the plant rows differ, so the other rows are built once. ``U`` is shared.
+    only the plant rows differ, so the other rows are built once. ``U`` is
+    shared. Both are read-only.
 
     Each designed block comes in its own coordinates and is only placed here,
     by index: `generator_rows` at the scenario's ``gains.gamma1`` and the
@@ -493,6 +497,8 @@ def _closed_loop_operator(scenario: Scenario, layout: StateLayout, J: np.ndarray
     A3[:, zx, phi] = J[:, :, n_zx + v_cols:]
     A3[:, shifted, shifted + n] += 1.0
     A3[:, ea - n:ea, :dim] += U
+    A3.setflags(write=False)
+    U.setflags(write=False)
     return A3, U
 
 
@@ -530,9 +536,8 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
     ``"manifold"`` starts exactly on the regulated manifold with the
     generator at equilibrium. Divergence does not raise: the trajectory up
     to the failure is returned with the flag set. A column that diverges or
-    passes ``abort_norm`` stops there: it is marked in the loop's ``parked``,
-    which the generic plant fill skips, stepped on but never read, and the
-    others go on. Both are read off
+    passes ``abort_norm`` stops there: it is stepped on but never read, and
+    the others go on. Both are read off
     each block of states `numerics.integrate` hands over, per column: a
     column whose every entry in the block is finite and at most
     ``abort_norm`` goes on, and the block is kept with one ``|x|`` maximum
@@ -594,7 +599,7 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
     y_cols = slice(lay.x.start, lay.x.start + n)  # the first chain level
     peak = np.zeros(B)  # each column's largest |value| after step 0, up to its last kept step
     counts = np.full(B, n_kept)  # each column's kept rows
-    done = loop.parked  # the stopped columns: the generic plant fill skips them, nothing reads them
+    done = np.zeros(B, dtype=bool)  # the stopped columns: stepped on, never read
     diverged_t = [None] * B
     aborted = np.zeros(B, dtype=bool)
     abort = np.inf if abort_norm is None else abort_norm

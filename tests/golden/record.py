@@ -90,14 +90,14 @@ NO_SPLIT_CONFIG = {
 }
 
 # the bundled sec5 scenario at start gains too low for it, k = 4 on every level, for 2 s:
-# some seeds of a batch diverge and are parked while the others run on
+# some seeds of a batch diverge and stop while the others run on
 DIVERGING_CONFIG = json.loads(resources.files("nesim").joinpath("data", "sec5.scenario")
                               .read_text())
 DIVERGING_CONFIG["controller"] = {"k": [[4.0, 4.0]] * 4}
 DIVERGING_CONFIG["sim"]["t_final"] = 2.0
 
 # the plant without its `split` hook at gains too low for it, k = 4 on every level, for 1.5 s:
-# seeds 1 and 2 diverge and are parked, and the generic drift's fill skips them from then on
+# seeds 1 and 2 diverge and stop; the generic drift's fill still fills them
 NO_SPLIT_DIVERGING_CONFIG = json.loads(json.dumps(NO_SPLIT_CONFIG))
 NO_SPLIT_DIVERGING_CONFIG["controller"] = {"k": [[4.0, 4.0]] * 4}
 NO_SPLIT_DIVERGING_CONFIG["sim"]["t_final"] = 1.5
@@ -130,7 +130,7 @@ CASES = {
     # the custom game's partials and the generic plant's drift in every stage, two seeds batched
     "simulate_custom_factories_seeds2_3": ["simulate", "--config", "custom.json",
                                            "--t-final", "3", "--sweep", "seeds=2"],
-    # seeds 1 and 2 diverge and are parked, seed 3 runs to the end: exit 2, three CSVs
+    # seeds 1 and 2 diverge and stop, seed 3 runs to the end: exit 2, three CSVs
     "simulate_sec5_diverging_seeds1_3": ["simulate", "--config", "diverging.json",
                                          "--sweep", "seeds=3"],
     # the same through the generic (no-`split`) drift: seeds 1 and 2 diverge, exit 2
@@ -148,7 +148,7 @@ CASES = {
     "simulate_sec5_dense_t2_5_seeds1_2": ["simulate", "--config", "dense.json", "--decimate",
                                           "1", "--t-final", "2.5", "--sweep", "seeds=2"],
     # every step kept: seeds 4, 3 and 5 diverge at rows 1331, 2091 and 2217, inside a block,
-    # and are parked while the others run on: exit 2
+    # and stop while the others run on: exit 2
     "simulate_sec5_diverging_dense_seeds3_5": ["simulate", "--config", "diverging.json",
                                                "--decimate", "1", "--t-final", "2.5",
                                                "--seed", "3", "--sweep", "seeds=3"],

@@ -151,14 +151,12 @@ def stepwise_run(loop, x0: np.ndarray, h: float, n_steps: int, dec: int,
     """`simulation.run`'s stop rules, applied after each lifted step of ``loop``.
 
     ``x0`` is ``(dim, B)``. Each step is one `rk4_lifted_step` in a workspace
-    built here on the loop's own ``bind``, so its generic plant fill reads
-    ``loop.parked``.
+    built here on the loop's own ``bind``, which fills every column.
     After step ``k``, column by column: a live column with a NaN or Inf entry
     diverged at ``k h`` and keeps neither this step's peak nor its sample;
     else its largest ``|value|`` joins its peak and it keeps the state when
     ``k`` is a multiple of ``dec`` or the last step; then it stops if that
-    ``|value|`` passes ``abort_norm``. A stopped column is marked in
-    ``loop.parked``: it is stepped on, the generic plant fill skips it, and
+    ``|value|`` passes ``abort_norm``. A stopped column is stepped on and
     nothing reads it. The run ends at ``n_steps`` or when every column has stopped.
 
     Returns per column ``{"kept": (K, dim), "tops": [max |x_k|, ..],
@@ -168,31 +166,30 @@ def stepwise_run(loop, x0: np.ndarray, h: float, n_steps: int, dec: int,
     """
     abort = np.inf if abort_norm is None else abort_norm
     steps = rk4_lifted_steps(loop.operator, h, loop.bind)
-    parked = loop.parked
-    parked[:] = False
+    stopped = np.zeros(x0.shape[1], dtype=bool)
     cols = [{"kept": [x0[:, b].copy()], "steps": [0], "tops": [], "max_state_norm": 0.0,
              "diverged_t": None, "aborted": False} for b in range(x0.shape[1])]
     x = np.array(x0, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_steps + 1):
-            if parked.all():
+            if stopped.all():
                 break
             x = rk4_lifted_step(steps, x)
             for b, col in enumerate(cols):
-                if parked[b]:
+                if stopped[b]:
                     continue
                 top = np.abs(x[:, b]).max()
                 col["tops"].append(top)
                 if not top < np.inf:
                     col["diverged_t"] = k * h
-                    parked[b] = True
+                    stopped[b] = True
                     continue
                 col["max_state_norm"] = max(col["max_state_norm"], top)
                 if k % dec == 0 or k == n_steps:
                     col["kept"].append(x[:, b].copy())
                     col["steps"].append(k)
                 if top > abort:
-                    col["aborted"] = parked[b] = True
+                    col["aborted"] = stopped[b] = True
     for col in cols:
         col["kept"] = np.array(col["kept"])
         col.update(whole_history_signals(loop, col["kept"], np.array(col["steps"]) * h))

@@ -292,3 +292,7 @@ class TestEscalation:
         for factor, max_rounds in [(1.0, 2), (np.nan, 2), (np.inf, 2), (2.0, 0)]:
             with pytest.raises(ValueError):
                 EscalationSpec(factor=factor, max_rounds=max_rounds)
+        # a round count that is no integer would reach `range` as a TypeError
+        with pytest.raises(ValueError,
+                           match=r"^controller\.escalation\.max_rounds: must be an integer"):
+            EscalationSpec(max_rounds=2.5)

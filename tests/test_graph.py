@@ -75,6 +75,16 @@ def test_bfs_agrees_with_spectral_gap():
         assert bfs_connected(g) == (lambda2(g) > 1e-9)
 
 
+@pytest.mark.parametrize("weight", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_weights_are_rejected(weight):
+    # NaN compares False and inf - inf is NaN, so neither fails the symmetry test, and
+    # lambda2 of either graph would raise NumPy's LinAlgError
+    for build in (lambda: CommGraph(np.array([[0.0, weight], [weight, 0.0]])),
+                  lambda: CommGraph.from_edges(2, [(0, 1, weight)])):
+        with pytest.raises(ValueError, match="^edge weights must be finite$"):
+            build()
+
+
 def test_graph_validation():
     with pytest.raises(ValueError):
         CommGraph(np.array([[0.0, 1.0], [0.5, 0.0]]))  # asymmetric

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from factories import build_plant
+from nesim.config import load_scenario
 from nesim.errors import NonFiniteState
 from nesim.game import QuadraticAggregativeGame
 from nesim.generator import GeneratorGains
@@ -23,6 +24,7 @@ from nesim.numerics import STEP_BLOCK, integrate, rk4_lifted_step, rk4_lifted_st
 from nesim.plant import Exosystem, sample_uncertainty
 from nesim.simulation import Scenario, assemble, run
 from oracles import box_start, rk4_states, stepwise_run
+from test_simulation import GOLDEN_CONFIGS
 
 STEPS = 300
 
@@ -188,8 +190,8 @@ def test_columns_that_stop_mid_run_leave_the_others_as_run_alone(sec5):
 
 def test_a_column_parked_where_its_drift_is_not_finite_leaves_the_batch_running():
     # the factory plant's drift plus 0 / z: the same bits wherever z != 0, NaN at the origin;
-    # a column that passes the norm limit stops, is stepped on, and its fill skips it, and
-    # the batch runs as its columns run alone
+    # a column that passes the norm limit stops and is stepped and filled on, and the batch
+    # runs as its columns run alone
     def f0(z, x1, v, w):
         return -z + 0.0 / z
 
@@ -215,6 +217,27 @@ def test_a_column_parked_where_its_drift_is_not_finite_leaves_the_batch_running(
         for name in ("t", "y", "p", "e", "u", "ne_dist", "v"):
             assert getattr(traj, name).tobytes() == getattr(one, name).tobytes()
         assert traj.max_state_norm == one.max_state_norm
+
+
+def test_an_assembled_loop_is_read_only_and_a_stopped_run_leaves_it_as_assembled():
+    # every array the loop holds is read-only; the no-split diverging batch, stepped by the
+    # per-step reference until seed 1 diverges and stops, leaves the loop stepping seeds 1 and
+    # 3 from the start again to the bits of a freshly assembled loop
+    scenario, _ = load_scenario(GOLDEN_CONFIGS["no_split_diverging.json"])
+    starts, draws = zip(*(box_start(scenario, seed) for seed in (1, 3)))
+    x0, draws = np.stack(starts, axis=1), np.stack(draws)
+    loop = assemble(scenario, draws=draws)
+    for name in ("operator", "control_rows", "draws"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(loop, name)[...] = 0.0
+    ref = stepwise_run(loop, x0, scenario.dt, scenario.n_steps, scenario.decimate)
+    assert [col["diverged_t"] for col in ref] == [1.343, None]
+    fresh = assemble(scenario, draws=draws)
+    with np.errstate(over="ignore", invalid="ignore"):
+        again, want = (trajectory(rk4_lifted_steps(one.operator, scenario.dt, one.bind), x0,
+                                  scenario.n_steps) for one in (loop, fresh))
+    assert np.isnan(want[-1, :, 0]).all() and np.isfinite(want[:, :, 1]).all()
+    assert again.tobytes() == want.tobytes()
 
 
 def diverging(sec5, decimate=10):

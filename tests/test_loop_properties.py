@@ -69,34 +69,25 @@ def test_batched_run_matches_single_seed_runs(scenario, seeds, multiplier, ablat
        multiplier=st.floats(1.0, 16.0), abort_norm=st.one_of(st.none(), st.floats(0.6, 1.0)))
 def test_live_columns_hold_the_same_estimates(seeds, multiplier, abort_norm, request):
     # the generator reads no plant state and every column starts at p0, so the custom game's
-    # partial fill may evaluate one column for all: the estimate rows of the columns that
-    # have not stopped agree bit for bit at every step, whichever columns the norm stops; a
-    # column is held to the others up to the last state of the block it stops in, exclusive
+    # partial fill may evaluate one column for all: at every step, the estimate rows of the
+    # live columns, each state finite and at most abort_norm, agree bit for bit, whichever
+    # columns the norm stops
     short = dataclasses.replace(drawn("custom", multiplier, request), t_final=0.2)
-    P, checked, loops = short.layout().P, [], []
-
-    def assemble_spy(*args, **kwargs):
-        loops.append(assemble(*args, **kwargs))
-        return loops[-1]
+    P, checked = short.layout().P, []
+    abort = np.inf if abort_norm is None else abort_norm
 
     def spy(steps, x0, n_steps, observer):
-        stopped = loops[-1].parked  # the columns `run`'s observer has stopped
-
         def watch(k, t, xs):
-            live = ~stopped
-            done = observer(k, t, xs)
             for step_k, x in enumerate(xs, start=k):
-                if step_k == k + len(xs) - 1:
-                    live = ~stopped
+                live = np.isfinite(x).all(axis=0) & (np.abs(x).max(axis=0) <= abort)
                 bits = x[P][:, live].view(np.int64)
                 assert (bits == bits[:, :1]).all(), step_k
                 checked.append(step_k)
-            return done
+            return observer(k, t, xs)
 
         return integrate(steps, x0, n_steps, watch)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simulation, "assemble", assemble_spy)
         patch.setattr(simulation, "integrate", spy)
         run(short, seed=seeds, abort_norm=abort_norm)
     assert checked == list(range(len(checked))) and len(checked) >= 2

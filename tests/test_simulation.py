@@ -451,10 +451,14 @@ def test_batched_rerun_is_bit_identical(stable):
     (dict(dt=0.0), {}), (dict(decimate=0), {}), ({}, dict(seed=[])), (dict(t_final=-1.0), {}),
     (dict(dt=np.nan), {}), (dict(dt=np.inf), {}), (dict(t_final=np.nan), {}),
     (dict(t_final=np.inf), {}), (dict(t_final=1e300, dt=1e-10), {}),
+    (dict(seed=1.5), {}), (dict(seed=True), {}), (dict(decimate=2.5), {}),
+    (dict(decimate=True), {}),
 ], ids=["dt_zero", "decimate_zero", "no_seeds", "t_final_negative", "dt_nan", "dt_inf",
-        "t_final_nan", "t_final_inf", "step_count_overflow"])
+        "t_final_nan", "t_final_inf", "step_count_overflow", "seed_float", "seed_bool",
+        "decimate_float", "decimate_bool"])
 def test_run_rejects_bad_arguments(settings, kwargs, stable):
-    # the run settings are the scenario's, rejected by `Scenario` when replaced
+    # the run settings are the scenario's, rejected by `Scenario` when replaced; a seed or a
+    # decimation that is no integer would reach NumPy or `range` as a TypeError
     with pytest.raises(ValueError):
         run(dataclasses.replace(stable, **dict(t_final=0.01) | settings), **kwargs)
 
