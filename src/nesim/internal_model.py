@@ -53,6 +53,9 @@ class StabilizerPair:
         n = M.shape[0]
         if M.shape != (n, n) or N.shape != (n,):
             raise ValueError("M must be square and N a matching vector")
+        for name, value in (("M", M), ("N", N)):
+            if not np.isfinite(value).all():  # eigvals would raise LinAlgError on NaN or inf
+                raise ValueError(f"{name} must be finite")
         eigs = np.linalg.eigvals(M)
         if eigs.real.max() >= -HURWITZ_EPS:
             raise ValueError(f"M is not Hurwitz: max real part {eigs.real.max():.3e}")

@@ -24,12 +24,13 @@ STEADY_DRIFT_CHUNK = 128
 
 
 def checked_box(name: str, box, rows: int) -> np.ndarray:
-    """``box`` as a read-only ``(rows, 2)`` float array with lo <= hi in every row.
+    """``box`` as a read-only ``(rows, 2)`` finite float array with lo <= hi in every row.
 
     Any other box is a `ValueError` naming the scenario-file field ``name``.
     """
     box = np.array(box, dtype=float)
     require(name, box.shape, box.shape == (rows, 2), f"of shape ({rows}, 2)")
+    require(name, box.tolist(), np.isfinite(box).all(), "finite")
     bad = np.flatnonzero(~(box[:, 0] <= box[:, 1]))  # NaN bounds are not ordered either
     require(name, f"row {bad[0]} = {box[bad[0]].tolist()}" if bad.size else None,
             bad.size == 0, "lo <= hi in every row")
@@ -50,6 +51,7 @@ class Exosystem:
     def __post_init__(self):
         S = np.array(self.S, dtype=float)
         require("exosystem.S", S.shape, S.ndim == 2 and S.shape[0] == S.shape[1], "square")
+        require("exosystem.S", S.tolist(), np.isfinite(S).all(), "finite")
         S.setflags(write=False)
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "v0_box", checked_box("plant.v0_box", self.v0_box, self.n_v))

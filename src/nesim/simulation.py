@@ -38,9 +38,9 @@ from .game import CustomGame, GameSpec, GradientConstants, estimate_constants, s
 from .generator import GeneratorGains, generator_rows, min_gamma2, partials_bind
 from .graph import CommGraph
 from .internal_model import InternalModelBank, synthesize_bank
-from .numerics import (STEP_BLOCK, OdeSystem, column_gemv, integrate, kept_rows,
+from .numerics import (STAGE_BLOCKS, STEP_BLOCK, OdeSystem, column_gemv, integrate, kept_rows,
                        rk4_lifted_steps)
-from .plant import (Exosystem, PlantFeatures, PlantModel, SteadyState, checked_box, drift_split,
+from .plant import (Exosystem, PlantFeatures, PlantModel, checked_box, drift_split,
                     sample_uncertainty, steady_state_chain)
 
 AUTO_GAMMA2_MARGIN = 1.25
@@ -180,6 +180,7 @@ class Scenario:
         if self.p0 is not None:
             p0, shape = np.array(self.p0, dtype=float), (n, n)
             require("gains.p0", p0.shape, p0.shape == shape, f"of shape {shape}")
+            require("gains.p0", p0.tolist(), np.isfinite(p0).all(), "finite")
             p0.setflags(write=False)
             object.__setattr__(self, "p0", p0)
         kept = self.synthesis
@@ -253,9 +254,11 @@ class Scenario:
 
     def seed_bytes(self) -> int:
         """Bytes `run` holds per seed of a batch, counted without building an operator: its
-        signals, its operator and stage maps (ten ``(dim, width)`` blocks), two step blocks' rows."""
+        signals, its operator and stage maps (``1 + sum(STAGE_BLOCKS)`` ``(dim, width)``
+        blocks), two step blocks' rows."""
         _, features = drift_split(self.plant, self.w_box[None, :, 0], self.exo.n_v)
-        columns = 10 * self._lifted_width(features) + 2 * min(STEP_BLOCK, self.n_steps)
+        blocks = 1 + sum(STAGE_BLOCKS)
+        columns = blocks * self._lifted_width(features) + 2 * min(STEP_BLOCK, self.n_steps)
         return 8 * self.layout().dim * columns + self.kept_state_bytes()
 
     def _lifted_width(self, features: PlantFeatures) -> int:
@@ -325,41 +328,26 @@ class AssembledLoop(OdeSystem):
         return self.control_rows @ state
 
     def manifold_state(self, v0: np.ndarray, column: int = 0) -> np.ndarray:
-        """Flat state of one column on the regulated manifold, generator at equilibrium."""
-        v0, synthesis = np.asarray(v0, dtype=float), self.scenario.synthesized()
+        """Flat state of one column on the regulated manifold, generator at equilibrium.
+
+        The plant sits on the steady-state chain of the column's draw (from the plant's
+        ``steady_poly``, built here) and each compensator level at the states that reproduce
+        its steady signals: ``T`` times the chain's derivative stack at ``v0``.
+        """
+        v0, scenario = np.asarray(v0, dtype=float), self.scenario
+        if scenario.plant.steady_poly is None:
+            raise ConfigError("plant: the regulated manifold needs the plant's steady_poly "
+                              "(exact steady-state signals), which this plant does not provide")
+        synthesis = scenario.synthesized()
         p_star = synthesis.p_star
-        P = np.tile(p_star, self.scenario.n)  # every row at the equilibrium profile
-        steady = self._exact_chain(column)
-        eta = _ideal_compensators(steady, synthesis.bank, v0)
+        P = np.tile(p_star, scenario.n)  # every row at the equilibrium profile
+        steady = steady_state_chain(scenario.plant, p_star, scenario.exo, self.draws[column])
+        eta = [np.einsum("ijk,ki->ij", level.T, steady.derivative_stack(s + 2, v0, level.order))
+               for s, level in enumerate(synthesis.bank.levels)]
         # chain level s + 1 sits at the read-out of compensator level s
         x = np.vstack([p_star] + psi_readouts(synthesis.bank, eta)[:-1])
         return np.concatenate([P, v0, steady.z_star(v0).ravel(), x.ravel()]
                               + [e.ravel() for e in eta])
-
-    def ideal_compensators(self, v: np.ndarray, column: int = 0) -> list[np.ndarray]:
-        """The compensator states of one column that exactly reproduce the steady signals.
-
-        They come from the exact derivative stacks of the plant's ``steady_poly``
-        on the column's steady-state chain, built here.
-        """
-        return _ideal_compensators(self._exact_chain(column), self.scenario.synthesized().bank,
-                                   v)
-
-    def _exact_chain(self, column: int) -> SteadyState:
-        """The steady-state chain of one column's draw, from the plant's ``steady_poly``."""
-        plant = self.scenario.plant
-        if plant.steady_poly is None:
-            raise ConfigError("plant: the regulated manifold needs the plant's steady_poly "
-                              "(exact steady-state signals), which this plant does not provide")
-        return steady_state_chain(plant, self.scenario.synthesized().p_star, self.scenario.exo,
-                                  self.draws[column])
-
-
-def _ideal_compensators(steady: SteadyState, bank: InternalModelBank,
-                        v: np.ndarray) -> list[np.ndarray]:
-    """Each level's compensator states on ``steady``'s exact derivative stacks at ``v``."""
-    return [np.einsum("ijk,ki->ij", level.T, steady.derivative_stack(s + 2, v, level.order))
-            for s, level in enumerate(bank.levels)]
 
 
 def _stage(name: str, fn, *args, **kwargs):
@@ -522,7 +510,7 @@ class ClosedLoopTrajectory:
 
 
 def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | None = None,
-        init_mode: str = "box", abort_norm: Optional[float] = None):
+        abort_norm: Optional[float] = None):
     """Integrate the closed loop and derive the output-side signals from the kept states.
 
     The gains, horizon, step and decimation are the scenario's: for others,
@@ -530,22 +518,23 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
     seed, giving one trajectory, or a sequence of seeds, giving a list: the
     seeds are then stepped as one ``(dim, B)`` state, one column per seed, and
     each trajectory is bit-identical to the run of its seed alone, stepped in
-    one workspace (`numerics.rk4_lifted_steps`). ``init_mode="box"`` draws
-    plant and compensator initial states uniformly from the scenario's box
-    (generator estimates start at the configured values, zero by default);
-    ``"manifold"`` starts exactly on the regulated manifold with the
-    generator at equilibrium. Divergence does not raise: the trajectory up
-    to the failure is returned with the flag set. A column that diverges or
-    passes ``abort_norm`` stops there: it is stepped on but never read, and
-    the others go on. Both are read off
-    each block of states `numerics.integrate` hands over, per column: a
-    column whose every entry in the block is finite and at most
-    ``abort_norm`` goes on, and the block is kept with one ``|x|`` maximum
-    per column. A column that stops, stops at its first
-    state that is not: a state with a NaN or Inf entry diverged within its
-    step and keeps neither its peak nor its sample; else the state is past
-    ``abort_norm`` and is kept. The states the column is stepped through
-    after it, to the block's end, are not kept.
+    one workspace (`numerics.rk4_lifted_steps`). A seed is an integer >= 0,
+    not a bool; any other ``seed``, or an empty sequence, is a `ValueError`
+    naming it. Each seed draws its uncertainty, its disturbance start from
+    ``exo.v0_box`` and its plant and compensator states from ``[-R, R]``;
+    the generator estimates start at ``p0``, zero by default. A run never
+    builds a steady-state chain: to start on the regulated manifold, step
+    `AssembledLoop.manifold_state`. Divergence does not raise: the
+    trajectory up to the failure is returned with the flag set. A column
+    that diverges or passes ``abort_norm`` stops there: it is stepped on but
+    never read, and the others go on. Both are read off each block of states
+    `numerics.integrate` hands over, per column: a column whose every entry
+    in the block is finite and at most ``abort_norm`` goes on, and the block
+    is kept with one ``|x|`` maximum per column. A column that stops, stops
+    at its first state that is not: a state with a NaN or Inf entry diverged
+    within its step and keeps neither its peak nor its sample; else the
+    state is past ``abort_norm`` and is kept. The states the column is
+    stepped through after it, to the block's end, are not kept.
 
     Each block's kept states (step 0, each ``decimate``-th step and the
     last) are derived into every column's signals as the block arrives, in
@@ -553,13 +542,14 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
     a row's bits do not depend on how many rows are derived together. A seed
     costs `Scenario.seed_bytes`: its signals, not its kept states, and its maps.
     """
-    batch = seed is not None and not isinstance(seed, (int, np.integer))
-    seeds = [int(s) for s in seed] if batch else [scenario.seed if seed is None else int(seed)]
-    h, dec = scenario.dt, scenario.decimate
-    if not seeds:
-        raise ValueError("need at least one seed")
-    if init_mode not in ("box", "manifold"):
-        raise ValueError(f"unknown init_mode {init_mode!r}")
+    if seed is None:
+        seed = scenario.seed
+    batch = isinstance(seed, Sequence) or isinstance(seed, np.ndarray) and seed.ndim > 0
+    seeds = list(seed) if batch else [seed]
+    if not seeds or not all(_integer(s) and s >= 0 for s in seeds):
+        raise ValueError("seed: must be an integer >= 0 or a nonempty sequence of them, "
+                         f"got {seed}")
+    seeds, h, dec = [int(s) for s in seeds], scenario.dt, scenario.decimate
 
     n, lay, B = scenario.n, scenario.layout(), len(seeds)
     box, p_star = scenario.exo.v0_box, scenario.synthesized().p_star
@@ -571,13 +561,8 @@ def run(scenario: Scenario, ablate: bool = False, seed: int | Sequence[int] | No
         rng = np.random.default_rng(seed_b)
         draws[b] = sample_uncertainty(scenario.w_box, rng)
         state[lay.v, b] = rng.uniform(box[:, 0], box[:, 1])
-        if init_mode == "box":
-            state[lay.z.start:, b] = rng.uniform(-scenario.R, scenario.R,
-                                                 size=lay.dim - lay.z.start)
+        state[lay.z.start:, b] = rng.uniform(-scenario.R, scenario.R, size=lay.dim - lay.z.start)
     loop = assemble(scenario, ablate=ablate, draws=draws)
-    if init_mode == "manifold":
-        for b in range(B):
-            state[:, b] = loop.manifold_state(state[lay.v, b], b)
     # overflowing gains give non-finite stage maps; the first block reports divergence. The
     # workspace is built before the signals, so its temporaries never meet them
     with np.errstate(over="ignore", invalid="ignore"):

@@ -190,7 +190,7 @@ class TestManifoldInvariance:
             state = rk4_step(sec5_loop, t, state, h)
             t += h
             P, v, z, x, eta = unpack(sec5_loop, state)
-            theta = sec5_loop.ideal_compensators(v)
+            theta = unpack(sec5_loop, sec5_loop.manifold_state(v))[4]
             out = transform(z, x, eta, sec5.synthesized().bank, sec5_steady, theta,
                             P.diagonal(), v)
             worst = max(worst, out.max_abs())

@@ -71,6 +71,16 @@ class TestDefaultStabilizer:
         with pytest.raises(ValueError):
             StabilizerPair(M=-np.eye(2), N=np.array([0.0, 0.0]))  # not controllable
 
+    @pytest.mark.parametrize("name, value", [("M", np.nan), ("M", np.inf), ("N", np.nan),
+                                             ("N", -np.inf)],
+                             ids=["M_nan", "M_inf", "N_nan", "N_inf"])
+    def test_non_finite_entries_are_rejected(self, name, value):
+        # else the Hurwitz test's eigvals raises NumPy's LinAlgError
+        arrays = {"M": -np.eye(2) + np.eye(2, k=1), "N": np.array([0.0, 1.0])}
+        arrays[name][-1] = value
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            StabilizerPair(**arrays)
+
 
 class TestSolveSylvester:
     def test_scalar_case(self):

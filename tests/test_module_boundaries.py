@@ -34,6 +34,10 @@ Only `plant` calls a plant's ``steady_zero`` hook: `SteadyState.z_star` is
 the one caller, which checks the hook's stack contract, so every other module
 reads the zero-dynamics map through a steady-state chain.
 
+Every keyword parameter of `simulation.run` and `simulation.assemble` is
+passed by some call in nesim, by name or by position: a switch that only
+tests set is an option nesim does not have.
+
 `config` names library errors in one helper: `config._build` turns an error
 of a library build into a config error naming the section, `build_scenario`
 holds at most one ``try`` (around the `Scenario` and its synthesis), and no
@@ -371,3 +375,45 @@ def test_config_names_library_errors_in_one_helper():
     source = (SRC / "config.py").read_text()
     assert all(f"def {name}(" in source for name in ERROR_NAMERS + ("build_scenario",))
     assert handler_breaks(source, "config.py") == []
+
+
+ENTRY_POINTS = ("run", "assemble")
+
+
+def unpassed_keywords(function: str, definition: str, sources: list[str]) -> list[str]:
+    """The keyword parameters of the top-level ``function`` of ``definition`` that no call of
+    ``function`` in ``sources`` passes, by name or by position, in signature order.
+
+    A keyword parameter has a default or is keyword-only.
+    """
+    fn = next(node for node in ast.parse(definition).body
+              if isinstance(node, ast.FunctionDef) and node.name == function)
+    names = [arg.arg for arg in fn.args.posonlyargs + fn.args.args]
+    keywords = names[len(names) - len(fn.args.defaults):] + [arg.arg for arg in fn.args.kwonlyargs]
+    passed = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None)) == function):
+                positional = [arg for arg in node.args if not isinstance(arg, ast.Starred)]
+                passed.update(names[:len(positional)])
+                passed.update(kw.arg for kw in node.keywords)
+    return [name for name in keywords if name not in passed]
+
+
+def test_keyword_detector_sees_names_positions_and_attribute_calls():
+    definition = ("def run(scenario, ablate=False, seed=None, init_mode='box', abort_norm=None,"
+                  " *, trace=False):\n    pass\n")
+    calls = ["run(scenario, ablate=ablate, seed=fresh)\n"
+             "def passes(scenario):\n    return simulation.run(scenario, abort_norm=1.0)\n",
+             "run_generator(scenario, init_mode='box', trace=True)\nrun(scenario, **options)\n"]
+    assert unpassed_keywords("run", definition, calls) == ["init_mode", "trace"]
+    calls.append("run(scenario, False, [1, 2], 'box')\nnesim.run(sc, trace=True)\n")
+    assert unpassed_keywords("run", definition, calls) == []
+
+
+def test_every_keyword_of_run_and_assemble_is_passed_by_nesim():
+    definition = (SRC / "simulation.py").read_text()
+    sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    assert {fn: unpassed_keywords(fn, definition, sources) for fn in ENTRY_POINTS} == \
+        {fn: [] for fn in ENTRY_POINTS}

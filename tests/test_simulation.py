@@ -27,7 +27,7 @@ from nesim.plant import (Exosystem, drift_split, example_plant,
 from nesim.simulation import (ClosedLoopTrajectory, EscalationSpec, Scenario, assemble,
                               closed_loop_passes, metrics, run, write_csv)
 from factories import ring_scenario
-from oracles import backstepping_control, composed_rhs, unpack
+from oracles import backstepping_control, box_start, composed_rhs, stepwise_run, unpack
 
 
 def test_state_dimension(sec5_loop):
@@ -183,10 +183,17 @@ def preset_pairs(scenario: Scenario, agents: int) -> tuple:
     ("exosystem.S", lambda sc: {"exo": Exosystem(S=np.zeros((2, 3)), v0_box=sc.exo.v0_box)}),
     ("plant.v0_box", lambda sc: {"exo": Exosystem(S=sc.exo.S, v0_box=sc.exo.v0_box[:1])}),
     ("plant.v0_box", lambda sc: {"exo": Exosystem(S=sc.exo.S, v0_box=[[1.0, 0.0], [0.0, 0.0]])}),
+    # non-finite arrays: a file's are rejected by its reader, a library scenario's here
+    ("plant.w_box", lambda sc: {"w_box": np.tile([-np.inf, np.inf], (len(sc.w_box), 1))}),
+    ("exosystem.S", lambda sc: {"exo": Exosystem(S=np.full((2, 2), np.nan), v0_box=sc.exo.v0_box)}),
+    ("plant.v0_box", lambda sc: {"exo": Exosystem(S=sc.exo.S, v0_box=[[0.0, np.inf], [0.0, 0.0]])}),
+    ("gains.p0", lambda sc: {"p0": np.full((sc.n, sc.n), np.nan)}),
+    ("gains.p0", lambda sc: {"p0": np.full((sc.n, sc.n), -np.inf)}),
 ], ids=["graph_of_5", "w_box_23_rows", "w_box_inverted", "preset_and_explicit",
         "explicit_for_3_agents", "explicit_of_order_1",
         "explicit_over_a_0d_level", "plant_of_3", "S_not_square",
-        "v0_box_1_row", "v0_box_inverted"])
+        "v0_box_1_row", "v0_box_inverted", "w_box_inf", "S_nan", "v0_box_inf",
+        "p0_nan", "p0_inf"])
 def test_parts_that_do_not_fit_are_named_by_their_field(field, changes, sec5):
     # a library scenario checks how its parts fit where it is built, as a file would
     with pytest.raises(ValueError, match=rf"^{re.escape(field)}: must be "):
@@ -241,31 +248,54 @@ def test_closed_loop_tracks_reference(stable):
 
 
 def test_manifold_start_stays_on_manifold(stable):
-    traj = run(dataclasses.replace(stable, t_final=5.0), init_mode="manifold")
-    assert np.abs(traj.e).max() <= 1e-6
+    # the seed's draw and disturbance start, drawn as `run` draws them, with the plant and the
+    # compensators on the manifold: the tracking error stays at roundoff
+    scenario = dataclasses.replace(stable, t_final=5.0)
+    x0, draw = box_start(scenario, scenario.seed)
+    loop = assemble(scenario, draws=draw[None])
+    start = loop.manifold_state(x0[scenario.layout().v])
+    (col,) = stepwise_run(loop, start[:, None], scenario.dt, scenario.n_steps, scenario.decimate)
+    assert col["diverged_t"] is None
+    assert np.abs(col["e"]).max() <= 1e-6
+
+
+def test_the_manifold_is_invariant_on_drawn_draws(stable):
+    # one batched loop over five seeds' draws, each column started on its own draw's manifold
+    # at a disturbance start drawn from the box: every column tracks at roundoff for 1 s
+    scenario = dataclasses.replace(stable, t_final=1.0)
+    draws = np.stack([sample_uncertainty(scenario.w_box, seed) for seed in range(1, 6)])
+    loop = assemble(scenario, draws=draws)
+    rng, box = np.random.default_rng(7), scenario.exo.v0_box
+    starts = np.stack([loop.manifold_state(rng.uniform(box[:, 0], box[:, 1]), b)
+                       for b in range(len(draws))], axis=1)
+    cols = stepwise_run(loop, starts, scenario.dt, scenario.n_steps, scenario.decimate)
+    for col in cols:
+        assert col["diverged_t"] is None
+        assert np.abs(col["e"]).max() <= 1e-6
 
 
 def test_steady_chains_are_built_only_for_the_manifold_start(stable, count_calls):
-    # the chain is truth data: a box start steps the loop without it
+    # the chain is truth data: a run steps the loop without it, and `manifold_state` builds
+    # the chain of its one column, the bits of a loop of that draw alone
     chains = count_calls(steady_state_chain)
     short = dataclasses.replace(stable, t_final=0.05, decimate=1)
     run(short, seed=[1, 2])
     assert chains == []
-    batch = run(short, seed=[1, 2], init_mode="manifold")
+    draws = np.stack([box_start(short, seed)[1] for seed in (1, 2)])
+    v0 = np.array([0.9, -0.1])
+    batch = [assemble(short, draws=draws).manifold_state(v0, b) for b in range(2)]
     assert len(chains) == 2  # one per column
-    for traj in batch:
-        assert_same_run(traj, run(short, seed=traj.seed, init_mode="manifold"))
+    for b, state in enumerate(batch):
+        alone = assemble(short, draws=draws[b:b + 1]).manifold_state(v0)
+        assert state.tobytes() == alone.tobytes()
 
 
-def test_manifold_start_without_steady_poly_is_a_config_error(custom_scenario, count_calls):
-    # the generic plant has no exact steady-state form to start on
+def test_manifold_start_without_steady_poly_is_a_config_error(custom_scenario):
+    # the generic plant has no exact steady-state form to start on; a run never needs one
     assert custom_scenario.plant.steady_poly is None
-    steps = count_calls(rk4_lifted_step)
-    with pytest.raises(ConfigError, match="steady_poly"):
-        run(dataclasses.replace(custom_scenario, t_final=0.01), init_mode="manifold")
     with pytest.raises(ConfigError, match="steady_poly"):
         assemble(custom_scenario).manifold_state(np.array([0.7, 0.0]))
-    assert steps == []
+    assert not run(dataclasses.replace(custom_scenario, t_final=0.01)).diverged
 
 
 def test_divergence_is_reported_not_raised(sec5):
@@ -461,6 +491,18 @@ def test_run_rejects_bad_arguments(settings, kwargs, stable):
     # decimation that is no integer would reach NumPy or `range` as a TypeError
     with pytest.raises(ValueError):
         run(dataclasses.replace(stable, **dict(t_final=0.01) | settings), **kwargs)
+
+
+@pytest.mark.parametrize("seed", [1.5, [1.5, 2.7], True, [1, True], -1, [2, -1], [],
+                                  np.array(3), np.array([1.0, 2.0])],
+                         ids=["float", "floats", "bool", "bool_in_batch", "negative",
+                              "negative_in_batch", "empty", "array_0d", "float_array"])
+def test_run_rejects_a_seed_that_is_no_integer_or_is_negative(seed, stable, count_calls):
+    # else [1.5, 2.7] would run seeds 1 and 2, True seed 1, and 1.5 and -1 fail in NumPy
+    calls = count_calls(assemble)
+    with pytest.raises(ValueError, match=r"^seed: must be an integer >= 0 or a nonempty "):
+        run(dataclasses.replace(stable, t_final=0.01), seed=seed)
+    assert calls == []
 
 
 def test_a_step_past_the_horizon_is_rejected_by_the_scenario(sec5):
